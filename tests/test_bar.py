@@ -15,6 +15,7 @@ from symcoh.sparse import SparseMatrix
 from symcoh.tensors import all_tuples, flat
 
 from oracles import maschke_cohomology_dims, periodic_cyclic_cohomology_dims
+from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)
@@ -274,6 +275,8 @@ def test_sigma_ambient_matches_reduced_via_free_identification():
     (lambda f: kC(3, f), GF3, 3),
     (lambda f: kC(3, f), QQ, 2),
     (lambda f: kS3(f), GF5, 2),
+    (lambda f: scrambled_kc3(), GF3, 2),
+    (lambda f: scrambled_kc2_rational(), QQ, 2),
 ])
 def test_phi_psi_mutually_inverse(make, field, n_max):
     h = make(field)

@@ -13,7 +13,8 @@ from symcoh.hochschild import compare_adjoint, symmetric_hochschild_cohomology
 from symcoh.hopf import HopfAlgebra, cyclic_group_table, group_algebra, validate_hopf
 from symcoh.linalg import Matrix, inverse
 from symcoh.modules import regular_bimodule, trivial_module
-from symcoh.resolution import (contracting_homotopy_check, sh_via_resolution,
+from symcoh.resolution import (contracting_homotopy_check, hochschild_resolution,
+                               sh_via_resolution, shh_via_resolution,
                                splitting_maps, sym_resolution_complex)
 
 GF3 = Field.prime(3)
@@ -108,12 +109,20 @@ def test_scrambled_resolution_route():
     assert contracting_homotopy_check(g, 2).passed
 
 
+def _assert_hochschild_resolution_checks(g):
+    res = hochschild_resolution(g, 2)
+    for name, ok in res.exactness_report() + res.factorization_checks:
+        assert ok, name
+
+
 def test_scrambled_hochschild():
     g = scrambled_kc3()
     bim = regular_bimodule(g)
     rep = symmetric_hochschild_cohomology(g, bim, 2, cross_check=True)
     assert rep.dims == [3, 3]
     assert rep.passed
+    assert shh_via_resolution(g, bim, 2).dims == [3, 3]
+    _assert_hochschild_resolution_checks(g)
     cmp = compare_adjoint(g, bim, 2)
     assert cmp.passed
 
@@ -133,6 +142,8 @@ def test_scrambled_rational_full_stack():
     bim = regular_bimodule(g)
     rep = symmetric_hochschild_cohomology(g, bim, 2, cross_check=True)
     assert rep.dims == [2, 0]
+    assert shh_via_resolution(g, bim, 2).dims == [2, 0]
+    _assert_hochschild_resolution_checks(g)
     for n in (1, 2):
         sp = splitting_maps(g, n)
         assert sp.retract_ok and sp.equivariant_ok

@@ -16,6 +16,7 @@ from symcoh.modules import regular_bimodule, trivial_bimodule
 from symcoh.tensors import flat
 
 from oracles import periodic_cyclic_cohomology_dims
+from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)
@@ -155,11 +156,14 @@ def test_sigma_ambient_matches_reduced_via_free_identification():
 
 
 def test_hochschild_phi_psi_inverse_and_intertwining():
-    for h in (kC(3, GF3), kC(2, QQ)):
+    # the non-group-like bases stop one degree lower: their Sweedler sums
+    # make phi/psi at degree 3 take tens of seconds
+    for h, top in ((kC(3, GF3), 3), (kC(2, QQ), 3), (scrambled_kc3(), 2),
+                   (scrambled_kc2_rational(), 2)):
         bim = regular_bimodule(h)
-        ck = hochschild_homogeneous_complex(h, bim, 3)
-        cc = hochschild_nonhomogeneous_complex(h, bim, 3)
-        for n in range(3):
+        ck = hochschild_homogeneous_complex(h, bim, top)
+        cc = hochschild_nonhomogeneous_complex(h, bim, top)
+        for n in range(top):
             phi, psi = hochschild_phi_psi(h, bim, n)
             assert (phi @ psi).equals_identity()
             composite = psi @ phi
