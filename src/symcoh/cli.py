@@ -282,11 +282,14 @@ def run(args) -> tuple[dict, int]:
         out = _report("resolution", dims=res.dims(), checks=checks)
         return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
 
-    if mode in ("H", "SH"):
-        mod = load_left_module(args.module or "trivial", h)
-        if mode == "H":
+    if mode in ("H", "SH", "HH", "SHH"):
+        if mode in ("HH", "SHH"):
+            mod = load_bimodule(args.module or "regular", h)
+        else:
+            mod = load_left_module(args.module or "trivial", h)
+        if mode in ("H", "HH"):
             rep = bar.classical_cohomology(h, mod, top, budget=budget)
-            out = _report("H", dims=rep.dims, routes={rep.realization: rep.dims})
+            out = _report(mode, dims=rep.dims, routes={rep.realization: rep.dims})
             return out, EXIT_OK
         if args.route == "resolution":
             rep = resolution.sh_via_resolution(h, mod, top)
@@ -302,30 +305,7 @@ def run(args) -> tuple[dict, int]:
                                            budget=budget)
             routes = rep.routes
             checks = rep.checks
-        out = _report("SH", dims=rep.dims, routes=routes, checks=checks)
-        return out, EXIT_OK if _checks_pass(out) else EXIT_INTERNAL
-
-    if mode in ("HH", "SHH"):
-        bim = load_bimodule(args.module or "regular", h)
-        if mode == "HH":
-            rep = hochschild.classical_hochschild_cohomology(h, bim, top, budget=budget)
-            out = _report("HH", dims=rep.dims, routes={rep.realization: rep.dims})
-            return out, EXIT_OK
-        if args.route == "resolution":
-            rep = resolution.shh_via_resolution(h, bim, top)
-            routes = {"resolution": rep.dims}
-            checks = []
-            if args.cross_check:
-                other = hochschild.symmetric_hochschild_cohomology(h, bim, top,
-                                                                   budget=budget)
-                routes["fixed_subcomplex"] = other.dims
-                checks.append(("routes_agree", other.dims == rep.dims))
-        else:
-            rep = hochschild.symmetric_hochschild_cohomology(
-                h, bim, top, cross_check=args.cross_check, budget=budget)
-            routes = rep.routes
-            checks = rep.checks
-        out = _report("SHH", dims=rep.dims, routes=routes, checks=checks)
+        out = _report(mode, dims=rep.dims, routes=routes, checks=checks)
         return out, EXIT_OK if _checks_pass(out) else EXIT_INTERNAL
 
     if mode == "compare-adjoint":

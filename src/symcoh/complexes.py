@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd
 
 from .errors import (ActionLeavesSubspace, ActionNotCompatible,
                      DegreeOutOfRange, NotASubcomplex)
 from .fields import Field
-from .linalg import (Matrix, kernel_basis, quotient, rank, rref,
+from .linalg import (Matrix, _rank_prime, kernel_basis, quotient, rank, rref,
                      solve_membership)
 from .sparse import SparseMatrix, integer_gram, to_int64_dense
 
@@ -138,7 +139,7 @@ def _integerize_columns(sm: SparseMatrix) -> SparseMatrix | None:
         for v in col.values():
             if isinstance(v, Fraction):
                 den = v.denominator
-                g = _gcd(lcm, den)
+                g = gcd(lcm, den)
                 lcm = lcm // g * den
         for i, v in col.items():
             w = v * lcm
@@ -148,17 +149,6 @@ def _integerize_columns(sm: SparseMatrix) -> SparseMatrix | None:
                 w = w.numerator
             out.cols_data[j][i] = int(w)
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _rank_prime_int64(arr, p) -> int:
-    from .linalg import _rank_prime
-    return _rank_prime(arr, p)
 
 
 def _certified_rational_rank(sm: SparseMatrix, upper: int | None) -> int:
@@ -179,11 +169,11 @@ def _certified_rational_rank(sm: SparseMatrix, upper: int | None) -> int:
         gram = integer_gram(scaled)
         if gram is not None:
             for q in _SANDWICH_PRIMES:
-                if _rank_prime_int64(gram % q, q) == upper:
+                if _rank_prime(gram % q, q) == upper:
                     return upper
         for q in _SANDWICH_PRIMES[:1]:
             arr = to_int64_dense(scaled, q)
-            if arr is not None and _rank_prime_int64(arr, q) == upper:
+            if arr is not None and _rank_prime(arr, q) == upper:
                 return upper
     return rank(sm.to_dense())
 
@@ -218,6 +208,9 @@ def cohomology_dims(c: CochainComplex, up_to: int) -> list:
     for n in range(up_to + 1):
         below = ranks[n - 1] if n > 0 else 0
         dims.append(c.spaces[n].dim - ranks[n] - below)
+        if dims[-1] < 0:
+            raise AssertionError(f"H^{n} came out with negative dimension {dims[-1]}: "
+                                 "the ranks contradict d.d = 0")
     return dims
 
 

@@ -95,9 +95,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def parse(self, text):
         """Read a scalar from a decimal string like "-3" or "2/3" (or an int)."""
         value = Fraction(text) if not isinstance(text, Fraction) else text

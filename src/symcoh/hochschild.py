@@ -1,393 +1,26 @@
-"""Hochschild complexes of a Hopf algebra with bimodule coefficients,
-their signed symmetric-group actions, symmetric Hochschild cohomology,
-and the comparison with symmetric cohomology of the adjoint module.
+"""Hochschild cohomology and symmetric Hochschild cohomology of a Hopf
+algebra with bimodule coefficients, and the comparisons with symmetric
+cohomology of the adjoint module.
 
-The reduced complex lives on Hom_k(A^(tensor n), M); translating the
-free bimodule coordinates puts the left action on the first boundary
-term and the right action on the last.  The homogeneous realization is
-the subspace of Hom_k(A^(tensor n+2), M) equivariant for the diagonal
-left action on all slots and right multiplication in the last slot.
+The Hochschild complexes are the constructions of `bar` for a bimodule:
+the same complexes with one trailing slot acted on from the right.
 """
 
 from __future__ import annotations
 
-import itertools
-
-from .bar import (DEFAULT_BUDGET, CohomologyReport, _action_columns,
-                  _value_action_operator, require_budget)
-from .complexes import (ActionOperator, CochainComplex, CochainSpace,
-                        _left_inverse_dense, cohomology_dims,
-                        fixed_subcomplex, restrict_operator)
-from .errors import BudgetExceeded, NotCocommutative, NotCommutative
-from .hopf import HopfAlgebra, iterated_comult
-from .linalg import intersect_kernels
-from .modules import Bimodule, LeftModule, adjoint_module, validate_bimodule
-from .sparse import SparseMatrix
-from .tensors import (all_tuples, cochain_precompose, cochain_swap_sigma,
-                      diagonal_action, flat, hochschild_chain_diff)
-
-_GENERIC_SOLVE_LIMIT = 4096
-
-
-def _require_cocommutative(h: HopfAlgebra):
-    if not h.is_cocommutative:
-        raise NotCocommutative("the symmetric-group action needs tw . comult = comult")
-
-
-def _bimodule_action_columns(bim: Bimodule):
-    left = _action_columns(LeftModule(bim.dim, bim.left))
-    right = _action_columns(LeftModule(bim.dim, bim.right))
-    return left, right
-
-
-def hochschild_nonhomogeneous_complex(h: HopfAlgebra, bim: Bimodule, top: int,
-                                      budget: int = DEFAULT_BUDGET) -> CochainComplex:
-    """The standard Hochschild coboundary on Hom_k(A^(tensor n), M)."""
-    validate_bimodule(h, bim)
-    d = h.dim
-    m = bim.dim
-    fld = h.field
-    require_budget(m * d ** (top + 2), budget, "Hochschild nonhomogeneous complex")
-    left_cols, right_cols = _bimodule_action_columns(bim)
-    spaces = [CochainSpace.full(fld, m * d ** n) for n in range(top + 1)]
-    diffs = []
-    for n in range(top):
-        diff = SparseMatrix(fld, m * d ** (n + 1), m * d ** n)
-        for tup in all_tuples(d, n + 1):
-            row_base = flat(tup, d) * m
-            tail = flat(tup[1:], d) * m
-            for j in range(m):
-                for j2, v in left_cols[tup[0]][j].items():
-                    diff.add_entry(row_base + j2, tail + j, v)
-            sign = fld.neg(fld.one())
-            for i in range(n):
-                for k, c in h.mult[tup[i]][tup[i + 1]].items():
-                    col_base = flat(tup[:i] + (k,) + tup[i + 2:], d) * m
-                    sc = fld.mul(sign, c)
-                    for j in range(m):
-                        diff.add_entry(row_base + j, col_base + j, sc)
-                sign = fld.neg(sign)
-            head = flat(tup[:n], d) * m
-            for j in range(m):
-                for j2, v in right_cols[tup[n]][j].items():
-                    diff.add_entry(row_base + j2, head + j, fld.mul(sign, v))
-        diffs.append(diff)
-    return CochainComplex(fld, top, spaces, diffs, label="C_e")
-
-
-def hochschild_equivariant_space(h: HopfAlgebra, bim: Bimodule, slots: int,
-                                 force_generic: bool = False) -> CochainSpace:
-    """Maps A^(tensor slots) -> M equivariant for the enveloping action
-    (diagonal on every slot from the left, last slot from the right)."""
-    d = h.dim
-    m = bim.dim
-    ambient = (d ** slots) * m
-    fld = h.field
-    if h.group_like and not force_generic:
-        e = h.group_identity
-        table = h.group_table
-        reps = [(e,) + mid + (e,) for mid in all_tuples(d, slots - 2)]
-        basis = SparseMatrix(fld, ambient, len(reps) * m)
-        coords = SparseMatrix(fld, len(reps) * m, ambient)
-        one = fld.one()
-        # value of the basis functional on the (g, c)-translate: g . m_j . c
-        moved_value = [[_dense_to_col(bim.left[g] @ bim.right[c])
-                        for c in range(d)] for g in range(d)]
-        for r_idx, rep in enumerate(reps):
-            rep_flat = flat(rep, d)
-            for j in range(m):
-                col = r_idx * m + j
-                coords.cols_data[rep_flat * m + j][col] = one
-                for g in range(d):
-                    head = tuple(table[g][t] for t in rep[:-1])
-                    for c in range(d):
-                        moved = flat(head + (table[g][c],), d)
-                        for j2, v in moved_value[g][c][j].items():
-                            basis.add_entry(moved * m + j2, col, v)
-        return CochainSpace(ambient, basis, coords, check=False)
-
-    if ambient > _GENERIC_SOLVE_LIMIT:
-        raise BudgetExceeded(
-            f"generic equivariant solve on {ambient} coordinates is over the limit")
-    constraints = []
-    for b in range(d):
-        pre = cochain_precompose(diagonal_action(h, b, slots), m, fld)
-        val = _value_action_operator(fld, d ** slots, bim.left[b])
-        constraints.append((pre - val).to_dense())
-        pre_r = cochain_precompose(_last_slot_right_mult(h, b, slots), m, fld)
-        val_r = _value_action_operator(fld, d ** slots, bim.right[b])
-        constraints.append((pre_r - val_r).to_dense())
-    sub = intersect_kernels(constraints)
-    basis = SparseMatrix.from_dense(sub.basis)
-    coords = SparseMatrix.from_dense(_left_inverse_dense(sub.basis))
-    return CochainSpace(ambient, basis, coords, check=False)
-
-
-def _dense_to_col(mat):
-    cols = []
-    for j in range(mat.cols):
-        col = {}
-        for i in range(mat.rows):
-            v = mat[i, j]
-            if v != 0:
-                col[i] = v
-        cols.append(col)
-    return cols
-
-
-def _last_slot_right_mult(h: HopfAlgebra, c: int, slots: int) -> SparseMatrix:
-    d = h.dim
-    out = SparseMatrix(h.field, d ** slots, d ** slots)
-    for tup in all_tuples(d, slots):
-        col = flat(tup, d)
-        for k, v in h.mult[tup[-1]][c].items():
-            out.add_entry(flat(tup[:-1] + (k,), d), col, v)
-    return out
-
-
-def hochschild_homogeneous_complex(h: HopfAlgebra, bim: Bimodule, top: int,
-                                   budget: int = DEFAULT_BUDGET,
-                                   force_generic: bool = False) -> CochainComplex:
-    validate_bimodule(h, bim)
-    m = bim.dim
-    require_budget(m * h.dim ** (top + 2), budget, "Hochschild homogeneous complex")
-    spaces = [hochschild_equivariant_space(h, bim, n + 2, force_generic=force_generic)
-              for n in range(top + 1)]
-    diffs = [cochain_precompose(hochschild_chain_diff(h, n + 1), m, h.field)
-             for n in range(top)]
-    return CochainComplex(h.field, top, spaces, diffs, label="K_e")
-
-
-def sigma_hochschild(h: HopfAlgebra, bim: Bimodule, n: int, mode: str,
-                     space: CochainSpace | None = None) -> ActionOperator:
-    """Generators of the symmetric-group action on Hochschild degree n.
-
-    Homogeneous mode is the signed swap of slots i-1, i (the last slot
-    never moves); nonhomogeneous mode substitutes Sweedler triples, with
-    the left module action at i = 1 and the right action at i = n.
-    """
-    _require_cocommutative(h)
-    d = h.dim
-    m = bim.dim
-    fld = h.field
-    if mode == "homogeneous":
-        sigmas = [cochain_swap_sigma(fld, d, n + 2, i, m) for i in range(1, n + 1)]
-        if space is not None:
-            for s in sigmas:
-                restrict_operator(space, s)
-        return ActionOperator(n, sigmas)
-    if mode != "nonhomogeneous":
-        raise ValueError(f"unknown mode {mode!r}")
-    left_cols, right_cols = _bimodule_action_columns(bim)
-    size = m * d ** n
-    minus = fld.neg(fld.one())
-    sigmas = []
-    for i in range(1, n + 1):
-        sig = SparseMatrix(fld, size, size)
-        for tup in all_tuples(d, n):
-            row_base = flat(tup, d) * m
-            if i == 1 and n == 1:
-                for (s1, s2, s3), c in iterated_comult(h, tup[0], 2).coeffs.items():
-                    for u, su in h.antipode_column(s2).items():
-                        col_base = flat((u,), d) * m
-                        coeff = fld.mul(minus, fld.mul(c, su))
-                        # both boundary actions: left by s1, right by s3
-                        for j in range(m):
-                            acc = {}
-                            for j2, lv in left_cols[s1][j].items():
-                                for j3, rv in right_cols[s3][j2].items():
-                                    acc[j3] = fld.add(acc.get(j3, fld.zero()),
-                                                      fld.mul(lv, rv))
-                            for j3, v in acc.items():
-                                sig.add_entry(row_base + j3, col_base + j,
-                                              fld.mul(coeff, v))
-            elif i == 1:
-                for (s1, s2, s3), c in iterated_comult(h, tup[0], 2).coeffs.items():
-                    for u, su in h.antipode_column(s2).items():
-                        for v2, mv in h.mult[s3][tup[1]].items():
-                            coeff = fld.mul(minus, fld.mul(c, fld.mul(su, mv)))
-                            col_base = flat((u, v2) + tup[2:], d) * m
-                            for j in range(m):
-                                for j2, av in left_cols[s1][j].items():
-                                    sig.add_entry(row_base + j2, col_base + j,
-                                                  fld.mul(coeff, av))
-            elif i == n:
-                for (s1, s2, s3), c in iterated_comult(h, tup[n - 1], 2).coeffs.items():
-                    for a, ma in h.mult[tup[n - 2]][s1].items():
-                        for u, su in h.antipode_column(s2).items():
-                            coeff = fld.mul(minus, fld.mul(c, fld.mul(ma, su)))
-                            col_base = flat(tup[:n - 2] + (a, u), d) * m
-                            for j in range(m):
-                                for j2, rv in right_cols[s3][j].items():
-                                    sig.add_entry(row_base + j2, col_base + j,
-                                                  fld.mul(coeff, rv))
-            else:
-                for (s1, s2, s3), c in iterated_comult(h, tup[i - 1], 2).coeffs.items():
-                    for a, ma in h.mult[tup[i - 2]][s1].items():
-                        for u, su in h.antipode_column(s2).items():
-                            for v2, mv in h.mult[s3][tup[i]].items():
-                                coeff = fld.mul(minus,
-                                                fld.mul(fld.mul(c, ma), fld.mul(su, mv)))
-                                col_base = flat(tup[:i - 2] + (a, u, v2) + tup[i + 1:], d) * m
-                                for j in range(m):
-                                    sig.add_entry(row_base + j, col_base + j, coeff)
-        sigmas.append(sig)
-    return ActionOperator(n, sigmas)
-
-
-def sigma_hochschild_ambient(h: HopfAlgebra, bim: Bimodule, n: int) -> ActionOperator:
-    """The interior substitution action on all of Hom_k(A^(tensor n+2), M),
-    where the outer tensor slots are the free bimodule coordinates.  The
-    formula is uniform in i because the slot after the last moved one
-    always exists; used to cross-check the reduced boundary formulas."""
-    _require_cocommutative(h)
-    d = h.dim
-    m = bim.dim
-    fld = h.field
-    size = m * d ** (n + 2)
-    minus = fld.neg(fld.one())
-    sigmas = []
-    for i in range(1, n + 1):
-        sig = SparseMatrix(fld, size, size)
-        for tup in all_tuples(d, n + 2):
-            row_base = flat(tup, d) * m
-            for (s1, s2, s3), c in iterated_comult(h, tup[i], 2).coeffs.items():
-                for a, ma in h.mult[tup[i - 1]][s1].items():
-                    for u, su in h.antipode_column(s2).items():
-                        for v2, mv in h.mult[s3][tup[i + 1]].items():
-                            coeff = fld.mul(minus,
-                                            fld.mul(fld.mul(c, ma), fld.mul(su, mv)))
-                            col_base = flat(tup[:i - 1] + (a, u, v2) + tup[i + 2:], d) * m
-                            for j in range(m):
-                                sig.add_entry(row_base + j, col_base + j, coeff)
-        sigmas.append(sig)
-    return ActionOperator(n, sigmas)
-
-
-def hochschild_phi_psi(h: HopfAlgebra, bim: Bimodule, n: int):
-    """Chain isomorphisms between the two Hochschild realizations.
-
-    phi evaluates an equivariant functional at nested leading-leg
-    products (with the running product closing the last slot); psi
-    reverses with antipode differences and moves the outer slots into
-    the bimodule actions.
-    """
-    d = h.dim
-    m = bim.dim
-    fld = h.field
-    left_cols, right_cols = _bimodule_action_columns(bim)
-    unit = h.unit_dict()
-
-    phi = SparseMatrix(fld, m * d ** n, m * d ** (n + 2))
-    for tup in all_tuples(d, n):
-        row_base = flat(tup, d) * m
-        legs = [iterated_comult(h, tup[r], n - r).coeffs for r in range(n)]
-        for combo in itertools.product(*(legs[r].items() for r in range(n))):
-            base_coeff = fld.one()
-            for _t, c in combo:
-                base_coeff = fld.mul(base_coeff, c)
-            slot_vecs = []
-            for s in range(1, n + 1):
-                vec = None
-                for r in range(s):
-                    leg = {combo[r][0][s - 1 - r]: fld.one()}
-                    vec = leg if vec is None else h.product(vec, leg)
-                slot_vecs.append(vec)
-            # closing slot: the product of the top legs of every argument
-            vec = None
-            for r in range(n):
-                leg = {combo[r][0][n - r]: fld.one()}
-                vec = leg if vec is None else h.product(vec, leg)
-            slot_vecs.append(vec if vec is not None else h.unit_dict())
-            for head, hc in unit.items():
-                for choice in itertools.product(*(v.items() for v in slot_vecs)):
-                    coeff = fld.mul(base_coeff, hc)
-                    arg = (head,) + tuple(k for k, _v in choice)
-                    for _k, v in choice:
-                        coeff = fld.mul(coeff, v)
-                    if coeff == 0:
-                        continue
-                    col_base = flat(arg, d) * m
-                    for j in range(m):
-                        phi.add_entry(row_base + j, col_base + j, coeff)
-
-    psi = SparseMatrix(fld, m * d ** (n + 2), m * d ** n)
-    for tup in all_tuples(d, n + 2):
-        row_base = flat(tup, d) * m
-        pair_lists = [list(h.comult[tup[r]].items()) for r in range(n + 1)]
-        for combo in itertools.product(*pair_lists):
-            base_coeff = fld.one()
-            for _p, c in combo:
-                base_coeff = fld.mul(base_coeff, c)
-            head = combo[0][0][0]
-            slot_vecs = []
-            ok = True
-            for k in range(1, n + 1):
-                s_prev = combo[k - 1][0][1]
-                nxt = combo[k][0][0]
-                vec: dict = {}
-                for u, su in h.antipode_column(s_prev).items():
-                    for w, mw in h.mult[u][nxt].items():
-                        vec[w] = fld.add(vec.get(w, fld.zero()), fld.mul(su, mw))
-                vec = {k2: v for k2, v in vec.items() if v != 0}
-                if not vec:
-                    ok = False
-                    break
-                slot_vecs.append(vec)
-            if not ok:
-                continue
-            # trailing factor S(a_n^(2)) a_{n+1} enters through the right action
-            tail: dict = {}
-            for u, su in h.antipode_column(combo[n][0][1]).items():
-                for w, mw in h.mult[u][tup[n + 1]].items():
-                    tail[w] = fld.add(tail.get(w, fld.zero()), fld.mul(su, mw))
-            for choice in itertools.product(*(v.items() for v in slot_vecs)):
-                coeff = base_coeff
-                arg = tuple(k2 for k2, _v in choice)
-                for _k2, v in choice:
-                    coeff = fld.mul(coeff, v)
-                if coeff == 0:
-                    continue
-                col_base = flat(arg, d) * m
-                for t_idx, tc in tail.items():
-                    c2 = fld.mul(coeff, tc)
-                    for j in range(m):
-                        acc = {}
-                        for j2, lv in left_cols[head][j].items():
-                            for j3, rv in right_cols[t_idx][j2].items():
-                                acc[j3] = fld.add(acc.get(j3, fld.zero()),
-                                                  fld.mul(lv, rv))
-                        for j3, v in acc.items():
-                            psi.add_entry(row_base + j3, col_base + j,
-                                          fld.mul(c2, v))
-    return phi, psi
-
-
-# -- cohomology drivers ------------------------------------------------------
-
-
-def _hoch_complex_and_ops(h, bim, top, realization, budget, force_generic):
-    if realization == "homogeneous":
-        cpx = hochschild_homogeneous_complex(h, bim, top, budget=budget,
-                                             force_generic=force_generic)
-        ops = [sigma_hochschild(h, bim, n, "homogeneous", space=cpx.spaces[n])
-               for n in range(top + 1)]
-    elif realization == "nonhomogeneous":
-        cpx = hochschild_nonhomogeneous_complex(h, bim, top, budget=budget)
-        ops = [sigma_hochschild(h, bim, n, "nonhomogeneous") for n in range(top + 1)]
-    else:
-        raise ValueError(f"unknown realization {realization!r}")
-    return cpx, ops
+from .bar import (DEFAULT_BUDGET, CohomologyReport, classical_cohomology,
+                  require_cocommutative, symmetric_cohomology)
+from .errors import NotCommutative
+from .hopf import HopfAlgebra
+from .modules import Bimodule, adjoint_module, regular_bimodule, trivial_module
+from .resolution import sh_via_resolution, shh_via_resolution
 
 
 def classical_hochschild_cohomology(h: HopfAlgebra, bim: Bimodule, top: int,
                                     realization: str = "nonhomogeneous",
                                     budget: int = DEFAULT_BUDGET) -> CohomologyReport:
-    if realization == "homogeneous":
-        cpx = hochschild_homogeneous_complex(h, bim, top, budget=budget)
-    else:
-        cpx = hochschild_nonhomogeneous_complex(h, bim, top, budget=budget)
-    return CohomologyReport(cohomology_dims(cpx, top - 1), realization, kind="HH")
+    """HH^0..HH^{top-1} from the chosen realization."""
+    return classical_cohomology(h, bim, top, realization=realization, budget=budget)
 
 
 def symmetric_hochschild_cohomology(h: HopfAlgebra, bim: Bimodule, top: int,
@@ -395,21 +28,8 @@ def symmetric_hochschild_cohomology(h: HopfAlgebra, bim: Bimodule, top: int,
                                     cross_check: bool = False,
                                     budget: int = DEFAULT_BUDGET) -> CohomologyReport:
     """SHH^0..SHH^{top-1} via the fixed subcomplex of the chosen realization."""
-    _require_cocommutative(h)
-    validate_bimodule(h, bim)
-    cpx, ops = _hoch_complex_and_ops(h, bim, top, realization, budget, False)
-    fixed = fixed_subcomplex(cpx, ops, through_degree=top - 1)
-    dims = cohomology_dims(fixed, top - 1)
-    report = CohomologyReport(dims, realization, kind="SHH")
-    report.routes[realization] = dims
-    if cross_check:
-        other = "nonhomogeneous" if realization == "homogeneous" else "homogeneous"
-        cpx2, ops2 = _hoch_complex_and_ops(h, bim, top, other, budget, False)
-        fixed2 = fixed_subcomplex(cpx2, ops2, through_degree=top - 1)
-        dims2 = cohomology_dims(fixed2, top - 1)
-        report.routes[other] = dims2
-        report.checks.append(("realizations_agree", dims == dims2))
-    return report
+    return symmetric_cohomology(h, bim, top, realization=realization,
+                                cross_check=cross_check, budget=budget)
 
 
 def compare_adjoint(h: HopfAlgebra, bim: Bimodule, top: int,
@@ -418,8 +38,7 @@ def compare_adjoint(h: HopfAlgebra, bim: Bimodule, top: int,
     """Dimension comparison SHH^n(A, M) = SH^n(A, ad M), computed along
     two independent code paths (Hochschild fixed complex vs bar fixed
     complex of the adjoint module)."""
-    from .bar import symmetric_cohomology
-    _require_cocommutative(h)
+    require_cocommutative(h)
     shh = symmetric_hochschild_cohomology(h, bim, top, realization=shh_realization,
                                           budget=budget)
     ad = adjoint_module(h, bim)
@@ -440,18 +59,15 @@ def commutative_factorization_check(h: HopfAlgebra, top: int,
     route "bar" uses the fixed subcomplexes; route "resolution" computes
     both sides from the coinvariant resolutions.
     """
-    _require_cocommutative(h)
+    require_cocommutative(h)
     if not h.is_commutative:
         raise NotCommutative("the factorization needs a commutative algebra")
-    from .modules import regular_bimodule, trivial_module
     bim = regular_bimodule(h)
     triv = trivial_module(h)
     if route == "resolution":
-        from .resolution import sh_via_resolution, shh_via_resolution
         shh = shh_via_resolution(h, bim, top)
         sh = sh_via_resolution(h, triv, top)
     else:
-        from .bar import symmetric_cohomology
         shh = symmetric_hochschild_cohomology(h, bim, top, budget=budget)
         sh = symmetric_cohomology(h, triv, top, budget=budget)
     report = CohomologyReport(shh.dims, route, kind="SHH(A,A)=dimA*SH(A,k)")

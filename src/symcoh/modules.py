@@ -32,7 +32,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 class LeftModule:
-    """A left module: one action matrix per algebra basis element."""
+    """A left module: one action matrix per algebra basis element.
+
+    `tail` is the number of trailing tensor slots, acted on from the
+    right, that the cochain constructions carry for these coefficients:
+    0 for a left module, 1 for a bimodule.
+    """
+
+    tail = 0
 
     def __init__(self, dim: int, action: list):
         self.dim = dim
@@ -52,16 +59,18 @@ class LeftModule:
         return f"<LeftModule dim {self.dim}>"
 
 
-class Bimodule:
+class Bimodule(LeftModule):
     """Commuting left and right actions; right[i] is the matrix of m -> m . b_i."""
 
+    tail = 1
+
     def __init__(self, dim: int, left: list, right: list):
-        self.dim = dim
-        self.left = left
+        super().__init__(dim, left)
         self.right = right
 
-    def left_module(self) -> LeftModule:
-        return LeftModule(self.dim, self.left)
+    @property
+    def left(self) -> list:
+        return self.action
 
     def right_act_element(self, h: HopfAlgebra, vec: dict) -> Matrix:
         out = Matrix.zeros(self.right[0].field, self.dim, self.dim)
@@ -127,6 +136,13 @@ def validate_bimodule(h: HopfAlgebra, mod: Bimodule, raise_on_fail: bool = True)
     if not ok and raise_on_fail:
         raise InvalidBimodule(why)
     return ok
+
+
+def validate_module(h: HopfAlgebra, mod: LeftModule) -> bool:
+    """Validate coefficients of either kind, raising on failure."""
+    if mod.tail:
+        return validate_bimodule(h, mod)
+    return validate_left_module(h, mod)
 
 
 # -- constructions -------------------------------------------------------
@@ -214,23 +230,14 @@ def tensor_module(h: HopfAlgebra, l: LeftModule, m: LeftModule) -> LeftModule:
 
 
 def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Subspace:
-    """Hom_A(X, M) inside flattened Hom_k(X, M): F rho^X_i = rho^M_i F for all i."""
+    """Hom_A(X, M) inside flattened Hom_k(X, M): F rho^X_i = rho^M_i F for
+    all i, and for bimodules the same with the right actions."""
     fld = h.field
     eye_m = Matrix.identity(fld, m.dim)
     eye_x = Matrix.identity(fld, x.dim)
     constraints = []
     for i in range(h.dim):
         constraints.append(kron(x.action[i].transpose(), eye_m) - kron(eye_x, m.action[i]))
-    return intersect_kernels(constraints)
-
-
-def hom_equivariant_bimodule(h: HopfAlgebra, x: Bimodule, m: Bimodule) -> Subspace:
-    """Bimodule homomorphisms X -> M inside flattened Hom_k(X, M)."""
-    fld = h.field
-    eye_m = Matrix.identity(fld, m.dim)
-    eye_x = Matrix.identity(fld, x.dim)
-    constraints = []
-    for i in range(h.dim):
-        constraints.append(kron(x.left[i].transpose(), eye_m) - kron(eye_x, m.left[i]))
-        constraints.append(kron(x.right[i].transpose(), eye_m) - kron(eye_x, m.right[i]))
+        if m.tail:
+            constraints.append(kron(x.right[i].transpose(), eye_m) - kron(eye_x, m.right[i]))
     return intersect_kernels(constraints)

@@ -3,6 +3,10 @@ permutation action, their induced module structures, the exact augmented
 complexes they form, the contracting homotopy, the Hom route to SH/SHH,
 the projectivity splitting maps, and the cyclic-group rank table.
 
+The bimodule resolution (for SHH) carries one trailing tensor slot that
+the permutations leave alone and that A acts on from the right; `tail`
+(0 or 1) is that number of slots, read from the coefficient type.
+
 For group algebras away from characteristic 2 the coinvariants have the
 strictly-increasing-tuple basis: repeated-entry tensors die and every
 tuple equals its sorted form up to the permutation sign.  The generic
@@ -16,20 +20,17 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-from .bar import CohomologyReport
+from .bar import GENERIC_SOLVE_LIMIT, CohomologyReport, require_cocommutative
 from .complexes import CochainComplex, CochainSpace, _left_inverse_dense, cohomology_dims
-from .errors import (BudgetExceeded, CharacteristicDivides, InvalidPrime,
-                     NotCocommutative)
+from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime
 from .fields import Field
 from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
 from .linalg import Matrix, quotient, rank
-from .modules import (Bimodule, LeftModule, hom_equivariant,
-                      hom_equivariant_bimodule, kron, validate_bimodule,
-                      validate_left_module)
+from .modules import (Bimodule, LeftModule, hom_equivariant, kron,
+                      regular_bimodule, regular_left_module, validate_module)
 from .sparse import SparseMatrix
-from .tensors import (all_tuples, bar_chain_diff, flat, hochschild_chain_diff)
-
-_GENERIC_QUOTIENT_LIMIT = 4096
+from .tensors import (all_tuples, bar_chain_diff, diagonal_action, flat,
+                      last_slot_right_mult)
 
 
 def _sorted_with_sign(tup):
@@ -61,8 +62,9 @@ def _swap_plus_identity_columns(field, d, slots, sym_slots):
 
 
 class CoinvariantSpace:
-    """A^(tensor n+1) modulo the signed S_{n+1} action, with projection,
-    section, labels and the induced left module structure."""
+    """A^(tensor n+1+tail) modulo the signed S_{n+1} action on the first n+1
+    slots, with projection, section, labels and the induced module
+    structure (a bimodule when tail is 1)."""
 
     def __init__(self, degree, ambient_dim, projection, section, labels,
                  module: LeftModule, fast_path: bool):
@@ -78,6 +80,10 @@ class CoinvariantSpace:
     def dim(self) -> int:
         return self.projection.rows
 
+    @property
+    def slots(self) -> int:
+        return self.degree + 1 + self.module.tail
+
     def __repr__(self):
         return f"<Coinvariants degree {self.degree}, dim {self.dim}>"
 
@@ -89,7 +95,7 @@ def _fast_path_available(h: HopfAlgebra) -> bool:
 def _generic_coinvariants(h, slots, sym_slots):
     d = h.dim
     ambient = d ** slots
-    if ambient > _GENERIC_QUOTIENT_LIMIT:
+    if ambient > GENERIC_SOLVE_LIMIT:
         raise BudgetExceeded(f"generic coinvariant quotient on {ambient} coordinates")
     rel_cols = _swap_plus_identity_columns(h.field, d, slots, sym_slots)
     relations = Matrix.zeros(h.field, ambient, len(rel_cols))
@@ -100,16 +106,9 @@ def _generic_coinvariants(h, slots, sym_slots):
     return SparseMatrix.from_dense(proj), SparseMatrix.from_dense(sect)
 
 
-def _group_diag_action_matrix(h, space_proj, space_sect, slots, g):
-    """projection . (diagonal action of basis g) . section, densely."""
-    from .tensors import diagonal_action
-    op = diagonal_action(h, g, slots)
-    return (space_proj @ (op @ space_sect)).to_dense()
-
-
 def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
-                      check: bool = True) -> CoinvariantSpace:
-    """The degree-n coinvariant space of A^(tensor n+1).
+                      check: bool = True, tail: int = 0) -> CoinvariantSpace:
+    """The degree-n coinvariant space of A^(tensor n+1+tail).
 
     Group algebras in characteristic other than 2 take the sorted-tuple
     fast path; characteristic 2 falls back to the generic quotient (the
@@ -117,48 +116,58 @@ def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
     """
     d = h.dim
     fld = h.field
-    slots = n + 1
+    sym_slots = n + 1
+    slots = sym_slots + tail
     if h.group_like and fld.characteristic == 2 and not force_generic:
         warnings.warn("characteristic 2: sorted-tuple fast path disabled "
                       "(odd characteristic is the intended setting)")
-    if _fast_path_available(h) and not force_generic:
-        labels = list(itertools.combinations(range(d), slots))
+    fast_path = _fast_path_available(h) and not force_generic
+    if fast_path:
+        labels = [inc + last for inc in itertools.combinations(range(d), sym_slots)
+                  for last in all_tuples(d, tail)]
         label_rank = {lab: i for i, lab in enumerate(labels)}
         projection = SparseMatrix(fld, len(labels), d ** slots)
         section = SparseMatrix(fld, d ** slots, len(labels))
         one = fld.one()
         minus_one = fld.neg(one)
-        # only distinct-entry tuples project to anything
+        # only tuples with distinct permuted entries project to anything
         for lab, r in label_rank.items():
-            for perm in itertools.permutations(lab):
+            last = lab[sym_slots:]
+            for perm in itertools.permutations(lab[:sym_slots]):
                 _key, sign = _sorted_with_sign(perm)
-                projection.cols_data[flat(perm, d)][r] = one if sign > 0 else minus_one
-        for lab, r in label_rank.items():
+                projection.cols_data[flat(perm + last, d)][r] = one if sign > 0 else minus_one
             section.cols_data[r][flat(lab, d)] = one
         table = h.group_table
-        mats = []
+        left, right = [], []
         for g in range(d):
             mat = Matrix.zeros(fld, len(labels), len(labels))
             for lab, r in label_rank.items():
-                moved = tuple(table[g][t] for t in lab)
-                key, sign = _sorted_with_sign(moved)  # free orbits: no repeats
-                mat._set(label_rank[key], r, one if sign > 0 else fld.neg(one))
-            mats.append(mat)
-        module = LeftModule(len(labels), mats)
-        space = CoinvariantSpace(n, d ** slots, projection, section, labels,
-                                 module, fast_path=True)
+                # free orbits: no repeats
+                key, sign = _sorted_with_sign(tuple(table[g][t] for t in lab[:sym_slots]))
+                moved = key + tuple(table[g][t] for t in lab[sym_slots:])
+                mat._set(label_rank[moved], r, one if sign > 0 else minus_one)
+            left.append(mat)
+            if tail:
+                mat = Matrix.zeros(fld, len(labels), len(labels))
+                for lab, r in label_rank.items():
+                    mat._set(label_rank[lab[:-1] + (table[lab[-1]][g],)], r, one)
+                right.append(mat)
     else:
-        projection, section = _generic_coinvariants(h, slots, slots)
-        mats = [_group_diag_action_matrix(h, projection, section, slots, g)
+        projection, section = _generic_coinvariants(h, slots, sym_slots)
+        left = [(projection @ (diagonal_action(h, g, slots) @ section)).to_dense()
                 for g in range(d)]
+        if tail:
+            right = [(projection @ (last_slot_right_mult(h, g, slots) @ section)).to_dense()
+                     for g in range(d)]
         labels = _section_labels(section, d, slots)
-        module = LeftModule(projection.rows, mats)
-        space = CoinvariantSpace(n, d ** slots, projection, section, labels,
-                                 module, fast_path=False)
+    dim = projection.rows
+    module = Bimodule(dim, left, right) if tail else LeftModule(dim, left)
+    space = CoinvariantSpace(n, d ** slots, projection, section, labels,
+                             module, fast_path=fast_path)
     if check:
         if not (space.projection @ space.section).equals_identity():
             raise AssertionError("projection . section != id")
-        validate_left_module(h, space.module)
+        validate_module(h, space.module)
         _check_action_well_defined(h, space)
     return space
 
@@ -204,19 +213,22 @@ def _descends_to_quotient(field, d, slots, sym_slots, projected: SparseMatrix) -
 
 
 def _check_action_well_defined(h, space):
-    """The diagonal action must map relation vectors into ker(projection)."""
-    from .tensors import diagonal_action
+    """The diagonal action (and right multiplication in a trailing slot)
+    must map relation vectors into ker(projection)."""
     if space.dim == 0:
         return
-    d = h.dim
-    slots = space.degree + 1
-    for g in range(d):
-        projected = space.projection @ diagonal_action(h, g, slots)
-        if not _descends_to_quotient(h.field, d, slots, slots, projected):
-            raise AssertionError("induced action is not well-defined")
+    slots = space.slots
+    for g in range(h.dim):
+        ops = [diagonal_action(h, g, slots)]
+        if space.module.tail:
+            ops.append(last_slot_right_mult(h, g, slots))
+        for op in ops:
+            if not _descends_to_quotient(h.field, h.dim, slots, space.degree + 1,
+                                         space.projection @ op):
+                raise AssertionError("induced action is not well-defined")
 
 
-# -- the resolution of k ----------------------------------------------------
+# -- the resolutions of k and of A ---------------------------------------------
 
 
 @dataclass
@@ -225,19 +237,21 @@ class ResolutionComplex:
     top: int
     spaces: list            # CoinvariantSpace per degree 0..top
     boundaries: list        # Matrix, boundaries[n]: degree n -> n-1 (n >= 1)
-    augmentation: Matrix    # 1 x dim(S_0)
+    augmentation: Matrix    # onto k (1 x dim S_0) or onto A (dim A x dim S^e_0)
+    factorization_checks: list = dc_field(default_factory=list)
 
     def dims(self):
         return [s.dim for s in self.spaces]
 
     def exactness_report(self):
         """Rank counting: exact at inner degrees, at degree 0 against the
-        augmentation, and onto k.  The top degree is certified when the
-        next space is already zero."""
+        augmentation, and onto k (or A).  The top degree is certified when
+        the next space is already zero."""
         checks = []
         ranks = [rank(b) for b in self.boundaries[1:]]  # rank of d_n, n=1..top
         aug_rank = rank(self.augmentation)
-        checks.append(("onto_k", aug_rank == 1))
+        onto = "onto_A" if self.spaces[0].module.tail else "onto_k"
+        checks.append((onto, aug_rank == self.augmentation.rows))
         s0 = self.spaces[0].dim
         r1 = ranks[0] if self.top >= 1 else 0
         checks.append(("exact_at_0", aug_rank + r1 == s0))
@@ -253,35 +267,71 @@ class ResolutionComplex:
 
 
 def sym_resolution_complex(h: HopfAlgebra, top: int, force_generic: bool = False,
-                           check: bool = True) -> ResolutionComplex:
-    """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k."""
-    spaces = [coinvariant_space(h, n, force_generic=force_generic, check=check)
+                           check: bool = True, tail: int = 0) -> ResolutionComplex:
+    """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k; with
+    a trailing slot, the bimodule complex S^e_top -> ... -> S^e_0 -> A,
+    checked against (plain coinvariants) tensor A."""
+    spaces = [coinvariant_space(h, n, force_generic=force_generic, check=check, tail=tail)
               for n in range(top + 1)]
     boundaries = [None]
     for n in range(1, top + 1):
         if spaces[n].dim == 0:
             boundaries.append(Matrix.zeros(h.field, spaces[n - 1].dim, 0))
             continue
-        chain = bar_chain_diff(h, n)  # A^(n+1) -> A^(n)
+        chain = bar_chain_diff(h, n, tail)  # A^(n+1+tail) -> A^(n+tail)
         if check:
-            _check_chain_well_defined(h, chain, spaces[n], spaces[n - 1], n + 1)
+            _check_chain_well_defined(h, chain, spaces[n], spaces[n - 1])
         boundaries.append(
             (spaces[n - 1].projection @ (chain @ spaces[n].section)).to_dense())
-    aug = Matrix.zeros(h.field, 1, spaces[0].dim)
-    sect0 = spaces[0].section
-    for j in range(spaces[0].dim):
-        total = h.field.zero()
-        for i, v in sect0.cols_data[j].items():
-            total = h.field.add(total, h.field.mul(v, h.counit[i]))
-        aug._set(0, j, total)
-    return ResolutionComplex(h, top, spaces, boundaries, aug)
+    # the augmentation deletes slot 0 by the counit
+    aug = (bar_chain_diff(h, 0, tail) @ spaces[0].section).to_dense()
+    res = ResolutionComplex(h, top, spaces, boundaries, aug)
+    if tail:
+        res.factorization_checks = _factorization_checks(h, spaces, force_generic)
+    return res
 
 
-def _check_chain_well_defined(h, chain, src: CoinvariantSpace, dst, sym_slots):
+def hochschild_resolution(h: HopfAlgebra, top: int, force_generic: bool = False,
+                          check: bool = True) -> ResolutionComplex:
+    """The augmented bimodule complex of coinvariants of A^(tensor n+2),
+    with the factorization check against (coinvariants tensor A)."""
+    return sym_resolution_complex(h, top, force_generic=force_generic, check=check, tail=1)
+
+
+def _factorization_checks(h, spaces, force_generic):
+    """Dimension and structure comparison of S^e_n with (plain S_n) tensor A."""
+    d = h.dim
+    fld = h.field
+    regular = regular_bimodule(h)
+    plain = [coinvariant_space(h, n, force_generic=force_generic, check=False)
+             for n in range(len(spaces))]
+    checks = []
+    for n, space in enumerate(spaces):
+        ok_dim = space.dim == plain[n].dim * d
+        checks.append((f"dim_{n}", ok_dim))
+        if ok_dim and space.dim:
+            ok_left = True
+            ok_right = True
+            for i in range(d):
+                expect = Matrix.zeros(fld, space.dim, space.dim)
+                for (j, k), c in h.comult[i].items():
+                    expect = expect + kron(plain[n].module.action[j],
+                                           regular.left[k]).scale(c)
+                if expect != space.module.left[i]:
+                    ok_left = False
+                rexpect = kron(Matrix.identity(fld, plain[n].dim), regular.right[i])
+                if rexpect != space.module.right[i]:
+                    ok_right = False
+            checks.append((f"left_structure_{n}", ok_left))
+            checks.append((f"right_structure_{n}", ok_right))
+    return checks
+
+
+def _check_chain_well_defined(h, chain, src: CoinvariantSpace, dst):
     if src.dim == 0:
         return
     projected = dst.projection @ chain
-    if not _descends_to_quotient(h.field, h.dim, src.degree + 1, sym_slots, projected):
+    if not _descends_to_quotient(h.field, h.dim, src.slots, src.degree + 1, projected):
         raise AssertionError("induced boundary is not well-defined")
 
 
@@ -339,11 +389,11 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int,
 
 def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int,
                       force_generic: bool = False) -> CohomologyReport:
-    """SH^0..SH^{top-1} from Hom_A(S_n, M) with the induced action."""
-    if not h.is_cocommutative:
-        raise NotCocommutative("symmetric cohomology needs a cocommutative algebra")
-    validate_left_module(h, mod)
-    res = sym_resolution_complex(h, top)
+    """SH^0..SH^{top-1} from Hom_A(S_n, M) with the induced action; for a
+    bimodule M, SHH from bimodule maps out of the bimodule resolution."""
+    require_cocommutative(h)
+    validate_module(h, mod)
+    res = sym_resolution_complex(h, top, force_generic=force_generic, tail=mod.tail)
     m = mod.dim
     fld = h.field
     spaces = []
@@ -362,242 +412,16 @@ def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int,
     for n in range(top):
         diffs.append(SparseMatrix.from_dense(
             kron(res.boundaries[n + 1].transpose(), eye_m)))
-    cpx = CochainComplex(fld, top, spaces, diffs, label="Hom(S,M)")
+    cpx = CochainComplex(fld, top, spaces, diffs,
+                         label="Hom(S^e,M)" if mod.tail else "Hom(S,M)")
     dims = cohomology_dims(cpx, top - 1)
-    return CohomologyReport(dims, "resolution", kind="SH")
-
-
-# -- the bimodule resolution -------------------------------------------------
-
-
-class BimoduleCoinvariantSpace:
-    """Coinvariants of A^(tensor n+2) under S_{n+1} on the first n+1 slots,
-    with the induced bimodule structure."""
-
-    def __init__(self, degree, ambient_dim, projection, section, labels,
-                 bimodule: Bimodule, fast_path: bool):
-        self.degree = degree
-        self.ambient_dim = ambient_dim
-        self.projection = projection
-        self.section = section
-        self.basis_labels = labels
-        self.bimodule = bimodule
-        self.fast_path = fast_path
-
-    @property
-    def dim(self) -> int:
-        return self.projection.rows
-
-
-def bimodule_coinvariant_space(h: HopfAlgebra, n: int,
-                               force_generic: bool = False,
-                               check: bool = True) -> BimoduleCoinvariantSpace:
-    d = h.dim
-    fld = h.field
-    slots = n + 2
-    if _fast_path_available(h) and not force_generic:
-        labels = [inc + (last,)
-                  for inc in itertools.combinations(range(d), n + 1)
-                  for last in range(d)]
-        label_rank = {lab: i for i, lab in enumerate(labels)}
-        projection = SparseMatrix(fld, len(labels), d ** slots)
-        section = SparseMatrix(fld, d ** slots, len(labels))
-        one = fld.one()
-        minus_one = fld.neg(one)
-        for inc in itertools.combinations(range(d), n + 1):
-            for perm in itertools.permutations(inc):
-                _key, sign = _sorted_with_sign(perm)
-                value = one if sign > 0 else minus_one
-                for last in range(d):
-                    projection.cols_data[flat(perm + (last,), d)][
-                        label_rank[inc + (last,)]] = value
-        for lab, r in label_rank.items():
-            section.cols_data[r][flat(lab, d)] = one
-        table = h.group_table
-        left, right = [], []
-        for g in range(d):
-            lmat = Matrix.zeros(fld, len(labels), len(labels))
-            rmat = Matrix.zeros(fld, len(labels), len(labels))
-            for lab, r in label_rank.items():
-                moved = tuple(table[g][t] for t in lab[:-1])
-                key, sign = _sorted_with_sign(moved)
-                lmat._set(label_rank[key + (table[g][lab[-1]],)], r,
-                          one if sign > 0 else fld.neg(one))
-                rmat._set(label_rank[lab[:-1] + (table[lab[-1]][g],)], r, one)
-            left.append(lmat)
-            right.append(rmat)
-        bim = Bimodule(len(labels), left, right)
-        space = BimoduleCoinvariantSpace(n, d ** slots, projection, section,
-                                         labels, bim, fast_path=True)
-    else:
-        projection, section = _generic_coinvariants(h, slots, n + 1)
-        from .tensors import diagonal_action
-        left = [(projection @ (diagonal_action(h, g, slots) @ section)).to_dense()
-                for g in range(d)]
-        right = [(projection @ (_last_right_mult(h, g, slots) @ section)).to_dense()
-                 for g in range(d)]
-        labels = _section_labels(section, d, slots)
-        bim = Bimodule(projection.rows, left, right)
-        space = BimoduleCoinvariantSpace(n, d ** slots, projection, section,
-                                         labels, bim, fast_path=False)
-    if check:
-        if not (space.projection @ space.section).equals_identity():
-            raise AssertionError("projection . section != id")
-        validate_bimodule(h, space.bimodule)
-        if space.dim:
-            from .tensors import diagonal_action
-            for g in range(d):
-                for op in (diagonal_action(h, g, slots), _last_right_mult(h, g, slots)):
-                    if not _descends_to_quotient(fld, d, slots, n + 1,
-                                                 space.projection @ op):
-                        raise AssertionError("induced bimodule action is not well-defined")
-    return space
-
-
-def _last_right_mult(h, g, slots):
-    d = h.dim
-    out = SparseMatrix(h.field, d ** slots, d ** slots)
-    for tup in all_tuples(d, slots):
-        col = flat(tup, d)
-        for k, v in h.mult[tup[-1]][g].items():
-            out.add_entry(flat(tup[:-1] + (k,), d), col, v)
-    return out
-
-
-@dataclass
-class BimoduleResolution:
-    hopf: HopfAlgebra
-    top: int
-    spaces: list
-    boundaries: list
-    augmentation: Matrix  # dim(A) x dim(S^e_0)
-    factorization_checks: list = dc_field(default_factory=list)
-
-    def dims(self):
-        return [s.dim for s in self.spaces]
-
-    def exactness_report(self):
-        checks = []
-        ranks = [rank(b) for b in self.boundaries[1:]]
-        aug_rank = rank(self.augmentation)
-        checks.append(("onto_A", aug_rank == self.hopf.dim))
-        s0 = self.spaces[0].dim
-        r1 = ranks[0] if self.top >= 1 else 0
-        checks.append(("exact_at_0", aug_rank + r1 == s0))
-        for n in range(1, self.top):
-            sn = self.spaces[n].dim
-            checks.append((f"exact_at_{n}", ranks[n - 1] + ranks[n] == sn))
-        if self.hopf.group_like and self.top + 2 > self.hopf.dim:
-            sn = self.spaces[self.top].dim
-            checks.append((f"exact_at_{self.top}",
-                           (ranks[self.top - 1] if self.top >= 1 else aug_rank) == sn))
-        return checks
-
-
-def hochschild_resolution(h: HopfAlgebra, top: int, force_generic: bool = False,
-                          check: bool = True) -> BimoduleResolution:
-    """The augmented bimodule complex of coinvariants of A^(tensor n+2),
-    with the factorization check against (coinvariants tensor A)."""
-    spaces = [bimodule_coinvariant_space(h, n, force_generic=force_generic,
-                                         check=check) for n in range(top + 1)]
-    boundaries = [None]
-    for n in range(1, top + 1):
-        if spaces[n].dim == 0:
-            boundaries.append(Matrix.zeros(h.field, spaces[n - 1].dim, 0))
-            continue
-        chain = hochschild_chain_diff(h, n)
-        if check:
-            _check_chain_well_defined_bimodule(h, chain, spaces[n], spaces[n - 1])
-        boundaries.append(
-            (spaces[n - 1].projection @ (chain @ spaces[n].section)).to_dense())
-    # augmentation: counit on the first slot times the last slot
-    d = h.dim
-    fld = h.field
-    aug_ambient = SparseMatrix(fld, d, d * d)
-    for tup in all_tuples(d, 2):
-        eps = h.counit[tup[0]]
-        if eps != 0:
-            aug_ambient.add_entry(tup[1], flat(tup, d), eps)
-    aug = (aug_ambient @ spaces[0].section).to_dense()
-    res = BimoduleResolution(h, top, spaces, boundaries, aug)
-    # dimension and structure comparison with (plain coinvariants) tensor A
-    plain = [coinvariant_space(h, n, force_generic=force_generic, check=False)
-             for n in range(top + 1)]
-    for n in range(top + 1):
-        ok_dim = spaces[n].dim == plain[n].dim * d
-        res.factorization_checks.append((f"dim_{n}", ok_dim))
-        if ok_dim and spaces[n].dim:
-            ok_left = True
-            ok_right = True
-            for i in range(d):
-                expect = Matrix.zeros(fld, spaces[n].dim, spaces[n].dim)
-                for (j, k), c in h.comult[i].items():
-                    expect = expect + kron(plain[n].module.action[j],
-                                           _left_mult_matrix(h, k)).scale(c)
-                if expect != spaces[n].bimodule.left[i]:
-                    ok_left = False
-                rexpect = kron(Matrix.identity(fld, plain[n].dim),
-                               _right_mult_matrix(h, i))
-                if rexpect != spaces[n].bimodule.right[i]:
-                    ok_right = False
-            res.factorization_checks.append((f"left_structure_{n}", ok_left))
-            res.factorization_checks.append((f"right_structure_{n}", ok_right))
-    return res
-
-
-def _left_mult_matrix(h, i):
-    m = Matrix.zeros(h.field, h.dim, h.dim)
-    for j in range(h.dim):
-        for k, c in h.mult[i][j].items():
-            m._set(k, j, c)
-    return m
-
-
-def _right_mult_matrix(h, i):
-    m = Matrix.zeros(h.field, h.dim, h.dim)
-    for j in range(h.dim):
-        for k, c in h.mult[j][i].items():
-            m._set(k, j, c)
-    return m
-
-
-def _check_chain_well_defined_bimodule(h, chain, src, dst):
-    if src.dim == 0:
-        return
-    projected = dst.projection @ chain
-    if not _descends_to_quotient(h.field, h.dim, src.degree + 2,
-                                 src.degree + 1, projected):
-        raise AssertionError("induced boundary is not well-defined")
+    return CohomologyReport(dims, "resolution", kind="SHH" if mod.tail else "SH")
 
 
 def shh_via_resolution(h: HopfAlgebra, bim: Bimodule, top: int) -> CohomologyReport:
     """SHH^0..SHH^{top-1} from Hom over the enveloping algebra of the
     bimodule coinvariant resolution."""
-    if not h.is_cocommutative:
-        raise NotCocommutative("symmetric Hochschild cohomology needs cocommutativity")
-    validate_bimodule(h, bim)
-    res = hochschild_resolution(h, top)
-    m = bim.dim
-    fld = h.field
-    spaces = []
-    diffs = []
-    for n in range(top + 1):
-        s = res.spaces[n].dim
-        sub = hom_equivariant_bimodule(h, res.spaces[n].bimodule, bim)
-        if sub.dim and s:
-            basis = SparseMatrix.from_dense(sub.basis)
-            coords = SparseMatrix.from_dense(_left_inverse_dense(sub.basis))
-        else:
-            basis = SparseMatrix(fld, m * s, 0)
-            coords = SparseMatrix(fld, 0, m * s)
-        spaces.append(CochainSpace(m * s, basis, coords, check=False))
-    eye_m = Matrix.identity(fld, m)
-    for n in range(top):
-        diffs.append(SparseMatrix.from_dense(
-            kron(res.boundaries[n + 1].transpose(), eye_m)))
-    cpx = CochainComplex(fld, top, spaces, diffs, label="Hom(S^e,M)")
-    dims = cohomology_dims(cpx, top - 1)
-    return CohomologyReport(dims, "resolution", kind="SHH")
+    return sh_via_resolution(h, bim, top)
 
 
 # -- projectivity splitting --------------------------------------------------
@@ -659,11 +483,12 @@ def splitting_maps(h: HopfAlgebra, n: int, force_generic: bool = False) -> Split
     retract_ok = (psi @ phi) == Matrix.identity(fld, sn.dim)
 
     # both maps must commute with the A-actions (diagonal on A tensor S_{n-1})
+    regular = regular_left_module(h).action
     tensor_action = []
     for i in range(d):
         acc = Matrix.zeros(fld, d * sm.dim, d * sm.dim)
         for (j, k), c in h.comult[i].items():
-            acc = acc + kron(_left_mult_matrix(h, j), sm.module.action[k]).scale(c)
+            acc = acc + kron(regular[j], sm.module.action[k]).scale(c)
         tensor_action.append(acc)
     equivariant_ok = True
     for i in range(d):

@@ -24,32 +24,13 @@ def all_tuples(d: int, length: int):
     return itertools.product(range(d), repeat=length)
 
 
-def cochain_index(tup, d: int, m: int, j: int) -> int:
-    return flat(tup, d) * m + j
-
-
-def bar_chain_diff(h: HopfAlgebra, n: int) -> SparseMatrix:
-    """The homogeneous chain map A^(n+1) -> A^(n): alternating counit deletions."""
+def bar_chain_diff(h: HopfAlgebra, n: int, tail: int = 0) -> SparseMatrix:
+    """The homogeneous chain map A^(n+1+tail) -> A^(n+tail): alternating
+    counit deletions of slots 0..n; the `tail` trailing slots stay."""
     d = h.dim
-    out = SparseMatrix(h.field, d ** n, d ** (n + 1))
+    out = SparseMatrix(h.field, d ** (n + tail), d ** (n + 1 + tail))
     fld = h.field
-    for tup in all_tuples(d, n + 1):
-        col = flat(tup, d)
-        sign = fld.one()
-        for i in range(n + 1):
-            eps = h.counit[tup[i]]
-            if eps != 0:
-                out.add_entry(flat(tup[:i] + tup[i + 1:], d), col, fld.mul(sign, eps))
-            sign = fld.neg(sign)
-    return out
-
-
-def hochschild_chain_diff(h: HopfAlgebra, n: int) -> SparseMatrix:
-    """A^(n+2) -> A^(n+1) deleting slots 0..n by the counit; the last slot stays."""
-    d = h.dim
-    out = SparseMatrix(h.field, d ** (n + 1), d ** (n + 2))
-    fld = h.field
-    for tup in all_tuples(d, n + 2):
+    for tup in all_tuples(d, n + 1 + tail):
         col = flat(tup, d)
         sign = fld.one()
         for i in range(n + 1):
@@ -114,4 +95,15 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
             for pt, pc in partial:
                 if pc != 0:
                     out.add_entry(flat(pt, d), col, pc)
+    return out
+
+
+def last_slot_right_mult(h: HopfAlgebra, c: int, slots: int) -> SparseMatrix:
+    """Right multiplication by b_c in the last of `slots` tensor slots."""
+    d = h.dim
+    out = SparseMatrix(h.field, d ** slots, d ** slots)
+    for tup in all_tuples(d, slots):
+        col = flat(tup, d)
+        for k, v in h.mult[tup[-1]][c].items():
+            out.add_entry(flat(tup[:-1] + (k,), d), col, v)
     return out

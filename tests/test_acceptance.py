@@ -18,9 +18,6 @@ from symcoh.complexes import (check_complex, coxeter_relations_hold,
 from symcoh.errors import CharacteristicDivides, NotCommutative
 from symcoh.fields import Field
 from symcoh.hochschild import (commutative_factorization_check, compare_adjoint,
-                               hochschild_homogeneous_complex,
-                               hochschild_nonhomogeneous_complex,
-                               hochschild_phi_psi, sigma_hochschild,
                                symmetric_hochschild_cohomology)
 from symcoh.hopf import (HopfAlgebra, cyclic_group_table, group_algebra,
                          symmetric_group_table, validate_hopf)
@@ -85,8 +82,8 @@ def test_criterion_02_complex_property():
         reg = regular_bimodule(h)
         cases.append(("C", nonhomogeneous_complex(h, triv, top)))
         cases.append(("K", homogeneous_complex(h, triv, top)))
-        cases.append(("C_e", hochschild_nonhomogeneous_complex(h, reg, top)))
-        cases.append(("K_e", hochschild_homogeneous_complex(h, reg, top)))
+        cases.append(("C_e", nonhomogeneous_complex(h, reg, top)))
+        cases.append(("K_e", homogeneous_complex(h, reg, top)))
     for name, cpx in cases:
         rep = check_complex(cpx)
         assert rep.passed, (name, rep.first_failure, rep.reason)
@@ -102,17 +99,17 @@ def test_criterion_03_coxeter_suite():
         reg = regular_bimodule(h)
         bar_c = nonhomogeneous_complex(h, triv, top)
         bar_k = homogeneous_complex(h, triv, top)
-        hoch_c = hochschild_nonhomogeneous_complex(h, reg, top)
-        hoch_k = hochschild_homogeneous_complex(h, reg, top)
+        hoch_c = nonhomogeneous_complex(h, reg, top)
+        hoch_k = homogeneous_complex(h, reg, top)
         families = [
             ("bar-standard", bar_c,
              [sigma_nonhomogeneous(h, triv, n) for n in range(top + 1)]),
             ("bar-homogeneous", bar_k,
              [sigma_homogeneous(h, triv, n) for n in range(top + 1)]),
             ("hochschild-standard", hoch_c,
-             [sigma_hochschild(h, reg, n, "nonhomogeneous") for n in range(top + 1)]),
+             [sigma_nonhomogeneous(h, reg, n) for n in range(top + 1)]),
             ("hochschild-homogeneous", hoch_k,
-             [sigma_hochschild(h, reg, n, "homogeneous") for n in range(top + 1)]),
+             [sigma_homogeneous(h, reg, n) for n in range(top + 1)]),
         ]
         for name, cpx, ops in families:
             for n in range(1, top + 1):
@@ -163,27 +160,27 @@ def test_criterion_04_realization_isomorphisms():
                 assert s.apply(img) == img
     # Hochschild analogue through degree 3
     reg = regular_bimodule(h)
-    hk = hochschild_homogeneous_complex(h, reg, 3)
-    hc = hochschild_nonhomogeneous_complex(h, reg, 3)
+    hk = homogeneous_complex(h, reg, 3)
+    hc = nonhomogeneous_complex(h, reg, 3)
     for n in range(3):
-        phi, psi = hochschild_phi_psi(h, reg, n)
+        phi, psi = phi_psi(h, reg, n)
         assert (phi @ psi).equals_identity()
         composite = psi @ phi
         for col in hk.spaces[n].basis.cols_data:
             assert composite.apply(col) == col
-        phi1, _ = hochschild_phi_psi(h, reg, n + 1)
+        phi1, _ = phi_psi(h, reg, n + 1)
         lhs = phi1 @ hk.diffs[n]
         rhs = hc.diffs[n] @ phi
         for col in hk.spaces[n].basis.cols_data:
             assert lhs.apply(col) == rhs.apply(col)
-        _, psi1 = hochschild_phi_psi(h, reg, n + 1)
+        _, psi1 = phi_psi(h, reg, n + 1)
         assert psi1 @ hc.diffs[n] == hk.diffs[n] @ psi
-    ops_hk = [sigma_hochschild(h, reg, n, "homogeneous") for n in range(4)]
-    ops_hc = [sigma_hochschild(h, reg, n, "nonhomogeneous") for n in range(4)]
+    ops_hk = [sigma_homogeneous(h, reg, n) for n in range(4)]
+    ops_hc = [sigma_nonhomogeneous(h, reg, n) for n in range(4)]
     fixed_hk = fixed_subcomplex(hk, ops_hk)
     fixed_hc = fixed_subcomplex(hc, ops_hc)
     for n in range(1, 4):
-        phi, psi = hochschild_phi_psi(h, reg, n)
+        phi, psi = phi_psi(h, reg, n)
         assert fixed_hk.spaces[n].dim == fixed_hc.spaces[n].dim
         for col in fixed_hk.spaces[n].basis.cols_data:
             img = phi.apply(col)

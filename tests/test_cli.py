@@ -122,6 +122,16 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert report["error"]["code"] == 3
 
 
+def test_negative_dimension_is_an_internal_error(capsys):
+    # int64 overflow in the GF(p) kernels at this p gives ranks that violate
+    # d.d = 0; the dimension invariant must refuse them rather than exit 0
+    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:4294967311",
+                            "--mode", "H", "--max-degree", "4")
+    assert code == 4
+    assert report["dims"] == []
+    assert report["error"]["code"] == 4
+
+
 def test_schema_error_exit_code(capsys):
     code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:4",
                             "--mode", "SH")

@@ -54,6 +54,13 @@ def test_cohomology_dims_zero_complex():
     assert cohomology_dims(c, 1) == [0, 0]
 
 
+def test_cohomology_dims_rejects_negative_dimension():
+    # d1 d0 = 1 != 0, so the rank count gives H^1 = 1 - 1 - 1 = -1
+    c = full_complex(GF3, [1, 1, 1], [[[1]], [[1]]])
+    with pytest.raises(AssertionError, match="negative dimension"):
+        cohomology_dims(c, 1)
+
+
 def test_degree_out_of_range():
     with pytest.raises(DegreeOutOfRange):
         cohomology_dims(toy(), 2)

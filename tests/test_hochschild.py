@@ -1,15 +1,15 @@
 import pytest
 
+from symcoh.bar import (equivariant_space, homogeneous_complex,
+                        nonhomogeneous_complex, phi_psi, sigma_homogeneous,
+                        sigma_nonhomogeneous, sigma_nonhomogeneous_ambient)
 from symcoh.complexes import (check_complex, coxeter_relations_hold,
                               fixed_subcomplex)
 from symcoh.errors import NotCommutative
 from symcoh.fields import Field
 from symcoh.hochschild import (classical_hochschild_cohomology,
                                commutative_factorization_check,
-                               compare_adjoint, hochschild_equivariant_space,
-                               hochschild_homogeneous_complex,
-                               hochschild_nonhomogeneous_complex,
-                               hochschild_phi_psi, sigma_hochschild,
+                               compare_adjoint,
                                symmetric_hochschild_cohomology)
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.modules import regular_bimodule, trivial_bimodule
@@ -21,6 +21,7 @@ from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)
 QQ = Field.rationals()
+SIGMA = {"homogeneous": sigma_homogeneous, "nonhomogeneous": sigma_nonhomogeneous}
 
 
 def kC(n, field):
@@ -33,14 +34,14 @@ def kS3(field):
 
 def test_reduced_complex_property():
     for h in (kC(3, GF3), kS3(GF5)):
-        c = hochschild_nonhomogeneous_complex(h, regular_bimodule(h), 3)
+        c = nonhomogeneous_complex(h, regular_bimodule(h), 3)
         assert check_complex(c).passed
 
 
 def test_homogeneous_complex_property_and_dims():
     h = kC(3, GF3)
     bim = regular_bimodule(h)
-    c = hochschild_homogeneous_complex(h, bim, 3)
+    c = homogeneous_complex(h, bim, 3)
     assert check_complex(c).passed
     assert [s.dim for s in c.spaces] == [3 * 3 ** n for n in range(4)]
 
@@ -49,8 +50,8 @@ def test_equivariant_space_generic_agrees_with_fast_path():
     h = kC(3, GF3)
     bim = regular_bimodule(h)
     for slots in (2, 3):
-        fast = hochschild_equivariant_space(h, bim, slots)
-        generic = hochschild_equivariant_space(h, bim, slots, force_generic=True)
+        fast = equivariant_space(h, bim, slots)
+        generic = equivariant_space(h, bim, slots, force_generic=True)
         assert fast.dim == generic.dim
         for col in fast.basis.cols_data:
             assert generic.contains_column(col)
@@ -85,7 +86,7 @@ def test_hochschild_routes_agree():
 def test_sigma_sa4_is_signed_swap_on_dual_basis():
     h = kC(3, GF3)
     bim = regular_bimodule(h)
-    op = sigma_hochschild(h, bim, 2, "homogeneous")
+    op = sigma_homogeneous(h, bim, 2)
     sig = op.sigmas[0]  # swaps slots 0, 1 of four slots; last never moves
     src = flat((1, 2, 0, 2), 3) * 3
     dst = flat((2, 1, 0, 2), 3) * 3
@@ -97,11 +98,11 @@ def test_sigma_coxeter_kc3(mode):
     h = kC(3, GF3)
     bim = regular_bimodule(h)
     if mode == "homogeneous":
-        cpx = hochschild_homogeneous_complex(h, bim, 4)
+        cpx = homogeneous_complex(h, bim, 4)
     else:
-        cpx = hochschild_nonhomogeneous_complex(h, bim, 4)
+        cpx = nonhomogeneous_complex(h, bim, 4)
     for n in range(1, 5):
-        op = sigma_hochschild(h, bim, n, mode)
+        op = SIGMA[mode](h, bim, n)
         ok, why = coxeter_relations_hold(op, cpx.spaces[n])
         assert ok, why
 
@@ -111,9 +112,9 @@ def test_sigma_differential_compatibility_on_fixed_vectors():
     h = kC(3, GF3)
     bim = regular_bimodule(h)
     for mode, cpx in (
-            ("homogeneous", hochschild_homogeneous_complex(h, bim, 3)),
-            ("nonhomogeneous", hochschild_nonhomogeneous_complex(h, bim, 3))):
-        ops = [sigma_hochschild(h, bim, n, mode) for n in range(4)]
+            ("homogeneous", homogeneous_complex(h, bim, 3)),
+            ("nonhomogeneous", nonhomogeneous_complex(h, bim, 3))):
+        ops = [SIGMA[mode](h, bim, n) for n in range(4)]
         fixed = fixed_subcomplex(cpx, ops)
         assert check_complex(fixed).passed
 
@@ -121,7 +122,6 @@ def test_sigma_differential_compatibility_on_fixed_vectors():
 def test_sigma_ambient_matches_reduced_via_free_identification():
     # reduced Hochschild boundary formulas == ambient interior operators conjugated
     # through F(a_0 tensor x tensor a_last) = a_0 . f(x) . a_last
-    from symcoh.hochschild import sigma_hochschild_ambient
     from symcoh.sparse import SparseMatrix
     from symcoh.tensors import all_tuples, flat
     for h, n_max in [(kC(3, GF3), 3), (kS3(GF5), 2)]:
@@ -149,8 +149,8 @@ def test_sigma_ambient_matches_reduced_via_free_identification():
                                     flat((u,) + tup + (w,), d) * m + j,
                                     fld.mul(uc, wc))
                 assert (coords @ sect).equals_identity()
-                reduced = sigma_hochschild(h, bim, n, "nonhomogeneous").sigmas
-                ambient = sigma_hochschild_ambient(h, bim, n).sigmas
+                reduced = sigma_nonhomogeneous(h, bim, n).sigmas
+                ambient = sigma_nonhomogeneous_ambient(h, bim, n).sigmas
                 for red, amb in zip(reduced, ambient):
                     assert coords @ (amb @ sect) == red
 
@@ -161,34 +161,34 @@ def test_hochschild_phi_psi_inverse_and_intertwining():
     for h, top in ((kC(3, GF3), 3), (kC(2, QQ), 3), (scrambled_kc3(), 2),
                    (scrambled_kc2_rational(), 2)):
         bim = regular_bimodule(h)
-        ck = hochschild_homogeneous_complex(h, bim, top)
-        cc = hochschild_nonhomogeneous_complex(h, bim, top)
+        ck = homogeneous_complex(h, bim, top)
+        cc = nonhomogeneous_complex(h, bim, top)
         for n in range(top):
-            phi, psi = hochschild_phi_psi(h, bim, n)
+            phi, psi = phi_psi(h, bim, n)
             assert (phi @ psi).equals_identity()
             composite = psi @ phi
             for col in ck.spaces[n].basis.cols_data:
                 assert composite.apply(col) == col
-            phi1, _ = hochschild_phi_psi(h, bim, n + 1)
+            phi1, _ = phi_psi(h, bim, n + 1)
             lhs = phi1 @ ck.diffs[n]
             rhs = cc.diffs[n] @ phi
             for col in ck.spaces[n].basis.cols_data:
                 assert lhs.apply(col) == rhs.apply(col)
-            _, psi1 = hochschild_phi_psi(h, bim, n + 1)
+            _, psi1 = phi_psi(h, bim, n + 1)
             assert psi1 @ cc.diffs[n] == ck.diffs[n] @ psi
 
 
 def test_hochschild_phi_psi_restrict_to_fixed_subspaces():
     h = kC(3, GF3)
     bim = regular_bimodule(h)
-    ck = hochschild_homogeneous_complex(h, bim, 3)
-    cc = hochschild_nonhomogeneous_complex(h, bim, 3)
-    ops_k = [sigma_hochschild(h, bim, n, "homogeneous") for n in range(4)]
-    ops_c = [sigma_hochschild(h, bim, n, "nonhomogeneous") for n in range(4)]
+    ck = homogeneous_complex(h, bim, 3)
+    cc = nonhomogeneous_complex(h, bim, 3)
+    ops_k = [sigma_homogeneous(h, bim, n) for n in range(4)]
+    ops_c = [sigma_nonhomogeneous(h, bim, n) for n in range(4)]
     fk = fixed_subcomplex(ck, ops_k)
     fc = fixed_subcomplex(cc, ops_c)
     for n in range(1, 4):
-        phi, psi = hochschild_phi_psi(h, bim, n)
+        phi, psi = phi_psi(h, bim, n)
         for col in fk.spaces[n].basis.cols_data:
             img = phi.apply(col)
             for s in ops_c[n].sigmas:
