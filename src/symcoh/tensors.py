@@ -24,7 +24,7 @@ def all_tuples(d: int, length: int):
     return itertools.product(range(d), repeat=length)
 
 
-def bar_chain_diff(h: HopfAlgebra, n: int, tail: int = 0) -> SparseMatrix:
+def bar_chain_diff(h: HopfAlgebra, n: int, tail: int) -> SparseMatrix:
     """The homogeneous chain map A^(n+1+tail) -> A^(n+tail): alternating
     counit deletions of slots 0..n; the `tail` trailing slots stay."""
     d = h.dim
