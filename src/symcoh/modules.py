@@ -10,25 +10,32 @@ Both match kron(A, B) with A indexing the most significant part.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import numpy as np
+
 from .errors import InvalidBimodule, InvalidModule
 from .hopf import HopfAlgebra
 from .linalg import Matrix, Subspace, intersect_kernels
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with the left factor most significant."""
-    out = Matrix.zeros(a.field, a.rows * b.rows, a.cols * b.cols)
-    for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            v = a[i1, j1]
-            if v == 0:
-                continue
-            for i2 in range(b.rows):
-                for j2 in range(b.cols):
-                    w = b[i2, j2]
-                    if w != 0:
-                        out._set(i1 * b.rows + i2, j1 * b.cols + j2, a.field.mul(v, w))
-    return out
+    """Kronecker product with the left factor most significant.
+
+    Over GF(p) each entry is one product of two reduced entries, so int64
+    is exact while (p-1)^2 < 2^63; larger p multiplies Python ints.
+    """
+    fld = a.field
+    rows, cols = a.rows * b.rows, a.cols * b.cols
+    if fld.is_rational:
+        z = Fraction(0)
+        data = [[x * y if x and y else z for x in arow for y in brow]
+                for arow in a.data for brow in b.data]
+        return Matrix(fld, rows, cols, data)
+    if (fld.p - 1) ** 2 < 2 ** 63:
+        return Matrix(fld, rows, cols, np.kron(a.data, b.data) % fld.p)
+    exact = np.kron(a.data.astype(object), b.data.astype(object)) % fld.p
+    return Matrix(fld, rows, cols, exact.astype(np.int64).reshape(rows, cols))
 
 
 class LeftModule:

@@ -20,6 +20,8 @@ import warnings
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
+import numpy as np
+
 from .bar import GENERIC_SOLVE_LIMIT, CohomologyReport, require_cocommutative
 from .complexes import CochainComplex, CochainSpace, _left_inverse_dense, cohomology_dims
 from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime
@@ -28,9 +30,10 @@ from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
 from .linalg import Matrix, quotient, rank
 from .modules import (Bimodule, LeftModule, hom_equivariant, kron,
                       regular_bimodule, regular_left_module, validate_module)
-from .sparse import SparseMatrix
-from .tensors import (all_tuples, bar_chain_diff, diagonal_action, flat,
-                      last_slot_right_mult)
+from .sparse import (SparseMatrix, apply_columns, canonical, dense_from_triples,
+                     field_array)
+from .tensors import (all_columns, all_tuples, bar_chain_columns, diagonal_columns,
+                      digits, flat, right_mult_columns, undigits)
 
 
 def _sorted_with_sign(tup):
@@ -46,19 +49,26 @@ def _sorted_with_sign(tup):
     return tuple(sorted(tup)), -1 if inversions % 2 else 1
 
 
+def _swap_columns(idx, d, slots, i):
+    """Flat indices with tensor slots i-1 and i exchanged."""
+    high = d ** (slots - i)
+    low = d ** (slots - 1 - i)
+    a = idx // high % d
+    b = idx // low % d
+    return idx + (b - a) * high + (a - b) * low
+
+
 def _swap_plus_identity_columns(field, d, slots, sym_slots):
-    """Relation generators v . sigma_i - v = -(swap_i v + v) as sparse columns."""
-    cols = []
+    """Relation generators v . sigma_i - v = -(swap_i v + v) as triples,
+    one column per (i, tuple)."""
+    size = d ** slots
+    idx = np.arange(size, dtype=np.int64)
+    rows, cols = [idx[:0]], [idx[:0]]
     for i in range(1, sym_slots):
-        for tup in all_tuples(d, slots):
-            swapped = list(tup)
-            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            col = {}
-            col[flat(tuple(swapped), d)] = field.one()
-            other = flat(tup, d)
-            col[other] = field.add(col.get(other, field.zero()), field.one())
-            cols.append({k: v for k, v in col.items() if v != 0})
-    return cols
+        col = (i - 1) * size + idx
+        rows += [_swap_columns(idx, d, slots, i), idx]
+        cols += [col, col]
+    return canonical(field, np.concatenate(rows), np.concatenate(cols), None)
 
 
 class CoinvariantSpace:
@@ -92,18 +102,59 @@ def _fast_path_available(h: HopfAlgebra) -> bool:
     return h.group_like and h.field.characteristic != 2
 
 
+def _sorted_tuple_coinvariants(fld, d, slots, sym_slots, tail):
+    """Projection, section and labels of the strictly-increasing-tuple basis:
+    a tuple with distinct symmetric slots maps to its sorted label with the
+    sign of the sorting permutation, any other tuple to zero."""
+    labels = [inc + last for inc in itertools.combinations(range(d), sym_slots)
+              for last in all_tuples(d, tail)]
+    size = d ** slots
+    label_idx = np.array([flat(lab, d) for lab in labels], dtype=np.int64)
+    idx = np.arange(size if labels else 0, dtype=np.int64)
+    digs = digits(idx, d, slots)
+    head = np.sort(digs[:sym_slots], axis=0)
+    distinct = np.all(head[1:] != head[:-1], axis=0)
+    idx, digs, head = idx[distinct], digs[:, distinct], head[:, distinct]
+    inversions = np.zeros(len(idx), dtype=np.int64)
+    for i in range(sym_slots):
+        for j in range(i + 1, sym_slots):
+            inversions += digs[i] > digs[j]
+    rows = np.searchsorted(label_idx, undigits(np.vstack([head, digs[sym_slots:]]), d))
+    one = fld.one()
+    signs = field_array(fld, [one, fld.neg(one)])[inversions % 2]
+    projection = SparseMatrix.from_triples(fld, len(labels), size, (rows, idx, signs))
+    section = SparseMatrix.from_triples(
+        fld, size, len(labels), (label_idx, np.arange(len(labels), dtype=np.int64), None))
+    return projection, section, labels
+
+
 def _generic_coinvariants(h, slots, sym_slots):
     d = h.dim
     ambient = d ** slots
     if ambient > GENERIC_SOLVE_LIMIT:
         raise BudgetExceeded(f"generic coinvariant quotient on {ambient} coordinates")
-    rel_cols = _swap_plus_identity_columns(h.field, d, slots, sym_slots)
-    relations = Matrix.zeros(h.field, ambient, len(rel_cols))
-    for j, col in enumerate(rel_cols):
-        for i, v in col.items():
-            relations._set(i, j, v)
+    relations = dense_from_triples(h.field, ambient, (sym_slots - 1) * ambient,
+                                   _swap_plus_identity_columns(h.field, d, slots, sym_slots))
     proj, sect = quotient(ambient, relations)
     return SparseMatrix.from_dense(proj), SparseMatrix.from_dense(sect)
+
+
+def _ops(h, slots, tail):
+    """Column maps of the operators the quotient must be stable under:
+    per basis element, the diagonal action, then (with a trailing slot)
+    right multiplication."""
+    return [[diagonal_columns(h, g, slots)] + ([right_mult_columns(h, g, slots)] if tail else [])
+            for g in range(h.dim)]
+
+
+def _induced(fld, projection, section, columns, rows=None):
+    """projection . op . section as a dense matrix, op given by its column
+    map and evaluated on the section's columns only."""
+    image = apply_columns(fld, columns, section.triples())
+    if projection is None:
+        return dense_from_triples(fld, rows, section.cols, image)
+    return dense_from_triples(fld, projection.rows, section.cols,
+                              apply_columns(fld, projection.column_map(), image))
 
 
 def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
@@ -123,52 +174,27 @@ def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
                       "(odd characteristic is the intended setting)")
     fast_path = _fast_path_available(h) and not force_generic
     if fast_path:
-        labels = [inc + last for inc in itertools.combinations(range(d), sym_slots)
-                  for last in all_tuples(d, tail)]
-        label_rank = {lab: i for i, lab in enumerate(labels)}
-        projection = SparseMatrix(fld, len(labels), d ** slots)
-        section = SparseMatrix(fld, d ** slots, len(labels))
-        one = fld.one()
-        minus_one = fld.neg(one)
-        # only tuples with distinct permuted entries project to anything
-        for lab, r in label_rank.items():
-            last = lab[sym_slots:]
-            for perm in itertools.permutations(lab[:sym_slots]):
-                _key, sign = _sorted_with_sign(perm)
-                projection.cols_data[flat(perm + last, d)][r] = one if sign > 0 else minus_one
-            section.cols_data[r][flat(lab, d)] = one
-        table = h.group_table
-        left, right = [], []
-        for g in range(d):
-            mat = Matrix.zeros(fld, len(labels), len(labels))
-            for lab, r in label_rank.items():
-                # free orbits: no repeats
-                key, sign = _sorted_with_sign(tuple(table[g][t] for t in lab[:sym_slots]))
-                moved = key + tuple(table[g][t] for t in lab[sym_slots:])
-                mat._set(label_rank[moved], r, one if sign > 0 else minus_one)
-            left.append(mat)
-            if tail:
-                mat = Matrix.zeros(fld, len(labels), len(labels))
-                for lab, r in label_rank.items():
-                    mat._set(label_rank[lab[:-1] + (table[lab[-1]][g],)], r, one)
-                right.append(mat)
+        projection, section, labels = _sorted_tuple_coinvariants(fld, d, slots, sym_slots, tail)
     else:
         projection, section = _generic_coinvariants(h, slots, sym_slots)
-        left = [(projection @ (diagonal_action(h, g, slots) @ section)).to_dense()
-                for g in range(d)]
-        if tail:
-            right = [(projection @ (last_slot_right_mult(h, g, slots) @ section)).to_dense()
-                     for g in range(d)]
         labels = _section_labels(section, d, slots)
     dim = projection.rows
-    module = Bimodule(dim, left, right) if tail else LeftModule(dim, left)
+    ops = _ops(h, slots, tail) if dim else [[None] * (1 + tail)] * d
+    induced = [[_induced(fld, projection, section, op) if dim else Matrix.zeros(fld, 0, 0)
+                for op in per_g] for per_g in ops]
+    left = [per_g[0] for per_g in induced]
+    if tail:
+        module = Bimodule(dim, left, [per_g[1] for per_g in induced])
+    else:
+        module = LeftModule(dim, left)
     space = CoinvariantSpace(n, d ** slots, projection, section, labels,
                              module, fast_path=fast_path)
     if check:
         if not (space.projection @ space.section).equals_identity():
             raise AssertionError("projection . section != id")
         validate_module(h, space.module)
-        _check_action_well_defined(h, space)
+        _check_descends(h, space, space, [op for per_g in ops for op in per_g],
+                        "induced action is not well-defined")
     return space
 
 
@@ -189,43 +215,42 @@ def _unflat(idx, d, slots):
     return tuple(reversed(out))
 
 
-def _descends_to_quotient(field, d, slots, sym_slots, projected: SparseMatrix) -> bool:
-    """True when projection . op kills every relation  swap_i(v) + v."""
-    cols = projected.cols_data
-    for tup in all_tuples(d, slots):
-        base = cols[flat(tup, d)]
-        for i in range(1, sym_slots):
-            if tup[i - 1] <= tup[i]:
-                continue  # each unordered pair once; i-1 == i gives 2v = 0 too
-            swapped = list(tup)
-            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-            other = cols[flat(tuple(swapped), d)]
-            if len(base) != len(other):
-                return False
-            for k, v in base.items():
-                if field.add(v, other.get(k, field.zero())) != 0:
-                    return False
-        # repeated adjacent entries force 2v = 0 on the image column
-        if base and any(tup[i - 1] == tup[i] for i in range(1, sym_slots)):
-            if any(field.add(v, v) != 0 for v in base.values()):
-                return False
+def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
+    """True when projection . op kills every relation  swap_i(v) + v, given
+    the canonical triples of projection . op: for i < sym_slots, a column
+    whose digits i-1 > i plus its swap_i partner must vanish, and a column
+    with a repeated adjacent digit must satisfy 2v = 0."""
+    rows, cols, vals = triples
+    neg = (lambda v: -v) if field.is_rational else (lambda v: -v % field.p)
+    digs = digits(cols, d, slots)[:sym_slots]
+    repeated = np.any(digs[1:] == digs[:-1], axis=0)
+    if np.any(neg(vals[repeated]) != vals[repeated]):
+        return False
+    for i in range(1, sym_slots):
+        up = digs[i - 1] > digs[i]
+        down = digs[i - 1] < digs[i]
+        # the entries of each swapped-down column, moved onto its partner
+        moved = (rows[up], _swap_columns(cols[up], d, slots, i), neg(vals[up]))
+        order = np.lexsort(moved[:2])
+        moved = tuple(a[order] for a in moved)
+        if not all(np.array_equal(a, b[down]) for a, b in zip(moved, triples)):
+            return False
     return True
 
 
-def _check_action_well_defined(h, space):
-    """The diagonal action (and right multiplication in a trailing slot)
-    must map relation vectors into ker(projection)."""
+def _check_descends(h, space, dst, ops, message):
+    """Every op (a column map on the ambient space of `space`) composed
+    with the projection of `dst` must kill the relations of `space`."""
     if space.dim == 0:
         return
-    slots = space.slots
-    for g in range(h.dim):
-        ops = [diagonal_action(h, g, slots)]
-        if space.module.tail:
-            ops.append(last_slot_right_mult(h, g, slots))
-        for op in ops:
-            if not _descends_to_quotient(h.field, h.dim, slots, space.degree + 1,
-                                         space.projection @ op):
-                raise AssertionError("induced action is not well-defined")
+    fld = h.field
+    project = dst.projection.column_map()
+    everything = all_columns(space.ambient_dim)
+    for op in ops:
+        triples = canonical(fld, *apply_columns(fld, project,
+                                                apply_columns(fld, op, everything)))
+        if not _descends_to_quotient(fld, h.dim, space.slots, space.degree + 1, triples):
+            raise AssertionError(message)
 
 
 # -- the resolutions of k and of A ---------------------------------------------
@@ -273,18 +298,20 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, force_generic: bool = False
     checked against (plain coinvariants) tensor A."""
     spaces = [coinvariant_space(h, n, force_generic=force_generic, check=check, tail=tail)
               for n in range(top + 1)]
+    fld = h.field
     boundaries = [None]
     for n in range(1, top + 1):
         if spaces[n].dim == 0:
-            boundaries.append(Matrix.zeros(h.field, spaces[n - 1].dim, 0))
+            boundaries.append(Matrix.zeros(fld, spaces[n - 1].dim, 0))
             continue
-        chain = bar_chain_diff(h, n, tail)  # A^(n+1+tail) -> A^(n+tail)
+        chain = bar_chain_columns(h, n, tail)  # A^(n+1+tail) -> A^(n+tail)
         if check:
-            _check_chain_well_defined(h, chain, spaces[n], spaces[n - 1])
-        boundaries.append(
-            (spaces[n - 1].projection @ (chain @ spaces[n].section)).to_dense())
+            _check_descends(h, spaces[n], spaces[n - 1], [chain],
+                            "induced boundary is not well-defined")
+        boundaries.append(_induced(fld, spaces[n - 1].projection, spaces[n].section, chain))
     # the augmentation deletes slot 0 by the counit
-    aug = (bar_chain_diff(h, 0, tail) @ spaces[0].section).to_dense()
+    aug = _induced(fld, None, spaces[0].section, bar_chain_columns(h, 0, tail),
+                   rows=h.dim ** tail)
     res = ResolutionComplex(h, top, spaces, boundaries, aug)
     if tail:
         res.factorization_checks = _factorization_checks(h, spaces, force_generic)
@@ -327,23 +354,18 @@ def _factorization_checks(h, spaces, force_generic):
     return checks
 
 
-def _check_chain_well_defined(h, chain, src: CoinvariantSpace, dst):
-    if src.dim == 0:
-        return
-    projected = dst.projection @ chain
-    if not _descends_to_quotient(h.field, h.dim, src.slots, src.degree + 1, projected):
-        raise AssertionError("induced boundary is not well-defined")
+def _unit_insert_columns(h: HopfAlgebra, slots: int):
+    """Column map of A^(tensor slots) -> A^(tensor slots+1): prepend the unit."""
+    unit = list(h.unit_dict().items())
+    shift = np.array([u * h.dim ** slots for u, _ in unit], dtype=np.int64)
+    coeffs = field_array(h.field, [uc for _, uc in unit])
 
+    def columns(idx):
+        at = np.arange(len(idx), dtype=np.int64)
+        return ((shift[:, None] + idx[None, :]).reshape(-1), np.tile(at, len(unit)),
+                np.repeat(coeffs, len(idx)))
 
-def _insert_unit_op(h: HopfAlgebra, slots: int) -> SparseMatrix:
-    """A^(tensor slots) -> A^(tensor slots+1): prepend the unit."""
-    d = h.dim
-    out = SparseMatrix(h.field, d ** (slots + 1), d ** slots)
-    for tup in all_tuples(d, slots):
-        col = flat(tup, d)
-        for u, uc in h.unit_dict().items():
-            out.add_entry(flat((u,) + tup, d), col, uc)
-    return out
+    return columns
 
 
 @dataclass
@@ -360,11 +382,10 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int,
     res = sym_resolution_complex(h, top, force_generic=force_generic)
     spaces = res.spaces
     homotopies = []
-    for n in range(top):
-        ins = _insert_unit_op(h, n + 1)
-        homotopies.append(
-            (spaces[n + 1].projection @ (ins @ spaces[n].section)).to_dense())
     fld = h.field
+    for n in range(top):
+        homotopies.append(_induced(fld, spaces[n + 1].projection, spaces[n].section,
+                                   _unit_insert_columns(h, n + 1)))
     degrees = []
     ok = True
     # unit section k -> S_0 followed by the augmentation
@@ -453,20 +474,21 @@ def splitting_maps(h: HopfAlgebra, n: int, force_generic: bool = False) -> Split
     inv_np1 = fld.inv(fld.from_int(n + 1))
 
     # ambient face map: tau -> sum_i (-1)^i tau_i tensor (tau without i)
-    amb = SparseMatrix(fld, d * sm.dim, d ** (n + 1))
-    for tup in all_tuples(d, n + 1):
-        col = flat(tup, d)
-        sign = fld.one()
-        for i in range(n + 1):
-            reduced = sm.projection.apply({flat(tup[:i] + tup[i + 1:], d): fld.one()})
-            for r, v in reduced.items():
-                amb.add_entry(tup[i] * sm.dim + r, col,
-                              fld.mul(sign, fld.mul(v, inv_np1)))
-            sign = fld.neg(sign)
+    project = sm.projection.column_map()
+    idx = np.arange(d ** (n + 1), dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for i in range(n + 1):
+        low = d ** (n - i)
+        r, pos, v = project(idx // (low * d) * low + idx % low)
+        rows.append(idx[pos] // low % d * sm.dim + r)
+        cols.append(idx[pos])
+        scale = fld.mul(inv_np1, fld.one() if i % 2 == 0 else fld.neg(fld.one()))
+        vals.append(v * scale if fld.is_rational else v * scale % fld.p)
+    triples = canonical(fld, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
     # well-definedness on the quotient
-    for col in _swap_plus_identity_columns(fld, d, n + 1, n + 1):
-        if amb.apply(col):
-            raise AssertionError("phi is not well-defined on the coinvariants")
+    if not _descends_to_quotient(fld, d, n + 1, n + 1, triples):
+        raise AssertionError("phi is not well-defined on the coinvariants")
+    amb = SparseMatrix.from_triples(fld, d * sm.dim, d ** (n + 1), triples)
     phi = (amb @ sn.section).to_dense()
 
     psi_amb = SparseMatrix(fld, sn.dim, d * sm.dim)

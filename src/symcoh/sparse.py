@@ -5,6 +5,13 @@ A^(tensor n) coordinates are far too sparse to materialize densely, so
 they are kept as one dict {row: value} per column.  Rank, kernel and
 quotient work stays in the dense layer; this layer only composes, adds
 and evaluates.
+
+Bulk work goes through triples instead: parallel arrays (rows, cols,
+vals) of entries, with values in an int64 array over GF(p) (an object
+array when a product of two entries could overflow int64) and an object
+array of Fractions over Q; `vals` None means every value is one.  An
+operator acts on triples through its `columns(idx)` map, which returns
+the entries of the columns idx as (rows, position in idx, vals).
 """
 
 from __future__ import annotations
@@ -35,15 +42,25 @@ class SparseMatrix:
 
     @staticmethod
     def from_dense(m: Matrix) -> "SparseMatrix":
-        cols_data = []
-        for j in range(m.cols):
-            col = {}
-            for i in range(m.rows):
-                v = m[i, j]
-                if v != 0:
-                    col[i] = v
-            cols_data.append(col)
+        cols_data = [dict() for _ in range(m.cols)]
+        if m.field.is_rational:
+            for i, row in enumerate(m.data):
+                for j, v in enumerate(row):
+                    if v != 0:
+                        cols_data[j][i] = v
+        else:
+            cols, rows = np.nonzero(m.data.T)
+            for i, j, v in zip(rows.tolist(), cols.tolist(), m.data[rows, cols].tolist()):
+                cols_data[j][i] = v
         return SparseMatrix(m.field, m.rows, m.cols, cols_data)
+
+    @staticmethod
+    def from_triples(field: Field, rows: int, cols: int, triples) -> "SparseMatrix":
+        r, c, v = canonical(field, *triples)
+        cols_data = [dict() for _ in range(cols)]
+        for i, j, x in zip(r.tolist(), c.tolist(), v.tolist()):
+            cols_data[j][i] = x
+        return SparseMatrix(field, rows, cols, cols_data)
 
     def to_dense(self) -> Matrix:
         m = Matrix.zeros(self.field, self.rows, self.cols)
@@ -71,6 +88,31 @@ class SparseMatrix:
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols_data)
+
+    def triples(self):
+        """(rows, cols, vals) of the stored entries, column by column."""
+        counts = np.fromiter(map(len, self.cols_data), dtype=np.int64, count=self.cols)
+        nnz = int(counts.sum())
+        rows = np.fromiter((i for col in self.cols_data for i in col), dtype=np.int64,
+                           count=nnz)
+        vals = field_array(self.field, [v for col in self.cols_data for v in col.values()])
+        return rows, np.repeat(np.arange(self.cols, dtype=np.int64), counts), vals
+
+    def column_map(self):
+        """The column map of this matrix, read from its entries now."""
+        rows, cols, vals = self.triples()
+        indptr = np.zeros(self.cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=self.cols), out=indptr[1:])
+
+        def columns(idx):
+            start = indptr[idx]
+            count = indptr[idx + 1] - start
+            pos = np.repeat(np.arange(len(idx), dtype=np.int64), count)
+            at = np.arange(len(pos), dtype=np.int64) + np.repeat(start - np.cumsum(count) + count,
+                                                                 count)
+            return rows[at], pos, vals[at]
+
+        return columns
 
     # -- algebra ---------------------------------------------------------
 
@@ -177,3 +219,61 @@ def to_int64_dense(sm: SparseMatrix, modulus: int) -> np.ndarray | None:
                 v = v.numerator
             a[i, j] = int(v) % modulus
     return a
+
+
+# -- triples ---------------------------------------------------------------
+
+
+def field_array(field: Field, values) -> np.ndarray:
+    """Scalars of `field` as an array that keeps their products exact."""
+    if field.is_rational or (field.p - 1) ** 2 >= 2 ** 63:
+        return np.array(values, dtype=object).reshape(-1)
+    return np.array(values, dtype=np.int64).reshape(-1)
+
+
+def multiply_values(field: Field, a, b):
+    """Entrywise product of two value arrays; None stands for all ones."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    out = a * b
+    return out if field.is_rational else out % field.p
+
+
+def apply_columns(field: Field, columns, triples):
+    """The operator with column map `columns` applied to triples (not summed)."""
+    r, c, v = triples
+    rows, pos, vals = columns(r)
+    return rows, c[pos], multiply_values(field, None if v is None else v[pos], vals)
+
+
+def canonical(field: Field, rows, cols, vals):
+    """Triples sorted by (col, row) with duplicates summed and zeros dropped."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if vals is None:
+        vals = field_array(field, [field.one()] * len(rows))
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if len(rows):
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not new.all():
+            starts = np.flatnonzero(new)
+            rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
+    if not field.is_rational:
+        vals = vals % field.p
+    keep = vals != 0
+    return rows[keep], cols[keep], vals[keep]
+
+
+def dense_from_triples(field: Field, rows: int, cols: int, triples) -> Matrix:
+    r, c, v = canonical(field, *triples)
+    m = Matrix.zeros(field, rows, cols)
+    if field.is_rational:
+        for i, j, x in zip(r.tolist(), c.tolist(), v.tolist()):
+            m.data[i][j] = x
+    else:
+        m.data[r, c] = v
+    return m

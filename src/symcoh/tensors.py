@@ -1,16 +1,23 @@
-"""Coordinate bookkeeping on tensor powers of the algebra.
+"""Coordinate bookkeeping on tensor powers of the algebra: the flat-index
+layer.
 
 A^(tensor t) is coordinatized by index tuples in lexicographic order
 with the leftmost factor most significant; a cochain with values in an
 m-dimensional module puts component (tuple, j) at flat(tuple) * m + j.
+Digit k of a flat index idx on t slots is idx // d**(t-1-k) % d, so the
+operators below are built as numpy arithmetic on arrays of flat indices.
+Each has a column map `columns(idx) -> (rows, position in idx, vals)`
+(see sparse.py) and a SparseMatrix form for the cochain builders.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .hopf import HopfAlgebra, iterated_comult
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, field_array
 
 
 def flat(tup, d: int) -> int:
@@ -24,21 +31,66 @@ def all_tuples(d: int, length: int):
     return itertools.product(range(d), repeat=length)
 
 
-def bar_chain_diff(h: HopfAlgebra, n: int, tail: int) -> SparseMatrix:
-    """The homogeneous chain map A^(n+1+tail) -> A^(n+tail): alternating
-    counit deletions of slots 0..n; the `tail` trailing slots stay."""
+def digits(idx: np.ndarray, d: int, slots: int) -> np.ndarray:
+    """The digits of flat indices, shape (slots, len(idx)), most significant first."""
+    powers = d ** np.arange(slots - 1, -1, -1, dtype=np.int64)
+    return idx[None, :] // powers[:, None] % d
+
+
+def undigits(digs: np.ndarray, d: int) -> np.ndarray:
+    """Flat indices of the digit columns of digs (the inverse of digits)."""
+    idx = np.zeros(digs.shape[1], dtype=np.int64)
+    for row in digs:
+        idx = idx * d + row
+    return idx
+
+
+def all_columns(size: int):
+    """Triples of the identity on `size` coordinates."""
+    idx = np.arange(size, dtype=np.int64)
+    return idx, idx, None
+
+
+def permutation_columns(perm: np.ndarray):
+    """Column map of the permutation matrix sending column j to row perm[j]."""
+    def columns(idx):
+        return perm[idx], np.arange(len(idx), dtype=np.int64), None
+    return columns
+
+
+def bar_chain_columns(h: HopfAlgebra, n: int, tail: int):
+    """Column map of the homogeneous chain map A^(n+1+tail) -> A^(n+tail):
+    alternating counit deletions of slots 0..n; the `tail` trailing slots
+    stay.  Entries that cancel are left for the caller to sum."""
     d = h.dim
-    out = SparseMatrix(h.field, d ** (n + tail), d ** (n + 1 + tail))
+    slots = n + 1 + tail
     fld = h.field
-    for tup in all_tuples(d, n + 1 + tail):
-        col = flat(tup, d)
-        sign = fld.one()
+    eps = field_array(fld, h.counit)
+    signed = [eps, field_array(fld, [fld.neg(e) for e in h.counit])]
+    live = np.flatnonzero(eps != 0)
+
+    def columns(idx):
+        rows, pos, vals = [], [], []
+        at = np.arange(len(idx), dtype=np.int64)
         for i in range(n + 1):
-            eps = h.counit[tup[i]]
-            if eps != 0:
-                out.add_entry(flat(tup[:i] + tup[i + 1:], d), col, fld.mul(sign, eps))
-            sign = fld.neg(sign)
-    return out
+            low = d ** (slots - 1 - i)
+            digit = idx // low % d
+            keep = np.isin(digit, live) if len(live) < d else slice(None)
+            rows.append((idx // (low * d) * low + idx % low)[keep])
+            pos.append(at[keep])
+            vals.append(signed[i % 2][digit[keep]])
+        return np.concatenate(rows), np.concatenate(pos), np.concatenate(vals)
+
+    return columns
+
+
+def bar_chain_diff(h: HopfAlgebra, n: int, tail: int) -> SparseMatrix:
+    """The chain map of bar_chain_columns as a sparse matrix."""
+    d = h.dim
+    size = d ** (n + 1 + tail)
+    r, c, v = all_columns(size)
+    rows, pos, vals = bar_chain_columns(h, n, tail)(r)
+    return SparseMatrix.from_triples(h.field, d ** (n + tail), size, (rows, c[pos], vals))
 
 
 def cochain_precompose(chain: SparseMatrix, m: int, field) -> SparseMatrix:
@@ -70,18 +122,24 @@ def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatri
     return out
 
 
+def group_diagonal_perm(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
+    """Left multiplication of the group element b on every slot, as the
+    permutation of flat indices it induces."""
+    table = np.asarray(h.group_table, dtype=np.int64)
+    idx = np.arange(h.dim ** slots, dtype=np.int64)
+    return undigits(table[b][digits(idx, h.dim, slots)], h.dim)
+
+
 def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
     """Left multiplication of b_b on A^(tensor slots) through the iterated
     comultiplication (one leg per slot)."""
     d = h.dim
     fld = h.field
-    out = SparseMatrix(h.field, d ** slots, d ** slots)
     if h.group_like:
-        row = h.group_table[b]
         one = fld.one()
-        for tup in all_tuples(d, slots):
-            out.cols_data[flat(tup, d)][flat(tuple(row[t] for t in tup), d)] = one
-        return out
+        return SparseMatrix(fld, d ** slots, d ** slots,
+                            [{j: one} for j in group_diagonal_perm(h, b, slots).tolist()])
+    out = SparseMatrix(h.field, d ** slots, d ** slots)
     legs = iterated_comult(h, b, slots - 1).coeffs
     for tup in all_tuples(d, slots):
         col = flat(tup, d)
@@ -98,12 +156,42 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
     return out
 
 
+def diagonal_columns(h: HopfAlgebra, b: int, slots: int):
+    """Column map of diagonal_action; a permutation for group algebras."""
+    if h.group_like:
+        return permutation_columns(group_diagonal_perm(h, b, slots))
+    return diagonal_action(h, b, slots).column_map()
+
+
+def right_mult_columns(h: HopfAlgebra, c: int, slots: int):
+    """Column map of right multiplication by b_c in the last of `slots`
+    tensor slots."""
+    d = h.dim
+    fld = h.field
+    # per last digit t: the digits k of b_t b_c and their coefficients
+    cells = [(np.array(list(h.mult[t][c]), dtype=np.int64),
+              field_array(fld, list(h.mult[t][c].values()))) for t in range(d)]
+
+    def columns(idx):
+        last = idx % d
+        rows, pos, vals = [], [], []
+        for t, (ks, cs) in enumerate(cells):
+            at = np.flatnonzero(last == t)
+            for k, v in zip(ks, cs):
+                rows.append(idx[at] - t + k)
+                pos.append(at)
+                vals.append(np.full(len(at), v, dtype=cs.dtype))
+        if not rows:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, field_array(fld, [])
+        return np.concatenate(rows), np.concatenate(pos), np.concatenate(vals)
+
+    return columns
+
+
 def last_slot_right_mult(h: HopfAlgebra, c: int, slots: int) -> SparseMatrix:
     """Right multiplication by b_c in the last of `slots` tensor slots."""
-    d = h.dim
-    out = SparseMatrix(h.field, d ** slots, d ** slots)
-    for tup in all_tuples(d, slots):
-        col = flat(tup, d)
-        for k, v in h.mult[tup[-1]][c].items():
-            out.add_entry(flat(tup[:-1] + (k,), d), col, v)
-    return out
+    size = h.dim ** slots
+    r, col, _ = all_columns(size)
+    rows, pos, vals = right_mult_columns(h, c, slots)(r)
+    return SparseMatrix.from_triples(h.field, size, size, (rows, col[pos], vals))

@@ -3,8 +3,11 @@
 These never touch the bar machinery: the cyclic-group oracle uses the
 two-periodic free resolution of the trivial module, and the
 semisimple-case oracle uses averaging (invariants in degree zero,
-nothing above).
+nothing above).  The descent oracle is the tuple-by-tuple form of the
+coinvariant self-check that `symcoh.resolution` runs on index arrays.
 """
+
+import itertools
 
 from symcoh.hopf import HopfAlgebra
 from symcoh.linalg import Matrix, kernel_basis, rank
@@ -40,3 +43,33 @@ def maschke_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
     """Over a splitting characteristic the higher cohomology vanishes and
     degree zero is the invariants."""
     return [invariants(h, mod).dim] + [0] * top
+
+
+def descends_to_quotient(field, d, slots, sym_slots, projected) -> bool:
+    """True when the sparse operator `projected` on A^(tensor slots) kills
+    every relation swap_i(v) + v, i < sym_slots, walking every tuple."""
+    def flat(tup):
+        idx = 0
+        for t in tup:
+            idx = idx * d + t
+        return idx
+
+    cols = projected.cols_data
+    for tup in itertools.product(range(d), repeat=slots):
+        base = cols[flat(tup)]
+        for i in range(1, sym_slots):
+            if tup[i - 1] <= tup[i]:
+                continue  # each unordered pair once; i-1 == i gives 2v = 0 too
+            swapped = list(tup)
+            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+            other = cols[flat(swapped)]
+            if len(base) != len(other):
+                return False
+            for k, v in base.items():
+                if field.add(v, other.get(k, field.zero())) != 0:
+                    return False
+        # repeated adjacent entries force 2v = 0 on the image column
+        if base and any(tup[i - 1] == tup[i] for i in range(1, sym_slots)):
+            if any(field.add(v, v) != 0 for v in base.values()):
+                return False
+    return True

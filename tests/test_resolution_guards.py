@@ -16,14 +16,14 @@ from symcoh import resolution
 from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra
 from symcoh.resolution import coinvariant_space, sym_resolution_complex
-from symcoh.sparse import SparseMatrix
+from symcoh.sparse import field_array
 
 FIELDS = {"GF5": Field.prime(5), "Q": Field.rationals()}
 
-# the ambient operators the checks project: name in `resolution`, and the
-# corrupted call (degree of the boundary, basis element of the right action)
-CHAIN_MAP = "bar_chain_diff"
-RIGHT_MULT = "last_slot_right_mult"
+# the column maps (see symcoh.sparse) of the ambient operators the checks
+# project, by their names in `resolution`
+CHAIN_MAP = "bar_chain_columns"
+RIGHT_MULT = "right_mult_columns"
 
 
 def kc3(field):
@@ -60,12 +60,21 @@ def _corrupt_space(monkeypatch, degree, what):
     monkeypatch.setattr(resolution.CoinvariantSpace, "__init__", init)
 
 
-def _bump_entry(op, row, col):
-    """The operator with entry (row, col) changed; `op` is a SparseMatrix."""
-    fld = op.field
-    out = SparseMatrix(fld, op.rows, op.cols, [dict(c) for c in op.cols_data])
-    out.cols_data[col][row] = _bumped(fld, out.cols_data[col].get(row, fld.zero()))
-    return out
+def _bump_entry(field, columns, row, col):
+    """The column map with entry (row, col) changed."""
+    def bumped(idx):
+        rows, pos, vals = columns(idx)
+        vals = field_array(field, [field.one()] * len(rows)) if vals is None else vals.copy()
+        hits = np.flatnonzero((idx[pos] == col) & (rows == row))
+        if len(hits):
+            vals[hits[0]] = _bumped(field, vals[hits[0]])
+        elif col in idx:
+            at = np.flatnonzero(idx == col)[:1]
+            rows, pos = np.append(rows, row), np.append(pos, at)
+            vals = np.append(vals, field_array(field, [field.one()]))
+        return rows, pos, vals
+
+    return bumped
 
 
 def _corrupt_chain(monkeypatch, degree, tail, d):
@@ -78,7 +87,7 @@ def _corrupt_chain(monkeypatch, degree, tail, d):
         op = original(h, n, t)
         if n != degree:
             return op
-        return _bump_entry(op, _flat(tup[1:], d), _flat(tup, d))
+        return _bump_entry(h.field, op, _flat(tup[1:], d), _flat(tup, d))
 
     monkeypatch.setattr(resolution, CHAIN_MAP, chain)
 
@@ -94,7 +103,7 @@ def _corrupt_right_mult(monkeypatch, basis_element, col_tuple, d):
             return op
         col = _flat(col_tuple, d)
         row = _flat(col_tuple[:-1] + (h.group_table[col_tuple[-1]][c],), d)
-        return _bump_entry(op, row, col)
+        return _bump_entry(h.field, op, row, col)
 
     monkeypatch.setattr(resolution, RIGHT_MULT, right)
 
