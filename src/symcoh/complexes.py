@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
-from .errors import (ActionLeavesSubspace, ActionNotCompatible,
+from .errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                      DegreeOutOfRange, NotASubcomplex)
 from .fields import Field
 from .linalg import (Matrix, _rank_prime, kernel_basis, quotient, rank, rref,
@@ -28,6 +28,7 @@ from .sparse import SparseMatrix, integer_gram, to_int64_dense
 
 _SANDWICH_PRIMES = (1000003, 999983, 1000033)
 _DENSE_RATIONAL_LIMIT = 120_000  # rows*cols beyond which Q matrices go modular first
+DENSE_RANK_CELLS = 1 << 24  # cells of the largest dense matrix a rank may build
 
 
 class CochainSpace:
@@ -197,6 +198,15 @@ def cohomology_dims(c: CochainComplex, up_to: int) -> list:
     if not (0 <= up_to < c.top_degree):
         raise DegreeOutOfRange(
             f"up_to must lie in 0..{c.top_degree - 1}, got {up_to}")
+    for n in range(up_to + 1):
+        # the rank densifies the rows x cols differential, over Q perhaps its
+        # cols x cols Gram matrix as well
+        rows, cols = c.spaces[n + 1].dim, c.spaces[n].dim
+        cells = max(rows, cols) * cols if c.field.is_rational else rows * cols
+        if cells > DENSE_RANK_CELLS:
+            raise BudgetExceeded(
+                f"rank of the degree-{n} differential needs a dense {rows} x {cols} "
+                f"matrix, over the limit of {DENSE_RANK_CELLS} cells")
     reduced = {n: c.restricted_diff(n) for n in range(up_to + 1)}
     ranks = []
     prev = 0

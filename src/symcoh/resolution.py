@@ -147,14 +147,14 @@ def _ops(h, slots, tail):
             for g in range(h.dim)]
 
 
-def _induced(fld, projection, section, columns, rows=None):
-    """projection . op . section as a dense matrix, op given by its column
-    map and evaluated on the section's columns only."""
+def _induced(fld, rows, section, columns, project=None):
+    """op . section, or project . op . section, as a dense matrix with
+    `rows` rows; op and project are column maps, and op is evaluated on
+    the section's columns only."""
     image = apply_columns(fld, columns, section.triples())
-    if projection is None:
-        return dense_from_triples(fld, rows, section.cols, image)
-    return dense_from_triples(fld, projection.rows, section.cols,
-                              apply_columns(fld, projection.column_map(), image))
+    if project is not None:
+        image = apply_columns(fld, project, image)
+    return dense_from_triples(fld, rows, section.cols, image)
 
 
 def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
@@ -179,9 +179,13 @@ def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
         projection, section = _generic_coinvariants(h, slots, sym_slots)
         labels = _section_labels(section, d, slots)
     dim = projection.rows
-    ops = _ops(h, slots, tail) if dim else [[None] * (1 + tail)] * d
-    induced = [[_induced(fld, projection, section, op) if dim else Matrix.zeros(fld, 0, 0)
-                for op in per_g] for per_g in ops]
+    if dim:
+        ops = _ops(h, slots, tail)
+        project = projection.column_map()
+        induced = [[_induced(fld, dim, section, op, project) for op in per_g] for per_g in ops]
+    else:
+        ops = []
+        induced = [[Matrix.zeros(fld, 0, 0)] * (1 + tail)] * d
     left = [per_g[0] for per_g in induced]
     if tail:
         module = Bimodule(dim, left, [per_g[1] for per_g in induced])
@@ -193,7 +197,7 @@ def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
         if not (space.projection @ space.section).equals_identity():
             raise AssertionError("projection . section != id")
         validate_module(h, space.module)
-        _check_descends(h, space, space, [op for per_g in ops for op in per_g],
+        _check_descends(h, space, space.projection, [op for per_g in ops for op in per_g],
                         "induced action is not well-defined")
     return space
 
@@ -238,13 +242,13 @@ def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
     return True
 
 
-def _check_descends(h, space, dst, ops, message):
-    """Every op (a column map on the ambient space of `space`) composed
-    with the projection of `dst` must kill the relations of `space`."""
+def _check_descends(h, space, projection, ops, message):
+    """Every op (a column map on the ambient space of `space`) followed by
+    `projection` must kill the relations of `space`."""
     if space.dim == 0:
         return
     fld = h.field
-    project = dst.projection.column_map()
+    project = projection.column_map()
     everything = all_columns(space.ambient_dim)
     for op in ops:
         triples = canonical(fld, *apply_columns(fld, project,
@@ -305,13 +309,14 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, force_generic: bool = False
             boundaries.append(Matrix.zeros(fld, spaces[n - 1].dim, 0))
             continue
         chain = bar_chain_columns(h, n, tail)  # A^(n+1+tail) -> A^(n+tail)
+        below = spaces[n - 1].projection
         if check:
-            _check_descends(h, spaces[n], spaces[n - 1], [chain],
+            _check_descends(h, spaces[n], below, [chain],
                             "induced boundary is not well-defined")
-        boundaries.append(_induced(fld, spaces[n - 1].projection, spaces[n].section, chain))
+        boundaries.append(_induced(fld, below.rows, spaces[n].section, chain,
+                                   below.column_map()))
     # the augmentation deletes slot 0 by the counit
-    aug = _induced(fld, None, spaces[0].section, bar_chain_columns(h, 0, tail),
-                   rows=h.dim ** tail)
+    aug = _induced(fld, h.dim ** tail, spaces[0].section, bar_chain_columns(h, 0, tail))
     res = ResolutionComplex(h, top, spaces, boundaries, aug)
     if tail:
         res.factorization_checks = _factorization_checks(h, spaces, force_generic)
@@ -384,8 +389,9 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int,
     homotopies = []
     fld = h.field
     for n in range(top):
-        homotopies.append(_induced(fld, spaces[n + 1].projection, spaces[n].section,
-                                   _unit_insert_columns(h, n + 1)))
+        above = spaces[n + 1].projection
+        homotopies.append(_induced(fld, above.rows, spaces[n].section,
+                                   _unit_insert_columns(h, n + 1), above.column_map()))
     degrees = []
     ok = True
     # unit section k -> S_0 followed by the augmentation

@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 
 from .hopf import HopfAlgebra, iterated_comult
-from .sparse import SparseMatrix, field_array
+from .sparse import SparseMatrix, apply_columns, field_array
 
 
 def flat(tup, d: int) -> int:
@@ -84,13 +84,16 @@ def bar_chain_columns(h: HopfAlgebra, n: int, tail: int):
     return columns
 
 
+def _sparse(field, rows: int, cols: int, columns) -> SparseMatrix:
+    """The operator with the given column map as a sparse matrix."""
+    return SparseMatrix.from_triples(field, rows, cols,
+                                     apply_columns(field, columns, all_columns(cols)))
+
+
 def bar_chain_diff(h: HopfAlgebra, n: int, tail: int) -> SparseMatrix:
     """The chain map of bar_chain_columns as a sparse matrix."""
     d = h.dim
-    size = d ** (n + 1 + tail)
-    r, c, v = all_columns(size)
-    rows, pos, vals = bar_chain_columns(h, n, tail)(r)
-    return SparseMatrix.from_triples(h.field, d ** (n + tail), size, (rows, c[pos], vals))
+    return _sparse(h.field, d ** (n + tail), d ** (n + 1 + tail), bar_chain_columns(h, n, tail))
 
 
 def cochain_precompose(chain: SparseMatrix, m: int, field) -> SparseMatrix:
@@ -136,9 +139,8 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
     d = h.dim
     fld = h.field
     if h.group_like:
-        one = fld.one()
-        return SparseMatrix(fld, d ** slots, d ** slots,
-                            [{j: one} for j in group_diagonal_perm(h, b, slots).tolist()])
+        return _sparse(fld, d ** slots, d ** slots,
+                       permutation_columns(group_diagonal_perm(h, b, slots)))
     out = SparseMatrix(h.field, d ** slots, d ** slots)
     legs = iterated_comult(h, b, slots - 1).coeffs
     for tup in all_tuples(d, slots):
@@ -174,16 +176,13 @@ def right_mult_columns(h: HopfAlgebra, c: int, slots: int):
 
     def columns(idx):
         last = idx % d
-        rows, pos, vals = [], [], []
+        rows, pos, vals = [idx[:0]], [idx[:0]], [field_array(fld, [])]
         for t, (ks, cs) in enumerate(cells):
             at = np.flatnonzero(last == t)
             for k, v in zip(ks, cs):
                 rows.append(idx[at] - t + k)
                 pos.append(at)
                 vals.append(np.full(len(at), v, dtype=cs.dtype))
-        if not rows:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, field_array(fld, [])
         return np.concatenate(rows), np.concatenate(pos), np.concatenate(vals)
 
     return columns
@@ -192,6 +191,4 @@ def right_mult_columns(h: HopfAlgebra, c: int, slots: int):
 def last_slot_right_mult(h: HopfAlgebra, c: int, slots: int) -> SparseMatrix:
     """Right multiplication by b_c in the last of `slots` tensor slots."""
     size = h.dim ** slots
-    r, col, _ = all_columns(size)
-    rows, pos, vals = right_mult_columns(h, c, slots)(r)
-    return SparseMatrix.from_triples(h.field, size, size, (rows, col[pos], vals))
+    return _sparse(h.field, size, size, right_mult_columns(h, c, slots))

@@ -132,6 +132,17 @@ def test_negative_dimension_is_an_internal_error(capsys):
     assert report["error"]["code"] == 4
 
 
+def test_oversized_dense_rank_is_a_budget_error(capsys):
+    # within the coordinate budget (3^10 coordinates), but the rank of d_8
+    # would densify a 19683 x 6561 matrix; refused before it is built
+    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3",
+                            "--mode", "H", "--max-degree", "9")
+    assert code == 3
+    assert report["dims"] == []
+    assert report["error"]["code"] == 3
+    assert "19683 x 6561" in report["error"]["reason"]
+
+
 def test_schema_error_exit_code(capsys):
     code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:4",
                             "--mode", "SH")

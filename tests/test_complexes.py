@@ -1,10 +1,11 @@
 import pytest
 
-from symcoh.complexes import (ActionOperator, CochainComplex, CochainSpace,
-                              check_complex, cohomology_dims,
+from symcoh.complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
+                              CochainSpace, check_complex, cohomology_dims,
                               euler_characteristic_consistent,
                               fixed_subcomplex, induced_map_on_cohomology)
-from symcoh.errors import ActionNotCompatible, DegreeOutOfRange, NotASubcomplex
+from symcoh.errors import (ActionNotCompatible, BudgetExceeded, DegreeOutOfRange,
+                           NotASubcomplex)
 from symcoh.fields import Field
 from symcoh.linalg import Matrix
 from symcoh.sparse import SparseMatrix
@@ -122,3 +123,17 @@ def test_induced_map_rejects_mismatched():
 
 def test_euler_characteristic_consistency():
     assert euler_characteristic_consistent(toy())
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=["GF3", "Q"])
+def test_cohomology_dims_refuses_an_oversized_dense_rank(field):
+    # zero differentials between spaces too large to densify: refused from
+    # the dimensions alone, before any dense matrix exists
+    side = 1 << 13  # side * side = 4 * DENSE_RANK_CELLS
+    assert side * side > DENSE_RANK_CELLS
+    spaces = [CochainSpace.full(field, d) for d in (1, side, side)]
+    diffs = [SparseMatrix(field, side, 1), SparseMatrix(field, side, side)]
+    c = CochainComplex(field, 2, spaces, diffs)
+    assert cohomology_dims(c, 0) == [1]
+    with pytest.raises(BudgetExceeded):
+        cohomology_dims(c, 1)

@@ -165,3 +165,38 @@ def test_tensor_hom_adjunction_dimensions():
     lhs = hom_equivariant(h, tensor_module(h, l, m), n).dim
     rhs = hom_equivariant(h, l, hom_module(h, m, n)).dim
     assert lhs == rhs
+
+
+def _exact_kron(a, b):
+    """Entry (i1*rb + i2, j1*cb + j2) is a[i1][j1] * b[i2][j2], in Python ints."""
+    return [[x * y for x in arow for y in brow] for arow in a for brow in b]
+
+
+@pytest.mark.parametrize("p", [5, 1000003, 3037000493, 3037000507, 4294967311],
+                         ids=["p=5", "p=1000003", "p=3037000493", "p=3037000507",
+                              "p=4294967311"])
+def test_kron_is_exact_at_every_field_size(p):
+    # the largest prime with (p-1)^2 < 2^63 is 3037000493; above it a product
+    # of two entries overflows int64
+    import random
+    from symcoh.modules import kron
+    field = Field.prime(p)
+    rng = random.Random(p)
+    a = [[rng.choice([0, 1, p - 1, p - 2, rng.randrange(p)]) for _ in range(3)]
+         for _ in range(2)]
+    b = [[rng.choice([0, 1, p - 1, p - 2, rng.randrange(p)]) for _ in range(2)]
+         for _ in range(4)]
+    got = kron(Matrix.from_rows(field, a), Matrix.from_rows(field, b))
+    expect = [[v % p for v in row] for row in _exact_kron(a, b)]
+    assert (got.rows, got.cols) == (8, 6)
+    assert [got.row(i) for i in range(got.rows)] == expect
+
+
+def test_kron_rational():
+    from fractions import Fraction
+    from symcoh.modules import kron
+    a = [[Fraction(1, 2), 0], [3, Fraction(-2, 3)]]
+    b = [[2, Fraction(1, 5)]]
+    got = kron(Matrix.from_rows(QQ, a), Matrix.from_rows(QQ, b))
+    assert [got.row(i) for i in range(got.rows)] == \
+        [[Fraction(v) for v in row] for row in _exact_kron(a, b)]
