@@ -59,6 +59,11 @@ class Field:
     def is_rational(self) -> bool:
         return self.kind == "rational"
 
+    @property
+    def int64_products(self) -> bool:
+        """True over GF(p) when a product of two reduced scalars fits int64."""
+        return self.kind == "prime" and (self.p - 1) ** 2 < 2 ** 63
+
     def __str__(self):
         return "Q" if self.kind == "rational" else f"GF({self.p})"
 

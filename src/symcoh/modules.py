@@ -32,10 +32,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         data = [[x * y if x and y else z for x in arow for y in brow]
                 for arow in a.data for brow in b.data]
         return Matrix(fld, rows, cols, data)
-    if (fld.p - 1) ** 2 < 2 ** 63:
-        return Matrix(fld, rows, cols, np.kron(a.data, b.data) % fld.p)
-    exact = np.kron(a.data.astype(object), b.data.astype(object)) % fld.p
-    return Matrix(fld, rows, cols, exact.astype(np.int64).reshape(rows, cols))
+    x, y = a.data, b.data
+    if not fld.int64_products:
+        x, y = x.astype(object), y.astype(object)
+    return Matrix(fld, rows, cols, (np.kron(x, y) % fld.p).astype(np.int64).reshape(rows, cols))
 
 
 class LeftModule:

@@ -32,8 +32,9 @@ from .modules import (Bimodule, LeftModule, hom_equivariant, kron,
                       regular_bimodule, regular_left_module, validate_module)
 from .sparse import (SparseMatrix, apply_columns, canonical, dense_from_triples,
                      field_array)
-from .tensors import (all_columns, all_tuples, bar_chain_columns, diagonal_columns,
-                      digits, flat, right_mult_columns, undigits)
+from .tensors import (all_columns, all_tuples, bar_chain_columns, delete_slot,
+                      diagonal_columns, digits, flat, right_mult_columns, swap_slots,
+                      undigits)
 
 
 def _sorted_with_sign(tup):
@@ -49,15 +50,6 @@ def _sorted_with_sign(tup):
     return tuple(sorted(tup)), -1 if inversions % 2 else 1
 
 
-def _swap_columns(idx, d, slots, i):
-    """Flat indices with tensor slots i-1 and i exchanged."""
-    high = d ** (slots - i)
-    low = d ** (slots - 1 - i)
-    a = idx // high % d
-    b = idx // low % d
-    return idx + (b - a) * high + (a - b) * low
-
-
 def _swap_plus_identity_columns(field, d, slots, sym_slots):
     """Relation generators v . sigma_i - v = -(swap_i v + v) as triples,
     one column per (i, tuple)."""
@@ -66,7 +58,7 @@ def _swap_plus_identity_columns(field, d, slots, sym_slots):
     rows, cols = [idx[:0]], [idx[:0]]
     for i in range(1, sym_slots):
         col = (i - 1) * size + idx
-        rows += [_swap_columns(idx, d, slots, i), idx]
+        rows += [swap_slots(idx, d, slots, i), idx]
         cols += [col, col]
     return canonical(field, np.concatenate(rows), np.concatenate(cols), None)
 
@@ -139,14 +131,6 @@ def _generic_coinvariants(h, slots, sym_slots):
     return SparseMatrix.from_dense(proj), SparseMatrix.from_dense(sect)
 
 
-def _ops(h, slots, tail):
-    """Column maps of the operators the quotient must be stable under:
-    per basis element, the diagonal action, then (with a trailing slot)
-    right multiplication."""
-    return [[diagonal_columns(h, g, slots)] + ([right_mult_columns(h, g, slots)] if tail else [])
-            for g in range(h.dim)]
-
-
 def _induced(fld, rows, section, columns, project=None):
     """op . section, or project . op . section, as a dense matrix with
     `rows` rows; op and project are column maps, and op is evaluated on
@@ -180,7 +164,9 @@ def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
         labels = _section_labels(section, d, slots)
     dim = projection.rows
     if dim:
-        ops = _ops(h, slots, tail)
+        # per basis element: the diagonal action, then right multiplication
+        ops = [[diagonal_columns(h, g, slots)] + [right_mult_columns(h, g, slots)] * tail
+               for g in range(d)]
         project = projection.column_map()
         induced = [[_induced(fld, dim, section, op, project) for op in per_g] for per_g in ops]
     else:
@@ -234,7 +220,7 @@ def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
         up = digs[i - 1] > digs[i]
         down = digs[i - 1] < digs[i]
         # the entries of each swapped-down column, moved onto its partner
-        moved = (rows[up], _swap_columns(cols[up], d, slots, i), neg(vals[up]))
+        moved = (rows[up], swap_slots(cols[up], d, slots, i), neg(vals[up]))
         order = np.lexsort(moved[:2])
         moved = tuple(a[order] for a in moved)
         if not all(np.array_equal(a, b[down]) for a, b in zip(moved, triples)):
@@ -484,9 +470,8 @@ def splitting_maps(h: HopfAlgebra, n: int, force_generic: bool = False) -> Split
     idx = np.arange(d ** (n + 1), dtype=np.int64)
     rows, cols, vals = [], [], []
     for i in range(n + 1):
-        low = d ** (n - i)
-        r, pos, v = project(idx // (low * d) * low + idx % low)
-        rows.append(idx[pos] // low % d * sm.dim + r)
+        r, pos, v = project(delete_slot(idx, d, n + 1, i))
+        rows.append(idx[pos] // d ** (n - i) % d * sm.dim + r)
         cols.append(idx[pos])
         scale = fld.mul(inv_np1, fld.one() if i % 2 == 0 else fld.neg(fld.one()))
         vals.append(v * scale if fld.is_rational else v * scale % fld.p)

@@ -8,8 +8,8 @@ and evaluates.
 
 Bulk work goes through triples instead: parallel arrays (rows, cols,
 vals) of entries, with values in an int64 array over GF(p) (an object
-array when a product of two entries could overflow int64) and an object
-array of Fractions over Q; `vals` None means every value is one.  An
+array of ints when a product of two entries could overflow int64) and an
+object array of Fractions over Q; `vals` None means every value is one.  An
 operator acts on triples through its `columns(idx)` map, which returns
 the entries of the columns idx as (rows, position in idx, vals).
 """
@@ -226,26 +226,20 @@ def to_int64_dense(sm: SparseMatrix, modulus: int) -> np.ndarray | None:
 
 def field_array(field: Field, values) -> np.ndarray:
     """Scalars of `field` as an array that keeps their products exact."""
-    if field.is_rational or (field.p - 1) ** 2 >= 2 ** 63:
-        return np.array(values, dtype=object).reshape(-1)
-    return np.array(values, dtype=np.int64).reshape(-1)
-
-
-def multiply_values(field: Field, a, b):
-    """Entrywise product of two value arrays; None stands for all ones."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    out = a * b
-    return out if field.is_rational else out % field.p
+    return np.array(values, dtype=np.int64 if field.int64_products else object).reshape(-1)
 
 
 def apply_columns(field: Field, columns, triples):
     """The operator with column map `columns` applied to triples (not summed)."""
     r, c, v = triples
     rows, pos, vals = columns(r)
-    return rows, c[pos], multiply_values(field, None if v is None else v[pos], vals)
+    if v is not None:
+        v = v[pos]
+        if vals is None:
+            vals = v
+        else:
+            vals = v * vals if field.is_rational else v * vals % field.p
+    return rows, c[pos], vals
 
 
 def canonical(field: Field, rows, cols, vals):

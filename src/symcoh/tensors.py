@@ -45,6 +45,21 @@ def undigits(digs: np.ndarray, d: int) -> np.ndarray:
     return idx
 
 
+def delete_slot(idx: np.ndarray, d: int, slots: int, i: int) -> np.ndarray:
+    """Flat indices on slots-1 slots: the tuples with slot i removed."""
+    low = d ** (slots - 1 - i)
+    return idx // (low * d) * low + idx % low
+
+
+def swap_slots(idx: np.ndarray, d: int, slots: int, i: int) -> np.ndarray:
+    """Flat indices of the tuples with slots i-1 and i exchanged."""
+    high = d ** (slots - i)
+    low = d ** (slots - 1 - i)
+    a = idx // high % d
+    b = idx // low % d
+    return idx + (b - a) * high + (a - b) * low
+
+
 def all_columns(size: int):
     """Triples of the identity on `size` coordinates."""
     idx = np.arange(size, dtype=np.int64)
@@ -73,10 +88,9 @@ def bar_chain_columns(h: HopfAlgebra, n: int, tail: int):
         rows, pos, vals = [], [], []
         at = np.arange(len(idx), dtype=np.int64)
         for i in range(n + 1):
-            low = d ** (slots - 1 - i)
-            digit = idx // low % d
+            digit = idx // d ** (slots - 1 - i) % d
             keep = np.isin(digit, live) if len(live) < d else slice(None)
-            rows.append((idx // (low * d) * low + idx % low)[keep])
+            rows.append(delete_slot(idx, d, slots, i)[keep])
             pos.append(at[keep])
             vals.append(signed[i % 2][digit[keep]])
         return np.concatenate(rows), np.concatenate(pos), np.concatenate(vals)
