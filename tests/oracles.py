@@ -4,14 +4,17 @@ These never touch the bar machinery: the cyclic-group oracle uses the
 two-periodic free resolution of the trivial module, and the
 semisimple-case oracle uses averaging (invariants in degree zero,
 nothing above).  The descent oracle is the tuple-by-tuple form of the
-coinvariant self-check that `symcoh.resolution` runs on index arrays.
+coinvariant self-check that `symcoh.resolution` runs on index arrays, and
+the diagonal-action oracle is the tuple-by-tuple Sweedler expansion that
+`symcoh.tensors` computes as one tensor contraction per slot.
 """
 
 import itertools
 
-from symcoh.hopf import HopfAlgebra
+from symcoh.hopf import HopfAlgebra, iterated_comult
 from symcoh.linalg import Matrix, kernel_basis, rank
 from symcoh.modules import LeftModule, invariants
+from symcoh.sparse import SparseMatrix
 
 
 def periodic_cyclic_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
@@ -73,3 +76,32 @@ def descends_to_quotient(field, d, slots, sym_slots, projected) -> bool:
             if any(field.add(v, v) != 0 for v in base.values()):
                 return False
     return True
+
+
+def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
+    """Left multiplication of b_b on A^(tensor slots) through the iterated
+    comultiplication, expanding the Sweedler legs tuple by tuple."""
+    d = h.dim
+    fld = h.field
+
+    def flat(tup):
+        idx = 0
+        for t in tup:
+            idx = idx * d + t
+        return idx
+
+    out = SparseMatrix(fld, d ** slots, d ** slots)
+    legs = iterated_comult(h, b, slots - 1).coeffs
+    for tup in itertools.product(range(d), repeat=slots):
+        col = flat(tup)
+        for leg_tuple, c in legs.items():
+            # multiply slotwise: expand the product of b_leg and b_slot
+            partial = [((), c)]
+            for r in range(slots):
+                cell = h.mult[leg_tuple[r]][tup[r]]
+                partial = [(pt + (k,), fld.mul(pc, ck))
+                           for pt, pc in partial for k, ck in cell.items()]
+            for pt, pc in partial:
+                if pc != 0:
+                    out.add_entry(flat(pt), col, pc)
+    return out

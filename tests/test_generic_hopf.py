@@ -71,9 +71,9 @@ def change_basis(h: HopfAlgebra, p: Matrix) -> HopfAlgebra:
     return HopfAlgebra(fld, d, labels, mult, unit, comult, counit, antipode)
 
 
-def scrambled_kc3():
-    h = group_algebra(3, cyclic_group_table(3), GF3)
-    p = Matrix.from_rows(GF3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+def scrambled_kc3(field: Field = GF3):
+    h = group_algebra(3, cyclic_group_table(3), field)
+    p = Matrix.from_rows(field, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     return change_basis(h, p)
 
 

@@ -2,6 +2,11 @@
 
 Each case runs `symcoh.cli.main` in-process and compares its stdout and
 exit code with `tests/golden/<case>.json` and `tests/golden/exit_codes.json`.
+Besides the builtin group algebras, the cases read two algebras with no
+group-like basis from `tests/golden/algebras/`, frozen from
+`test_generic_hopf`: scrambled kC3 over GF(3) (`sC3-gf3`) and scrambled
+kC2 over Q (`sC2-q`).  They take every generic path (Sweedler diagonal
+action, equivariant kernel solve, coinvariant quotient by elimination).
 To regenerate the files after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -18,41 +23,45 @@ import pytest
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 ALGEBRAS = {"Cp:3": 3, "S3": 2}  # builtin algebra -> max degree
 FIELDS = ("gf:3", "gf:5", "q")
+FROZEN = {"sC3-gf3": 3, "sC2-q": 3}  # algebra file stem -> max degree
 
 
 def cases():
     """(name, argv) of every golden case."""
     out = []
-    for alg, top in ALGEBRAS.items():
-        for fld in FIELDS:
-            base = ["--algebra", alg, "--field", fld, "--max-degree", str(top),
-                    "--format", "json"]
-            stem = f"{alg.replace(':', '')}-{fld.replace(':', '')}"
+    sources = [(f"{alg.replace(':', '')}-{fld.replace(':', '')}",
+                ["--algebra", alg, "--field", fld], top, alg == "S3" and fld == "q")
+               for alg, top in ALGEBRAS.items() for fld in FIELDS]
+    sources += [(stem, ["--algebra", str(GOLDEN / "algebras" / f"{stem}.json")], top, False)
+                for stem, top in FROZEN.items()]
+    for stem, source, top, slow_hom in sources:
+        base = source + ["--max-degree", str(top), "--format", "json"]
 
-            def add(name, *extra):
-                out.append((f"{stem}-{name}", base + list(extra)))
+        def add(name, *extra):
+            out.append((f"{stem}-{name}", base + list(extra)))
 
-            for mod in ("trivial", "regular"):
-                add(f"H-{mod}", "--mode", "H", "--module", mod)
-                add(f"HH-{mod}", "--mode", "HH", "--module", mod)
-                for route in ("bar", "resolution"):
-                    # on the resolution route, kS3 over Q takes minutes for SHH
-                    # and seconds for SH with regular coefficients (dense Hom
-                    # kernels over Q); the bar route covers those inputs
-                    slow = fld == "q" and alg == "S3" and route == "resolution"
-                    if not (slow and mod == "regular"):
-                        add(f"SH-{route}-{mod}", "--mode", "SH", "--module", mod,
-                            "--route", route)
-                    if not slow:
-                        add(f"SHH-{route}-{mod}", "--mode", "SHH", "--module", mod,
-                            "--route", route)
+        for mod in ("trivial", "regular"):
+            add(f"H-{mod}", "--mode", "H", "--module", mod)
+            add(f"HH-{mod}", "--mode", "HH", "--module", mod)
             for route in ("bar", "resolution"):
-                add(f"SH-{route}-cross", "--mode", "SH", "--route", route,
-                    "--cross-check")
-                add(f"corollary-{route}", "--mode", "corollary-check", "--route", route)
-            add("resolution", "--mode", "resolution")
+                # on the resolution route, kS3 over Q takes minutes for SHH
+                # and seconds for SH with regular coefficients (dense Hom
+                # kernels over Q); the bar route covers those inputs
+                slow = slow_hom and route == "resolution"
+                if not (slow and mod == "regular"):
+                    add(f"SH-{route}-{mod}", "--mode", "SH", "--module", mod,
+                        "--route", route)
+                if not slow:
+                    add(f"SHH-{route}-{mod}", "--mode", "SHH", "--module", mod,
+                        "--route", route)
+        for route in ("bar", "resolution"):
+            add(f"SH-{route}-cross", "--mode", "SH", "--route", route,
+                "--cross-check")
+            add(f"corollary-{route}", "--mode", "corollary-check", "--route", route)
+        add("resolution", "--mode", "resolution")
+        if stem not in FROZEN:
             add("cp-table", "--mode", "cp-table")
-            add("compare-adjoint", "--mode", "compare-adjoint")
+        add("compare-adjoint", "--mode", "compare-adjoint")
     return out
 
 
