@@ -29,11 +29,10 @@ from .complexes import (ActionOperator, CochainComplex, CochainSpace,
 from .errors import BudgetExceeded, NotCocommutative
 from .hopf import HopfAlgebra, iterated_comult
 from .linalg import Matrix, intersect_kernels
-from .modules import LeftModule, validate_module
+from .modules import LeftModule, kron, regular_bimodule, validate_module
 from .sparse import SparseMatrix
 from .tensors import (all_tuples, bar_chain_diff, cochain_precompose,
-                      cochain_swap_sigma, diagonal_action, flat,
-                      last_slot_right_mult)
+                      cochain_swap_sigma, diagonal_array, flat)
 
 DEFAULT_BUDGET = 200_000
 GENERIC_SOLVE_LIMIT = 4096  # ambient coordinates of a dense generic solve
@@ -82,18 +81,6 @@ def _right_columns(h: HopfAlgebra, mod: LeftModule) -> list:
     if mod.tail:
         return _action_columns(mod.right)
     return [[{j: e} if e != 0 else {} for j in range(mod.dim)] for e in h.counit]
-
-
-def _value_action_operator(field, tuples_count: int, act: Matrix) -> SparseMatrix:
-    """Block-diagonal action on cochain values over every tuple coordinate."""
-    m = act.rows
-    out = SparseMatrix(field, tuples_count * m, tuples_count * m)
-    entries = [(i, j, act[i, j]) for i in range(m) for j in range(m) if act[i, j] != 0]
-    for t in range(tuples_count):
-        base = t * m
-        for i, j, v in entries:
-            out.add_entry(base + i, base + j, v)
-    return out
 
 
 def _add_value_block(out: SparseMatrix, row_base: int, col_base: int, coeff,
@@ -156,15 +143,24 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int,
     if ambient > GENERIC_SOLVE_LIMIT:
         raise BudgetExceeded(
             f"generic equivariant solve on {ambient} coordinates is over the limit")
+    # precomposition with an operator D on the tuples is kron(D^T, I_m); the
+    # action on values is kron(I, act); right multiplication in the trailing
+    # slot is I on the leading slots tensor the regular right action
+    size = d ** slots
+    eye_m = Matrix.identity(fld, m)
+    eye = Matrix.identity(fld, size)
+    if tail:
+        lead = Matrix.identity(fld, d ** (slots - 1))
+        eye_d = Matrix.identity(fld, d)
+        right = regular_bimodule(h).right
     constraints = []
     for b in range(d):
-        pre = cochain_precompose(diagonal_action(h, b, slots), m, fld)
-        val = _value_action_operator(fld, d ** slots, mod.action[b])
-        constraints.append((pre - val).to_dense())
+        act = diagonal_array(h, b, slots).T
+        act = Matrix(fld, size, size, act.tolist() if fld.is_rational else act)
+        constraints.append(kron(act, eye_m) - kron(eye, mod.action[b]))
         if tail:
-            pre_r = cochain_precompose(last_slot_right_mult(h, b, slots), m, fld)
-            val_r = _value_action_operator(fld, d ** slots, mod.right[b])
-            constraints.append((pre_r - val_r).to_dense())
+            constraints.append(kron(lead, kron(right[b].transpose(), eye_m)
+                                    - kron(eye_d, mod.right[b])))
     sub = intersect_kernels(constraints)
     basis = SparseMatrix.from_dense(sub.basis)
     coords = SparseMatrix.from_dense(_left_inverse_dense(sub.basis))

@@ -276,7 +276,7 @@ def run(args) -> tuple[dict, int]:
 
     if mode == "resolution":
         res = resolution.sym_resolution_complex(h, top)
-        homotopy = resolution.contracting_homotopy_check(h, top)
+        homotopy = resolution.contracting_homotopy_check(h, top, res=res)
         checks = res.exactness_report() + \
             [(f"homotopy_{n}", ok) for n, ok in homotopy.degrees]
         out = _report("resolution", dims=res.dims(), checks=checks)

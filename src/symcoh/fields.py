@@ -13,16 +13,39 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below this bound (Sorenson and Webster, Math. Comp. 86, 2017); the bound
+# itself is a strong pseudoprime to all 13 of them
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_DETERMINISTIC_BELOW = 3317044064679887385961981
+# above the bound, seven further bases make it a strong probable-prime test
+MR_EXTRA_BASES = (43, 47, 53, 59, 61, 67, 71)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin below MR_DETERMINISTIC_BELOW (about
+    3.3 * 10^24); above it, a strong probable-prime test."""
+    bases = MR_BASES if n < MR_DETERMINISTIC_BELOW else MR_BASES + MR_EXTRA_BASES
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    # n is odd and larger than every base: n - 1 = odd * 2^s
+    odd, s = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

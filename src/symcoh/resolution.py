@@ -365,12 +365,16 @@ class HomotopyReport:
     passed: bool
 
 
-def contracting_homotopy_check(h: HopfAlgebra, top: int,
-                               force_generic: bool = False) -> HomotopyReport:
+def contracting_homotopy_check(h: HopfAlgebra, top: int, force_generic: bool = False,
+                               res: ResolutionComplex | None = None) -> HomotopyReport:
     """Assemble h_n = projection . (prepend 1) . section and verify
     d_{n+1} h_n + h_{n-1} d_n = id, with the augmentation conventions at
-    degree 0."""
-    res = sym_resolution_complex(h, top, force_generic=force_generic)
+    degree 0.  `res` is the resolution of k through degree top, built
+    here unless the caller already has it."""
+    if res is None:
+        res = sym_resolution_complex(h, top, force_generic=force_generic)
+    elif res.hopf is not h or res.top != top or res.spaces[0].module.tail:
+        raise ValueError("res must be the resolution of k for this algebra through top")
     spaces = res.spaces
     homotopies = []
     fld = h.field

@@ -100,19 +100,7 @@ class SparseMatrix:
 
     def column_map(self):
         """The column map of this matrix, read from its entries now."""
-        rows, cols, vals = self.triples()
-        indptr = np.zeros(self.cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=self.cols), out=indptr[1:])
-
-        def columns(idx):
-            start = indptr[idx]
-            count = indptr[idx + 1] - start
-            pos = np.repeat(np.arange(len(idx), dtype=np.int64), count)
-            at = np.arange(len(pos), dtype=np.int64) + np.repeat(start - np.cumsum(count) + count,
-                                                                 count)
-            return rows[at], pos, vals[at]
-
-        return columns
+        return csc_columns(*self.triples(), self.cols)
 
     # -- algebra ---------------------------------------------------------
 
@@ -144,9 +132,6 @@ class SparseMatrix:
             for i, v in other.cols_data[j].items():
                 out.add_entry(i, j, v)
         return out
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(self.field.neg(self.field.one()))
 
     def scale(self, c) -> "SparseMatrix":
         out = SparseMatrix(self.field, self.rows, self.cols)
@@ -260,6 +245,28 @@ def canonical(field: Field, rows, cols, vals):
         vals = vals % field.p
     keep = vals != 0
     return rows[keep], cols[keep], vals[keep]
+
+
+def csc_columns(rows, cols, vals, ncols: int):
+    """Column map of the triples (rows, cols, vals), which are sorted by column."""
+    indptr = np.zeros(ncols + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
+
+    def columns(idx):
+        start = indptr[idx]
+        count = indptr[idx + 1] - start
+        pos = np.repeat(np.arange(len(idx), dtype=np.int64), count)
+        at = np.arange(len(pos), dtype=np.int64) + np.repeat(start - np.cumsum(count) + count,
+                                                             count)
+        return rows[at], pos, vals[at]
+
+    return columns
+
+
+def dense_columns(a: np.ndarray):
+    """Column map of the nonzero entries of a dense array of field scalars."""
+    cols, rows = np.nonzero(a.T)
+    return csc_columns(rows, cols, a[rows, cols], a.shape[1])
 
 
 def dense_from_triples(field: Field, rows: int, cols: int, triples) -> Matrix:

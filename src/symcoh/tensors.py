@@ -8,6 +8,11 @@ Digit k of a flat index idx on t slots is idx // d**(t-1-k) % d, so the
 operators below are built as numpy arithmetic on arrays of flat indices.
 Each has a column map `columns(idx) -> (rows, position in idx, vals)`
 (see sparse.py) and a SparseMatrix form for the cochain builders.
+
+The diagonal action of a group element permutes flat indices.  For any
+other algebra it is a dense d^t x d^t array: the Sweedler tensor of the
+acting element contracted with the structure constants, one slot at a
+time (diagonal_array); its callers stay at t slots with d^t <= 4096.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ import itertools
 
 import numpy as np
 
+from .complexes import DENSE_RANK_CELLS
 from .hopf import HopfAlgebra, iterated_comult
-from .sparse import SparseMatrix, apply_columns, field_array
+from .sparse import SparseMatrix, apply_columns, dense_columns, field_array
 
 
 def flat(tup, d: int) -> int:
@@ -147,36 +153,59 @@ def group_diagonal_perm(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
     return undigits(table[b][digits(idx, h.dim, slots)], h.dim)
 
 
-def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
-    """Left multiplication of b_b on A^(tensor slots) through the iterated
-    comultiplication (one leg per slot)."""
+def _structure_array(h: HopfAlgebra, dtype) -> np.ndarray:
+    """mult[l, k, t]: the coefficient of b_k in b_l b_t."""
     d = h.dim
-    fld = h.field
-    if h.group_like:
-        return _sparse(fld, d ** slots, d ** slots,
-                       permutation_columns(group_diagonal_perm(h, b, slots)))
-    out = SparseMatrix(h.field, d ** slots, d ** slots)
-    legs = iterated_comult(h, b, slots - 1).coeffs
-    for tup in all_tuples(d, slots):
-        col = flat(tup, d)
-        for leg_tuple, c in legs.items():
-            # multiply slotwise: expand the product of b_leg and b_slot
-            partial = [((), c)]
-            for r in range(slots):
-                cell = h.mult[leg_tuple[r]][tup[r]]
-                partial = [(pt + (k,), fld.mul(pc, ck))
-                           for pt, pc in partial for k, ck in cell.items()]
-            for pt, pc in partial:
-                if pc != 0:
-                    out.add_entry(flat(pt, d), col, pc)
+    out = np.full((d, d, d), h.field.zero(), dtype=dtype)
+    for l in range(d):
+        for t in range(d):
+            for k, c in h.mult[l][t].items():
+                out[l, k, t] = c
     return out
 
 
+def diagonal_array(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
+    """Left multiplication of b_b on A^(tensor slots) through the iterated
+    comultiplication, as a dense d^slots x d^slots array (entry [out, in]).
+
+    Starts from the Sweedler tensor of b_b and contracts its leading leg
+    with the structure constants once per slot, reducing after each step.
+    Each step sums d products of reduced scalars, so int64 is exact while
+    d (p-1)^2 < 2^63; above that the steps use Python ints, and over Q
+    Fractions.
+    """
+    d = h.dim
+    fld = h.field
+    assert d ** (2 * slots) <= DENSE_RANK_CELLS, "dense diagonal action over the cell limit"
+    exact_int64 = not fld.is_rational and d * (fld.p - 1) ** 2 < 2 ** 63
+    dtype = np.int64 if exact_int64 else object
+    mult = _structure_array(h, dtype)
+    out = np.full((d,) * slots, fld.zero(), dtype=dtype)
+    for legs, c in iterated_comult(h, b, slots - 1).coeffs.items():
+        out[legs] = c
+    for _ in range(slots):
+        # the leading leg l times the input digit t gives the output digit
+        # k; the pair of axes (k, t) goes to the end
+        out = np.tensordot(out, mult, axes=([0], [0]))
+        if not fld.is_rational:
+            out %= fld.p
+    # axes (k_0, t_0, k_1, t_1, ...) -> (k_0, k_1, ..., t_0, t_1, ...)
+    out = out.transpose(list(range(0, 2 * slots, 2)) + list(range(1, 2 * slots, 2)))
+    return out.reshape(d ** slots, d ** slots).astype(np.int64 if fld.int64_products else object)
+
+
 def diagonal_columns(h: HopfAlgebra, b: int, slots: int):
-    """Column map of diagonal_action; a permutation for group algebras."""
+    """Column map of the diagonal action of b_b; a permutation for group
+    algebras, read from diagonal_array otherwise."""
     if h.group_like:
         return permutation_columns(group_diagonal_perm(h, b, slots))
-    return diagonal_action(h, b, slots).column_map()
+    return dense_columns(diagonal_array(h, b, slots))
+
+
+def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
+    """The diagonal action of b_b on A^(tensor slots) as a sparse matrix."""
+    size = h.dim ** slots
+    return _sparse(h.field, size, size, diagonal_columns(h, b, slots))
 
 
 def right_mult_columns(h: HopfAlgebra, c: int, slots: int):
@@ -200,9 +229,3 @@ def right_mult_columns(h: HopfAlgebra, c: int, slots: int):
         return np.concatenate(rows), np.concatenate(pos), np.concatenate(vals)
 
     return columns
-
-
-def last_slot_right_mult(h: HopfAlgebra, c: int, slots: int) -> SparseMatrix:
-    """Right multiplication by b_c in the last of `slots` tensor slots."""
-    size = h.dim ** slots
-    return _sparse(h.field, size, size, right_mult_columns(h, c, slots))

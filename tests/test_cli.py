@@ -224,3 +224,21 @@ def test_max_degree_must_be_positive(capsys):
     code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3",
                             "--mode", "SH", "--max-degree", "0")
     assert code == 2
+
+
+def test_resolution_mode_builds_the_resolution_once(capsys, monkeypatch):
+    from symcoh import resolution
+    built = []
+    original = resolution.sym_resolution_complex
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(resolution, "sym_resolution_complex", counting)
+    code, report = run_json(capsys, "--algebra", "S3", "--field", "gf:5",
+                            "--mode", "resolution", "--max-degree", "3")
+    assert code == 0
+    assert len(built) == 1
+    assert [c["name"] for c in report["checks"]][-3:] == ["homotopy_0", "homotopy_1",
+                                                          "homotopy_2"]

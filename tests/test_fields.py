@@ -1,0 +1,48 @@
+"""Primality of field moduli: Miller-Rabin against trial division and on
+the composites that fool weaker tests."""
+
+import pytest
+
+from symcoh.fields import MR_DETERMINISTIC_BELOW, Field, is_prime
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+              46657, 52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401,
+              3215031751)  # the last is also a strong pseudoprime to bases 2, 3, 5, 7
+STRONG_PSEUDOPRIMES = (
+    3825123056546413051,  # to every prime base up to 31
+    318665857834031151167461,  # = 399165290221 * 798330580441, up to 37
+    MR_DETERMINISTIC_BELOW,  # = 1287836182261 * 2575672364521, up to 41
+)
+PRIMES = (3037000493, 3037000507, 4294967311, 2 ** 61 - 1, 2 ** 64 - 59,
+          10 ** 20 + 39, 2 ** 89 - 1, 2 ** 127 - 1)
+
+
+def trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_agrees_with_trial_division_below_100000():
+    assert [n for n in range(100_000) if is_prime(n) != trial_division(n)] == []
+
+
+@pytest.mark.parametrize("n", CARMICHAEL + STRONG_PSEUDOPRIMES)
+def test_pseudoprimes_are_composite(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", PRIMES)
+def test_large_primes(n):
+    assert is_prime(n)
+    assert Field.prime(n).p == n
+
+
+def test_composite_modulus_is_refused():
+    with pytest.raises(ValueError):
+        Field.prime(3215031751)

@@ -105,6 +105,18 @@ def test_contracting_homotopy():
         assert report.passed, report.degrees
 
 
+def test_contracting_homotopy_reuses_a_built_resolution():
+    h = kS3(GF5)
+    res = sym_resolution_complex(h, 3)
+    report = contracting_homotopy_check(h, 3, res=res)
+    assert report == contracting_homotopy_check(h, 3)
+    assert report.passed
+    for wrong in (sym_resolution_complex(h, 2), hochschild_resolution(h, 3),
+                  sym_resolution_complex(kC(3, GF5), 3)):
+        with pytest.raises(ValueError):
+            contracting_homotopy_check(h, 3, res=wrong)
+
+
 def test_sh_via_resolution_kc3():
     h = kC(3, GF3)
     got = sh_via_resolution(h, trivial_module(h), 4)
