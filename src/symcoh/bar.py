@@ -32,7 +32,7 @@ from .linalg import Matrix, intersect_kernels
 from .modules import LeftModule, kron, regular_bimodule, validate_module
 from .sparse import SparseMatrix
 from .tensors import (all_tuples, bar_chain_diff, cochain_precompose,
-                      cochain_swap_sigma, diagonal_array, flat)
+                      cochain_swap_sigma, diagonal_action, flat)
 
 DEFAULT_BUDGET = 200_000
 GENERIC_SOLVE_LIMIT = 4096  # ambient coordinates of a dense generic solve
@@ -155,7 +155,7 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int,
         right = regular_bimodule(h).right
     constraints = []
     for b in range(d):
-        act = diagonal_array(h, b, slots).T
+        act = diagonal_action(h, b, slots).T
         act = Matrix(fld, size, size, act.tolist() if fld.is_rational else act)
         constraints.append(kron(act, eye_m) - kron(eye, mod.action[b]))
         if tail:

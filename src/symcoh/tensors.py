@@ -7,12 +7,13 @@ m-dimensional module puts component (tuple, j) at flat(tuple) * m + j.
 Digit k of a flat index idx on t slots is idx // d**(t-1-k) % d, so the
 operators below are built as numpy arithmetic on arrays of flat indices.
 Each has a column map `columns(idx) -> (rows, position in idx, vals)`
-(see sparse.py) and a SparseMatrix form for the cochain builders.
+(see sparse.py); the counit-deletion chain map also has a SparseMatrix
+form for the cochain builders.
 
 The diagonal action of a group element permutes flat indices.  For any
 other algebra it is a dense d^t x d^t array: the Sweedler tensor of the
 acting element contracted with the structure constants, one slot at a
-time (diagonal_array); its callers stay at t slots with d^t <= 4096.
+time (diagonal_action); its callers stay at t slots with d^t <= 4096.
 """
 
 from __future__ import annotations
@@ -104,16 +105,13 @@ def bar_chain_columns(h: HopfAlgebra, n: int, tail: int):
     return columns
 
 
-def _sparse(field, rows: int, cols: int, columns) -> SparseMatrix:
-    """The operator with the given column map as a sparse matrix."""
-    return SparseMatrix.from_triples(field, rows, cols,
-                                     apply_columns(field, columns, all_columns(cols)))
-
-
 def bar_chain_diff(h: HopfAlgebra, n: int, tail: int) -> SparseMatrix:
     """The chain map of bar_chain_columns as a sparse matrix."""
     d = h.dim
-    return _sparse(h.field, d ** (n + tail), d ** (n + 1 + tail), bar_chain_columns(h, n, tail))
+    cols = d ** (n + 1 + tail)
+    return SparseMatrix.from_triples(
+        h.field, d ** (n + tail), cols,
+        apply_columns(h.field, bar_chain_columns(h, n, tail), all_columns(cols)))
 
 
 def cochain_precompose(chain: SparseMatrix, m: int, field) -> SparseMatrix:
@@ -164,7 +162,7 @@ def _structure_array(h: HopfAlgebra, dtype) -> np.ndarray:
     return out
 
 
-def diagonal_array(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
+def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
     """Left multiplication of b_b on A^(tensor slots) through the iterated
     comultiplication, as a dense d^slots x d^slots array (entry [out, in]).
 
@@ -196,16 +194,10 @@ def diagonal_array(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
 
 def diagonal_columns(h: HopfAlgebra, b: int, slots: int):
     """Column map of the diagonal action of b_b; a permutation for group
-    algebras, read from diagonal_array otherwise."""
+    algebras, read from the dense diagonal_action otherwise."""
     if h.group_like:
         return permutation_columns(group_diagonal_perm(h, b, slots))
-    return dense_columns(diagonal_array(h, b, slots))
-
-
-def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
-    """The diagonal action of b_b on A^(tensor slots) as a sparse matrix."""
-    size = h.dim ** slots
-    return _sparse(h.field, size, size, diagonal_columns(h, b, slots))
+    return dense_columns(diagonal_action(h, b, slots))
 
 
 def right_mult_columns(h: HopfAlgebra, c: int, slots: int):
