@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .complexes import (ActionOperator, CochainComplex, CochainSpace,
                         _left_inverse_dense, cohomology_dims,
                         fixed_subcomplex, restrict_operator)
@@ -32,7 +34,8 @@ from .linalg import Matrix, intersect_kernels
 from .modules import LeftModule, kron, regular_bimodule, validate_module
 from .sparse import SparseMatrix
 from .tensors import (all_tuples, bar_chain_diff, cochain_precompose,
-                      cochain_swap_sigma, diagonal_action, flat)
+                      cochain_swap_sigma, diagonal_action, flat, group_diagonal_perm,
+                      kron_identity)
 
 DEFAULT_BUDGET = 200_000
 GENERIC_SOLVE_LIMIT = 4096  # ambient coordinates of a dense generic solve
@@ -62,33 +65,31 @@ def require_cocommutative(h: HopfAlgebra):
         raise NotCocommutative("the symmetric-group action needs tw . comult = comult")
 
 
-def _action_columns(mats) -> list:
-    """Per matrix: {column j -> {row i -> entry}}."""
-    cols = []
+def _blocks(mats) -> list:
+    """Per matrix: its nonzero entries as (row, col, value)."""
+    out = []
     for a in mats:
-        col = [dict() for _ in range(a.cols)]
-        for j in range(a.cols):
-            for i in range(a.rows):
-                v = a[i, j]
-                if v != 0:
-                    col[j][i] = v
-        cols.append(col)
-    return cols
+        r, c, v = SparseMatrix.from_dense(a).triples()
+        out.append(list(zip(r.tolist(), c.tolist(), v.tolist())))
+    return out
 
 
-def _right_columns(h: HopfAlgebra, mod: LeftModule) -> list:
-    """Value columns of the right action; a left module acts as M_eps."""
+def _right_matrices(h: HopfAlgebra, mod: LeftModule) -> list:
+    """Matrices of the right action; a left module acts as M_eps."""
     if mod.tail:
-        return _action_columns(mod.right)
-    return [[{j: e} if e != 0 else {} for j in range(mod.dim)] for e in h.counit]
+        return mod.right
+    eye = Matrix.identity(h.field, mod.dim)
+    return [eye.scale(e) for e in h.counit]
 
 
-def _add_value_block(out: SparseMatrix, row_base: int, col_base: int, coeff,
-                     cols: list, fld):
-    """Add coeff times the value action with columns `cols` to one block."""
-    for j, col in enumerate(cols):
-        for j2, v in col.items():
-            out.add_entry(row_base + j2, col_base + j, fld.mul(coeff, v))
+def _add_value_block(entries, row_base: int, col_base: int, coeff, block: list, fld):
+    """Append coeff times the value action with entries `block` to the
+    (rows, cols, vals) lists `entries`, at one block of tuples."""
+    rows, cols, vals = entries
+    for j2, j, v in block:
+        rows.append(row_base + j2)
+        cols.append(col_base + j)
+        vals.append(fld.mul(coeff, v))
 
 
 def _prefixed(mod: LeftModule, what: str) -> str:
@@ -114,30 +115,26 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int,
     ambient = (d ** slots) * m
     if h.group_like and not force_generic:
         e = h.group_identity
-        table = h.group_table
-        # per g: (trailing slot of a translate, value columns there); the
-        # g-translate takes the value g . m_j, the (g, c)-translate g . m_j . c
-        if tail:
-            translates = [[((table[g][c],), cols) for c, cols in enumerate(
-                _action_columns([mod.left[g] @ mod.right[c] for c in range(d)]))]
-                for g in range(d)]
-        else:
-            translates = [[((), cols)] for cols in _action_columns(mod.action)]
-        head_slots = slots - tail
-        reps = [(e,) + rest + (e,) * tail for rest in all_tuples(d, head_slots - 1)]
-        basis = SparseMatrix(fld, ambient, len(reps) * m)
-        coords = SparseMatrix(fld, len(reps) * m, ambient)
-        one = fld.one()
-        for r_idx, rep in enumerate(reps):
-            rep_flat = flat(rep, d)
-            moves = [(flat(tuple(table[g][t] for t in rep[:head_slots]) + last, d), cols)
-                     for g in range(d) for last, cols in translates[g]]
-            for j in range(m):
-                col = r_idx * m + j
-                coords.cols_data[rep_flat * m + j][col] = one
-                for moved, cols in moves:
-                    for j2, v in cols[j].items():
-                        basis.add_entry(moved * m + j2, col, v)
+        # representatives (e, rest, e^tail), one per rest; with a tail,
+        # base has 0 in the trailing slot
+        rest = np.arange(d ** (slots - tail - 1), dtype=np.int64)
+        base = e * d ** (slots - 1) + rest * d ** tail
+        reps = base + e * tail
+        at = np.arange(len(reps), dtype=np.int64)
+        # g moves (rep, c) to g.(rep, c), taking the value g . m_j . c; without
+        # a tail, g moves rep to g.rep, taking the value g . m_j
+        rows, cols, vals = [], [], []
+        for g in range(d):
+            perm = group_diagonal_perm(h, g, slots)
+            for c in range(d) if tail else [0]:
+                value = mod.left[g] @ mod.right[c] if tail else mod.action[g]
+                vr, vc, vv = SparseMatrix.from_dense(value).triples()
+                rows.append((perm[base + c][:, None] * m + vr).reshape(-1))
+                cols.append((at[:, None] * m + vc).reshape(-1))
+                vals.append(np.tile(vv, len(at)))
+        basis = SparseMatrix(fld, ambient, len(reps) * m,
+                             [np.concatenate(x) for x in (rows, cols, vals)])
+        coords = SparseMatrix(fld, len(reps) * m, ambient, kron_identity(at, reps, None, m))
         return CochainSpace(ambient, basis, coords, check=False)
 
     if ambient > GENERIC_SOLVE_LIMIT:
@@ -180,7 +177,7 @@ def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int,
                    _prefixed(mod, "homogeneous complex"))
     spaces = [equivariant_space(h, mod, n + 1 + tail, force_generic=force_generic)
               for n in range(top + 1)]
-    diffs = [cochain_precompose(bar_chain_diff(h, n + 1, tail), m, h.field)
+    diffs = [cochain_precompose(bar_chain_diff(h, n + 1, tail), m)
              for n in range(top)]
     return CochainComplex(h.field, top, spaces, diffs, label="K_e" if tail else "K")
 
@@ -214,31 +211,28 @@ def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int,
     fld = h.field
     require_budget(m * d ** (top + 1 + mod.tail), budget,
                    _prefixed(mod, "nonhomogeneous complex"))
-    left_cols = _action_columns(mod.action)
-    right_cols = _right_columns(h, mod)
+    left = _blocks(mod.action)
+    right = _blocks(_right_matrices(h, mod))
     one = fld.one()
+    eye = [(j, j, one) for j in range(m)]
     spaces = [CochainSpace.full(fld, m * d ** n) for n in range(top + 1)]
     diffs = []
     for n in range(top):
-        diff = SparseMatrix(fld, m * d ** (n + 1), m * d ** n)
+        entries = ([], [], [])
         for tup in all_tuples(d, n + 1):
             row_base = flat(tup, d) * m
             # first face: the leading argument acts on the value from the left
-            _add_value_block(diff, row_base, flat(tup[1:], d) * m, one,
-                             left_cols[tup[0]], fld)
+            _add_value_block(entries, row_base, flat(tup[1:], d) * m, one, left[tup[0]], fld)
             # inner faces: multiply adjacent arguments
             sign = fld.neg(one)
             for i in range(n):
                 for k, c in h.mult[tup[i]][tup[i + 1]].items():
                     col_base = flat(tup[:i] + (k,) + tup[i + 2:], d) * m
-                    sc = fld.mul(sign, c)
-                    for j in range(m):
-                        diff.add_entry(row_base + j, col_base + j, sc)
+                    _add_value_block(entries, row_base, col_base, fld.mul(sign, c), eye, fld)
                 sign = fld.neg(sign)
             # last face: the trailing argument acts on the value from the right
-            _add_value_block(diff, row_base, flat(tup[:n], d) * m, sign,
-                             right_cols[tup[n]], fld)
-        diffs.append(diff)
+            _add_value_block(entries, row_base, flat(tup[:n], d) * m, sign, right[tup[n]], fld)
+        diffs.append(SparseMatrix(fld, m * d ** (n + 1), m * d ** n, entries))
     return CochainComplex(fld, top, spaces, diffs, label="C_e" if mod.tail else "C")
 
 
@@ -259,37 +253,40 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOpera
     d = h.dim
     m = mod.dim
     fld = h.field
-    left_cols = _action_columns(mod.action)
-    right_cols = _right_columns(h, mod)
+    left = _blocks(mod.action)
+    right_mats = _right_matrices(h, mod)
+    right = _blocks(right_mats)
+    eye = [(j, j, fld.one()) for j in range(m)]
     size = m * d ** n
-    one = fld.one()
-    minus = fld.neg(one)
+    minus = fld.neg(fld.one())
     sigmas = []
     for i in range(1, n + 1):
-        sig = SparseMatrix(fld, size, size)
+        entries = ([], [], [])
         for tup in all_tuples(d, n):
             row_base = flat(tup, d) * m
             if i == 1 and n == 1:
                 for (s1, s2, s3), c in _sweedler_triples(h, tup[0]).items():
                     # both boundary actions: left by s1, right by s3
-                    cols = _two_sided_columns(left_cols[s1], right_cols, {s3: one}, fld)
+                    block = _blocks([right_mats[s3] @ mod.action[s1]])[0]
                     for u, su in h.antipode_column(s2).items():
-                        _add_value_block(sig, row_base, flat((u,), d) * m,
-                                         fld.mul(minus, fld.mul(c, su)), cols, fld)
+                        _add_value_block(entries, row_base, flat((u,), d) * m,
+                                         fld.mul(minus, fld.mul(c, su)), block, fld)
             elif i == 1:
                 for (s1, s2, s3), c in _sweedler_triples(h, tup[0]).items():
                     for u, su in h.antipode_column(s2).items():
                         for v2, mv in h.mult[s3][tup[1]].items():
                             coeff = fld.mul(minus, fld.mul(c, fld.mul(su, mv)))
-                            _add_value_block(sig, row_base, flat((u, v2) + tup[2:], d) * m,
-                                             coeff, left_cols[s1], fld)
+                            _add_value_block(entries, row_base,
+                                             flat((u, v2) + tup[2:], d) * m,
+                                             coeff, left[s1], fld)
             elif i == n:
                 for (s1, s2, s3), c in _sweedler_triples(h, tup[n - 1]).items():
                     for a, ma in h.mult[tup[n - 2]][s1].items():
                         for u, su in h.antipode_column(s2).items():
                             coeff = fld.mul(minus, fld.mul(c, fld.mul(ma, su)))
-                            _add_value_block(sig, row_base, flat(tup[:n - 2] + (a, u), d) * m,
-                                             coeff, right_cols[s3], fld)
+                            _add_value_block(entries, row_base,
+                                             flat(tup[:n - 2] + (a, u), d) * m,
+                                             coeff, right[s3], fld)
             else:
                 for (s1, s2, s3), c in _sweedler_triples(h, tup[i - 1]).items():
                     for a, ma in h.mult[tup[i - 2]][s1].items():
@@ -298,9 +295,8 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOpera
                                 coeff = fld.mul(minus,
                                                 fld.mul(fld.mul(c, ma), fld.mul(su, mv)))
                                 col_base = flat(tup[:i - 2] + (a, u, v2) + tup[i + 1:], d) * m
-                                for j in range(m):
-                                    sig.add_entry(row_base + j, col_base + j, coeff)
-        sigmas.append(sig)
+                                _add_value_block(entries, row_base, col_base, coeff, eye, fld)
+        sigmas.append(SparseMatrix(fld, size, size, entries))
     return ActionOperator(n, sigmas)
 
 
@@ -316,9 +312,10 @@ def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> Act
     slots = n + 1 + mod.tail
     size = m * d ** slots
     minus = fld.neg(fld.one())
+    eye = [(j, j, fld.one()) for j in range(m)]
     sigmas = []
     for i in range(1, n + 1):
-        sig = SparseMatrix(fld, size, size)
+        entries = ([], [], [])
         for tup in all_tuples(d, slots):
             row_base = flat(tup, d) * m
             if i + 1 < slots:
@@ -330,17 +327,15 @@ def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> Act
                                 coeff = fld.mul(minus,
                                                 fld.mul(fld.mul(c, ma), fld.mul(su, mv)))
                                 col_base = flat(tup[:i - 1] + (a, u, v) + tup[i + 2:], d) * m
-                                for j in range(m):
-                                    sig.add_entry(row_base + j, col_base + j, coeff)
+                                _add_value_block(entries, row_base, col_base, coeff, eye, fld)
             else:
                 for (s1, s2), c in h.comult[tup[n]].items():
                     for a, ma in h.mult[tup[n - 1]][s1].items():
                         for u, su in h.antipode_column(s2).items():
                             coeff = fld.mul(minus, fld.mul(c, fld.mul(ma, su)))
                             col_base = flat(tup[:n - 1] + (a, u), d) * m
-                            for j in range(m):
-                                sig.add_entry(row_base + j, col_base + j, coeff)
-        sigmas.append(sig)
+                            _add_value_block(entries, row_base, col_base, coeff, eye, fld)
+        sigmas.append(SparseMatrix(fld, size, size, entries))
     return ActionOperator(n, sigmas)
 
 
@@ -366,17 +361,13 @@ def _antipode_times(h: HopfAlgebra, s: int, b: int) -> dict:
     return {k: v for k, v in vec.items() if v != 0}
 
 
-def _two_sided_columns(left: list, right_cols: list, elem: dict, fld) -> list:
-    """Value columns of v -> a . v . elem, given the value columns of a."""
-    cols = []
-    for col in left:
-        acc: dict = {}
-        for j2, lv in col.items():
-            for t, tc in elem.items():
-                for j3, rv in right_cols[t][j2].items():
-                    acc[j3] = fld.add(acc.get(j3, fld.zero()), fld.mul(lv, fld.mul(tc, rv)))
-        cols.append({k: v for k, v in acc.items() if v != 0})
-    return cols
+def _two_sided_block(left: Matrix, right: list, elem: dict) -> list:
+    """Entries of v -> a . v . elem, given the matrices of a and of the
+    right action."""
+    out = Matrix.zeros(left.field, left.rows, left.cols)
+    for t, tc in elem.items():
+        out = out + (right[t] @ left).scale(tc)
+    return _blocks([out])[0]
 
 
 def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
@@ -392,11 +383,11 @@ def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
     m = mod.dim
     tail = mod.tail
     fld = h.field
-    left_cols = _action_columns(mod.action)
-    right_cols = _right_columns(h, mod) if tail else None
+    left = _blocks(mod.action)
+    eye = [(j, j, fld.one()) for j in range(m)]
     unit = h.unit_dict()
 
-    phi = SparseMatrix(fld, m * d ** n, m * d ** (n + 1 + tail))
+    entries = ([], [], [])
     for tup in all_tuples(d, n):
         row_base = flat(tup, d) * m
         legs = [iterated_comult(h, tup[r], n - 1 - r + tail).coeffs for r in range(n)]
@@ -419,11 +410,10 @@ def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
                         coeff = fld.mul(coeff, v)
                     if coeff == 0:
                         continue
-                    col_base = flat(arg, d) * m
-                    for j in range(m):
-                        phi.add_entry(row_base + j, col_base + j, coeff)
+                    _add_value_block(entries, row_base, flat(arg, d) * m, coeff, eye, fld)
+    phi = SparseMatrix(fld, m * d ** n, m * d ** (n + 1 + tail), entries)
 
-    psi = SparseMatrix(fld, m * d ** (n + 1 + tail), m * d ** n)
+    entries = ([], [], [])
     for tup in all_tuples(d, n + 1 + tail):
         row_base = flat(tup, d) * m
         pair_lists = [list(h.comult[tup[r]].items()) for r in range(n + tail)]
@@ -439,8 +429,8 @@ def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
                          for k in range(1, n + 1 + tail)]
             if not all(slot_vecs):
                 continue
-            cols = (_two_sided_columns(left_cols[head], right_cols, slot_vecs.pop(), fld)
-                    if tail else left_cols[head])
+            block = (_two_sided_block(mod.action[head], mod.right, slot_vecs.pop())
+                     if tail else left[head])
             for choice in itertools.product(*(v.items() for v in slot_vecs)):
                 coeff = base_coeff
                 arg = tuple(k2 for k2, _v in choice)
@@ -448,7 +438,8 @@ def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
                     coeff = fld.mul(coeff, v)
                 if coeff == 0:
                     continue
-                _add_value_block(psi, row_base, flat(arg, d) * m, coeff, cols, fld)
+                _add_value_block(entries, row_base, flat(arg, d) * m, coeff, block, fld)
+    psi = SparseMatrix(fld, m * d ** (n + 1 + tail), m * d ** n, entries)
     return phi, psi
 
 

@@ -16,15 +16,15 @@ Fraction elimination as the always-correct fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from math import gcd
+
+import numpy as np
 
 from .errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                      DegreeOutOfRange, NotASubcomplex)
 from .fields import Field
 from .linalg import (Matrix, _rank_prime, kernel_basis, quotient, rank, rref,
                      solve_membership)
-from .sparse import SparseMatrix, integer_gram, to_int64_dense
+from .sparse import SparseMatrix, integer_gram, integer_mod
 
 _SANDWICH_PRIMES = (1000003, 999983, 1000033)
 _DENSE_RATIONAL_LIMIT = 120_000  # rows*cols beyond which Q matrices go modular first
@@ -58,9 +58,10 @@ class CochainSpace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def contains_column(self, vec: dict) -> bool:
-        """Membership via the coords round trip (valid since coords.basis = id)."""
-        return self.basis.apply(self.coords.apply(vec)) == vec
+    def contains(self, vecs: SparseMatrix) -> bool:
+        """Whether every column of vecs lies in the space, by the coords
+        round trip (valid since coords.basis = id)."""
+        return self.basis @ (self.coords @ vecs) == vecs
 
     def __repr__(self):
         return f"CochainSpace(dim {self.dim} of k^{self.ambient_dim})"
@@ -113,18 +114,15 @@ def check_complex(c: CochainComplex) -> ComplexReport:
     """Verify image containment and d.d = 0 exactly, degree by degree."""
     report = ComplexReport()
     for n in range(c.top_degree):
-        image_cols = [c.diffs[n].apply(col) for col in c.spaces[n].basis.cols_data]
-        for col in image_cols:
-            if not c.spaces[n + 1].contains_column(col):
-                report.first_failure = n
-                report.reason = "differential image leaves the next space"
-                return report
-        if n + 1 < c.top_degree:
-            for col in image_cols:
-                if c.diffs[n + 1].apply(col):
-                    report.first_failure = n
-                    report.reason = "d.d is nonzero"
-                    return report
+        image = c.diffs[n] @ c.spaces[n].basis
+        if not c.spaces[n + 1].contains(image):
+            report.first_failure = n
+            report.reason = "differential image leaves the next space"
+            return report
+        if n + 1 < c.top_degree and not (c.diffs[n + 1] @ image).is_zero():
+            report.first_failure = n
+            report.reason = "d.d is nonzero"
+            return report
         report.degrees_checked.append(n)
     return report
 
@@ -132,24 +130,14 @@ def check_complex(c: CochainComplex) -> ComplexReport:
 # -- exact ranks of restricted differentials ------------------------------
 
 
-def _integerize_columns(sm: SparseMatrix) -> SparseMatrix | None:
-    """Scale each column by the lcm of its denominators (rank-preserving)."""
-    out = SparseMatrix(sm.field, sm.rows, sm.cols)
-    for j, col in enumerate(sm.cols_data):
-        lcm = 1
-        for v in col.values():
-            if isinstance(v, Fraction):
-                den = v.denominator
-                g = gcd(lcm, den)
-                lcm = lcm // g * den
-        for i, v in col.items():
-            w = v * lcm
-            if isinstance(w, Fraction):
-                if w.denominator != 1:
-                    return None
-                w = w.numerator
-            out.cols_data[j][i] = int(w)
-    return out
+def _integerize_columns(sm: SparseMatrix) -> SparseMatrix:
+    """Scale each column by the lcm of its denominators (rank-preserving),
+    leaving Python ints as values."""
+    rows, cols, vals = sm.triples()
+    lcm = np.ones(sm.cols, dtype=object)
+    np.lcm.at(lcm, cols, np.array([v.denominator for v in vals], dtype=object))
+    ints = np.array([v.numerator for v in vals * lcm[cols]], dtype=object)
+    return SparseMatrix(sm.field, sm.rows, sm.cols, (rows, cols, ints))
 
 
 def _certified_rational_rank(sm: SparseMatrix, upper: int | None) -> int:
@@ -166,16 +154,12 @@ def _certified_rational_rank(sm: SparseMatrix, upper: int | None) -> int:
     if sm.rows * sm.cols <= _DENSE_RATIONAL_LIMIT or upper is None:
         return rank(sm.to_dense())
     scaled = _integerize_columns(sm)
-    if scaled is not None:
-        gram = integer_gram(scaled)
-        if gram is not None:
-            for q in _SANDWICH_PRIMES:
-                if _rank_prime(gram % q, q) == upper:
-                    return upper
-        for q in _SANDWICH_PRIMES[:1]:
-            arr = to_int64_dense(scaled, q)
-            if arr is not None and _rank_prime(arr, q) == upper:
-                return upper
+    for q in _SANDWICH_PRIMES:
+        if _rank_prime(integer_gram(scaled, q), q) == upper:
+            return upper
+    q = _SANDWICH_PRIMES[0]
+    if _rank_prime(integer_mod(scaled, q).to_dense().data, q) == upper:
+        return upper
     return rank(sm.to_dense())
 
 
@@ -308,12 +292,11 @@ def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = 
         next_sigmas = ops[n + 1].sigmas if n + 1 < len(ops) and ops[n + 1] is not None else []
         if not next_sigmas:
             continue
-        for col in out.spaces[n].basis.cols_data:
-            image = c.diffs[n].apply(col)
-            for sigma in next_sigmas:
-                if sigma.apply(image) != image:
-                    raise ActionNotCompatible(
-                        f"differential image at degree {n} is not fixed")
+        image = c.diffs[n] @ out.spaces[n].basis
+        for sigma in next_sigmas:
+            if not (sigma @ image == image):
+                raise ActionNotCompatible(
+                    f"differential image at degree {n} is not fixed")
     return out
 
 
@@ -388,24 +371,19 @@ def induced_map_on_cohomology(sub: CochainComplex, full: CochainComplex,
         if not (sub.diffs[n] == full.diffs[n]):
             raise NotASubcomplex("differentials disagree")
     for n in range(up_to + 1):
-        for col in sub.spaces[n].basis.cols_data:
-            if not full.spaces[n].contains_column(col):
-                raise NotASubcomplex(f"space at degree {n} is not contained")
+        if not full.spaces[n].contains(sub.spaces[n].basis):
+            raise NotASubcomplex(f"space at degree {n} is not contained")
     degrees, matrices, injective = [], [], []
     for n in range(up_to + 1):
         z_sub, _proj_sub, sect_sub = _cohomology_basis(sub, n)
         z_full, proj_full, _sect_full = _cohomology_basis(full, n)
         reps = z_sub.basis @ sect_sub  # cocycle representatives of H^n(sub) basis
+        # subspace-coordinate cocycle representatives -> ambient -> full coordinates
+        full_red = (full.spaces[n].coords @ (sub.spaces[n].basis
+                                             @ SparseMatrix.from_dense(reps))).to_dense()
         cols = []
         for j in range(reps.cols):
-            # subspace-coordinate cocycle representative -> ambient -> full coordinates
-            amb = sub.spaces[n].basis.apply(
-                {i: v for i, v in enumerate(reps.column(j)) if v != 0})
-            full_red = full.spaces[n].coords.apply(amb)
-            vec = [full.field.zero()] * full.spaces[n].dim
-            for i, v in full_red.items():
-                vec[i] = v
-            coords = solve_membership(z_full, vec)
+            coords = solve_membership(z_full, full_red.column(j))
             if coords is None:
                 raise NotASubcomplex("sub cocycle is not a cocycle in the full complex")
             cols.append(proj_full.matvec(coords))

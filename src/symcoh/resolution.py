@@ -30,8 +30,7 @@ from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
 from .linalg import Matrix, quotient, rank
 from .modules import (Bimodule, LeftModule, hom_equivariant, kron,
                       regular_bimodule, regular_left_module, validate_module)
-from .sparse import (SparseMatrix, apply_columns, canonical, dense_from_triples,
-                     field_array)
+from .sparse import SparseMatrix, apply_columns, canonical, field_array
 from .tensors import (all_columns, all_tuples, bar_chain_columns, delete_slot,
                       diagonal_columns, digits, flat, right_mult_columns, swap_slots,
                       undigits)
@@ -50,7 +49,7 @@ def _sorted_with_sign(tup):
     return tuple(sorted(tup)), -1 if inversions % 2 else 1
 
 
-def _swap_plus_identity_columns(field, d, slots, sym_slots):
+def _swap_plus_identity_columns(d, slots, sym_slots):
     """Relation generators v . sigma_i - v = -(swap_i v + v) as triples,
     one column per (i, tuple)."""
     size = d ** slots
@@ -60,7 +59,7 @@ def _swap_plus_identity_columns(field, d, slots, sym_slots):
         col = (i - 1) * size + idx
         rows += [swap_slots(idx, d, slots, i), idx]
         cols += [col, col]
-    return canonical(field, np.concatenate(rows), np.concatenate(cols), None)
+    return np.concatenate(rows), np.concatenate(cols), None
 
 
 class CoinvariantSpace:
@@ -114,9 +113,9 @@ def _sorted_tuple_coinvariants(fld, d, slots, sym_slots, tail):
     rows = np.searchsorted(label_idx, undigits(np.vstack([head, digs[sym_slots:]]), d))
     one = fld.one()
     signs = field_array(fld, [one, fld.neg(one)])[inversions % 2]
-    projection = SparseMatrix.from_triples(fld, len(labels), size, (rows, idx, signs))
-    section = SparseMatrix.from_triples(
-        fld, size, len(labels), (label_idx, np.arange(len(labels), dtype=np.int64), None))
+    projection = SparseMatrix(fld, len(labels), size, (rows, idx, signs))
+    section = SparseMatrix(fld, size, len(labels),
+                           (label_idx, np.arange(len(labels), dtype=np.int64), None))
     return projection, section, labels
 
 
@@ -125,8 +124,8 @@ def _generic_coinvariants(h, slots, sym_slots):
     ambient = d ** slots
     if ambient > GENERIC_SOLVE_LIMIT:
         raise BudgetExceeded(f"generic coinvariant quotient on {ambient} coordinates")
-    relations = dense_from_triples(h.field, ambient, (sym_slots - 1) * ambient,
-                                   _swap_plus_identity_columns(h.field, d, slots, sym_slots))
+    relations = SparseMatrix(h.field, ambient, (sym_slots - 1) * ambient,
+                             _swap_plus_identity_columns(d, slots, sym_slots)).to_dense()
     proj, sect = quotient(ambient, relations)
     return SparseMatrix.from_dense(proj), SparseMatrix.from_dense(sect)
 
@@ -138,7 +137,7 @@ def _induced(fld, rows, section, columns, project=None):
     image = apply_columns(fld, columns, section.triples())
     if project is not None:
         image = apply_columns(fld, project, image)
-    return dense_from_triples(fld, rows, section.cols, image)
+    return SparseMatrix(fld, rows, section.cols, image).to_dense()
 
 
 def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
@@ -189,20 +188,13 @@ def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
 
 
 def _section_labels(section: SparseMatrix, d, slots):
-    labels = []
-    for j in range(section.cols):
-        col = section.cols_data[j]
-        idx = min(col) if col else None
-        labels.append(_unflat(idx, d, slots) if idx is not None else None)
+    """Per column of the section, the tuple of its first row (None if empty)."""
+    rows, cols, _ = section.triples()
+    first = np.flatnonzero(np.diff(cols, prepend=-1))
+    labels = [None] * section.cols
+    for j, tup in zip(cols[first].tolist(), digits(rows[first], d, slots).T.tolist()):
+        labels[j] = tuple(tup)
     return labels
-
-
-def _unflat(idx, d, slots):
-    out = []
-    for _ in range(slots):
-        out.append(idx % d)
-        idx //= d
-    return tuple(reversed(out))
 
 
 def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
@@ -385,10 +377,9 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int, force_generic: bool = F
     degrees = []
     ok = True
     # unit section k -> S_0 followed by the augmentation
-    unit_col = Matrix.zeros(fld, spaces[0].dim, 1)
-    unit_red = spaces[0].projection.apply(h.unit_dict())
-    for i, v in unit_red.items():
-        unit_col._set(i, 0, v)
+    unit = h.unit_dict()
+    unit_col = (spaces[0].projection @ SparseMatrix(
+        fld, h.dim, 1, (list(unit), [0] * len(unit), list(unit.values())))).to_dense()
     if not (res.augmentation @ unit_col) == Matrix.identity(fld, 1):
         ok = False
     ident0 = res.boundaries[1] @ homotopies[0] + unit_col @ res.augmentation
@@ -483,19 +474,15 @@ def splitting_maps(h: HopfAlgebra, n: int, force_generic: bool = False) -> Split
     # well-definedness on the quotient
     if not _descends_to_quotient(fld, d, n + 1, n + 1, triples):
         raise AssertionError("phi is not well-defined on the coinvariants")
-    amb = SparseMatrix.from_triples(fld, d * sm.dim, d ** (n + 1), triples)
+    amb = SparseMatrix(fld, d * sm.dim, d ** (n + 1), triples)
     phi = (amb @ sn.section).to_dense()
 
-    psi_amb = SparseMatrix(fld, sn.dim, d * sm.dim)
-    for a in range(d):
-        for j in range(sm.dim):
-            col = a * sm.dim + j
-            for i, v in sm.section.cols_data[j].items():
-                tup = _unflat(i, d, n)
-                reduced = sn.projection.apply({flat((a,) + tup, d): v})
-                for r, w in reduced.items():
-                    psi_amb.add_entry(r, col, w)
-    psi = psi_amb.to_dense()
+    # retraction: a tensor (section column j) -> the class of (a, section column j)
+    r, c, v = sm.section.triples()
+    a = np.repeat(np.arange(d, dtype=np.int64), len(r))
+    lift = SparseMatrix(fld, d ** (n + 1), d * sm.dim,
+                        (a * d ** n + np.tile(r, d), a * sm.dim + np.tile(c, d), np.tile(v, d)))
+    psi = (sn.projection @ lift).to_dense()
 
     retract_ok = (psi @ phi) == Matrix.identity(fld, sn.dim)
 

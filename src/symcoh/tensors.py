@@ -7,8 +7,9 @@ m-dimensional module puts component (tuple, j) at flat(tuple) * m + j.
 Digit k of a flat index idx on t slots is idx // d**(t-1-k) % d, so the
 operators below are built as numpy arithmetic on arrays of flat indices.
 Each has a column map `columns(idx) -> (rows, position in idx, vals)`
-(see sparse.py); the counit-deletion chain map also has a SparseMatrix
-form for the cochain builders.
+(see sparse.py).  The cochain operators (precomposition with the
+counit-deletion chain map, signed slot swaps) are SparseMatrix triples
+built by the same arithmetic.
 
 The diagonal action of a group element permutes flat indices.  For any
 other algebra it is a dense d^t x d^t array: the Sweedler tensor of the
@@ -109,19 +110,23 @@ def bar_chain_diff(h: HopfAlgebra, n: int, tail: int) -> SparseMatrix:
     """The chain map of bar_chain_columns as a sparse matrix."""
     d = h.dim
     cols = d ** (n + 1 + tail)
-    return SparseMatrix.from_triples(
+    return SparseMatrix(
         h.field, d ** (n + tail), cols,
         apply_columns(h.field, bar_chain_columns(h, n, tail), all_columns(cols)))
 
 
-def cochain_precompose(chain: SparseMatrix, m: int, field) -> SparseMatrix:
+def kron_identity(rows, cols, vals, m: int):
+    """Triples of (rows, cols, vals) tensor the m x m identity."""
+    j = np.arange(m, dtype=np.int64)
+    return ((rows[:, None] * m + j).reshape(-1), (cols[:, None] * m + j).reshape(-1),
+            None if vals is None else np.repeat(vals, m))
+
+
+def cochain_precompose(chain: SparseMatrix, m: int) -> SparseMatrix:
     """Turn a chain map V -> W into Hom(W, M) -> Hom(V, M) on flat coordinates."""
-    out = SparseMatrix(field, chain.cols * m, chain.rows * m)
-    for col_idx, col in enumerate(chain.cols_data):
-        for row_idx, v in col.items():
-            for j in range(m):
-                out.add_entry(col_idx * m + j, row_idx * m + j, v)
-    return out
+    r, c, v = chain.triples()
+    return SparseMatrix(chain.field, chain.cols * m, chain.rows * m,
+                        kron_identity(c, r, v, m))
 
 
 def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatrix:
@@ -130,17 +135,10 @@ def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatri
     (sigma_i f)(tup) = -f(tup with slots i-1, i exchanged); one entry per
     cochain coordinate.
     """
-    size = (d ** slots) * m
-    out = SparseMatrix(field, size, size)
-    minus_one = field.neg(field.one())
-    for tup in all_tuples(d, slots):
-        swapped = list(tup)
-        swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
-        src = flat(tuple(swapped), d)
-        dst = flat(tup, d)
-        for j in range(m):
-            out.add_entry(dst * m + j, src * m + j, minus_one)
-    return out
+    idx = np.arange(d ** slots, dtype=np.int64)
+    minus = field_array(field, [field.neg(field.one())] * len(idx))
+    return SparseMatrix(field, len(idx) * m, len(idx) * m,
+                        kron_identity(idx, swap_slots(idx, d, slots, i), minus, m))
 
 
 def group_diagonal_perm(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:

@@ -57,7 +57,9 @@ def descends_to_quotient(field, d, slots, sym_slots, projected) -> bool:
             idx = idx * d + t
         return idx
 
-    cols = projected.cols_data
+    cols = [dict() for _ in range(projected.cols)]
+    for i, j, v in zip(*(a.tolist() for a in projected.triples())):
+        cols[j][i] = v
     for tup in itertools.product(range(d), repeat=slots):
         base = cols[flat(tup)]
         for i in range(1, sym_slots):
@@ -90,7 +92,7 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
             idx = idx * d + t
         return idx
 
-    out = SparseMatrix(fld, d ** slots, d ** slots)
+    rows, cols, vals = [], [], []
     legs = iterated_comult(h, b, slots - 1).coeffs
     for tup in itertools.product(range(d), repeat=slots):
         col = flat(tup)
@@ -102,6 +104,7 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
                 partial = [(pt + (k,), fld.mul(pc, ck))
                            for pt, pc in partial for k, ck in cell.items()]
             for pt, pc in partial:
-                if pc != 0:
-                    out.add_entry(flat(pt), col, pc)
-    return out
+                rows.append(flat(pt))
+                cols.append(col)
+                vals.append(pc)
+    return SparseMatrix(fld, d ** slots, d ** slots, (rows, cols, vals))

@@ -1,5 +1,6 @@
 import pytest
 
+from symcoh import complexes
 from symcoh.complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
                               CochainSpace, check_complex, cohomology_dims,
                               euler_characteristic_consistent,
@@ -37,7 +38,7 @@ def test_check_complex_toy_passes():
 
 def test_check_complex_detects_corruption():
     c = toy()
-    c.diffs[1].add_entry(0, 0, GF3.one())  # now d1 d0 != 0
+    c.diffs[1] = c.diffs[1] + SparseMatrix(GF3, 1, 2, ([0], [0], [GF3.one()]))  # now d1 d0 != 0
     report = check_complex(c)
     assert not report.passed
     assert report.first_failure == 0
@@ -89,7 +90,7 @@ def test_fixed_subcomplex_negation_kills_space():
     spaces = [CochainSpace.full(field, 1), CochainSpace.full(field, 2)]
     diffs = [SparseMatrix(field, 2, 1)]  # zero differential
     c = CochainComplex(field, 1, spaces, diffs)
-    minus = SparseMatrix.identity(field, 2).scale(field.from_int(-1))
+    minus = SparseMatrix(field, 2, 2, ([0, 1], [0, 1], [field.from_int(-1)] * 2))
     fixed = fixed_subcomplex(c, [ActionOperator(0, []), ActionOperator(1, [minus])])
     assert fixed.space_dims() == [1, 0]
     assert cohomology_dims(fixed, 0) == [1]
@@ -100,7 +101,7 @@ def test_fixed_subcomplex_incompatible_raises():
     spaces = [CochainSpace.full(field, 1), CochainSpace.full(field, 1)]
     diffs = [SparseMatrix.from_dense(Matrix.from_rows(field, [[1]]))]
     c = CochainComplex(field, 1, spaces, diffs)
-    minus = SparseMatrix.identity(field, 1).scale(field.from_int(-1))
+    minus = SparseMatrix(field, 1, 1, ([0], [0], [field.from_int(-1)]))
     # degree-0 space is all fixed (no generators), but d maps it to non-fixed vectors
     with pytest.raises(ActionNotCompatible):
         fixed_subcomplex(c, [ActionOperator(0, []), ActionOperator(1, [minus])])
@@ -137,3 +138,14 @@ def test_cohomology_dims_refuses_an_oversized_dense_rank(field):
     assert cohomology_dims(c, 0) == [1]
     with pytest.raises(BudgetExceeded):
         cohomology_dims(c, 1)
+
+
+def test_sandwich_rank_certificate_survives_entries_near_2_to_30(monkeypatch):
+    # rank 1: column 1 is twice column 0.  The Gram entries are sums of
+    # products near 2^61, which wrap in int64 unless reduced mod each prime
+    big = [(1 << 30) + 7 + i for i in range(8)]
+    sm = SparseMatrix(QQ, 8, 2, (list(range(8)) * 2, [0] * 8 + [1] * 8,
+                                 [QQ.from_int(v) for v in big + [2 * v for v in big]]))
+    monkeypatch.setattr(complexes, "_DENSE_RATIONAL_LIMIT", 0)
+    assert complexes._certified_rational_rank(sm, upper=2) == 1
+    assert complexes._certified_rational_rank(sm, upper=1) == 1

@@ -38,13 +38,14 @@ def operators(draw):
     size = d ** slots
     values = st.integers(-2, 2).map(field.from_int) if not field.is_rational else \
         st.fractions(min_value=-2, max_value=2, max_denominator=3).map(Fraction)
-    op = SparseMatrix(field, rows, size)
-    for j in range(size):
-        for i in range(rows):
-            if draw(st.booleans()):
-                op.add_entry(i, j, draw(values))
+    entries = [(i, j, draw(values)) for j in range(size) for i in range(rows)
+               if draw(st.booleans())]
+    op = SparseMatrix(field, rows, size, list(zip(*entries)) if entries else None)
     if draw(st.booleans()):
-        sym = SparseMatrix(field, rows, size)
+        by_column = [[] for _ in range(size)]
+        for i, j, v in zip(*(a.tolist() for a in op.triples())):
+            by_column[j].append((i, v))
+        entries = []
         for j in range(size):
             tup = _digits(j, d, slots)
             head = tup[:sym_slots]
@@ -54,12 +55,12 @@ def operators(draw):
                              for b in range(a + 1, sym_slots))
             src = _flat(sorted(head) + tup[sym_slots:], d)
             sign = field.one() if inversions % 2 == 0 else field.neg(field.one())
-            for i, v in op.cols_data[src].items():
-                sym.add_entry(i, j, field.mul(sign, v))
-        op = sym
+            entries += [(i, j, field.mul(sign, v)) for i, v in by_column[src]]
+        op = SparseMatrix(field, rows, size, list(zip(*entries)) if entries else None)
     if draw(st.booleans()):
-        op.add_entry(draw(st.integers(0, rows - 1)), draw(st.integers(0, size - 1)),
-                     field.one())
+        op = op + SparseMatrix(field, rows, size, ([draw(st.integers(0, rows - 1))],
+                                                   [draw(st.integers(0, size - 1))],
+                                                   [field.one()]))
     return field, d, slots, sym_slots, op
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -36,6 +37,21 @@ def test_coinvariants_kc3_dims():
     assert coinvariant_space(h, 1).dim == 3   # pairs from 3 elements
     assert coinvariant_space(h, 2).dim == 1
     assert coinvariant_space(h, 3).dim == 0   # no strictly increasing 4-tuples
+
+
+def test_zero_coinvariant_space_allocates_no_ambient_columns():
+    # 8 slots over 5 letters have no strictly increasing tuple, so the space
+    # is zero; its 0 x 390,625 projection must cost nothing per column
+    h = kC(5, GF5)
+    tracemalloc.start()
+    try:
+        space = coinvariant_space(h, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.dim == 0
+    assert space.ambient_dim == 5 ** 8
+    assert peak < 1 << 20
 
 
 def test_top_coinvariants_kc3_is_trivial_module():

@@ -52,10 +52,8 @@ def _corrupt_space(monkeypatch, degree, what):
         if self.degree != degree:
             return
         sm = self.projection if what == "projection" else self.section
-        fld = sm.field
-        j = next(j for j, col in enumerate(sm.cols_data) if col)
-        i = min(sm.cols_data[j])
-        sm.cols_data[j][i] = _bumped(fld, sm.cols_data[j][i])
+        # the first stored entry: the lowest row of the first nonzero column
+        sm.vals[0] = _bumped(sm.field, sm.vals[0])
 
     monkeypatch.setattr(resolution.CoinvariantSpace, "__init__", init)
 
@@ -113,7 +111,7 @@ def _unsectioned_distinct_tuple(h, n, tail, force_generic):
     not use, so corrupting an operator there leaves the induced module
     alone and only the descent check can see it."""
     space = coinvariant_space(h, n, force_generic=force_generic, check=False, tail=tail)
-    used = {i for col in space.section.cols_data for i in col}
+    used = set(space.section.triples()[0].tolist())
     d = h.dim
     for idx in range(d ** space.slots):
         tup = tuple(int(x) for x in np.unravel_index(idx, (d,) * space.slots))
