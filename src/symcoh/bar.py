@@ -15,7 +15,10 @@ left module M enters those formulas as the bimodule M_eps, whose right
 action is the counit.  The homogeneous complex is the subspace of
 Hom_k(A^(tensor n+1+tail), M) equivariant for the diagonal left action
 (and right multiplication in the trailing slot), with the action by
-signed swaps of the first n+1 slots.
+signed swaps of the first n+1 slots.  For every algebra its basis is the
+image of the tensor identity psi from Hom_k(A^(tensor n), M), and its
+coordinates are the inverse F -> F(1 tensor - tensor 1) (see
+equivariant_space).
 """
 
 from __future__ import annotations
@@ -25,20 +28,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .complexes import (ActionOperator, CochainComplex, CochainSpace,
-                        _left_inverse_dense, cohomology_dims,
-                        fixed_subcomplex, restrict_operator)
+from .complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
+                        CochainSpace, cohomology_dims, fixed_subcomplex,
+                        restrict_operator)
 from .errors import BudgetExceeded, NotCocommutative
 from .hopf import HopfAlgebra, iterated_comult
-from .linalg import Matrix, intersect_kernels
-from .modules import LeftModule, kron, regular_bimodule, validate_module
-from .sparse import SparseMatrix
+from .linalg import Matrix
+from .modules import LeftModule, validate_module
+from .sparse import SparseMatrix, field_array
 from .tensors import (all_tuples, bar_chain_diff, cochain_precompose,
-                      cochain_swap_sigma, diagonal_action, flat, group_diagonal_perm,
-                      kron_identity)
+                      cochain_swap_sigma, diagonal_columns, flat, kron_identity)
 
 DEFAULT_BUDGET = 200_000
-GENERIC_SOLVE_LIMIT = 4096  # ambient coordinates of a dense generic solve
 
 
 @dataclass
@@ -99,74 +100,88 @@ def _prefixed(mod: LeftModule, what: str) -> str:
 # -- the homogeneous (equivariant-subspace) realization -------------------
 
 
-def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int,
-                      force_generic: bool = False) -> CochainSpace:
+def _psi_blocks(h: HopfAlgebra, mod: LeftModule) -> dict:
+    """The value blocks of psi, keyed by (u, a, c): the matrix of the value
+    map that psi(f) applies at b_a tensor x tensor b_c where f meets the
+    diagonal action of b_u on x.
+
+    A Sweedler term s_1 tensor ... tensor s_last of b_a gives b_u the
+    coefficient of S(b_(s_last)) and the value map v -> s_1 . v, followed
+    with a tail by . S(b_(s_2)) b_c.
+    """
+    fld = h.field
+    tail = mod.tail
+    blocks = {}
+    for a in range(h.dim):
+        for legs, coef in iterated_comult(h, a, 1 + tail).coeffs.items():
+            for c in range(h.dim ** tail):
+                value = mod.action[legs[0]]
+                if tail:
+                    closing = h.product(h.antipode_column(legs[1]), {c: fld.one()})
+                    value = mod.right_act_element(h, closing) @ value
+                for u, su in h.antipode_column(legs[-1]).items():
+                    term = value.scale(fld.mul(coef, su))
+                    key = (u, a, c)
+                    blocks[key] = blocks[key] + term if key in blocks else term
+    return blocks
+
+
+def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
     """Maps A^(tensor slots) -> M equivariant for the diagonal left action
     and, for a bimodule, right multiplication in the last slot.
 
-    Group algebras use the free-orbit basis (one functional per orbit
-    representative and module basis vector); anything else solves the
-    equivariance equations as one dense kernel.
+    The basis is the image of the tensor identity
+    psi: Hom(A^(tensor n), M) -> Hom_A(A^(tensor slots), M), n = slots-1-tail,
+
+        psi(f)(a tensor x tensor c) = a_(1) . f(S(a_(3)) . x) . S(a_(2)) c
+
+    (a_(1) . f(S(a_(2)) . x) without a tail), and the coords are its
+    inverse F -> F(1 tensor - tensor 1).  This holds for any Hopf algebra;
+    the order of the legs matters only when A is not cocommutative.  The
+    action of S(a_(3)) on the n inner slots is `diagonal_columns`: a
+    permutation for a group algebra, a dense contraction otherwise.
     """
     d = h.dim
     m = mod.dim
     tail = mod.tail
     fld = h.field
+    n = slots - 1 - tail
+    inner = np.arange(d ** n, dtype=np.int64)
     ambient = (d ** slots) * m
-    if h.group_like and not force_generic:
-        e = h.group_identity
-        # representatives (e, rest, e^tail), one per rest; with a tail,
-        # base has 0 in the trailing slot
-        rest = np.arange(d ** (slots - tail - 1), dtype=np.int64)
-        base = e * d ** (slots - 1) + rest * d ** tail
-        reps = base + e * tail
-        at = np.arange(len(reps), dtype=np.int64)
-        # g moves (rep, c) to g.(rep, c), taking the value g . m_j . c; without
-        # a tail, g moves rep to g.rep, taking the value g . m_j
-        rows, cols, vals = [], [], []
-        for g in range(d):
-            perm = group_diagonal_perm(h, g, slots)
-            for c in range(d) if tail else [0]:
-                value = mod.left[g] @ mod.right[c] if tail else mod.action[g]
-                vr, vc, vv = SparseMatrix.from_dense(value).triples()
-                rows.append((perm[base + c][:, None] * m + vr).reshape(-1))
-                cols.append((at[:, None] * m + vc).reshape(-1))
-                vals.append(np.tile(vv, len(at)))
-        basis = SparseMatrix(fld, ambient, len(reps) * m,
-                             [np.concatenate(x) for x in (rows, cols, vals)])
-        coords = SparseMatrix(fld, len(reps) * m, ambient, kron_identity(at, reps, None, m))
-        return CochainSpace(ambient, basis, coords, check=False)
-
-    if ambient > GENERIC_SOLVE_LIMIT:
+    blocks = [(key, SparseMatrix.from_dense(value).triples())
+              for key, value in _psi_blocks(h, mod).items()]
+    # D_u[y, x] for every x: the inner argument x of psi(f) meets f at y
+    actions = {u: diagonal_columns(h, u, n)(inner) for (u, _a, _c), _t in blocks}
+    entries = sum(len(t[0]) * len(actions[u][0]) for (u, _a, _c), t in blocks)
+    if entries > DENSE_RANK_CELLS:
         raise BudgetExceeded(
-            f"generic equivariant solve on {ambient} coordinates is over the limit")
-    # precomposition with an operator D on the tuples is kron(D^T, I_m); the
-    # action on values is kron(I, act); right multiplication in the trailing
-    # slot is I on the leading slots tensor the regular right action
-    size = d ** slots
-    eye_m = Matrix.identity(fld, m)
-    eye = Matrix.identity(fld, size)
-    if tail:
-        lead = Matrix.identity(fld, d ** (slots - 1))
-        eye_d = Matrix.identity(fld, d)
-        right = regular_bimodule(h).right
-    constraints = []
-    for b in range(d):
-        act = diagonal_action(h, b, slots).T
-        act = Matrix(fld, size, size, act.tolist() if fld.is_rational else act)
-        constraints.append(kron(act, eye_m) - kron(eye, mod.action[b]))
-        if tail:
-            constraints.append(kron(lead, kron(right[b].transpose(), eye_m)
-                                    - kron(eye_d, mod.right[b])))
-    sub = intersect_kernels(constraints)
-    basis = SparseMatrix.from_dense(sub.basis)
-    coords = SparseMatrix.from_dense(_left_inverse_dense(sub.basis))
+            f"equivariant basis on {slots} slots needs {entries} entries, "
+            f"over the limit of {DENSE_RANK_CELLS}")
+    rows, cols, vals = [], [], []
+    for (u, a, c), (r, j, v) in blocks:
+        y, x, dv = actions[u]
+        head = (a * d ** (n + tail) + c) * m + r
+        rows.append((head[:, None] + x[None, :] * (d ** tail * m)).reshape(-1))
+        cols.append((j[:, None] + y[None, :] * m).reshape(-1))
+        prod = np.repeat(v, len(y)) if dv is None else np.multiply.outer(v, dv).reshape(-1)
+        vals.append(prod if fld.is_rational else prod % fld.p)
+    basis = SparseMatrix(fld, ambient, len(inner) * m,
+                         [np.concatenate(part) for part in (rows, cols, vals)])
+    # F(1 tensor x tensor 1), with 1 expanded in the basis of A
+    unit = list(h.unit_dict().items())
+    rows, cols, vals = [], [], []
+    for lead, lc in unit:
+        for last, tc in unit if tail else [(0, fld.one())]:
+            rows.append(inner)
+            cols.append((lead * len(inner) + inner) * d ** tail + last)
+            vals.append(field_array(fld, [fld.mul(lc, tc)] * len(inner)))
+    coords = SparseMatrix(fld, len(inner) * m, ambient,
+                          kron_identity(*(np.concatenate(part) for part in (rows, cols, vals)), m))
     return CochainSpace(ambient, basis, coords, check=False)
 
 
 def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int,
-                        budget: int = DEFAULT_BUDGET,
-                        force_generic: bool = False) -> CochainComplex:
+                        budget: int = DEFAULT_BUDGET) -> CochainComplex:
     """Degrees 0..top of the equivariant realization, degree n on n+1+tail
     slots; the differential is precomposition with the alternating
     counit-deletion chain map."""
@@ -175,8 +190,9 @@ def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int,
     tail = mod.tail
     require_budget(m * h.dim ** (top + 1 + tail), budget,
                    _prefixed(mod, "homogeneous complex"))
-    spaces = [equivariant_space(h, mod, n + 1 + tail, force_generic=force_generic)
-              for n in range(top + 1)]
+    # highest degree first, so a degree over the entry limit fails before
+    # the smaller ones are built
+    spaces = [equivariant_space(h, mod, n + 1 + tail) for n in range(top, -1, -1)][::-1]
     diffs = [cochain_precompose(bar_chain_diff(h, n + 1, tail), m)
              for n in range(top)]
     return CochainComplex(h.field, top, spaces, diffs, label="K_e" if tail else "K")
@@ -446,10 +462,9 @@ def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
 # -- cohomology drivers ----------------------------------------------------
 
 
-def _complex_and_ops(h, mod, top, realization, budget, force_generic):
+def _complex_and_ops(h, mod, top, realization, budget):
     if realization == "homogeneous":
-        cpx = homogeneous_complex(h, mod, top, budget=budget,
-                                  force_generic=force_generic)
+        cpx = homogeneous_complex(h, mod, top, budget=budget)
         ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n])
                for n in range(top + 1)]
     elif realization == "nonhomogeneous":
@@ -462,12 +477,10 @@ def _complex_and_ops(h, mod, top, realization, budget, force_generic):
 
 def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
                          realization: str = "nonhomogeneous",
-                         budget: int = DEFAULT_BUDGET,
-                         force_generic: bool = False) -> CohomologyReport:
+                         budget: int = DEFAULT_BUDGET) -> CohomologyReport:
     """H^0..H^{top-1} (HH for a bimodule) from the chosen realization."""
     if realization == "homogeneous":
-        cpx = homogeneous_complex(h, mod, top, budget=budget,
-                                  force_generic=force_generic)
+        cpx = homogeneous_complex(h, mod, top, budget=budget)
     else:
         cpx = nonhomogeneous_complex(h, mod, top, budget=budget)
     return CohomologyReport(cohomology_dims(cpx, top - 1), realization,
@@ -477,8 +490,7 @@ def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
 def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
                          realization: str = "homogeneous",
                          cross_check: bool = False,
-                         budget: int = DEFAULT_BUDGET,
-                         force_generic: bool = False) -> CohomologyReport:
+                         budget: int = DEFAULT_BUDGET) -> CohomologyReport:
     """SH^0..SH^{top-1} (SHH for a bimodule): cohomology of the fixed subcomplex.
 
     The homogeneous realization is the default (its action is a signed
@@ -487,14 +499,14 @@ def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
     """
     require_cocommutative(h)
     validate_module(h, mod)
-    cpx, ops = _complex_and_ops(h, mod, top, realization, budget, force_generic)
+    cpx, ops = _complex_and_ops(h, mod, top, realization, budget)
     fixed = fixed_subcomplex(cpx, ops, through_degree=top - 1)
     dims = cohomology_dims(fixed, top - 1)
     report = CohomologyReport(dims, realization, kind="SHH" if mod.tail else "SH")
     report.routes[realization] = dims
     if cross_check:
         other = "nonhomogeneous" if realization == "homogeneous" else "homogeneous"
-        cpx2, ops2 = _complex_and_ops(h, mod, top, other, budget, force_generic)
+        cpx2, ops2 = _complex_and_ops(h, mod, top, other, budget)
         fixed2 = fixed_subcomplex(cpx2, ops2, through_degree=top - 1)
         dims2 = cohomology_dims(fixed2, top - 1)
         report.routes[other] = dims2

@@ -51,7 +51,12 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """A field descriptor: kind 'rational', or 'prime' with modulus p."""
+    """A field descriptor: kind 'rational', or 'prime' with modulus p.
+
+    A prime p is refused unless (p-1)^2 < 2^63 (the largest is
+    3037000493), so that every kernel multiplies two reduced scalars
+    exactly in int64.
+    """
 
     kind: str
     p: int | None = None
@@ -63,6 +68,8 @@ class Field:
         elif self.kind == "prime":
             if self.p is None or not is_prime(self.p):
                 raise ValueError(f"modulus {self.p!r} is not prime")
+            if (self.p - 1) ** 2 >= 2 ** 63:
+                raise ValueError(f"prime {self.p} is too large: (p-1)^2 must be below 2^63")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
@@ -81,11 +88,6 @@ class Field:
     @property
     def is_rational(self) -> bool:
         return self.kind == "rational"
-
-    @property
-    def int64_products(self) -> bool:
-        """True over GF(p) when a product of two reduced scalars fits int64."""
-        return self.kind == "prime" and (self.p - 1) ** 2 < 2 ** 63
 
     def __str__(self):
         return "Q" if self.kind == "rational" else f"GF({self.p})"

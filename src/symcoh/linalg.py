@@ -168,8 +168,13 @@ class Matrix:
                             if b:
                                 orow[j] += a * b
             return Matrix(self.field, self.rows, other.cols, out)
-        return Matrix(self.field, self.rows, other.cols,
-                      (self.data @ other.data) % self.field.p)
+        # each chunk of inner terms sums to at most 2^63 - 1 before reducing
+        p = self.field.p
+        step = (2 ** 63 - 1) // (p - 1) ** 2
+        out = (self.data[:, :step] @ other.data[:step]) % p
+        for k in range(step, self.cols, step):
+            out = (out + (self.data[:, k:k + step] @ other.data[k:k + step]) % p) % p
+        return Matrix(self.field, self.rows, other.cols, out)
 
     def matvec(self, vec):
         return (self @ Matrix.from_columns(self.field, [vec], rows=self.cols)).column(0)

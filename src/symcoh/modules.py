@@ -22,8 +22,8 @@ from .linalg import Matrix, Subspace, intersect_kernels
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with the left factor most significant.
 
-    Over GF(p) each entry is one product of two reduced entries, so int64
-    is exact while (p-1)^2 < 2^63; larger p multiplies Python ints.
+    Over GF(p) each entry is one product of two reduced entries, which
+    int64 holds exactly at every modulus a Field accepts.
     """
     fld = a.field
     rows, cols = a.rows * b.rows, a.cols * b.cols
@@ -32,10 +32,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         data = [[x * y if x and y else z for x in arow for y in brow]
                 for arow in a.data for brow in b.data]
         return Matrix(fld, rows, cols, data)
-    x, y = a.data, b.data
-    if not fld.int64_products:
-        x, y = x.astype(object), y.astype(object)
-    return Matrix(fld, rows, cols, (np.kron(x, y) % fld.p).astype(np.int64).reshape(rows, cols))
+    return Matrix(fld, rows, cols, (np.kron(a.data, b.data) % fld.p).reshape(rows, cols))
 
 
 class LeftModule:

@@ -7,27 +7,28 @@ The bimodule resolution (for SHH) carries one trailing tensor slot that
 the permutations leave alone and that A acts on from the right; `tail`
 (0 or 1) is that number of slots, read from the coefficient type.
 
-For group algebras away from characteristic 2 the coinvariants have the
-strictly-increasing-tuple basis: repeated-entry tensors die and every
-tuple equals its sorted form up to the permutation sign.  The generic
-path builds the same quotient by elimination.
+The coinvariants have a sorted-tuple basis in any basis of A, since the
+permutations only move tensor slots: Lambda^(n+1) A away from
+characteristic 2 (repeated-entry tensors die and every tuple equals its
+sorted form up to the permutation sign), Sym^(n+1) A in characteristic 2
+(every tuple equals its sorted form).  The induced actions go through
+`tensors.diagonal_columns`.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
 import numpy as np
 
-from .bar import GENERIC_SOLVE_LIMIT, CohomologyReport, require_cocommutative
+from .bar import CohomologyReport, require_cocommutative
 from .complexes import CochainComplex, CochainSpace, _left_inverse_dense, cohomology_dims
-from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime
+from .errors import CharacteristicDivides, InvalidPrime
 from .fields import Field
 from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
-from .linalg import Matrix, quotient, rank
+from .linalg import Matrix, rank
 from .modules import (Bimodule, LeftModule, hom_equivariant, kron,
                       regular_bimodule, regular_left_module, validate_module)
 from .sparse import SparseMatrix, apply_columns, canonical, field_array
@@ -49,33 +50,19 @@ def _sorted_with_sign(tup):
     return tuple(sorted(tup)), -1 if inversions % 2 else 1
 
 
-def _swap_plus_identity_columns(d, slots, sym_slots):
-    """Relation generators v . sigma_i - v = -(swap_i v + v) as triples,
-    one column per (i, tuple)."""
-    size = d ** slots
-    idx = np.arange(size, dtype=np.int64)
-    rows, cols = [idx[:0]], [idx[:0]]
-    for i in range(1, sym_slots):
-        col = (i - 1) * size + idx
-        rows += [swap_slots(idx, d, slots, i), idx]
-        cols += [col, col]
-    return np.concatenate(rows), np.concatenate(cols), None
-
-
 class CoinvariantSpace:
     """A^(tensor n+1+tail) modulo the signed S_{n+1} action on the first n+1
     slots, with projection, section, labels and the induced module
     structure (a bimodule when tail is 1)."""
 
     def __init__(self, degree, ambient_dim, projection, section, labels,
-                 module: LeftModule, fast_path: bool):
+                 module: LeftModule):
         self.degree = degree
         self.ambient_dim = ambient_dim
         self.projection = projection  # SparseMatrix dim x ambient
         self.section = section        # SparseMatrix ambient x dim
         self.basis_labels = labels
         self.module = module
-        self.fast_path = fast_path
 
     @property
     def dim(self) -> int:
@@ -89,23 +76,31 @@ class CoinvariantSpace:
         return f"<Coinvariants degree {self.degree}, dim {self.dim}>"
 
 
-def _fast_path_available(h: HopfAlgebra) -> bool:
-    return h.group_like and h.field.characteristic != 2
+def coinvariant_dim(d: int, n: int, characteristic: int, tail: int = 0) -> int:
+    """dim of the degree-n coinvariants of a d-dimensional algebra:
+    Lambda^(n+1) of a d-space, Sym^(n+1) in characteristic 2, times d^tail."""
+    sym = comb(d + n, n + 1) if characteristic == 2 else comb(d, n + 1)
+    return sym * d ** tail
 
 
 def _sorted_tuple_coinvariants(fld, d, slots, sym_slots, tail):
-    """Projection, section and labels of the strictly-increasing-tuple basis:
-    a tuple with distinct symmetric slots maps to its sorted label with the
-    sign of the sorting permutation, any other tuple to zero."""
-    labels = [inc + last for inc in itertools.combinations(range(d), sym_slots)
-              for last in all_tuples(d, tail)]
+    """Projection, section and labels of the sorted-tuple basis: strictly
+    increasing symmetric slots, where a tuple with distinct symmetric slots
+    maps to its sorted label with the sign of the sorting permutation and
+    any other tuple to zero; in characteristic 2, non-decreasing symmetric
+    slots, where every tuple maps to its sorted label."""
+    char2 = fld.characteristic == 2
+    heads = (itertools.combinations_with_replacement if char2
+             else itertools.combinations)(range(d), sym_slots)
+    labels = [inc + last for inc in heads for last in all_tuples(d, tail)]
     size = d ** slots
     label_idx = np.array([flat(lab, d) for lab in labels], dtype=np.int64)
     idx = np.arange(size if labels else 0, dtype=np.int64)
     digs = digits(idx, d, slots)
     head = np.sort(digs[:sym_slots], axis=0)
-    distinct = np.all(head[1:] != head[:-1], axis=0)
-    idx, digs, head = idx[distinct], digs[:, distinct], head[:, distinct]
+    if not char2:
+        distinct = np.all(head[1:] != head[:-1], axis=0)
+        idx, digs, head = idx[distinct], digs[:, distinct], head[:, distinct]
     inversions = np.zeros(len(idx), dtype=np.int64)
     for i in range(sym_slots):
         for j in range(i + 1, sym_slots):
@@ -119,17 +114,6 @@ def _sorted_tuple_coinvariants(fld, d, slots, sym_slots, tail):
     return projection, section, labels
 
 
-def _generic_coinvariants(h, slots, sym_slots):
-    d = h.dim
-    ambient = d ** slots
-    if ambient > GENERIC_SOLVE_LIMIT:
-        raise BudgetExceeded(f"generic coinvariant quotient on {ambient} coordinates")
-    relations = SparseMatrix(h.field, ambient, (sym_slots - 1) * ambient,
-                             _swap_plus_identity_columns(d, slots, sym_slots)).to_dense()
-    proj, sect = quotient(ambient, relations)
-    return SparseMatrix.from_dense(proj), SparseMatrix.from_dense(sect)
-
-
 def _induced(fld, rows, section, columns, project=None):
     """op . section, or project . op . section, as a dense matrix with
     `rows` rows; op and project are column maps, and op is evaluated on
@@ -140,27 +124,16 @@ def _induced(fld, rows, section, columns, project=None):
     return SparseMatrix(fld, rows, section.cols, image).to_dense()
 
 
-def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
-                      check: bool = True, tail: int = 0) -> CoinvariantSpace:
-    """The degree-n coinvariant space of A^(tensor n+1+tail).
-
-    Group algebras in characteristic other than 2 take the sorted-tuple
-    fast path; characteristic 2 falls back to the generic quotient (the
-    sign argument that kills repeated entries fails there).
-    """
+def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True,
+                      tail: int = 0) -> CoinvariantSpace:
+    """The degree-n coinvariant space of A^(tensor n+1+tail), on the
+    sorted-tuple basis (Lambda^(n+1) A, or Sym^(n+1) A in characteristic 2,
+    tensor A^(tensor tail))."""
     d = h.dim
     fld = h.field
     sym_slots = n + 1
     slots = sym_slots + tail
-    if h.group_like and fld.characteristic == 2 and not force_generic:
-        warnings.warn("characteristic 2: sorted-tuple fast path disabled "
-                      "(odd characteristic is the intended setting)")
-    fast_path = _fast_path_available(h) and not force_generic
-    if fast_path:
-        projection, section, labels = _sorted_tuple_coinvariants(fld, d, slots, sym_slots, tail)
-    else:
-        projection, section = _generic_coinvariants(h, slots, sym_slots)
-        labels = _section_labels(section, d, slots)
+    projection, section, labels = _sorted_tuple_coinvariants(fld, d, slots, sym_slots, tail)
     dim = projection.rows
     if dim:
         # per basis element: the diagonal action, then right multiplication
@@ -176,8 +149,7 @@ def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
         module = Bimodule(dim, left, [per_g[1] for per_g in induced])
     else:
         module = LeftModule(dim, left)
-    space = CoinvariantSpace(n, d ** slots, projection, section, labels,
-                             module, fast_path=fast_path)
+    space = CoinvariantSpace(n, d ** slots, projection, section, labels, module)
     if check:
         if not (space.projection @ space.section).equals_identity():
             raise AssertionError("projection . section != id")
@@ -185,16 +157,6 @@ def coinvariant_space(h: HopfAlgebra, n: int, force_generic: bool = False,
         _check_descends(h, space, space.projection, [op for per_g in ops for op in per_g],
                         "induced action is not well-defined")
     return space
-
-
-def _section_labels(section: SparseMatrix, d, slots):
-    """Per column of the section, the tuple of its first row (None if empty)."""
-    rows, cols, _ = section.triples()
-    first = np.flatnonzero(np.diff(cols, prepend=-1))
-    labels = [None] * section.cols
-    for j, tup in zip(cols[first].tolist(), digits(rows[first], d, slots).T.tolist()):
-        labels[j] = tuple(tup)
-    return labels
 
 
 def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
@@ -252,8 +214,9 @@ class ResolutionComplex:
 
     def exactness_report(self):
         """Rank counting: exact at inner degrees, at degree 0 against the
-        augmentation, and onto k (or A).  The top degree is certified when
-        the next space is already zero."""
+        augmentation, and onto k (or A).  The top degree is certified only
+        when the next space, which is not built, is zero by its closed-form
+        dimension."""
         checks = []
         ranks = [rank(b) for b in self.boundaries[1:]]  # rank of d_n, n=1..top
         aug_rank = rank(self.augmentation)
@@ -265,21 +228,20 @@ class ResolutionComplex:
         for n in range(1, self.top):
             sn = self.spaces[n].dim
             checks.append((f"exact_at_{n}", ranks[n - 1] + ranks[n] == sn))
-        if self.spaces[self.top].dim == 0 or \
-                (self.hopf.group_like and self.top + 2 > self.hopf.dim):
+        if coinvariant_dim(self.hopf.dim, self.top + 1, self.hopf.field.characteristic,
+                           self.spaces[0].module.tail) == 0:
             sn = self.spaces[self.top].dim
             checks.append((f"exact_at_{self.top}",
                            (ranks[self.top - 1] if self.top >= 1 else aug_rank) == sn))
         return checks
 
 
-def sym_resolution_complex(h: HopfAlgebra, top: int, force_generic: bool = False,
-                           check: bool = True, tail: int = 0) -> ResolutionComplex:
+def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True,
+                           tail: int = 0) -> ResolutionComplex:
     """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k; with
     a trailing slot, the bimodule complex S^e_top -> ... -> S^e_0 -> A,
     checked against (plain coinvariants) tensor A."""
-    spaces = [coinvariant_space(h, n, force_generic=force_generic, check=check, tail=tail)
-              for n in range(top + 1)]
+    spaces = [coinvariant_space(h, n, check=check, tail=tail) for n in range(top + 1)]
     fld = h.field
     boundaries = [None]
     for n in range(1, top + 1):
@@ -297,24 +259,22 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, force_generic: bool = False
     aug = _induced(fld, h.dim ** tail, spaces[0].section, bar_chain_columns(h, 0, tail))
     res = ResolutionComplex(h, top, spaces, boundaries, aug)
     if tail:
-        res.factorization_checks = _factorization_checks(h, spaces, force_generic)
+        res.factorization_checks = _factorization_checks(h, spaces)
     return res
 
 
-def hochschild_resolution(h: HopfAlgebra, top: int, force_generic: bool = False,
-                          check: bool = True) -> ResolutionComplex:
+def hochschild_resolution(h: HopfAlgebra, top: int, check: bool = True) -> ResolutionComplex:
     """The augmented bimodule complex of coinvariants of A^(tensor n+2),
     with the factorization check against (coinvariants tensor A)."""
-    return sym_resolution_complex(h, top, force_generic=force_generic, check=check, tail=1)
+    return sym_resolution_complex(h, top, check=check, tail=1)
 
 
-def _factorization_checks(h, spaces, force_generic):
+def _factorization_checks(h, spaces):
     """Dimension and structure comparison of S^e_n with (plain S_n) tensor A."""
     d = h.dim
     fld = h.field
     regular = regular_bimodule(h)
-    plain = [coinvariant_space(h, n, force_generic=force_generic, check=False)
-             for n in range(len(spaces))]
+    plain = [coinvariant_space(h, n, check=False) for n in range(len(spaces))]
     checks = []
     for n, space in enumerate(spaces):
         ok_dim = space.dim == plain[n].dim * d
@@ -357,14 +317,14 @@ class HomotopyReport:
     passed: bool
 
 
-def contracting_homotopy_check(h: HopfAlgebra, top: int, force_generic: bool = False,
+def contracting_homotopy_check(h: HopfAlgebra, top: int,
                                res: ResolutionComplex | None = None) -> HomotopyReport:
     """Assemble h_n = projection . (prepend 1) . section and verify
     d_{n+1} h_n + h_{n-1} d_n = id, with the augmentation conventions at
     degree 0.  `res` is the resolution of k through degree top, built
     here unless the caller already has it."""
     if res is None:
-        res = sym_resolution_complex(h, top, force_generic=force_generic)
+        res = sym_resolution_complex(h, top)
     elif res.hopf is not h or res.top != top or res.spaces[0].module.tail:
         raise ValueError("res must be the resolution of k for this algebra through top")
     spaces = res.spaces
@@ -395,13 +355,12 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int, force_generic: bool = F
     return HomotopyReport(degrees, ok)
 
 
-def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int,
-                      force_generic: bool = False) -> CohomologyReport:
+def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyReport:
     """SH^0..SH^{top-1} from Hom_A(S_n, M) with the induced action; for a
     bimodule M, SHH from bimodule maps out of the bimodule resolution."""
     require_cocommutative(h)
     validate_module(h, mod)
-    res = sym_resolution_complex(h, top, force_generic=force_generic, tail=mod.tail)
+    res = sym_resolution_complex(h, top, tail=mod.tail)
     m = mod.dim
     fld = h.field
     spaces = []
@@ -443,7 +402,7 @@ class SplittingReport:
     equivariant_ok: bool
 
 
-def splitting_maps(h: HopfAlgebra, n: int, force_generic: bool = False) -> SplittingReport:
+def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
     """The averaged face map S_n -> A tensor S_{n-1} and its retraction.
 
     Exists only when the characteristic does not divide n+1; certifies
@@ -456,8 +415,8 @@ def splitting_maps(h: HopfAlgebra, n: int, force_generic: bool = False) -> Split
         raise CharacteristicDivides(f"characteristic {p} divides {n + 1}")
     d = h.dim
     fld = h.field
-    sn = coinvariant_space(h, n, force_generic=force_generic)
-    sm = coinvariant_space(h, n - 1, force_generic=force_generic)
+    sn = coinvariant_space(h, n)
+    sm = coinvariant_space(h, n - 1)
     inv_np1 = fld.inv(fld.from_int(n + 1))
 
     # ambient face map: tau -> sum_i (-1)^i tau_i tensor (tau without i)

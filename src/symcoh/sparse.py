@@ -4,8 +4,7 @@ Differentials, symmetric-group operators and equivariant bases on
 A^(tensor n) coordinates are far too sparse to materialize densely.  A
 SparseMatrix stores its entries in one form, canonical triples: parallel
 arrays (rows, cols, vals) sorted by (col, row), with duplicates summed
-and zeros dropped.  Values are an int64 array over GF(p) (an object array
-of ints when a product of two entries could overflow int64) and an object
+and zeros dropped.  Values are an int64 array over GF(p) and an object
 array of Fractions over Q.  Every SparseMatrix goes through `canonical`
 when it is built, so equal matrices have equal arrays.  Rank, kernel and
 quotient work stays in the dense layer; this layer only composes, adds
@@ -145,7 +144,7 @@ def integer_gram(sm: SparseMatrix, q: int) -> np.ndarray:
 
 def field_array(field: Field, values) -> np.ndarray:
     """Scalars of `field` as an array that keeps their products exact."""
-    return np.array(values, dtype=np.int64 if field.int64_products else object).reshape(-1)
+    return np.array(values, dtype=object if field.is_rational else np.int64).reshape(-1)
 
 
 def apply_columns(field: Field, columns, triples):
@@ -168,7 +167,7 @@ def canonical(field: Field, rows, cols, vals):
     if vals is None:
         vals = field_array(field, [field.one()] * len(rows))
     else:
-        vals = np.asarray(vals, dtype=np.int64 if field.int64_products else object)
+        vals = np.asarray(vals, dtype=object if field.is_rational else np.int64)
     order = np.lexsort((rows, cols))
     rows, cols, vals = rows[order], cols[order], vals[order]
     if len(rows):

@@ -14,7 +14,8 @@ built by the same arithmetic.
 The diagonal action of a group element permutes flat indices.  For any
 other algebra it is a dense d^t x d^t array: the Sweedler tensor of the
 acting element contracted with the structure constants, one slot at a
-time (diagonal_action); its callers stay at t slots with d^t <= 4096.
+time (diagonal_action).  An array over DENSE_RANK_CELLS cells is refused
+with BudgetExceeded before it is built.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import itertools
 import numpy as np
 
 from .complexes import DENSE_RANK_CELLS
+from .errors import BudgetExceeded
 from .hopf import HopfAlgebra, iterated_comult
 from .sparse import SparseMatrix, apply_columns, dense_columns, field_array
 
@@ -168,17 +170,21 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
     with the structure constants once per slot, reducing after each step.
     Each step sums d products of reduced scalars, so int64 is exact while
     d (p-1)^2 < 2^63; above that the steps use Python ints, and over Q
-    Fractions.
+    Fractions.  On 0 slots it is the counit of b_b.
     """
     d = h.dim
     fld = h.field
-    assert d ** (2 * slots) <= DENSE_RANK_CELLS, "dense diagonal action over the cell limit"
+    if d ** (2 * slots) > DENSE_RANK_CELLS:
+        raise BudgetExceeded(
+            f"diagonal action on {slots} slots needs a dense {d ** slots} x {d ** slots} "
+            f"array, over the limit of {DENSE_RANK_CELLS} cells")
     exact_int64 = not fld.is_rational and d * (fld.p - 1) ** 2 < 2 ** 63
     dtype = np.int64 if exact_int64 else object
     mult = _structure_array(h, dtype)
     out = np.full((d,) * slots, fld.zero(), dtype=dtype)
-    for legs, c in iterated_comult(h, b, slots - 1).coeffs.items():
-        out[legs] = c
+    legs = iterated_comult(h, b, slots - 1).coeffs if slots else {(): h.counit[b]}
+    for leg, c in legs.items():
+        out[leg] = c
     for _ in range(slots):
         # the leading leg l times the input digit t gives the output digit
         # k; the pair of axes (k, t) goes to the end
@@ -187,7 +193,7 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
             out %= fld.p
     # axes (k_0, t_0, k_1, t_1, ...) -> (k_0, k_1, ..., t_0, t_1, ...)
     out = out.transpose(list(range(0, 2 * slots, 2)) + list(range(1, 2 * slots, 2)))
-    return out.reshape(d ** slots, d ** slots).astype(np.int64 if fld.int64_products else object)
+    return out.reshape(d ** slots, d ** slots).astype(object if fld.is_rational else np.int64)
 
 
 def diagonal_columns(h: HopfAlgebra, b: int, slots: int):

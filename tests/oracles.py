@@ -6,15 +6,24 @@ semisimple-case oracle uses averaging (invariants in degree zero,
 nothing above).  The descent oracle is the tuple-by-tuple form of the
 coinvariant self-check that `symcoh.resolution` runs on index arrays, and
 the diagonal-action oracle is the tuple-by-tuple Sweedler expansion that
-`symcoh.tensors` computes as one tensor contraction per slot.
+`symcoh.tensors` computes as one tensor contraction per slot.  The two
+dense solves are the reference for the closed-form bases: the equivariant
+cochains as the common kernel of the equivariance equations (against the
+tensor-identity basis of `symcoh.bar.equivariant_space`), and the
+coinvariants as the quotient by the swap relations, by elimination
+(against the sorted-tuple basis of `symcoh.resolution.coinvariant_space`).
 """
 
 import itertools
 
+import numpy as np
+
+from symcoh.complexes import CochainSpace, _left_inverse_dense
 from symcoh.hopf import HopfAlgebra, iterated_comult
-from symcoh.linalg import Matrix, kernel_basis, rank
-from symcoh.modules import LeftModule, invariants
+from symcoh.linalg import Matrix, intersect_kernels, kernel_basis, quotient, rank
+from symcoh.modules import LeftModule, invariants, kron, regular_bimodule
 from symcoh.sparse import SparseMatrix
+from symcoh.tensors import swap_slots
 
 
 def periodic_cyclic_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
@@ -108,3 +117,49 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
                 cols.append(col)
                 vals.append(pc)
     return SparseMatrix(fld, d ** slots, d ** slots, (rows, cols, vals))
+
+
+def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
+    """Hom_A(A^(tensor slots), M) (with right multiplication in the last
+    slot for a bimodule) as the kernel of the stacked equivariance
+    equations, one dense kron constraint per basis element and side."""
+    d = h.dim
+    m = mod.dim
+    fld = h.field
+    size = d ** slots
+    eye_m = Matrix.identity(fld, m)
+    eye = Matrix.identity(fld, size)
+    # precomposition with an operator D on the tuples is kron(D^T, I_m); the
+    # action on values is kron(I, act); right multiplication in the trailing
+    # slot is I on the leading slots tensor the regular right action
+    if mod.tail:
+        lead = Matrix.identity(fld, d ** (slots - 1))
+        eye_d = Matrix.identity(fld, d)
+        right = regular_bimodule(h).right
+    constraints = []
+    for b in range(d):
+        act = diagonal_action(h, b, slots).to_dense().transpose()
+        constraints.append(kron(act, eye_m) - kron(eye, mod.action[b]))
+        if mod.tail:
+            constraints.append(kron(lead, kron(right[b].transpose(), eye_m)
+                                    - kron(eye_d, mod.right[b])))
+    sub = intersect_kernels(constraints)
+    return CochainSpace(size * m, SparseMatrix.from_dense(sub.basis),
+                        SparseMatrix.from_dense(_left_inverse_dense(sub.basis)))
+
+
+def coinvariant_quotient(h: HopfAlgebra, n: int, tail: int = 0):
+    """Dense (projection, section) of A^(tensor n+1+tail) modulo the
+    relations swap_i(v) + v, i <= n, by elimination."""
+    d = h.dim
+    slots = n + 1 + tail
+    size = d ** slots
+    idx = np.arange(size, dtype=np.int64)
+    relations = Matrix.zeros(h.field, size, n * size)
+    one = h.field.one()
+    for i in range(1, n + 1):
+        for v, w in zip(idx.tolist(), swap_slots(idx, d, slots, i).tolist()):
+            col = (i - 1) * size + v
+            relations._set(v, col, h.field.add(relations[v, col], one))
+            relations._set(w, col, h.field.add(relations[w, col], one))
+    return quotient(size, relations)

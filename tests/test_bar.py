@@ -14,7 +14,8 @@ from symcoh.modules import regular_left_module, trivial_module
 from symcoh.sparse import SparseMatrix
 from symcoh.tensors import all_tuples, flat
 
-from oracles import maschke_cohomology_dims, periodic_cyclic_cohomology_dims
+from oracles import (equivariant_solve, maschke_cohomology_dims,
+                     periodic_cyclic_cohomology_dims)
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
@@ -54,15 +55,35 @@ def test_homogeneous_space_dims_fast_path():
             assert (s.coords @ s.basis).equals_identity()
 
 
+# (algebra, module, largest number of slots) for the closed-form checks
+EQUIVARIANT_CASES = [
+    (lambda: kC(3, GF3), trivial_module, 3), (lambda: kC(3, GF3), regular_left_module, 3),
+    (lambda: kS3(GF5), trivial_module, 3), (lambda: kS3(GF5), regular_left_module, 2),
+    # the dense Fraction solve for kS3 over Q with regular coefficients on
+    # 2 slots takes seconds
+    (lambda: kS3(QQ), trivial_module, 2), (lambda: kS3(QQ), regular_left_module, 1),
+    (scrambled_kc3, trivial_module, 3), (scrambled_kc3, regular_left_module, 3),
+    (scrambled_kc2_rational, trivial_module, 3),
+    (scrambled_kc2_rational, regular_left_module, 3),
+    # not cocommutative: the order of the Sweedler legs in psi matters
+    (lambda: sweedler_h4(GF5), trivial_module, 3),
+    (lambda: sweedler_h4(GF5), regular_left_module, 3),
+]
+
+
 def test_homogeneous_space_generic_agrees_with_fast_path():
-    h = kC(3, GF3)
-    mod = trivial_module(h)
-    for slots in (1, 2, 3):
-        fast = equivariant_space(h, mod, slots)
-        generic = equivariant_space(h, mod, slots, force_generic=True)
-        assert fast.dim == generic.dim
-        # same subspace: every fast basis column must round-trip through generic
-        assert generic.contains(fast.basis)
+    # the tensor-identity basis against the dense solve of the equivariance
+    # equations, on group algebras and on algebras without a group basis
+    for make, module, top_slots in EQUIVARIANT_CASES:
+        h = make()
+        mod = module(h)
+        for slots in range(1, top_slots + 1):
+            fast = equivariant_space(h, mod, slots)
+            generic = equivariant_solve(h, mod, slots)
+            assert fast.dim == generic.dim
+            # same subspace: every fast basis column must round-trip through generic
+            assert generic.contains(fast.basis)
+            assert (fast.coords @ fast.basis).equals_identity()
 
 
 def test_homogeneous_complex_property():
@@ -234,11 +255,34 @@ def _dual_hopf(h):
                        comult, counit, h.antipode.transpose())
 
 
+def sweedler_h4(field):
+    """Sweedler's 4-dimensional Hopf algebra on 1, g, x, gx: g^2 = 1,
+    x^2 = 0, xg = -gx, g group-like and x (g, 1)-primitive; neither
+    commutative nor cocommutative."""
+    from symcoh.hopf import HopfAlgebra
+    from symcoh.linalg import Matrix
+    one, minus = field.one(), field.neg(field.one())
+    # products of basis elements as {index: coefficient}
+    table = {(1, 1): {0: one}, (1, 2): {3: one}, (1, 3): {2: one},
+             (2, 1): {3: minus}, (3, 1): {2: minus}}
+    mult = [[{j: one} if i == 0 else {i: one} if j == 0 else table.get((i, j), {})
+             for j in range(4)] for i in range(4)]
+    comult = [{(0, 0): one}, {(1, 1): one}, {(2, 0): one, (1, 2): one},
+              {(3, 1): one, (0, 3): one}]
+    antipode = Matrix.from_rows(field, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 0, 1], [0, 0, -1, 0]])
+    return HopfAlgebra(field, 4, ["1", "g", "x", "gx"], mult, [one, 0, 0, 0],
+                       comult, [one, one, 0, 0], antipode)
+
+
 def test_dual_hopf_is_valid_but_not_cocommutative():
     from symcoh.hopf import validate_hopf
     dual = _dual_hopf(kS3(GF5))
     assert validate_hopf(dual).passed
     assert not dual.is_cocommutative
+    h4 = sweedler_h4(GF5)
+    assert validate_hopf(h4).passed
+    assert not h4.is_cocommutative and not h4.is_commutative
     assert dual.is_commutative
 
 

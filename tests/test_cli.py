@@ -1,8 +1,15 @@
 import json
+import pathlib
+
+import pytest
 
 from symcoh.cli import hopf_to_json, main
 from symcoh.fields import Field
-from symcoh.hopf import cyclic_group_table, group_algebra, validate_hopf
+from symcoh.hopf import (cyclic_group_table, group_algebra, symmetric_group_table,
+                         validate_hopf)
+from symcoh.linalg import Matrix
+
+from test_generic_hopf import change_basis
 
 GF3 = Field.prime(3)
 
@@ -122,14 +129,73 @@ def test_budget_exit_code(capsys, monkeypatch):
     assert report["error"]["code"] == 3
 
 
-def test_negative_dimension_is_an_internal_error(capsys):
-    # int64 overflow in the GF(p) kernels at this p gives ranks that violate
-    # d.d = 0; the dimension invariant must refuse them rather than exit 0
-    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:4294967311",
+def test_negative_dimension_is_an_internal_error(capsys, monkeypatch):
+    # ranks that violate d.d = 0 (every differential claimed injective) must
+    # be refused by the dimension invariant rather than printed with exit 0
+    from symcoh import complexes
+    monkeypatch.setattr(complexes, "_restricted_rank",
+                        lambda c, reduced, n, prev_rank: reduced[n].cols)
+    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3",
                             "--mode", "H", "--max-degree", "4")
     assert code == 4
     assert report["dims"] == []
     assert report["error"]["code"] == 4
+
+
+@pytest.mark.parametrize("p", [3037000507, 4294967311, 2305843009213693951])
+def test_prime_above_the_int64_product_bound_is_a_schema_error(capsys, p):
+    # (p-1)^2 >= 2^63: the parent answered SHH of kS3 at the last p with
+    # [6, 0] instead of the centre's [3, 0]
+    code, report = run_json(capsys, "--algebra", "S3", "--field", f"gf:{p}",
+                            "--mode", "SHH", "--max-degree", "2")
+    assert code == 2
+    assert report["dims"] == []
+    assert report["error"]["code"] == 2
+    code, report = run_json(capsys, "--algebra", "S3", "--field", "gf:3037000493",
+                            "--mode", "SHH", "--max-degree", "2")
+    assert (code, report["dims"]) == (0, [3, 0])
+
+
+@pytest.mark.parametrize("algebra,top", [("Cp:2", 1), ("Cp:2", 2), ("Cp:2", 3), ("Cp:3", 2)])
+def test_char2_resolution_certifies_no_unbuilt_degree(capsys, algebra, top):
+    # in characteristic 2 the coinvariants are symmetric powers, never zero,
+    # so the top degree has no exactness certificate; the parent claimed one
+    # from S_(top+1) = 0 and failed it
+    code, report = run_json(capsys, "--algebra", algebra, "--field", "gf:2",
+                            "--mode", "resolution", "--max-degree", str(top))
+    assert code == 0
+    assert [c["name"] for c in report["checks"] if c["name"].startswith("exact_at")] == \
+        [f"exact_at_{n}" for n in range(top)]
+    assert all(c["pass"] for c in report["checks"])
+
+
+def _scrambled_ks3_file(tmp_path) -> str:
+    """kS3 over GF(5) in a basis with no group-like elements, as a JSON file."""
+    f = Field.prime(5)
+    p = Matrix.from_rows(f, [[1 if j in (i, i + 1) else 0 for j in range(6)] for i in range(6)])
+    path = tmp_path / "sS3-gf5.json"
+    path.write_text(json.dumps(hopf_to_json(
+        change_basis(group_algebra(6, symmetric_group_table(3), f), p))))
+    return str(path)
+
+
+def test_dense_diagonal_action_over_the_cell_limit_is_a_budget_error(capsys, tmp_path):
+    # bar route: degree 9 of scrambled kC3 acts on 9 inner slots, a dense
+    # 3^9 x 3^9 array.  Resolution route: degree 4 of scrambled kS3 (the
+    # coinvariants of scrambled kC3 vanish above degree 2) acts on 5 slots,
+    # a dense 6^5 x 6^5 array; degree 3 (6^4 x 6^4) is within the limit
+    sc3 = str(pathlib.Path(__file__).with_name("golden") / "algebras" / "sC3-gf3.json")
+    ss3 = _scrambled_ks3_file(tmp_path)
+    for algebra, route, top in ((sc3, "bar", 9), (ss3, "resolution", 4)):
+        code, report = run_json(capsys, "--algebra", algebra, "--mode", "SH",
+                                "--route", route, "--max-degree", str(top))
+        assert code == 3
+        assert report["dims"] == []
+        assert report["error"]["code"] == 3
+        assert "diagonal action" in report["error"]["reason"]
+    code, report = run_json(capsys, "--algebra", ss3, "--mode", "SH",
+                            "--route", "resolution", "--max-degree", "3")
+    assert (code, report["dims"]) == (0, [1, 0, 0])
 
 
 def test_oversized_dense_rank_is_a_budget_error(capsys):

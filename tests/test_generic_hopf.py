@@ -4,10 +4,12 @@ A change of basis on a group algebra produces an honest cocommutative
 Hopf algebra that the group fast paths cannot recognize, so every
 generic code path (equivariant kernel solves, Sweedler expansions,
 generic coinvariant quotients) is exercised; the answers must match the
-group-basis ones because cohomology is basis-independent.
+group-basis ones because cohomology is basis-independent.  The
+equivariant spaces are also compared with the dense solve of the
+equivariance equations in `oracles`.
 """
 
-from symcoh.bar import symmetric_cohomology
+from symcoh.bar import equivariant_space, symmetric_cohomology
 from symcoh.fields import Field
 from symcoh.hochschild import compare_adjoint, symmetric_hochschild_cohomology
 from symcoh.hopf import HopfAlgebra, cyclic_group_table, group_algebra, validate_hopf
@@ -16,6 +18,8 @@ from symcoh.modules import regular_bimodule, trivial_module
 from symcoh.resolution import (contracting_homotopy_check, hochschild_resolution,
                                sh_via_resolution, shh_via_resolution,
                                splitting_maps, sym_resolution_complex)
+
+from oracles import equivariant_solve
 
 GF3 = Field.prime(3)
 QQ = Field.rationals()
@@ -91,12 +95,23 @@ def test_scrambled_is_valid_cocommutative_not_group_like():
         assert report.passed, report.failures()
 
 
+def _assert_equivariant_spaces_match_oracle(g, mod, top):
+    """Every space of the homogeneous complex through degree top is the
+    space the dense solve finds."""
+    for slots in range(1 + mod.tail, top + 2 + mod.tail):
+        closed = equivariant_space(g, mod, slots)
+        oracle = equivariant_solve(g, mod, slots)
+        assert closed.dim == oracle.dim
+        assert oracle.contains(closed.basis)
+
+
 def test_scrambled_symmetric_cohomology_matches_group_basis():
     g = scrambled_kc3()
     triv = trivial_module(g)
-    rep = symmetric_cohomology(g, triv, 3, cross_check=True, force_generic=True)
+    rep = symmetric_cohomology(g, triv, 3, cross_check=True)
     assert rep.dims == [1, 1, 1]
     assert rep.passed
+    _assert_equivariant_spaces_match_oracle(g, triv, 3)
 
 
 def test_scrambled_resolution_route():
@@ -135,9 +150,10 @@ def test_scrambled_splitting():
 def test_scrambled_rational_full_stack():
     g = scrambled_kc2_rational()
     triv = trivial_module(g)
-    rep = symmetric_cohomology(g, triv, 3, cross_check=True, force_generic=True)
+    rep = symmetric_cohomology(g, triv, 3, cross_check=True)
     assert rep.dims == [1, 0, 0]
     assert rep.passed
+    _assert_equivariant_spaces_match_oracle(g, triv, 3)
     assert sh_via_resolution(g, triv, 3).dims == [1, 0, 0]
     bim = regular_bimodule(g)
     rep = symmetric_hochschild_cohomology(g, bim, 2, cross_check=True)

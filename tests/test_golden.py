@@ -5,8 +5,9 @@ exit code with `tests/golden/<case>.json` and `tests/golden/exit_codes.json`.
 Besides the builtin group algebras, the cases read two algebras with no
 group-like basis from `tests/golden/algebras/`, frozen from
 `test_generic_hopf`: scrambled kC3 over GF(3) (`sC3-gf3`) and scrambled
-kC2 over Q (`sC2-q`).  They take every generic path (Sweedler diagonal
-action, equivariant kernel solve, coinvariant quotient by elimination).
+kC2 over Q (`sC2-q`).  Their diagonal actions are dense Sweedler
+contractions rather than permutations, in the equivariant bases and in
+the induced actions on the coinvariants.
 To regenerate the files after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py

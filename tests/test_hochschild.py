@@ -15,8 +15,8 @@ from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.modules import regular_bimodule, trivial_bimodule
 from symcoh.tensors import flat
 
-from oracles import periodic_cyclic_cohomology_dims
-from test_bar import append_entry
+from oracles import equivariant_solve, periodic_cyclic_cohomology_dims
+from test_bar import append_entry, sweedler_h4
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
@@ -48,13 +48,21 @@ def test_homogeneous_complex_property_and_dims():
 
 
 def test_equivariant_space_generic_agrees_with_fast_path():
-    h = kC(3, GF3)
-    bim = regular_bimodule(h)
-    for slots in (2, 3):
-        fast = equivariant_space(h, bim, slots)
-        generic = equivariant_space(h, bim, slots, force_generic=True)
-        assert fast.dim == generic.dim
-        assert generic.contains(fast.basis)
+    # the tensor-identity basis with a trailing slot against the dense solve;
+    # the Fraction solve for kS3 over Q with regular coefficients takes 15 s
+    cases = [(lambda: kC(3, GF3), 3, True), (lambda: kS3(GF5), 2, True),
+             (lambda: kS3(QQ), 2, False), (scrambled_kc3, 3, True),
+             (scrambled_kc2_rational, 3, True), (lambda: sweedler_h4(GF5), 3, True)]
+    for make, top_slots, with_regular in cases:
+        h = make()
+        bims = [trivial_bimodule(h)] + ([regular_bimodule(h)] if with_regular else [])
+        for bim in bims:
+            for slots in range(2, top_slots + 1):
+                fast = equivariant_space(h, bim, slots)
+                generic = equivariant_solve(h, bim, slots)
+                assert fast.dim == generic.dim
+                assert generic.contains(fast.basis)
+                assert (fast.coords @ fast.basis).equals_identity()
 
 
 def test_hochschild_dims_kc3_gf3():

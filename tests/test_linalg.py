@@ -149,3 +149,18 @@ def test_determinism_bit_identical():
     assert pa == pb
     assert ra.entries() == rb.entries()
     assert kernel_basis(a).basis.entries() == kernel_basis(b).basis.entries()
+
+
+@pytest.mark.parametrize("p", [2147483647, 3037000493])
+def test_dense_product_is_exact_at_large_primes(p):
+    # four products of (p-1)^2 overflow int64 unless reduced in chunks; the
+    # parent returned 0 at the first p and 581896576 at the second
+    field = Field.prime(p)
+    row = Matrix.from_rows(field, [[p - 1] * 4])
+    col = Matrix.from_rows(field, [[p - 1]] * 4)
+    assert (row @ col)[0, 0] == 4
+    a = [[(3 * i + 7 * j) * 1000003 % p for j in range(9)] for i in range(5)]
+    b = [[(p - 1 - 11 * i * j) % p for j in range(3)] for i in range(9)]
+    got = Matrix.from_rows(field, a) @ Matrix.from_rows(field, b)
+    assert [got.row(i) for i in range(5)] == \
+        [[sum(x * y for x, y in zip(arow, bcol)) % p for bcol in zip(*b)] for arow in a]

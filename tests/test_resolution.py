@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from math import comb
 
 import pytest
@@ -8,12 +9,16 @@ from symcoh.errors import CharacteristicDivides, InvalidPrime
 from symcoh.fields import Field
 from symcoh.hochschild import symmetric_hochschild_cohomology
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
-from symcoh.modules import regular_bimodule, trivial_module
+from symcoh.linalg import Matrix, rank
+from symcoh.modules import LeftModule, invariants, regular_bimodule, trivial_module
 from symcoh.resolution import (coinvariant_space, contracting_homotopy_check,
                                cp_rank_table,
                                hochschild_resolution, sh_via_resolution,
                                shh_via_resolution, splitting_maps,
                                sym_resolution_complex)
+
+from oracles import coinvariant_quotient, diagonal_action
+from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)
@@ -67,30 +72,61 @@ def test_coinvariants_ks3_dim_is_binomial():
     assert coinvariant_space(h, 2).dim == comb(6, 3) == 20
 
 
+def _assert_matches_quotient_oracle(h, n, tail, check=True):
+    """The sorted-tuple space has the dimension and the kernel of the
+    elimination quotient; returns it with the oracle's (projection, section)."""
+    fast = coinvariant_space(h, n, check=check, tail=tail)
+    proj, sect = coinvariant_quotient(h, n, tail)
+    assert fast.dim == proj.rows
+    # equal kernels: the rows of both projections span the same space
+    assert rank(Matrix.vstack(h.field, [fast.projection.to_dense(), proj])) == fast.dim
+    return fast, proj, sect
+
+
+def _same_invariants(h, fast, proj, sect):
+    """The induced actions are conjugate, so their invariants agree."""
+    generic = LeftModule(proj.rows, [proj @ diagonal_action(h, g, fast.slots).to_dense() @ sect
+                                     for g in range(h.dim)])
+    return invariants(h, fast.module).dim == invariants(h, generic).dim
+
+
 @pytest.mark.parametrize("make,field,n_max", [
     (lambda f: kC(3, f), GF3, 3),
     (lambda f: kC(3, f), QQ, 3),
     (lambda f: kS3(f), GF5, 2),
     (lambda f: kS3(f), QQ, 1),
+    (scrambled_kc3, GF3, 3),
+    (lambda f: scrambled_kc2_rational(), QQ, 2),
 ])
 def test_generic_quotient_agrees_with_fast_path(make, field, n_max):
     h = make(field)
     for n in range(n_max + 1):
-        fast = coinvariant_space(h, n)
-        generic = coinvariant_space(h, n, force_generic=True)
-        assert fast.dim == generic.dim
-        # induced actions are conjugate; compare invariant dimension too
-        from symcoh.modules import invariants
-        assert invariants(h, fast.module).dim == invariants(h, generic.module).dim
+        assert _same_invariants(h, *_assert_matches_quotient_oracle(h, n, 0))
 
 
-def test_char2_falls_back_to_generic_with_warning():
+@pytest.mark.parametrize("order,table", [(2, cyclic_group_table(2)),
+                                         (3, cyclic_group_table(3)),
+                                         (6, symmetric_group_table(3))])
+@pytest.mark.parametrize("tail", [0, 1])
+def test_char2_coinvariants_match_quotient_oracle(order, table, tail):
+    h = group_algebra(order, table, Field.prime(2))
+    for n in range(3):
+        # the self-checks of kS3 at n = 2 with a tail multiply dense 336 x 336
+        # matrices a hundred times (8 s)
+        oracle = _assert_matches_quotient_oracle(h, n, tail, check=order ** (n + 1 + tail) < 1000)
+        assert oracle[0].dim == comb(order + n, n + 1) * order ** tail
+        if not tail:
+            assert _same_invariants(h, *oracle)
+
+
+def test_char2_coinvariants_are_symmetric_powers():
     h = kC(3, Field.prime(2))
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         s = coinvariant_space(h, 1)
-    assert not s.fast_path
-    # repeated-entry tensors survive in characteristic 2
+    # repeated-entry tensors survive in characteristic 2: Sym^2 of k^3
     assert s.dim == 6
+    assert s.basis_labels == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 
 # -- the resolution of k ------------------------------------------------------
@@ -219,11 +255,9 @@ def test_bimodule_resolution_exactness():
 
 
 def test_bimodule_coinvariants_generic_agrees():
-    h = kC(3, GF3)
-    for n in (0, 1, 2):
-        fast = coinvariant_space(h, n, tail=1)
-        generic = coinvariant_space(h, n, force_generic=True, tail=1)
-        assert fast.dim == generic.dim
+    for h in (kC(3, GF3), scrambled_kc3(), scrambled_kc2_rational()):
+        for n in (0, 1, 2):
+            _assert_matches_quotient_oracle(h, n, 1)
 
 
 def test_shh_via_resolution_matches_fixed_subcomplex():

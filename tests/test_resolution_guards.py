@@ -5,8 +5,10 @@ verify that the projection splits the section, that the induced module is
 a module, and that the diagonal action, the right multiplication in the
 trailing slot and the boundary all descend to the quotient.  Each case
 here corrupts one entry of one of those inputs and expects an
-`AssertionError`, on both the sorted-tuple fast path and the generic
-quotient, with and without the trailing slot, over GF(5) and Q.
+`AssertionError`, on kC3 in its group basis ("fast": the diagonal action
+is a permutation) and in a basis with no group-like elements ("generic":
+the diagonal action is a dense contraction), with and without the
+trailing slot, over GF(5) and Q.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra
 from symcoh.resolution import coinvariant_space, sym_resolution_complex
 from symcoh.sparse import field_array
+
+from test_generic_hopf import scrambled_kc3
 
 FIELDS = {"GF5": Field.prime(5), "Q": Field.rationals()}
 
@@ -100,17 +104,19 @@ def _corrupt_right_mult(monkeypatch, basis_element, col_tuple, d):
         if c != basis_element or slots != len(col_tuple):
             return op
         col = _flat(col_tuple, d)
-        row = _flat(col_tuple[:-1] + (h.group_table[col_tuple[-1]][c],), d)
+        # a basis element that occurs in the product of the last slot and b_c
+        last = min(h.mult[col_tuple[-1]][c])
+        row = _flat(col_tuple[:-1] + (last,), d)
         return _bump_entry(h.field, op, row, col)
 
     monkeypatch.setattr(resolution, RIGHT_MULT, right)
 
 
-def _unsectioned_distinct_tuple(h, n, tail, force_generic):
+def _unsectioned_distinct_tuple(h, n, tail):
     """A tuple with distinct symmetric slots whose column the section does
     not use, so corrupting an operator there leaves the induced module
     alone and only the descent check can see it."""
-    space = coinvariant_space(h, n, force_generic=force_generic, check=False, tail=tail)
+    space = coinvariant_space(h, n, check=False, tail=tail)
     used = set(space.section.triples()[0].tolist())
     d = h.dim
     for idx in range(d ** space.slots):
@@ -120,49 +126,50 @@ def _unsectioned_distinct_tuple(h, n, tail, force_generic):
     raise AssertionError("no unsectioned distinct tuple")
 
 
-PATHS = [pytest.param(False, id="fast"), pytest.param(True, id="generic")]
+# kC3 in its group basis, and in a basis with no group-like elements
+BASES = [pytest.param(kc3, id="fast"), pytest.param(scrambled_kc3, id="generic")]
 TAILS = [pytest.param(0, id="tail0"), pytest.param(1, id="tail1")]
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
-@pytest.mark.parametrize("force_generic", PATHS)
+@pytest.mark.parametrize("make", BASES)
 @pytest.mark.parametrize("tail", TAILS)
-def test_uncorrupted_checks_pass(field_name, force_generic, tail):
-    h = kc3(FIELDS[field_name])
-    coinvariant_space(h, 1, force_generic=force_generic, check=True, tail=tail)
-    sym_resolution_complex(h, 2, force_generic=force_generic, check=True, tail=tail)
+def test_uncorrupted_checks_pass(field_name, make, tail):
+    h = make(FIELDS[field_name])
+    coinvariant_space(h, 1, check=True, tail=tail)
+    sym_resolution_complex(h, 2, check=True, tail=tail)
 
 
 @pytest.mark.parametrize("what", ["projection", "section"])
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
-@pytest.mark.parametrize("force_generic", PATHS)
+@pytest.mark.parametrize("make", BASES)
 @pytest.mark.parametrize("tail", TAILS)
-def test_corrupted_quotient_is_caught(monkeypatch, what, field_name, force_generic, tail):
-    h = kc3(FIELDS[field_name])
+def test_corrupted_quotient_is_caught(monkeypatch, what, field_name, make, tail):
+    h = make(FIELDS[field_name])
     _corrupt_space(monkeypatch, 1, what)
     with pytest.raises(AssertionError):
-        coinvariant_space(h, 1, force_generic=force_generic, check=True, tail=tail)
+        coinvariant_space(h, 1, check=True, tail=tail)
     with pytest.raises(AssertionError):
-        sym_resolution_complex(h, 2, force_generic=force_generic, check=True, tail=tail)
+        sym_resolution_complex(h, 2, check=True, tail=tail)
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
-@pytest.mark.parametrize("force_generic", PATHS)
+@pytest.mark.parametrize("make", BASES)
 @pytest.mark.parametrize("tail", TAILS)
-def test_corrupted_chain_map_is_caught(monkeypatch, field_name, force_generic, tail):
-    h = kc3(FIELDS[field_name])
+def test_corrupted_chain_map_is_caught(monkeypatch, field_name, make, tail):
+    h = make(FIELDS[field_name])
     _corrupt_chain(monkeypatch, 2, tail, h.dim)
     with pytest.raises(AssertionError):
-        sym_resolution_complex(h, 2, force_generic=force_generic, check=True, tail=tail)
+        sym_resolution_complex(h, 2, check=True, tail=tail)
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
-@pytest.mark.parametrize("force_generic", PATHS)
-def test_corrupted_right_action_is_caught(monkeypatch, field_name, force_generic):
-    h = kc3(FIELDS[field_name])
-    tup = _unsectioned_distinct_tuple(h, 1, 1, force_generic)
+@pytest.mark.parametrize("make", BASES)
+def test_corrupted_right_action_is_caught(monkeypatch, field_name, make):
+    h = make(FIELDS[field_name])
+    tup = _unsectioned_distinct_tuple(h, 1, 1)
     _corrupt_right_mult(monkeypatch, 1, tup, h.dim)
     with pytest.raises(AssertionError):
-        coinvariant_space(h, 1, force_generic=force_generic, check=True, tail=1)
+        coinvariant_space(h, 1, check=True, tail=1)
     with pytest.raises(AssertionError):
-        sym_resolution_complex(h, 1, force_generic=force_generic, check=True, tail=1)
+        sym_resolution_complex(h, 1, check=True, tail=1)
