@@ -217,22 +217,16 @@ class ResolutionComplex:
         augmentation, and onto k (or A).  The top degree is certified only
         when the next space, which is not built, is zero by its closed-form
         dimension."""
-        checks = []
-        ranks = [rank(b) for b in self.boundaries[1:]]  # rank of d_n, n=1..top
         aug_rank = rank(self.augmentation)
+        # ranks[n] is the rank of d_n, with the augmentation as d_0
+        ranks = [aug_rank] + [rank(b) for b in self.boundaries[1:]]
         onto = "onto_A" if self.spaces[0].module.tail else "onto_k"
-        checks.append((onto, aug_rank == self.augmentation.rows))
-        s0 = self.spaces[0].dim
-        r1 = ranks[0] if self.top >= 1 else 0
-        checks.append(("exact_at_0", aug_rank + r1 == s0))
-        for n in range(1, self.top):
-            sn = self.spaces[n].dim
-            checks.append((f"exact_at_{n}", ranks[n - 1] + ranks[n] == sn))
+        checks = [(onto, aug_rank == self.augmentation.rows)]
+        for n in range(self.top):
+            checks.append((f"exact_at_{n}", ranks[n] + ranks[n + 1] == self.spaces[n].dim))
         if coinvariant_dim(self.hopf.dim, self.top + 1, self.hopf.field.characteristic,
                            self.spaces[0].module.tail) == 0:
-            sn = self.spaces[self.top].dim
-            checks.append((f"exact_at_{self.top}",
-                           (ranks[self.top - 1] if self.top >= 1 else aug_rank) == sn))
+            checks.append((f"exact_at_{self.top}", ranks[self.top] == self.spaces[self.top].dim))
         return checks
 
 

@@ -1,9 +1,10 @@
 """End-to-end runs on structure constants with no group-like basis.
 
 A change of basis on a group algebra produces an honest cocommutative
-Hopf algebra that the group fast paths cannot recognize, so every
-generic code path (equivariant kernel solves, Sweedler expansions,
-generic coinvariant quotients) is exercised; the answers must match the
+Hopf algebra that the group fast paths cannot recognize, so the diagonal
+actions are dense Sweedler contractions instead of permutations, in the
+equivariant bases, the induced actions on the coinvariants and the
+Sweedler expansions of the standard complex; the answers must match the
 group-basis ones because cohomology is basis-independent.  The
 equivariant spaces are also compared with the dense solve of the
 equivariance equations in `oracles`.

@@ -144,6 +144,15 @@ def test_resolution_exactness(make, field, top):
         assert ok, name
 
 
+def test_exactness_report_certifies_top_degree_only_when_next_space_vanishes():
+    # at top 0 the space S_1 is not built: degree 0 is certified only when
+    # S_1 is zero (the trivial group), once
+    assert sym_resolution_complex(kC(3, GF3), 0).exactness_report() == [("onto_k", True)]
+    trivial = group_algebra(1, [[0]], GF3)
+    assert sym_resolution_complex(trivial, 0).exactness_report() == \
+        [("onto_k", True), ("exact_at_0", True)]
+
+
 def test_kcp_resolution_terminates():
     h = kC(5, GF5)
     res = sym_resolution_complex(h, 6)
