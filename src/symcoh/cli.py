@@ -334,9 +334,10 @@ def main(argv=None) -> int:
         _emit({"mode": args.mode, "dims": [], "routes": {}, "checks": [],
                "error": {"code": EXIT_SCHEMA, "reason": str(exc)}}, args.format)
         return EXIT_SCHEMA
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, MemoryError) as exc:
+        reason = str(exc) if isinstance(exc, BudgetExceeded) else f"out of memory: {exc}"
         _emit({"mode": args.mode, "dims": [], "routes": {}, "checks": [],
-               "error": {"code": EXIT_BUDGET, "reason": str(exc)}}, args.format)
+               "error": {"code": EXIT_BUDGET, "reason": reason}}, args.format)
         return EXIT_BUDGET
     except (NotAGroup, NotCocommutative, NotCommutative, CharacteristicDivides,
             InvalidPrime, SymcohError) as exc:

@@ -22,13 +22,13 @@ import numpy as np
 from .errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                      DegreeOutOfRange, NotASubcomplex)
 from .fields import Field
-from .linalg import (Matrix, _rank_prime, kernel_basis, quotient, rank, rref,
+from .linalg import (DENSE_RANK_CELLS, Matrix, _array, _matrix, _rank_prime, _zeros,
+                     intersect_kernels, inverse, kernel_basis, quotient, rank, rref,
                      solve_membership)
 from .sparse import SparseMatrix, integer_gram, integer_mod
 
 _SANDWICH_PRIMES = (1000003, 999983, 1000033)
 _DENSE_RATIONAL_LIMIT = 120_000  # rows*cols beyond which Q matrices go modular first
-DENSE_RANK_CELLS = 1 << 24  # cells of the largest dense matrix a rank may build
 
 
 class CochainSpace:
@@ -212,28 +212,15 @@ def cohomology_dims(c: CochainComplex, up_to: int) -> list:
 
 
 def _left_inverse_dense(m: Matrix) -> Matrix:
-    """A deterministic left inverse of a full-column-rank dense matrix."""
-    field = m.field
-    reduced, pivots = rref(m.transpose())
+    """A deterministic left inverse of a full-column-rank dense matrix: the
+    inverse of its pivot rows, placed at those rows."""
+    _, pivots = rref(m.transpose())
     # pivots of m^T are the pivot rows of m
     if len(pivots) != m.cols:
         raise ValueError("matrix does not have full column rank")
-    square = Matrix.zeros(field, m.cols, m.cols)
-    for i in range(m.cols):
-        for k, r in enumerate(pivots):
-            square._set(i, k, m[r, i])
-    aug, piv2 = rref(square.transpose().hstack(Matrix.identity(field, m.cols)))
-    if piv2 != list(range(m.cols)):
-        raise ValueError("pivot square is singular")
-    inv = Matrix.zeros(field, m.cols, m.cols)
-    for i in range(m.cols):
-        for j in range(m.cols):
-            inv._set(i, j, aug[i, m.cols + j])
-    left = Matrix.zeros(field, m.cols, m.rows)
-    for i in range(m.cols):
-        for k, r in enumerate(pivots):
-            left._set(i, r, inv[i, k])
-    return left
+    left = _zeros(m.field, m.cols, m.rows)
+    left[:, pivots] = _array(inverse(_matrix(m.field, _array(m)[pivots])))
+    return _matrix(m.field, left)
 
 
 def restrict_operator(space: CochainSpace, op: SparseMatrix,
@@ -249,7 +236,11 @@ def restrict_operator(space: CochainSpace, op: SparseMatrix,
 def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = None) -> CochainComplex:
     """Replace space(n) by its intersection with the fixed points of ops[n].
 
-    ops[n].sigmas act on ambient(n) and must preserve space(n).  Degrees
+    ops[n].sigmas act on ambient(n) and must preserve space(n).  The fixed
+    points are the common kernel of the restricted sigma - 1, found by
+    `intersect_kernels` one generator at a time: each step is one sparse
+    times dense product on the s x (fixed so far) basis, bounded by
+    DENSE_RANK_CELLS, and no (#sigma * s) x s stack is built.  Degrees
     above `through_degree` (default: all) keep their original space; the
     differential-compatibility check runs at every restricted degree.
     """
@@ -264,12 +255,9 @@ def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = 
             new_spaces.append(space)
             continue
         s = space.dim
-        eye = Matrix.identity(field, s)
-        stacked = []
-        for sigma in sigmas:
-            red = restrict_operator(space, sigma)
-            stacked.append(red.to_dense() - eye)
-        fixed = kernel_basis(Matrix.vstack(field, stacked))
+        restricted = [restrict_operator(space, sigma) for sigma in sigmas]
+        fixed = intersect_kernels(field, s, [
+            (s, lambda k, red=red: red.dense_product(k) - k) for red in restricted])
         fdim = fixed.dim
         if fdim == s:
             new_spaces.append(space)

@@ -5,18 +5,30 @@ entries in [0, p); rational matrices as nested lists of Fractions.
 Elimination always pivots on the first nonzero entry in row-major scan
 order, so identical inputs produce bit-identical outputs.
 
+A product over GF(p) is a float64 BLAS product with delayed reduction
+(Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35, 2008): float64
+holds every integer up to 2^53 exactly, so a chunk of inner terms is
+summed unreduced as long as its sum stays below that.  When (p-1)^2 is
+too large for a single term, the right operand is split into limbs of
+fewer bits first, so the same path is exact for every p a Field accepts.
+
 Ambient dimensions here are desk-scale (a few thousand); anything
 larger lives in the sparse layer and only drops down to dense form for
-rank/kernel/quotient work.
+rank/kernel/quotient work.  `intersect_kernels` refuses a step whose
+dense matrices would exceed DENSE_RANK_CELLS cells.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .fields import Field
+
+DENSE_RANK_CELLS = 1 << 24  # cells of the largest dense matrix a rank or kernel step may build
 
 
 class Matrix:
@@ -168,13 +180,8 @@ class Matrix:
                             if b:
                                 orow[j] += a * b
             return Matrix(self.field, self.rows, other.cols, out)
-        # each chunk of inner terms sums to at most 2^63 - 1 before reducing
-        p = self.field.p
-        step = (2 ** 63 - 1) // (p - 1) ** 2
-        out = (self.data[:, :step] @ other.data[:step]) % p
-        for k in range(step, self.cols, step):
-            out = (out + (self.data[:, k:k + step] @ other.data[k:k + step]) % p) % p
-        return Matrix(self.field, self.rows, other.cols, out)
+        return Matrix(self.field, self.rows, other.cols,
+                      _matmul_prime(self.data, other.data, self.field.p))
 
     def matvec(self, vec):
         return (self @ Matrix.from_columns(self.field, [vec], rows=self.cols)).column(0)
@@ -184,6 +191,14 @@ class Matrix:
             data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
             return Matrix(self.field, self.cols, self.rows, data)
         return Matrix(self.field, self.cols, self.rows, self.data.T.copy())
+
+    def reshape(self, rows: int, cols: int) -> "Matrix":
+        """The same entries, read row-major into a rows x cols matrix."""
+        if self.field.is_rational:
+            flat = [x for row in self.data for x in row]
+            return Matrix(self.field, rows, cols,
+                          [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+        return Matrix(self.field, rows, cols, self.data.reshape(rows, cols))
 
     def hstack(self, other) -> "Matrix":
         if self.rows != other.rows:
@@ -215,6 +230,63 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
+
+
+def _array(m: Matrix) -> np.ndarray:
+    """The entries of m as an array: int64 over GF(p), Fractions over Q."""
+    if m.field.is_rational:
+        return np.array(m.data, dtype=object).reshape(m.rows, m.cols)
+    return m.data
+
+
+def _matrix(field: Field, a: np.ndarray) -> Matrix:
+    """The Matrix of an array of integers (reduced here) or Fractions."""
+    if field.is_rational:
+        return Matrix(field, a.shape[0], a.shape[1], a.tolist())
+    return Matrix(field, a.shape[0], a.shape[1], a % field.p)
+
+
+def _zeros(field: Field, rows: int, cols: int) -> np.ndarray:
+    return np.full((rows, cols), field.zero(), dtype=object if field.is_rational else np.int64)
+
+
+# -- products over GF(p) -------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _product_plan(p: int):
+    """(bits, limbs, chunk) of the exact float64 product mod p.
+
+    The right operand is cut into `limbs` limbs of `bits` bits each; one
+    limb, the operand itself, when (p-1)^2 < 2^53.  Otherwise the limbs
+    are narrow enough that a chunk holds at least 2^10 inner terms.  A
+    chunk of `chunk` terms, each a reduced entry times a limb entry,
+    sums to at most 2^53.
+    """
+    top = (p - 1).bit_length()
+    bits = top if (p - 1) ** 2 < 2 ** 53 else 43 - top
+    largest = min(p - 1, (1 << bits) - 1)
+    return bits, -(-top // bits), 2 ** 53 // ((p - 1) * largest)
+
+
+def _matmul_prime(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for reduced int64 arrays, by float64 BLAS products.
+
+    Each chunk's float64 sum is an integer of at most 2^53, so it is
+    exact, and so is its fmod; remainders of further chunks are added two
+    at a time.  The limbs are combined in int64, where a reduced product
+    plus a reduced accumulator stays below 2^63.
+    """
+    bits, limbs, chunk = _product_plan(p)
+    af = a.astype(np.float64)
+    for j in range(limbs):
+        limb = (b if limbs == 1 else b >> (j * bits) & ((1 << bits) - 1)).astype(np.float64)
+        part = np.fmod(af[:, :chunk] @ limb[:chunk], p)
+        for k in range(chunk, a.shape[1], chunk):
+            part = np.fmod(part + np.fmod(af[:, k:k + chunk] @ limb[k:k + chunk], p), p)
+        part = part.astype(np.int64)
+        out = part if j == 0 else (out + part * pow(2, j * bits, p)) % p
+    return out
 
 
 # -- elimination -------------------------------------------------------
@@ -361,23 +433,29 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
 
+def _pivots_and_free(pivots: list, cols: int):
+    """The pivot columns and the other columns of range(cols), as ascending arrays."""
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    return np.array(pivots, dtype=np.int64), np.flatnonzero(free)
+
+
 def kernel_basis(m: Matrix) -> Subspace:
-    """Echelon-derived basis of ker(m); deterministic for identical input."""
+    """Echelon-derived basis of ker(m); deterministic for identical input.
+
+    The basis is reduced: column k is 1 at the k-th free (non-pivot)
+    coordinate, 0 at the other free coordinates and after its own, so it
+    depends only on the kernel, not on how m presents it.
+    """
     field = m.field
     if m.cols == 0:
         return Subspace(0, Matrix.zeros(field, 0, 0))
     reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = Matrix.zeros(field, m.cols, len(free))
-    one = field.one()
-    for k, j in enumerate(free):
-        basis._set(j, k, one)
-        for i, pc in enumerate(pivots):
-            v = reduced[i, j]
-            if v != 0:
-                basis._set(pc, k, field.neg(v))
-    return Subspace(m.cols, basis)
+    pivots, free = _pivots_and_free(pivots, m.cols)
+    basis = _zeros(field, m.cols, len(free))
+    basis[free, np.arange(len(free))] = field.one()
+    basis[pivots] = -_array(reduced)[:len(pivots), free]
+    return Subspace(m.cols, _matrix(field, basis))
 
 
 def solve_membership(s: Subspace, vec):
@@ -407,20 +485,13 @@ def quotient(ambient_dim: int, relations: Matrix):
         raise ValueError("relations must live in the ambient space")
     field = relations.field
     reduced, pivots = rref(relations.transpose())
-    pivot_set = set(pivots)
-    free = [j for j in range(ambient_dim) if j not in pivot_set]
-    q = len(free)
-    projection = Matrix.zeros(field, q, ambient_dim)
-    section = Matrix.zeros(field, ambient_dim, q)
-    one = field.one()
-    for k, f in enumerate(free):
-        projection._set(k, f, one)
-        section._set(f, k, one)
-        for i, pc in enumerate(pivots):
-            v = reduced[i, f]
-            if v != 0:
-                projection._set(k, pc, field.neg(v))
-    return projection, section
+    pivots, free = _pivots_and_free(pivots, ambient_dim)
+    at = np.arange(len(free))
+    projection = _zeros(field, len(free), ambient_dim)
+    section = _zeros(field, ambient_dim, len(free))
+    projection[at, free] = section[free, at] = field.one()
+    projection[:, pivots] = -_array(reduced)[:len(pivots), free].T
+    return _matrix(field, projection), _matrix(field, section)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -430,17 +501,33 @@ def inverse(m: Matrix) -> Matrix:
     reduced, pivots = rref(m.hstack(Matrix.identity(m.field, m.rows)))
     if pivots != list(range(m.rows)):
         raise ValueError("matrix is singular")
-    out = Matrix.zeros(m.field, m.rows, m.rows)
-    for i in range(m.rows):
-        for j in range(m.rows):
-            out._set(i, j, reduced[i, m.rows + j])
-    return out
+    return _matrix(m.field, _array(reduced)[:, m.rows:])
 
 
-def intersect_kernels(mats) -> Subspace:
-    """Common kernel of a family of matrices with equal column counts."""
-    mats = list(mats)
-    if not mats:
-        raise ValueError("need at least one matrix")
-    field = mats[0].field
-    return kernel_basis(Matrix.vstack(field, mats))
+def intersect_kernels(field: Field, dim: int, constraints) -> Subspace:
+    """Common kernel of linear maps C_1, C_2, ... on k^dim, one at a time.
+
+    Each constraint is a pair (rows, apply) where apply(K) is the
+    rows x K.cols product C_i @ K.  The basis K starts as the identity and
+    shrinks to K @ kernel_basis(C_i @ K); a constraint that vanishes on K
+    is skipped, and the loop stops once K is empty.  Products of reduced
+    kernel bases are reduced, so the result is the basis that
+    kernel_basis(Matrix.vstack(field, [C_1, C_2, ...])) gives, entry for
+    entry, without the stack.  Every matrix a step builds fits in
+    max(rows, dim) x K.cols cells; a step over DENSE_RANK_CELLS raises
+    BudgetExceeded before it builds anything, the identity included.
+    """
+    basis = None  # the identity until a constraint cuts it down
+    for rows, apply in constraints:
+        width = dim if basis is None else basis.cols
+        if width == 0:
+            break
+        if max(rows, dim) * width > DENSE_RANK_CELLS:
+            raise BudgetExceeded(
+                f"common kernel step needs a dense {max(rows, dim)} x {width} matrix, "
+                f"over the limit of {DENSE_RANK_CELLS} cells")
+        image = apply(Matrix.identity(field, dim) if basis is None else basis)
+        if not image.is_zero():
+            kernel = kernel_basis(image).basis
+            basis = kernel if basis is None else basis @ kernel
+    return Subspace(dim, Matrix.identity(field, dim) if basis is None else basis)

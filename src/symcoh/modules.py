@@ -204,8 +204,9 @@ def invariants(h: HopfAlgebra, mod: LeftModule) -> Subspace:
     """The subspace where every b_i acts by its counit scalar."""
     fld = h.field
     eye = Matrix.identity(fld, mod.dim)
-    mats = [mod.action[i] - eye.scale(h.counit[i]) for i in range(h.dim)]
-    return intersect_kernels(mats)
+    return intersect_kernels(fld, mod.dim, [
+        (mod.dim, lambda k, c=mod.action[i] - eye.scale(h.counit[i]): c @ k)
+        for i in range(h.dim)])
 
 
 def hom_module(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> LeftModule:
@@ -235,13 +236,27 @@ def tensor_module(h: HopfAlgebra, l: LeftModule, m: LeftModule) -> LeftModule:
 
 def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Subspace:
     """Hom_A(X, M) inside flattened Hom_k(X, M): F rho^X_i = rho^M_i F for
-    all i, and for bimodules the same with the right actions."""
-    fld = h.field
-    eye_m = Matrix.identity(fld, m.dim)
-    eye_x = Matrix.identity(fld, x.dim)
-    constraints = []
-    for i in range(h.dim):
-        constraints.append(kron(x.action[i].transpose(), eye_m) - kron(eye_x, m.action[i]))
-        if m.tail:
-            constraints.append(kron(x.right[i].transpose(), eye_m) - kron(eye_x, m.right[i]))
-    return intersect_kernels(constraints)
+    all i, and for bimodules the same with the right actions.
+
+    Each equation is one constraint of `intersect_kernels`, applied to the
+    basis K of the solutions so far: every column of K is a flattened
+    m x x matrix F, so F rho^X is one product on the domain index and
+    rho^M F one on the value index.  No Kronecker product is formed.
+    """
+    xd, md = x.dim, m.dim
+    pairs = [(x.action[i], m.action[i]) for i in range(h.dim)]
+    if m.tail:
+        pairs += [(x.right[i], m.right[i]) for i in range(h.dim)]
+
+    def constraint(rho_x, rho_m):
+        def apply(k):
+            w = k.cols
+            # rows of k are (domain a, value b): F rho^X acts on a ...
+            right = (rho_x.transpose() @ k.reshape(xd, md * w)).reshape(xd * md, w)
+            # ... and rho^M F on b, which is last in the rows of k^T as (w, a) x b
+            left = (k.transpose().reshape(w * xd, md) @ rho_m.transpose()) \
+                .reshape(w, xd * md).transpose()
+            return right - left
+        return xd * md, apply
+
+    return intersect_kernels(h.field, xd * md, [constraint(rx, rm) for rx, rm in pairs])

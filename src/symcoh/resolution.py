@@ -32,9 +32,9 @@ from .linalg import Matrix, rank
 from .modules import (Bimodule, LeftModule, hom_equivariant, kron,
                       regular_bimodule, regular_left_module, validate_module)
 from .sparse import SparseMatrix, apply_columns, canonical, field_array
-from .tensors import (all_columns, all_tuples, bar_chain_columns, delete_slot,
-                      diagonal_columns, digits, flat, right_mult_columns, swap_slots,
-                      undigits)
+from .tensors import (all_columns, all_tuples, bar_chain_columns, cochain_precompose,
+                      delete_slot, diagonal_columns, digits, flat, right_mult_columns,
+                      swap_slots, undigits)
 
 
 def _sorted_with_sign(tup):
@@ -369,10 +369,8 @@ def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyRe
             basis = SparseMatrix(fld, m * s, 0)
             coords = SparseMatrix(fld, 0, m * s)
         spaces.append(CochainSpace(m * s, basis, coords, check=False))
-    eye_m = Matrix.identity(fld, m)
     for n in range(top):
-        diffs.append(SparseMatrix.from_dense(
-            kron(res.boundaries[n + 1].transpose(), eye_m)))
+        diffs.append(cochain_precompose(SparseMatrix.from_dense(res.boundaries[n + 1]), m))
     cpx = CochainComplex(fld, top, spaces, diffs,
                          label="Hom(S^e,M)" if mod.tail else "Hom(S,M)")
     dims = cohomology_dims(cpx, top - 1)

@@ -7,8 +7,8 @@ arrays (rows, cols, vals) sorted by (col, row), with duplicates summed
 and zeros dropped.  Values are an int64 array over GF(p) and an object
 array of Fractions over Q.  Every SparseMatrix goes through `canonical`
 when it is built, so equal matrices have equal arrays.  Rank, kernel and
-quotient work stays in the dense layer; this layer only composes, adds
-and compares.
+quotient work stays in the dense layer; this layer composes, adds and
+compares, and applies an operator to a dense basis (`dense_product`).
 
 Bulk work passes triples that need not be canonical; `vals` None means
 every value is one.  An operator acts on triples through its
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Matrix, _array, _matrix, _zeros
 
 
 class SparseMatrix:
@@ -52,20 +52,14 @@ class SparseMatrix:
 
     @staticmethod
     def from_dense(m: Matrix) -> "SparseMatrix":
-        a = m.data
-        if m.field.is_rational:
-            a = np.array(a, dtype=object).reshape(m.rows, m.cols)
+        a = _array(m)
         cols, rows = np.nonzero(a.T)
         return SparseMatrix(m.field, m.rows, m.cols, (rows, cols, a[rows, cols]))
 
     def to_dense(self) -> Matrix:
-        m = Matrix.zeros(self.field, self.rows, self.cols)
-        if self.field.is_rational:
-            for i, j, x in zip(self.row_idx.tolist(), self.col_idx.tolist(), self.vals):
-                m.data[i][j] = x
-        else:
-            m.data[self.row_idx, self.col_idx] = self.vals
-        return m
+        a = _zeros(self.field, self.rows, self.cols)
+        a[self.row_idx, self.col_idx] = self.vals
+        return _matrix(self.field, a)
 
     # -- reading ---------------------------------------------------------
 
@@ -94,6 +88,28 @@ class SparseMatrix:
             raise ValueError("shape mismatch in sparse matmul")
         return SparseMatrix(self.field, self.rows, other.cols,
                             apply_columns(self.field, self.column_map(), other.triples()))
+
+    def dense_product(self, k: Matrix) -> Matrix:
+        """self @ k for a dense k, as a dense Matrix.
+
+        The entries go in batches of at most self.rows, each summed per row,
+        so no temporary has more cells than the result.
+        """
+        fld = self.field
+        out = _zeros(fld, self.rows, k.cols)
+        dense = _array(k)
+        r, c, v = self.triples()
+        step = max(self.rows, 1)
+        for at in range(0, len(v), step):
+            order = np.argsort(r[at:at + step], kind="stable") + at
+            rows = r[order]
+            terms = v[order, None] * dense[c[order]]
+            starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+            out[rows[starts]] += np.add.reduceat(terms if fld.is_rational else terms % fld.p,
+                                                 starts, axis=0)
+            if not fld.is_rational:
+                out %= fld.p
+        return _matrix(fld, out)
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

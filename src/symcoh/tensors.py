@@ -167,10 +167,10 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
     comultiplication, as a dense d^slots x d^slots array (entry [out, in]).
 
     Starts from the Sweedler tensor of b_b and contracts its leading leg
-    with the structure constants once per slot, reducing after each step.
-    Each step sums d products of reduced scalars, so int64 is exact while
-    d (p-1)^2 < 2^63; above that the steps use Python ints, and over Q
-    Fractions.  On 0 slots it is the counit of b_b.
+    with the structure constants once per slot, one leg value at a time,
+    reducing after every term: a product of reduced scalars plus a reduced
+    accumulator stays below 2^63 for every p a Field accepts.  Over Q the
+    entries are Fractions.  On 0 slots it is the counit of b_b.
     """
     d = h.dim
     fld = h.field
@@ -178,8 +178,7 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
         raise BudgetExceeded(
             f"diagonal action on {slots} slots needs a dense {d ** slots} x {d ** slots} "
             f"array, over the limit of {DENSE_RANK_CELLS} cells")
-    exact_int64 = not fld.is_rational and d * (fld.p - 1) ** 2 < 2 ** 63
-    dtype = np.int64 if exact_int64 else object
+    dtype = object if fld.is_rational else np.int64
     mult = _structure_array(h, dtype)
     out = np.full((d,) * slots, fld.zero(), dtype=dtype)
     legs = iterated_comult(h, b, slots - 1).coeffs if slots else {(): h.counit[b]}
@@ -188,12 +187,15 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
     for _ in range(slots):
         # the leading leg l times the input digit t gives the output digit
         # k; the pair of axes (k, t) goes to the end
-        out = np.tensordot(out, mult, axes=([0], [0]))
-        if not fld.is_rational:
-            out %= fld.p
+        acc = np.full(out.shape[1:] + (d, d), fld.zero(), dtype=dtype)
+        for l in range(d):
+            acc += np.multiply.outer(out[l], mult[l])
+            if not fld.is_rational:
+                acc %= fld.p
+        out = acc
     # axes (k_0, t_0, k_1, t_1, ...) -> (k_0, k_1, ..., t_0, t_1, ...)
     out = out.transpose(list(range(0, 2 * slots, 2)) + list(range(1, 2 * slots, 2)))
-    return out.reshape(d ** slots, d ** slots).astype(object if fld.is_rational else np.int64)
+    return out.reshape(d ** slots, d ** slots)
 
 
 def diagonal_columns(h: HopfAlgebra, b: int, slots: int):

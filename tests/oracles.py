@@ -6,12 +6,15 @@ semisimple-case oracle uses averaging (invariants in degree zero,
 nothing above).  The descent oracle is the tuple-by-tuple form of the
 coinvariant self-check that `symcoh.resolution` runs on index arrays, and
 the diagonal-action oracle is the tuple-by-tuple Sweedler expansion that
-`symcoh.tensors` computes as one tensor contraction per slot.  The two
-dense solves are the reference for the closed-form bases: the equivariant
-cochains as the common kernel of the equivariance equations (against the
-tensor-identity basis of `symcoh.bar.equivariant_space`), and the
-coinvariants as the quotient by the swap relations, by elimination
-(against the sorted-tuple basis of `symcoh.resolution.coinvariant_space`).
+`symcoh.tensors` computes as one tensor contraction per slot.  The
+stacked kernel is the one-elimination common kernel that
+`symcoh.linalg.intersect_kernels` computes one constraint at a time.  The
+two dense solves are the reference for the closed-form bases: the
+equivariant cochains as the stacked kernel of the equivariance equations
+(against the tensor-identity basis of `symcoh.bar.equivariant_space`),
+and the coinvariants as the quotient by the swap relations, by
+elimination (against the sorted-tuple basis of
+`symcoh.resolution.coinvariant_space`).
 """
 
 import itertools
@@ -20,7 +23,7 @@ import numpy as np
 
 from symcoh.complexes import CochainSpace, _left_inverse_dense
 from symcoh.hopf import HopfAlgebra, iterated_comult
-from symcoh.linalg import Matrix, intersect_kernels, kernel_basis, quotient, rank
+from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank
 from symcoh.modules import LeftModule, invariants, kron, regular_bimodule
 from symcoh.sparse import SparseMatrix
 from symcoh.tensors import swap_slots
@@ -119,6 +122,12 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
     return SparseMatrix(fld, d ** slots, d ** slots, (rows, cols, vals))
 
 
+def stacked_kernel(field, mats) -> Subspace:
+    """Common kernel of matrices with equal column counts, by one
+    elimination of their vertical stack."""
+    return kernel_basis(Matrix.vstack(field, mats))
+
+
 def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
     """Hom_A(A^(tensor slots), M) (with right multiplication in the last
     slot for a bimodule) as the kernel of the stacked equivariance
@@ -143,7 +152,7 @@ def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
         if mod.tail:
             constraints.append(kron(lead, kron(right[b].transpose(), eye_m)
                                     - kron(eye_d, mod.right[b])))
-    sub = intersect_kernels(constraints)
+    sub = stacked_kernel(fld, constraints)
     return CochainSpace(size * m, SparseMatrix.from_dense(sub.basis),
                         SparseMatrix.from_dense(_left_inverse_dense(sub.basis)))
 

@@ -209,6 +209,45 @@ def test_oversized_dense_rank_is_a_budget_error(capsys):
     assert "19683 x 6561" in report["error"]["reason"]
 
 
+def test_common_kernel_step_over_the_cell_limit_is_a_budget_error(capsys, monkeypatch):
+    # with the limit lowered to 100,000 cells, every rank below still fits,
+    # but the first Hom step at degree 1 (540 x 540) and the first
+    # fixed-point step at degree 4 (625 x 625) do not; the parent stacked
+    # every constraint without a check
+    from symcoh import linalg
+    monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 100_000)
+    for argv, size in (
+            (("--algebra", "S3", "--field", "gf:5", "--mode", "SHH", "--module", "regular",
+              "--max-degree", "2", "--route", "resolution"), "540 x 540"),
+            (("--algebra", "Cp:5", "--field", "gf:5", "--mode", "SH", "--max-degree", "5"),
+             "625 x 625")):
+        code, report = run_json(capsys, *argv)
+        assert code == 3
+        assert report["dims"] == []
+        assert report["error"]["code"] == 3
+        assert f"common kernel step needs a dense {size} matrix" in report["error"]["reason"]
+    code, report = run_json(capsys, "--algebra", "Cp:5", "--field", "gf:5", "--mode", "SH",
+                            "--max-degree", "4")
+    assert (code, report["dims"]) == (0, [1, 1, 1, 1])
+
+
+def test_memory_error_is_a_budget_error(capsys, monkeypatch):
+    # running out of memory gives exit 3 and the JSON error, not a traceback
+    from symcoh import resolution
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.71 GiB for an array with shape "
+                          "(30000, 30000) and data type int64")
+
+    monkeypatch.setattr(resolution, "hom_equivariant", exhausted)
+    code, report = run_json(capsys, "--algebra", "S3", "--field", "gf:5", "--mode", "SHH",
+                            "--max-degree", "2", "--route", "resolution")
+    assert code == 3
+    assert report["dims"] == []
+    assert report["error"]["code"] == 3
+    assert report["error"]["reason"].startswith("out of memory: Unable to allocate 6.71 GiB")
+
+
 def test_schema_error_exit_code(capsys):
     code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:4",
                             "--mode", "SH")

@@ -1,6 +1,7 @@
 """Primality of field moduli: Miller-Rabin against trial division and on
 the composites that fool weaker tests."""
 
+import numpy as np
 import pytest
 
 from symcoh.fields import MR_DETERMINISTIC_BELOW, Field, is_prime
@@ -51,3 +52,16 @@ def test_large_primes(n):
 def test_composite_modulus_is_refused():
     with pytest.raises(ValueError):
         Field.prime(3215031751)
+
+
+def test_reduced_product_plus_accumulator_fits_int64_at_every_accepted_prime():
+    # the int64 kernels (the diagonal action, the limb combination of dense
+    # products) add one product of reduced scalars to a reduced accumulator
+    # at a time; the largest prime a Field accepts is the worst case
+    p = 3037000493
+    Field.prime(p)
+    with pytest.raises(ValueError):
+        Field.prime(3037000507)  # the next prime
+    assert (p - 1) ** 2 + (p - 1) < 2 ** 63
+    top = np.full(4, p - 1, dtype=np.int64)
+    assert ((top + top * top) % p).tolist() == [((p - 1) + (p - 1) ** 2) % p] * 4

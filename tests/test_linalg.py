@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import stacked_kernel
+from symcoh.errors import BudgetExceeded
 from symcoh.fields import Field
-from symcoh.linalg import (Matrix, Subspace, kernel_basis, quotient, rank,
-                           rref, solve_membership)
+from symcoh.linalg import (Matrix, Subspace, _product_plan, intersect_kernels,
+                           kernel_basis, quotient, rank, rref, solve_membership)
 
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)
@@ -164,3 +166,146 @@ def test_dense_product_is_exact_at_large_primes(p):
     got = Matrix.from_rows(field, a) @ Matrix.from_rows(field, b)
     assert [got.row(i) for i in range(5)] == \
         [[sum(x * y for x, y in zip(arow, bcol)) % p for bcol in zip(*b)] for arow in a]
+
+
+# -- the common kernel, one constraint at a time ---------------------------
+
+KERNEL_FIELDS = [Field.prime(p) for p in (2, 3, 5, 7, 3037000493)] + [QQ]
+
+
+def _as_constraints(mats):
+    return [(c.rows, lambda k, c=c: c @ k) for c in mats]
+
+
+@st.composite
+def constraint_systems(draw):
+    """A field, an ambient dimension and 1-4 constraints on it: zero,
+    invertible (empty kernel), random, or of low rank (a product through
+    1-2 dimensions), with entries that include p - 1 over GF(p)."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    dim = draw(st.integers(0, 7))
+    big = (field.p - 1) if field.p else 2 ** 40 + 1
+    entry = st.integers(-3, 3) | st.sampled_from([big, -big])
+
+    def dense(rows, cols):
+        return Matrix.from_rows(field, [[draw(entry) for _ in range(cols)]
+                                        for _ in range(rows)]) if rows else \
+            Matrix.zeros(field, 0, cols)
+
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["zero", "invertible", "random", "low-rank"]))
+        rows = draw(st.integers(0, 6))
+        if kind == "zero":
+            mats.append(Matrix.zeros(field, rows, dim))
+        elif kind == "invertible":
+            mats.append(Matrix.identity(field, dim).scale(draw(st.integers(1, 3))))
+        elif kind == "random":
+            mats.append(dense(rows, dim))
+        else:
+            inner = draw(st.integers(1, 2))
+            mats.append(dense(rows, inner) @ dense(inner, dim))
+    return field, dim, mats
+
+
+@settings(max_examples=400, deadline=None)
+@given(constraint_systems())
+def test_intersect_kernels_equals_the_stacked_kernel(system):
+    field, dim, mats = system
+    got = intersect_kernels(field, dim, _as_constraints(mats))
+    want = stacked_kernel(field, mats)
+    assert got.ambient_dim == dim
+    assert got.basis == want.basis
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_intersect_kernels_on_zero_full_rank_and_empty_sets(field):
+    dim = 5
+    zero = Matrix.zeros(field, 3, dim)
+    eye = Matrix.identity(field, dim)
+    wide = Matrix.from_rows(field, [[1, 0, 2, 0, -1], [0, 1, 1, 3, 0]])  # full row rank
+    cases = {"zero": [zero, zero], "full-row-rank": [wide, zero],
+             "empty": [zero, wide, eye], "empty-then-more": [eye, wide]}
+    for name, mats in cases.items():
+        got = intersect_kernels(field, dim, _as_constraints(mats))
+        assert got.basis == stacked_kernel(field, mats).basis, name
+    assert intersect_kernels(field, dim, _as_constraints(cases["zero"])).basis == eye
+    assert intersect_kernels(field, dim, _as_constraints(cases["empty"])).dim == 0
+
+
+def test_intersect_kernels_skips_vanishing_constraints_and_stops_when_empty():
+    calls = []
+
+    def spy(c):
+        def apply(k):
+            calls.append(k.cols)
+            return c @ k
+        return c.rows, apply
+
+    eye = Matrix.identity(GF5, 3)
+    zero = Matrix.zeros(GF5, 3, 3)
+    got = intersect_kernels(GF5, 3, [spy(zero), spy(eye), spy(eye)])
+    assert got.dim == 0
+    assert calls == [3, 3]
+
+
+def test_intersect_kernels_refuses_a_step_over_the_cell_limit(monkeypatch):
+    from symcoh import linalg
+    monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 20)
+    applied = []
+    with pytest.raises(BudgetExceeded, match="5 x 5 matrix"):
+        intersect_kernels(GF5, 5, [(1, applied.append)])
+    assert applied == []
+    # 4 coordinates: the first step fits (4 x 4), the row cuts the basis to
+    # 3 columns, and the second step's 7 x 3 image does not fit
+    row = Matrix.from_rows(GF5, [[1, 0, 0, 0]])
+    with pytest.raises(BudgetExceeded, match="7 x 3 matrix"):
+        intersect_kernels(GF5, 4, _as_constraints([row, Matrix.zeros(GF5, 7, 4)]))
+
+
+# -- float64 products over GF(p) -------------------------------------------
+
+# 94906249 is the largest prime with (p-1)^2 < 2^53, the last that takes one
+# limb; 94906297 is the next prime
+PRODUCT_PRIMES = [2, 5, 94906249, 94906297, 2147483647, 3037000493]
+
+
+@pytest.mark.parametrize("p", PRODUCT_PRIMES)
+def test_float_product_plan_is_exact(p):
+    bits, limbs, chunk = _product_plan(p)
+    assert limbs * bits >= (p - 1).bit_length()
+    assert (limbs == 1) == ((p - 1) ** 2 < 2 ** 53)
+    assert chunk >= 1
+    assert chunk * (p - 1) * min(p - 1, 2 ** bits - 1) <= 2 ** 53
+
+
+@pytest.mark.parametrize("p", PRODUCT_PRIMES)
+def test_float_product_equals_the_python_int_product(p):
+    # inner sizes on both sides of the chunk length where it is small; at
+    # p = 2 and 5 a chunk holds 2^53 / (p-1)^2 terms, far past any test size
+    field = Field.prime(p)
+    chunk = _product_plan(p)[2]
+    sizes = [1, 2, 7, 64] if chunk > 4096 else [max(chunk - 1, 1), chunk, chunk + 1,
+                                                2 * chunk + 1]
+    for inner in sizes:
+        a = [[p - 1 if (i + k) % 4 else (7919 * k + i) % p for k in range(inner)]
+             for i in range(3)]
+        b = [[p - 1 if (k + j) % 5 else (104729 * k + 3 * j) % p for j in range(2)]
+             for k in range(inner)]
+        got = Matrix.from_rows(field, a) @ Matrix.from_rows(field, b)
+        assert [got.row(i) for i in range(3)] == \
+            [[sum(x * y for x, y in zip(arow, bcol)) % p for bcol in zip(*b)]
+             for arow in a], inner
+        ones = Matrix.from_rows(field, [[p - 1] * inner])
+        assert (ones @ ones.transpose())[0, 0] == inner % p
+
+
+@pytest.mark.parametrize("field", [GF5, Field.prime(3037000493), QQ], ids=str)
+def test_sparse_dense_product_equals_the_dense_product(field):
+    from symcoh.sparse import SparseMatrix
+    big = field.p - 1 if field.p else 7
+    # row 2 times column 1 sums four products (p-1)^2, past int64 unreduced
+    a = Matrix.from_rows(field, [[0, big, 0, 1], [0, 0, 0, 0], [big, big, big, big]])
+    k = Matrix.from_rows(field, [[1, big], [0, big], [big, big], [2, big]])
+    assert SparseMatrix.from_dense(a).dense_product(k) == a @ k
+    assert SparseMatrix(field, 3, 4).dense_product(k) == Matrix.zeros(field, 3, 2)

@@ -198,6 +198,30 @@ def test_sh_via_resolution_matches_fixed_subcomplex():
         assert res_dims == bar_dims
 
 
+def test_hom_differentials_are_the_sparse_precomposition(monkeypatch):
+    # the Hom complex's differentials are kron(boundary^T, I_m) triple for
+    # triple, now built sparse from the boundary
+    from symcoh import resolution
+    from symcoh.modules import kron, regular_left_module
+    from symcoh.sparse import SparseMatrix
+    built = []
+    real = resolution.cohomology_dims
+    monkeypatch.setattr(resolution, "cohomology_dims",
+                        lambda c, up_to: built.append(c) or real(c, up_to))
+    top = 3
+    for h in (kC(3, GF3), kC(3, QQ), kS3(GF5)):
+        for mod in (trivial_module(h), regular_left_module(h), regular_bimodule(h)):
+            sh_via_resolution(h, mod, top)
+            res = sym_resolution_complex(h, top, check=False, tail=mod.tail)
+            eye = Matrix.identity(h.field, mod.dim)
+            for n in range(top):
+                want = SparseMatrix.from_dense(kron(res.boundaries[n + 1].transpose(), eye))
+                got = built[-1].diffs[n]
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                for a, b in zip(got.triples(), want.triples()):
+                    assert a.tolist() == b.tolist()
+
+
 def test_euler_characteristic_on_resolution_route_complexes():
     # the Hom complexes of the terminating kC_p resolutions are bounded with
     # vanishing boundary maps at both ends
