@@ -148,25 +148,37 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     n = slots - 1 - tail
     inner = np.arange(d ** n, dtype=np.int64)
     ambient = (d ** slots) * m
-    blocks = [(key, SparseMatrix.from_dense(value).triples())
-              for key, value in _psi_blocks(h, mod).items()]
-    # D_u[y, x] for every x: the inner argument x of psi(f) meets f at y
-    actions = {u: diagonal_columns(h, u, n)(inner) for (u, _a, _c), _t in blocks}
+    # ordered by (a, c): for a group algebra each a has one u
+    blocks = sorted(((key, SparseMatrix.from_dense(value).triples())
+                     for key, value in _psi_blocks(h, mod).items()), key=lambda b: b[0][1:])
+    # D_u[y, x] for every x, sorted by y: the inner argument x of psi(f) meets f at y
+    actions = {}
+    for u in {u for (u, _a, _c), _t in blocks}:
+        y, x, dv = diagonal_columns(h, u, n)(inner)
+        order = np.argsort(y)
+        actions[u] = (y[order], x[order], None if dv is None else dv[order])
     entries = sum(len(t[0]) * len(actions[u][0]) for (u, _a, _c), t in blocks)
     if entries > DENSE_RANK_CELLS:
         raise BudgetExceeded(
             f"equivariant basis on {slots} slots needs {entries} entries, "
             f"over the limit of {DENSE_RANK_CELLS}")
-    rows, cols, vals = [], [], []
+    # one grid per block: an action entry per row, a block entry per column
+    grids = []
     for (u, a, c), (r, j, v) in blocks:
         y, x, dv = actions[u]
         head = (a * d ** (n + tail) + c) * m + r
-        rows.append((head[:, None] + x[None, :] * (d ** tail * m)).reshape(-1))
-        cols.append((j[:, None] + y[None, :] * m).reshape(-1))
-        prod = np.repeat(v, len(y)) if dv is None else np.multiply.outer(v, dv).reshape(-1)
-        vals.append(prod if fld.is_rational else prod % fld.p)
-    basis = SparseMatrix(fld, ambient, len(inner) * m,
-                         [np.concatenate(part) for part in (rows, cols, vals)])
+        prod = np.broadcast_to(v, (len(y), len(v))) if dv is None else np.multiply.outer(dv, v)
+        grids.append((head[None, :] + x[:, None] * (d ** tail * m), y[:, None] * m + j[None, :],
+                      prod if fld.is_rational else prod % fld.p))
+    if h.group_like:
+        # every action is a permutation, so grid row y holds column y of psi
+        # in every block; side by side with the block entries ordered by
+        # (j, a, c, r), the grids are in canonical order
+        order = np.argsort(np.concatenate([t[1] for _key, t in blocks]), kind="stable")
+        triples = [np.concatenate(part, axis=1)[:, order].reshape(-1) for part in zip(*grids)]
+    else:
+        triples = [np.concatenate([g.reshape(-1) for g in part]) for part in zip(*grids)]
+    basis = SparseMatrix(fld, ambient, len(inner) * m, triples)
     # F(1 tensor x tensor 1), with 1 expanded in the basis of A
     unit = list(h.unit_dict().items())
     rows, cols, vals = [], [], []

@@ -8,9 +8,10 @@ a linear solve.
 
 Cohomology dimensions come from exact ranks of the restricted
 differentials.  Over prime fields that is one dense elimination; over
-the rationals large integer matrices get a certified sandwich rank
-(modular lower bound meeting the d.d = 0 upper bound) with a dense
-Fraction elimination as the always-correct fallback.
+the rationals every rank first tries a certified sandwich rank (a
+modular lower bound meeting the d.d = 0 upper bound, or min(rows, cols)
+where the complex gives none), with a dense Fraction elimination as the
+always-correct fallback.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import (DENSE_RANK_CELLS, Matrix, _array, _matrix, _rank_prime, _ze
 from .sparse import SparseMatrix, integer_gram, integer_mod
 
 _SANDWICH_PRIMES = (1000003, 999983, 1000033)
-_DENSE_RATIONAL_LIMIT = 120_000  # rows*cols beyond which Q matrices go modular first
 
 
 class CochainSpace:
@@ -143,16 +143,15 @@ def _integerize_columns(sm: SparseMatrix) -> SparseMatrix:
 def _certified_rational_rank(sm: SparseMatrix, upper: int | None) -> int:
     """Exact rank over Q.
 
-    Small matrices get a dense Fraction elimination.  Large integer
-    matrices first try to certify rank == upper via a modular lower
-    bound (over Q, column independence mod q implies independence, and
-    rank(M^T M) = rank(M)); on failure they fall back to the exact
-    dense elimination.
+    First try to certify rank == upper via a modular lower bound (over Q,
+    column independence mod q implies independence, and rank(M^T M) =
+    rank(M)); without an upper bound from the complex, min(rows, cols)
+    serves.  On failure fall back to the exact dense Fraction elimination.
     """
     if sm.rows == 0 or sm.cols == 0 or sm.is_zero():
         return 0
-    if sm.rows * sm.cols <= _DENSE_RATIONAL_LIMIT or upper is None:
-        return rank(sm.to_dense())
+    if upper is None:
+        upper = min(sm.rows, sm.cols)
     scaled = _integerize_columns(sm)
     for q in _SANDWICH_PRIMES:
         if _rank_prime(integer_gram(scaled, q), q) == upper:

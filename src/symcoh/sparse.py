@@ -10,11 +10,30 @@ when it is built, so equal matrices have equal arrays.  Rank, kernel and
 quotient work stays in the dense layer; this layer composes, adds and
 compares, and applies an operator to a dense basis (`dense_product`).
 
+The sort order is one int64 key, col * rows + row.  `canonical` computes
+the key and checks in one pass whether it is already strictly increasing;
+then the triples are canonical up to zeros, and nothing is sorted or
+gathered.  A key that only repeats is summed without a sort.  Builders
+that can emit their triples in that order: the chain maps, slot swaps
+and precompositions of tensors.py, the equivariant bases of group
+algebras, and any product whose right operand has one entry per column.
+Otherwise one argsort orders the key and `np.add.reduceat` sums equal
+keys.  The key of a shape with rows * cols >= 2^63 would overflow, so
+such a shape raises BudgetExceeded before anything is allocated.
+
 Bulk work passes triples that need not be canonical; `vals` None means
-every value is one.  An operator acts on triples through its
-`columns(idx)` map, which returns the entries of the columns idx as
-(rows, position in idx, vals); composing is applying one operator's
-column map to the other's triples and summing with `canonical`.
+every value is one.  An operator acts on triples through its column map
+`columns(idx)`, which returns the entries of the columns idx as (rows,
+position in idx, vals), grouped by position and sorted by row within it.
+The map reads a pointer array, ptr[j]:ptr[j+1] being the entries of
+column j, built once per operator and sized by its last stored column,
+not by its shape: a lookup is an index, and a column past the last
+stored one is empty.  Composing is applying one operator's column map to
+the other's triples and summing with `canonical`.  `@` does that in
+batches of whole columns of the right operand, each holding at most
+max(nnz(self), nnz(other)) unsummed terms (a single column may exceed
+it), and sums each batch before the next one is expanded; a product
+within the bound is one batch.
 
 The read-only `cols_data` property rebuilds one {row: value} dict per
 column on demand.  It exists only for the benchmark's tracer
@@ -26,12 +45,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BudgetExceeded
 from .fields import Field
 from .linalg import Matrix, _array, _matrix, _zeros
 
 
 class SparseMatrix:
-    __slots__ = ("field", "rows", "cols", "row_idx", "col_idx", "vals")
+    __slots__ = ("field", "rows", "cols", "row_idx", "col_idx", "vals", "_ptr")
 
     def __init__(self, field: Field, rows: int, cols: int, triples=None):
         """The rows x cols matrix with the entries `triples` (summed where
@@ -41,7 +61,8 @@ class SparseMatrix:
         self.cols = cols
         if triples is None:
             triples = (np.zeros(0, dtype=np.int64),) * 2 + (field_array(field, []),)
-        self.row_idx, self.col_idx, self.vals = canonical(field, *triples)
+        self.row_idx, self.col_idx, self.vals = canonical(field, *triples, shape=(rows, cols))
+        self._ptr = None
 
     # -- constructors --------------------------------------------------
 
@@ -70,8 +91,13 @@ class SparseMatrix:
         """(rows, cols, vals) of the stored entries, sorted by (col, row)."""
         return self.row_idx, self.col_idx, self.vals
 
+    def _pointers(self) -> np.ndarray:
+        if self._ptr is None:
+            self._ptr = pointers(self.col_idx)
+        return self._ptr
+
     def column_map(self):
-        return csc_columns(*self.triples())
+        return _lookup(self._pointers(), self.row_idx, self.vals)
 
     @property
     def cols_data(self) -> list:
@@ -86,8 +112,22 @@ class SparseMatrix:
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in sparse matmul")
-        return SparseMatrix(self.field, self.rows, other.cols,
-                            apply_columns(self.field, self.column_map(), other.triples()))
+        fld = self.field
+        shape = (self.rows, other.cols)
+        columns = self.column_map()
+        r, c, v = other.triples()
+        ptr = self._pointers()
+        bound = max(self.nnz(), other.nnz())
+        if len(r) * int(np.diff(ptr).max()) > bound:
+            # terms of each entry of other: the length of the column of self it meets
+            at = np.minimum(r, len(ptr) - 2)
+            ends = np.cumsum(ptr[at + 1] - ptr[at])
+            if ends[-1] > bound:
+                parts = [canonical(fld, *apply_columns(fld, columns, (r[lo:hi], c[lo:hi],
+                                                                       v[lo:hi])), shape=shape)
+                         for lo, hi in _column_batches(c, ends, bound)]
+                return SparseMatrix(fld, *shape, [np.concatenate(p) for p in zip(*parts)])
+        return SparseMatrix(fld, *shape, apply_columns(fld, columns, (r, c, v)))
 
     def dense_product(self, k: Matrix) -> Matrix:
         """self @ k for a dense k, as a dense Matrix.
@@ -176,37 +216,73 @@ def apply_columns(field: Field, columns, triples):
     return rows, c[pos], vals
 
 
-def canonical(field: Field, rows, cols, vals):
-    """Triples sorted by (col, row) with duplicates summed and zeros dropped."""
+def canonical(field: Field, rows, cols, vals, shape=None):
+    """Triples sorted by (col, row) with duplicates summed and zeros dropped.
+
+    `shape` (rows, cols) fixes the sort key col * rows + row; without it
+    the shape is taken from the largest indices.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    if vals is None:
+    if shape is None:
+        shape = (int(rows.max()) + 1, int(cols.max()) + 1) if len(rows) else (0, 0)
+    if shape[0] * shape[1] >= 1 << 63:
+        raise BudgetExceeded(f"a sparse {shape[0]} x {shape[1]} matrix has 2^63 or more "
+                             "positions, past its int64 sort key")
+    ones = vals is None
+    if ones:
         vals = field_array(field, [field.one()] * len(rows))
     else:
         vals = np.asarray(vals, dtype=object if field.is_rational else np.int64)
-    order = np.lexsort((rows, cols))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    if len(rows):
-        new = np.ones(len(rows), dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        if not new.all():
-            starts = np.flatnonzero(new)
+    key = cols * shape[0] + rows
+    if not (key[1:] > key[:-1]).all():
+        if not (key[1:] >= key[:-1]).all():
+            order = np.argsort(key)
+            key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        if len(starts) < len(key):
             rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
+            ones = False  # a sum of ones may vanish
     if not field.is_rational:
         vals = vals % field.p
-    keep = vals != 0
-    return rows[keep], cols[keep], vals[keep]
+    if not ones:
+        keep = vals.astype(bool)
+        if not keep.all():
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return rows, cols, vals
 
 
-def csc_columns(rows, cols, vals):
-    """Column map of the triples (rows, cols, vals), which are sorted by column."""
+def pointers(cols: np.ndarray) -> np.ndarray:
+    """Column pointers of triples sorted by column: the entries of column j
+    are ptr[j]:ptr[j+1].  ptr runs to one past the last stored column, so it
+    has (last stored column) + 3 entries whatever the shape."""
+    stored = int(cols[-1]) + 1 if len(cols) else 0
+    ptr = np.zeros(stored + 2, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=stored), out=ptr[1:stored + 1])
+    ptr[-1] = len(cols)
+    return ptr
+
+
+def _lookup(ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray):
+    """Column map reading the pointers ptr of the triples (rows, -, vals)."""
+    last = len(ptr) - 2
+
     def columns(idx):
-        start = np.searchsorted(cols, idx)
-        count = np.searchsorted(cols, idx, side="right") - start
-        pos = np.repeat(np.arange(len(idx), dtype=np.int64), count)
-        at = np.arange(len(pos), dtype=np.int64) + np.repeat(start - np.cumsum(count) + count,
-                                                             count)
-        return rows[at], pos, vals[at]
+        at = np.minimum(idx, last)
+        start = ptr[at]
+        at += 1
+        count = ptr[at]
+        count -= start
+        del at
+        if (count == 1).all():
+            return rows[start], np.arange(len(idx), dtype=np.int64), vals[start]
+        # entry k of the output is entry start[p] + (k - first output of p) of self
+        first = np.cumsum(count)
+        first -= count
+        start -= first
+        ent = np.repeat(start, count)
+        ent += np.arange(len(ent), dtype=np.int64)
+        return rows[ent], np.repeat(np.arange(len(idx), dtype=np.int64), count), vals[ent]
 
     return columns
 
@@ -214,4 +290,20 @@ def csc_columns(rows, cols, vals):
 def dense_columns(a: np.ndarray):
     """Column map of the nonzero entries of a dense array of field scalars."""
     cols, rows = np.nonzero(a.T)
-    return csc_columns(rows, cols, a[rows, cols])
+    return _lookup(pointers(cols), rows, a[rows, cols])
+
+
+def _column_batches(cols: np.ndarray, ends: np.ndarray, bound: int):
+    """(lo, hi) slices of triples sorted by column that cut only between
+    columns, each with at most `bound` terms when ends[i] is the number of
+    terms of entries 0..i; a column over the bound is a batch of its own."""
+    cuts = np.flatnonzero(np.concatenate((cols[1:] != cols[:-1], [True]))) + 1
+    before = ends[cuts - 1]  # terms before each cut
+    lo = done = 0  # done: terms before lo
+    while lo < len(cols):
+        # the last cut within the bound, or else the first cut after lo
+        k = max(np.searchsorted(before, done + bound, side="right"),
+                np.searchsorted(cuts, lo, side="right") + 1)
+        hi = int(cuts[k - 1])
+        yield lo, hi
+        lo, done = hi, int(ends[hi - 1])

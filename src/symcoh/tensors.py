@@ -86,30 +86,37 @@ def permutation_columns(perm: np.ndarray):
 def bar_chain_columns(h: HopfAlgebra, n: int, tail: int):
     """Column map of the homogeneous chain map A^(n+1+tail) -> A^(n+tail):
     alternating counit deletions of slots 0..n; the `tail` trailing slots
-    stay.  Entries that cancel are left for the caller to sum."""
+    stay.  The entries of each column come sorted by row; entries that
+    cancel are left for the caller to sum."""
     d = h.dim
     slots = n + 1 + tail
     fld = h.field
     eps = field_array(fld, h.counit)
-    signed = [eps, field_array(fld, [fld.neg(e) for e in h.counit])]
-    live = np.flatnonzero(eps != 0)
+    signed = np.stack([eps, field_array(fld, [fld.neg(e) for e in h.counit])])
+    alive = eps.astype(bool)
+    place = d ** (slots - 1 - np.arange(n + 1, dtype=np.int64))  # of slots 0..n
 
     def columns(idx):
-        rows, pos, vals = [], [], []
-        at = np.arange(len(idx), dtype=np.int64)
-        for i in range(n + 1):
-            digit = idx // d ** (slots - 1 - i) % d
-            keep = np.isin(digit, live) if len(live) < d else slice(None)
-            rows.append(delete_slot(idx, d, slots, i)[keep])
-            pos.append(at[keep])
-            vals.append(signed[i % 2][digit[keep]])
-        return np.concatenate(rows), np.concatenate(pos), np.concatenate(vals)
+        rows = np.stack([delete_slot(idx, d, slots, i) for i in range(n + 1)], axis=1)
+        # per column, the deleted slot of each entry in the order of its row
+        slot = np.argsort(rows, axis=1, kind="stable")
+        rows = np.take_along_axis(rows, slot, axis=1).reshape(-1)
+        digit = place[slot]
+        np.floor_divide(idx[:, None], digit, out=digit)
+        digit %= d
+        vals = signed[slot % 2, digit].reshape(-1)
+        pos = np.repeat(np.arange(len(idx), dtype=np.int64), n + 1)
+        live = alive[digit].reshape(-1)
+        if live.all():
+            return rows, pos, vals
+        return rows[live], pos[live], vals[live]
 
     return columns
 
 
 def bar_chain_diff(h: HopfAlgebra, n: int, tail: int) -> SparseMatrix:
-    """The chain map of bar_chain_columns as a sparse matrix."""
+    """The chain map of bar_chain_columns as a sparse matrix; its triples
+    come in canonical order up to the cancelling entries."""
     d = h.dim
     cols = d ** (n + 1 + tail)
     return SparseMatrix(
@@ -125,22 +132,36 @@ def kron_identity(rows, cols, vals, m: int):
 
 
 def cochain_precompose(chain: SparseMatrix, m: int) -> SparseMatrix:
-    """Turn a chain map V -> W into Hom(W, M) -> Hom(V, M) on flat coordinates."""
-    r, c, v = chain.triples()
-    return SparseMatrix(chain.field, chain.cols * m, chain.rows * m,
-                        kron_identity(c, r, v, m))
+    """Turn a chain map V -> W into Hom(W, M) -> Hom(V, M) on flat coordinates.
+
+    The entry (w, v) of the chain map gives the entries (v*m + k, w*m + k),
+    k < m.  Taken by w, then k, then v, they are in canonical order: each
+    run of the transpose's triples with one w is repeated once per k.
+    """
+    c, r, v = chain.transpose().triples()  # sorted by (r, c)
+    runs = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
+    length = np.diff(np.append(runs, len(r)))
+    first = np.repeat(runs, length)  # start of the run of each entry
+    k = np.arange(m, dtype=np.int64)
+    at = ((m - 1) * first + np.arange(len(r)))[:, None] + k * np.repeat(length, length)[:, None]
+    out = [np.empty(len(r) * m, dtype=a.dtype) for a in (c, r, v)]
+    out[0][at] = c[:, None] * m + k
+    out[1][at] = r[:, None] * m + k
+    out[2][at] = v[:, None]
+    return SparseMatrix(chain.field, chain.cols * m, chain.rows * m, out)
 
 
 def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatrix:
     """The signed precomposition with the swap of tensor slots i-1 and i.
 
     (sigma_i f)(tup) = -f(tup with slots i-1, i exchanged); one entry per
-    cochain coordinate.
+    cochain coordinate, so its triples come in canonical order by column
+    (the swap is an involution).
     """
     idx = np.arange(d ** slots, dtype=np.int64)
     minus = field_array(field, [field.neg(field.one())] * len(idx))
     return SparseMatrix(field, len(idx) * m, len(idx) * m,
-                        kron_identity(idx, swap_slots(idx, d, slots, i), minus, m))
+                        kron_identity(swap_slots(idx, d, slots, i), idx, minus, m))
 
 
 def group_diagonal_perm(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:

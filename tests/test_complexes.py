@@ -146,6 +146,5 @@ def test_sandwich_rank_certificate_survives_entries_near_2_to_30(monkeypatch):
     big = [(1 << 30) + 7 + i for i in range(8)]
     sm = SparseMatrix(QQ, 8, 2, (list(range(8)) * 2, [0] * 8 + [1] * 8,
                                  [QQ.from_int(v) for v in big + [2 * v for v in big]]))
-    monkeypatch.setattr(complexes, "_DENSE_RATIONAL_LIMIT", 0)
     assert complexes._certified_rational_rank(sm, upper=2) == 1
     assert complexes._certified_rational_rank(sm, upper=1) == 1
