@@ -169,7 +169,7 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
         head = (a * d ** (n + tail) + c) * m + r
         prod = np.broadcast_to(v, (len(y), len(v))) if dv is None else np.multiply.outer(dv, v)
         grids.append((head[None, :] + x[:, None] * (d ** tail * m), y[:, None] * m + j[None, :],
-                      prod if fld.is_rational else prod % fld.p))
+                      fld.reduce(prod)))
     if h.group_like:
         # every action is a permutation, so grid row y holds column y of psi
         # in every block; side by side with the block entries ordered by

@@ -21,7 +21,7 @@ from .hopf import (HopfAlgebra, group_algebra, named_group_table, validate_hopf)
 from .linalg import Matrix
 from .modules import (Bimodule, LeftModule, regular_bimodule,
                       regular_left_module, trivial_bimodule, trivial_module,
-                      validate_bimodule, validate_left_module)
+                      validate_module)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -110,34 +110,24 @@ def load_algebra(source: str, field_override: Field | None) -> HopfAlgebra:
     return hopf_from_json(obj, field_override)
 
 
-def load_left_module(source: str, h: HopfAlgebra) -> LeftModule:
+def load_module(source: str, h: HopfAlgebra, tail: int = 0) -> LeftModule:
+    """Coefficients by name (trivial, regular) or from a JSON file with dim,
+    left_action and, for a bimodule (tail 1), right_action; a description
+    that does not fit the schema is a SchemaError."""
     if source == "trivial":
-        return trivial_module(h)
+        return trivial_bimodule(h) if tail else trivial_module(h)
     if source == "regular":
-        return regular_left_module(h)
+        return regular_bimodule(h) if tail else regular_left_module(h)
     obj = _read_json(source)
-    mod = LeftModule(int(obj["dim"]),
-                     [_parse_matrix(h.field, rows, "left_action")
-                      for rows in obj["left_action"]])
-    validate_left_module(h, mod)
+    try:
+        dim = int(obj["dim"])
+        actions = [[_parse_matrix(h.field, rows, key) for rows in obj[key]]
+                   for key in ("left_action", "right_action")[:1 + tail]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad module description: {type(exc).__name__} {exc}") from exc
+    mod = Bimodule(dim, *actions) if tail else LeftModule(dim, *actions)
+    validate_module(h, mod)
     return mod
-
-
-def load_bimodule(source: str, h: HopfAlgebra) -> Bimodule:
-    if source == "trivial":
-        return trivial_bimodule(h)
-    if source == "regular":
-        return regular_bimodule(h)
-    obj = _read_json(source)
-    if "right_action" not in obj:
-        raise SchemaError("bimodule description needs right_action")
-    bim = Bimodule(int(obj["dim"]),
-                   [_parse_matrix(h.field, rows, "left_action")
-                    for rows in obj["left_action"]],
-                   [_parse_matrix(h.field, rows, "right_action")
-                    for rows in obj["right_action"]])
-    validate_bimodule(h, bim)
-    return bim
 
 
 def hopf_to_json(h: HopfAlgebra) -> dict:
@@ -283,10 +273,8 @@ def run(args) -> tuple[dict, int]:
         return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
 
     if mode in ("H", "SH", "HH", "SHH"):
-        if mode in ("HH", "SHH"):
-            mod = load_bimodule(args.module or "regular", h)
-        else:
-            mod = load_left_module(args.module or "trivial", h)
+        tail = int(mode in ("HH", "SHH"))
+        mod = load_module(args.module or ("regular" if tail else "trivial"), h, tail)
         if mode in ("H", "HH"):
             rep = bar.classical_cohomology(h, mod, top, budget=budget)
             out = _report(mode, dims=rep.dims, routes={rep.realization: rep.dims})
@@ -309,7 +297,7 @@ def run(args) -> tuple[dict, int]:
         return out, EXIT_OK if _checks_pass(out) else EXIT_INTERNAL
 
     if mode == "compare-adjoint":
-        bim = load_bimodule(args.module or "regular", h)
+        bim = load_module(args.module or "regular", h, tail=1)
         rep = hochschild.compare_adjoint(h, bim, top, budget=budget)
         out = _report("compare-adjoint", dims=rep.dims, routes=rep.routes,
                       checks=rep.checks)

@@ -23,9 +23,8 @@ import numpy as np
 from .errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                      DegreeOutOfRange, NotASubcomplex)
 from .fields import Field
-from .linalg import (DENSE_RANK_CELLS, Matrix, _array, _matrix, _rank_prime, _zeros,
-                     intersect_kernels, inverse, kernel_basis, quotient, rank, rref,
-                     solve_membership)
+from .linalg import (DENSE_RANK_CELLS, Matrix, intersect_kernels, inverse, kernel_basis,
+                     quotient, rank, rref, solve_membership)
 from .sparse import SparseMatrix, integer_gram, integer_mod
 
 _SANDWICH_PRIMES = (1000003, 999983, 1000033)
@@ -154,10 +153,9 @@ def _certified_rational_rank(sm: SparseMatrix, upper: int | None) -> int:
         upper = min(sm.rows, sm.cols)
     scaled = _integerize_columns(sm)
     for q in _SANDWICH_PRIMES:
-        if _rank_prime(integer_gram(scaled, q), q) == upper:
+        if rank(integer_gram(scaled, q)) == upper:
             return upper
-    q = _SANDWICH_PRIMES[0]
-    if _rank_prime(integer_mod(scaled, q).to_dense().data, q) == upper:
+    if rank(integer_mod(scaled, _SANDWICH_PRIMES[0]).to_dense()) == upper:
         return upper
     return rank(sm.to_dense())
 
@@ -217,9 +215,9 @@ def _left_inverse_dense(m: Matrix) -> Matrix:
     # pivots of m^T are the pivot rows of m
     if len(pivots) != m.cols:
         raise ValueError("matrix does not have full column rank")
-    left = _zeros(m.field, m.cols, m.rows)
-    left[:, pivots] = _array(inverse(_matrix(m.field, _array(m)[pivots])))
-    return _matrix(m.field, left)
+    left = Matrix.zeros(m.field, m.cols, m.rows)
+    left.data[:, pivots] = inverse(Matrix(m.field, m.data[pivots])).data
+    return left
 
 
 def restrict_operator(space: CochainSpace, op: SparseMatrix,

@@ -1,16 +1,28 @@
 """Exact base fields: the rationals and prime fields GF(p).
 
 Every scalar in this package is either a `fractions.Fraction` (rational
-field) or a plain int reduced into [0, p) (prime field).  A `Field`
-value names the field and supplies the scalar operations; hot loops are
-expected to branch once on `field.kind` and then work with the raw
-representations directly.
+field) or an int reduced into [0, p) (prime field).  A `Field` value
+names the field, supplies the scalar operations and owns the one array
+form of its scalars: `array` builds an ndarray of dtype `dtype` (int64
+reduced into [0, p), or Fraction objects), and `reduce` brings the
+result of numpy arithmetic on such arrays back into it.  Array code is
+written once for both fields: a product of two reduced int64 entries,
+plus or minus a reduced entry, stays within int64 (see `Field`), and
+over Q `reduce` is the identity.  `neg`, `add`, `sub` and `mul` apply
+to arrays as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+# the zero of Q that zero() returns, so that array code can skip zeros by identity
+_ZERO = Fraction(0)
+# every entry of an object array as a Fraction, its zeros as _ZERO
+_fractions = np.frompyfunc(lambda x: Fraction(x) if x else _ZERO, 1, 1)
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every
@@ -92,10 +104,29 @@ class Field:
     def __str__(self):
         return "Q" if self.kind == "rational" else f"GF({self.p})"
 
+    # -- arrays of scalars ----------------------------------------------
+
+    @property
+    def dtype(self):
+        return object if self.kind == "rational" else np.int64
+
+    def array(self, values) -> np.ndarray:
+        """values (nested lists or an array) as an array of reduced scalars."""
+        if self.kind == "rational":
+            return np.asarray(_fractions(np.array(values, dtype=object)), dtype=object)
+        return np.array(values, dtype=np.int64) % self.p
+
+    def reduce(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """a with every entry reduced mod p (into out; out=a reduces in place).
+        Over Q an array is exact as it stands, and a comes back unchanged."""
+        if self.kind == "rational":
+            return a
+        return np.remainder(a, self.p, out=out)
+
     # -- scalar operations -------------------------------------------
 
     def zero(self):
-        return Fraction(0) if self.kind == "rational" else 0
+        return _ZERO if self.kind == "rational" else 0
 
     def one(self):
         return Fraction(1) if self.kind == "rational" else 1

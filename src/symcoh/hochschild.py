@@ -16,20 +16,9 @@ from .modules import Bimodule, adjoint_module, regular_bimodule, trivial_module
 from .resolution import sh_via_resolution, shh_via_resolution
 
 
-def classical_hochschild_cohomology(h: HopfAlgebra, bim: Bimodule, top: int,
-                                    realization: str = "nonhomogeneous",
-                                    budget: int = DEFAULT_BUDGET) -> CohomologyReport:
-    """HH^0..HH^{top-1} from the chosen realization."""
-    return classical_cohomology(h, bim, top, realization=realization, budget=budget)
-
-
-def symmetric_hochschild_cohomology(h: HopfAlgebra, bim: Bimodule, top: int,
-                                    realization: str = "homogeneous",
-                                    cross_check: bool = False,
-                                    budget: int = DEFAULT_BUDGET) -> CohomologyReport:
-    """SHH^0..SHH^{top-1} via the fixed subcomplex of the chosen realization."""
-    return symmetric_cohomology(h, bim, top, realization=realization,
-                                cross_check=cross_check, budget=budget)
+# HH and SHH are H and SH with bimodule coefficients
+classical_hochschild_cohomology = classical_cohomology
+symmetric_hochschild_cohomology = symmetric_cohomology
 
 
 def compare_adjoint(h: HopfAlgebra, bim: Bimodule, top: int,

@@ -1,9 +1,19 @@
 """Deterministic dense exact linear algebra over Q and GF(p).
 
-Matrices over a prime field are stored as numpy int64 arrays with
-entries in [0, p); rational matrices as nested lists of Fractions.
-Elimination always pivots on the first nonzero entry in row-major scan
-order, so identical inputs produce bit-identical outputs.
+A Matrix holds one ndarray of its field's scalars (`Field.array`):
+int64 entries reduced into [0, p) over GF(p), Fraction objects over Q.
+Every operation is numpy arithmetic on that array followed by
+`Field.reduce`, so both fields run the same code; only the product has
+a path per field.
+
+Elimination is one in-place routine, `_echelon`.  It pivots on the
+first nonzero entry of each column at or below the current row, scales
+the pivot row to one, and clears the entries below the pivot with one
+outer-product update: on the rows that need it when they are fewer than
+a quarter, else on every row through a buffer allocated once.  `rank`
+is its pivot count; `rref` adds back-substitution with the same update.
+The reduced row echelon form is unique, so identical inputs produce
+identical outputs.
 
 A product over GF(p) is a float64 BLAS product with delayed reduction
 (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35, 2008): float64
@@ -11,6 +21,10 @@ holds every integer up to 2^53 exactly, so a chunk of inner terms is
 summed unreduced as long as its sum stays below that.  When (p-1)^2 is
 too large for a single term, the right operand is split into limbs of
 fewer bits first, so the same path is exact for every p a Field accepts.
+A product over Q multiplies integer numerators over one common
+denominator per operand, one outer product per inner index on the
+nonzero rows and columns it meets, so a signed permutation costs one
+term per entry and no Fraction arithmetic runs on zeros.
 
 Ambient dimensions here are desk-scale (a few thousand); anything
 larger lives in the sparse layer and only drops down to dense form for
@@ -21,6 +35,7 @@ dense matrices would exceed DENSE_RANK_CELLS cells.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,197 +47,126 @@ DENSE_RANK_CELLS = 1 << 24  # cells of the largest dense matrix a rank or kernel
 
 
 class Matrix:
-    """A dense rows x cols matrix over an exact field."""
+    """A dense matrix over an exact field; `data` is a 2-d array of reduced
+    scalars of the field (see `Field.array`)."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "data")
 
-    def __init__(self, field: Field, rows: int, cols: int, data):
+    def __init__(self, field: Field, data: np.ndarray):
         self.field = field
-        self.rows = rows
-        self.cols = cols
-        self.data = data  # ndarray (prime) or list of row lists (rational)
+        self.data = data
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Matrix":
-        if field.is_rational:
-            z = Fraction(0)
-            return Matrix(field, rows, cols, [[z] * cols for _ in range(rows)])
-        return Matrix(field, rows, cols, np.zeros((rows, cols), dtype=np.int64))
+        return Matrix(field, np.full((rows, cols), field.zero(), dtype=field.dtype))
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
         m = Matrix.zeros(field, n, n)
-        one = field.one()
-        for i in range(n):
-            m._set(i, i, one)
+        np.fill_diagonal(m.data, field.one())
         return m
 
     @staticmethod
     def from_rows(field: Field, rows_list) -> "Matrix":
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        for row in rows_list:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-        if field.is_rational:
-            data = [[Fraction(x) for x in row] for row in rows_list]
-        else:
-            data = np.array([[int(x) % field.p for x in row] for row in rows_list],
-                            dtype=np.int64).reshape(rows, cols)
-        return Matrix(field, rows, cols, data)
+        cols = len(rows_list[0]) if len(rows_list) else 0
+        if any(len(row) != cols for row in rows_list):
+            raise ValueError("ragged rows")
+        return Matrix(field, field.array(rows_list).reshape(len(rows_list), cols))
 
     @staticmethod
     def from_columns(field: Field, cols_list, rows: int | None = None) -> "Matrix":
-        ncols = len(cols_list)
         if rows is None:
-            rows = len(cols_list[0]) if ncols else 0
-        m = Matrix.zeros(field, rows, ncols)
-        for j, col in enumerate(cols_list):
-            if len(col) != rows:
-                raise ValueError("ragged columns")
-            for i, x in enumerate(col):
-                m._set(i, j, field.from_int(x) if isinstance(x, int) and not field.is_rational else x)
-        return m
+            rows = len(cols_list[0]) if len(cols_list) else 0
+        if any(len(col) != rows for col in cols_list):
+            raise ValueError("ragged columns")
+        return Matrix(field, field.array(cols_list).reshape(len(cols_list), rows).T.copy())
 
     # -- element access -------------------------------------------------
 
     def _set(self, i, j, value):
-        if self.field.is_rational:
-            self.data[i][j] = Fraction(value)
-        else:
-            self.data[i, j] = int(value) % self.field.p
+        self.data[i, j] = self.field.array(value)[()]
 
     def __getitem__(self, ij):
-        i, j = ij
-        if self.field.is_rational:
-            return self.data[i][j]
-        return int(self.data[i, j])
+        return self.data.item(ij)
 
     def entries(self):
         """Row-major list of all entries."""
-        if self.field.is_rational:
-            return [x for row in self.data for x in row]
-        return [int(x) for x in self.data.reshape(-1)]
+        return self.data.reshape(-1).tolist()
 
     def column(self, j):
-        return [self[i, j] for i in range(self.rows)]
+        return self.data[:, j].tolist()
 
     def row(self, i):
-        return [self[i, j] for j in range(self.cols)]
+        return self.data[i].tolist()
 
     def copy(self) -> "Matrix":
-        if self.field.is_rational:
-            return Matrix(self.field, self.rows, self.cols,
-                          [row[:] for row in self.data])
-        return Matrix(self.field, self.rows, self.cols, self.data.copy())
+        return Matrix(self.field, self.data.copy())
 
     # -- arithmetic -------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.field, self.rows, self.cols) != (other.field, other.rows, other.cols):
-            return False
-        if self.field.is_rational:
-            return self.data == other.data
-        return bool(np.array_equal(self.data % self.field.p, other.data % other.field.p))
+        return self.field == other.field and self.data.shape == other.data.shape \
+            and bool(np.array_equal(self.data, other.data))
 
     def is_zero(self) -> bool:
-        if self.field.is_rational:
-            return all(x == 0 for row in self.data for x in row)
-        return not np.any(self.data % self.field.p)
+        return not self.data.any()
 
     def __add__(self, other):
         self._check_same_shape(other)
-        if self.field.is_rational:
-            data = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-            return Matrix(self.field, self.rows, self.cols, data)
-        return Matrix(self.field, self.rows, self.cols,
-                      (self.data + other.data) % self.field.p)
+        return Matrix(self.field, self.field.reduce(self.data + other.data))
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        if self.field.is_rational:
-            data = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)]
-            return Matrix(self.field, self.rows, self.cols, data)
-        return Matrix(self.field, self.rows, self.cols,
-                      (self.data - other.data) % self.field.p)
+        return Matrix(self.field, self.field.reduce(self.data - other.data))
 
     def __neg__(self):
-        if self.field.is_rational:
-            return Matrix(self.field, self.rows, self.cols,
-                          [[-a for a in row] for row in self.data])
-        return Matrix(self.field, self.rows, self.cols, (-self.data) % self.field.p)
+        return Matrix(self.field, self.field.neg(self.data))
 
     def scale(self, c):
-        if self.field.is_rational:
-            c = Fraction(c)
-            return Matrix(self.field, self.rows, self.cols,
-                          [[c * a for a in row] for row in self.data])
-        c = int(c) % self.field.p
-        return Matrix(self.field, self.rows, self.cols, (self.data * c) % self.field.p)
+        return Matrix(self.field, self.field.reduce(self.data * self.field.from_int(c)))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.field.is_rational:
-            out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-            bdata = other.data
-            for i, arow in enumerate(self.data):
-                orow = out[i]
-                for k, a in enumerate(arow):
-                    if a:
-                        brow = bdata[k]
-                        for j in range(other.cols):
-                            b = brow[j]
-                            if b:
-                                orow[j] += a * b
-            return Matrix(self.field, self.rows, other.cols, out)
-        return Matrix(self.field, self.rows, other.cols,
-                      _matmul_prime(self.data, other.data, self.field.p))
+            return Matrix(self.field, _matmul_rational(self.data, other.data, self.field.zero()))
+        return Matrix(self.field, _matmul_prime(self.data, other.data, self.field.p))
 
     def matvec(self, vec):
         return (self @ Matrix.from_columns(self.field, [vec], rows=self.cols)).column(0)
 
     def transpose(self) -> "Matrix":
-        if self.field.is_rational:
-            data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-            return Matrix(self.field, self.cols, self.rows, data)
-        return Matrix(self.field, self.cols, self.rows, self.data.T.copy())
+        return Matrix(self.field, self.data.T.copy())
 
     def reshape(self, rows: int, cols: int) -> "Matrix":
         """The same entries, read row-major into a rows x cols matrix."""
-        if self.field.is_rational:
-            flat = [x for row in self.data for x in row]
-            return Matrix(self.field, rows, cols,
-                          [flat[i * cols:(i + 1) * cols] for i in range(rows)])
-        return Matrix(self.field, rows, cols, self.data.reshape(rows, cols))
+        return Matrix(self.field, self.data.reshape(rows, cols))
 
     def hstack(self, other) -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        if self.field.is_rational:
-            data = [ra + rb for ra, rb in zip(self.data, other.data)]
-            return Matrix(self.field, self.rows, self.cols + other.cols, data)
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      np.hstack([self.data, other.data]))
+        return Matrix(self.field, np.hstack([self.data, other.data]))
 
     @staticmethod
     def vstack(field: Field, mats) -> "Matrix":
         mats = list(mats)
         if not mats:
             return Matrix.zeros(field, 0, 0)
-        cols = mats[0].cols
-        for m in mats:
-            if m.cols != cols:
-                raise ValueError("column count mismatch")
-        if field.is_rational:
-            data = [row[:] for m in mats for row in m.data]
-            return Matrix(field, sum(m.rows for m in mats), cols, data)
-        return Matrix(field, sum(m.rows for m in mats), cols,
-                      np.vstack([m.data for m in mats]) if mats else None)
+        if any(m.cols != mats[0].cols for m in mats):
+            raise ValueError("column count mismatch")
+        return Matrix(field, np.vstack([m.data for m in mats]))
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -230,24 +174,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
-
-
-def _array(m: Matrix) -> np.ndarray:
-    """The entries of m as an array: int64 over GF(p), Fractions over Q."""
-    if m.field.is_rational:
-        return np.array(m.data, dtype=object).reshape(m.rows, m.cols)
-    return m.data
-
-
-def _matrix(field: Field, a: np.ndarray) -> Matrix:
-    """The Matrix of an array of integers (reduced here) or Fractions."""
-    if field.is_rational:
-        return Matrix(field, a.shape[0], a.shape[1], a.tolist())
-    return Matrix(field, a.shape[0], a.shape[1], a % field.p)
-
-
-def _zeros(field: Field, rows: int, cols: int) -> np.ndarray:
-    return np.full((rows, cols), field.zero(), dtype=object if field.is_rational else np.int64)
 
 
 # -- products over GF(p) -------------------------------------------------
@@ -289,126 +215,100 @@ def _matmul_prime(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+# -- products over Q ----------------------------------------------------
+
+
+def _numerators(a: np.ndarray, zero: Fraction):
+    """The rows of the Fractions a as lists of (column, integer numerator)
+    over the least common denominator den of the nonzero entries, and den.
+    The shared `zero` is skipped by identity, before any Fraction call."""
+    rows = [[(j, x) for j, x in enumerate(row) if x is not zero and x] for row in a.tolist()]
+    den = math.lcm(*(x.denominator for row in rows for _j, x in row))
+    return [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in rows], den
+
+
+def _matmul_rational(a: np.ndarray, b: np.ndarray, zero: Fraction) -> np.ndarray:
+    """a @ b over Q on integer numerators, one term per nonzero entry of a
+    and nonzero entry of b that meet, and one Fraction per nonzero entry
+    of the result; its zeros are `zero`."""
+    (ra, da), (rb, db) = _numerators(a, zero), _numerators(b, zero)
+    rows, cols = a.shape[0], b.shape[1]
+    out = []
+    for arow in ra:
+        acc = [0] * cols
+        for k, x in arow:
+            for j, y in rb[k]:
+                acc[j] += x * y
+        out.extend(Fraction(v, da * db) if v else zero for v in acc)
+    # fromiter, since np.array probes every Fraction for a sequence interface
+    return np.fromiter(out, dtype=object, count=rows * cols).reshape(rows, cols)
+
+
 # -- elimination -------------------------------------------------------
 
 
-def _rref_prime(a: np.ndarray, p: int):
-    """In-place reduced row echelon form mod p; returns pivot column list."""
-    rows, cols = a.shape
-    a %= p
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        inv = pow(int(a[r, c]), p - 2, p)
-        if inv != 1:
-            a[r, c:] = (a[r, c:] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[np.ix_(mask, np.arange(c, cols))] = \
-                (a[np.ix_(mask, np.arange(c, cols))]
-                 - np.outer(col[mask], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-    return pivots
+def _eliminate(rest: np.ndarray, row: np.ndarray, field: Field, buf: np.ndarray):
+    """rest -= outer(rest[:, 0], row) in place, which clears the first
+    column of rest when row starts with one: on the nonzero rows of that
+    column alone when they are under a quarter, else on every row, with
+    the outer product written into buf."""
+    live = rest[:, 0].astype(bool)
+    count = np.count_nonzero(live)
+    if not count:
+        return
+    if count * 4 < len(live):
+        rest[live] = field.reduce(rest[live] - np.multiply.outer(rest[live, 0], row))
+    else:
+        rest -= np.multiply.outer(rest[:, 0], row, out=buf[:len(live), :len(row)])
+        field.reduce(rest, out=rest)
 
 
-def _rank_prime(a: np.ndarray, p: int) -> int:
-    """Rank mod p by forward elimination (cheaper than full rref)."""
-    a = a % p
+def _echelon(a: np.ndarray, field: Field, reduced: bool = False) -> list:
+    """Row echelon form of a, in place; reduced row echelon form when
+    `reduced`.  Returns the pivot columns.
+
+    The pivot of each column is its first nonzero entry at or below the
+    current row; it is swapped up, its row scaled to one, and the entries
+    below it are cleared.  Back-substitution then clears the entries above
+    each pivot, last pivot first.
+    """
     rows, cols = a.shape
     buf = np.empty_like(a)
-    r = 0
+    pivots = []
     for c in range(cols):
+        r = len(pivots)
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
             continue
-        i = r + int(nz[0])
+        i = r + int(below[0])
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
-        inv = pow(int(a[r, c]), p - 2, p)
         row = a[r, c:]
+        inv = field.inv(row.item(0))
         if inv != 1:
             np.multiply(row, inv, out=row)
-            row %= p
-        below = a[r + 1:, c]
-        count = int(np.count_nonzero(below))
-        if count:
-            sub = a[r + 1:, c:]
-            if count * 4 < below.size:
-                mask = below != 0
-                sub[mask] = (sub[mask] - np.outer(below[mask], row)) % p
-            else:
-                prod = np.multiply.outer(below, row, out=buf[:below.size, :row.size])
-                sub -= prod
-                sub %= p
-        r += 1
-    return r
-
-
-def _rref_rational(data):
-    """In-place reduced row echelon form over Q; returns pivot column list."""
-    rows = len(data)
-    cols = len(data[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = None
-        for i in range(r, rows):
-            if data[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            data[r], data[pivot_row] = data[pivot_row], data[r]
-        pv = data[r][c]
-        if pv != 1:
-            inv = 1 / pv
-            data[r] = [x * inv for x in data[r]]
-        row_r = data[r]
-        for i in range(rows):
-            if i != r:
-                f = data[i][c]
-                if f:
-                    data[i] = [a - f * b for a, b in zip(data[i], row_r)]
+            field.reduce(row, out=row)
+        _eliminate(a[r + 1:, c:], row, field, buf)
         pivots.append(c)
-        r += 1
+    if reduced:
+        for r in reversed(range(len(pivots))):
+            c = pivots[r]
+            _eliminate(a[:r, c:], a[r, c:], field, buf)
     return pivots
 
 
 def rref(m: Matrix):
     """Reduced row echelon form and pivot columns. Does not modify m."""
-    if m.field.is_rational:
-        data = [row[:] for row in m.data]
-        pivots = _rref_rational(data)
-        return Matrix(m.field, m.rows, m.cols, data), pivots
     data = m.data.copy()
-    pivots = _rref_prime(data, m.field.p)
-    return Matrix(m.field, m.rows, m.cols, data), pivots
+    pivots = _echelon(data, m.field, reduced=True)
+    return Matrix(m.field, data), pivots
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank by Gaussian elimination with row-major-first pivoting."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if m.field.is_rational:
-        data = [row[:] for row in m.data]
-        return len(_rref_rational(data))
-    return _rank_prime(m.data, m.field.p)
+    """Exact rank: the pivot count of a row echelon form."""
+    return len(_echelon(m.data.copy(), m.field))
 
 
 class Subspace:
@@ -452,10 +352,10 @@ def kernel_basis(m: Matrix) -> Subspace:
         return Subspace(0, Matrix.zeros(field, 0, 0))
     reduced, pivots = rref(m)
     pivots, free = _pivots_and_free(pivots, m.cols)
-    basis = _zeros(field, m.cols, len(free))
-    basis[free, np.arange(len(free))] = field.one()
-    basis[pivots] = -_array(reduced)[:len(pivots), free]
-    return Subspace(m.cols, _matrix(field, basis))
+    basis = Matrix.zeros(field, m.cols, len(free))
+    basis.data[free, np.arange(len(free))] = field.one()
+    basis.data[pivots] = field.neg(reduced.data[:len(pivots), free])
+    return Subspace(m.cols, basis)
 
 
 def solve_membership(s: Subspace, vec):
@@ -487,11 +387,11 @@ def quotient(ambient_dim: int, relations: Matrix):
     reduced, pivots = rref(relations.transpose())
     pivots, free = _pivots_and_free(pivots, ambient_dim)
     at = np.arange(len(free))
-    projection = _zeros(field, len(free), ambient_dim)
-    section = _zeros(field, ambient_dim, len(free))
-    projection[at, free] = section[free, at] = field.one()
-    projection[:, pivots] = -_array(reduced)[:len(pivots), free].T
-    return _matrix(field, projection), _matrix(field, section)
+    projection = Matrix.zeros(field, len(free), ambient_dim)
+    section = Matrix.zeros(field, ambient_dim, len(free))
+    projection.data[at, free] = section.data[free, at] = field.one()
+    projection.data[:, pivots] = field.neg(reduced.data[:len(pivots), free].T)
+    return projection, section
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -501,7 +401,7 @@ def inverse(m: Matrix) -> Matrix:
     reduced, pivots = rref(m.hstack(Matrix.identity(m.field, m.rows)))
     if pivots != list(range(m.rows)):
         raise ValueError("matrix is singular")
-    return _matrix(m.field, _array(reduced)[:, m.rows:])
+    return Matrix(m.field, reduced.data[:, m.rows:].copy())
 
 
 def intersect_kernels(field: Field, dim: int, constraints) -> Subspace:

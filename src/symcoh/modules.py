@@ -10,8 +10,6 @@ Both match kron(A, B) with A indexing the most significant part.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import InvalidBimodule, InvalidModule
@@ -22,17 +20,17 @@ from .linalg import Matrix, Subspace, intersect_kernels
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with the left factor most significant.
 
-    Over GF(p) each entry is one product of two reduced entries, which
-    int64 holds exactly at every modulus a Field accepts.
+    Only the products of two nonzero entries are formed; over GF(p) each
+    is one product of two reduced entries, which int64 holds exactly at
+    every modulus a Field accepts.
     """
     fld = a.field
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    if fld.is_rational:
-        z = Fraction(0)
-        data = [[x * y if x and y else z for x in arow for y in brow]
-                for arow in a.data for brow in b.data]
-        return Matrix(fld, rows, cols, data)
-    return Matrix(fld, rows, cols, (np.kron(a.data, b.data) % fld.p).reshape(rows, cols))
+    out = Matrix.zeros(fld, a.rows * b.rows, a.cols * b.cols)
+    ia, ja = np.nonzero(a.data)
+    ib, jb = np.nonzero(b.data)
+    out.data[np.add.outer(ia * b.rows, ib), np.add.outer(ja * b.cols, jb)] = \
+        fld.reduce(np.multiply.outer(a.data[ia, ja], b.data[ib, jb]))
+    return out
 
 
 class LeftModule:

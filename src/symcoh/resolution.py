@@ -29,8 +29,8 @@ from .errors import CharacteristicDivides, InvalidPrime
 from .fields import Field
 from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
 from .linalg import Matrix, rank
-from .modules import (Bimodule, LeftModule, hom_equivariant, kron,
-                      regular_bimodule, regular_left_module, validate_module)
+from .modules import (Bimodule, LeftModule, hom_equivariant, kron, regular_bimodule,
+                      regular_left_module, tensor_module, validate_module)
 from .sparse import SparseMatrix, apply_columns, canonical, field_array
 from .tensors import (all_columns, all_tuples, bar_chain_columns, cochain_precompose,
                       delete_slot, diagonal_columns, digits, flat, right_mult_columns,
@@ -165,16 +165,15 @@ def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
     whose digits i-1 > i plus its swap_i partner must vanish, and a column
     with a repeated adjacent digit must satisfy 2v = 0."""
     rows, cols, vals = triples
-    neg = (lambda v: -v) if field.is_rational else (lambda v: -v % field.p)
     digs = digits(cols, d, slots)[:sym_slots]
     repeated = np.any(digs[1:] == digs[:-1], axis=0)
-    if np.any(neg(vals[repeated]) != vals[repeated]):
+    if np.any(field.neg(vals[repeated]) != vals[repeated]):
         return False
     for i in range(1, sym_slots):
         up = digs[i - 1] > digs[i]
         down = digs[i - 1] < digs[i]
         # the entries of each swapped-down column, moved onto its partner
-        moved = (rows[up], swap_slots(cols[up], d, slots, i), neg(vals[up]))
+        moved = (rows[up], swap_slots(cols[up], d, slots, i), field.neg(vals[up]))
         order = np.lexsort(moved[:2])
         moved = tuple(a[order] for a in moved)
         if not all(np.array_equal(a, b[down]) for a, b in zip(moved, triples)):
@@ -274,20 +273,11 @@ def _factorization_checks(h, spaces):
         ok_dim = space.dim == plain[n].dim * d
         checks.append((f"dim_{n}", ok_dim))
         if ok_dim and space.dim:
-            ok_left = True
-            ok_right = True
-            for i in range(d):
-                expect = Matrix.zeros(fld, space.dim, space.dim)
-                for (j, k), c in h.comult[i].items():
-                    expect = expect + kron(plain[n].module.action[j],
-                                           regular.left[k]).scale(c)
-                if expect != space.module.left[i]:
-                    ok_left = False
-                rexpect = kron(Matrix.identity(fld, plain[n].dim), regular.right[i])
-                if rexpect != space.module.right[i]:
-                    ok_right = False
-            checks.append((f"left_structure_{n}", ok_left))
-            checks.append((f"right_structure_{n}", ok_right))
+            expect = tensor_module(h, plain[n].module, regular).action
+            eye = Matrix.identity(fld, plain[n].dim)
+            checks.append((f"left_structure_{n}", expect == space.module.left))
+            checks.append((f"right_structure_{n}", [kron(eye, r) for r in regular.right]
+                           == space.module.right))
     return checks
 
 
@@ -377,10 +367,8 @@ def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyRe
     return CohomologyReport(dims, "resolution", kind="SHH" if mod.tail else "SH")
 
 
-def shh_via_resolution(h: HopfAlgebra, bim: Bimodule, top: int) -> CohomologyReport:
-    """SHH^0..SHH^{top-1} from Hom over the enveloping algebra of the
-    bimodule coinvariant resolution."""
-    return sh_via_resolution(h, bim, top)
+# SHH from the bimodule resolution is sh_via_resolution with a bimodule
+shh_via_resolution = sh_via_resolution
 
 
 # -- projectivity splitting --------------------------------------------------
@@ -420,7 +408,7 @@ def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
         rows.append(idx[pos] // d ** (n - i) % d * sm.dim + r)
         cols.append(idx[pos])
         scale = fld.mul(inv_np1, fld.one() if i % 2 == 0 else fld.neg(fld.one()))
-        vals.append(v * scale if fld.is_rational else v * scale % fld.p)
+        vals.append(fld.reduce(v * scale))
     triples = canonical(fld, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
     # well-definedness on the quotient
     if not _descends_to_quotient(fld, d, n + 1, n + 1, triples):
@@ -438,13 +426,7 @@ def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
     retract_ok = (psi @ phi) == Matrix.identity(fld, sn.dim)
 
     # both maps must commute with the A-actions (diagonal on A tensor S_{n-1})
-    regular = regular_left_module(h).action
-    tensor_action = []
-    for i in range(d):
-        acc = Matrix.zeros(fld, d * sm.dim, d * sm.dim)
-        for (j, k), c in h.comult[i].items():
-            acc = acc + kron(regular[j], sm.module.action[k]).scale(c)
-        tensor_action.append(acc)
+    tensor_action = tensor_module(h, regular_left_module(h), sm.module).action
     equivariant_ok = True
     for i in range(d):
         if phi @ sn.module.action[i] != tensor_action[i] @ phi:

@@ -4,11 +4,13 @@ Differentials, symmetric-group operators and equivariant bases on
 A^(tensor n) coordinates are far too sparse to materialize densely.  A
 SparseMatrix stores its entries in one form, canonical triples: parallel
 arrays (rows, cols, vals) sorted by (col, row), with duplicates summed
-and zeros dropped.  Values are an int64 array over GF(p) and an object
-array of Fractions over Q.  Every SparseMatrix goes through `canonical`
-when it is built, so equal matrices have equal arrays.  Rank, kernel and
-quotient work stays in the dense layer; this layer composes, adds and
-compares, and applies an operator to a dense basis (`dense_product`).
+and zeros dropped.  Values are in the array form of the field
+(`Field.array`: int64 reduced mod p, or Fraction objects), and every
+product of them goes through `Field.reduce`, so no code here branches on
+the field.  Every SparseMatrix goes through `canonical` when it is
+built, so equal matrices have equal arrays.  Rank, kernel and quotient
+work stays in the dense layer; this layer composes, adds and compares,
+and applies an operator to a dense basis (`dense_product`).
 
 The sort order is one int64 key, col * rows + row.  `canonical` computes
 the key and checks in one pass whether it is already strictly increasing;
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .fields import Field
-from .linalg import Matrix, _array, _matrix, _zeros
+from .linalg import Matrix
 
 
 class SparseMatrix:
@@ -73,14 +75,14 @@ class SparseMatrix:
 
     @staticmethod
     def from_dense(m: Matrix) -> "SparseMatrix":
-        a = _array(m)
+        a = m.data
         cols, rows = np.nonzero(a.T)
         return SparseMatrix(m.field, m.rows, m.cols, (rows, cols, a[rows, cols]))
 
     def to_dense(self) -> Matrix:
-        a = _zeros(self.field, self.rows, self.cols)
-        a[self.row_idx, self.col_idx] = self.vals
-        return _matrix(self.field, a)
+        m = Matrix.zeros(self.field, self.rows, self.cols)
+        m.data[self.row_idx, self.col_idx] = self.vals
+        return m
 
     # -- reading ---------------------------------------------------------
 
@@ -136,20 +138,17 @@ class SparseMatrix:
         so no temporary has more cells than the result.
         """
         fld = self.field
-        out = _zeros(fld, self.rows, k.cols)
-        dense = _array(k)
+        out = Matrix.zeros(fld, self.rows, k.cols)
         r, c, v = self.triples()
         step = max(self.rows, 1)
         for at in range(0, len(v), step):
             order = np.argsort(r[at:at + step], kind="stable") + at
             rows = r[order]
-            terms = v[order, None] * dense[c[order]]
+            terms = fld.reduce(v[order, None] * k.data[c[order]])
             starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-            out[rows[starts]] += np.add.reduceat(terms if fld.is_rational else terms % fld.p,
-                                                 starts, axis=0)
-            if not fld.is_rational:
-                out %= fld.p
-        return _matrix(fld, out)
+            out.data[rows[starts]] += np.add.reduceat(terms, starts, axis=0)
+            fld.reduce(out.data, out=out.data)
+        return out
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -185,22 +184,22 @@ def integer_mod(sm: SparseMatrix, q: int) -> SparseMatrix:
                         (sm.row_idx, sm.col_idx, field_array(field, sm.vals % q)))
 
 
-def integer_gram(sm: SparseMatrix, q: int) -> np.ndarray:
+def integer_gram(sm: SparseMatrix, q: int) -> Matrix:
     """Transpose(M) @ M mod the prime q, dense, for M with int values.
 
     Used for certified rational ranks: over Q, rank(M^T M) = rank(M), and
     a rank mod q is a lower bound for it.
     """
     m = integer_mod(sm, q)
-    return (m.transpose() @ m).to_dense().data
+    return (m.transpose() @ m).to_dense()
 
 
 # -- triples ---------------------------------------------------------------
 
 
 def field_array(field: Field, values) -> np.ndarray:
-    """Scalars of `field` as an array that keeps their products exact."""
-    return np.array(values, dtype=object if field.is_rational else np.int64).reshape(-1)
+    """Scalars of `field` as a flat array of its array form (`Field.array`)."""
+    return field.array(values).reshape(-1)
 
 
 def apply_columns(field: Field, columns, triples):
@@ -212,7 +211,7 @@ def apply_columns(field: Field, columns, triples):
         if vals is None:
             vals = v
         else:
-            vals = v * vals if field.is_rational else v * vals % field.p
+            vals = field.reduce(v * vals)
     return rows, c[pos], vals
 
 
@@ -233,7 +232,7 @@ def canonical(field: Field, rows, cols, vals, shape=None):
     if ones:
         vals = field_array(field, [field.one()] * len(rows))
     else:
-        vals = np.asarray(vals, dtype=object if field.is_rational else np.int64)
+        vals = np.asarray(vals, dtype=field.dtype)
     key = cols * shape[0] + rows
     if not (key[1:] > key[:-1]).all():
         if not (key[1:] >= key[:-1]).all():
@@ -243,8 +242,7 @@ def canonical(field: Field, rows, cols, vals, shape=None):
         if len(starts) < len(key):
             rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
             ones = False  # a sum of ones may vanish
-    if not field.is_rational:
-        vals = vals % field.p
+    vals = field.reduce(vals)
     if not ones:
         keep = vals.astype(bool)
         if not keep.all():

@@ -172,10 +172,10 @@ def group_diagonal_perm(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
     return undigits(table[b][digits(idx, h.dim, slots)], h.dim)
 
 
-def _structure_array(h: HopfAlgebra, dtype) -> np.ndarray:
+def _structure_array(h: HopfAlgebra) -> np.ndarray:
     """mult[l, k, t]: the coefficient of b_k in b_l b_t."""
     d = h.dim
-    out = np.full((d, d, d), h.field.zero(), dtype=dtype)
+    out = np.full((d, d, d), h.field.zero(), dtype=h.field.dtype)
     for l in range(d):
         for t in range(d):
             for k, c in h.mult[l][t].items():
@@ -199,20 +199,18 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
         raise BudgetExceeded(
             f"diagonal action on {slots} slots needs a dense {d ** slots} x {d ** slots} "
             f"array, over the limit of {DENSE_RANK_CELLS} cells")
-    dtype = object if fld.is_rational else np.int64
-    mult = _structure_array(h, dtype)
-    out = np.full((d,) * slots, fld.zero(), dtype=dtype)
+    mult = _structure_array(h)
+    out = np.full((d,) * slots, fld.zero(), dtype=fld.dtype)
     legs = iterated_comult(h, b, slots - 1).coeffs if slots else {(): h.counit[b]}
     for leg, c in legs.items():
         out[leg] = c
     for _ in range(slots):
         # the leading leg l times the input digit t gives the output digit
         # k; the pair of axes (k, t) goes to the end
-        acc = np.full(out.shape[1:] + (d, d), fld.zero(), dtype=dtype)
+        acc = np.full(out.shape[1:] + (d, d), fld.zero(), dtype=fld.dtype)
         for l in range(d):
             acc += np.multiply.outer(out[l], mult[l])
-            if not fld.is_rational:
-                acc %= fld.p
+            fld.reduce(acc, out=acc)
         out = acc
     # axes (k_0, t_0, k_1, t_1, ...) -> (k_0, k_1, ..., t_0, t_1, ...)
     out = out.transpose(list(range(0, 2 * slots, 2)) + list(range(1, 2 * slots, 2)))

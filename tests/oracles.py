@@ -8,7 +8,11 @@ coinvariant self-check that `symcoh.resolution` runs on index arrays, and
 the diagonal-action oracle is the tuple-by-tuple Sweedler expansion that
 `symcoh.tensors` computes as one tensor contraction per slot.  The
 stacked kernel is the one-elimination common kernel that
-`symcoh.linalg.intersect_kernels` computes one constraint at a time.  The
+`symcoh.linalg.intersect_kernels` computes one constraint at a time.
+The scalar Gauss-Jordan elimination and the triple-loop product work on
+lists of rows, one field operation at a time, against the array kernels
+of `symcoh.linalg` (one echelon routine, the float64 product over GF(p)
+and the integer-numerator product over Q).  The
 two dense solves are the reference for the closed-form bases: the
 equivariant cochains as the stacked kernel of the equivariance equations
 (against the tensor-identity basis of `symcoh.bar.equivariant_space`),
@@ -172,3 +176,40 @@ def coinvariant_quotient(h: HopfAlgebra, n: int, tail: int = 0):
             relations._set(v, col, h.field.add(relations[v, col], one))
             relations._set(w, col, h.field.add(relations[w, col], one))
     return quotient(size, relations)
+
+
+def gauss_jordan(field, rows, cols: int):
+    """Reduced row echelon form of a list of rows (each of length cols) and
+    its pivot columns, by scalar Gauss-Jordan elimination: the pivot of
+    each column is its first nonzero entry at or below the current row, and
+    every other row is cleared at once."""
+    data = [list(row) for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(data)) if data[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        data[r], data[pivot_row] = data[pivot_row], data[r]
+        inv = field.inv(data[r][c])
+        data[r] = [field.mul(x, inv) for x in data[r]]
+        for i in range(len(data)):
+            f = data[i][c]
+            if i != r and f != 0:
+                data[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(data[i], data[r])]
+        pivots.append(c)
+    return data, pivots
+
+
+def list_product(field, a, b, cols: int):
+    """a @ b for lists of rows, b with cols columns, by the triple loop that
+    skips zero entries of both factors."""
+    out = [[field.zero()] * cols for _ in a]
+    for orow, arow in zip(out, a):
+        for x, brow in zip(arow, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        orow[j] = field.add(orow[j], field.mul(x, y))
+    return out
+

@@ -325,6 +325,48 @@ def test_module_json_loading(tmp_path, capsys):
     assert report["dims"] == [1, 1, 1]
 
 
+TRIVIAL_KC3 = [[["1"]], [["1"]], [["1"]]]
+
+
+@pytest.mark.parametrize("mode", ["SH", "SHH"])
+@pytest.mark.parametrize("body", [
+    {"left_action": TRIVIAL_KC3},
+    [1, TRIVIAL_KC3],
+    {"dim": "x", "left_action": TRIVIAL_KC3, "right_action": TRIVIAL_KC3},
+    {"dim": float("inf"), "left_action": TRIVIAL_KC3, "right_action": TRIVIAL_KC3},
+    {"dim": 1, "left_action": [[[float("inf")]]] * 3, "right_action": TRIVIAL_KC3},
+    {"dim": 1, "left_action": 5, "right_action": TRIVIAL_KC3},
+], ids=["no-dim", "array", "dim-not-a-number", "dim-infinite", "entry-infinite",
+        "left-action-not-a-list"])
+def test_malformed_module_file_is_a_schema_error(tmp_path, capsys, mode, body):
+    # a module or bimodule file that does not fit the schema exits 2 with
+    # the JSON error, whichever key is at fault
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(body))
+    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3", "--mode", mode,
+                            "--max-degree", "2", "--module", str(path))
+    assert code == 2
+    assert report["error"]["code"] == 2
+    assert report["dims"] == []
+
+
+@pytest.mark.parametrize("right", [5, None], ids=["not-a-list", "missing"])
+def test_malformed_right_action_is_a_schema_error(tmp_path, capsys, right):
+    body = {"dim": 1, "left_action": TRIVIAL_KC3}
+    if right is not None:
+        body["right_action"] = right
+    path = tmp_path / "bim.json"
+    path.write_text(json.dumps(body))
+    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3", "--mode", "SHH",
+                            "--max-degree", "2", "--module", str(path))
+    assert code == 2
+    # the same file is a valid left module
+    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3", "--mode", "SH",
+                            "--max-degree", "2", "--module", str(path))
+    assert code == 0
+    assert report["dims"] == [1, 1]
+
+
 def test_max_degree_must_be_positive(capsys):
     code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3",
                             "--mode", "SH", "--max-degree", "0")

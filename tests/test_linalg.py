@@ -1,13 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import stacked_kernel
+from oracles import gauss_jordan, list_product, stacked_kernel
 from symcoh.errors import BudgetExceeded
 from symcoh.fields import Field
-from symcoh.linalg import (Matrix, Subspace, _product_plan, intersect_kernels,
+from symcoh.linalg import (Matrix, Subspace, _product_plan, intersect_kernels, inverse,
                            kernel_basis, quotient, rank, rref, solve_membership)
 
 GF3 = Field.prime(3)
@@ -309,3 +310,102 @@ def test_sparse_dense_product_equals_the_dense_product(field):
     k = Matrix.from_rows(field, [[1, big], [0, big], [big, big], [2, big]])
     assert SparseMatrix.from_dense(a).dense_product(k) == a @ k
     assert SparseMatrix(field, 3, 4).dense_product(k) == Matrix.zeros(field, 3, 2)
+
+
+# -- the array kernels against scalar elimination --------------------------
+
+ORACLE_FIELDS = [Field.prime(2), GF5, Field.prime(3037000493), QQ]
+
+
+def _rows_of(field, rows):
+    return [[field.from_int(x) for x in row] for row in rows]
+
+
+def _transpose(rows, cols: int):
+    return [list(col) for col in zip(*rows)] if rows else [[] for _ in range(cols)]
+
+
+def _matrix(field, rows, cols: int) -> Matrix:
+    """The len(rows) x cols matrix of a list of rows, which may be empty."""
+    return Matrix.from_columns(field, _transpose(rows, cols), rows=len(rows))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A field, an r x c and a c x k matrix over it as lists of rows (each
+    side 0..8): entries 0, +-1, +-(p-1) and others over GF(p), Fractions
+    with several denominators over Q, two thirds of them zero, so that
+    eliminations take both the masked and the dense update."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    if field.is_rational:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 7]))
+    else:
+        p = field.p
+        entry = st.one_of(st.sampled_from([1, -1, p - 1, 1 - p]), st.integers(0, p - 1))
+    entry = st.one_of(st.just(0), st.just(0), entry)
+    r, c, k = (draw(st.integers(0, 8)) for _ in range(3))
+
+    def grid(rows, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    return field, c, k, grid(r, c), grid(c, k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_cases())
+@example((QQ, 0, 3, [], [])).via("empty rows")
+@example((GF5, 4, 0, [[0] * 4] * 3, [[]] * 4)).via("zero matrix, no columns on the right")
+@example((Field.prime(3037000493), 2, 2, [[3037000492, 1], [1, 3037000492]],
+          [[3037000492, 3037000492], [3037000492, 3037000492]])).via("entries p-1")
+# already in echelon form; back-substitution clears column 6 on row 5 alone
+# of the six rows above, and leaves -3 and -2 in its last columns to reduce
+@example((GF5, 9, 1, [[1, 0, 0, 0, 0, 0, 0, 4, 1],
+                      [0, 1, 0, 0, 0, 0, 0, 4, 1],
+                      [0, 0, 1, 0, 0, 0, 0, 4, 1],
+                      [0, 0, 0, 1, 0, 0, 0, 4, 1],
+                      [0, 0, 0, 0, 1, 0, 0, 4, 1],
+                      [0, 0, 0, 0, 0, 1, 1, 1, 1],
+                      [0, 0, 0, 0, 0, 0, 1, 4, 3]], [[1]] * 9)).via("masked update")
+def test_array_kernels_match_scalar_elimination(case):
+    field, c, k, a_rows, b_rows = case
+    a_rows, b_rows = _rows_of(field, a_rows), _rows_of(field, b_rows)
+    r = len(a_rows)
+    a, b = _matrix(field, a_rows, c), _matrix(field, b_rows, k)
+    reduced, pivots = gauss_jordan(field, a_rows, c)
+    got, got_pivots = rref(a)
+    assert isinstance(got.data, np.ndarray) and got.data.dtype == field.dtype
+    assert got_pivots == pivots
+    assert [got.row(i) for i in range(r)] == reduced
+    assert rank(a) == len(pivots)
+    # the kernel: 1 at each free column, minus the pivot rows' entries there
+    free = [j for j in range(c) if j not in pivots]
+    expect = [[field.one() if j == f else field.zero() for j in range(c)] for f in free]
+    for col, f in zip(expect, free):
+        for i, pc in enumerate(pivots):
+            col[pc] = field.neg(reduced[i][f])
+    basis = kernel_basis(a).basis
+    assert [basis.column(t) for t in range(basis.cols)] == expect
+    # the quotient of k^r by the columns of a reads the rref of a^T
+    t_reduced, t_pivots = gauss_jordan(field, _transpose(a_rows, c), r)
+    t_free = [j for j in range(r) if j not in t_pivots]
+    projection, section = quotient(r, a)
+    expect = [[field.one() if j == f else field.zero() for j in range(r)] for f in t_free]
+    for row, f in zip(expect, t_free):
+        for i, pc in enumerate(t_pivots):
+            row[pc] = field.neg(t_reduced[i][f])
+    assert [projection.row(t) for t in range(len(t_free))] == expect
+    assert [section.column(t) for t in range(len(t_free))] == \
+        [[field.one() if j == f else field.zero() for j in range(r)] for f in t_free]
+    if r == c:
+        eye = [[field.one() if i == j else field.zero() for j in range(r)] for i in range(r)]
+        both, both_pivots = gauss_jordan(field, [x + y for x, y in zip(a_rows, eye)], 2 * r)
+        if both_pivots == list(range(r)):
+            inv = inverse(a)
+            assert [inv.row(i) for i in range(r)] == [row[r:] for row in both]
+        else:
+            with pytest.raises(ValueError):
+                inverse(a)
+    product = a @ b
+    assert product.data.dtype == field.dtype
+    assert [product.row(i) for i in range(r)] == list_product(field, a_rows, b_rows, k)
