@@ -50,7 +50,7 @@ def _field_from_json(obj) -> Field:
     if obj["kind"] == "prime":
         try:
             return Field.prime(int(obj["p"]))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad prime field: {exc}") from exc
     raise SchemaError(f"unknown field kind {obj['kind']!r}")
 
@@ -58,7 +58,7 @@ def _field_from_json(obj) -> Field:
 def _parse_matrix(field: Field, rows, what: str) -> Matrix:
     try:
         return Matrix.from_rows(field, [[field.parse(x) for x in row] for row in rows])
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"bad {what}: {exc}") from exc
 
 
@@ -68,7 +68,7 @@ def hopf_from_json(obj: dict, field_override: Field | None) -> HopfAlgebra:
         try:
             order = int(obj["order"])
             table = [[int(x) for x in row] for row in obj["table"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"bad group description: {exc}") from exc
         field = field_override or (
             _field_from_json(obj["field"]) if "field" in obj else Field.rationals())
@@ -88,7 +88,7 @@ def hopf_from_json(obj: dict, field_override: Field | None) -> HopfAlgebra:
             comult[int(i)][(int(j), int(k))] = field.parse(coeff)
         unit = [field.parse(x) for x in obj["unit"]]
         counit = [field.parse(x) for x in obj["counit"]]
-    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"bad structure constants: {exc}") from exc
     antipode = _parse_matrix(field, obj["antipode"], "antipode")
     labels = obj.get("basis_labels", [f"b{i}" for i in range(dim)])

@@ -1,15 +1,20 @@
 """Exact base fields: the rationals and prime fields GF(p).
 
-Every scalar in this package is either a `fractions.Fraction` (rational
-field) or an int reduced into [0, p) (prime field).  A `Field` value
-names the field, supplies the scalar operations and owns the one array
-form of its scalars: `array` builds an ndarray of dtype `dtype` (int64
-reduced into [0, p), or Fraction objects), and `reduce` brings the
-result of numpy arithmetic on such arrays back into it.  Array code is
-written once for both fields: a product of two reduced int64 entries,
-plus or minus a reduced entry, stays within int64 (see `Field`), and
-over Q `reduce` is the identity.  `neg`, `add`, `sub` and `mul` apply
-to arrays as well.
+Every scalar in this package is either a rational (an int when it is
+integral, else a `fractions.Fraction`) or an int reduced into [0, p)
+(prime field).  A `Field` value names the field, supplies the scalar
+operations and owns the one array form of its scalars: `array` builds
+an ndarray of dtype `dtype` (int64 reduced into [0, p), or objects that
+are ints where integral and Fractions elsewhere), and `reduce` brings
+the result of numpy arithmetic on such arrays back into it.  Array code
+is written once for both fields: a product of two reduced int64
+entries, plus or minus a reduced entry, stays within int64 (see
+`Field`), and over Q `reduce` is the identity.  `neg`, `add`, `sub` and
+`mul` apply to arrays as well.
+
+Most rationals met are 0 or +-1, on which int arithmetic is far cheaper.
+Arithmetic may leave an integral Fraction; it equals, hashes and tests
+like its int, so no code branches on the type of an entry.
 """
 
 from __future__ import annotations
@@ -19,10 +24,17 @@ from fractions import Fraction
 
 import numpy as np
 
-# the zero of Q that zero() returns, so that array code can skip zeros by identity
-_ZERO = Fraction(0)
-# every entry of an object array as a Fraction, its zeros as _ZERO
-_fractions = np.frompyfunc(lambda x: Fraction(x) if x else _ZERO, 1, 1)
+
+def _rational(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+# every entry of an object array as a rational scalar (`_rational`)
+_rationals = np.frompyfunc(_rational, 1, 1)
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every
@@ -113,7 +125,7 @@ class Field:
     def array(self, values) -> np.ndarray:
         """values (nested lists or an array) as an array of reduced scalars."""
         if self.kind == "rational":
-            return np.asarray(_fractions(np.array(values, dtype=object)), dtype=object)
+            return np.asarray(_rationals(np.array(values, dtype=object)), dtype=object)
         return np.array(values, dtype=np.int64) % self.p
 
     def reduce(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -126,13 +138,13 @@ class Field:
     # -- scalar operations -------------------------------------------
 
     def zero(self):
-        return _ZERO if self.kind == "rational" else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "rational" else 1
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n) if self.kind == "rational" else n % self.p
+        return _rational(n) if self.kind == "rational" else n % self.p
 
     def add(self, a, b):
         return a + b if self.kind == "rational" else (a + b) % self.p
@@ -150,7 +162,7 @@ class Field:
         if self.kind == "rational":
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
-            return 1 / Fraction(a)
+            return _rational(1 / Fraction(a))
         a = a % self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -160,7 +172,7 @@ class Field:
         """Read a scalar from a decimal string like "-3" or "2/3" (or an int)."""
         value = Fraction(text) if not isinstance(text, Fraction) else text
         if self.kind == "rational":
-            return value
+            return _rational(value)
         num = value.numerator % self.p
         den = value.denominator % self.p
         if den == 0:

@@ -1,7 +1,7 @@
 """Deterministic dense exact linear algebra over Q and GF(p).
 
 A Matrix holds one ndarray of its field's scalars (`Field.array`):
-int64 entries reduced into [0, p) over GF(p), Fraction objects over Q.
+int64 entries reduced into [0, p) over GF(p), ints and Fractions over Q.
 Every operation is numpy arithmetic on that array followed by
 `Field.reduce`, so both fields run the same code; only the product has
 a path per field.
@@ -22,9 +22,9 @@ summed unreduced as long as its sum stays below that.  When (p-1)^2 is
 too large for a single term, the right operand is split into limbs of
 fewer bits first, so the same path is exact for every p a Field accepts.
 A product over Q multiplies integer numerators over one common
-denominator per operand, one outer product per inner index on the
-nonzero rows and columns it meets, so a signed permutation costs one
-term per entry and no Fraction arithmetic runs on zeros.
+denominator per operand, one term per pair of nonzero entries that
+meet, so a signed permutation costs one term per entry; an integral
+product (both denominators one) is all ints, with no Fraction built.
 
 Ambient dimensions here are desk-scale (a few thousand); anything
 larger lives in the sparse layer and only drops down to dense form for
@@ -141,7 +141,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.field.is_rational:
-            return Matrix(self.field, _matmul_rational(self.data, other.data, self.field.zero()))
+            return Matrix(self.field, _matmul_rational(self.data, other.data))
         return Matrix(self.field, _matmul_prime(self.data, other.data, self.field.p))
 
     def matvec(self, vec):
@@ -218,28 +218,28 @@ def _matmul_prime(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 # -- products over Q ----------------------------------------------------
 
 
-def _numerators(a: np.ndarray, zero: Fraction):
-    """The rows of the Fractions a as lists of (column, integer numerator)
+def _numerators(a: np.ndarray):
+    """The rows of the rationals a as lists of (column, integer numerator)
     over the least common denominator den of the nonzero entries, and den.
-    The shared `zero` is skipped by identity, before any Fraction call."""
-    rows = [[(j, x) for j, x in enumerate(row) if x is not zero and x] for row in a.tolist()]
+    Zeros are skipped by truth value, before any other work."""
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in a.tolist()]
     den = math.lcm(*(x.denominator for row in rows for _j, x in row))
     return [[(j, x.numerator * (den // x.denominator)) for j, x in row] for row in rows], den
 
 
-def _matmul_rational(a: np.ndarray, b: np.ndarray, zero: Fraction) -> np.ndarray:
+def _matmul_rational(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over Q on integer numerators, one term per nonzero entry of a
-    and nonzero entry of b that meet, and one Fraction per nonzero entry
-    of the result; its zeros are `zero`."""
-    (ra, da), (rb, db) = _numerators(a, zero), _numerators(b, zero)
-    rows, cols = a.shape[0], b.shape[1]
+    and nonzero entry of b that meet; an entry of the result is an int
+    when both common denominators are one, else a Fraction."""
+    (ra, da), (rb, db) = _numerators(a), _numerators(b)
+    rows, cols, den = a.shape[0], b.shape[1], da * db
     out = []
     for arow in ra:
         acc = [0] * cols
         for k, x in arow:
             for j, y in rb[k]:
                 acc[j] += x * y
-        out.extend(Fraction(v, da * db) if v else zero for v in acc)
+        out.extend(acc if den == 1 else (Fraction(v, den) if v else 0 for v in acc))
     # fromiter, since np.array probes every Fraction for a sequence interface
     return np.fromiter(out, dtype=object, count=rows * cols).reshape(rows, cols)
 

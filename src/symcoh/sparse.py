@@ -5,7 +5,7 @@ A^(tensor n) coordinates are far too sparse to materialize densely.  A
 SparseMatrix stores its entries in one form, canonical triples: parallel
 arrays (rows, cols, vals) sorted by (col, row), with duplicates summed
 and zeros dropped.  Values are in the array form of the field
-(`Field.array`: int64 reduced mod p, or Fraction objects), and every
+(`Field.array`: int64 reduced mod p, or ints and Fractions), and every
 product of them goes through `Field.reduce`, so no code here branches on
 the field.  Every SparseMatrix goes through `canonical` when it is
 built, so equal matrices have equal arrays.  Rank, kernel and quotient

@@ -191,7 +191,7 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
     with the structure constants once per slot, one leg value at a time,
     reducing after every term: a product of reduced scalars plus a reduced
     accumulator stays below 2^63 for every p a Field accepts.  Over Q the
-    entries are Fractions.  On 0 slots it is the counit of b_b.
+    entries are ints and Fractions.  On 0 slots it is the counit of b_b.
     """
     d = h.dim
     fld = h.field

@@ -367,6 +367,36 @@ def test_malformed_right_action_is_a_schema_error(tmp_path, capsys, right):
     assert report["dims"] == [1, 1]
 
 
+def _with_infinity(obj, key):
+    """obj with one number under key replaced by infinity (JSON Infinity)."""
+    obj = json.loads(json.dumps(obj))
+    if key == "counit":
+        obj["counit"][0] = float("inf")
+    elif key == "antipode":
+        obj["antipode"][0][0] = float("inf")
+    elif key == "field":
+        obj["field"]["p"] = float("inf")
+    else:
+        obj[key] = float("inf")
+    return obj
+
+
+@pytest.mark.parametrize("key", ["counit", "antipode", "field", "dim", "order"])
+def test_infinite_number_in_algebra_file_is_a_schema_error(tmp_path, capsys, key):
+    # JSON Infinity (and 1e400, which parses the same) has no exact value;
+    # reading it is a schema error, not a traceback
+    sc3 = pathlib.Path(__file__).with_name("golden") / "algebras" / "sC3-gf3.json"
+    obj = json.loads(sc3.read_text())
+    if key == "order":
+        obj = {"order": 3, "table": cyclic_group_table(3)}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(_with_infinity(obj, key)))
+    code, report = run_json(capsys, "--algebra", str(path), "--mode", "validate")
+    assert code == 2
+    assert report["error"]["code"] == 2
+    assert report["dims"] == []
+
+
 def test_max_degree_must_be_positive(capsys):
     code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3",
                             "--mode", "SH", "--max-degree", "0")

@@ -1,5 +1,7 @@
 """Primality of field moduli: Miller-Rabin against trial division and on
-the composites that fool weaker tests."""
+the composites that fool weaker tests; the form of rational scalars."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,3 +67,50 @@ def test_reduced_product_plus_accumulator_fits_int64_at_every_accepted_prime():
     assert (p - 1) ** 2 + (p - 1) < 2 ** 63
     top = np.full(4, p - 1, dtype=np.int64)
     assert ((top + top * top) % p).tolist() == [((p - 1) + (p - 1) ** 2) % p] * 4
+
+
+QQ = Field.rationals()
+
+
+def _types(values):
+    return [type(x) for x in values]
+
+
+def test_integral_rationals_are_ints():
+    # an integral value comes back as an int and any other as a Fraction,
+    # whether it came in as an int, an integral Fraction, a string or a float
+    got = QQ.array([[0, 1, -2, Fraction(4, 2)], [Fraction(0, 3), Fraction(1, 2), "-6/3", 0.5]])
+    assert got.dtype == object
+    assert got.tolist() == [[0, 1, -2, 2], [0, Fraction(1, 2), -2, Fraction(1, 2)]]
+    assert _types(got.reshape(-1)) == [int] * 5 + [Fraction, int, Fraction]
+
+
+@pytest.mark.parametrize("text,value", [
+    ("-3", -3), ("4/2", 2), ("0/5", 0), (7, 7), (Fraction(6, 3), 2),
+    ("2/3", Fraction(2, 3)), (Fraction(-1, 4), Fraction(-1, 4))])
+def test_parse_gives_an_int_exactly_when_integral(text, value):
+    got = QQ.parse(text)
+    assert got == value
+    assert type(got) is (int if Fraction(value).denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("a,value", [
+    (1, 1), (-1, -1), (Fraction(1, 3), 3), (Fraction(-1, 2), -2),
+    (2, Fraction(1, 2)), (Fraction(2, 3), Fraction(3, 2)), (Fraction(4, 2), Fraction(1, 2))])
+def test_inv_gives_an_int_exactly_when_integral(a, value):
+    got = QQ.inv(a)
+    assert got == value
+    assert type(got) is (int if Fraction(value).denominator == 1 else Fraction)
+
+
+def test_inverse_of_zero_is_refused():
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(zero)
+
+
+def test_zero_one_and_from_int_are_ints():
+    assert _types([QQ.zero(), QQ.one(), QQ.from_int(-5), QQ.from_int(0)]) == [int] * 4
+    assert (QQ.zero(), QQ.one(), QQ.from_int(-5)) == (0, 1, -5)
+    # the prime field keeps its reduced ints
+    assert Field.prime(5).parse("-3/2") == 1 and Field.prime(5).from_int(-1) == 4

@@ -31,11 +31,11 @@ def cases():
     """(name, argv) of every golden case."""
     out = []
     sources = [(f"{alg.replace(':', '')}-{fld.replace(':', '')}",
-                ["--algebra", alg, "--field", fld], top, alg == "S3" and fld == "q")
+                ["--algebra", alg, "--field", fld], top)
                for alg, top in ALGEBRAS.items() for fld in FIELDS]
-    sources += [(stem, ["--algebra", str(GOLDEN / "algebras" / f"{stem}.json")], top, False)
+    sources += [(stem, ["--algebra", str(GOLDEN / "algebras" / f"{stem}.json")], top)
                 for stem, top in FROZEN.items()]
-    for stem, source, top, slow_hom in sources:
+    for stem, source, top in sources:
         base = source + ["--max-degree", str(top), "--format", "json"]
 
         def add(name, *extra):
@@ -45,16 +45,8 @@ def cases():
             add(f"H-{mod}", "--mode", "H", "--module", mod)
             add(f"HH-{mod}", "--mode", "HH", "--module", mod)
             for route in ("bar", "resolution"):
-                # on the resolution route, kS3 over Q takes minutes for SHH
-                # and seconds for SH with regular coefficients (dense Hom
-                # kernels over Q); the bar route covers those inputs
-                slow = slow_hom and route == "resolution"
-                if not (slow and mod == "regular"):
-                    add(f"SH-{route}-{mod}", "--mode", "SH", "--module", mod,
-                        "--route", route)
-                if not slow:
-                    add(f"SHH-{route}-{mod}", "--mode", "SHH", "--module", mod,
-                        "--route", route)
+                add(f"SH-{route}-{mod}", "--mode", "SH", "--module", mod, "--route", route)
+                add(f"SHH-{route}-{mod}", "--mode", "SHH", "--module", mod, "--route", route)
         # corollary-check on the bar route and compare-adjoint repeat the
         # dense SHH kernel of SHH-bar-regular, which is seconds on sC3-gf3
         builtin = stem not in FROZEN

@@ -409,3 +409,90 @@ def test_array_kernels_match_scalar_elimination(case):
     product = a @ b
     assert product.data.dtype == field.dtype
     assert [product.row(i) for i in range(r)] == list_product(field, a_rows, b_rows, k)
+
+
+# -- rationals in mixed form against the all-Fraction oracle ---------------
+
+
+@st.composite
+def mixed_rational(draw):
+    """A rational in any form an array over Q may hold: an int, an integral
+    Fraction such as Fraction(4, 2), or a non-integral Fraction."""
+    value = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 1, 2, 3])))
+    if value.denominator == 1 and draw(st.booleans()):
+        return int(value)
+    return value
+
+
+def _object_array(values, shape) -> np.ndarray:
+    """values (a flat list) as an object array, each entry in the form it
+    was drawn in."""
+    out = np.zeros(len(values), dtype=object)
+    for i, x in enumerate(values):
+        out[i] = x
+    return out.reshape(shape)
+
+
+@st.composite
+def mixed_cases(draw):
+    """An r x c and a c x k matrix and a second r x c one (each side 0..7)
+    as lists of rows of mixed rationals, half of them an int or Fraction zero."""
+    entry = st.one_of(st.just(0), st.just(Fraction(0)), mixed_rational())
+    r, c, k = (draw(st.integers(0, 7)) for _ in range(3))
+
+    def grid(rows, cols):
+        return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    return c, k, grid(r, c), grid(c, k), grid(r, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_cases())
+@example((2, 2, [[Fraction(4, 2), 0], [1, Fraction(1, 2)]], [[Fraction(0), 2], [2, 3]],
+          [[-2, Fraction(0)], [Fraction(-1), Fraction(1, 2)]])).via("integral Fractions")
+def test_mixed_rational_forms_match_the_fraction_oracle(case):
+    from symcoh.sparse import SparseMatrix, canonical
+    c, k, a_rows, b_rows, e_rows = case
+    r = len(a_rows)
+    fa, fb, fe = ([[Fraction(x) for x in row] for row in rows] for rows in (a_rows, b_rows, e_rows))
+    a = Matrix(QQ, _object_array([x for row in a_rows for x in row], (r, c)))
+    b = Matrix(QQ, _object_array([x for row in b_rows for x in row], (c, k)))
+    reduced, pivots = gauss_jordan(QQ, fa, c)
+    got, got_pivots = rref(a)
+    assert got_pivots == pivots
+    assert [got.row(i) for i in range(r)] == reduced
+    assert rank(a) == len(pivots)
+    free = [j for j in range(c) if j not in pivots]
+    expect = [[Fraction(int(j == f)) for j in range(c)] for f in free]
+    for col, f in zip(expect, free):
+        for i, pc in enumerate(pivots):
+            col[pc] = -reduced[i][f]
+    basis = kernel_basis(a).basis
+    assert [basis.column(t) for t in range(basis.cols)] == expect
+    if r == c:
+        eye = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+        both, both_pivots = gauss_jordan(QQ, [x + y for x, y in zip(fa, eye)], 2 * r)
+        if both_pivots == list(range(r)):
+            inv = inverse(a)
+            assert [inv.row(i) for i in range(r)] == [row[r:] for row in both]
+        else:
+            with pytest.raises(ValueError):
+                inverse(a)
+    product = list_product(QQ, fa, fb, k)
+    dense = a @ b
+    assert [dense.row(i) for i in range(r)] == product
+    if all(x.denominator == 1 for row in fa + fb for x in row):
+        assert {type(x) for x in dense.entries()} <= {int}
+    sparse = (SparseMatrix.from_dense(a) @ SparseMatrix.from_dense(b)).to_dense()
+    assert [sparse.row(i) for i in range(r)] == product
+    # canonical sums the entries of a and e at each cell and drops every zero
+    cells = [(i, j) for i in range(r) for j in range(c)] * 2
+    vals = _object_array([x for row in a_rows for x in row] + [x for row in e_rows for x in row],
+                         len(cells))
+    got_r, got_c, got_v = canonical(QQ, [i for i, _j in cells], [j for _i, j in cells], vals,
+                                    shape=(r, c))
+    want = {(i, j): fa[i][j] + fe[i][j] for i in range(r) for j in range(c)
+            if fa[i][j] + fe[i][j]}
+    assert dict(zip(zip(got_r.tolist(), got_c.tolist()), got_v.tolist())) == want
+    assert list(zip(got_c.tolist(), got_r.tolist())) == sorted((j, i) for i, j in want)
