@@ -25,6 +25,8 @@ GOLDEN = pathlib.Path(__file__).with_name("golden")
 ALGEBRAS = {"Cp:3": 3, "S3": 2}  # builtin algebra -> max degree
 FIELDS = ("gf:3", "gf:5", "q")
 FROZEN = {"sC3-gf3": 3, "sC2-q": 3}  # algebra file stem -> max degree
+# cp-table on larger cyclic groups in their own characteristic, at max degree 5
+CP_TABLES = ("5", "7")
 
 
 def cases():
@@ -59,6 +61,10 @@ def cases():
         if builtin:
             add("cp-table", "--mode", "cp-table")
             add("compare-adjoint", "--mode", "compare-adjoint")
+    for p in CP_TABLES:
+        out.append((f"Cp{p}-gf{p}-cp-table",
+                    ["--algebra", f"Cp:{p}", "--field", f"gf:{p}", "--max-degree", "5",
+                     "--format", "json", "--mode", "cp-table"]))
     return out
 
 
