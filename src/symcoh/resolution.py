@@ -3,57 +3,46 @@ permutation action, their induced module structures, the exact augmented
 complexes they form, the contracting homotopy, the Hom route to SH/SHH,
 the projectivity splitting maps, and the cyclic-group rank table.
 
-The bimodule resolution (for SHH) carries one trailing tensor slot that
-the permutations leave alone and that A acts on from the right; `tail`
-(0 or 1) is that number of slots, read from the coefficient type.
-
 The coinvariants have a sorted-tuple basis in any basis of A, since the
 permutations only move tensor slots: Lambda^(n+1) A away from
 characteristic 2 (repeated-entry tensors die and every tuple equals its
 sorted form up to the permutation sign), Sym^(n+1) A in characteristic 2
 (every tuple equals its sorted form).  The induced actions go through
-`tensors.diagonal_columns`.
+`tensors.diagonal_columns`.  A space is built only when its ambient
+A^(tensor n+1) has at most DENSE_RANK_CELLS coordinates.
+
+The bimodule resolution (for SHH, `tail` 1, read from the coefficient
+type) is not a second quotient: its degree-n space S_n tensor A is the
+plain one tensored with A, with the diagonal left action, right
+multiplication on the A factor, and the plain boundaries and augmentation
+tensored with the identity of A.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .bar import CohomologyReport, require_cocommutative
 from .complexes import CochainComplex, CochainSpace, _left_inverse_dense, cohomology_dims
-from .errors import CharacteristicDivides, InvalidPrime
+from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime
 from .fields import Field
 from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
-from .linalg import Matrix, rank
+from .linalg import DENSE_RANK_CELLS, Matrix, rank
 from .modules import (Bimodule, LeftModule, hom_equivariant, kron, regular_bimodule,
                       regular_left_module, tensor_module, validate_module)
 from .sparse import SparseMatrix, apply_columns, canonical, field_array
-from .tensors import (all_columns, all_tuples, bar_chain_columns, cochain_precompose,
-                      delete_slot, diagonal_columns, digits, flat, right_mult_columns,
-                      swap_slots, undigits)
-
-
-def _sorted_with_sign(tup):
-    """(sorted tuple, permutation sign), or None on a repeated entry."""
-    inversions = 0
-    n = len(tup)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if tup[i] == tup[j]:
-                return None
-            if tup[i] > tup[j]:
-                inversions += 1
-    return tuple(sorted(tup)), -1 if inversions % 2 else 1
+from .tensors import (all_columns, bar_chain_columns, cochain_precompose, delete_slot,
+                      diagonal_columns, digits, flat, kron_identity, swap_slots, undigits)
 
 
 class CoinvariantSpace:
-    """A^(tensor n+1+tail) modulo the signed S_{n+1} action on the first n+1
-    slots, with projection, section, labels and the induced module
-    structure (a bimodule when tail is 1)."""
+    """A^(tensor n+1) modulo the signed S_{n+1} action, with projection,
+    section, labels and the induced module structure; or that space tensor
+    A, a bimodule with one trailing slot (see _tensor_regular)."""
 
     def __init__(self, degree, ambient_dim, projection, section, labels,
                  module: LeftModule):
@@ -76,36 +65,45 @@ class CoinvariantSpace:
         return f"<Coinvariants degree {self.degree}, dim {self.dim}>"
 
 
-def coinvariant_dim(d: int, n: int, characteristic: int, tail: int = 0) -> int:
+def coinvariant_dim(d: int, n: int, characteristic: int) -> int:
     """dim of the degree-n coinvariants of a d-dimensional algebra:
-    Lambda^(n+1) of a d-space, Sym^(n+1) in characteristic 2, times d^tail."""
-    sym = comb(d + n, n + 1) if characteristic == 2 else comb(d, n + 1)
-    return sym * d ** tail
+    Lambda^(n+1) of a d-space, Sym^(n+1) in characteristic 2."""
+    return comb(d + n, n + 1) if characteristic == 2 else comb(d, n + 1)
 
 
-def _sorted_tuple_coinvariants(fld, d, slots, sym_slots, tail):
+def _require_ambient(h: HopfAlgebra, top: int):
+    """Refuse coinvariant spaces through degree `top` whose largest nonzero
+    one (by its closed-form dimension) has an ambient A^(tensor n+1) over
+    DENSE_RANK_CELLS coordinates, before anything is built."""
+    n = top if h.field.characteristic == 2 else min(top, h.dim - 1)
+    if h.dim ** (n + 1) > DENSE_RANK_CELLS:
+        raise BudgetExceeded(
+            f"the degree-{n} coinvariants live on {h.dim}^{n + 1} = {h.dim ** (n + 1)} "
+            f"ambient coordinates, over the limit of {DENSE_RANK_CELLS}")
+
+
+def _sorted_tuple_coinvariants(fld, d, slots):
     """Projection, section and labels of the sorted-tuple basis: strictly
-    increasing symmetric slots, where a tuple with distinct symmetric slots
-    maps to its sorted label with the sign of the sorting permutation and
-    any other tuple to zero; in characteristic 2, non-decreasing symmetric
-    slots, where every tuple maps to its sorted label."""
+    increasing tuples, where a tuple with distinct entries maps to its
+    sorted label with the sign of the sorting permutation and any other
+    tuple to zero; in characteristic 2, non-decreasing tuples, where every
+    tuple maps to its sorted label."""
     char2 = fld.characteristic == 2
-    heads = (itertools.combinations_with_replacement if char2
-             else itertools.combinations)(range(d), sym_slots)
-    labels = [inc + last for inc in heads for last in all_tuples(d, tail)]
+    labels = list((itertools.combinations_with_replacement if char2
+                   else itertools.combinations)(range(d), slots))
     size = d ** slots
     label_idx = np.array([flat(lab, d) for lab in labels], dtype=np.int64)
     idx = np.arange(size if labels else 0, dtype=np.int64)
     digs = digits(idx, d, slots)
-    head = np.sort(digs[:sym_slots], axis=0)
+    head = np.sort(digs, axis=0)
     if not char2:
         distinct = np.all(head[1:] != head[:-1], axis=0)
         idx, digs, head = idx[distinct], digs[:, distinct], head[:, distinct]
     inversions = np.zeros(len(idx), dtype=np.int64)
-    for i in range(sym_slots):
-        for j in range(i + 1, sym_slots):
+    for i in range(slots):
+        for j in range(i + 1, slots):
             inversions += digs[i] > digs[j]
-    rows = np.searchsorted(label_idx, undigits(np.vstack([head, digs[sym_slots:]]), d))
+    rows = np.searchsorted(label_idx, undigits(head, d))
     one = fld.one()
     signs = field_array(fld, [one, fld.neg(one)])[inversions % 2]
     projection = SparseMatrix(fld, len(labels), size, (rows, idx, signs))
@@ -124,39 +122,47 @@ def _induced(fld, rows, section, columns, project=None):
     return SparseMatrix(fld, rows, section.cols, image).to_dense()
 
 
-def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True,
-                      tail: int = 0) -> CoinvariantSpace:
-    """The degree-n coinvariant space of A^(tensor n+1+tail), on the
-    sorted-tuple basis (Lambda^(n+1) A, or Sym^(n+1) A in characteristic 2,
-    tensor A^(tensor tail))."""
+def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True) -> CoinvariantSpace:
+    """The degree-n coinvariant space of A^(tensor n+1), on the sorted-tuple
+    basis (Lambda^(n+1) A, or Sym^(n+1) A in characteristic 2)."""
     d = h.dim
     fld = h.field
-    sym_slots = n + 1
-    slots = sym_slots + tail
-    projection, section, labels = _sorted_tuple_coinvariants(fld, d, slots, sym_slots, tail)
+    _require_ambient(h, n)
+    projection, section, labels = _sorted_tuple_coinvariants(fld, d, n + 1)
     dim = projection.rows
-    if dim:
-        # per basis element: the diagonal action, then right multiplication
-        ops = [[diagonal_columns(h, g, slots)] + [right_mult_columns(h, g, slots)] * tail
-               for g in range(d)]
-        project = projection.column_map()
-        induced = [[_induced(fld, dim, section, op, project) for op in per_g] for per_g in ops]
-    else:
-        ops = []
-        induced = [[Matrix.zeros(fld, 0, 0)] * (1 + tail)] * d
-    left = [per_g[0] for per_g in induced]
-    if tail:
-        module = Bimodule(dim, left, [per_g[1] for per_g in induced])
-    else:
-        module = LeftModule(dim, left)
-    space = CoinvariantSpace(n, d ** slots, projection, section, labels, module)
+    ops = [diagonal_columns(h, g, n + 1) for g in range(d)] if dim else []
+    project = projection.column_map()
+    action = [_induced(fld, dim, section, op, project) for op in ops] or \
+        [Matrix.zeros(fld, 0, 0)] * d
+    space = CoinvariantSpace(n, d ** (n + 1), projection, section, labels,
+                             LeftModule(dim, action))
     if check:
         if not (space.projection @ space.section).equals_identity():
             raise AssertionError("projection . section != id")
         validate_module(h, space.module)
-        _check_descends(h, space, space.projection, [op for per_g in ops for op in per_g],
-                        "induced action is not well-defined")
+        _check_descends(h, space, space.projection, ops, "induced action is not well-defined")
     return space
+
+
+def _tensor_regular(h: HopfAlgebra, space: CoinvariantSpace, regular: Bimodule,
+                    check: bool) -> CoinvariantSpace:
+    """The bimodule coinvariants S_n tensor A of A^(tensor n+2): the plain
+    space's projection and section tensor the identity of A, the diagonal
+    left action, and right multiplication on the A factor."""
+    d = h.dim
+    fld = h.field
+    eye = Matrix.identity(fld, space.dim)
+    module = Bimodule(space.dim * d, tensor_module(h, space.module, regular).action,
+                      [kron(eye, r) for r in regular.right])
+    if check:
+        validate_module(h, module)
+    projection = SparseMatrix(fld, space.dim * d, space.ambient_dim * d,
+                              kron_identity(*space.projection.triples(), d))
+    section = SparseMatrix(fld, space.ambient_dim * d, space.dim * d,
+                           kron_identity(*space.section.triples(), d))
+    labels = [lab + (a,) for lab in space.basis_labels for a in range(d)]
+    return CoinvariantSpace(space.degree, space.ambient_dim * d, projection, section,
+                            labels, module)
 
 
 def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
@@ -206,7 +212,6 @@ class ResolutionComplex:
     spaces: list            # CoinvariantSpace per degree 0..top
     boundaries: list        # Matrix, boundaries[n]: degree n -> n-1 (n >= 1)
     augmentation: Matrix    # onto k (1 x dim S_0) or onto A (dim A x dim S^e_0)
-    factorization_checks: list = dc_field(default_factory=list)
 
     def dims(self):
         return [s.dim for s in self.spaces]
@@ -223,25 +228,25 @@ class ResolutionComplex:
         checks = [(onto, aug_rank == self.augmentation.rows)]
         for n in range(self.top):
             checks.append((f"exact_at_{n}", ranks[n] + ranks[n + 1] == self.spaces[n].dim))
-        if coinvariant_dim(self.hopf.dim, self.top + 1, self.hopf.field.characteristic,
-                           self.spaces[0].module.tail) == 0:
+        if coinvariant_dim(self.hopf.dim, self.top + 1, self.hopf.field.characteristic) == 0:
             checks.append((f"exact_at_{self.top}", ranks[self.top] == self.spaces[self.top].dim))
         return checks
 
 
 def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True,
                            tail: int = 0) -> ResolutionComplex:
-    """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k; with
-    a trailing slot, the bimodule complex S^e_top -> ... -> S^e_0 -> A,
-    checked against (plain coinvariants) tensor A."""
-    spaces = [coinvariant_space(h, n, check=check, tail=tail) for n in range(top + 1)]
+    """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k;
+    with tail 1, the bimodule complex S_top tensor A -> ... -> S_0 tensor A
+    -> A, the same complex tensored with A."""
+    _require_ambient(h, top)
+    spaces = [coinvariant_space(h, n, check=check) for n in range(top + 1)]
     fld = h.field
     boundaries = [None]
     for n in range(1, top + 1):
         if spaces[n].dim == 0:
             boundaries.append(Matrix.zeros(fld, spaces[n - 1].dim, 0))
             continue
-        chain = bar_chain_columns(h, n, tail)  # A^(n+1+tail) -> A^(n+tail)
+        chain = bar_chain_columns(h, n, 0)  # A^(n+1) -> A^n
         below = spaces[n - 1].projection
         if check:
             _check_descends(h, spaces[n], below, [chain],
@@ -249,36 +254,20 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True,
         boundaries.append(_induced(fld, below.rows, spaces[n].section, chain,
                                    below.column_map()))
     # the augmentation deletes slot 0 by the counit
-    aug = _induced(fld, h.dim ** tail, spaces[0].section, bar_chain_columns(h, 0, tail))
-    res = ResolutionComplex(h, top, spaces, boundaries, aug)
+    aug = _induced(fld, 1, spaces[0].section, bar_chain_columns(h, 0, 0))
     if tail:
-        res.factorization_checks = _factorization_checks(h, spaces)
-    return res
+        regular = regular_bimodule(h)
+        eye = Matrix.identity(fld, h.dim)
+        spaces = [_tensor_regular(h, s, regular, check) for s in spaces]
+        boundaries = [None] + [kron(b, eye) for b in boundaries[1:]]
+        aug = kron(aug, eye)
+    return ResolutionComplex(h, top, spaces, boundaries, aug)
 
 
 def hochschild_resolution(h: HopfAlgebra, top: int, check: bool = True) -> ResolutionComplex:
-    """The augmented bimodule complex of coinvariants of A^(tensor n+2),
-    with the factorization check against (coinvariants tensor A)."""
+    """The augmented bimodule complex (coinvariants of A^(tensor n+1))
+    tensor A -> A."""
     return sym_resolution_complex(h, top, check=check, tail=1)
-
-
-def _factorization_checks(h, spaces):
-    """Dimension and structure comparison of S^e_n with (plain S_n) tensor A."""
-    d = h.dim
-    fld = h.field
-    regular = regular_bimodule(h)
-    plain = [coinvariant_space(h, n, check=False) for n in range(len(spaces))]
-    checks = []
-    for n, space in enumerate(spaces):
-        ok_dim = space.dim == plain[n].dim * d
-        checks.append((f"dim_{n}", ok_dim))
-        if ok_dim and space.dim:
-            expect = tensor_module(h, plain[n].module, regular).action
-            eye = Matrix.identity(fld, plain[n].dim)
-            checks.append((f"left_structure_{n}", expect == space.module.left))
-            checks.append((f"right_structure_{n}", [kron(eye, r) for r in regular.right]
-                           == space.module.right))
-    return checks
 
 
 def _unit_insert_columns(h: HopfAlgebra, slots: int):
@@ -452,50 +441,22 @@ def cp_rank_table(p: int, n_max: int | None = None) -> list:
     """Freeness certificates for the coinvariants of the cyclic group
     algebra in its own characteristic, degrees 1..p-2.
 
-    The greedy pass keeps one sorted-tuple generator per group orbit
-    (sign disregarded, as orbits of b and -b coincide as lines); the
-    certificate checks that the kept orbits jointly form a basis.
+    The rank column is the rank of the norm element (the sum of the group
+    elements) on S_n.  It acts with rank 1 on the free indecomposable
+    module of kC_p and as zero on the others, so it counts the free
+    summands, and S_n is free exactly when that rank times p is dim S_n.
     """
     from .fields import is_prime
     if p == 2 or not is_prime(p):
         raise InvalidPrime(f"{p} is not an odd prime")
-    field = Field.prime(p)
-    h = group_algebra(p, cyclic_group_table(p), field)
+    h = group_algebra(p, cyclic_group_table(p), Field.prime(p))
     top = p - 2 if n_max is None else min(n_max, p - 2)
+    _require_ambient(h, top)
     rows = []
     for n in range(1, top + 1):
         space = coinvariant_space(h, n)
-        labels = space.basis_labels
-        label_rank = {lab: i for i, lab in enumerate(labels)}
-        covered = set()
-        selected = []
-        for lab in labels:
-            if lab in covered:
-                continue
-            selected.append(lab)
-            current = lab
-            for _ in range(p):
-                covered.add(current)
-                moved = tuple(sorted((t + 1) % p for t in current))
-                current = moved
-        # certificate: all orbit translates of the kept generators span freely
-        cols = []
-        for lab in selected:
-            coeff = field.one()
-            col_tuple = lab
-            for _ in range(p):
-                cols.append({label_rank[col_tuple]: coeff})
-                moved = tuple((t + 1) % p for t in col_tuple)
-                key, sign = _sorted_with_sign(moved)
-                col_tuple = key
-                if sign < 0:
-                    coeff = field.neg(coeff)
-        mat = Matrix.zeros(field, space.dim, len(cols))
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                mat._set(i, j, v)
-        full = rank(mat)
-        is_free = (len(selected) * p == space.dim) and (full == space.dim)
-        rows.append(CpRankRow(n, space.dim, len(selected),
-                              comb(p, n + 1) // p, is_free))
+        norm = space.module.act_element(h, dict.fromkeys(range(p), h.field.one()))
+        free_rank = rank(norm)
+        rows.append(CpRankRow(n, space.dim, free_rank, comb(p, n + 1) // p,
+                              free_rank * p == space.dim))
     return rows

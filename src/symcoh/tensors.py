@@ -7,9 +7,13 @@ m-dimensional module puts component (tuple, j) at flat(tuple) * m + j.
 Digit k of a flat index idx on t slots is idx // d**(t-1-k) % d, so the
 operators below are built as numpy arithmetic on arrays of flat indices.
 Each has a column map `columns(idx) -> (rows, position in idx, vals)`
-(see sparse.py).  The cochain operators (precomposition with the
-counit-deletion chain map, signed slot swaps) are SparseMatrix triples
-built by the same arithmetic.
+(see sparse.py): the diagonal action and the counit-deletion chain map,
+whose `tail` trailing slots stay put.  The cochain operators
+(precomposition with that chain map, signed slot swaps) are SparseMatrix
+triples built by the same arithmetic.  No operator here multiplies a
+trailing slot from the right: bar.py writes that action into its
+equivariant bases, and the bimodule resolution tensors the plain one
+with A (`kron_identity`).
 
 The diagonal action of a group element permutes flat indices.  For any
 other algebra it is a dense d^t x d^t array: the Sweedler tensor of the
@@ -224,25 +228,3 @@ def diagonal_columns(h: HopfAlgebra, b: int, slots: int):
         return permutation_columns(group_diagonal_perm(h, b, slots))
     return dense_columns(diagonal_action(h, b, slots))
 
-
-def right_mult_columns(h: HopfAlgebra, c: int, slots: int):
-    """Column map of right multiplication by b_c in the last of `slots`
-    tensor slots."""
-    d = h.dim
-    fld = h.field
-    # per last digit t: the digits k of b_t b_c and their coefficients
-    cells = [(np.array(list(h.mult[t][c]), dtype=np.int64),
-              field_array(fld, list(h.mult[t][c].values()))) for t in range(d)]
-
-    def columns(idx):
-        last = idx % d
-        rows, pos, vals = [idx[:0]], [idx[:0]], [field_array(fld, [])]
-        for t, (ks, cs) in enumerate(cells):
-            at = np.flatnonzero(last == t)
-            for k, v in zip(ks, cs):
-                rows.append(idx[at] - t + k)
-                pos.append(at)
-                vals.append(np.full(len(at), v, dtype=cs.dtype))
-        return np.concatenate(rows), np.concatenate(pos), np.concatenate(vals)
-
-    return columns

@@ -18,7 +18,11 @@ equivariant cochains as the stacked kernel of the equivariance equations
 (against the tensor-identity basis of `symcoh.bar.equivariant_space`),
 and the coinvariants as the quotient by the swap relations, by
 elimination (against the sorted-tuple basis of
-`symcoh.resolution.coinvariant_space`).
+`symcoh.resolution.coinvariant_space`, and on one more slot against the
+bimodule spaces S_n tensor A of `symcoh.resolution.hochschild_resolution`,
+with right multiplication in the last slot written tuple by tuple).  The
+orbit walk certifies the cyclic rank table by generators, against the
+rank of the norm element that `symcoh.resolution.cp_rank_table` takes.
 """
 
 import itertools
@@ -26,6 +30,7 @@ import itertools
 import numpy as np
 
 from symcoh.complexes import CochainSpace, _left_inverse_dense
+from symcoh.fields import Field
 from symcoh.hopf import HopfAlgebra, iterated_comult
 from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank
 from symcoh.modules import LeftModule, invariants, kron, regular_bimodule
@@ -126,6 +131,20 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
     return SparseMatrix(fld, d ** slots, d ** slots, (rows, cols, vals))
 
 
+def right_multiplication(h: HopfAlgebra, c: int, slots: int) -> SparseMatrix:
+    """Right multiplication by b_c in the last of `slots` tensor slots,
+    tuple by tuple."""
+    d = h.dim
+    rows, cols, vals = [], [], []
+    for col in range(d ** slots):
+        head, last = divmod(col, d)
+        for k, v in h.mult[last][c].items():
+            rows.append(head * d + k)
+            cols.append(col)
+            vals.append(v)
+    return SparseMatrix(h.field, d ** slots, d ** slots, (rows, cols, vals))
+
+
 def stacked_kernel(field, mats) -> Subspace:
     """Common kernel of matrices with equal column counts, by one
     elimination of their vertical stack."""
@@ -213,3 +232,47 @@ def list_product(field, a, b, cols: int):
                         orow[j] = field.add(orow[j], field.mul(x, y))
     return out
 
+
+def _sorted_with_sign(tup):
+    """(sorted tuple, permutation sign), or None on a repeated entry."""
+    inversions = 0
+    n = len(tup)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if tup[i] == tup[j]:
+                return None
+            if tup[i] > tup[j]:
+                inversions += 1
+    return tuple(sorted(tup)), -1 if inversions % 2 else 1
+
+
+def cp_orbit_walk(p: int, n: int):
+    """(generators, is_free) for the degree-n coinvariants of kC_p over
+    GF(p), by generators: keep one sorted tuple per orbit of the generator
+    (sign disregarded, as the orbits of b and -b coincide as lines), then
+    check that the p translates of the kept tuples form a basis."""
+    field = Field.prime(p)
+    labels = list(itertools.combinations(range(p), n + 1))
+    label_rank = {lab: i for i, lab in enumerate(labels)}
+    covered = set()
+    selected = []
+    for lab in labels:
+        if lab in covered:
+            continue
+        selected.append(lab)
+        current = lab
+        for _ in range(p):
+            covered.add(current)
+            current = tuple(sorted((t + 1) % p for t in current))
+    mat = Matrix.zeros(field, len(labels), len(selected) * p)
+    j = 0
+    for lab in selected:
+        coeff = field.one()
+        for _ in range(p):
+            mat._set(label_rank[lab], j, coeff)
+            j += 1
+            lab, sign = _sorted_with_sign(tuple((t + 1) % p for t in lab))
+            if sign < 0:
+                coeff = field.neg(coeff)
+    free = len(selected) * p == len(labels) and rank(mat) == len(labels)
+    return len(selected), free

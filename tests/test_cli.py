@@ -198,6 +198,24 @@ def test_dense_diagonal_action_over_the_cell_limit_is_a_budget_error(capsys, tmp
     assert (code, report["dims"]) == (0, [1, 0, 0])
 
 
+def test_oversized_coinvariant_ambient_is_a_budget_error(capsys):
+    # degree 9 of kC11 lives on 11^10 ambient coordinates: refused before
+    # any degree is built, so not even degree 6 (11^7 coordinates) allocates
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code, report = run_json(capsys, "--algebra", "Cp:11", "--field", "gf:11",
+                                "--mode", "cp-table", "--max-degree", "9")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert report["dims"] == []
+    assert report["error"]["code"] == 3
+    assert "11^10 = 25937424601 ambient coordinates" in report["error"]["reason"]
+    assert peak < 1 << 20
+
+
 def test_oversized_dense_rank_is_a_budget_error(capsys):
     # within the coordinate budget (3^10 coordinates), but the rank of d_8
     # would densify a 19683 x 6561 matrix; refused before it is built

@@ -12,7 +12,7 @@ from symcoh.modules import (Bimodule, adjoint_module, hom_equivariant,
                             regular_left_module, tensor_module,
                             trivial_bimodule, trivial_module,
                             validate_bimodule, validate_left_module)
-from symcoh.resolution import coinvariant_space
+from symcoh.resolution import hochschild_resolution, sym_resolution_complex
 from test_generic_hopf import scrambled_kc3
 
 GF3 = Field.prime(3)
@@ -242,8 +242,7 @@ def test_hom_equivariant_equals_the_stacked_kron_kernel(name):
     for tail in tails:
         targets = (trivial_bimodule, regular_bimodule) if tail else \
             (trivial_module, regular_left_module)
-        sources = [coinvariant_space(h, n, check=False, tail=tail).module
-                   for n in range(top + 1)]
+        sources = [s.module for s in sym_resolution_complex(h, top, check=False, tail=tail).spaces]
         sources.append(targets[1](h))
         for target in targets:
             m = target(h)
@@ -263,7 +262,7 @@ def test_bimodule_hom_solve_peak_memory():
     # the regular bimodule: the stacked kron constraints peaked at 143 MiB
     h = kS3(GF5)
     reg = regular_bimodule(h)
-    spaces = [coinvariant_space(h, n, check=False, tail=1) for n in range(4)]
+    spaces = hochschild_resolution(h, 3, check=False).spaces
     tracemalloc.start()
     try:
         dims = [hom_equivariant(h, s.module, reg).dim for s in spaces]

@@ -17,7 +17,9 @@ from symcoh.resolution import (coinvariant_space, contracting_homotopy_check,
                                shh_via_resolution, splitting_maps,
                                sym_resolution_complex)
 
-from oracles import coinvariant_quotient, diagonal_action
+from oracles import (coinvariant_quotient, cp_orbit_walk, diagonal_action,
+                     right_multiplication)
+from symcoh.tensors import bar_chain_diff, flat
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
@@ -72,10 +74,18 @@ def test_coinvariants_ks3_dim_is_binomial():
     assert coinvariant_space(h, 2).dim == comb(6, 3) == 20
 
 
+def _space(h, n, tail, check=True):
+    """The degree-n space of the plain resolution, or with tail 1 of the
+    bimodule resolution."""
+    if not tail:
+        return coinvariant_space(h, n, check=check)
+    return hochschild_resolution(h, n, check=check).spaces[n]
+
+
 def _assert_matches_quotient_oracle(h, n, tail, check=True):
     """The sorted-tuple space has the dimension and the kernel of the
     elimination quotient; returns it with the oracle's (projection, section)."""
-    fast = coinvariant_space(h, n, check=check, tail=tail)
+    fast = _space(h, n, tail, check)
     proj, sect = coinvariant_quotient(h, n, tail)
     assert fast.dim == proj.rows
     # equal kernels: the rows of both projections span the same space
@@ -276,8 +286,7 @@ def test_bimodule_coinvariants_kc3_dims():
     h = kC(3, GF3)
     res = hochschild_resolution(h, 2)
     assert res.dims() == [9, 9, 3]
-    for name, ok in res.factorization_checks:
-        assert ok, name
+    assert [s.ambient_dim for s in res.spaces] == [9, 27, 81]
 
 
 def test_bimodule_resolution_exactness():
@@ -288,9 +297,37 @@ def test_bimodule_resolution_exactness():
 
 
 def test_bimodule_coinvariants_generic_agrees():
-    for h in (kC(3, GF3), scrambled_kc3(), scrambled_kc2_rational()):
-        for n in (0, 1, 2):
-            _assert_matches_quotient_oracle(h, n, 1)
+    # S_n tensor A against the quotient of A^(tensor n+2) by elimination:
+    # the same kernel, and the oracle's diagonal action, right
+    # multiplication in the last slot and tail-1 chain map, each carried to
+    # the oracle's basis, are the derived bimodule's matrices
+    cases = [(kC(3, GF3), 2), (kS3(GF5), 1), (kC(2, Field.prime(2)), 2),
+             (scrambled_kc3(), 2), (scrambled_kc2_rational(), 2)]
+    for h, top in cases:
+        res = hochschild_resolution(h, top)
+        projs, changes = [], []
+        for n, fast in enumerate(res.spaces):
+            proj = coinvariant_quotient(h, n, 1)[0]
+            section = fast.section.to_dense()
+            assert fast.dim == proj.rows
+            assert rank(Matrix.vstack(h.field, [fast.projection.to_dense(), proj])) == fast.dim
+            assert (fast.projection @ fast.section).equals_identity()
+            assert fast.section.triples()[0].tolist() == \
+                [flat(lab, h.dim) for lab in fast.basis_labels]
+            # the oracle basis of each derived basis vector
+            change = proj @ section
+            for g in range(h.dim):
+                left = diagonal_action(h, g, n + 2).to_dense()
+                right = right_multiplication(h, g, n + 2).to_dense()
+                assert proj @ left @ section == change @ fast.module.left[g]
+                assert proj @ right @ section == change @ fast.module.right[g]
+            chain = bar_chain_diff(h, n, 1).to_dense()
+            if n:
+                assert projs[-1] @ chain @ section == changes[-1] @ res.boundaries[n]
+            else:
+                assert chain @ section == res.augmentation
+            projs.append(proj)
+            changes.append(change)
 
 
 def test_shh_via_resolution_matches_fixed_subcomplex():
@@ -353,3 +390,27 @@ def test_cp_rank_table_rejects_bad_primes():
         cp_rank_table(4)
     with pytest.raises(InvalidPrime):
         cp_rank_table(2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cp_rank_table_matches_the_orbit_walk(p):
+    # the rank of the norm element against generators kept one per orbit
+    # and certified to span freely
+    rows = cp_rank_table(p)
+    assert [(r.rank, r.is_free) for r in rows] == \
+        [cp_orbit_walk(p, n) for n in range(1, p - 1)]
+
+
+def test_resolution_ambient_is_refused_before_any_degree_is_built(monkeypatch):
+    # degree 9 of kC11 lives on 11^10 ambient coordinates; nothing is built
+    from symcoh import resolution
+    from symcoh.errors import BudgetExceeded
+    monkeypatch.setattr(resolution, "coinvariant_space", None)
+    for build in (lambda: cp_rank_table(11, n_max=9),
+                  lambda: sym_resolution_complex(kC(11, Field.prime(11)), 9)):
+        with pytest.raises(BudgetExceeded, match="11\\^10 = 25937424601 ambient"):
+            build()
+    monkeypatch.undo()
+    # the degrees past the last nonzero space are not counted: S_20 of kC3
+    # would live on 3^21 coordinates, but it is zero and builds nothing
+    assert sym_resolution_complex(kC(3, GF3), 20).dims() == [3, 3, 1] + [0] * 18

@@ -2,21 +2,25 @@
 
 `coinvariant_space(check=True)` and `sym_resolution_complex(check=True)`
 verify that the projection splits the section, that the induced module is
-a module, and that the diagonal action, the right multiplication in the
-trailing slot and the boundary all descend to the quotient.  Each case
-here corrupts one entry of one of those inputs and expects an
-`AssertionError`, on kC3 in its group basis ("fast": the diagonal action
-is a permutation) and in a basis with no group-like elements ("generic":
-the diagonal action is a dense contraction), with and without the
-trailing slot, over GF(5) and Q.
+a module, and that the diagonal action and the boundary descend to the
+quotient.  The bimodule resolution (tail 1) is the plain one tensored
+with A, so it must stop at a corrupted plain space or boundary too, and
+its own check, that S_n tensor A is a bimodule, must catch a corrupted
+right or left action.  Each case here corrupts one entry of one of those
+inputs and expects the check to raise, on kC3 in its group basis ("fast":
+the diagonal action is a permutation) and in a basis with no group-like
+elements ("generic": the diagonal action is a dense contraction), over
+GF(5) and Q.
 """
 
 import numpy as np
 import pytest
 
 from symcoh import resolution
+from symcoh.errors import InvalidBimodule
 from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra
+from symcoh.modules import Bimodule
 from symcoh.resolution import coinvariant_space, sym_resolution_complex
 from symcoh.sparse import field_array
 
@@ -24,10 +28,9 @@ from test_generic_hopf import scrambled_kc3
 
 FIELDS = {"GF5": Field.prime(5), "Q": Field.rationals()}
 
-# the column maps (see symcoh.sparse) of the ambient operators the checks
-# project, by their names in `resolution`
+# the column map (see symcoh.sparse) of the ambient chain map the checks
+# project, by its name in `resolution`
 CHAIN_MAP = "bar_chain_columns"
-RIGHT_MULT = "right_mult_columns"
 
 
 def kc3(field):
@@ -79,11 +82,11 @@ def _bump_entry(field, columns, row, col):
     return bumped
 
 
-def _corrupt_chain(monkeypatch, degree, tail, d):
-    """Change the entry of the degree-`degree` boundary that deletes slot 0
-    of (0, 1, ..., degree) followed by zeros in the trailing slots."""
+def _corrupt_chain(monkeypatch, degree, d):
+    """Change the entry of the plain degree-`degree` boundary that deletes
+    slot 0 of (0, 1, ..., degree)."""
     original = getattr(resolution, CHAIN_MAP)
-    tup = tuple(range(degree + 1)) + (0,) * tail
+    tup = tuple(range(degree + 1))
 
     def chain(h, n, t):
         op = original(h, n, t)
@@ -94,36 +97,27 @@ def _corrupt_chain(monkeypatch, degree, tail, d):
     monkeypatch.setattr(resolution, CHAIN_MAP, chain)
 
 
-def _corrupt_right_mult(monkeypatch, basis_element, col_tuple, d):
-    """Change the entry of right multiplication by `basis_element` at the
-    column of `col_tuple` and the row it maps that column to."""
-    original = getattr(resolution, RIGHT_MULT)
+def _corrupt_regular(monkeypatch, side):
+    """Change one entry of the right action of b_1, or of the left action of
+    b_1 on the derived bimodule, as the bimodule resolution reads them."""
+    original_regular = resolution.regular_bimodule
+    original_tensor = resolution.tensor_module
 
-    def right(h, c, slots):
-        op = original(h, c, slots)
-        if c != basis_element or slots != len(col_tuple):
-            return op
-        col = _flat(col_tuple, d)
-        # a basis element that occurs in the product of the last slot and b_c
-        last = min(h.mult[col_tuple[-1]][c])
-        row = _flat(col_tuple[:-1] + (last,), d)
-        return _bump_entry(h.field, op, row, col)
+    def bumped(mats):
+        first = mats[1].copy()
+        first.data[0, 0] = _bumped(first.field, first.data[0, 0])
+        return mats[:1] + [first] + mats[2:]
 
-    monkeypatch.setattr(resolution, RIGHT_MULT, right)
-
-
-def _unsectioned_distinct_tuple(h, n, tail):
-    """A tuple with distinct symmetric slots whose column the section does
-    not use, so corrupting an operator there leaves the induced module
-    alone and only the descent check can see it."""
-    space = coinvariant_space(h, n, check=False, tail=tail)
-    used = set(space.section.triples()[0].tolist())
-    d = h.dim
-    for idx in range(d ** space.slots):
-        tup = tuple(int(x) for x in np.unravel_index(idx, (d,) * space.slots))
-        if len(set(tup[:n + 1])) == n + 1 and idx not in used:
-            return tup
-    raise AssertionError("no unsectioned distinct tuple")
+    if side == "right":
+        def regular(h):
+            reg = original_regular(h)
+            return Bimodule(reg.dim, reg.left, bumped(reg.right))
+        monkeypatch.setattr(resolution, "regular_bimodule", regular)
+    else:
+        def tensor(h, l, m):
+            out = original_tensor(h, l, m)
+            return type(out)(out.dim, bumped(out.action)) if out.dim else out
+        monkeypatch.setattr(resolution, "tensor_module", tensor)
 
 
 # kC3 in its group basis, and in a basis with no group-like elements
@@ -136,7 +130,7 @@ TAILS = [pytest.param(0, id="tail0"), pytest.param(1, id="tail1")]
 @pytest.mark.parametrize("tail", TAILS)
 def test_uncorrupted_checks_pass(field_name, make, tail):
     h = make(FIELDS[field_name])
-    coinvariant_space(h, 1, check=True, tail=tail)
+    coinvariant_space(h, 1, check=True)
     sym_resolution_complex(h, 2, check=True, tail=tail)
 
 
@@ -148,7 +142,7 @@ def test_corrupted_quotient_is_caught(monkeypatch, what, field_name, make, tail)
     h = make(FIELDS[field_name])
     _corrupt_space(monkeypatch, 1, what)
     with pytest.raises(AssertionError):
-        coinvariant_space(h, 1, check=True, tail=tail)
+        coinvariant_space(h, 1, check=True)
     with pytest.raises(AssertionError):
         sym_resolution_complex(h, 2, check=True, tail=tail)
 
@@ -158,7 +152,7 @@ def test_corrupted_quotient_is_caught(monkeypatch, what, field_name, make, tail)
 @pytest.mark.parametrize("tail", TAILS)
 def test_corrupted_chain_map_is_caught(monkeypatch, field_name, make, tail):
     h = make(FIELDS[field_name])
-    _corrupt_chain(monkeypatch, 2, tail, h.dim)
+    _corrupt_chain(monkeypatch, 2, h.dim)
     with pytest.raises(AssertionError):
         sym_resolution_complex(h, 2, check=True, tail=tail)
 
@@ -167,9 +161,15 @@ def test_corrupted_chain_map_is_caught(monkeypatch, field_name, make, tail):
 @pytest.mark.parametrize("make", BASES)
 def test_corrupted_right_action_is_caught(monkeypatch, field_name, make):
     h = make(FIELDS[field_name])
-    tup = _unsectioned_distinct_tuple(h, 1, 1)
-    _corrupt_right_mult(monkeypatch, 1, tup, h.dim)
-    with pytest.raises(AssertionError):
-        coinvariant_space(h, 1, check=True, tail=1)
-    with pytest.raises(AssertionError):
+    _corrupt_regular(monkeypatch, "right")
+    with pytest.raises(InvalidBimodule):
+        sym_resolution_complex(h, 1, check=True, tail=1)
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@pytest.mark.parametrize("make", BASES)
+def test_corrupted_tensor_module_is_caught(monkeypatch, field_name, make):
+    h = make(FIELDS[field_name])
+    _corrupt_regular(monkeypatch, "left")
+    with pytest.raises(InvalidBimodule):
         sym_resolution_complex(h, 1, check=True, tail=1)
