@@ -1,7 +1,7 @@
 """Standard and homogeneous cochain complexes of a cocommutative Hopf
-algebra, the signed symmetric-group actions on them, the chain
-isomorphisms between the two realizations, and symmetric cohomology,
-with coefficients in a left module (H, SH) or a bimodule (HH, SHH).
+algebra, the signed symmetric-group actions on them, and symmetric
+cohomology, with coefficients in a left module (H, SH) or a bimodule
+(HH, SHH).
 
 Both coefficient kinds share one construction.  A bimodule adds one
 trailing tensor slot, acted on from the right, to the homogeneous
@@ -23,7 +23,6 @@ equivariant_space).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -39,7 +38,7 @@ from .sparse import SparseMatrix, field_array
 from .tensors import (all_tuples, bar_chain_diff, cochain_precompose,
                       cochain_swap_sigma, diagonal_columns, flat, kron_identity)
 
-DEFAULT_BUDGET = 200_000
+BUDGET = 200_000  # coordinates of the largest ambient cochain space a complex may have
 
 
 @dataclass
@@ -55,10 +54,10 @@ class CohomologyReport:
         return all(ok for _name, ok in self.checks)
 
 
-def require_budget(coords: int, budget: int, what: str):
-    if coords > budget:
+def require_budget(coords: int, what: str):
+    if coords > BUDGET:
         raise BudgetExceeded(
-            f"{what} needs {coords} coordinates, budget is {budget}")
+            f"{what} needs {coords} coordinates, budget is {BUDGET}")
 
 
 def require_cocommutative(h: HopfAlgebra):
@@ -153,8 +152,9 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
                      for key, value in _psi_blocks(h, mod).items()), key=lambda b: b[0][1:])
     # D_u[y, x] for every x, sorted by y: the inner argument x of psi(f) meets f at y
     actions = {}
-    for u in {u for (u, _a, _c), _t in blocks}:
-        y, x, dv = diagonal_columns(h, u, n)(inner)
+    acting = sorted({u for (u, _a, _c), _t in blocks})
+    for u, columns in zip(acting, diagonal_columns(h, acting, n)):
+        y, x, dv = columns(inner)
         order = np.argsort(y)
         actions[u] = (y[order], x[order], None if dv is None else dv[order])
     entries = sum(len(t[0]) * len(actions[u][0]) for (u, _a, _c), t in blocks)
@@ -192,16 +192,14 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     return CochainSpace(ambient, basis, coords, check=False)
 
 
-def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int,
-                        budget: int = DEFAULT_BUDGET) -> CochainComplex:
+def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
     """Degrees 0..top of the equivariant realization, degree n on n+1+tail
     slots; the differential is precomposition with the alternating
     counit-deletion chain map."""
     validate_module(h, mod)
     m = mod.dim
     tail = mod.tail
-    require_budget(m * h.dim ** (top + 1 + tail), budget,
-                   _prefixed(mod, "homogeneous complex"))
+    require_budget(m * h.dim ** (top + 1 + tail), _prefixed(mod, "homogeneous complex"))
     # highest degree first, so a degree over the entry limit fails before
     # the smaller ones are built
     spaces = [equivariant_space(h, mod, n + 1 + tail) for n in range(top, -1, -1)][::-1]
@@ -230,15 +228,13 @@ def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int,
 # -- the nonhomogeneous (reduced-coordinate) realization -------------------
 
 
-def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int,
-                           budget: int = DEFAULT_BUDGET) -> CochainComplex:
+def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
     """Degrees 0..top of the standard complex on Hom_k(A^(tensor n), M)."""
     validate_module(h, mod)
     d = h.dim
     m = mod.dim
     fld = h.field
-    require_budget(m * d ** (top + 1 + mod.tail), budget,
-                   _prefixed(mod, "nonhomogeneous complex"))
+    require_budget(m * d ** (top + 1 + mod.tail), _prefixed(mod, "nonhomogeneous complex"))
     left = _blocks(mod.action)
     right = _blocks(_right_matrices(h, mod))
     one = fld.one()
@@ -328,199 +324,40 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOpera
     return ActionOperator(n, sigmas)
 
 
-def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
-    """The same action written on all of Hom_k(A^(tensor n+1+tail), M),
-    where the first (and for a bimodule the last) tensor slot is a free
-    module coordinate.  Used to cross-check the reduced boundary formulas
-    under f(a_0 tensor x tensor a_last) = a_0 . f(1 tensor x tensor 1) . a_last."""
-    require_cocommutative(h)
-    d = h.dim
-    m = mod.dim
-    fld = h.field
-    slots = n + 1 + mod.tail
-    size = m * d ** slots
-    minus = fld.neg(fld.one())
-    eye = [(j, j, fld.one()) for j in range(m)]
-    sigmas = []
-    for i in range(1, n + 1):
-        entries = ([], [], [])
-        for tup in all_tuples(d, slots):
-            row_base = flat(tup, d) * m
-            if i + 1 < slots:
-                # interior: the slot after the moved one exists
-                for (s1, s2, s3), c in _sweedler_triples(h, tup[i]).items():
-                    for a, ma in h.mult[tup[i - 1]][s1].items():
-                        for u, su in h.antipode_column(s2).items():
-                            for v, mv in h.mult[s3][tup[i + 1]].items():
-                                coeff = fld.mul(minus,
-                                                fld.mul(fld.mul(c, ma), fld.mul(su, mv)))
-                                col_base = flat(tup[:i - 1] + (a, u, v) + tup[i + 2:], d) * m
-                                _add_value_block(entries, row_base, col_base, coeff, eye, fld)
-            else:
-                for (s1, s2), c in h.comult[tup[n]].items():
-                    for a, ma in h.mult[tup[n - 1]][s1].items():
-                        for u, su in h.antipode_column(s2).items():
-                            coeff = fld.mul(minus, fld.mul(c, fld.mul(ma, su)))
-                            col_base = flat(tup[:n - 1] + (a, u), d) * m
-                            _add_value_block(entries, row_base, col_base, coeff, eye, fld)
-        sigmas.append(SparseMatrix(fld, size, size, entries))
-    return ActionOperator(n, sigmas)
-
-
-# -- the chain isomorphisms between the realizations ----------------------
-
-
-def _leg_product(h: HopfAlgebra, legs) -> dict | None:
-    """The product of the basis elements `legs` in order (None if empty)."""
-    one = h.field.one()
-    vec = None
-    for leg in legs:
-        vec = {leg: one} if vec is None else h.product(vec, {leg: one})
-    return vec
-
-
-def _antipode_times(h: HopfAlgebra, s: int, b: int) -> dict:
-    """S(b_s) * b_b with zero entries dropped."""
-    fld = h.field
-    vec: dict = {}
-    for u, su in h.antipode_column(s).items():
-        for w, mw in h.mult[u][b].items():
-            vec[w] = fld.add(vec.get(w, fld.zero()), fld.mul(su, mw))
-    return {k: v for k, v in vec.items() if v != 0}
-
-
-def _two_sided_block(left: Matrix, right: list, elem: dict) -> list:
-    """Entries of v -> a . v . elem, given the matrices of a and of the
-    right action."""
-    out = Matrix.zeros(left.field, left.rows, left.cols)
-    for t, tc in elem.items():
-        out = out + (right[t] @ left).scale(tc)
-    return _blocks([out])[0]
-
-
-def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
-    """Matrices of the mutually inverse chain maps between the realizations.
-
-    phi: equivariant Hom(A^(n+1+tail), M) -> reduced Hom(A^n, M),
-    evaluating at nested products of leading Sweedler legs (a trailing
-    slot takes the product of the top legs); psi goes back using the
-    antipode to difference consecutive arguments, moving the first slot
-    into the left action and a trailing slot into the right action.
-    """
-    d = h.dim
-    m = mod.dim
-    tail = mod.tail
-    fld = h.field
-    left = _blocks(mod.action)
-    eye = [(j, j, fld.one()) for j in range(m)]
-    unit = h.unit_dict()
-
-    entries = ([], [], [])
-    for tup in all_tuples(d, n):
-        row_base = flat(tup, d) * m
-        legs = [iterated_comult(h, tup[r], n - 1 - r + tail).coeffs for r in range(n)]
-        for combo in itertools.product(*(legs[r].items() for r in range(n))):
-            base_coeff = fld.one()
-            for _t, c in combo:
-                base_coeff = fld.mul(base_coeff, c)
-            # slot s (1-based) is the product of leg s+1-r of argument r
-            slot_vecs = [_leg_product(h, (combo[r][0][s - 1 - r] for r in range(s)))
-                         for s in range(1, n + 1)]
-            if tail:
-                # closing slot: the product of the top legs of every argument
-                closing = _leg_product(h, (combo[r][0][n - r] for r in range(n)))
-                slot_vecs.append(unit if closing is None else closing)
-            for head, hc in unit.items():
-                for choice in itertools.product(*(v.items() for v in slot_vecs)):
-                    coeff = fld.mul(base_coeff, hc)
-                    arg = (head,) + tuple(k for k, _v in choice)
-                    for _k, v in choice:
-                        coeff = fld.mul(coeff, v)
-                    if coeff == 0:
-                        continue
-                    _add_value_block(entries, row_base, flat(arg, d) * m, coeff, eye, fld)
-    phi = SparseMatrix(fld, m * d ** n, m * d ** (n + 1 + tail), entries)
-
-    entries = ([], [], [])
-    for tup in all_tuples(d, n + 1 + tail):
-        row_base = flat(tup, d) * m
-        pair_lists = [list(h.comult[tup[r]].items()) for r in range(n + tail)]
-        for combo in itertools.product(*pair_lists):
-            base_coeff = fld.one()
-            for _p, c in combo:
-                base_coeff = fld.mul(base_coeff, c)
-            head = combo[0][0][0] if combo else tup[0]
-            # slot k: S(second leg of a_{k-1}) * (first leg of a_k, or the last
-            # argument bare); a trailing slot k = n+1 acts from the right
-            slot_vecs = [_antipode_times(h, combo[k - 1][0][1],
-                                         combo[k][0][0] if k < len(combo) else tup[k])
-                         for k in range(1, n + 1 + tail)]
-            if not all(slot_vecs):
-                continue
-            block = (_two_sided_block(mod.action[head], mod.right, slot_vecs.pop())
-                     if tail else left[head])
-            for choice in itertools.product(*(v.items() for v in slot_vecs)):
-                coeff = base_coeff
-                arg = tuple(k2 for k2, _v in choice)
-                for _k2, v in choice:
-                    coeff = fld.mul(coeff, v)
-                if coeff == 0:
-                    continue
-                _add_value_block(entries, row_base, flat(arg, d) * m, coeff, block, fld)
-    psi = SparseMatrix(fld, m * d ** (n + 1 + tail), m * d ** n, entries)
-    return phi, psi
-
-
 # -- cohomology drivers ----------------------------------------------------
 
 
-def _complex_and_ops(h, mod, top, realization, budget):
-    if realization == "homogeneous":
-        cpx = homogeneous_complex(h, mod, top, budget=budget)
-        ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n])
-               for n in range(top + 1)]
-    elif realization == "nonhomogeneous":
-        cpx = nonhomogeneous_complex(h, mod, top, budget=budget)
-        ops = [sigma_nonhomogeneous(h, mod, n) for n in range(top + 1)]
-    else:
-        raise ValueError(f"unknown realization {realization!r}")
-    return cpx, ops
+def _fixed_dims(cpx: CochainComplex, ops: list, top: int) -> list:
+    """Dims of degrees 0..top-1 of the fixed subcomplex of cpx under ops."""
+    return cohomology_dims(fixed_subcomplex(cpx, ops, through_degree=top - 1), top - 1)
 
 
-def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
-                         realization: str = "nonhomogeneous",
-                         budget: int = DEFAULT_BUDGET) -> CohomologyReport:
-    """H^0..H^{top-1} (HH for a bimodule) from the chosen realization."""
-    if realization == "homogeneous":
-        cpx = homogeneous_complex(h, mod, top, budget=budget)
-    else:
-        cpx = nonhomogeneous_complex(h, mod, top, budget=budget)
-    return CohomologyReport(cohomology_dims(cpx, top - 1), realization,
+def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyReport:
+    """H^0..H^{top-1} (HH for a bimodule) from the nonhomogeneous realization."""
+    cpx = nonhomogeneous_complex(h, mod, top)
+    return CohomologyReport(cohomology_dims(cpx, top - 1), "nonhomogeneous",
                             kind="HH" if mod.tail else "H")
 
 
 def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
-                         realization: str = "homogeneous",
-                         cross_check: bool = False,
-                         budget: int = DEFAULT_BUDGET) -> CohomologyReport:
+                         cross_check: bool = False) -> CohomologyReport:
     """SH^0..SH^{top-1} (SHH for a bimodule): cohomology of the fixed subcomplex.
 
-    The homogeneous realization is the default (its action is a signed
-    permutation); cross_check recomputes through the other realization
-    and records agreement.
+    The homogeneous realization computes it (its action is a signed
+    permutation); cross_check recomputes through the nonhomogeneous
+    realization and records agreement.
     """
     require_cocommutative(h)
     validate_module(h, mod)
-    cpx, ops = _complex_and_ops(h, mod, top, realization, budget)
-    fixed = fixed_subcomplex(cpx, ops, through_degree=top - 1)
-    dims = cohomology_dims(fixed, top - 1)
-    report = CohomologyReport(dims, realization, kind="SHH" if mod.tail else "SH")
-    report.routes[realization] = dims
+    cpx = homogeneous_complex(h, mod, top)
+    ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n]) for n in range(top + 1)]
+    dims = _fixed_dims(cpx, ops, top)
+    report = CohomologyReport(dims, "homogeneous", kind="SHH" if mod.tail else "SH")
+    report.routes["homogeneous"] = dims
     if cross_check:
-        other = "nonhomogeneous" if realization == "homogeneous" else "homogeneous"
-        cpx2, ops2 = _complex_and_ops(h, mod, top, other, budget)
-        fixed2 = fixed_subcomplex(cpx2, ops2, through_degree=top - 1)
-        dims2 = cohomology_dims(fixed2, top - 1)
-        report.routes[other] = dims2
-        report.checks.append(("realizations_agree", dims == dims2))
+        cpx = nonhomogeneous_complex(h, mod, top)
+        ops = [sigma_nonhomogeneous(h, mod, n) for n in range(top + 1)]
+        other = _fixed_dims(cpx, ops, top)
+        report.routes["nonhomogeneous"] = other
+        report.checks.append(("realizations_agree", dims == other))
     return report

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bar, hochschild, resolution
@@ -98,7 +97,10 @@ def hopf_from_json(obj: dict, field_override: Field | None) -> HopfAlgebra:
 def load_algebra(source: str, field_override: Field | None) -> HopfAlgebra:
     if source.startswith("Cp:") or source in ("S3", "s3"):
         field = field_override or Field.rationals()
-        table = named_group_table(source)
+        try:
+            table = named_group_table(source)
+        except ValueError as exc:
+            raise SchemaError(f"bad algebra name {source!r}: {exc}") from exc
         return group_algebra(len(table), table, field)
     try:
         with open(source) as f:
@@ -229,13 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(args) -> tuple[dict, int]:
     if args.max_degree < 1:
         raise SchemaError("max-degree must be at least 1")
-    budget = bar.DEFAULT_BUDGET
-    env = os.environ.get("SYMCOH_BUDGET")
-    if env:
-        try:
-            budget = int(env)
-        except ValueError as exc:
-            raise SchemaError(f"SYMCOH_BUDGET must be an integer: {exc}") from exc
     field_override = parse_field_flag(args.field) if args.field else None
     h = load_algebra(args.algebra, field_override)
     mode = args.mode
@@ -276,7 +271,7 @@ def run(args) -> tuple[dict, int]:
         tail = int(mode in ("HH", "SHH"))
         mod = load_module(args.module or ("regular" if tail else "trivial"), h, tail)
         if mode in ("H", "HH"):
-            rep = bar.classical_cohomology(h, mod, top, budget=budget)
+            rep = bar.classical_cohomology(h, mod, top)
             out = _report(mode, dims=rep.dims, routes={rep.realization: rep.dims})
             return out, EXIT_OK
         if args.route == "resolution":
@@ -284,13 +279,11 @@ def run(args) -> tuple[dict, int]:
             routes = {"resolution": rep.dims}
             checks = []
             if args.cross_check:
-                other = bar.symmetric_cohomology(h, mod, top, budget=budget)
+                other = bar.symmetric_cohomology(h, mod, top)
                 routes["fixed_subcomplex"] = other.dims
                 checks.append(("routes_agree", other.dims == rep.dims))
         else:
-            rep = bar.symmetric_cohomology(h, mod, top,
-                                           cross_check=args.cross_check,
-                                           budget=budget)
+            rep = bar.symmetric_cohomology(h, mod, top, cross_check=args.cross_check)
             routes = rep.routes
             checks = rep.checks
         out = _report(mode, dims=rep.dims, routes=routes, checks=checks)
@@ -298,15 +291,13 @@ def run(args) -> tuple[dict, int]:
 
     if mode == "compare-adjoint":
         bim = load_module(args.module or "regular", h, tail=1)
-        rep = hochschild.compare_adjoint(h, bim, top, budget=budget)
+        rep = hochschild.compare_adjoint(h, bim, top)
         out = _report("compare-adjoint", dims=rep.dims, routes=rep.routes,
                       checks=rep.checks)
         return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
 
     if mode == "corollary-check":
-        route = "resolution" if args.route == "resolution" else "bar"
-        rep = hochschild.commutative_factorization_check(h, top, budget=budget,
-                                                         route=route)
+        rep = hochschild.commutative_factorization_check(h, top, route=args.route)
         out = _report("corollary-check", dims=rep.dims, routes=rep.routes,
                       checks=rep.checks)
         return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION

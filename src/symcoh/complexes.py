@@ -16,7 +16,7 @@ always-correct fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class CochainComplex:
     def ambient_dim(self, n: int) -> int:
         return self.spaces[n].ambient_dim
 
-    def space_dims(self):
-        return [s.dim for s in self.spaces]
-
     def restricted_diff(self, n: int) -> SparseMatrix:
         """The differential space(n) -> space(n+1) in subspace coordinates."""
         out = self.diffs[n]
@@ -96,34 +93,6 @@ class CochainComplex:
         if not self.spaces[n + 1].is_full:
             out = self.spaces[n + 1].coords @ out
         return out
-
-
-@dataclass
-class ComplexReport:
-    degrees_checked: list = dc_field(default_factory=list)
-    first_failure: int | None = None
-    reason: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.first_failure is None
-
-
-def check_complex(c: CochainComplex) -> ComplexReport:
-    """Verify image containment and d.d = 0 exactly, degree by degree."""
-    report = ComplexReport()
-    for n in range(c.top_degree):
-        image = c.diffs[n] @ c.spaces[n].basis
-        if not c.spaces[n + 1].contains(image):
-            report.first_failure = n
-            report.reason = "differential image leaves the next space"
-            return report
-        if n + 1 < c.top_degree and not (c.diffs[n + 1] @ image).is_zero():
-            report.first_failure = n
-            report.reason = "d.d is nonzero"
-            return report
-        report.degrees_checked.append(n)
-    return report
 
 
 # -- exact ranks of restricted differentials ------------------------------
@@ -220,12 +189,11 @@ def _left_inverse_dense(m: Matrix) -> Matrix:
     return left
 
 
-def restrict_operator(space: CochainSpace, op: SparseMatrix,
-                      require_preserved: bool = True) -> SparseMatrix:
+def restrict_operator(space: CochainSpace, op: SparseMatrix) -> SparseMatrix:
     """op in subspace coordinates; error if op does not preserve the subspace."""
     mapped = op @ space.basis
     reduced = space.coords @ mapped
-    if require_preserved and not (space.basis @ reduced == mapped):
+    if not (space.basis @ reduced == mapped):
         raise ActionLeavesSubspace("operator does not preserve the subspace")
     return reduced
 
@@ -283,30 +251,6 @@ def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = 
                 raise ActionNotCompatible(
                     f"differential image at degree {n} is not fixed")
     return out
-
-
-def coxeter_relations_hold(op: ActionOperator, space: CochainSpace):
-    """Check the three Coxeter relation families on the given subspace.
-
-    Returns (ok, name_of_first_failure).
-    """
-    sigmas = [restrict_operator(space, s) for s in op.sigmas]
-    n = len(sigmas)
-    field = space.basis.field
-    eye = SparseMatrix.identity(field, space.dim)
-    for i in range(n):
-        if not (sigmas[i] @ sigmas[i] == eye):
-            return False, f"sigma_{i + 1}^2 != id"
-    for i in range(n - 1):
-        lhs = sigmas[i] @ (sigmas[i + 1] @ sigmas[i])
-        rhs = sigmas[i + 1] @ (sigmas[i] @ sigmas[i + 1])
-        if not (lhs == rhs):
-            return False, f"braid relation fails at {i + 1}"
-    for i in range(n):
-        for j in range(i + 2, n):
-            if not (sigmas[i] @ sigmas[j] == sigmas[j] @ sigmas[i]):
-                return False, f"commuting relation fails at ({i + 1},{j + 1})"
-    return True, None
 
 
 # -- induced maps on cohomology -------------------------------------------
@@ -377,15 +321,3 @@ def induced_map_on_cohomology(sub: CochainComplex, full: CochainComplex,
         matrices.append(mat)
         injective.append(rank(mat) == mat.cols)
     return InducedMapReport(degrees, matrices, injective)
-
-
-def euler_characteristic_consistent(c: CochainComplex) -> bool:
-    """Alternating sums of space dims and cohomology dims agree on a
-    complex whose differentials vanish at both ends of the degree range."""
-    dims = cohomology_dims(c, c.top_degree - 1)
-    top = c.spaces[c.top_degree].dim
-    top_h = top - rank(c.restricted_diff(c.top_degree - 1).to_dense()) if top else 0
-    chi_spaces = sum((-1) ** n * c.spaces[n].dim for n in range(c.top_degree + 1))
-    chi_h = sum((-1) ** n * h for n, h in enumerate(dims)) \
-        + (-1) ** c.top_degree * top_h
-    return chi_spaces == chi_h

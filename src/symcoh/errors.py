@@ -21,10 +21,6 @@ class NotCommutative(SymcohError):
     """The commutative-case factorization check got a non-commutative algebra."""
 
 
-class InvalidHopfData(SymcohError):
-    """Structure constants fail a Hopf axiom that a construction relies on."""
-
-
 class InvalidModule(SymcohError):
     """Action matrices fail the left-module identities."""
 

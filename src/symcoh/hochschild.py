@@ -8,8 +8,8 @@ the same complexes with one trailing slot acted on from the right.
 
 from __future__ import annotations
 
-from .bar import (DEFAULT_BUDGET, CohomologyReport, classical_cohomology,
-                  require_cocommutative, symmetric_cohomology)
+from .bar import (CohomologyReport, classical_cohomology, require_cocommutative,
+                  symmetric_cohomology)
 from .errors import NotCommutative
 from .hopf import HopfAlgebra
 from .modules import Bimodule, adjoint_module, regular_bimodule, trivial_module
@@ -21,18 +21,15 @@ classical_hochschild_cohomology = classical_cohomology
 symmetric_hochschild_cohomology = symmetric_cohomology
 
 
-def compare_adjoint(h: HopfAlgebra, bim: Bimodule, top: int,
-                    budget: int = DEFAULT_BUDGET,
-                    shh_realization: str = "homogeneous") -> CohomologyReport:
+def compare_adjoint(h: HopfAlgebra, bim: Bimodule, top: int) -> CohomologyReport:
     """Dimension comparison SHH^n(A, M) = SH^n(A, ad M), computed along
     two independent code paths (Hochschild fixed complex vs bar fixed
     complex of the adjoint module)."""
     require_cocommutative(h)
-    shh = symmetric_hochschild_cohomology(h, bim, top, realization=shh_realization,
-                                          budget=budget)
+    shh = symmetric_hochschild_cohomology(h, bim, top)
     ad = adjoint_module(h, bim)
-    sh = symmetric_cohomology(h, ad, top, budget=budget)
-    report = CohomologyReport(shh.dims, shh_realization, kind="SHH=SH(ad)")
+    sh = symmetric_cohomology(h, ad, top)
+    report = CohomologyReport(shh.dims, shh.realization, kind="SHH=SH(ad)")
     report.routes["SHH"] = shh.dims
     report.routes["SH_adjoint"] = sh.dims
     for n in range(top):
@@ -41,7 +38,6 @@ def compare_adjoint(h: HopfAlgebra, bim: Bimodule, top: int,
 
 
 def commutative_factorization_check(h: HopfAlgebra, top: int,
-                                    budget: int = DEFAULT_BUDGET,
                                     route: str = "bar") -> CohomologyReport:
     """For commutative cocommutative A: dim SHH^n(A, A) = dim A * dim SH^n(A, k).
 
@@ -57,8 +53,8 @@ def commutative_factorization_check(h: HopfAlgebra, top: int,
         shh = shh_via_resolution(h, bim, top)
         sh = sh_via_resolution(h, triv, top)
     else:
-        shh = symmetric_hochschild_cohomology(h, bim, top, budget=budget)
-        sh = symmetric_cohomology(h, triv, top, budget=budget)
+        shh = symmetric_hochschild_cohomology(h, bim, top)
+        sh = symmetric_cohomology(h, triv, top)
     report = CohomologyReport(shh.dims, route, kind="SHH(A,A)=dimA*SH(A,k)")
     report.routes["SHH"] = shh.dims
     report.routes["SH_scaled"] = [h.dim * v for v in sh.dims]

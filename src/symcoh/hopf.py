@@ -181,7 +181,7 @@ class ValidationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.failures()
 
     def failures(self):
         return [c for c in self.checks if not c.passed]

@@ -159,15 +159,6 @@ class Matrix:
             raise ValueError("row count mismatch")
         return Matrix(self.field, np.hstack([self.data, other.data]))
 
-    @staticmethod
-    def vstack(field: Field, mats) -> "Matrix":
-        mats = list(mats)
-        if not mats:
-            return Matrix.zeros(field, 0, 0)
-        if any(m.cols != mats[0].cols for m in mats):
-            raise ValueError("column count mismatch")
-        return Matrix(field, np.vstack([m.data for m in mats]))
-
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -326,9 +317,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def check_independent(self) -> bool:
-        return rank(self.basis) == self.basis.cols
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
@@ -412,7 +400,7 @@ def intersect_kernels(field: Field, dim: int, constraints) -> Subspace:
     shrinks to K @ kernel_basis(C_i @ K); a constraint that vanishes on K
     is skipped, and the loop stops once K is empty.  Products of reduced
     kernel bases are reduced, so the result is the basis that
-    kernel_basis(Matrix.vstack(field, [C_1, C_2, ...])) gives, entry for
+    kernel_basis of the stacked matrix [C_1; C_2; ...] gives, entry for
     entry, without the stack.  Every matrix a step builds fits in
     max(rows, dim) x K.cols cells; a step over DENSE_RANK_CELLS raises
     BudgetExceeded before it builds anything, the identity included.

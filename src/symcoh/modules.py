@@ -47,9 +47,6 @@ class LeftModule:
         self.dim = dim
         self.action = action
 
-    def act(self, i: int) -> Matrix:
-        return self.action[i]
-
     def act_element(self, h: HopfAlgebra, vec: dict) -> Matrix:
         """Action matrix of the algebra element with coordinates vec."""
         out = Matrix.zeros(self.action[0].field, self.dim, self.dim)
@@ -103,41 +100,31 @@ def _is_unital_representation(h: HopfAlgebra, mats, compose):
     return True, None
 
 
-def validate_left_module(h: HopfAlgebra, mod: LeftModule, raise_on_fail: bool = True) -> bool:
+def validate_left_module(h: HopfAlgebra, mod: LeftModule) -> bool:
     if len(mod.action) != h.dim or any(a.rows != mod.dim or a.cols != mod.dim
                                        for a in mod.action):
-        if raise_on_fail:
-            raise InvalidModule("action matrix shapes do not match")
-        return False
+        raise InvalidModule("action matrix shapes do not match")
     ok, why = _is_unital_representation(h, mod.action, lambda a, b: a @ b)
-    if not ok and raise_on_fail:
+    if not ok:
         raise InvalidModule(why)
-    return ok
+    return True
 
 
-def validate_bimodule(h: HopfAlgebra, mod: Bimodule, raise_on_fail: bool = True) -> bool:
+def validate_bimodule(h: HopfAlgebra, mod: Bimodule) -> bool:
     shapes_ok = (len(mod.left) == h.dim == len(mod.right)
                  and all(a.rows == mod.dim == a.cols for a in mod.left + mod.right))
     if not shapes_ok:
-        if raise_on_fail:
-            raise InvalidBimodule("action matrix shapes do not match")
-        return False
+        raise InvalidBimodule("action matrix shapes do not match")
     ok, why = _is_unital_representation(h, mod.left, lambda a, b: a @ b)
-    if ok:
-        # right action is an anti-homomorphism: R(b_i b_j) = R_j R_i
-        ok, why = _is_unital_representation(h, mod.right, lambda a, b: b @ a)
-        why = why and f"right {why}"
-    if ok:
-        for i in range(h.dim):
-            for j in range(h.dim):
-                if mod.left[i] @ mod.right[j] != mod.right[j] @ mod.left[i]:
-                    ok, why = False, "left and right actions do not commute"
-                    break
-            if not ok:
-                break
-    if not ok and raise_on_fail:
+    if not ok:
         raise InvalidBimodule(why)
-    return ok
+    # right action is an anti-homomorphism: R(b_i b_j) = R_j R_i
+    ok, why = _is_unital_representation(h, mod.right, lambda a, b: b @ a)
+    if not ok:
+        raise InvalidBimodule(f"right {why}")
+    if any(left @ right != right @ left for left in mod.left for right in mod.right):
+        raise InvalidBimodule("left and right actions do not commute")
+    return True
 
 
 def validate_module(h: HopfAlgebra, mod: LeftModule) -> bool:
@@ -205,19 +192,6 @@ def invariants(h: HopfAlgebra, mod: LeftModule) -> Subspace:
     return intersect_kernels(fld, mod.dim, [
         (mod.dim, lambda k, c=mod.action[i] - eye.scale(h.counit[i]): c @ k)
         for i in range(h.dim)])
-
-
-def hom_module(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> LeftModule:
-    """Hom_k(X, M) with the action (a . F)(v) = a1 F(S(a2) v), flattened."""
-    fld = h.field
-    mats = []
-    for i in range(h.dim):
-        acc = Matrix.zeros(fld, m.dim * x.dim, m.dim * x.dim)
-        for (j, k), c in h.comult[i].items():
-            x_of_sk = x.act_element(h, h.antipode_column(k))
-            acc = acc + kron(x_of_sk.transpose(), m.action[j]).scale(c)
-        mats.append(acc)
-    return LeftModule(m.dim * x.dim, mats)
 
 
 def tensor_module(h: HopfAlgebra, l: LeftModule, m: LeftModule) -> LeftModule:

@@ -130,7 +130,7 @@ def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True) -> Coinvariant
     _require_ambient(h, n)
     projection, section, labels = _sorted_tuple_coinvariants(fld, d, n + 1)
     dim = projection.rows
-    ops = [diagonal_columns(h, g, n + 1) for g in range(d)] if dim else []
+    ops = list(diagonal_columns(h, range(d), n + 1)) if dim else []
     project = projection.column_map()
     action = [_induced(fld, dim, section, op, project) for op in ops] or \
         [Matrix.zeros(fld, 0, 0)] * d

@@ -20,8 +20,10 @@ that can emit their triples in that order: the chain maps, slot swaps
 and precompositions of tensors.py, the equivariant bases of group
 algebras, and any product whose right operand has one entry per column.
 Otherwise one argsort orders the key and `np.add.reduceat` sums equal
-keys.  The key of a shape with rows * cols >= 2^63 would overflow, so
-such a shape raises BudgetExceeded before anything is allocated.
+keys.  The key of a shape with rows * cols >= 2^63 would overflow, and
+so would the factor `rows` itself when it is 2^63 or more, even with no
+columns (the empty section of a vanishing coinvariant degree); such a
+shape raises BudgetExceeded before anything is allocated.
 
 Bulk work passes triples that need not be canonical; `vals` None means
 every value is one.  An operator acts on triples through its column map
@@ -225,9 +227,9 @@ def canonical(field: Field, rows, cols, vals, shape=None):
     cols = np.asarray(cols, dtype=np.int64)
     if shape is None:
         shape = (int(rows.max()) + 1, int(cols.max()) + 1) if len(rows) else (0, 0)
-    if shape[0] * shape[1] >= 1 << 63:
+    if shape[0] * shape[1] >= 1 << 63 or shape[0] >= 1 << 63:
         raise BudgetExceeded(f"a sparse {shape[0]} x {shape[1]} matrix has 2^63 or more "
-                             "positions, past its int64 sort key")
+                             "positions or rows, past its int64 sort key")
     ones = vals is None
     if ones:
         vals = field_array(field, [field.one()] * len(rows))

@@ -168,14 +168,6 @@ def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatri
                         kron_identity(swap_slots(idx, d, slots, i), idx, minus, m))
 
 
-def group_diagonal_perm(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
-    """Left multiplication of the group element b on every slot, as the
-    permutation of flat indices it induces."""
-    table = np.asarray(h.group_table, dtype=np.int64)
-    idx = np.arange(h.dim ** slots, dtype=np.int64)
-    return undigits(table[b][digits(idx, h.dim, slots)], h.dim)
-
-
 def _structure_array(h: HopfAlgebra) -> np.ndarray:
     """mult[l, k, t]: the coefficient of b_k in b_l b_t."""
     d = h.dim
@@ -221,10 +213,18 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
     return out.reshape(d ** slots, d ** slots)
 
 
-def diagonal_columns(h: HopfAlgebra, b: int, slots: int):
-    """Column map of the diagonal action of b_b; a permutation for group
-    algebras, read from the dense diagonal_action otherwise."""
+def diagonal_columns(h: HopfAlgebra, elements, slots: int):
+    """Column maps of the diagonal actions of the basis elements
+    `elements`, yielded one at a time.  For a group algebra each is the
+    permutation of flat indices that left multiplication on every slot
+    induces, all read from one digits array; otherwise each is read from
+    the dense diagonal_action."""
     if h.group_like:
-        return permutation_columns(group_diagonal_perm(h, b, slots))
-    return dense_columns(diagonal_action(h, b, slots))
+        table = np.asarray(h.group_table, dtype=np.int64)
+        digs = digits(np.arange(h.dim ** slots, dtype=np.int64), h.dim, slots)
+        for b in elements:
+            yield permutation_columns(undigits(table[b][digs], h.dim))
+    else:
+        for b in elements:
+            yield dense_columns(diagonal_action(h, b, slots))
 

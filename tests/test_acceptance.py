@@ -11,10 +11,9 @@ from math import comb
 import pytest
 
 from symcoh.bar import (classical_cohomology, homogeneous_complex,
-                        nonhomogeneous_complex, phi_psi, sigma_homogeneous,
+                        nonhomogeneous_complex, sigma_homogeneous,
                         sigma_nonhomogeneous, symmetric_cohomology)
-from symcoh.complexes import (check_complex, coxeter_relations_hold,
-                              fixed_subcomplex, induced_map_on_cohomology)
+from symcoh.complexes import fixed_subcomplex, induced_map_on_cohomology
 from symcoh.errors import CharacteristicDivides, NotCommutative
 from symcoh.fields import Field
 from symcoh.hochschild import (commutative_factorization_check, compare_adjoint,
@@ -28,7 +27,8 @@ from symcoh.resolution import (contracting_homotopy_check, cp_rank_table,
                                shh_via_resolution, splitting_maps,
                                sym_resolution_complex)
 
-from oracles import maschke_cohomology_dims, periodic_cyclic_cohomology_dims
+from oracles import (check_complex, coxeter_relations_hold, maschke_cohomology_dims,
+                     periodic_cyclic_cohomology_dims, phi_psi)
 
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)

@@ -4,10 +4,8 @@ import pytest
 
 from symcoh.bar import (classical_cohomology, equivariant_space,
                         homogeneous_complex, nonhomogeneous_complex,
-                        phi_psi, sigma_homogeneous, sigma_nonhomogeneous,
-                        sigma_nonhomogeneous_ambient, symmetric_cohomology)
-from symcoh.complexes import (check_complex, cohomology_dims,
-                              coxeter_relations_hold, fixed_subcomplex,
+                        sigma_homogeneous, sigma_nonhomogeneous, symmetric_cohomology)
+from symcoh.complexes import (cohomology_dims, fixed_subcomplex,
                               induced_map_on_cohomology, restrict_operator)
 from symcoh.errors import BudgetExceeded, NotCocommutative
 from symcoh.fields import Field
@@ -17,8 +15,9 @@ from symcoh.modules import regular_bimodule, regular_left_module, trivial_module
 from symcoh.sparse import SparseMatrix
 from symcoh.tensors import all_tuples, flat
 
-from oracles import (equivariant_solve, maschke_cohomology_dims,
-                     periodic_cyclic_cohomology_dims, stacked_kernel)
+from oracles import (check_complex, coxeter_relations_hold, equivariant_solve,
+                     maschke_cohomology_dims, periodic_cyclic_cohomology_dims, phi_psi,
+                     sigma_nonhomogeneous_ambient, space_dims, stacked_kernel, vstack)
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
@@ -40,7 +39,7 @@ def kS3(field):
 def test_nonhomogeneous_degree_dims_kc3():
     h = kC(3, GF3)
     c = nonhomogeneous_complex(h, trivial_module(h), 3)
-    assert c.space_dims() == [1, 3, 9, 27]
+    assert space_dims(c) == [1, 3, 9, 27]
 
 
 def test_nonhomogeneous_complex_property_ks3():
@@ -100,7 +99,7 @@ def test_classical_cohomology_kc3_gf3_periodic_oracle():
     mod = trivial_module(h)
     expected = periodic_cyclic_cohomology_dims(h, mod, 3)
     assert expected == [1, 1, 1, 1]
-    got = classical_cohomology(h, mod, 4, realization="nonhomogeneous")
+    got = classical_cohomology(h, mod, 4)
     assert got.dims == expected
 
 
@@ -109,20 +108,19 @@ def test_classical_cohomology_kc3_rational_maschke():
     mod = trivial_module(h)
     expected = maschke_cohomology_dims(h, mod, 3)
     assert expected == [1, 0, 0, 0]
-    got = classical_cohomology(h, mod, 4, realization="nonhomogeneous")
+    got = classical_cohomology(h, mod, 4)
     assert got.dims == expected
 
 
 def test_homogeneous_matches_nonhomogeneous_cohomology():
     for h, top in ((kC(3, GF3), 4), (kC(2, QQ), 3), (kS3(GF5), 3)):
         mod = trivial_module(h)
-        a = classical_cohomology(h, mod, top, realization="nonhomogeneous").dims
-        b = classical_cohomology(h, mod, top, realization="homogeneous").dims
+        a = classical_cohomology(h, mod, top).dims
+        b = cohomology_dims(homogeneous_complex(h, mod, top), top - 1)
         assert a == b
     # periodic oracle through the homogeneous route, degrees 0..3
     h = kC(3, GF3)
-    assert classical_cohomology(h, trivial_module(h), 4,
-                                realization="homogeneous").dims == [1, 1, 1, 1]
+    assert cohomology_dims(homogeneous_complex(h, trivial_module(h), 4), 3) == [1, 1, 1, 1]
 
 
 def test_budget_refusal():
@@ -377,13 +375,13 @@ def test_phi_psi_restrict_to_fixed_subspaces():
         from symcoh.linalg import Matrix, kernel_basis
         red = [restrict_operator(space, s).to_dense() for s in ops_k.sigmas]
         eye = Matrix.identity(h.field, space.dim)
-        fixed = kernel_basis(Matrix.vstack(h.field, [r - eye for r in red]))
+        fixed = kernel_basis(vstack(h.field, [r - eye for r in red]))
         img = phi @ (space.basis @ SparseMatrix.from_dense(fixed.basis))
         for s in ops_c.sigmas:
             assert s @ img == img
         # CS vectors map into KS under psi
         full_dim = mod.dim * h.dim ** n
-        stacked = Matrix.vstack(h.field, [s.to_dense() - Matrix.identity(h.field, full_dim)
+        stacked = vstack(h.field, [s.to_dense() - Matrix.identity(h.field, full_dim)
                                           for s in ops_c.sigmas])
         cs = kernel_basis(stacked)
         img = psi @ SparseMatrix.from_dense(cs.basis)
@@ -422,7 +420,7 @@ def test_fixed_subcomplex_dims_shrink():
     cpx = homogeneous_complex(h, mod, 4)
     ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n]) for n in range(5)]
     fixed = fixed_subcomplex(cpx, ops)
-    assert all(f <= a for f, a in zip(fixed.space_dims(), cpx.space_dims()))
+    assert all(f <= a for f, a in zip(space_dims(fixed), space_dims(cpx)))
     assert cohomology_dims(fixed, 3) == [1, 1, 1, 0]
 
 

@@ -121,12 +121,52 @@ def test_compare_adjoint_mode(capsys):
     assert report["routes"]["SHH"] == report["routes"]["SH_adjoint"]
 
 
-def test_budget_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("SYMCOH_BUDGET", "1000")
-    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3",
-                            "--mode", "SH", "--max-degree", "6")
+def test_budget_exit_code(capsys):
+    # degree 7 of the homogeneous complex of kC5 lives on 5^8 = 390625
+    # coordinates, over the budget of 200000: refused before anything is built
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code, report = run_json(capsys, "--algebra", "Cp:5", "--field", "gf:5",
+                                "--mode", "SH", "--max-degree", "7")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 3
     assert report["error"]["code"] == 3
+    assert "needs 390625 coordinates, budget is 200000" in report["error"]["reason"]
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv,last_good", [
+    pytest.param(("--algebra", "S3", "--field", "gf:5", "--mode", "SH", "--route", "resolution"),
+                 23, id="S3-SH"),
+    pytest.param(("--algebra", "S3", "--field", "gf:5", "--mode", "SHH", "--route", "resolution"),
+                 22, id="S3-SHH"),
+    pytest.param(("--algebra", "Cp:3", "--field", "gf:3", "--mode", "resolution"), 38,
+                 id="Cp3-resolution"),
+])
+def test_vanishing_coinvariants_past_the_int64_key_are_a_budget_error(capsys, argv, last_good):
+    # the coinvariants vanish from degree dim A on, but the empty section of
+    # a degree whose ambient has 2^63 or more coordinates still has that
+    # many rows; the parent crashed there with an OverflowError
+    code, report = run_json(capsys, *argv, "--max-degree", str(last_good))
+    assert code == 0
+    assert report["dims"] and all(c["pass"] for c in report["checks"])
+    code, report = run_json(capsys, *argv, "--max-degree", str(last_good + 1))
+    assert code == 3
+    assert report["dims"] == []
+    assert report["error"]["code"] == 3
+    assert "2^63 or more" in report["error"]["reason"]
+
+
+@pytest.mark.parametrize("name", ["Cp:x", "Cp:", "Cp:3.5"])
+def test_malformed_cyclic_group_name_is_a_schema_error(capsys, name):
+    code, report = run_json(capsys, "--algebra", name, "--mode", "validate")
+    assert code == 2
+    assert report["dims"] == []
+    assert report["error"]["code"] == 2
+    assert repr(name) in report["error"]["reason"]
 
 
 def test_negative_dimension_is_an_internal_error(capsys, monkeypatch):

@@ -33,7 +33,7 @@ def test_diagonal_action_matches_oracle(name, slots):
         got = diagonal_action(h, b, slots)
         assert got.shape == (size, size)
         assert got.reshape(-1).tolist() == expect.to_dense().entries()
-        got = canonical(h.field, *apply_columns(h.field, diagonal_columns(h, b, slots),
+        got = canonical(h.field, *apply_columns(h.field, next(diagonal_columns(h, [b], slots)),
                                                 all_columns(size)))
         want = canonical(h.field, *expect.triples())
         for a, w in zip(got, want):

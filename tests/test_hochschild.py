@@ -1,10 +1,8 @@
 import pytest
 
 from symcoh.bar import (equivariant_space, homogeneous_complex,
-                        nonhomogeneous_complex, phi_psi, sigma_homogeneous,
-                        sigma_nonhomogeneous, sigma_nonhomogeneous_ambient)
-from symcoh.complexes import (check_complex, coxeter_relations_hold,
-                              fixed_subcomplex)
+                        nonhomogeneous_complex, sigma_homogeneous, sigma_nonhomogeneous)
+from symcoh.complexes import cohomology_dims, fixed_subcomplex
 from symcoh.errors import NotCommutative
 from symcoh.fields import Field
 from symcoh.hochschild import (classical_hochschild_cohomology,
@@ -15,7 +13,8 @@ from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.modules import regular_bimodule, trivial_bimodule
 from symcoh.tensors import flat
 
-from oracles import equivariant_solve, periodic_cyclic_cohomology_dims
+from oracles import (check_complex, coxeter_relations_hold, equivariant_solve,
+                     periodic_cyclic_cohomology_dims, phi_psi, sigma_nonhomogeneous_ambient)
 from test_bar import append_entry, sweedler_h4
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
@@ -84,11 +83,11 @@ def test_hochschild_dims_kc3_rational():
 def test_hochschild_routes_agree():
     for h, top in ((kC(3, GF3), 4), (kC(2, QQ), 3), (kC(3, QQ), 3)):
         bim = regular_bimodule(h)
-        a = classical_hochschild_cohomology(h, bim, top, realization="nonhomogeneous").dims
-        b = classical_hochschild_cohomology(h, bim, top, realization="homogeneous").dims
+        a = classical_hochschild_cohomology(h, bim, top).dims
+        b = cohomology_dims(homogeneous_complex(h, bim, top), top - 1)
         assert a == b
-    assert classical_hochschild_cohomology(kC(3, GF3), regular_bimodule(kC(3, GF3)),
-                                           4, realization="homogeneous").dims == [3, 3, 3, 3]
+    assert cohomology_dims(homogeneous_complex(kC(3, GF3), regular_bimodule(kC(3, GF3)), 4),
+                           3) == [3, 3, 3, 3]
 
 
 def test_sigma_sa4_is_signed_swap_on_dual_basis():

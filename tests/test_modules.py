@@ -2,13 +2,13 @@ import tracemalloc
 
 import pytest
 
-from oracles import stacked_kernel
+from oracles import hom_module, stacked_kernel
 from symcoh.errors import InvalidBimodule
 from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
 from symcoh.modules import (Bimodule, adjoint_module, hom_equivariant,
-                            hom_module, invariants, kron, regular_bimodule,
+                            invariants, kron, regular_bimodule,
                             regular_left_module, tensor_module,
                             trivial_bimodule, trivial_module,
                             validate_bimodule, validate_left_module)
