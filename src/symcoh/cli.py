@@ -2,7 +2,8 @@
 computation, and emit a deterministic report.
 
 Exit codes: 0 success, 1 validation or assertion failure, 2 schema
-error, 3 budget exceeded, 4 internal cross-check/assertion failure.
+error, 3 budget exceeded, 4 internal cross-check/assertion failure.  Every
+mode but `validate` refuses an algebra that fails a Hopf axiom with exit 1.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 
 from . import bar, hochschild, resolution
 from .errors import (BudgetExceeded, CharacteristicDivides, InvalidPrime,
-                     NotAGroup, NotCocommutative, NotCommutative, SchemaError,
-                     SymcohError)
+                     NotAGroup, NotAHopfAlgebra, NotCocommutative, NotCommutative,
+                     SchemaError, SymcohError)
 from .fields import Field
 from .hopf import (HopfAlgebra, group_algebra, named_group_table, validate_hopf)
 from .linalg import Matrix
@@ -79,15 +80,21 @@ def hopf_from_json(obj: dict, field_override: Field | None) -> HopfAlgebra:
     field = field_override or _field_from_json(obj.get("field", {"kind": "rational"}))
     try:
         dim = int(obj["dim"])
+
+        def index(x) -> int:
+            if not 0 <= int(x) < dim:
+                raise SchemaError(f"basis index {x!r} is outside 0..{dim - 1}")
+            return int(x)
+
         mult = [[{} for _ in range(dim)] for _ in range(dim)]
         for i, j, k, coeff in obj["mult"]:
-            mult[int(i)][int(j)][int(k)] = field.parse(coeff)
+            mult[index(i)][index(j)][index(k)] = field.parse(coeff)
         comult = [dict() for _ in range(dim)]
         for i, j, k, coeff in obj["comult"]:
-            comult[int(i)][(int(j), int(k))] = field.parse(coeff)
+            comult[index(i)][(index(j), index(k))] = field.parse(coeff)
         unit = [field.parse(x) for x in obj["unit"]]
         counit = [field.parse(x) for x in obj["counit"]]
-    except (TypeError, ValueError, IndexError, ZeroDivisionError, OverflowError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise SchemaError(f"bad structure constants: {exc}") from exc
     antipode = _parse_matrix(field, obj["antipode"], "antipode")
     labels = obj.get("basis_labels", [f"b{i}" for i in range(dim)])
@@ -235,6 +242,11 @@ def run(args) -> tuple[dict, int]:
     h = load_algebra(args.algebra, field_override)
     mode = args.mode
     top = args.max_degree
+
+    if mode != "validate":
+        failed = validate_hopf(h).failures()
+        if failed:
+            raise NotAHopfAlgebra(f"the check {failed[0].name} fails at {failed[0].witness}")
 
     if mode == "validate":
         report = validate_hopf(h, require_cocommutative=True)

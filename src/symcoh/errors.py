@@ -9,6 +9,10 @@ class DimensionMismatch(SymcohError):
     """Structure-constant arrays or matrices have inconsistent shapes."""
 
 
+class NotAHopfAlgebra(SymcohError):
+    """Structure constants fail a Hopf axiom."""
+
+
 class NotAGroup(SymcohError):
     """A Cayley table fails the group axioms."""
 

@@ -5,16 +5,23 @@ comultiplication of a basis element is a dict {(j, k): scalar}, and
 iterated comultiplication produces dicts keyed by index tuples.  Group
 algebras are detected at construction and flagged `group_like`, which
 lets the cochain builders replace Sweedler sums by single terms.
+
+The same structure maps are held once per algebra as sparse matrices
+(`_structure_maps`); `validate_hopf` checks each axiom as one equality
+of their composites, and the regular modules and the diagonal action
+read the multiplication from them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, NotAGroup
 from .fields import Field
 from .linalg import Matrix
+from .sparse import SparseMatrix, kron
 
 
 class HopfAlgebra:
@@ -42,6 +49,7 @@ class HopfAlgebra:
         self._detect_group_like()
         self._cocommutative = None
         self._commutative = None
+        self._maps = None
 
     # -- group-like fast path ------------------------------------------
 
@@ -102,34 +110,38 @@ class HopfAlgebra:
         return {l: self.antipode[l, i] for l in range(self.dim)
                 if self.antipode[l, i] != 0}
 
-    def antipode_of(self, v: dict) -> dict:
-        fld = self.field
-        out: dict = {}
-        for i, a in v.items():
-            for l, s in self.antipode_column(i).items():
-                out[l] = fld.add(out.get(l, fld.zero()), fld.mul(a, s))
-        return {k: v2 for k, v2 in out.items() if v2 != 0}
-
     # -- cached global properties -----------------------------------------
 
     @property
     def is_cocommutative(self) -> bool:
         if self._cocommutative is None:
-            self._cocommutative = all(
-                self.comult[i] == {(k, j): v for (j, k), v in self.comult[i].items()}
-                for i in range(self.dim))
+            maps = _structure_maps(self)
+            self._cocommutative = maps.swap @ maps.comult == maps.comult
         return self._cocommutative
 
     @property
     def is_commutative(self) -> bool:
         if self._commutative is None:
-            self._commutative = all(self.mult[i][j] == self.mult[j][i]
-                                    for i in range(self.dim) for j in range(self.dim))
+            maps = _structure_maps(self)
+            self._commutative = maps.mult @ maps.swap == maps.mult
         return self._commutative
 
     def __repr__(self):
         kind = "group algebra" if self.group_like else "Hopf algebra"
         return f"<{kind} dim {self.dim} over {self.field}>"
+
+
+class StructureMaps(NamedTuple):
+    """The structure maps of a Hopf algebra A on its basis, tensor powers
+    flattened with the left factor most significant (b_i tensor b_j at
+    i * dim + j)."""
+
+    mult: SparseMatrix      # dim x dim^2: column i * dim + j holds b_i b_j
+    comult: SparseMatrix    # dim^2 x dim
+    unit: SparseMatrix      # dim x 1
+    counit: SparseMatrix    # 1 x dim
+    antipode: SparseMatrix  # dim x dim
+    swap: SparseMatrix      # dim^2 x dim^2: b_i tensor b_j -> b_j tensor b_i
 
 
 @dataclass
@@ -190,206 +202,85 @@ class ValidationReport:
         return next(c for c in self.checks if c.name == name)
 
 
-def _basis_vec(h, i):
-    return {i: h.field.one()}
+def _structure_maps(h: HopfAlgebra) -> StructureMaps:
+    """The structure maps of h as sparse matrices, built once per algebra."""
+    if h._maps is None:
+        d = h.dim
+
+        def from_entries(rows, cols, entries):
+            return SparseMatrix(h.field, rows, cols, [list(x) for x in zip(*entries)] or None)
+
+        h._maps = StructureMaps(
+            mult=from_entries(d, d * d, [(k, i * d + j, c) for i in range(d)
+                                         for j in range(d) for k, c in h.mult[i][j].items()]),
+            comult=from_entries(d * d, d, [(j * d + k, i, c) for i in range(d)
+                                           for (j, k), c in h.comult[i].items()]),
+            unit=from_entries(d, 1, [(i, 0, x) for i, x in enumerate(h.unit)]),
+            counit=from_entries(1, d, [(0, i, x) for i, x in enumerate(h.counit)]),
+            antipode=SparseMatrix.from_dense(h.antipode),
+            swap=from_entries(d * d, d * d, [(j * d + i, i * d + j, 1)
+                                             for i in range(d) for j in range(d)]))
+    return h._maps
 
 
-def _dicts_equal(a: dict, b: dict) -> bool:
-    return {k: v for k, v in a.items() if v != 0} == {k: v for k, v in b.items() if v != 0}
+def _first_difference(h: HopfAlgebra, stages):
+    """The witness of a check, or None when it holds.
+
+    A stage is (inputs, pairs): pairs of matrices (lhs, rhs) compared
+    column by column, whose columns are tuples of `inputs` basis elements
+    (0: the unit).  The witness is the first column where any pair of the
+    first failing stage differs, as labels, or "1" for the unit.
+    """
+    labels, d = h.basis_labels, h.dim
+    for inputs, pairs in stages:
+        cols = [int((lhs - rhs).col_idx[0]) for lhs, rhs in pairs if lhs != rhs]
+        if cols:
+            if not inputs:
+                return "1"
+            tup = [labels[min(cols) // d ** (inputs - 1 - t) % d] for t in range(inputs)]
+            return tup[0] if inputs == 1 else f"({', '.join(map(str, tup))})"
+    return None
 
 
 def validate_hopf(h: HopfAlgebra, require_cocommutative: bool = False) -> ValidationReport:
-    """Exhaustively verify every Hopf axiom on basis elements.
+    """Verify every Hopf axiom as an equality of two composites of the
+    structure maps m, Delta, eta, eps, S and the swap tau of A tensor A.
 
     Each failed check carries a witness naming the basis elements where
-    the two sides first disagree.
+    the two sides first disagree (see _first_difference).
     """
-    fld = h.field
-    d = h.dim
-    labels = h.basis_labels
-    report = ValidationReport()
-    report.cocommutative = h.is_cocommutative
-    report.commutative = h.is_commutative
-
-    def record(name, passed, witness=None):
-        report.checks.append(AxiomCheck(name, passed, witness))
-
-    # associativity and unit
-    witness = None
-    for i in range(d):
-        for j in range(d):
-            left = h.product(_basis_vec(h, i), _basis_vec(h, j))
-            for k in range(d):
-                lhs = h.product(left, _basis_vec(h, k))
-                rhs = h.product(_basis_vec(h, i), h.product(_basis_vec(h, j), _basis_vec(h, k)))
-                if not _dicts_equal(lhs, rhs):
-                    witness = f"({labels[i]}, {labels[j]}, {labels[k]})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    record("associativity", witness is None, witness)
-
-    one = h.unit_dict()
-    witness = None
-    for i in range(d):
-        if not _dicts_equal(h.product(one, _basis_vec(h, i)), _basis_vec(h, i)) or \
-           not _dicts_equal(h.product(_basis_vec(h, i), one), _basis_vec(h, i)):
-            witness = labels[i]
-            break
-    record("unit", witness is None, witness)
-
-    # coassociativity: expand first leg vs last leg of the comultiplication
-    witness = None
-    for i in range(d):
-        left: dict = {}
-        right: dict = {}
-        for (j, k), c in h.comult[i].items():
-            for (a, b), e in h.comult[j].items():
-                key = (a, b, k)
-                left[key] = fld.add(left.get(key, fld.zero()), fld.mul(c, e))
-            for (a, b), e in h.comult[k].items():
-                key = (j, a, b)
-                right[key] = fld.add(right.get(key, fld.zero()), fld.mul(c, e))
-        if not _dicts_equal(left, right):
-            witness = labels[i]
-            break
-    record("coassociativity", witness is None, witness)
-
-    # counit axiom
-    witness = None
-    for i in range(d):
-        left: dict = {}
-        right: dict = {}
-        for (j, k), c in h.comult[i].items():
-            left[k] = fld.add(left.get(k, fld.zero()), fld.mul(c, h.counit[j]))
-            right[j] = fld.add(right.get(j, fld.zero()), fld.mul(c, h.counit[k]))
-        if not _dicts_equal(left, _basis_vec(h, i)) or not _dicts_equal(right, _basis_vec(h, i)):
-            witness = labels[i]
-            break
-    record("counit", witness is None, witness)
-
-    # comultiplication and counit are algebra maps
-    witness = None
-    for i in range(d):
-        for j in range(d):
-            lhs: dict = {}
-            for k, c in h.mult[i][j].items():
-                for (a, b), e in h.comult[k].items():
-                    key = (a, b)
-                    lhs[key] = fld.add(lhs.get(key, fld.zero()), fld.mul(c, e))
-            rhs: dict = {}
-            for (a, b), c1 in h.comult[i].items():
-                for (x, y), c2 in h.comult[j].items():
-                    c12 = fld.mul(c1, c2)
-                    for p, cp in h.mult[a][x].items():
-                        for q, cq in h.mult[b][y].items():
-                            key = (p, q)
-                            rhs[key] = fld.add(rhs.get(key, fld.zero()),
-                                               fld.mul(c12, fld.mul(cp, cq)))
-            if not _dicts_equal(lhs, rhs):
-                witness = f"({labels[i]}, {labels[j]})"
-                break
-        if witness:
-            break
-    if witness is None:
-        delta_one: dict = {}
-        for i, u in h.unit_dict().items():
-            for (a, b), e in h.comult[i].items():
-                delta_one[(a, b)] = fld.add(delta_one.get((a, b), fld.zero()), fld.mul(u, e))
-        expect = {(a, b): fld.mul(ua, ub)
-                  for a, ua in h.unit_dict().items() for b, ub in h.unit_dict().items()}
-        if not _dicts_equal(delta_one, expect):
-            witness = "1"
-    record("comult_algebra_map", witness is None, witness)
-
-    witness = None
-    for i in range(d):
-        for j in range(d):
-            lhs = h.counit_of(h.product(_basis_vec(h, i), _basis_vec(h, j)))
-            if lhs != fld.mul(h.counit[i], h.counit[j]):
-                witness = f"({labels[i]}, {labels[j]})"
-                break
-        if witness:
-            break
-    if witness is None and h.counit_of(h.unit_dict()) != fld.one():
-        witness = "1"
-    record("counit_algebra_map", witness is None, witness)
-
-    # antipode axiom: mult (S x id) comult = unit counit = mult (id x S) comult
-    witness = None
-    for i in range(d):
-        left: dict = {}
-        right: dict = {}
-        for (j, k), c in h.comult[i].items():
-            term = h.product(h.antipode_column(j), _basis_vec(h, k))
-            for x, v in term.items():
-                left[x] = fld.add(left.get(x, fld.zero()), fld.mul(c, v))
-            term = h.product(_basis_vec(h, j), h.antipode_column(k))
-            for x, v in term.items():
-                right[x] = fld.add(right.get(x, fld.zero()), fld.mul(c, v))
-        expect = {x: fld.mul(h.counit[i], u) for x, u in h.unit_dict().items()}
-        if not _dicts_equal(left, expect) or not _dicts_equal(right, expect):
-            witness = labels[i]
-            break
-    record("antipode", witness is None, witness)
-
-    # antipode consequences
-    witness = None
-    for i in range(d):
-        for j in range(d):
-            lhs = h.antipode_of(h.product(_basis_vec(h, i), _basis_vec(h, j)))
-            rhs = h.product(h.antipode_column(j), h.antipode_column(i))
-            if not _dicts_equal(lhs, rhs):
-                witness = f"({labels[i]}, {labels[j]})"
-                break
-        if witness:
-            break
-    record("antipode_antihomomorphism", witness is None, witness)
-
-    record("antipode_unit", _dicts_equal(h.antipode_of(h.unit_dict()), h.unit_dict()),
-           None if _dicts_equal(h.antipode_of(h.unit_dict()), h.unit_dict()) else "1")
-
-    witness = None
-    for i in range(d):
-        if h.counit_of(h.antipode_column(i)) != h.counit[i]:
-            witness = labels[i]
-            break
-    record("counit_antipode", witness is None, witness)
-
-    witness = None
-    for i in range(d):
-        lhs: dict = {}
-        for (j, k), c in h.comult[i].items():
-            for a, va in h.antipode_column(k).items():
-                for b, vb in h.antipode_column(j).items():
-                    key = (a, b)
-                    lhs[key] = fld.add(lhs.get(key, fld.zero()),
-                                       fld.mul(c, fld.mul(va, vb)))
-        rhs: dict = {}
-        for l, s in h.antipode_column(i).items():
-            for (a, b), e in h.comult[l].items():
-                rhs[(a, b)] = fld.add(rhs.get((a, b), fld.zero()), fld.mul(s, e))
-        if not _dicts_equal(lhs, rhs):
-            witness = labels[i]
-            break
-    record("antipode_comult", witness is None, witness)
-
-    if h.is_cocommutative or h.is_commutative:
-        ss = h.antipode @ h.antipode
-        ok = ss == Matrix.identity(fld, d)
-        record("antipode_involutive", ok, None if ok else "S^2 != id")
-
+    m, delta, eta, eps, s, tau = _structure_maps(h)
+    one = SparseMatrix.identity(h.field, h.dim)
+    report = ValidationReport(cocommutative=h.is_cocommutative, commutative=h.is_commutative)
+    # (1 tensor tau tensor 1)(Delta tensor Delta) before M tensor M: then only one
+    # map on A^(tensor 4), dim^4 entries for a group algebra, is held at a time
+    middle = kron(kron(one, tau), one) @ kron(delta, delta)
+    checks = [
+        ("associativity", [(3, [(m @ kron(m, one), m @ kron(one, m))])]),
+        ("unit", [(1, [(m @ kron(eta, one), one), (m @ kron(one, eta), one)])]),
+        ("coassociativity", [(1, [(kron(delta, one) @ delta, kron(one, delta) @ delta)])]),
+        ("counit", [(1, [(kron(eps, one) @ delta, one), (kron(one, eps) @ delta, one)])]),
+        ("comult_algebra_map", [
+            (2, [(delta @ m, kron(m, m) @ middle)]),
+            (0, [(delta @ eta, kron(eta, eta))])]),
+        ("counit_algebra_map", [(2, [(eps @ m, kron(eps, eps))]),
+                                (0, [(eps @ eta, SparseMatrix.identity(h.field, 1))])]),
+        ("antipode", [(1, [(m @ kron(s, one) @ delta, eta @ eps),
+                           (m @ kron(one, s) @ delta, eta @ eps)])]),
+        ("antipode_antihomomorphism", [(2, [(s @ m, m @ kron(s, s) @ tau)])]),
+        ("antipode_unit", [(0, [(s @ eta, eta)])]),
+        ("counit_antipode", [(1, [(eps @ s, eps)])]),
+        ("antipode_comult", [(1, [(kron(s, s) @ tau @ delta, delta @ s)])]),
+    ]
+    for name, stages in checks:
+        witness = _first_difference(h, stages)
+        report.checks.append(AxiomCheck(name, witness is None, witness))
+    if report.cocommutative or report.commutative:
+        ok = s @ s == one
+        report.checks.append(AxiomCheck("antipode_involutive", ok, None if ok else "S^2 != id"))
     if require_cocommutative:
-        witness = None
-        for i in range(d):
-            tw = {(k, j): v for (j, k), v in h.comult[i].items()}
-            if not _dicts_equal(tw, h.comult[i]):
-                witness = labels[i]
-                break
-        record("cocommutativity", witness is None, witness)
-
+        witness = _first_difference(h, [(1, [(tau @ delta, delta)])])
+        report.checks.append(AxiomCheck("cocommutativity", witness is None, witness))
     return report
 
 

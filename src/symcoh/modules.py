@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidBimodule, InvalidModule
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, _structure_maps
 from .linalg import Matrix, Subspace, intersect_kernels
 
 
@@ -147,28 +147,20 @@ def trivial_bimodule(h: HopfAlgebra) -> Bimodule:
     return Bimodule(1, mats, [m.copy() for m in mats])
 
 
+def _regular_actions(h: HopfAlgebra, side: int) -> list:
+    """Left (side 1) or right (side 2) multiplication by each b_i, read from
+    the multiplication map: mult[k, i, j] is the coefficient of b_k in b_i b_j."""
+    mult = _structure_maps(h).mult.to_dense().data.reshape((h.dim,) * 3)
+    return [Matrix(h.field, mult.take(i, axis=side)) for i in range(h.dim)]
+
+
 def regular_left_module(h: HopfAlgebra) -> LeftModule:
-    mats = []
-    for i in range(h.dim):
-        m = Matrix.zeros(h.field, h.dim, h.dim)
-        for j in range(h.dim):
-            for k, c in h.mult[i][j].items():
-                m._set(k, j, c)
-        mats.append(m)
-    return LeftModule(h.dim, mats)
+    return LeftModule(h.dim, _regular_actions(h, 1))
 
 
 def regular_bimodule(h: HopfAlgebra) -> Bimodule:
     """A acting on itself by left and right multiplication."""
-    left = regular_left_module(h).action
-    right = []
-    for i in range(h.dim):
-        m = Matrix.zeros(h.field, h.dim, h.dim)
-        for j in range(h.dim):
-            for k, c in h.mult[j][i].items():
-                m._set(k, j, c)
-        right.append(m)
-    return Bimodule(h.dim, left, right)
+    return Bimodule(h.dim, _regular_actions(h, 1), _regular_actions(h, 2))
 
 
 def adjoint_module(h: HopfAlgebra, bim: Bimodule) -> LeftModule:

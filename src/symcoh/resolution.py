@@ -44,10 +44,8 @@ class CoinvariantSpace:
     section, labels and the induced module structure; or that space tensor
     A, a bimodule with one trailing slot (see _tensor_regular)."""
 
-    def __init__(self, degree, ambient_dim, projection, section, labels,
-                 module: LeftModule):
+    def __init__(self, degree, projection, section, labels, module: LeftModule):
         self.degree = degree
-        self.ambient_dim = ambient_dim
         self.projection = projection  # SparseMatrix dim x ambient
         self.section = section        # SparseMatrix ambient x dim
         self.basis_labels = labels
@@ -56,6 +54,11 @@ class CoinvariantSpace:
     @property
     def dim(self) -> int:
         return self.projection.rows
+
+    @property
+    def ambient_dim(self) -> int:
+        """d^(slots), or 0 for a vanishing degree (_sorted_tuple_coinvariants)."""
+        return self.projection.cols
 
     @property
     def slots(self) -> int:
@@ -87,13 +90,16 @@ def _sorted_tuple_coinvariants(fld, d, slots):
     increasing tuples, where a tuple with distinct entries maps to its
     sorted label with the sign of the sorting permutation and any other
     tuple to zero; in characteristic 2, non-decreasing tuples, where every
-    tuple maps to its sorted label."""
+    tuple maps to its sorted label.  Without labels (slots > d outside
+    characteristic 2) both maps are 0 x 0: no index of the ambient is formed."""
     char2 = fld.characteristic == 2
     labels = list((itertools.combinations_with_replacement if char2
                    else itertools.combinations)(range(d), slots))
+    if not labels:
+        return SparseMatrix(fld, 0, 0), SparseMatrix(fld, 0, 0), labels
     size = d ** slots
     label_idx = np.array([flat(lab, d) for lab in labels], dtype=np.int64)
-    idx = np.arange(size if labels else 0, dtype=np.int64)
+    idx = np.arange(size, dtype=np.int64)
     digs = digits(idx, d, slots)
     head = np.sort(digs, axis=0)
     if not char2:
@@ -134,8 +140,7 @@ def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True) -> Coinvariant
     project = projection.column_map()
     action = [_induced(fld, dim, section, op, project) for op in ops] or \
         [Matrix.zeros(fld, 0, 0)] * d
-    space = CoinvariantSpace(n, d ** (n + 1), projection, section, labels,
-                             LeftModule(dim, action))
+    space = CoinvariantSpace(n, projection, section, labels, LeftModule(dim, action))
     if check:
         if not (space.projection @ space.section).equals_identity():
             raise AssertionError("projection . section != id")
@@ -161,8 +166,7 @@ def _tensor_regular(h: HopfAlgebra, space: CoinvariantSpace, regular: Bimodule,
     section = SparseMatrix(fld, space.ambient_dim * d, space.dim * d,
                            kron_identity(*space.section.triples(), d))
     labels = [lab + (a,) for lab in space.basis_labels for a in range(d)]
-    return CoinvariantSpace(space.degree, space.ambient_dim * d, projection, section,
-                            labels, module)
+    return CoinvariantSpace(space.degree, projection, section, labels, module)
 
 
 def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
@@ -305,6 +309,9 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int,
     fld = h.field
     for n in range(top):
         above = spaces[n + 1].projection
+        if not spaces[n].dim:  # no unit insertion on the indices of a vanishing degree
+            homotopies.append(Matrix.zeros(fld, above.rows, 0))
+            continue
         homotopies.append(_induced(fld, above.rows, spaces[n].section,
                                    _unit_insert_columns(h, n + 1), above.column_map()))
     degrees = []
@@ -386,6 +393,9 @@ def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
     fld = h.field
     sn = coinvariant_space(h, n)
     sm = coinvariant_space(h, n - 1)
+    if not sn.dim:  # a vanishing degree has no ambient indices to work on
+        return SplittingReport(Matrix.zeros(fld, d * sm.dim, 0), Matrix.zeros(fld, 0, d * sm.dim),
+                               True, True)
     inv_np1 = fld.inv(fld.from_int(n + 1))
 
     # ambient face map: tau -> sum_i (-1)^i tau_i tensor (tau without i)

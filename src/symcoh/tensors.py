@@ -30,7 +30,7 @@ import numpy as np
 
 from .complexes import DENSE_RANK_CELLS
 from .errors import BudgetExceeded
-from .hopf import HopfAlgebra, iterated_comult
+from .hopf import HopfAlgebra, _structure_maps, iterated_comult
 from .sparse import SparseMatrix, apply_columns, dense_columns, field_array
 
 
@@ -168,17 +168,6 @@ def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatri
                         kron_identity(swap_slots(idx, d, slots, i), idx, minus, m))
 
 
-def _structure_array(h: HopfAlgebra) -> np.ndarray:
-    """mult[l, k, t]: the coefficient of b_k in b_l b_t."""
-    d = h.dim
-    out = np.full((d, d, d), h.field.zero(), dtype=h.field.dtype)
-    for l in range(d):
-        for t in range(d):
-            for k, c in h.mult[l][t].items():
-                out[l, k, t] = c
-    return out
-
-
 def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
     """Left multiplication of b_b on A^(tensor slots) through the iterated
     comultiplication, as a dense d^slots x d^slots array (entry [out, in]).
@@ -195,7 +184,7 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
         raise BudgetExceeded(
             f"diagonal action on {slots} slots needs a dense {d ** slots} x {d ** slots} "
             f"array, over the limit of {DENSE_RANK_CELLS} cells")
-    mult = _structure_array(h)
+    mult = _structure_maps(h).mult.to_dense().data.reshape(d, d, d)  # [k, l, t]: b_l b_t
     out = np.full((d,) * slots, fld.zero(), dtype=fld.dtype)
     legs = iterated_comult(h, b, slots - 1).coeffs if slots else {(): h.counit[b]}
     for leg, c in legs.items():
@@ -205,7 +194,7 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
         # k; the pair of axes (k, t) goes to the end
         acc = np.full(out.shape[1:] + (d, d), fld.zero(), dtype=fld.dtype)
         for l in range(d):
-            acc += np.multiply.outer(out[l], mult[l])
+            acc += np.multiply.outer(out[l], mult[:, l])
             fld.reduce(acc, out=acc)
         out = acc
     # axes (k_0, t_0, k_1, t_1, ...) -> (k_0, k_1, ..., t_0, t_1, ...)

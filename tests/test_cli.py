@@ -138,26 +138,32 @@ def test_budget_exit_code(capsys):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("argv,last_good", [
-    pytest.param(("--algebra", "S3", "--field", "gf:5", "--mode", "SH", "--route", "resolution"),
-                 23, id="S3-SH"),
-    pytest.param(("--algebra", "S3", "--field", "gf:5", "--mode", "SHH", "--route", "resolution"),
-                 22, id="S3-SHH"),
-    pytest.param(("--algebra", "Cp:3", "--field", "gf:3", "--mode", "resolution"), 38,
-                 id="Cp3-resolution"),
+@pytest.mark.parametrize("argv,dims", [
+    pytest.param(("--algebra", "S3", "--field", "gf:5", "--mode", "SH", "--route", "resolution",
+                  "--max-degree", "24"), [1] + [0] * 23, id="S3-SH"),
+    pytest.param(("--algebra", "S3", "--field", "gf:5", "--mode", "SHH", "--route", "resolution",
+                  "--max-degree", "23"), [3] + [0] * 22, id="S3-SHH"),
+    pytest.param(("--algebra", "Cp:3", "--field", "gf:3", "--mode", "resolution",
+                  "--max-degree", "40"), [3, 3, 1] + [0] * 38, id="Cp3-resolution"),
 ])
-def test_vanishing_coinvariants_past_the_int64_key_are_a_budget_error(capsys, argv, last_good):
-    # the coinvariants vanish from degree dim A on, but the empty section of
-    # a degree whose ambient has 2^63 or more coordinates still has that
-    # many rows; the parent crashed there with an OverflowError
-    code, report = run_json(capsys, *argv, "--max-degree", str(last_good))
+def test_vanishing_coinvariants_past_the_int64_key_are_answered(capsys, argv, dims):
+    # the coinvariants vanish from degree dim A on; such a degree has 0 x 0
+    # projection and section, so no index of its ambient (2^63 or more
+    # coordinates here) is formed
+    code, report = run_json(capsys, *argv)
     assert code == 0
-    assert report["dims"] and all(c["pass"] for c in report["checks"])
-    code, report = run_json(capsys, *argv, "--max-degree", str(last_good + 1))
+    assert report["dims"] == dims
+    assert all(c["pass"] for c in report["checks"])
+
+
+def test_char2_coinvariants_never_vanish_and_meet_the_ambient_bound(capsys):
+    # Sym^(n+1) of a 6-space is nonzero in every degree, and the degree-9
+    # one lives on 6^10 coordinates
+    code, report = run_json(capsys, "--algebra", "S3", "--field", "gf:2", "--mode", "SH",
+                            "--route", "resolution", "--max-degree", "9")
     assert code == 3
     assert report["dims"] == []
-    assert report["error"]["code"] == 3
-    assert "2^63 or more" in report["error"]["reason"]
+    assert "6^10" in report["error"]["reason"]
 
 
 @pytest.mark.parametrize("name", ["Cp:x", "Cp:", "Cp:3.5"])
@@ -437,6 +443,85 @@ def _with_infinity(obj, key):
     else:
         obj[key] = float("inf")
     return obj
+
+
+MODES = [("--mode", "H"), ("--mode", "HH"), ("--mode", "SH"),
+         ("--mode", "SH", "--route", "resolution"), ("--mode", "SHH"),
+         ("--mode", "SHH", "--route", "resolution"), ("--mode", "resolution"),
+         ("--mode", "compare-adjoint"), ("--mode", "corollary-check"), ("--mode", "cp-table")]
+
+
+def test_every_mode_refuses_an_algebra_that_fails_a_hopf_axiom(tmp_path, capsys):
+    # the frozen single-constant mutations of sC3-gf3 that fail an axiom
+    # other than cocommutativity (which each mode checks where it needs it)
+    from test_hopf_mutations import mutate
+    golden = json.loads((pathlib.Path(__file__).with_name("golden")
+                         / "hopf_mutations.json").read_text())
+    cases = [c for c in golden["cases"] if c["algebra"] == "sC3-gf3"
+             and any(name != "cocommutativity" for name, _ in c["failures"])]
+    assert len(cases) > 30
+    path = tmp_path / "mutant.json"
+    for case in cases:
+        path.write_text(json.dumps(mutate(golden["algebras"]["sC3-gf3"], case["mutation"])))
+        name, witness = case["failures"][0]
+        for mode in MODES:
+            code, report = run_json(capsys, "--algebra", str(path), "--max-degree", "3", *mode)
+            assert code == 1, (case, mode)
+            assert report["dims"] == []
+            assert report["error"]["reason"] == \
+                f"NotAHopfAlgebra: the check {name} fails at {witness}"
+
+
+def test_committed_noncoassociative_variant_is_refused(capsys):
+    # sC3-gf3 without the comult constant (1, 0, 0); H used to print [1, 1, 1]
+    path = pathlib.Path(__file__).with_name("golden") / "algebras" / \
+        "sC3-gf3-noncoassociative.json"
+    code, report = run_json(capsys, "--algebra", str(path), "--mode", "H", "--max-degree", "3")
+    assert code == 1
+    assert report["error"]["reason"] == "NotAHopfAlgebra: the check coassociativity fails at c1"
+    code, report = run_json(capsys, "--algebra", str(path), "--mode", "validate")
+    assert code == 1
+    assert not next(c for c in report["checks"] if c["name"] == "coassociativity")["pass"]
+
+
+@pytest.mark.parametrize("part,entry,mode", [
+    ("mult", [1, 2, 7, "1"], "H"),
+    ("comult", [1, 5, 0, "1"], "validate"),
+    ("comult", [1, 5, 0, "1"], "H"),
+    ("mult", [-1, 2, 0, "1"], "H"),
+    ("comult", [0, 0, -1, "1"], "validate"),
+], ids=["mult-past-dim", "comult-past-dim-validate", "comult-past-dim-H", "mult-negative",
+        "comult-negative"])
+def test_structure_constant_index_out_of_range_is_a_schema_error(tmp_path, capsys, part,
+                                                                 entry, mode):
+    sc3 = pathlib.Path(__file__).with_name("golden") / "algebras" / "sC3-gf3.json"
+    obj = json.loads(sc3.read_text())
+    obj[part].append(entry)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    code, report = run_json(capsys, "--algebra", str(path), "--mode", mode)
+    assert code == 2
+    assert report["error"]["code"] == 2
+    assert "outside 0..2" in report["error"]["reason"]
+
+
+def test_structure_maps_over_the_kron_limit_are_a_budget_error(capsys):
+    # checking the axioms of kC33 needs the 33^4-entry swap of the middle
+    # factors of A^(tensor 4); kC32 is under the limit
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        code, report = run_json(capsys, "--algebra", "Cp:33", "--mode", "H", "--max-degree", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert report["error"]["code"] == 3
+    assert "Kronecker product" in report["error"]["reason"]
+    assert peak < 8 << 20
+    code, report = run_json(capsys, "--algebra", "Cp:32", "--mode", "H", "--max-degree", "1")
+    assert code == 0
+    assert report["dims"] == [1]
 
 
 @pytest.mark.parametrize("key", ["counit", "antipode", "field", "dim", "order"])

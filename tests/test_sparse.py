@@ -14,7 +14,7 @@ from symcoh.bar import equivariant_space
 from symcoh.errors import BudgetExceeded
 from symcoh.fields import Field
 from symcoh.hopf import group_algebra, symmetric_group_table
-from symcoh.modules import regular_bimodule, regular_left_module
+from symcoh.modules import kron, regular_bimodule, regular_left_module
 from symcoh.sparse import SparseMatrix, _column_batches, canonical, pointers
 from symcoh.tensors import bar_chain_diff, cochain_precompose, cochain_swap_sigma
 
@@ -191,6 +191,35 @@ def test_an_empty_shape_past_the_sort_key_is_refused_before_allocating():
     with pytest.raises(BudgetExceeded):
         canonical(field, [1 << 32], [1 << 32], None)
     assert SparseMatrix(field, 1 << 31, 1 << 31).is_zero()
+
+
+def test_zero_columns_with_rows_past_the_sort_key_are_refused():
+    # no position exists, but the key's factor `rows` itself overflows int64
+    with pytest.raises(BudgetExceeded, match="2\\^63 or more"):
+        SparseMatrix(Field.prime(5), 1 << 63, 0)
+    assert SparseMatrix(Field.prime(5), (1 << 63) - 1, 0).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kron_and_difference_equal_the_dense_oracles(data):
+    field, shape_a, entries_a = data.draw(triples())
+    _, shape_b, entries_b = data.draw(triples(field))
+    a = SparseMatrix(field, *shape_a, _arrays(field, entries_a))
+    b = SparseMatrix(field, *shape_b, _arrays(field, entries_b))
+    assert sparse.kron(a, b).to_dense() == kron(a.to_dense(), b.to_dense())
+    assert (a - a).is_zero()
+    c = SparseMatrix(field, *shape_a, _arrays(field, data.draw(_entries(field, *shape_a, 6))))
+    assert (a - c).to_dense() == a.to_dense() - c.to_dense()
+
+
+def test_kron_over_the_entry_limit_is_refused_unbuilt(monkeypatch):
+    field = Field.prime(5)
+    monkeypatch.setattr(sparse, "KRON_ENTRIES", 15)
+    eye = SparseMatrix.identity(field, 4)
+    assert sparse.kron(eye, SparseMatrix.identity(field, 3)).equals_identity()
+    with pytest.raises(BudgetExceeded, match="16 entries"):
+        sparse.kron(eye, eye)
 
 
 def _keys_seen(monkeypatch):
