@@ -6,10 +6,9 @@ iterated comultiplication produces dicts keyed by index tuples.  Group
 algebras are detected at construction and flagged `group_like`, which
 lets the cochain builders replace Sweedler sums by single terms.
 
-The same structure maps are held once per algebra as sparse matrices
-(`_structure_maps`); `validate_hopf` checks each axiom as one equality
-of their composites, and the regular modules and the diagonal action
-read the multiplication from them.
+The structure maps are also built once per algebra as sparse matrices
+(`_structure_maps`): `validate_hopf` checks each axiom as one equality of
+their composites, and the regular modules and the diagonal action read m.
 """
 
 from __future__ import annotations
@@ -224,13 +223,10 @@ def _structure_maps(h: HopfAlgebra) -> StructureMaps:
 
 
 def _first_difference(h: HopfAlgebra, stages):
-    """The witness of a check, or None when it holds.
-
-    A stage is (inputs, pairs): pairs of matrices (lhs, rhs) compared
-    column by column, whose columns are tuples of `inputs` basis elements
-    (0: the unit).  The witness is the first column where any pair of the
-    first failing stage differs, as labels, or "1" for the unit.
-    """
+    """The witness of a check, or None when it holds.  A stage is (inputs,
+    pairs): matrix pairs (lhs, rhs) whose columns are tuples of `inputs` basis
+    elements (0: the unit).  The witness is the first column where a pair of
+    the first failing stage differs, as labels, or "1" for the unit."""
     labels, d = h.basis_labels, h.dim
     for inputs, pairs in stages:
         cols = [int((lhs - rhs).col_idx[0]) for lhs, rhs in pairs if lhs != rhs]
@@ -252,16 +248,19 @@ def validate_hopf(h: HopfAlgebra, require_cocommutative: bool = False) -> Valida
     m, delta, eta, eps, s, tau = _structure_maps(h)
     one = SparseMatrix.identity(h.field, h.dim)
     report = ValidationReport(cocommutative=h.is_cocommutative, commutative=h.is_commutative)
-    # (1 tensor tau tensor 1)(Delta tensor Delta) before M tensor M: then only one
-    # map on A^(tensor 4), dim^4 entries for a group algebra, is held at a time
-    middle = kron(kron(one, tau), one) @ kron(delta, delta)
+    # (M tensor M)(1 tensor tau tensor 1)(Delta tensor Delta), applied right to left
+    # and with M tensor M = (M tensor 1)(1 tensor 1 tensor M): one map on A^(tensor 4)
+    # (dim^4 entries for a group algebra) is held at a time, and each product
+    # expands few terms
+    mult_pair = kron(kron(one, tau), one) @ kron(delta, delta)
+    mult_pair = kron(m, one) @ (kron(kron(one, one), m) @ mult_pair)
     checks = [
         ("associativity", [(3, [(m @ kron(m, one), m @ kron(one, m))])]),
         ("unit", [(1, [(m @ kron(eta, one), one), (m @ kron(one, eta), one)])]),
         ("coassociativity", [(1, [(kron(delta, one) @ delta, kron(one, delta) @ delta)])]),
         ("counit", [(1, [(kron(eps, one) @ delta, one), (kron(one, eps) @ delta, one)])]),
         ("comult_algebra_map", [
-            (2, [(delta @ m, kron(m, m) @ middle)]),
+            (2, [(delta @ m, mult_pair)]),
             (0, [(delta @ eta, kron(eta, eta))])]),
         ("counit_algebra_map", [(2, [(eps @ m, kron(eps, eps))]),
                                 (0, [(eps @ eta, SparseMatrix.identity(h.field, 1))])]),

@@ -54,9 +54,7 @@ from .fields import Field
 from .linalg import Matrix
 
 
-# entries of the largest Kronecker product `kron` builds: checking the Hopf axioms
-# of a group algebra forms dim^4 of them, about 50 MB of arrays at the limit (dim 32)
-KRON_ENTRIES = 1 << 20
+KRON_ENTRIES = 1 << 20  # the Hopf axioms of a group algebra of order 32: about 50 MB
 
 
 class SparseMatrix:
