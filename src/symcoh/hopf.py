@@ -248,10 +248,9 @@ def validate_hopf(h: HopfAlgebra, require_cocommutative: bool = False) -> Valida
     m, delta, eta, eps, s, tau = _structure_maps(h)
     one = SparseMatrix.identity(h.field, h.dim)
     report = ValidationReport(cocommutative=h.is_cocommutative, commutative=h.is_commutative)
-    # (M tensor M)(1 tensor tau tensor 1)(Delta tensor Delta), applied right to left
-    # and with M tensor M = (M tensor 1)(1 tensor 1 tensor M): one map on A^(tensor 4)
-    # (dim^4 entries for a group algebra) is held at a time, and each product
-    # expands few terms
+    # (M tensor M)(1 tensor tau tensor 1)(Delta tensor Delta) right to left, with
+    # M tensor M = (M tensor 1)(1 tensor 1 tensor M): one map on A^(tensor 4), dim^4
+    # entries for a group algebra, is held at a time and each product expands few terms
     mult_pair = kron(kron(one, tau), one) @ kron(delta, delta)
     mult_pair = kron(m, one) @ (kron(kron(one, one), m) @ mult_pair)
     checks = [

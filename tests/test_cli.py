@@ -156,6 +156,21 @@ def test_vanishing_coinvariants_past_the_int64_key_are_answered(capsys, argv, di
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_vanishing_degrees_get_no_unit_insertion_on_their_indices(tmp_path, capsys):
+    # kC3 on the basis (g1, g2, e): the unit is b_2, and prepending it to a
+    # degree-39 tensor would shift flat indices by 2 * 3^40, past int64
+    p = Matrix.from_rows(GF3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    h = change_basis(group_algebra(3, cyclic_group_table(3), GF3), p)
+    assert h.unit_dict() == {2: 1}
+    path = tmp_path / "kc3.json"
+    path.write_text(json.dumps(hopf_to_json(h)))
+    code, report = run_json(capsys, "--algebra", str(path), "--mode", "resolution",
+                            "--max-degree", "40")
+    assert code == 0
+    assert report["dims"] == [3, 3, 1] + [0] * 38
+    assert all(c["pass"] for c in report["checks"])
+
+
 def test_char2_coinvariants_never_vanish_and_meet_the_ambient_bound(capsys):
     # Sym^(n+1) of a 6-space is nonzero in every degree, and the degree-9
     # one lives on 6^10 coordinates
