@@ -34,9 +34,9 @@ from .errors import BudgetExceeded, NotCocommutative
 from .hopf import HopfAlgebra, iterated_comult
 from .linalg import Matrix
 from .modules import LeftModule, validate_module
-from .sparse import SparseMatrix, field_array
-from .tensors import (all_tuples, bar_chain_diff, cochain_precompose,
-                      cochain_swap_sigma, diagonal_columns, flat, kron_identity)
+from .sparse import SparseMatrix, field_array, kron_triples
+from .tensors import (all_columns, all_tuples, bar_chain_diff, cochain_precompose,
+                      cochain_swap_sigma, diagonal_columns, flat)
 
 BUDGET = 200_000  # coordinates of the largest ambient cochain space a complex may have
 
@@ -188,7 +188,8 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
             cols.append((lead * len(inner) + inner) * d ** tail + last)
             vals.append(field_array(fld, [fld.mul(lc, tc)] * len(inner)))
     coords = SparseMatrix(fld, len(inner) * m, ambient,
-                          kron_identity(*(np.concatenate(part) for part in (rows, cols, vals)), m))
+                          kron_triples(fld, [np.concatenate(part) for part in (rows, cols, vals)],
+                                       all_columns(m), (m, m)))
     return CochainSpace(ambient, basis, coords, check=False)
 
 

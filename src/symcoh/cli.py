@@ -243,18 +243,16 @@ def run(args) -> tuple[dict, int]:
     mode = args.mode
     top = args.max_degree
 
-    if mode != "validate":
-        failed = validate_hopf(h).failures()
-        if failed:
-            raise NotAHopfAlgebra(f"the check {failed[0].name} fails at {failed[0].witness}")
-
+    report = validate_hopf(h, require_cocommutative=mode == "validate")
     if mode == "validate":
-        report = validate_hopf(h, require_cocommutative=True)
         checks = [(c.name, c.passed) for c in report.checks]
         out = _report("validate", checks=checks,
                       extra={"cocommutative": report.cocommutative,
                              "commutative": report.commutative})
         return out, EXIT_OK if report.passed else EXIT_VALIDATION
+    if not report.passed:
+        failed = report.failures()[0]
+        raise NotAHopfAlgebra(f"the check {failed.name} fails at {failed.witness}")
 
     if mode == "cp-table":
         if not h.group_like or h.group_table != [[(i + j) % h.dim for j in range(h.dim)]

@@ -8,7 +8,8 @@ lets the cochain builders replace Sweedler sums by single terms.
 
 The structure maps are also built once per algebra as sparse matrices
 (`_structure_maps`): `validate_hopf` checks each axiom as one equality of
-their composites, and the regular modules and the diagonal action read m.
+their composites, and the regular modules and the diagonal action read m
+as a dense array (`multiplication_array`).
 """
 
 from __future__ import annotations
@@ -222,6 +223,12 @@ def _structure_maps(h: HopfAlgebra) -> StructureMaps:
     return h._maps
 
 
+def multiplication_array(h: HopfAlgebra):
+    """The structure constants of m as a dense dim x dim x dim array of
+    field scalars: entry [k, i, j] is the coefficient of b_k in b_i b_j."""
+    return _structure_maps(h).mult.to_dense().data.reshape((h.dim,) * 3)
+
+
 def _first_difference(h: HopfAlgebra, stages):
     """The witness of a check, or None when it holds.  A stage is (inputs,
     pairs): matrix pairs (lhs, rhs) whose columns are tuples of `inputs` basis
@@ -248,29 +255,29 @@ def validate_hopf(h: HopfAlgebra, require_cocommutative: bool = False) -> Valida
     m, delta, eta, eps, s, tau = _structure_maps(h)
     one = SparseMatrix.identity(h.field, h.dim)
     report = ValidationReport(cocommutative=h.is_cocommutative, commutative=h.is_commutative)
-    # (M tensor M)(1 tensor tau tensor 1)(Delta tensor Delta) right to left, with
-    # M tensor M = (M tensor 1)(1 tensor 1 tensor M): one map on A^(tensor 4), dim^4
-    # entries for a group algebra, is held at a time and each product expands few terms
-    mult_pair = kron(kron(one, tau), one) @ kron(delta, delta)
-    mult_pair = kron(m, one) @ (kron(kron(one, one), m) @ mult_pair)
-    checks = [
-        ("associativity", [(3, [(m @ kron(m, one), m @ kron(one, m))])]),
-        ("unit", [(1, [(m @ kron(eta, one), one), (m @ kron(one, eta), one)])]),
-        ("coassociativity", [(1, [(kron(delta, one) @ delta, kron(one, delta) @ delta)])]),
-        ("counit", [(1, [(kron(eps, one) @ delta, one), (kron(one, eps) @ delta, one)])]),
-        ("comult_algebra_map", [
-            (2, [(delta @ m, mult_pair)]),
-            (0, [(delta @ eta, kron(eta, eta))])]),
-        ("counit_algebra_map", [(2, [(eps @ m, kron(eps, eps))]),
-                                (0, [(eps @ eta, SparseMatrix.identity(h.field, 1))])]),
-        ("antipode", [(1, [(m @ kron(s, one) @ delta, eta @ eps),
-                           (m @ kron(one, s) @ delta, eta @ eps)])]),
-        ("antipode_antihomomorphism", [(2, [(s @ m, m @ kron(s, s) @ tau)])]),
-        ("antipode_unit", [(0, [(s @ eta, eta)])]),
-        ("counit_antipode", [(1, [(eps @ s, eps)])]),
-        ("antipode_comult", [(1, [(kron(s, s) @ tau @ delta, delta @ s)])]),
-    ]
-    for name, stages in checks:
+
+    def checks():  # one at a time, so that only one check's composites are held
+        yield "associativity", [(3, [(m @ kron(m, one), m @ kron(one, m))])]
+        yield "unit", [(1, [(m @ kron(eta, one), one), (m @ kron(one, eta), one)])]
+        yield "coassociativity", [(1, [(kron(delta, one) @ delta, kron(one, delta) @ delta)])]
+        yield "counit", [(1, [(kron(eps, one) @ delta, one), (kron(one, eps) @ delta, one)])]
+        # (M tensor M)(1 tensor tau tensor 1)(Delta tensor Delta) is (1 tensor M)(L tensor 1)
+        # (1 tensor Delta), L = (M tensor 1)(1 tensor tau)(Delta tensor 1): x tensor y ->
+        # x_(1) y tensor x_(2); like associativity, it forms maps on A^(tensor 3), not 4
+        twist = kron(m, one) @ (kron(one, tau) @ kron(delta, one))
+        yield "comult_algebra_map", [
+            (2, [(delta @ m, kron(one, m) @ (kron(twist, one) @ kron(one, delta)))]),
+            (0, [(delta @ eta, kron(eta, eta))])]
+        yield "counit_algebra_map", [(2, [(eps @ m, kron(eps, eps))]),
+                                     (0, [(eps @ eta, SparseMatrix.identity(h.field, 1))])]
+        yield "antipode", [(1, [(m @ kron(s, one) @ delta, eta @ eps),
+                                (m @ kron(one, s) @ delta, eta @ eps)])]
+        yield "antipode_antihomomorphism", [(2, [(s @ m, m @ kron(s, s) @ tau)])]
+        yield "antipode_unit", [(0, [(s @ eta, eta)])]
+        yield "counit_antipode", [(1, [(eps @ s, eps)])]
+        yield "antipode_comult", [(1, [(kron(s, s) @ tau @ delta, delta @ s)])]
+
+    for name, stages in checks():
         witness = _first_difference(h, stages)
         report.checks.append(AxiomCheck(name, witness is None, witness))
     if report.cocommutative or report.commutative:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidBimodule, InvalidModule
-from .hopf import HopfAlgebra, _structure_maps
+from .hopf import HopfAlgebra, multiplication_array
 from .linalg import Matrix, Subspace, intersect_kernels
 
 
@@ -148,9 +148,9 @@ def trivial_bimodule(h: HopfAlgebra) -> Bimodule:
 
 
 def _regular_actions(h: HopfAlgebra, side: int) -> list:
-    """Left (side 1) or right (side 2) multiplication by each b_i, read from
-    the multiplication map: mult[k, i, j] is the coefficient of b_k in b_i b_j."""
-    mult = _structure_maps(h).mult.to_dense().data.reshape((h.dim,) * 3)
+    """Left (side 1) or right (side 2) multiplication by each b_i: the slices
+    of multiplication_array at i along the axis of the left or right factor."""
+    mult = multiplication_array(h)
     return [Matrix(h.field, mult.take(i, axis=side)) for i in range(h.dim)]
 
 

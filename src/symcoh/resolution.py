@@ -34,9 +34,9 @@ from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
 from .linalg import DENSE_RANK_CELLS, Matrix, rank
 from .modules import (Bimodule, LeftModule, hom_equivariant, kron, regular_bimodule,
                       regular_left_module, tensor_module, validate_module)
-from .sparse import SparseMatrix, apply_columns, canonical, field_array
+from .sparse import SparseMatrix, apply_columns, canonical, field_array, kron_triples
 from .tensors import (all_columns, bar_chain_columns, cochain_precompose, delete_slot,
-                      diagonal_columns, digits, flat, kron_identity, swap_slots, undigits)
+                      diagonal_columns, digits, flat, swap_slots, undigits)
 
 
 class CoinvariantSpace:
@@ -161,10 +161,11 @@ def _tensor_regular(h: HopfAlgebra, space: CoinvariantSpace, regular: Bimodule,
                       [kron(eye, r) for r in regular.right])
     if check:
         validate_module(h, module)
+    identity = all_columns(d)
     projection = SparseMatrix(fld, space.dim * d, space.ambient_dim * d,
-                              kron_identity(*space.projection.triples(), d))
+                              kron_triples(fld, space.projection.triples(), identity, (d, d)))
     section = SparseMatrix(fld, space.ambient_dim * d, space.dim * d,
-                           kron_identity(*space.section.triples(), d))
+                           kron_triples(fld, space.section.triples(), identity, (d, d)))
     labels = [lab + (a,) for lab in space.basis_labels for a in range(d)]
     return CoinvariantSpace(space.degree, projection, section, labels, module)
 

@@ -9,8 +9,8 @@ and zeros dropped.  Values are in the array form of the field
 product of them goes through `Field.reduce`, so no code here branches on
 the field.  Every SparseMatrix goes through `canonical` when it is
 built, so equal matrices have equal arrays.  Rank, kernel and quotient
-work stays in the dense layer; this layer composes, adds and compares,
-and applies an operator to a dense basis (`dense_product`).
+work stays in the dense layer; this layer composes, adds, tensors
+(`kron`) and compares, and applies an operator to a dense basis (`dense_product`).
 
 The sort order is one int64 key, col * rows + row.  `canonical` computes
 the key and checks in one pass whether it is already strictly increasing;
@@ -52,9 +52,6 @@ import numpy as np
 from .errors import BudgetExceeded
 from .fields import Field
 from .linalg import Matrix
-
-
-KRON_ENTRIES = 1 << 20  # the Hopf axioms of a group algebra of order 32: about 50 MB
 
 
 class SparseMatrix:
@@ -188,16 +185,9 @@ class SparseMatrix:
 
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Kronecker product with the left factor most significant: entry
-    ((i, k), (j, l)) is a[i, j] b[k, l], at row i * b.rows + k.  A product
-    of more than KRON_ENTRIES entries raises BudgetExceeded unbuilt."""
-    if a.nnz() * b.nnz() > KRON_ENTRIES:
-        raise BudgetExceeded(f"a Kronecker product of {a.nnz() * b.nnz()} entries is over "
-                             f"the limit of {KRON_ENTRIES}")
-    ra, ca, va = (x[:, None] for x in a.triples())
-    rb, cb, vb = b.triples()
+    ((i, k), (j, l)) is a[i, j] b[k, l], at row i * b.rows + k."""
     return SparseMatrix(a.field, a.rows * b.rows, a.cols * b.cols,
-                        ((ra * b.rows + rb).ravel(), (ca * b.cols + cb).ravel(),
-                         a.field.reduce(va * vb).ravel()))
+                        kron_triples(a.field, a.triples(), b.triples(), (b.rows, b.cols)))
 
 
 def integer_mod(sm: SparseMatrix, q: int) -> SparseMatrix:
@@ -223,6 +213,15 @@ def integer_gram(sm: SparseMatrix, q: int) -> Matrix:
 def field_array(field: Field, values) -> np.ndarray:
     """Scalars of `field` as a flat array of its array form (`Field.array`)."""
     return field.array(values).reshape(-1)
+
+
+def kron_triples(field: Field, a, b, b_shape):
+    """Triples of the Kronecker product (`kron`) of the triples a and b, b
+    of shape b_shape; b's vals may be None, a's may not."""
+    (ra, ca, va), (rb, cb, vb) = a, b
+    return ((ra[:, None] * b_shape[0] + rb).reshape(-1),
+            (ca[:, None] * b_shape[1] + cb).reshape(-1),
+            np.repeat(va, len(rb)) if vb is None else field.reduce(va[:, None] * vb).reshape(-1))
 
 
 def apply_columns(field: Field, columns, triples):

@@ -13,7 +13,7 @@ whose `tail` trailing slots stay put.  The cochain operators
 triples built by the same arithmetic.  No operator here multiplies a
 trailing slot from the right: bar.py writes that action into its
 equivariant bases, and the bimodule resolution tensors the plain one
-with A (`kron_identity`).
+with A (`kron_triples`).
 
 The diagonal action of a group element permutes flat indices.  For any
 other algebra it is a dense d^t x d^t array: the Sweedler tensor of the
@@ -30,8 +30,8 @@ import numpy as np
 
 from .complexes import DENSE_RANK_CELLS
 from .errors import BudgetExceeded
-from .hopf import HopfAlgebra, _structure_maps, iterated_comult
-from .sparse import SparseMatrix, apply_columns, dense_columns, field_array
+from .hopf import HopfAlgebra, iterated_comult, multiplication_array
+from .sparse import SparseMatrix, apply_columns, dense_columns, field_array, kron_triples
 
 
 def flat(tup, d: int) -> int:
@@ -128,13 +128,6 @@ def bar_chain_diff(h: HopfAlgebra, n: int, tail: int) -> SparseMatrix:
         apply_columns(h.field, bar_chain_columns(h, n, tail), all_columns(cols)))
 
 
-def kron_identity(rows, cols, vals, m: int):
-    """Triples of (rows, cols, vals) tensor the m x m identity."""
-    j = np.arange(m, dtype=np.int64)
-    return ((rows[:, None] * m + j).reshape(-1), (cols[:, None] * m + j).reshape(-1),
-            None if vals is None else np.repeat(vals, m))
-
-
 def cochain_precompose(chain: SparseMatrix, m: int) -> SparseMatrix:
     """Turn a chain map V -> W into Hom(W, M) -> Hom(V, M) on flat coordinates.
 
@@ -165,7 +158,8 @@ def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatri
     idx = np.arange(d ** slots, dtype=np.int64)
     minus = field_array(field, [field.neg(field.one())] * len(idx))
     return SparseMatrix(field, len(idx) * m, len(idx) * m,
-                        kron_identity(swap_slots(idx, d, slots, i), idx, minus, m))
+                        kron_triples(field, (swap_slots(idx, d, slots, i), idx, minus),
+                                     all_columns(m), (m, m)))
 
 
 def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
@@ -184,7 +178,7 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
         raise BudgetExceeded(
             f"diagonal action on {slots} slots needs a dense {d ** slots} x {d ** slots} "
             f"array, over the limit of {DENSE_RANK_CELLS} cells")
-    mult = _structure_maps(h).mult.to_dense().data.reshape(d, d, d)  # [k, l, t]: b_l b_t
+    mult = multiplication_array(h)  # [k, l, t]: b_l b_t
     out = np.full((d,) * slots, fld.zero(), dtype=fld.dtype)
     legs = iterated_comult(h, b, slots - 1).coeffs if slots else {(): h.counit[b]}
     for leg, c in legs.items():

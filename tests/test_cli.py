@@ -520,9 +520,10 @@ def test_structure_constant_index_out_of_range_is_a_schema_error(tmp_path, capsy
     assert "outside 0..2" in report["error"]["reason"]
 
 
-def test_structure_maps_over_the_kron_limit_are_a_budget_error(capsys):
-    # checking the axioms of kC33 needs the 33^4-entry swap of the middle
-    # factors of A^(tensor 4); kC32 is under the limit
+def test_large_group_algebras_are_validated_on_maps_of_at_most_three_factors(capsys):
+    # the axiom checks form maps on A^(tensor 3), dim^3 entries for a group
+    # algebra, and none on A^(tensor 4): for kC33 these hold about 36,000
+    # entries where one map on A^(tensor 4) would hold 1.2 million
     import tracemalloc
     tracemalloc.start()
     try:
@@ -530,13 +531,9 @@ def test_structure_maps_over_the_kron_limit_are_a_budget_error(capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 3
-    assert report["error"]["code"] == 3
-    assert "Kronecker product" in report["error"]["reason"]
-    assert peak < 8 << 20
-    code, report = run_json(capsys, "--algebra", "Cp:32", "--mode", "H", "--max-degree", "1")
     assert code == 0
     assert report["dims"] == [1]
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("key", ["counit", "antipode", "field", "dim", "order"])

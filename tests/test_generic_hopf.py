@@ -88,8 +88,18 @@ def scrambled_kc2_rational():
     return change_basis(h, p)
 
 
+def dense_kc11():
+    """kC11 on a basis with 461 comultiplication constants (Delta tensor
+    Delta would have 212,521 entries): every entry of the unitriangular
+    basis change above the diagonal is nonzero."""
+    field = Field.prime(11)
+    p = Matrix.from_rows(field, [[(i * j + 1) % 11 if j > i else int(i == j)
+                                  for j in range(11)] for i in range(11)])
+    return change_basis(group_algebra(11, cyclic_group_table(11), field), p)
+
+
 def test_scrambled_is_valid_cocommutative_not_group_like():
-    for g in (scrambled_kc3(), scrambled_kc2_rational()):
+    for g in (scrambled_kc3(), scrambled_kc2_rational(), dense_kc11()):
         assert not g.group_like
         assert g.is_cocommutative
         report = validate_hopf(g, require_cocommutative=True)

@@ -210,15 +210,6 @@ def test_kron_and_difference_equal_the_dense_oracles(data):
     assert (a - c).to_dense() == a.to_dense() - c.to_dense()
 
 
-def test_kron_over_the_entry_limit_is_refused_unbuilt(monkeypatch):
-    field = Field.prime(5)
-    monkeypatch.setattr(sparse, "KRON_ENTRIES", 15)
-    eye = SparseMatrix.identity(field, 4)
-    assert sparse.kron(eye, SparseMatrix.identity(field, 3)).equals_identity()
-    with pytest.raises(BudgetExceeded, match="16 entries"):
-        sparse.kron(eye, eye)
-
-
 def _keys_seen(monkeypatch):
     """Record, for every SparseMatrix built, whether its triples arrived
     in canonical order up to repeats."""
