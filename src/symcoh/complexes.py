@@ -203,8 +203,8 @@ def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = 
 
     ops[n].sigmas act on ambient(n) and must preserve space(n).  The fixed
     points are the common kernel of the restricted sigma - 1, found by
-    `intersect_kernels` one generator at a time: each step is one sparse
-    times dense product on the s x (fixed so far) basis, bounded by
+    `intersect_kernels` one generator at a time on these sparse operators:
+    each step densifies one s x (fixed so far) image, bounded by
     DENSE_RANK_CELLS, and no (#sigma * s) x s stack is built.  Degrees
     above `through_degree` (default: all) keep their original space; the
     differential-compatibility check runs at every restricted degree.
@@ -220,9 +220,9 @@ def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = 
             new_spaces.append(space)
             continue
         s = space.dim
-        restricted = [restrict_operator(space, sigma) for sigma in sigmas]
-        fixed = intersect_kernels(field, s, [
-            (s, lambda k, red=red: red.dense_product(k) - k) for red in restricted])
+        eye = SparseMatrix.identity(field, s)
+        fixed = intersect_kernels(field, s, [restrict_operator(space, sigma) - eye
+                                             for sigma in sigmas])
         fdim = fixed.dim
         if fdim == s:
             new_spaces.append(space)

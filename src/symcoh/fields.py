@@ -9,8 +9,8 @@ are ints where integral and Fractions elsewhere), and `reduce` brings
 the result of numpy arithmetic on such arrays back into it.  Array code
 is written once for both fields: a product of two reduced int64
 entries, plus or minus a reduced entry, stays within int64 (see
-`Field`), and over Q `reduce` is the identity.  `neg`, `add`, `sub` and
-`mul` apply to arrays as well.
+`Field`), and over Q `reduce` is the identity.  `neg`, `add` and `mul`
+apply to arrays as well.
 
 Most rationals met are 0 or +-1, on which int arithmetic is far cheaper.
 Arithmetic may leave an integral Fraction; it equals, hashes and tests
@@ -148,9 +148,6 @@ class Field:
 
     def add(self, a, b):
         return a + b if self.kind == "rational" else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.kind == "rational" else (a - b) % self.p
 
     def neg(self, a):
         return -a if self.kind == "rational" else (-a) % self.p

@@ -11,9 +11,9 @@ first nonzero entry of each column at or below the current row, scales
 the pivot row to one, and clears the entries below the pivot with one
 outer-product update: on the rows that need it when they are fewer than
 a quarter, else on every row through a buffer allocated once.  `rank`
-is its pivot count; `rref` adds back-substitution with the same update.
-The reduced row echelon form is unique, so identical inputs produce
-identical outputs.
+is its pivot count; `rref` adds back-substitution with the same update,
+and `_kernel` reads the reduced kernel basis off it.  The reduced row
+echelon form is unique, so identical inputs produce identical outputs.
 
 A product over GF(p) is a float64 BLAS product with delayed reduction
 (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35, 2008): float64
@@ -28,8 +28,10 @@ product (both denominators one) is all ints, with no Fraction built.
 
 Ambient dimensions here are desk-scale (a few thousand); anything
 larger lives in the sparse layer and only drops down to dense form for
-rank/kernel/quotient work.  `intersect_kernels` refuses a step whose
-dense matrices would exceed DENSE_RANK_CELLS cells.
+rank/kernel/quotient work.  `intersect_kernels` takes its constraints
+as sparse operators and densifies one image at a time, echelonned in
+place: a step holds two arrays of at most max(rows, dim) x (kernel so
+far) cells, and a step over DENSE_RANK_CELLS cells is refused.
 """
 
 from __future__ import annotations
@@ -99,15 +101,8 @@ class Matrix:
     def __getitem__(self, ij):
         return self.data.item(ij)
 
-    def entries(self):
-        """Row-major list of all entries."""
-        return self.data.reshape(-1).tolist()
-
     def column(self, j):
         return self.data[:, j].tolist()
-
-    def row(self, i):
-        return self.data[i].tolist()
 
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.data.copy())
@@ -149,10 +144,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.data.T.copy())
-
-    def reshape(self, rows: int, cols: int) -> "Matrix":
-        """The same entries, read row-major into a rows x cols matrix."""
-        return Matrix(self.field, self.data.reshape(rows, cols))
 
     def hstack(self, other) -> "Matrix":
         if self.rows != other.rows:
@@ -328,6 +319,16 @@ def _pivots_and_free(pivots: list, cols: int):
     return np.array(pivots, dtype=np.int64), np.flatnonzero(free)
 
 
+def _kernel(a: np.ndarray, field: Field) -> np.ndarray:
+    """The reduced kernel basis of a (see kernel_basis), echelonning a in place."""
+    pivots, free = _pivots_and_free(_echelon(a, field, reduced=True), a.shape[1])
+    basis = np.full((a.shape[1], len(free)), field.zero(), dtype=field.dtype)
+    basis[free, np.arange(len(free))] = field.one()
+    block = a[:len(pivots), free]
+    basis[pivots] = field.reduce(np.negative(block, out=block), out=block)
+    return basis
+
+
 def kernel_basis(m: Matrix) -> Subspace:
     """Echelon-derived basis of ker(m); deterministic for identical input.
 
@@ -335,15 +336,7 @@ def kernel_basis(m: Matrix) -> Subspace:
     coordinate, 0 at the other free coordinates and after its own, so it
     depends only on the kernel, not on how m presents it.
     """
-    field = m.field
-    if m.cols == 0:
-        return Subspace(0, Matrix.zeros(field, 0, 0))
-    reduced, pivots = rref(m)
-    pivots, free = _pivots_and_free(pivots, m.cols)
-    basis = Matrix.zeros(field, m.cols, len(free))
-    basis.data[free, np.arange(len(free))] = field.one()
-    basis.data[pivots] = field.neg(reduced.data[:len(pivots), free])
-    return Subspace(m.cols, basis)
+    return Subspace(m.cols, Matrix(m.field, _kernel(m.data.copy(), m.field)))
 
 
 def solve_membership(s: Subspace, vec):
@@ -393,29 +386,32 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def intersect_kernels(field: Field, dim: int, constraints) -> Subspace:
-    """Common kernel of linear maps C_1, C_2, ... on k^dim, one at a time.
+    """Common kernel of sparse operators C_1, C_2, ... on k^dim (each a
+    `SparseMatrix` with dim columns), one at a time.
 
-    Each constraint is a pair (rows, apply) where apply(K) is the
-    rows x K.cols product C_i @ K.  The basis K starts as the identity and
-    shrinks to K @ kernel_basis(C_i @ K); a constraint that vanishes on K
-    is skipped, and the loop stops once K is empty.  Products of reduced
-    kernel bases are reduced, so the result is the basis that
-    kernel_basis of the stacked matrix [C_1; C_2; ...] gives, entry for
-    entry, without the stack.  Every matrix a step builds fits in
-    max(rows, dim) x K.cols cells; a step over DENSE_RANK_CELLS raises
-    BudgetExceeded before it builds anything, the identity included.
+    The basis K starts as the identity and shrinks to K @ ker(C_i @ K):
+    the first step densifies C_1 itself (`to_dense`), later ones form
+    C_i @ K (`dense_product`), and each image is echelonned in place.  A
+    constraint that vanishes on K is skipped, and the loop stops once K is
+    empty.  Products of reduced kernel bases are reduced, so the result is
+    the basis that kernel_basis of the stacked matrix [C_1; C_2; ...]
+    gives, entry for entry, without the stack.  A step holds the image and
+    the echelon's buffer, two arrays of at most max(rows, dim) x K.cols
+    cells; a step over DENSE_RANK_CELLS raises BudgetExceeded before it
+    builds anything.
     """
     basis = None  # the identity until a constraint cuts it down
-    for rows, apply in constraints:
+    for op in constraints:
         width = dim if basis is None else basis.cols
         if width == 0:
             break
-        if max(rows, dim) * width > DENSE_RANK_CELLS:
+        if max(op.rows, dim) * width > DENSE_RANK_CELLS:
             raise BudgetExceeded(
-                f"common kernel step needs a dense {max(rows, dim)} x {width} matrix, "
+                f"common kernel step needs a dense {max(op.rows, dim)} x {width} matrix, "
                 f"over the limit of {DENSE_RANK_CELLS} cells")
-        image = apply(Matrix.identity(field, dim) if basis is None else basis)
+        image = op.to_dense() if basis is None else op.dense_product(basis)
         if not image.is_zero():
-            kernel = kernel_basis(image).basis
+            kernel = Matrix(field, _kernel(image.data, field))
+            del image  # before the product allocates its own arrays
             basis = kernel if basis is None else basis @ kernel
     return Subspace(dim, Matrix.identity(field, dim) if basis is None else basis)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import sparse
 from .errors import InvalidBimodule, InvalidModule
 from .hopf import HopfAlgebra, multiplication_array
 from .linalg import Matrix, Subspace, intersect_kernels
+from .sparse import SparseMatrix
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -179,11 +181,9 @@ def adjoint_module(h: HopfAlgebra, bim: Bimodule) -> LeftModule:
 
 def invariants(h: HopfAlgebra, mod: LeftModule) -> Subspace:
     """The subspace where every b_i acts by its counit scalar."""
-    fld = h.field
-    eye = Matrix.identity(fld, mod.dim)
-    return intersect_kernels(fld, mod.dim, [
-        (mod.dim, lambda k, c=mod.action[i] - eye.scale(h.counit[i]): c @ k)
-        for i in range(h.dim)])
+    eye = Matrix.identity(h.field, mod.dim)
+    return intersect_kernels(h.field, mod.dim, [
+        SparseMatrix.from_dense(mod.action[i] - eye.scale(h.counit[i])) for i in range(h.dim)])
 
 
 def tensor_module(h: HopfAlgebra, l: LeftModule, m: LeftModule) -> LeftModule:
@@ -202,25 +202,16 @@ def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Subspace:
     """Hom_A(X, M) inside flattened Hom_k(X, M): F rho^X_i = rho^M_i F for
     all i, and for bimodules the same with the right actions.
 
-    Each equation is one constraint of `intersect_kernels`, applied to the
-    basis K of the solutions so far: every column of K is a flattened
-    m x x matrix F, so F rho^X is one product on the domain index and
-    rho^M F one on the value index.  No Kronecker product is formed.
+    On flattened F (see the module docstring), F rho^X is the sparse
+    Kronecker operator kron(rho^X^T, 1_M) and rho^M F is kron(1_X, rho^M);
+    each equation is their difference, one sparse constraint of
+    `intersect_kernels`.
     """
-    xd, md = x.dim, m.dim
+    fld = h.field
     pairs = [(x.action[i], m.action[i]) for i in range(h.dim)]
     if m.tail:
         pairs += [(x.right[i], m.right[i]) for i in range(h.dim)]
-
-    def constraint(rho_x, rho_m):
-        def apply(k):
-            w = k.cols
-            # rows of k are (domain a, value b): F rho^X acts on a ...
-            right = (rho_x.transpose() @ k.reshape(xd, md * w)).reshape(xd * md, w)
-            # ... and rho^M F on b, which is last in the rows of k^T as (w, a) x b
-            left = (k.transpose().reshape(w * xd, md) @ rho_m.transpose()) \
-                .reshape(w, xd * md).transpose()
-            return right - left
-        return xd * md, apply
-
-    return intersect_kernels(h.field, xd * md, [constraint(rx, rm) for rx, rm in pairs])
+    eye_x, eye_m = SparseMatrix.identity(fld, x.dim), SparseMatrix.identity(fld, m.dim)
+    return intersect_kernels(fld, x.dim * m.dim, [
+        sparse.kron(SparseMatrix.from_dense(rx).transpose(), eye_m)
+        - sparse.kron(eye_x, SparseMatrix.from_dense(rm)) for rx, rm in pairs])

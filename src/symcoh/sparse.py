@@ -10,7 +10,9 @@ product of them goes through `Field.reduce`, so no code here branches on
 the field.  Every SparseMatrix goes through `canonical` when it is
 built, so equal matrices have equal arrays.  Rank, kernel and quotient
 work stays in the dense layer; this layer composes, adds, tensors
-(`kron`) and compares, and applies an operator to a dense basis (`dense_product`).
+(`kron`, or `apply_in_slot` without forming the product) and compares,
+and applies an operator to a dense basis (`dense_product`, in batches
+whose one temporary has at most a quarter of the result's cells).
 
 The sort order is one int64 key, col * rows + row.  `canonical` computes
 the key and checks in one pass whether it is already strictly increasing;
@@ -136,20 +138,23 @@ class SparseMatrix:
     def dense_product(self, k: Matrix) -> Matrix:
         """self @ k for a dense k, as a dense Matrix.
 
-        The entries go in batches of at most self.rows, each summed per row,
-        so no temporary has more cells than the result.
+        The entries go in batches of at most rows/4: each batch gathers its
+        rows of k, scales them in place and adds them into the result
+        unbuffered (`np.add.at`), so the one temporary has at most a quarter
+        of the result's cells.  The result is reduced once at the end: a row
+        of n entries sums n reduced terms, below n * p, which int64 holds
+        for every n under 2^63 / p (over 3 * 10^9 at every p a Field accepts).
         """
         fld = self.field
         out = Matrix.zeros(fld, self.rows, k.cols)
         r, c, v = self.triples()
-        step = max(self.rows, 1)
+        step = max(self.rows // 4, 1)
         for at in range(0, len(v), step):
-            order = np.argsort(r[at:at + step], kind="stable") + at
-            rows = r[order]
-            terms = fld.reduce(v[order, None] * k.data[c[order]])
-            starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-            out.data[rows[starts]] += np.add.reduceat(terms, starts, axis=0)
-            fld.reduce(out.data, out=out.data)
+            terms = k.data[c[at:at + step]]
+            terms *= v[at:at + step, None]
+            np.add.at(out.data, r[at:at + step], fld.reduce(terms, out=terms))
+            del terms  # before the next batch gathers its own
+        fld.reduce(out.data, out=out.data)
         return out
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -188,6 +193,20 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     ((i, k), (j, l)) is a[i, j] b[k, l], at row i * b.rows + k."""
     return SparseMatrix(a.field, a.rows * b.rows, a.cols * b.cols,
                         kron_triples(a.field, a.triples(), b.triples(), (b.rows, b.cols)))
+
+
+def apply_in_slot(x: SparseMatrix, y: SparseMatrix, before: int, after: int) -> SparseMatrix:
+    """kron(kron(identity(before), x), identity(after)) @ y, without forming
+    the Kronecker product: x's column map is applied to the middle digit of
+    each row of y, and the digits before and after it are kept."""
+    fld = y.field
+    r, c, v = y.triples()
+    high, low = np.divmod(r, after)
+    high, mid = np.divmod(high, x.cols)
+    rows, pos, vals = x.column_map()(mid)
+    return SparseMatrix(fld, before * x.rows * after, y.cols,
+                        ((high[pos] * x.rows + rows) * after + low[pos], c[pos],
+                         fld.reduce(v[pos] * vals)))
 
 
 def integer_mod(sm: SparseMatrix, q: int) -> SparseMatrix:

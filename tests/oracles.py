@@ -235,7 +235,7 @@ def gauss_jordan(field, rows, cols: int):
         for i in range(len(data)):
             f = data[i][c]
             if i != r and f != 0:
-                data[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(data[i], data[r])]
+                data[i] = [field.add(x, field.neg(field.mul(f, y))) for x, y in zip(data[i], data[r])]
         pivots.append(c)
     return data, pivots
 

@@ -520,20 +520,35 @@ def test_structure_constant_index_out_of_range_is_a_schema_error(tmp_path, capsy
     assert "outside 0..2" in report["error"]["reason"]
 
 
-def test_large_group_algebras_are_validated_on_maps_of_at_most_three_factors(capsys):
-    # the axiom checks form maps on A^(tensor 3), dim^3 entries for a group
-    # algebra, and none on A^(tensor 4): for kC33 these hold about 36,000
-    # entries where one map on A^(tensor 4) would hold 1.2 million
+def _traced_run(capsys, *argv):
+    """The JSON report of a CLI run and the peak bytes tracemalloc saw."""
     import tracemalloc
     tracemalloc.start()
     try:
-        code, report = run_json(capsys, "--algebra", "Cp:33", "--mode", "H", "--max-degree", "1")
+        code, report = run_json(capsys, *argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
+    return report, peak
+
+
+def test_large_group_algebras_are_validated_in_batches_of_input_columns(capsys):
+    # associativity compares maps on the 120^3 = 1,728,000 basis triples of
+    # kC120; in batches of hopf.CHECK_COLUMNS triples the run stays far below
+    # the 150 MiB that whole maps on A^(tensor 3) held
+    report, peak = _traced_run(capsys, "--algebra", "Cp:120", "--mode", "H", "--max-degree", "1")
     assert report["dims"] == [1]
-    assert peak < 8 << 20
+    assert peak < 24 << 20
+
+
+def test_bimodule_hom_solve_holds_no_stack_of_dense_products(capsys):
+    # the Hom solves of the resolution route densify one sparse Kronecker
+    # constraint or its image at a time (32 MiB before they were sparse)
+    report, peak = _traced_run(capsys, "--algebra", "S3", "--field", "gf:5", "--mode", "SHH",
+                               "--route", "resolution", "--max-degree", "3")
+    assert report["dims"] == [3, 0, 0]
+    assert peak <= 20 << 20
 
 
 @pytest.mark.parametrize("key", ["counit", "antipode", "field", "dim", "order"])

@@ -32,7 +32,7 @@ def test_diagonal_action_matches_oracle(name, slots):
         expect = oracle_diagonal_action(h, b, slots)
         got = diagonal_action(h, b, slots)
         assert got.shape == (size, size)
-        assert got.reshape(-1).tolist() == expect.to_dense().entries()
+        assert got.reshape(-1).tolist() == expect.to_dense().data.reshape(-1).tolist()
         got = canonical(h.field, *apply_columns(h.field, next(diagonal_columns(h, [b], slots)),
                                                 all_columns(size)))
         want = canonical(h.field, *expect.triples())

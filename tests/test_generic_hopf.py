@@ -189,4 +189,4 @@ def test_diagonal_action_is_exact_with_large_structure_constants():
     for slots in (1, 2, 3):
         for b in range(h.dim):
             assert diagonal_action(h, b, slots).reshape(-1).tolist() == \
-                oracle_diagonal_action(h, b, slots).to_dense().entries()
+                oracle_diagonal_action(h, b, slots).to_dense().data.reshape(-1).tolist()

@@ -54,7 +54,7 @@ def test_broken_antipode_fails_with_witness():
                          h.counit, Matrix.identity(GF3, 3))
     report = validate_hopf(broken)
     assert not report.passed
-    bad = report.check("antipode")
+    bad = next(c for c in report.checks if c.name == "antipode")
     assert not bad.passed
     # direct oracle: mult(S x id)comult(g) = g*g != eps(g) 1 for the identity antipode
     assert bad.witness == "g1"

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from symcoh.errors import BudgetExceeded
 from symcoh.fields import Field
 from symcoh.linalg import (Matrix, Subspace, _product_plan, intersect_kernels, inverse,
                            kernel_basis, quotient, rank, rref, solve_membership)
+from symcoh.sparse import SparseMatrix
 
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)
@@ -150,8 +152,8 @@ def test_determinism_bit_identical():
     ra, pa = rref(a)
     rb, pb = rref(b)
     assert pa == pb
-    assert ra.entries() == rb.entries()
-    assert kernel_basis(a).basis.entries() == kernel_basis(b).basis.entries()
+    assert ra.data.tolist() == rb.data.tolist()
+    assert kernel_basis(a).basis.data.tolist() == kernel_basis(b).basis.data.tolist()
 
 
 @pytest.mark.parametrize("p", [2147483647, 3037000493])
@@ -165,7 +167,7 @@ def test_dense_product_is_exact_at_large_primes(p):
     a = [[(3 * i + 7 * j) * 1000003 % p for j in range(9)] for i in range(5)]
     b = [[(p - 1 - 11 * i * j) % p for j in range(3)] for i in range(9)]
     got = Matrix.from_rows(field, a) @ Matrix.from_rows(field, b)
-    assert [got.row(i) for i in range(5)] == \
+    assert got.data.tolist() == \
         [[sum(x * y for x, y in zip(arow, bcol)) % p for bcol in zip(*b)] for arow in a]
 
 
@@ -175,7 +177,7 @@ KERNEL_FIELDS = [Field.prime(p) for p in (2, 3, 5, 7, 3037000493)] + [QQ]
 
 
 def _as_constraints(mats):
-    return [(c.rows, lambda k, c=c: c @ k) for c in mats]
+    return [SparseMatrix.from_dense(c) for c in mats]
 
 
 @st.composite
@@ -234,34 +236,72 @@ def test_intersect_kernels_on_zero_full_rank_and_empty_sets(field):
     assert intersect_kernels(field, dim, _as_constraints(cases["empty"])).dim == 0
 
 
-def test_intersect_kernels_skips_vanishing_constraints_and_stops_when_empty():
+def test_intersect_kernels_skips_vanishing_constraints_and_stops_when_empty(monkeypatch):
     calls = []
+    product = SparseMatrix.dense_product
 
-    def spy(c):
-        def apply(k):
-            calls.append(k.cols)
-            return c @ k
-        return c.rows, apply
+    def spy(op, k):
+        calls.append(k.cols)
+        return product(op, k)
 
+    monkeypatch.setattr(SparseMatrix, "dense_product", spy)
+    first = Matrix.from_rows(GF5, [[1, 0, 0]])
+    vanishing = Matrix.from_rows(GF5, [[1, 0, 0], [2, 0, 0]])  # zero on ker(first)
     eye = Matrix.identity(GF5, 3)
-    zero = Matrix.zeros(GF5, 3, 3)
-    got = intersect_kernels(GF5, 3, [spy(zero), spy(eye), spy(eye)])
+    got = intersect_kernels(GF5, 3, _as_constraints([first, vanishing, eye, eye]))
     assert got.dim == 0
-    assert calls == [3, 3]
+    # the first step densifies its operator; the last constraint is never reached
+    assert calls == [2, 2]
 
 
 def test_intersect_kernels_refuses_a_step_over_the_cell_limit(monkeypatch):
     from symcoh import linalg
     monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 20)
-    applied = []
+    built = []
+    to_dense = SparseMatrix.to_dense
+    monkeypatch.setattr(SparseMatrix, "to_dense", lambda op: built.append(op) or to_dense(op))
     with pytest.raises(BudgetExceeded, match="5 x 5 matrix"):
-        intersect_kernels(GF5, 5, [(1, applied.append)])
-    assert applied == []
+        intersect_kernels(GF5, 5, [SparseMatrix(GF5, 1, 5)])
+    assert built == []
     # 4 coordinates: the first step fits (4 x 4), the row cuts the basis to
     # 3 columns, and the second step's 7 x 3 image does not fit
     row = Matrix.from_rows(GF5, [[1, 0, 0, 0]])
     with pytest.raises(BudgetExceeded, match="7 x 3 matrix"):
         intersect_kernels(GF5, 4, _as_constraints([row, Matrix.zeros(GF5, 7, 4)]))
+
+
+def _traced_peak(fn):
+    """fn() and the peak bytes that tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_sigma_minus_one_solve_holds_at_most_two_dense_arrays():
+    # sigma reverses 600 coordinates, so sigma - 1 has a 300-dim kernel; the
+    # one step holds its densified operator and the echelon's buffer
+    n = 600
+    idx = np.arange(n, dtype=np.int64)
+    sigma = SparseMatrix(GF5, n, n, (idx[::-1].copy(), idx, None))
+    got, peak = _traced_peak(
+        lambda: intersect_kernels(GF5, n, [sigma - SparseMatrix.identity(GF5, n)]))
+    assert got.dim == n // 2
+    assert peak <= 2.25 * n * n * 8
+
+
+def test_dense_product_temporaries_stay_within_half_the_result():
+    rng = np.random.default_rng(3)
+    rows, cols, width = 400, 500, 300
+    r, c = rng.integers(0, rows, 4000), rng.integers(0, cols, 4000)
+    op = SparseMatrix(GF5, rows, cols, (r, c, rng.integers(1, 5, 4000)))
+    k = Matrix(GF5, rng.integers(0, 5, (cols, width)))
+    got, peak = _traced_peak(lambda: op.dense_product(k))
+    assert got == op.to_dense() @ k
+    assert peak - got.data.nbytes <= got.data.nbytes / 2
 
 
 # -- float64 products over GF(p) -------------------------------------------
@@ -294,7 +334,7 @@ def test_float_product_equals_the_python_int_product(p):
         b = [[p - 1 if (k + j) % 5 else (104729 * k + 3 * j) % p for j in range(2)]
              for k in range(inner)]
         got = Matrix.from_rows(field, a) @ Matrix.from_rows(field, b)
-        assert [got.row(i) for i in range(3)] == \
+        assert got.data.tolist() == \
             [[sum(x * y for x, y in zip(arow, bcol)) % p for bcol in zip(*b)]
              for arow in a], inner
         ones = Matrix.from_rows(field, [[p - 1] * inner])
@@ -303,7 +343,6 @@ def test_float_product_equals_the_python_int_product(p):
 
 @pytest.mark.parametrize("field", [GF5, Field.prime(3037000493), QQ], ids=str)
 def test_sparse_dense_product_equals_the_dense_product(field):
-    from symcoh.sparse import SparseMatrix
     big = field.p - 1 if field.p else 7
     # row 2 times column 1 sums four products (p-1)^2, past int64 unreduced
     a = Matrix.from_rows(field, [[0, big, 0, 1], [0, 0, 0, 0], [big, big, big, big]])
@@ -376,7 +415,7 @@ def test_array_kernels_match_scalar_elimination(case):
     got, got_pivots = rref(a)
     assert isinstance(got.data, np.ndarray) and got.data.dtype == field.dtype
     assert got_pivots == pivots
-    assert [got.row(i) for i in range(r)] == reduced
+    assert got.data.tolist() == reduced
     assert rank(a) == len(pivots)
     # the kernel: 1 at each free column, minus the pivot rows' entries there
     free = [j for j in range(c) if j not in pivots]
@@ -394,7 +433,7 @@ def test_array_kernels_match_scalar_elimination(case):
     for row, f in zip(expect, t_free):
         for i, pc in enumerate(t_pivots):
             row[pc] = field.neg(t_reduced[i][f])
-    assert [projection.row(t) for t in range(len(t_free))] == expect
+    assert projection.data.tolist() == expect
     assert [section.column(t) for t in range(len(t_free))] == \
         [[field.one() if j == f else field.zero() for j in range(r)] for f in t_free]
     if r == c:
@@ -402,13 +441,13 @@ def test_array_kernels_match_scalar_elimination(case):
         both, both_pivots = gauss_jordan(field, [x + y for x, y in zip(a_rows, eye)], 2 * r)
         if both_pivots == list(range(r)):
             inv = inverse(a)
-            assert [inv.row(i) for i in range(r)] == [row[r:] for row in both]
+            assert inv.data.tolist() == [row[r:] for row in both]
         else:
             with pytest.raises(ValueError):
                 inverse(a)
     product = a @ b
     assert product.data.dtype == field.dtype
-    assert [product.row(i) for i in range(r)] == list_product(field, a_rows, b_rows, k)
+    assert product.data.tolist() == list_product(field, a_rows, b_rows, k)
 
 
 # -- rationals in mixed form against the all-Fraction oracle ---------------
@@ -461,7 +500,7 @@ def test_mixed_rational_forms_match_the_fraction_oracle(case):
     reduced, pivots = gauss_jordan(QQ, fa, c)
     got, got_pivots = rref(a)
     assert got_pivots == pivots
-    assert [got.row(i) for i in range(r)] == reduced
+    assert got.data.tolist() == reduced
     assert rank(a) == len(pivots)
     free = [j for j in range(c) if j not in pivots]
     expect = [[Fraction(int(j == f)) for j in range(c)] for f in free]
@@ -475,17 +514,17 @@ def test_mixed_rational_forms_match_the_fraction_oracle(case):
         both, both_pivots = gauss_jordan(QQ, [x + y for x, y in zip(fa, eye)], 2 * r)
         if both_pivots == list(range(r)):
             inv = inverse(a)
-            assert [inv.row(i) for i in range(r)] == [row[r:] for row in both]
+            assert inv.data.tolist() == [row[r:] for row in both]
         else:
             with pytest.raises(ValueError):
                 inverse(a)
     product = list_product(QQ, fa, fb, k)
     dense = a @ b
-    assert [dense.row(i) for i in range(r)] == product
+    assert dense.data.tolist() == product
     if all(x.denominator == 1 for row in fa + fb for x in row):
-        assert {type(x) for x in dense.entries()} <= {int}
+        assert {type(x) for x in dense.data.reshape(-1).tolist()} <= {int}
     sparse = (SparseMatrix.from_dense(a) @ SparseMatrix.from_dense(b)).to_dense()
-    assert [sparse.row(i) for i in range(r)] == product
+    assert sparse.data.tolist() == product
     # canonical sums the entries of a and e at each cell and drops every zero
     cells = [(i, j) for i in range(r) for j in range(c)] * 2
     vals = _object_array([x for row in a_rows for x in row] + [x for row in e_rows for x in row],

@@ -3,8 +3,10 @@ outside the tests: another place in `src/symcoh` (the exports of its
 `__init__` included) or the benchmark harness in `perfbench/`.  A
 construction that only the tests use belongs in tests/oracles.py.
 
-A name counts as used where it appears as a name, an attribute or an
-imported name outside its own definition.  ALLOWED keeps what waits for
+A function or class counts as used where its name appears as a name, an
+attribute or an imported name outside its own definition; a method only
+where it appears as an attribute, since a local variable or argument of
+the same name does not call it.  ALLOWED keeps what waits for
 a planned caller, with the ROADMAP item that names it.
 """
 
@@ -39,7 +41,8 @@ def public_definitions():
 
 
 def references() -> dict:
-    """Identifier -> list of (file, line) where CALLERS use it."""
+    """Identifier -> list of (file, line, is an attribute access) where
+    CALLERS use it."""
     out = {}
     for path in CALLERS:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -51,16 +54,18 @@ def references() -> dict:
                 name = node.name.rsplit(".", 1)[-1]
             else:
                 continue
-            out.setdefault(name, []).append((path, node.lineno))
+            out.setdefault(name, []).append((path, node.lineno, isinstance(node, ast.Attribute)))
     return out
 
 
 def unused() -> list:
     """Qualified names of the public definitions with no use outside their
-    own definition."""
+    own definition; a method is used only through an attribute access."""
     refs = references()
     return [qual for qual, name, path, first, last in public_definitions()
-            if all(p == path and first <= line <= last for p, line in refs.get(name, ()))]
+            if all(p == path and first <= line <= last
+                   for p, line, attribute in refs.get(name, ())
+                   if attribute or qual.count(".") == 1)]
 
 
 def test_every_public_definition_has_a_caller_outside_the_tests():
