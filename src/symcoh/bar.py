@@ -32,9 +32,8 @@ from .complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
                         restrict_operator)
 from .errors import BudgetExceeded, NotCocommutative
 from .hopf import HopfAlgebra, iterated_comult
-from .linalg import Matrix
 from .modules import LeftModule, validate_module
-from .sparse import SparseMatrix, field_array, kron_triples
+from .sparse import SparseMatrix, combination, field_array, kron_triples
 from .tensors import (all_columns, all_tuples, bar_chain_diff, cochain_precompose,
                       cochain_swap_sigma, diagonal_columns, flat)
 
@@ -66,20 +65,16 @@ def require_cocommutative(h: HopfAlgebra):
 
 
 def _blocks(mats) -> list:
-    """Per matrix: its nonzero entries as (row, col, value)."""
-    out = []
-    for a in mats:
-        r, c, v = SparseMatrix.from_dense(a).triples()
-        out.append(list(zip(r.tolist(), c.tolist(), v.tolist())))
-    return out
+    """Per sparse matrix: its nonzero entries as (row, col, value)."""
+    return [list(zip(*(part.tolist() for part in a.triples()))) for a in mats]
 
 
 def _right_matrices(h: HopfAlgebra, mod: LeftModule) -> list:
     """Matrices of the right action; a left module acts as M_eps."""
     if mod.tail:
         return mod.right
-    eye = Matrix.identity(h.field, mod.dim)
-    return [eye.scale(e) for e in h.counit]
+    eye = SparseMatrix.identity(h.field, mod.dim)
+    return [combination(h.field, mod.dim, mod.dim, [(e, eye)]) for e in h.counit]
 
 
 def _add_value_block(entries, row_base: int, col_base: int, coeff, block: list, fld):
@@ -100,29 +95,30 @@ def _prefixed(mod: LeftModule, what: str) -> str:
 
 
 def _psi_blocks(h: HopfAlgebra, mod: LeftModule) -> dict:
-    """The value blocks of psi, keyed by (u, a, c): the matrix of the value
-    map that psi(f) applies at b_a tensor x tensor b_c where f meets the
-    diagonal action of b_u on x.
+    """The value blocks of psi, keyed by (u, a, c): the sparse matrix of
+    the value map that psi(f) applies at b_a tensor x tensor b_c where f
+    meets the diagonal action of b_u on x.
 
     A Sweedler term s_1 tensor ... tensor s_last of b_a gives b_u the
     coefficient of S(b_(s_last)) and the value map v -> s_1 . v, followed
-    with a tail by . S(b_(s_2)) b_c.
+    with a tail by . S(b_(s_2)) b_c.  Each value map is formed once per
+    (s_1, s_2, c) and each block summed once.
     """
     fld = h.field
     tail = mod.tail
-    blocks = {}
+    values, terms = {}, {}
     for a in range(h.dim):
         for legs, coef in iterated_comult(h, a, 1 + tail).coeffs.items():
             for c in range(h.dim ** tail):
-                value = mod.action[legs[0]]
-                if tail:
-                    closing = h.product(h.antipode_column(legs[1]), {c: fld.one()})
-                    value = mod.right_act_element(h, closing) @ value
+                key = legs[:1 + tail] + (c,)
+                if key not in values:
+                    values[key] = mod.action[legs[0]]
+                    if tail:
+                        closing = h.product(h.antipode_column(legs[1]), {c: fld.one()})
+                        values[key] = mod.right_act_element(h, closing) @ values[key]
                 for u, su in h.antipode_column(legs[-1]).items():
-                    term = value.scale(fld.mul(coef, su))
-                    key = (u, a, c)
-                    blocks[key] = blocks[key] + term if key in blocks else term
-    return blocks
+                    terms.setdefault((u, a, c), []).append((fld.mul(coef, su), values[key]))
+    return {key: combination(fld, mod.dim, mod.dim, t) for key, t in terms.items()}
 
 
 def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
@@ -148,8 +144,8 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     inner = np.arange(d ** n, dtype=np.int64)
     ambient = (d ** slots) * m
     # ordered by (a, c): for a group algebra each a has one u
-    blocks = sorted(((key, SparseMatrix.from_dense(value).triples())
-                     for key, value in _psi_blocks(h, mod).items()), key=lambda b: b[0][1:])
+    blocks = sorted(((key, value.triples()) for key, value in _psi_blocks(h, mod).items()),
+                    key=lambda b: b[0][1:])
     # D_u[y, x] for every x, sorted by y: the inner argument x of psi(f) meets f at y
     actions = {}
     acting = sorted({u for (u, _a, _c), _t in blocks})

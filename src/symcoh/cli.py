@@ -22,6 +22,7 @@ from .linalg import Matrix
 from .modules import (Bimodule, LeftModule, regular_bimodule,
                       regular_left_module, trivial_bimodule, trivial_module,
                       validate_module)
+from .sparse import SparseMatrix
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -122,7 +123,8 @@ def load_algebra(source: str, field_override: Field | None) -> HopfAlgebra:
 def load_module(source: str, h: HopfAlgebra, tail: int = 0) -> LeftModule:
     """Coefficients by name (trivial, regular) or from a JSON file with dim,
     left_action and, for a bimodule (tail 1), right_action; a description
-    that does not fit the schema is a SchemaError."""
+    that does not fit the schema is a SchemaError.  The parsed dense
+    matrices become the module's sparse actions here, once."""
     if source == "trivial":
         return trivial_bimodule(h) if tail else trivial_module(h)
     if source == "regular":
@@ -130,8 +132,8 @@ def load_module(source: str, h: HopfAlgebra, tail: int = 0) -> LeftModule:
     obj = _read_json(source)
     try:
         dim = int(obj["dim"])
-        actions = [[_parse_matrix(h.field, rows, key) for rows in obj[key]]
-                   for key in ("left_action", "right_action")[:1 + tail]]
+        actions = [[SparseMatrix.from_dense(_parse_matrix(h.field, rows, key))
+                    for rows in obj[key]] for key in ("left_action", "right_action")[:1 + tail]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad module description: {type(exc).__name__} {exc}") from exc
     mod = Bimodule(dim, *actions) if tail else LeftModule(dim, *actions)

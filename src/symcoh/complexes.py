@@ -23,8 +23,8 @@ import numpy as np
 from .errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                      DegreeOutOfRange, NotASubcomplex)
 from .fields import Field
-from .linalg import (DENSE_RANK_CELLS, Matrix, intersect_kernels, inverse, kernel_basis,
-                     quotient, rank, rref, solve_membership)
+from .linalg import (DENSE_RANK_CELLS, Matrix, Subspace, intersect_kernels, inverse,
+                     kernel_basis, quotient, rank, rref, solve_columns)
 from .sparse import SparseMatrix, integer_gram, integer_mod
 
 _SANDWICH_PRIMES = (1000003, 999983, 1000033)
@@ -52,6 +52,18 @@ class CochainSpace:
     def full(field: Field, ambient_dim: int) -> "CochainSpace":
         eye = SparseMatrix.identity(field, ambient_dim)
         return CochainSpace(ambient_dim, eye, eye, check=False, is_full=True)
+
+    @staticmethod
+    def of(sub: Subspace) -> "CochainSpace":
+        """The span of a dense Subspace basis, with the deterministic left
+        inverse of that basis (its pivot rows inverted) as coords."""
+        basis = sub.basis
+        coords = Matrix.zeros(basis.field, basis.cols, basis.rows)
+        if basis.cols:
+            _, pivots = rref(basis.transpose())  # the pivot rows of the basis
+            coords.data[:, pivots] = inverse(Matrix(basis.field, basis.data[pivots])).data
+        return CochainSpace(sub.ambient_dim, SparseMatrix.from_dense(basis),
+                            SparseMatrix.from_dense(coords), check=False)
 
     @property
     def dim(self) -> int:
@@ -177,18 +189,6 @@ def cohomology_dims(c: CochainComplex, up_to: int) -> list:
 # -- fixed subcomplexes ---------------------------------------------------
 
 
-def _left_inverse_dense(m: Matrix) -> Matrix:
-    """A deterministic left inverse of a full-column-rank dense matrix: the
-    inverse of its pivot rows, placed at those rows."""
-    _, pivots = rref(m.transpose())
-    # pivots of m^T are the pivot rows of m
-    if len(pivots) != m.cols:
-        raise ValueError("matrix does not have full column rank")
-    left = Matrix.zeros(m.field, m.cols, m.rows)
-    left.data[:, pivots] = inverse(Matrix(m.field, m.data[pivots])).data
-    return left
-
-
 def restrict_operator(space: CochainSpace, op: SparseMatrix) -> SparseMatrix:
     """op in subspace coordinates; error if op does not preserve the subspace."""
     mapped = op @ space.basis
@@ -219,25 +219,15 @@ def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = 
         if n > through_degree or not sigmas:
             new_spaces.append(space)
             continue
-        s = space.dim
-        eye = SparseMatrix.identity(field, s)
-        fixed = intersect_kernels(field, s, [restrict_operator(space, sigma) - eye
-                                             for sigma in sigmas])
-        fdim = fixed.dim
-        if fdim == s:
+        eye = SparseMatrix.identity(field, space.dim)
+        fixed = intersect_kernels(field, space.dim, [restrict_operator(space, sigma) - eye
+                                                     for sigma in sigmas])
+        if fixed.dim == space.dim:
             new_spaces.append(space)
             continue
-        if fdim == 0:
-            zero_basis = SparseMatrix(field, space.ambient_dim, 0)
-            zero_coords = SparseMatrix(field, 0, space.ambient_dim)
-            new_spaces.append(CochainSpace(space.ambient_dim, zero_basis,
-                                           zero_coords, check=False))
-            continue
-        fb = SparseMatrix.from_dense(fixed.basis)
-        lb = SparseMatrix.from_dense(_left_inverse_dense(fixed.basis))
-        new_spaces.append(CochainSpace(space.ambient_dim,
-                                       space.basis @ fb,
-                                       lb @ space.coords, check=False))
+        fixed = CochainSpace.of(fixed)
+        new_spaces.append(CochainSpace(space.ambient_dim, space.basis @ fixed.basis,
+                                       fixed.coords @ space.coords, check=False))
     out = CochainComplex(field, c.top_degree, new_spaces, c.diffs,
                          label=c.label + " fixed")
     # a fixed vector must stay fixed after applying the differential
@@ -272,19 +262,13 @@ class InducedMapReport:
 def _cohomology_basis(c: CochainComplex, n: int):
     """Cocycle kernel basis at degree n with the projection onto H^n and a
     section choosing cocycle representatives of the quotient basis."""
-    dn = c.restricted_diff(n).to_dense()
-    cocycles = kernel_basis(dn)
+    cocycles = kernel_basis(c.restricted_diff(n).to_dense())
     if n == 0:
         image_in_z = Matrix.zeros(c.field, cocycles.dim, 0)
     else:
-        prev = c.restricted_diff(n - 1).to_dense()
-        coords_cols = []
-        for j in range(prev.cols):
-            coords = solve_membership(cocycles, prev.column(j))
-            if coords is None:
-                raise NotASubcomplex("image column is not a cocycle")
-            coords_cols.append(coords)
-        image_in_z = Matrix.from_columns(c.field, coords_cols, rows=cocycles.dim)
+        image_in_z = solve_columns(cocycles, c.restricted_diff(n - 1).to_dense())
+        if image_in_z is None:
+            raise NotASubcomplex("image column is not a cocycle")
     proj, sect = quotient(cocycles.dim, image_in_z)
     return cocycles, proj, sect
 
@@ -310,13 +294,10 @@ def induced_map_on_cohomology(sub: CochainComplex, full: CochainComplex,
         # subspace-coordinate cocycle representatives -> ambient -> full coordinates
         full_red = (full.spaces[n].coords @ (sub.spaces[n].basis
                                              @ SparseMatrix.from_dense(reps))).to_dense()
-        cols = []
-        for j in range(reps.cols):
-            coords = solve_membership(z_full, full_red.column(j))
-            if coords is None:
-                raise NotASubcomplex("sub cocycle is not a cocycle in the full complex")
-            cols.append(proj_full.matvec(coords))
-        mat = Matrix.from_columns(full.field, cols, rows=proj_full.rows)
+        coords = solve_columns(z_full, full_red)
+        if coords is None:
+            raise NotASubcomplex("sub cocycle is not a cocycle in the full complex")
+        mat = proj_full @ coords
         degrees.append(n)
         matrices.append(mat)
         injective.append(rank(mat) == mat.cols)

@@ -9,7 +9,8 @@ lets the cochain builders replace Sweedler sums by single terms.
 The structure maps are also built once per algebra as sparse matrices
 (`_structure_maps`): `validate_hopf` checks each axiom as one equality of
 their composites, applied slot by slot to batches of input basis tuples,
-and the regular modules and the diagonal action read m as a dense array
+`modules` checks the module axioms against them and slices the regular
+actions out of m, and the diagonal action reads m as a dense array
 (`multiplication_array`).
 """
 

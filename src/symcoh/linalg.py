@@ -4,7 +4,12 @@ A Matrix holds one ndarray of its field's scalars (`Field.array`):
 int64 entries reduced into [0, p) over GF(p), ints and Fractions over Q.
 Every operation is numpy arithmetic on that array followed by
 `Field.reduce`, so both fields run the same code; only the product has
-a path per field.
+a path per field.  Matrix is the carrier of elimination (rank, rref,
+kernels, solves, quotient, inverse) and the form a parsed input takes
+(an antipode, a module file's matrices); module actions, resolution
+maps and every other operator are sparse (`sparse.SparseMatrix`).  So
+besides the product, which combines elimination results, it has no
+arithmetic.
 
 Elimination is one in-place routine, `_echelon`.  It pivots on the
 first nonzero entry of each column at or below the current row, scales
@@ -85,14 +90,6 @@ class Matrix:
             raise ValueError("ragged rows")
         return Matrix(field, field.array(rows_list).reshape(len(rows_list), cols))
 
-    @staticmethod
-    def from_columns(field: Field, cols_list, rows: int | None = None) -> "Matrix":
-        if rows is None:
-            rows = len(cols_list[0]) if len(cols_list) else 0
-        if any(len(col) != rows for col in cols_list):
-            raise ValueError("ragged columns")
-        return Matrix(field, field.array(cols_list).reshape(len(cols_list), rows).T.copy())
-
     # -- element access -------------------------------------------------
 
     def _set(self, i, j, value):
@@ -100,12 +97,6 @@ class Matrix:
 
     def __getitem__(self, ij):
         return self.data.item(ij)
-
-    def column(self, j):
-        return self.data[:, j].tolist()
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.data.copy())
 
     # -- arithmetic -------------------------------------------------------
 
@@ -118,29 +109,12 @@ class Matrix:
     def is_zero(self) -> bool:
         return not self.data.any()
 
-    def __add__(self, other):
-        self._check_same_shape(other)
-        return Matrix(self.field, self.field.reduce(self.data + other.data))
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        return Matrix(self.field, self.field.reduce(self.data - other.data))
-
-    def __neg__(self):
-        return Matrix(self.field, self.field.neg(self.data))
-
-    def scale(self, c):
-        return Matrix(self.field, self.field.reduce(self.data * self.field.from_int(c)))
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.field.is_rational:
             return Matrix(self.field, _matmul_rational(self.data, other.data))
         return Matrix(self.field, _matmul_prime(self.data, other.data, self.field.p))
-
-    def matvec(self, vec):
-        return (self @ Matrix.from_columns(self.field, [vec], rows=self.cols)).column(0)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, self.data.T.copy())
@@ -149,10 +123,6 @@ class Matrix:
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
         return Matrix(self.field, np.hstack([self.data, other.data]))
-
-    def _check_same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
     def __repr__(self):
         return f"Matrix({self.field}, {self.rows}x{self.cols})"
@@ -339,20 +309,25 @@ def kernel_basis(m: Matrix) -> Subspace:
     return Subspace(m.cols, Matrix(m.field, _kernel(m.data.copy(), m.field)))
 
 
+def solve_columns(s: Subspace, b: Matrix) -> Matrix | None:
+    """Coordinates C with basis @ C == b, by one rref of [basis | b], or
+    None if a column of b is outside the span.  The basis columns are
+    independent, so they are the first pivots, and C is read off the rows
+    they take; a pivot in b marks a column outside the span."""
+    k = s.basis.cols
+    reduced, pivots = rref(s.basis.hstack(b))
+    if len(pivots) > k:
+        return None
+    return Matrix(b.field, reduced.data[:k, k:].copy())
+
+
 def solve_membership(s: Subspace, vec):
     """Coordinates c with basis @ c == vec, or None if vec is outside the span."""
-    field = s.basis.field
     if len(vec) != s.ambient_dim:
         raise ValueError("vector length must equal ambient dimension")
-    aug = s.basis.hstack(Matrix.from_columns(field, [list(vec)], rows=s.ambient_dim))
-    reduced, pivots = rref(aug)
-    if s.basis.cols in pivots:
-        return None
-    coords = [field.zero()] * s.basis.cols
-    for i, pc in enumerate(pivots):
-        coords[pc] = reduced[i, s.basis.cols]
-    # basis columns are independent by invariant, so every basis column is a pivot
-    return coords
+    field = s.basis.field
+    coords = solve_columns(s, Matrix(field, field.array(list(vec)).reshape(-1, 1)))
+    return None if coords is None else coords.data[:, 0].tolist()
 
 
 def quotient(ambient_dim: int, relations: Matrix):

@@ -1,5 +1,15 @@
 """Left modules and bimodules over a Hopf algebra, given by action matrices.
 
+An action is one `SparseMatrix` per algebra basis element: action[i] is
+the matrix of m -> b_i . m (right[i] of m -> m . b_i for a bimodule).
+Side by side they are the action map [rho_0 | ... | rho_(d-1)], the
+dim M x (d * dim M) matrix of A tensor M -> M.  The module axioms are
+checked the way `hopf.validate_hopf` checks the Hopf axioms, as equalities
+of two sparse composites of that map with the structure maps of A
+(`hopf._structure_maps`): the unit on M, associativity on A tensor A
+tensor M.  A failure names the first basis pair (b_i, b_j) whose column
+block differs.
+
 Conventions fixed for the whole package:
   * Hom_k(X, M) is flattened column-major by domain index:
     a matrix F lands at flat index  col * dim(M) + row.
@@ -12,31 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import sparse
 from .errors import InvalidBimodule, InvalidModule
-from .hopf import HopfAlgebra, multiplication_array
-from .linalg import Matrix, Subspace, intersect_kernels
-from .sparse import SparseMatrix
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product with the left factor most significant.
-
-    Only the products of two nonzero entries are formed; over GF(p) each
-    is one product of two reduced entries, which int64 holds exactly at
-    every modulus a Field accepts.
-    """
-    fld = a.field
-    out = Matrix.zeros(fld, a.rows * b.rows, a.cols * b.cols)
-    ia, ja = np.nonzero(a.data)
-    ib, jb = np.nonzero(b.data)
-    out.data[np.add.outer(ia * b.rows, ib), np.add.outer(ja * b.cols, jb)] = \
-        fld.reduce(np.multiply.outer(a.data[ia, ja], b.data[ib, jb]))
-    return out
+from .hopf import HopfAlgebra, _structure_maps
+from .linalg import Subspace, intersect_kernels
+from .sparse import SparseMatrix, combination, kron
 
 
 class LeftModule:
-    """A left module: one action matrix per algebra basis element.
+    """A left module: one sparse action matrix per algebra basis element.
 
     `tail` is the number of trailing tensor slots, acted on from the
     right, that the cochain constructions carry for these coefficients:
@@ -49,12 +42,10 @@ class LeftModule:
         self.dim = dim
         self.action = action
 
-    def act_element(self, h: HopfAlgebra, vec: dict) -> Matrix:
+    def act_element(self, h: HopfAlgebra, vec: dict) -> SparseMatrix:
         """Action matrix of the algebra element with coordinates vec."""
-        out = Matrix.zeros(self.action[0].field, self.dim, self.dim)
-        for i, c in vec.items():
-            out = out + self.action[i].scale(c)
-        return out
+        return combination(h.field, self.dim, self.dim,
+                           [(c, self.action[i]) for i, c in vec.items()])
 
     def __repr__(self):
         return f"<LeftModule dim {self.dim}>"
@@ -73,58 +64,73 @@ class Bimodule(LeftModule):
     def left(self) -> list:
         return self.action
 
-    def right_act_element(self, h: HopfAlgebra, vec: dict) -> Matrix:
-        out = Matrix.zeros(self.right[0].field, self.dim, self.dim)
-        for i, c in vec.items():
-            out = out + self.right[i].scale(c)
-        return out
+    def right_act_element(self, h: HopfAlgebra, vec: dict) -> SparseMatrix:
+        return combination(h.field, self.dim, self.dim,
+                           [(c, self.right[i]) for i, c in vec.items()])
 
     def __repr__(self):
         return f"<Bimodule dim {self.dim}>"
 
 
-def _is_unital_representation(h: HopfAlgebra, mats, compose):
-    """Check rho(1) = id and rho(b_i b_j) = compose(rho_i, rho_j)."""
-    fld = h.field
-    m = mats[0].rows
-    unit_mat = Matrix.zeros(fld, m, m)
-    for i, c in h.unit_dict().items():
-        unit_mat = unit_mat + mats[i].scale(c)
-    if unit_mat != Matrix.identity(fld, m):
-        return False, "unit does not act as identity"
-    for i in range(h.dim):
-        for j in range(h.dim):
-            expect = Matrix.zeros(fld, m, m)
-            for k, c in h.mult[i][j].items():
-                expect = expect + mats[k].scale(c)
-            if compose(mats[i], mats[j]) != expect:
-                return False, f"representation identity fails at ({h.basis_labels[i]}, {h.basis_labels[j]})"
-    return True, None
+def _action_map(h: HopfAlgebra, mats, dim: int) -> SparseMatrix | None:
+    """[rho_0 | ... | rho_(d-1)]: the map A tensor M -> M, b_i tensor v -> rho_i v;
+    None unless mats are d sparse dim x dim matrices."""
+    if len(mats) != h.dim or not all(isinstance(a, SparseMatrix) and a.rows == dim == a.cols
+                                     for a in mats):
+        return None
+    return SparseMatrix(h.field, dim, h.dim * dim, [
+        np.concatenate(part) for part in zip(*((a.row_idx, a.col_idx + i * dim, a.vals)
+                                               for i, a in enumerate(mats)))])
+
+
+def _first_block(lhs: SparseMatrix, rhs: SparseMatrix, width: int):
+    """The first column block of `width` columns where lhs and rhs differ, or None."""
+    diff = lhs - rhs
+    return None if diff.is_zero() else int(diff.col_idx[0]) // width
+
+
+def _representation_failure(h: HopfAlgebra, rho: SparseMatrix, swap: bool):
+    """Why the action map rho is not a unital representation, or None:
+    rho (eta tensor 1) = 1, and rho (1 tensor rho) = rho (m tensor 1) on
+    A tensor A tensor M.  A right action (`swap`) is an anti-homomorphism,
+    so its left side is taken after the swap tau tensor 1: v . b_i . b_j."""
+    maps = _structure_maps(h)
+    eye = SparseMatrix.identity(h.field, rho.rows)
+    if rho @ kron(maps.unit, eye) != eye:
+        return "unit does not act as identity"
+    lhs = rho @ kron(SparseMatrix.identity(h.field, h.dim), rho)
+    if swap:
+        lhs = lhs @ kron(maps.swap, eye)
+    at = _first_block(lhs, rho @ kron(maps.mult, eye), rho.rows)
+    if at is None:
+        return None
+    i, j = divmod(at, h.dim)
+    return f"representation identity fails at ({h.basis_labels[i]}, {h.basis_labels[j]})"
 
 
 def validate_left_module(h: HopfAlgebra, mod: LeftModule) -> bool:
-    if len(mod.action) != h.dim or any(a.rows != mod.dim or a.cols != mod.dim
-                                       for a in mod.action):
+    rho = _action_map(h, mod.action, mod.dim)
+    if rho is None:
         raise InvalidModule("action matrix shapes do not match")
-    ok, why = _is_unital_representation(h, mod.action, lambda a, b: a @ b)
-    if not ok:
+    why = _representation_failure(h, rho, swap=False)
+    if why:
         raise InvalidModule(why)
     return True
 
 
 def validate_bimodule(h: HopfAlgebra, mod: Bimodule) -> bool:
-    shapes_ok = (len(mod.left) == h.dim == len(mod.right)
-                 and all(a.rows == mod.dim == a.cols for a in mod.left + mod.right))
-    if not shapes_ok:
+    left, right = (_action_map(h, mats, mod.dim) for mats in (mod.left, mod.right))
+    if left is None or right is None:
         raise InvalidBimodule("action matrix shapes do not match")
-    ok, why = _is_unital_representation(h, mod.left, lambda a, b: a @ b)
-    if not ok:
+    why = _representation_failure(h, left, swap=False)
+    if why:
         raise InvalidBimodule(why)
-    # right action is an anti-homomorphism: R(b_i b_j) = R_j R_i
-    ok, why = _is_unital_representation(h, mod.right, lambda a, b: b @ a)
-    if not ok:
+    why = _representation_failure(h, right, swap=True)
+    if why:
         raise InvalidBimodule(f"right {why}")
-    if any(left @ right != right @ left for left in mod.left for right in mod.right):
+    # left (1 tensor right) = right (1 tensor left) (tau tensor 1): b_i . v . b_j
+    eye, eye_d = SparseMatrix.identity(h.field, mod.dim), SparseMatrix.identity(h.field, h.dim)
+    if left @ kron(eye_d, right) != right @ kron(eye_d, left) @ kron(_structure_maps(h).swap, eye):
         raise InvalidBimodule("left and right actions do not commute")
     return True
 
@@ -139,21 +145,30 @@ def validate_module(h: HopfAlgebra, mod: LeftModule) -> bool:
 # -- constructions -------------------------------------------------------
 
 
+def _counit_actions(h: HopfAlgebra) -> list:
+    """The 1 x 1 matrices eps(b_i)."""
+    return [SparseMatrix(h.field, 1, 1, ([0], [0], [e])) for e in h.counit]
+
+
 def trivial_module(h: HopfAlgebra) -> LeftModule:
     """The base field with action through the counit."""
-    return LeftModule(1, [Matrix.from_rows(h.field, [[h.counit[i]]]) for i in range(h.dim)])
+    return LeftModule(1, _counit_actions(h))
 
 
 def trivial_bimodule(h: HopfAlgebra) -> Bimodule:
-    mats = [Matrix.from_rows(h.field, [[h.counit[i]]]) for i in range(h.dim)]
-    return Bimodule(1, mats, [m.copy() for m in mats])
+    mats = _counit_actions(h)
+    return Bimodule(1, mats, mats)
 
 
 def _regular_actions(h: HopfAlgebra, side: int) -> list:
-    """Left (side 1) or right (side 2) multiplication by each b_i: the slices
-    of multiplication_array at i along the axis of the left or right factor."""
-    mult = multiplication_array(h)
-    return [Matrix(h.field, mult.take(i, axis=side)) for i in range(h.dim)]
+    """Left (side 1) or right (side 2) multiplication by each b_i: the
+    columns of the sparse m (column i * d + j holds b_i b_j) with b_i on
+    that side."""
+    d = h.dim
+    columns = _structure_maps(h).mult.column_map()
+    at = np.arange(d, dtype=np.int64)
+    return [SparseMatrix(h.field, d, d, columns(i * d + at if side == 1 else at * d + i))
+            for i in range(d)]
 
 
 def regular_left_module(h: HopfAlgebra) -> LeftModule:
@@ -168,34 +183,28 @@ def regular_bimodule(h: HopfAlgebra) -> Bimodule:
 def adjoint_module(h: HopfAlgebra, bim: Bimodule) -> LeftModule:
     """The left module on bim with a . m = a1 m S(a2)."""
     validate_bimodule(h, bim)
-    fld = h.field
-    mats = []
-    for i in range(h.dim):
-        acc = Matrix.zeros(fld, bim.dim, bim.dim)
-        for (j, k), c in h.comult[i].items():
-            right_of_sk = bim.right_act_element(h, h.antipode_column(k))
-            acc = acc + (bim.left[j] @ right_of_sk).scale(c)
-        mats.append(acc)
-    return LeftModule(bim.dim, mats)
+    return LeftModule(bim.dim, [
+        combination(h.field, bim.dim, bim.dim,
+                    [(c, bim.left[j] @ bim.right_act_element(h, h.antipode_column(k)))
+                     for (j, k), c in h.comult[i].items()]) for i in range(h.dim)])
 
 
 def invariants(h: HopfAlgebra, mod: LeftModule) -> Subspace:
     """The subspace where every b_i acts by its counit scalar."""
-    eye = Matrix.identity(h.field, mod.dim)
-    return intersect_kernels(h.field, mod.dim, [
-        SparseMatrix.from_dense(mod.action[i] - eye.scale(h.counit[i])) for i in range(h.dim)])
+    fld = h.field
+    eye = SparseMatrix.identity(fld, mod.dim)
+    return intersect_kernels(fld, mod.dim, [
+        combination(fld, mod.dim, mod.dim, [(fld.one(), a), (fld.neg(e), eye)])
+        for a, e in zip(mod.action, h.counit)])
 
 
 def tensor_module(h: HopfAlgebra, l: LeftModule, m: LeftModule) -> LeftModule:
     """L tensor M with the diagonal action a . (l tensor m) = a1 l tensor a2 m."""
-    fld = h.field
-    mats = []
-    for i in range(h.dim):
-        acc = Matrix.zeros(fld, l.dim * m.dim, l.dim * m.dim)
-        for (j, k), c in h.comult[i].items():
-            acc = acc + kron(l.action[j], m.action[k]).scale(c)
-        mats.append(acc)
-    return LeftModule(l.dim * m.dim, mats)
+    dim = l.dim * m.dim
+    return LeftModule(dim, [
+        combination(h.field, dim, dim, [(c, kron(l.action[j], m.action[k]))
+                                        for (j, k), c in h.comult[i].items()])
+        for i in range(h.dim)])
 
 
 def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Subspace:
@@ -208,10 +217,9 @@ def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Subspace:
     `intersect_kernels`.
     """
     fld = h.field
-    pairs = [(x.action[i], m.action[i]) for i in range(h.dim)]
+    pairs = list(zip(x.action, m.action))
     if m.tail:
-        pairs += [(x.right[i], m.right[i]) for i in range(h.dim)]
+        pairs += list(zip(x.right, m.right))
     eye_x, eye_m = SparseMatrix.identity(fld, x.dim), SparseMatrix.identity(fld, m.dim)
     return intersect_kernels(fld, x.dim * m.dim, [
-        sparse.kron(SparseMatrix.from_dense(rx).transpose(), eye_m)
-        - sparse.kron(eye_x, SparseMatrix.from_dense(rm)) for rx, rm in pairs])
+        kron(rx.transpose(), eye_m) - kron(eye_x, rm) for rx, rm in pairs])

@@ -11,6 +11,11 @@ sorted form up to the permutation sign), Sym^(n+1) A in characteristic 2
 `tensors.diagonal_columns`.  A space is built only when its ambient
 A^(tensor n+1) has at most DENSE_RANK_CELLS coordinates.
 
+Every induced map stays sparse: the module actions, the boundaries, the
+augmentation, the contracting homotopy and the splitting maps are
+`SparseMatrix`, and their self-checks compare sparse composites, so no
+dense product is formed; only ranks densify.
+
 The bimodule resolution (for SHH, `tail` 1, read from the coefficient
 type) is not a second quotient: its degree-n space S_n tensor A is the
 plain one tensored with A, with the diagonal left action, right
@@ -27,14 +32,14 @@ from math import comb
 import numpy as np
 
 from .bar import CohomologyReport, require_cocommutative
-from .complexes import CochainComplex, CochainSpace, _left_inverse_dense, cohomology_dims
+from .complexes import CochainComplex, CochainSpace, cohomology_dims
 from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime
 from .fields import Field
 from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
-from .linalg import DENSE_RANK_CELLS, Matrix, rank
-from .modules import (Bimodule, LeftModule, hom_equivariant, kron, regular_bimodule,
+from .linalg import DENSE_RANK_CELLS, rank
+from .modules import (Bimodule, LeftModule, hom_equivariant, regular_bimodule,
                       regular_left_module, tensor_module, validate_module)
-from .sparse import SparseMatrix, apply_columns, canonical, field_array, kron_triples
+from .sparse import SparseMatrix, apply_columns, canonical, field_array, kron, kron_triples
 from .tensors import (all_columns, bar_chain_columns, cochain_precompose, delete_slot,
                       diagonal_columns, digits, flat, swap_slots, undigits)
 
@@ -118,14 +123,15 @@ def _sorted_tuple_coinvariants(fld, d, slots):
     return projection, section, labels
 
 
-def _induced(fld, rows, section, columns, project=None):
-    """op . section, or project . op . section, as a dense matrix with
-    `rows` rows; op and project are column maps, and op is evaluated on
-    the section's columns only."""
+def _induced(fld, rows, section, columns, project=None) -> SparseMatrix:
+    """op . section, or project . op . section, as a sparse matrix with
+    `rows` rows: an induced action, boundary, augmentation or homotopy,
+    never densified.  op and project are column maps, and op is
+    evaluated on the section's columns only."""
     image = apply_columns(fld, columns, section.triples())
     if project is not None:
         image = apply_columns(fld, project, image)
-    return SparseMatrix(fld, rows, section.cols, image).to_dense()
+    return SparseMatrix(fld, rows, section.cols, image)
 
 
 def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True) -> CoinvariantSpace:
@@ -139,7 +145,7 @@ def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True) -> Coinvariant
     ops = list(diagonal_columns(h, range(d), n + 1)) if dim else []
     project = projection.column_map()
     action = [_induced(fld, dim, section, op, project) for op in ops] or \
-        [Matrix.zeros(fld, 0, 0)] * d
+        [SparseMatrix(fld, 0, 0)] * d
     space = CoinvariantSpace(n, projection, section, labels, LeftModule(dim, action))
     if check:
         if not (space.projection @ space.section).equals_identity():
@@ -156,7 +162,7 @@ def _tensor_regular(h: HopfAlgebra, space: CoinvariantSpace, regular: Bimodule,
     left action, and right multiplication on the A factor."""
     d = h.dim
     fld = h.field
-    eye = Matrix.identity(fld, space.dim)
+    eye = SparseMatrix.identity(fld, space.dim)
     module = Bimodule(space.dim * d, tensor_module(h, space.module, regular).action,
                       [kron(eye, r) for r in regular.right])
     if check:
@@ -212,11 +218,15 @@ def _check_descends(h, space, projection, ops, message):
 
 @dataclass
 class ResolutionComplex:
+    """The augmented coinvariant complex through degree `top`, its maps
+    sparse: boundaries[n] is d_n: S_n -> S_(n-1) in the sorted-tuple
+    bases, and the augmentation maps S_0 onto k, or onto A with a tail."""
+
     hopf: HopfAlgebra
     top: int
     spaces: list            # CoinvariantSpace per degree 0..top
-    boundaries: list        # Matrix, boundaries[n]: degree n -> n-1 (n >= 1)
-    augmentation: Matrix    # onto k (1 x dim S_0) or onto A (dim A x dim S^e_0)
+    boundaries: list             # SparseMatrix, boundaries[n]: degree n -> n-1 (n >= 1)
+    augmentation: SparseMatrix   # onto k (1 x dim S_0) or onto A (dim A x dim S^e_0)
 
     def dims(self):
         return [s.dim for s in self.spaces]
@@ -226,9 +236,9 @@ class ResolutionComplex:
         augmentation, and onto k (or A).  The top degree is certified only
         when the next space, which is not built, is zero by its closed-form
         dimension."""
-        aug_rank = rank(self.augmentation)
+        aug_rank = rank(self.augmentation.to_dense())
         # ranks[n] is the rank of d_n, with the augmentation as d_0
-        ranks = [aug_rank] + [rank(b) for b in self.boundaries[1:]]
+        ranks = [aug_rank] + [rank(b.to_dense()) for b in self.boundaries[1:]]
         onto = "onto_A" if self.spaces[0].module.tail else "onto_k"
         checks = [(onto, aug_rank == self.augmentation.rows)]
         for n in range(self.top):
@@ -249,7 +259,7 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True,
     boundaries = [None]
     for n in range(1, top + 1):
         if spaces[n].dim == 0:
-            boundaries.append(Matrix.zeros(fld, spaces[n - 1].dim, 0))
+            boundaries.append(SparseMatrix(fld, spaces[n - 1].dim, 0))
             continue
         chain = bar_chain_columns(h, n, 0)  # A^(n+1) -> A^n
         below = spaces[n - 1].projection
@@ -262,7 +272,7 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True,
     aug = _induced(fld, 1, spaces[0].section, bar_chain_columns(h, 0, 0))
     if tail:
         regular = regular_bimodule(h)
-        eye = Matrix.identity(fld, h.dim)
+        eye = SparseMatrix.identity(fld, h.dim)
         spaces = [_tensor_regular(h, s, regular, check) for s in spaces]
         boundaries = [None] + [kron(b, eye) for b in boundaries[1:]]
         aug = kron(aug, eye)
@@ -311,29 +321,20 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int,
     for n in range(top):
         above = spaces[n + 1].projection
         if not spaces[n].dim:  # no unit insertion on the indices of a vanishing degree
-            homotopies.append(Matrix.zeros(fld, above.rows, 0))
+            homotopies.append(SparseMatrix(fld, above.rows, 0))
             continue
         homotopies.append(_induced(fld, above.rows, spaces[n].section,
                                    _unit_insert_columns(h, n + 1), above.column_map()))
-    degrees = []
-    ok = True
     # unit section k -> S_0 followed by the augmentation
     unit = h.unit_dict()
-    unit_col = (spaces[0].projection @ SparseMatrix(
-        fld, h.dim, 1, (list(unit), [0] * len(unit), list(unit.values())))).to_dense()
-    if not (res.augmentation @ unit_col) == Matrix.identity(fld, 1):
-        ok = False
-    ident0 = res.boundaries[1] @ homotopies[0] + unit_col @ res.augmentation
-    good = ident0 == Matrix.identity(fld, spaces[0].dim)
-    degrees.append((0, good))
-    ok = ok and good
-    for n in range(1, top):
-        ident = res.boundaries[n + 1] @ homotopies[n] \
-            + homotopies[n - 1] @ res.boundaries[n]
-        good = ident == Matrix.identity(fld, spaces[n].dim)
-        degrees.append((n, good))
-        ok = ok and good
-    return HomotopyReport(degrees, ok)
+    unit_col = spaces[0].projection @ SparseMatrix(
+        fld, h.dim, 1, (list(unit), [0] * len(unit), list(unit.values())))
+    identities = [res.boundaries[1] @ homotopies[0] + unit_col @ res.augmentation]
+    identities += [res.boundaries[n + 1] @ homotopies[n] + homotopies[n - 1] @ res.boundaries[n]
+                   for n in range(1, top)]
+    degrees = [(n, x.equals_identity()) for n, x in enumerate(identities)]
+    return HomotopyReport(degrees, (res.augmentation @ unit_col).equals_identity()
+                          and all(good for _n, good in degrees))
 
 
 def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyReport:
@@ -342,23 +343,9 @@ def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyRe
     require_cocommutative(h)
     validate_module(h, mod)
     res = sym_resolution_complex(h, top, tail=mod.tail)
-    m = mod.dim
-    fld = h.field
-    spaces = []
-    diffs = []
-    for n in range(top + 1):
-        s = res.spaces[n].dim
-        sub = hom_equivariant(h, res.spaces[n].module, mod)
-        if sub.dim and s:
-            basis = SparseMatrix.from_dense(sub.basis)
-            coords = SparseMatrix.from_dense(_left_inverse_dense(sub.basis))
-        else:
-            basis = SparseMatrix(fld, m * s, 0)
-            coords = SparseMatrix(fld, 0, m * s)
-        spaces.append(CochainSpace(m * s, basis, coords, check=False))
-    for n in range(top):
-        diffs.append(cochain_precompose(SparseMatrix.from_dense(res.boundaries[n + 1]), m))
-    cpx = CochainComplex(fld, top, spaces, diffs,
+    spaces = [CochainSpace.of(hom_equivariant(h, s.module, mod)) for s in res.spaces]
+    diffs = [cochain_precompose(b, mod.dim) for b in res.boundaries[1:]]
+    cpx = CochainComplex(h.field, top, spaces, diffs,
                          label="Hom(S^e,M)" if mod.tail else "Hom(S,M)")
     dims = cohomology_dims(cpx, top - 1)
     return CohomologyReport(dims, "resolution", kind="SHH" if mod.tail else "SH")
@@ -373,8 +360,11 @@ shh_via_resolution = sh_via_resolution
 
 @dataclass
 class SplittingReport:
-    phi: Matrix
-    psi: Matrix
+    """The sparse maps phi: S_n -> A tensor S_(n-1) and psi back, and
+    whether psi phi = 1 and both commute with the A-actions."""
+
+    phi: SparseMatrix
+    psi: SparseMatrix
     retract_ok: bool
     equivariant_ok: bool
 
@@ -395,7 +385,7 @@ def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
     sn = coinvariant_space(h, n)
     sm = coinvariant_space(h, n - 1)
     if not sn.dim:  # a vanishing degree has no ambient indices to work on
-        return SplittingReport(Matrix.zeros(fld, d * sm.dim, 0), Matrix.zeros(fld, 0, d * sm.dim),
+        return SplittingReport(SparseMatrix(fld, d * sm.dim, 0), SparseMatrix(fld, 0, d * sm.dim),
                                True, True)
     inv_np1 = fld.inv(fld.from_int(n + 1))
 
@@ -414,26 +404,19 @@ def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
     if not _descends_to_quotient(fld, d, n + 1, n + 1, triples):
         raise AssertionError("phi is not well-defined on the coinvariants")
     amb = SparseMatrix(fld, d * sm.dim, d ** (n + 1), triples)
-    phi = (amb @ sn.section).to_dense()
+    phi = amb @ sn.section
 
     # retraction: a tensor (section column j) -> the class of (a, section column j)
     r, c, v = sm.section.triples()
     a = np.repeat(np.arange(d, dtype=np.int64), len(r))
     lift = SparseMatrix(fld, d ** (n + 1), d * sm.dim,
                         (a * d ** n + np.tile(r, d), a * sm.dim + np.tile(c, d), np.tile(v, d)))
-    psi = (sn.projection @ lift).to_dense()
-
-    retract_ok = (psi @ phi) == Matrix.identity(fld, sn.dim)
-
+    psi = sn.projection @ lift
     # both maps must commute with the A-actions (diagonal on A tensor S_{n-1})
     tensor_action = tensor_module(h, regular_left_module(h), sm.module).action
-    equivariant_ok = True
-    for i in range(d):
-        if phi @ sn.module.action[i] != tensor_action[i] @ phi:
-            equivariant_ok = False
-        if psi @ tensor_action[i] != sn.module.action[i] @ psi:
-            equivariant_ok = False
-    return SplittingReport(phi, psi, retract_ok, equivariant_ok)
+    equivariant_ok = all(phi @ x == y @ phi and psi @ y == x @ psi
+                         for x, y in zip(sn.module.action, tensor_action))
+    return SplittingReport(phi, psi, (psi @ phi).equals_identity(), equivariant_ok)
 
 
 # -- the cyclic-group rank table ----------------------------------------------
@@ -467,7 +450,7 @@ def cp_rank_table(p: int, n_max: int | None = None) -> list:
     for n in range(1, top + 1):
         space = coinvariant_space(h, n)
         norm = space.module.act_element(h, dict.fromkeys(range(p), h.field.one()))
-        free_rank = rank(norm)
+        free_rank = rank(norm.to_dense())
         rows.append(CpRankRow(n, space.dim, free_rank, comb(p, n + 1) // p,
                               free_rank * p == space.dim))
     return rows

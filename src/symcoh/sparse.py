@@ -9,10 +9,11 @@ and zeros dropped.  Values are in the array form of the field
 product of them goes through `Field.reduce`, so no code here branches on
 the field.  Every SparseMatrix goes through `canonical` when it is
 built, so equal matrices have equal arrays.  Rank, kernel and quotient
-work stays in the dense layer; this layer composes, adds, tensors
-(`kron`, or `apply_in_slot` without forming the product) and compares,
-and applies an operator to a dense basis (`dense_product`, in batches
-whose one temporary has at most a quarter of the result's cells).
+work stays in the dense layer; this layer composes, adds, forms linear
+combinations (`combination`, summed once), tensors (`kron`, or
+`apply_in_slot` without forming the product) and compares, and applies
+an operator to a dense basis (`dense_product`, in batches whose one
+temporary has at most a quarter of the result's cells).
 
 The sort order is one int64 key, col * rows + row.  `canonical` computes
 the key and checks in one pass whether it is already strictly increasing;
@@ -193,6 +194,13 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     ((i, k), (j, l)) is a[i, j] b[k, l], at row i * b.rows + k."""
     return SparseMatrix(a.field, a.rows * b.rows, a.cols * b.cols,
                         kron_triples(a.field, a.triples(), b.triples(), (b.rows, b.cols)))
+
+
+def combination(field: Field, rows: int, cols: int, terms) -> SparseMatrix:
+    """The rows x cols sum of c * x over the pairs (c, x) of terms, summed
+    once by `canonical`."""
+    parts = [(x.row_idx, x.col_idx, field.reduce(x.vals * c)) for c, x in terms]
+    return SparseMatrix(field, rows, cols, [np.concatenate(p) for p in zip(*parts)] or None)
 
 
 def apply_in_slot(x: SparseMatrix, y: SparseMatrix, before: int, after: int) -> SparseMatrix:

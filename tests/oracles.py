@@ -39,12 +39,12 @@ import numpy as np
 
 from symcoh.bar import _add_value_block, _blocks, require_cocommutative
 from symcoh.complexes import (ActionOperator, CochainComplex, CochainSpace,
-                              _left_inverse_dense, cohomology_dims, restrict_operator)
+                              cohomology_dims, restrict_operator)
 from symcoh.fields import Field
 from symcoh.hopf import HopfAlgebra, iterated_comult
 from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank
-from symcoh.modules import LeftModule, invariants, kron, regular_bimodule
-from symcoh.sparse import SparseMatrix
+from symcoh.modules import LeftModule, invariants, regular_bimodule
+from symcoh.sparse import SparseMatrix, combination, kron
 from symcoh.tensors import all_tuples, flat, swap_slots
 
 
@@ -56,14 +56,14 @@ def periodic_cyclic_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
     n = h.dim
     g = 1 if n > 1 else 0  # cyclic tables put the generator at index 1
     rho = mod.action[g]
-    eye = Matrix.identity(h.field, mod.dim)
+    eye = SparseMatrix.identity(h.field, mod.dim)
     t = rho - eye
-    norm = Matrix.zeros(h.field, mod.dim, mod.dim)
+    norm = SparseMatrix(h.field, mod.dim, mod.dim)
     power = eye
     for _ in range(n):
         norm = norm + power
         power = power @ rho
-    maps = [t if i % 2 == 0 else norm for i in range(top + 1)]
+    maps = [(t if i % 2 == 0 else norm).to_dense() for i in range(top + 1)]
     dims = []
     prev_rank = 0
     for i in range(top + 1):
@@ -179,25 +179,25 @@ def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     m = mod.dim
     fld = h.field
     size = d ** slots
-    eye_m = Matrix.identity(fld, m)
-    eye = Matrix.identity(fld, size)
+    eye_m = SparseMatrix.identity(fld, m)
+    eye = SparseMatrix.identity(fld, size)
     # precomposition with an operator D on the tuples is kron(D^T, I_m); the
     # action on values is kron(I, act); right multiplication in the trailing
     # slot is I on the leading slots tensor the regular right action
     if mod.tail:
-        lead = Matrix.identity(fld, d ** (slots - 1))
-        eye_d = Matrix.identity(fld, d)
+        lead = SparseMatrix.identity(fld, d ** (slots - 1))
+        eye_d = SparseMatrix.identity(fld, d)
         right = regular_bimodule(h).right
     constraints = []
     for b in range(d):
-        act = diagonal_action(h, b, slots).to_dense().transpose()
+        act = diagonal_action(h, b, slots).transpose()
         constraints.append(kron(act, eye_m) - kron(eye, mod.action[b]))
         if mod.tail:
             constraints.append(kron(lead, kron(right[b].transpose(), eye_m)
                                     - kron(eye_d, mod.right[b])))
-    sub = stacked_kernel(fld, constraints)
-    return CochainSpace(size * m, SparseMatrix.from_dense(sub.basis),
-                        SparseMatrix.from_dense(_left_inverse_dense(sub.basis)))
+    space = CochainSpace.of(stacked_kernel(fld, [c.to_dense() for c in constraints]))
+    # checked: coords is a left inverse of the basis
+    return CochainSpace(space.ambient_dim, space.basis, space.coords)
 
 
 def coinvariant_quotient(h: HopfAlgebra, n: int, tail: int = 0):
@@ -379,15 +379,13 @@ def euler_characteristic_consistent(c: CochainComplex) -> bool:
 
 def hom_module(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> LeftModule:
     """Hom_k(X, M) with the action (a . F)(v) = a1 F(S(a2) v), flattened."""
-    fld = h.field
+    dim = m.dim * x.dim
     mats = []
     for i in range(h.dim):
-        acc = Matrix.zeros(fld, m.dim * x.dim, m.dim * x.dim)
-        for (j, k), c in h.comult[i].items():
-            x_of_sk = x.act_element(h, h.antipode_column(k))
-            acc = acc + kron(x_of_sk.transpose(), m.action[j]).scale(c)
-        mats.append(acc)
-    return LeftModule(m.dim * x.dim, mats)
+        mats.append(combination(h.field, dim, dim, [
+            (c, kron(x.act_element(h, h.antipode_column(k)).transpose(), m.action[j]))
+            for (j, k), c in h.comult[i].items()]))
+    return LeftModule(dim, mats)
 
 
 def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
@@ -448,13 +446,11 @@ def _antipode_times(h: HopfAlgebra, s: int, b: int) -> dict:
     return {k: v for k, v in vec.items() if v != 0}
 
 
-def _two_sided_block(left: Matrix, right: list, elem: dict) -> list:
+def _two_sided_block(left: SparseMatrix, right: list, elem: dict) -> list:
     """Entries of v -> a . v . elem, given the matrices of a and of the
     right action."""
-    out = Matrix.zeros(left.field, left.rows, left.cols)
-    for t, tc in elem.items():
-        out = out + (right[t] @ left).scale(tc)
-    return _blocks([out])[0]
+    return _blocks([combination(left.field, left.rows, left.cols,
+                                [(tc, right[t] @ left) for t, tc in elem.items()])])[0]
 
 
 def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):

@@ -62,7 +62,7 @@ def test_criterion_01_hopf_validation():
     h = kC(3, GF3)
     mutations = [(0, 1), (1, 1), (2, 0), (1, 2), (2, 2)]
     for (i, j) in mutations:
-        bad = h.antipode.copy()
+        bad = Matrix(GF3, h.antipode.data.copy())
         bad._set(i, j, GF3.add(bad[i, j], GF3.one()))
         broken = HopfAlgebra(GF3, 3, h.basis_labels, h.mult, h.unit, h.comult,
                              h.counit, bad)

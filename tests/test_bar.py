@@ -154,7 +154,7 @@ def _group_formula_sigma(h, mod, n):
             if i == 1:
                 g1 = tup[0]
                 arg = (inv[g1],) + ((table[g1][tup[1]],) + tup[2:] if n > 1 else ())
-                rho = mod.action[g1]
+                rho = mod.action[g1].to_dense()
                 col_base = flat(arg, d) * m
                 for j in range(m):
                     for j2 in range(m):
@@ -299,7 +299,7 @@ def test_sigma_ambient_matches_reduced_via_free_identification():
                 for tup in all_tuples(d, n + 1):
                     row_base = flat(tup, d) * m
                     col_base = flat(tup[1:], d) * m
-                    rho = mod.action[tup[0]]
+                    rho = mod.action[tup[0]].to_dense()
                     for j in range(m):
                         for j2 in range(m):
                             v = rho[j2, j]
@@ -373,16 +373,16 @@ def test_phi_psi_restrict_to_fixed_subspaces():
         ops_c = sigma_nonhomogeneous(h, mod, n)
         # fixed vectors of the slot-swap action inside the equivariant space
         from symcoh.linalg import Matrix, kernel_basis
-        red = [restrict_operator(space, s).to_dense() for s in ops_k.sigmas]
-        eye = Matrix.identity(h.field, space.dim)
-        fixed = kernel_basis(vstack(h.field, [r - eye for r in red]))
+        eye = SparseMatrix.identity(h.field, space.dim)
+        red = [(restrict_operator(space, s) - eye).to_dense() for s in ops_k.sigmas]
+        fixed = kernel_basis(vstack(h.field, red))
         img = phi @ (space.basis @ SparseMatrix.from_dense(fixed.basis))
         for s in ops_c.sigmas:
             assert s @ img == img
         # CS vectors map into KS under psi
         full_dim = mod.dim * h.dim ** n
-        stacked = vstack(h.field, [s.to_dense() - Matrix.identity(h.field, full_dim)
-                                          for s in ops_c.sigmas])
+        stacked = vstack(h.field, [(s - SparseMatrix.identity(h.field, full_dim)).to_dense()
+                                   for s in ops_c.sigmas])
         cs = kernel_basis(stacked)
         img = psi @ SparseMatrix.from_dense(cs.basis)
         for s in ops_k.sigmas:
@@ -465,8 +465,8 @@ def test_fixed_subspaces_equal_the_stacked_kernel_oracle(name):
     ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n]) for n in range(top + 1)]
     fixed = fixed_subcomplex(cpx, ops)
     for n, space in enumerate(cpx.spaces):
-        eye = Matrix.identity(h.field, space.dim)
-        stack = [restrict_operator(space, s).to_dense() - eye for s in ops[n].sigmas]
+        eye = SparseMatrix.identity(h.field, space.dim)
+        stack = [(restrict_operator(space, s) - eye).to_dense() for s in ops[n].sigmas]
         if not stack:
             continue
         want = stacked_kernel(h.field, stack)

@@ -446,6 +446,55 @@ def test_malformed_right_action_is_a_schema_error(tmp_path, capsys, right):
     assert report["dims"] == [1, 1]
 
 
+def _s3_permutations(inverse=False):
+    """Left multiplication by each element of S3 (by its inverse if
+    `inverse`) on the 6-dimensional regular module, as JSON matrices."""
+    table = symmetric_group_table(3)
+    mats = []
+    for g in range(6):
+        a = table[g].index(0) if inverse else g
+        mats.append([["1" if table[a][x] == y else "0" for x in range(6)] for y in range(6)])
+    return mats
+
+
+ONE, TWO = [["1"]], [["2"]]
+EYE6 = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+
+# (mode, module file, the reason the module validation gives)
+MODULE_WITNESSES = {
+    # rho(g1) rho(g3) = 2, but g1 g3 = g5 acts by 1
+    "left": ("SH", {"dim": 1, "left_action": [ONE, ONE, ONE, TWO, ONE, ONE]},
+             "InvalidModule: representation identity fails at (g1, g3)"),
+    "unit": ("SH", {"dim": 1, "left_action": [TWO] + [ONE] * 5},
+             "InvalidModule: unit does not act as identity"),
+    "right": ("SHH", {"dim": 1, "left_action": [ONE] * 6,
+                      "right_action": [ONE, ONE, ONE, TWO, ONE, ONE]},
+              "InvalidBimodule: right representation identity fails at (g1, g3)"),
+    # a left action offered as a right one: v . g1 . g2 = g2 g1 v, not g1 g2 v
+    "right-is-a-left-action": ("SHH", {"dim": 6, "left_action": [EYE6] * 6,
+                                       "right_action": _s3_permutations()},
+                               "InvalidBimodule: right representation identity fails at (g1, g2)"),
+    # v . g = g^-1 v is a right action, but S3 is not abelian
+    "not-commuting": ("SHH", {"dim": 6, "left_action": _s3_permutations(),
+                              "right_action": _s3_permutations(inverse=True)},
+                      "InvalidBimodule: left and right actions do not commute"),
+}
+
+
+@pytest.mark.parametrize("case", MODULE_WITNESSES)
+def test_invalid_module_file_names_the_failing_identity(tmp_path, capsys, case):
+    # each module axiom is one comparison of two sparse composites; the
+    # witness is the first basis pair whose column block differs
+    mode, body, reason = MODULE_WITNESSES[case]
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(body))
+    code, report = run_json(capsys, "--algebra", "S3", "--field", "gf:5", "--mode", mode,
+                            "--max-degree", "2", "--module", str(path))
+    assert code == 1
+    assert report["error"] == {"code": 1, "reason": reason}
+    assert report["dims"] == []
+
+
 def _with_infinity(obj, key):
     """obj with one number under key replaced by infinity (JSON Infinity)."""
     obj = json.loads(json.dumps(obj))

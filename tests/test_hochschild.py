@@ -141,7 +141,7 @@ def test_sigma_ambient_matches_reduced_via_free_identification():
                 for tup in all_tuples(d, n + 2):
                     row_base = flat(tup, d) * m
                     col_base = flat(tup[1:-1], d) * m
-                    act = bim.left[tup[0]] @ bim.right[tup[-1]]
+                    act = (bim.left[tup[0]] @ bim.right[tup[-1]]).to_dense()
                     for j in range(m):
                         for j2 in range(m):
                             v = act[j2, j]

@@ -3,16 +3,17 @@ import tracemalloc
 import pytest
 
 from oracles import hom_module, stacked_kernel
-from symcoh.errors import InvalidBimodule
+from symcoh.errors import InvalidBimodule, InvalidModule
 from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
-from symcoh.modules import (Bimodule, adjoint_module, hom_equivariant,
-                            invariants, kron, regular_bimodule,
+from symcoh.modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
+                            invariants, regular_bimodule,
                             regular_left_module, tensor_module,
                             trivial_bimodule, trivial_module,
                             validate_bimodule, validate_left_module)
 from symcoh.resolution import hochschild_resolution, sym_resolution_complex
+from symcoh.sparse import SparseMatrix, combination, kron
 from test_generic_hopf import scrambled_kc3
 
 GF3 = Field.prime(3)
@@ -37,7 +38,7 @@ def test_trivial_module_is_all_ones(make, field):
     h = make(field)
     triv = trivial_module(h)
     assert triv.dim == 1
-    assert all(triv.action[i][0, 0] == field.one() for i in range(h.dim))
+    assert all(triv.action[i].to_dense()[0, 0] == field.one() for i in range(h.dim))
     assert validate_left_module(h, triv)
 
 
@@ -46,7 +47,7 @@ def test_regular_bimodule_structure():
     reg = regular_bimodule(h)
     assert validate_bimodule(h, reg)
     # left action of g1 on e is g1
-    assert reg.left[1].column(0) == [0, 1, 0]
+    assert reg.left[1].to_dense().data[:, 0].tolist() == [0, 1, 0]
 
 
 def test_regular_bimodule_s3_actions_commute():
@@ -59,14 +60,14 @@ def test_unit_acts_as_identity():
     h = kS3(QQ)
     reg = regular_left_module(h)
     acted = reg.act_element(h, h.unit_dict())
-    assert acted == Matrix.identity(QQ, 6)
+    assert acted == SparseMatrix.identity(QQ, 6)
 
 
 def test_adjoint_of_abelian_regular_is_identity_action():
     h = kC(3, GF3)
     adj = adjoint_module(h, regular_bimodule(h))
     for i in range(h.dim):
-        assert adj.action[i] == Matrix.identity(GF3, 3)
+        assert adj.action[i] == SparseMatrix.identity(GF3, 3)
     assert validate_left_module(h, adj)
 
 
@@ -80,7 +81,7 @@ def test_adjoint_of_s3_regular_is_conjugation():
         # conjugation permutation x -> t x t^{-1}
         for x in range(6):
             y = table[table[t][x]][inv[t]]
-            col = adj.action[t].column(x)
+            col = adj.action[t].to_dense().data[:, x].tolist()
             assert col[y] == GF5.one()
             assert sum(1 for v in col if v != 0) == 1
 
@@ -90,16 +91,26 @@ def test_adjoint_of_trivial_is_trivial():
     adj = adjoint_module(h, trivial_bimodule(h))
     assert adj.dim == 1
     for i in range(h.dim):
-        assert adj.action[i][0, 0] == h.counit[i]
+        assert adj.action[i].to_dense()[0, 0] == h.counit[i]
 
 
 def test_invalid_bimodule_rejected():
     h = kC(2, GF3)
     reg = regular_bimodule(h)
-    shear = Matrix.from_rows(GF3, [[1, 1], [0, 1]])  # squares to a non-identity
-    broken = Bimodule(2, reg.left, [Matrix.identity(GF3, 2), shear])
+    # squares to a non-identity
+    shear = SparseMatrix.from_dense(Matrix.from_rows(GF3, [[1, 1], [0, 1]]))
+    broken = Bimodule(2, reg.left, [SparseMatrix.identity(GF3, 2), shear])
     with pytest.raises(InvalidBimodule):
         adjoint_module(h, broken)
+
+
+def test_dense_action_matrices_are_refused():
+    # the actions are sparse; a dense Matrix is not a second input form
+    h = kC(3, GF3)
+    with pytest.raises(InvalidModule):
+        validate_left_module(h, LeftModule(1, [Matrix.identity(GF3, 1)] * 3))
+    with pytest.raises(InvalidBimodule):
+        validate_bimodule(h, Bimodule(1, trivial_module(h).action, [Matrix.identity(GF3, 1)] * 3))
 
 
 def test_invariants_trivial_module_is_full():
@@ -113,7 +124,7 @@ def test_invariants_regular_kc3_is_norm_line(field):
     inv = invariants(h, regular_left_module(h))
     assert inv.dim == 1
     # oracle: the fixed line is spanned by the sum of all group elements
-    vec = inv.basis.column(0)
+    vec = inv.basis.data[:, 0].tolist()
     assert vec[0] == vec[1] == vec[2] != 0
 
 
@@ -184,7 +195,6 @@ def test_kron_is_exact_at_every_field_size(p):
     # the largest prime with (p-1)^2 < 2^63 is 3037000493; above it a product
     # of two entries overflows int64, so no field accepts it
     import random
-    from symcoh.modules import kron
     if (p - 1) ** 2 >= 2 ** 63:
         with pytest.raises(ValueError):
             Field.prime(p)
@@ -195,7 +205,8 @@ def test_kron_is_exact_at_every_field_size(p):
          for _ in range(2)]
     b = [[rng.choice([0, 1, p - 1, p - 2, rng.randrange(p)]) for _ in range(2)]
          for _ in range(4)]
-    got = kron(Matrix.from_rows(field, a), Matrix.from_rows(field, b))
+    got = kron(SparseMatrix.from_dense(Matrix.from_rows(field, a)),
+               SparseMatrix.from_dense(Matrix.from_rows(field, b))).to_dense()
     expect = [[v % p for v in row] for row in _exact_kron(a, b)]
     assert (got.rows, got.cols) == (8, 6)
     assert got.data.tolist() == expect
@@ -203,10 +214,10 @@ def test_kron_is_exact_at_every_field_size(p):
 
 def test_kron_rational():
     from fractions import Fraction
-    from symcoh.modules import kron
     a = [[Fraction(1, 2), 0], [3, Fraction(-2, 3)]]
     b = [[2, Fraction(1, 5)]]
-    got = kron(Matrix.from_rows(QQ, a), Matrix.from_rows(QQ, b))
+    got = kron(SparseMatrix.from_dense(Matrix.from_rows(QQ, a)),
+               SparseMatrix.from_dense(Matrix.from_rows(QQ, b))).to_dense()
     assert got.data.tolist() == \
         [[Fraction(v) for v in row] for row in _exact_kron(a, b)]
 
@@ -214,14 +225,14 @@ def test_kron_rational():
 def _stacked_hom(h, x, m):
     """The parent algebra's Hom solve: every equation as a dense kron
     constraint, all stacked into one elimination."""
-    eye_m = Matrix.identity(h.field, m.dim)
-    eye_x = Matrix.identity(h.field, x.dim)
+    eye_m = SparseMatrix.identity(h.field, m.dim)
+    eye_x = SparseMatrix.identity(h.field, x.dim)
     mats = []
     for i in range(h.dim):
         mats.append(kron(x.action[i].transpose(), eye_m) - kron(eye_x, m.action[i]))
         if m.tail:
             mats.append(kron(x.right[i].transpose(), eye_m) - kron(eye_x, m.right[i]))
-    return stacked_kernel(h.field, mats)
+    return stacked_kernel(h.field, [c.to_dense() for c in mats])
 
 
 # (algebra, top degree of the coinvariant sources, tails); the stacked
@@ -251,9 +262,10 @@ def test_hom_equivariant_equals_the_stacked_kron_kernel(name):
                     assert hom_equivariant(h, x, m).basis == _stacked_hom(h, x, m).basis
     for mod in (trivial_module(h), regular_left_module(h),
                 hom_module(h, regular_left_module(h), regular_left_module(h))):
-        eye = Matrix.identity(h.field, mod.dim)
-        want = stacked_kernel(h.field, [mod.action[i] - eye.scale(h.counit[i])
-                                        for i in range(h.dim)])
+        eye = SparseMatrix.identity(h.field, mod.dim)
+        want = stacked_kernel(h.field, [
+            combination(h.field, mod.dim, mod.dim, [(1, mod.action[i]), (-h.counit[i], eye)])
+            .to_dense() for i in range(h.dim)])
         assert invariants(h, mod).basis == want.basis
 
 

@@ -9,7 +9,8 @@ from symcoh.errors import CharacteristicDivides, InvalidPrime
 from symcoh.fields import Field
 from symcoh.hochschild import symmetric_hochschild_cohomology
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
-from symcoh.linalg import Matrix, rank
+from symcoh.linalg import rank
+from symcoh.sparse import SparseMatrix, kron
 from symcoh.modules import LeftModule, invariants, regular_bimodule, trivial_module
 from symcoh.resolution import (coinvariant_space, contracting_homotopy_check,
                                cp_rank_table,
@@ -66,7 +67,7 @@ def test_top_coinvariants_kc3_is_trivial_module():
     s = coinvariant_space(h, 2)
     assert s.dim == 1
     for i in range(3):
-        assert s.module.action[i][0, 0] == h.counit[i]
+        assert s.module.action[i].to_dense()[0, 0] == h.counit[i]
 
 
 def test_coinvariants_ks3_dim_is_binomial():
@@ -74,18 +75,18 @@ def test_coinvariants_ks3_dim_is_binomial():
     assert coinvariant_space(h, 2).dim == comb(6, 3) == 20
 
 
-def _space(h, n, tail, check=True):
+def _space(h, n, tail):
     """The degree-n space of the plain resolution, or with tail 1 of the
     bimodule resolution."""
     if not tail:
-        return coinvariant_space(h, n, check=check)
-    return hochschild_resolution(h, n, check=check).spaces[n]
+        return coinvariant_space(h, n)
+    return hochschild_resolution(h, n).spaces[n]
 
 
-def _assert_matches_quotient_oracle(h, n, tail, check=True):
+def _assert_matches_quotient_oracle(h, n, tail):
     """The sorted-tuple space has the dimension and the kernel of the
     elimination quotient; returns it with the oracle's (projection, section)."""
-    fast = _space(h, n, tail, check)
+    fast = _space(h, n, tail)
     proj, sect = coinvariant_quotient(h, n, tail)
     assert fast.dim == proj.rows
     if not fast.dim:  # a vanishing degree has 0 x 0 projection and section
@@ -98,8 +99,9 @@ def _assert_matches_quotient_oracle(h, n, tail, check=True):
 
 def _same_invariants(h, fast, proj, sect):
     """The induced actions are conjugate, so their invariants agree."""
-    generic = LeftModule(proj.rows, [proj @ diagonal_action(h, g, fast.slots).to_dense() @ sect
-                                     for g in range(h.dim)])
+    generic = LeftModule(proj.rows, [
+        SparseMatrix.from_dense(proj @ diagonal_action(h, g, fast.slots).to_dense() @ sect)
+        for g in range(h.dim)])
     return invariants(h, fast.module).dim == invariants(h, generic).dim
 
 
@@ -124,9 +126,7 @@ def test_generic_quotient_agrees_with_fast_path(make, field, n_max):
 def test_char2_coinvariants_match_quotient_oracle(order, table, tail):
     h = group_algebra(order, table, Field.prime(2))
     for n in range(3):
-        # the self-checks of kS3 at n = 2 with a tail multiply dense 336 x 336
-        # matrices a hundred times (8 s)
-        oracle = _assert_matches_quotient_oracle(h, n, tail, check=order ** (n + 1 + tail) < 1000)
+        oracle = _assert_matches_quotient_oracle(h, n, tail)
         assert oracle[0].dim == comb(order + n, n + 1) * order ** tail
         if not tail:
             assert _same_invariants(h, *oracle)
@@ -215,8 +215,7 @@ def test_hom_differentials_are_the_sparse_precomposition(monkeypatch):
     # the Hom complex's differentials are kron(boundary^T, I_m) triple for
     # triple, now built sparse from the boundary
     from symcoh import resolution
-    from symcoh.modules import kron, regular_left_module
-    from symcoh.sparse import SparseMatrix
+    from symcoh.modules import regular_left_module
     built = []
     real = resolution.cohomology_dims
     monkeypatch.setattr(resolution, "cohomology_dims",
@@ -226,9 +225,9 @@ def test_hom_differentials_are_the_sparse_precomposition(monkeypatch):
         for mod in (trivial_module(h), regular_left_module(h), regular_bimodule(h)):
             sh_via_resolution(h, mod, top)
             res = sym_resolution_complex(h, top, check=False, tail=mod.tail)
-            eye = Matrix.identity(h.field, mod.dim)
+            eye = SparseMatrix.identity(h.field, mod.dim)
             for n in range(top):
-                want = SparseMatrix.from_dense(kron(res.boundaries[n + 1].transpose(), eye))
+                want = kron(res.boundaries[n + 1].transpose(), eye)
                 got = built[-1].diffs[n]
                 assert (got.rows, got.cols) == (want.rows, want.cols)
                 for a, b in zip(got.triples(), want.triples()):
@@ -240,10 +239,7 @@ def test_euler_characteristic_on_resolution_route_complexes():
     # vanishing boundary maps at both ends
     from oracles import euler_characteristic_consistent
     from symcoh.modules import hom_equivariant
-    from symcoh.sparse import SparseMatrix
-    from symcoh.complexes import CochainComplex, CochainSpace, _left_inverse_dense
-    from symcoh.linalg import Matrix
-    from symcoh.modules import kron
+    from symcoh.complexes import CochainComplex, CochainSpace
     for p, field in ((3, GF3), (5, GF5)):
         h = kC(p, field)
         mod = trivial_module(h)
@@ -253,15 +249,15 @@ def test_euler_characteristic_on_resolution_route_complexes():
             s = res.spaces[n].dim
             sub = hom_equivariant(h, res.spaces[n].module, mod) if s else None
             if sub and sub.dim:
-                basis = SparseMatrix.from_dense(sub.basis)
-                coords = SparseMatrix.from_dense(_left_inverse_dense(sub.basis))
+                space = CochainSpace.of(sub)
+                basis, coords = space.basis, space.coords
             else:
                 basis = SparseMatrix(field, mod.dim * s, 0)
                 coords = SparseMatrix(field, 0, mod.dim * s)
             spaces.append(CochainSpace(mod.dim * s, basis, coords, check=False))
         for n in range(p):
-            diffs.append(SparseMatrix.from_dense(
-                kron(res.boundaries[n + 1].transpose(), Matrix.identity(field, mod.dim))))
+            diffs.append(kron(res.boundaries[n + 1].transpose(),
+                              SparseMatrix.identity(field, mod.dim)))
         cpx = CochainComplex(field, p, spaces, diffs)
         assert euler_characteristic_consistent(cpx)
 
@@ -325,13 +321,13 @@ def test_bimodule_coinvariants_generic_agrees():
             for g in range(h.dim):
                 left = diagonal_action(h, g, n + 2).to_dense()
                 right = right_multiplication(h, g, n + 2).to_dense()
-                assert proj @ left @ section == change @ fast.module.left[g]
-                assert proj @ right @ section == change @ fast.module.right[g]
+                assert proj @ left @ section == change @ fast.module.left[g].to_dense()
+                assert proj @ right @ section == change @ fast.module.right[g].to_dense()
             chain = bar_chain_diff(h, n, 1).to_dense()
             if n:
-                assert projs[-1] @ chain @ section == changes[-1] @ res.boundaries[n]
+                assert projs[-1] @ chain @ section == changes[-1] @ res.boundaries[n].to_dense()
             else:
-                assert chain @ section == res.augmentation
+                assert chain @ section == res.augmentation.to_dense()
             projs.append(proj)
             changes.append(change)
 
@@ -366,6 +362,24 @@ def test_splitting_rational_s3():
     for n in (1, 2, 3):
         report = splitting_maps(h, n)
         assert report.retract_ok and report.equivariant_ok
+
+
+def test_resolution_self_checks_and_splitting_form_no_dense_product(monkeypatch):
+    # the module axioms, descent and splitting checks compare sparse
+    # composites; no dense product is formed before a rank
+    from symcoh import linalg
+    calls = []
+    for name in ("_matmul_prime", "_matmul_rational"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name,
+                            lambda *args, real=real: calls.append(args) or real(*args))
+    for field in (GF5, QQ):
+        res = sym_resolution_complex(kS3(field), 3, tail=1)
+        assert res.dims() == [36, 90, 120, 90]
+    for n in (1, 2, 3):
+        report = splitting_maps(kS3(GF5), n)
+        assert report.retract_ok and report.equivariant_ok
+    assert calls == []
 
 
 # -- the cyclic rank table ------------------------------------------------------

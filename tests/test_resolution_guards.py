@@ -22,7 +22,7 @@ from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra
 from symcoh.modules import Bimodule
 from symcoh.resolution import coinvariant_space, sym_resolution_complex
-from symcoh.sparse import field_array
+from symcoh.sparse import SparseMatrix, field_array
 
 from test_generic_hopf import scrambled_kc3
 
@@ -104,9 +104,9 @@ def _corrupt_regular(monkeypatch, side):
     original_tensor = resolution.tensor_module
 
     def bumped(mats):
-        first = mats[1].copy()
+        first = mats[1].to_dense()
         first.data[0, 0] = _bumped(first.field, first.data[0, 0])
-        return mats[:1] + [first] + mats[2:]
+        return mats[:1] + [SparseMatrix.from_dense(first)] + mats[2:]
 
     if side == "right":
         def regular(h):

@@ -14,7 +14,8 @@ from symcoh.bar import equivariant_space
 from symcoh.errors import BudgetExceeded
 from symcoh.fields import Field
 from symcoh.hopf import group_algebra, symmetric_group_table
-from symcoh.modules import kron, regular_bimodule, regular_left_module
+from symcoh.linalg import Matrix
+from symcoh.modules import regular_bimodule, regular_left_module
 from symcoh.sparse import SparseMatrix, _column_batches, canonical, pointers
 from symcoh.tensors import bar_chain_diff, cochain_precompose, cochain_swap_sigma
 
@@ -204,10 +205,13 @@ def test_kron_and_difference_equal_the_dense_oracles(data):
     _, shape_b, entries_b = data.draw(triples(field))
     a = SparseMatrix(field, *shape_a, _arrays(field, entries_a))
     b = SparseMatrix(field, *shape_b, _arrays(field, entries_b))
-    assert sparse.kron(a, b).to_dense() == kron(a.to_dense(), b.to_dense())
+    # the dense oracles: numpy's Kronecker product and difference of the arrays
+    assert sparse.kron(a, b).to_dense() == \
+        Matrix(field, field.reduce(np.kron(a.to_dense().data, b.to_dense().data)))
     assert (a - a).is_zero()
     c = SparseMatrix(field, *shape_a, _arrays(field, data.draw(_entries(field, *shape_a, 6))))
-    assert (a - c).to_dense() == a.to_dense() - c.to_dense()
+    assert (a - c).to_dense() == \
+        Matrix(field, field.reduce(a.to_dense().data - c.to_dense().data))
 
 
 def _keys_seen(monkeypatch):
