@@ -49,18 +49,15 @@ def cases():
             for route in ("bar", "resolution"):
                 add(f"SH-{route}-{mod}", "--mode", "SH", "--module", mod, "--route", route)
                 add(f"SHH-{route}-{mod}", "--mode", "SHH", "--module", mod, "--route", route)
-        # corollary-check on the bar route and compare-adjoint repeat the
-        # dense SHH kernel of SHH-bar-regular, which is seconds on sC3-gf3
-        builtin = stem not in FROZEN
         for route in ("bar", "resolution"):
             add(f"SH-{route}-cross", "--mode", "SH", "--route", route,
                 "--cross-check")
-            if builtin or route == "resolution":
-                add(f"corollary-{route}", "--mode", "corollary-check", "--route", route)
+            add(f"corollary-{route}", "--mode", "corollary-check", "--route", route)
+        add("SHH-bar-cross", "--mode", "SHH", "--route", "bar", "--cross-check")
         add("resolution", "--mode", "resolution")
-        if builtin:
+        add("compare-adjoint", "--mode", "compare-adjoint")
+        if stem not in FROZEN:
             add("cp-table", "--mode", "cp-table")
-            add("compare-adjoint", "--mode", "compare-adjoint")
     for p in CP_TABLES:
         out.append((f"Cp{p}-gf{p}-cp-table",
                     ["--algebra", f"Cp:{p}", "--field", f"gf:{p}", "--max-degree", "5",
