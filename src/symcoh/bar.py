@@ -3,22 +3,22 @@ algebra, the signed symmetric-group actions on them, and symmetric
 cohomology, with coefficients in a left module (H, SH) or a bimodule
 (HH, SHH).
 
-Both coefficient kinds share one construction.  A bimodule adds one
-trailing tensor slot, acted on from the right, to the homogeneous
-realization; `mod.tail` (0 or 1) is that number of slots.  The standard
-("nonhomogeneous") complex lives on reduced coordinates Hom_k(A^(tensor n), M)
-for both: the equivariant evaluation
-f(a_0 tensor x tensor a_last) = a_0 . f(1 tensor x tensor 1) . a_last
-translates operators on the free resolution into boundary formulas with
-the left action on the first term and the right action on the last.  A
-left module M enters those formulas as the bimodule M_eps, whose right
-action is the counit.  The homogeneous complex is the subspace of
-Hom_k(A^(tensor n+1+tail), M) equivariant for the diagonal left action
-(and right multiplication in the trailing slot), with the action by
-signed swaps of the first n+1 slots.  For every algebra its basis is the
-image of the tensor identity psi from Hom_k(A^(tensor n), M), and its
-coordinates are the inverse F -> F(1 tensor - tensor 1) (see
-equivariant_space).
+The homogeneous complex is the subspace of Hom_k(A^(tensor n+1), M)
+equivariant for the diagonal left action, with the action by signed
+swaps of the n+1 slots.  For every algebra its basis is the image of the
+tensor identity psi from Hom_k(A^(tensor n), M), and its coordinates are
+the inverse F -> F(1 tensor -) (see equivariant_space).  It takes a left
+module only: SHH(A, M) of a bimodule M is SH(A, ad M), the paper's
+theorem, so `symmetric_cohomology` computes it on the adjoint module.
+
+The standard ("nonhomogeneous") complex lives on reduced coordinates
+Hom_k(A^(tensor n), M) and takes a bimodule natively: the equivariant
+evaluation f(a_0 tensor x tensor a_last) = a_0 . f(x) . a_last translates
+operators on the free resolution into boundary formulas with the left
+action on the first term and the right action on the last.  A left module
+M enters those formulas as the bimodule M_eps, whose right action is the
+counit.  It computes HH, and it is the side of every SHH check that never
+builds ad M (`nonhomogeneous_symmetric_dims`).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
                         restrict_operator)
 from .errors import BudgetExceeded, NotCocommutative
 from .hopf import HopfAlgebra, iterated_comult
-from .modules import LeftModule, validate_module
+from .modules import Bimodule, LeftModule, adjoint_module, validate_module
 from .sparse import SparseMatrix, combination, field_array, kron_triples
 from .tensors import (all_columns, all_tuples, bar_chain_diff, cochain_precompose,
                       cochain_swap_sigma, diagonal_columns, flat)
@@ -44,13 +44,8 @@ BUDGET = 200_000  # coordinates of the largest ambient cochain space a complex m
 class CohomologyReport:
     dims: list
     realization: str
-    kind: str = "H"
     checks: list = dc_field(default_factory=list)
     routes: dict = dc_field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _name, ok in self.checks)
 
 
 def require_budget(coords: int, what: str):
@@ -71,7 +66,7 @@ def _blocks(mats) -> list:
 
 def _right_matrices(h: HopfAlgebra, mod: LeftModule) -> list:
     """Matrices of the right action; a left module acts as M_eps."""
-    if mod.tail:
+    if isinstance(mod, Bimodule):
         return mod.right
     eye = SparseMatrix.identity(h.field, mod.dim)
     return [combination(h.field, mod.dim, mod.dim, [(e, eye)]) for e in h.counit]
@@ -87,102 +82,84 @@ def _add_value_block(entries, row_base: int, col_base: int, coeff, block: list, 
         vals.append(fld.mul(coeff, v))
 
 
-def _prefixed(mod: LeftModule, what: str) -> str:
-    return "Hochschild " + what if mod.tail else what
-
-
 # -- the homogeneous (equivariant-subspace) realization -------------------
 
 
 def _psi_blocks(h: HopfAlgebra, mod: LeftModule) -> dict:
-    """The value blocks of psi, keyed by (u, a, c): the sparse matrix of
-    the value map that psi(f) applies at b_a tensor x tensor b_c where f
-    meets the diagonal action of b_u on x.
+    """The value blocks of psi, keyed by (u, a): the sparse matrix of the
+    value map that psi(f) applies at b_a tensor x where f meets the
+    diagonal action of b_u on x.
 
-    A Sweedler term s_1 tensor ... tensor s_last of b_a gives b_u the
-    coefficient of S(b_(s_last)) and the value map v -> s_1 . v, followed
-    with a tail by . S(b_(s_2)) b_c.  Each value map is formed once per
-    (s_1, s_2, c) and each block summed once.
+    A Sweedler term s_1 tensor s_2 of b_a gives b_u the coefficient of
+    S(b_(s_2)) and the value map v -> s_1 . v.  Each block is summed once.
     """
     fld = h.field
-    tail = mod.tail
-    values, terms = {}, {}
+    terms = {}
     for a in range(h.dim):
-        for legs, coef in iterated_comult(h, a, 1 + tail).coeffs.items():
-            for c in range(h.dim ** tail):
-                key = legs[:1 + tail] + (c,)
-                if key not in values:
-                    values[key] = mod.action[legs[0]]
-                    if tail:
-                        closing = h.product(h.antipode_column(legs[1]), {c: fld.one()})
-                        values[key] = mod.right_act_element(h, closing) @ values[key]
-                for u, su in h.antipode_column(legs[-1]).items():
-                    terms.setdefault((u, a, c), []).append((fld.mul(coef, su), values[key]))
+        for (s1, s2), coef in iterated_comult(h, a, 1).coeffs.items():
+            for u, su in h.antipode_column(s2).items():
+                terms.setdefault((u, a), []).append((fld.mul(coef, su), mod.action[s1]))
     return {key: combination(fld, mod.dim, mod.dim, t) for key, t in terms.items()}
 
 
 def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
-    """Maps A^(tensor slots) -> M equivariant for the diagonal left action
-    and, for a bimodule, right multiplication in the last slot.
+    """Maps A^(tensor slots) -> M equivariant for the diagonal left action.
 
     The basis is the image of the tensor identity
-    psi: Hom(A^(tensor n), M) -> Hom_A(A^(tensor slots), M), n = slots-1-tail,
+    psi: Hom(A^(tensor n), M) -> Hom_A(A^(tensor slots), M), n = slots-1,
 
-        psi(f)(a tensor x tensor c) = a_(1) . f(S(a_(3)) . x) . S(a_(2)) c
+        psi(f)(a tensor x) = a_(1) . f(S(a_(2)) . x),
 
-    (a_(1) . f(S(a_(2)) . x) without a tail), and the coords are its
-    inverse F -> F(1 tensor - tensor 1).  This holds for any Hopf algebra;
-    the order of the legs matters only when A is not cocommutative.  The
-    action of S(a_(3)) on the n inner slots is `diagonal_columns`: a
-    permutation for a group algebra, a dense contraction otherwise.
+    and the coords are its inverse F -> F(1 tensor -).  This holds for any
+    Hopf algebra; the order of the legs matters only when A is not
+    cocommutative.  The action of S(a_(2)) on the n inner slots is
+    `diagonal_columns`: a permutation for a group algebra, a dense
+    contraction otherwise.
     """
     d = h.dim
     m = mod.dim
-    tail = mod.tail
     fld = h.field
-    n = slots - 1 - tail
+    n = slots - 1
     inner = np.arange(d ** n, dtype=np.int64)
     ambient = (d ** slots) * m
-    # ordered by (a, c): for a group algebra each a has one u
+    # ordered by a: for a group algebra each a has one u
     blocks = sorted(((key, value.triples()) for key, value in _psi_blocks(h, mod).items()),
-                    key=lambda b: b[0][1:])
+                    key=lambda b: b[0][1])
     # D_u[y, x] for every x, sorted by y: the inner argument x of psi(f) meets f at y
     actions = {}
-    acting = sorted({u for (u, _a, _c), _t in blocks})
+    acting = sorted({u for (u, _a), _t in blocks})
     for u, columns in zip(acting, diagonal_columns(h, acting, n)):
         y, x, dv = columns(inner)
         order = np.argsort(y)
         actions[u] = (y[order], x[order], None if dv is None else dv[order])
-    entries = sum(len(t[0]) * len(actions[u][0]) for (u, _a, _c), t in blocks)
+    entries = sum(len(t[0]) * len(actions[u][0]) for (u, _a), t in blocks)
     if entries > DENSE_RANK_CELLS:
         raise BudgetExceeded(
             f"equivariant basis on {slots} slots needs {entries} entries, "
             f"over the limit of {DENSE_RANK_CELLS}")
     # one grid per block: an action entry per row, a block entry per column
     grids = []
-    for (u, a, c), (r, j, v) in blocks:
+    for (u, a), (r, j, v) in blocks:
         y, x, dv = actions[u]
-        head = (a * d ** (n + tail) + c) * m + r
+        head = a * d ** n * m + r
         prod = np.broadcast_to(v, (len(y), len(v))) if dv is None else np.multiply.outer(dv, v)
-        grids.append((head[None, :] + x[:, None] * (d ** tail * m), y[:, None] * m + j[None, :],
+        grids.append((head[None, :] + x[:, None] * m, y[:, None] * m + j[None, :],
                       fld.reduce(prod)))
     if h.group_like:
         # every action is a permutation, so grid row y holds column y of psi
         # in every block; side by side with the block entries ordered by
-        # (j, a, c, r), the grids are in canonical order
+        # (j, a, r), the grids are in canonical order
         order = np.argsort(np.concatenate([t[1] for _key, t in blocks]), kind="stable")
         triples = [np.concatenate(part, axis=1)[:, order].reshape(-1) for part in zip(*grids)]
     else:
         triples = [np.concatenate([g.reshape(-1) for g in part]) for part in zip(*grids)]
     basis = SparseMatrix(fld, ambient, len(inner) * m, triples)
-    # F(1 tensor x tensor 1), with 1 expanded in the basis of A
-    unit = list(h.unit_dict().items())
+    # F(1 tensor x), with 1 expanded in the basis of A
     rows, cols, vals = [], [], []
-    for lead, lc in unit:
-        for last, tc in unit if tail else [(0, fld.one())]:
-            rows.append(inner)
-            cols.append((lead * len(inner) + inner) * d ** tail + last)
-            vals.append(field_array(fld, [fld.mul(lc, tc)] * len(inner)))
+    for lead, lc in h.unit_dict().items():
+        rows.append(inner)
+        cols.append(lead * len(inner) + inner)
+        vals.append(field_array(fld, [lc] * len(inner)))
     coords = SparseMatrix(fld, len(inner) * m, ambient,
                           kron_triples(fld, [np.concatenate(part) for part in (rows, cols, vals)],
                                        all_columns(m), (m, m)))
@@ -190,31 +167,29 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
 
 
 def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
-    """Degrees 0..top of the equivariant realization, degree n on n+1+tail
+    """Degrees 0..top of the equivariant realization, degree n on n+1
     slots; the differential is precomposition with the alternating
     counit-deletion chain map."""
     validate_module(h, mod)
     m = mod.dim
-    tail = mod.tail
-    require_budget(m * h.dim ** (top + 1 + tail), _prefixed(mod, "homogeneous complex"))
+    require_budget(m * h.dim ** (top + 1), "homogeneous complex")
     # highest degree first, so a degree over the entry limit fails before
     # the smaller ones are built
-    spaces = [equivariant_space(h, mod, n + 1 + tail) for n in range(top, -1, -1)][::-1]
-    diffs = [cochain_precompose(bar_chain_diff(h, n + 1, tail), m)
-             for n in range(top)]
-    return CochainComplex(h.field, top, spaces, diffs, label="K_e" if tail else "K")
+    spaces = [equivariant_space(h, mod, n + 1) for n in range(top, -1, -1)][::-1]
+    diffs = [cochain_precompose(bar_chain_diff(h, n + 1), m) for n in range(top)]
+    return CochainComplex(h.field, top, spaces, diffs, label="K")
 
 
 def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int,
                       space: CochainSpace | None = None) -> ActionOperator:
     """Signed swaps of slots i-1, i on degree n of the homogeneous
-    realization; a trailing bimodule slot never moves.
+    realization.
 
     If `space` is given, each generator is checked to preserve it
     (raising ActionLeavesSubspace otherwise).
     """
     require_cocommutative(h)
-    sigmas = [cochain_swap_sigma(h.field, h.dim, n + 1 + mod.tail, i, mod.dim)
+    sigmas = [cochain_swap_sigma(h.field, h.dim, n + 1, i, mod.dim)
               for i in range(1, n + 1)]
     if space is not None:
         for s in sigmas:
@@ -231,7 +206,7 @@ def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> Cochain
     d = h.dim
     m = mod.dim
     fld = h.field
-    require_budget(m * d ** (top + 1 + mod.tail), _prefixed(mod, "nonhomogeneous complex"))
+    require_budget(m * d ** (top + 1), "nonhomogeneous complex")
     left = _blocks(mod.action)
     right = _blocks(_right_matrices(h, mod))
     one = fld.one()
@@ -254,7 +229,7 @@ def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> Cochain
             # last face: the trailing argument acts on the value from the right
             _add_value_block(entries, row_base, flat(tup[:n], d) * m, sign, right[tup[n]], fld)
         diffs.append(SparseMatrix(fld, m * d ** (n + 1), m * d ** n, entries))
-    return CochainComplex(fld, top, spaces, diffs, label="C_e" if mod.tail else "C")
+    return CochainComplex(fld, top, spaces, diffs, label="C")
 
 
 def _sweedler_triples(h: HopfAlgebra, i: int) -> dict:
@@ -332,29 +307,36 @@ def _fixed_dims(cpx: CochainComplex, ops: list, top: int) -> list:
 def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyReport:
     """H^0..H^{top-1} (HH for a bimodule) from the nonhomogeneous realization."""
     cpx = nonhomogeneous_complex(h, mod, top)
-    return CohomologyReport(cohomology_dims(cpx, top - 1), "nonhomogeneous",
-                            kind="HH" if mod.tail else "H")
+    return CohomologyReport(cohomology_dims(cpx, top - 1), "nonhomogeneous")
+
+
+def nonhomogeneous_symmetric_dims(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
+    """SH^0..SH^{top-1} (SHH for a bimodule) from the fixed subcomplex of
+    the nonhomogeneous realization, which takes a bimodule as it is: for
+    SHH this side never builds ad M."""
+    require_cocommutative(h)
+    cpx = nonhomogeneous_complex(h, mod, top)
+    return _fixed_dims(cpx, [sigma_nonhomogeneous(h, mod, n) for n in range(top + 1)], top)
 
 
 def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
                          cross_check: bool = False) -> CohomologyReport:
-    """SH^0..SH^{top-1} (SHH for a bimodule): cohomology of the fixed subcomplex.
+    """SH^0..SH^{top-1}: cohomology of the fixed subcomplex of the
+    homogeneous realization (its action is a signed permutation).
 
-    The homogeneous realization computes it (its action is a signed
-    permutation); cross_check recomputes through the nonhomogeneous
-    realization and records agreement.
+    For a bimodule M it is SHH(A, M), computed as SH(A, ad M) by the
+    paper's theorem.  cross_check recomputes through the nonhomogeneous
+    realization of M itself and records agreement.
     """
     require_cocommutative(h)
-    validate_module(h, mod)
-    cpx = homogeneous_complex(h, mod, top)
-    ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n]) for n in range(top + 1)]
+    coeffs = adjoint_module(h, mod) if isinstance(mod, Bimodule) else mod
+    cpx = homogeneous_complex(h, coeffs, top)
+    ops = [sigma_homogeneous(h, coeffs, n, space=cpx.spaces[n]) for n in range(top + 1)]
     dims = _fixed_dims(cpx, ops, top)
-    report = CohomologyReport(dims, "homogeneous", kind="SHH" if mod.tail else "SH")
+    report = CohomologyReport(dims, "homogeneous")
     report.routes["homogeneous"] = dims
     if cross_check:
-        cpx = nonhomogeneous_complex(h, mod, top)
-        ops = [sigma_nonhomogeneous(h, mod, n) for n in range(top + 1)]
-        other = _fixed_dims(cpx, ops, top)
+        other = nonhomogeneous_symmetric_dims(h, mod, top)
         report.routes["nonhomogeneous"] = other
         report.checks.append(("realizations_agree", dims == other))
     return report

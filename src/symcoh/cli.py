@@ -120,23 +120,24 @@ def load_algebra(source: str, field_override: Field | None) -> HopfAlgebra:
     return hopf_from_json(obj, field_override)
 
 
-def load_module(source: str, h: HopfAlgebra, tail: int = 0) -> LeftModule:
+def load_module(source: str, h: HopfAlgebra, bimodule: bool = False) -> LeftModule:
     """Coefficients by name (trivial, regular) or from a JSON file with dim,
-    left_action and, for a bimodule (tail 1), right_action; a description
-    that does not fit the schema is a SchemaError.  The parsed dense
-    matrices become the module's sparse actions here, once."""
+    left_action and, for a bimodule, right_action; a description that does
+    not fit the schema is a SchemaError.  The parsed dense matrices become
+    the module's sparse actions here, once."""
     if source == "trivial":
-        return trivial_bimodule(h) if tail else trivial_module(h)
+        return trivial_bimodule(h) if bimodule else trivial_module(h)
     if source == "regular":
-        return regular_bimodule(h) if tail else regular_left_module(h)
+        return regular_bimodule(h) if bimodule else regular_left_module(h)
     obj = _read_json(source)
     try:
         dim = int(obj["dim"])
         actions = [[SparseMatrix.from_dense(_parse_matrix(h.field, rows, key))
-                    for rows in obj[key]] for key in ("left_action", "right_action")[:1 + tail]]
+                    for rows in obj[key]]
+                   for key in ("left_action", "right_action")[:1 + bimodule]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"bad module description: {type(exc).__name__} {exc}") from exc
-    mod = Bimodule(dim, *actions) if tail else LeftModule(dim, *actions)
+    mod = Bimodule(dim, *actions) if bimodule else LeftModule(dim, *actions)
     validate_module(h, mod)
     return mod
 
@@ -280,20 +281,23 @@ def run(args) -> tuple[dict, int]:
         return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
 
     if mode in ("H", "SH", "HH", "SHH"):
-        tail = int(mode in ("HH", "SHH"))
-        mod = load_module(args.module or ("regular" if tail else "trivial"), h, tail)
+        bimodule = mode in ("HH", "SHH")
+        mod = load_module(args.module or ("regular" if bimodule else "trivial"), h, bimodule)
         if mode in ("H", "HH"):
             rep = bar.classical_cohomology(h, mod, top)
             out = _report(mode, dims=rep.dims, routes={rep.realization: rep.dims})
             return out, EXIT_OK
+        # both routes compute SHH(A, M) as SH(A, ad M); its cross-check is
+        # the nonhomogeneous realization of M, which never builds ad M
         if args.route == "resolution":
             rep = resolution.sh_via_resolution(h, mod, top)
             routes = {"resolution": rep.dims}
             checks = []
             if args.cross_check:
-                other = bar.symmetric_cohomology(h, mod, top)
-                routes["fixed_subcomplex"] = other.dims
-                checks.append(("routes_agree", other.dims == rep.dims))
+                other = (bar.nonhomogeneous_symmetric_dims(h, mod, top) if bimodule
+                         else bar.symmetric_cohomology(h, mod, top).dims)
+                routes["fixed_subcomplex"] = other
+                checks.append(("routes_agree", other == rep.dims))
         else:
             rep = bar.symmetric_cohomology(h, mod, top, cross_check=args.cross_check)
             routes = rep.routes
@@ -302,7 +306,7 @@ def run(args) -> tuple[dict, int]:
         return out, EXIT_OK if _checks_pass(out) else EXIT_INTERNAL
 
     if mode == "compare-adjoint":
-        bim = load_module(args.module or "regular", h, tail=1)
+        bim = load_module(args.module or "regular", h, bimodule=True)
         rep = hochschild.compare_adjoint(h, bim, top)
         out = _report("compare-adjoint", dims=rep.dims, routes=rep.routes,
                       checks=rep.checks)

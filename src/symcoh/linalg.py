@@ -321,15 +321,6 @@ def solve_columns(s: Subspace, b: Matrix) -> Matrix | None:
     return Matrix(b.field, reduced.data[:k, k:].copy())
 
 
-def solve_membership(s: Subspace, vec):
-    """Coordinates c with basis @ c == vec, or None if vec is outside the span."""
-    if len(vec) != s.ambient_dim:
-        raise ValueError("vector length must equal ambient dimension")
-    field = s.basis.field
-    coords = solve_columns(s, Matrix(field, field.array(list(vec)).reshape(-1, 1)))
-    return None if coords is None else coords.data[:, 0].tolist()
-
-
 def quotient(ambient_dim: int, relations: Matrix):
     """Projection/section pair for k^ambient_dim modulo the column span of relations.
 

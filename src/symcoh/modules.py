@@ -1,5 +1,11 @@
 """Left modules and bimodules over a Hopf algebra, given by action matrices.
 
+A bimodule M enters symmetric Hochschild cohomology through its adjoint
+left module ad M, a . m = a_(1) m S(a_(2)): SHH(A, M) = SH(A, ad M).  So
+the homogeneous complexes and the resolution route take left modules, and
+of the cochain constructions only the nonhomogeneous realization of `bar`
+reads a right action.
+
 An action is one `SparseMatrix` per algebra basis element: action[i] is
 the matrix of m -> b_i . m (right[i] of m -> m . b_i for a bimodule).
 Side by side they are the action map [rho_0 | ... | rho_(d-1)], the
@@ -29,14 +35,7 @@ from .sparse import SparseMatrix, combination, kron
 
 
 class LeftModule:
-    """A left module: one sparse action matrix per algebra basis element.
-
-    `tail` is the number of trailing tensor slots, acted on from the
-    right, that the cochain constructions carry for these coefficients:
-    0 for a left module, 1 for a bimodule.
-    """
-
-    tail = 0
+    """A left module: one sparse action matrix per algebra basis element."""
 
     def __init__(self, dim: int, action: list):
         self.dim = dim
@@ -53,8 +52,6 @@ class LeftModule:
 
 class Bimodule(LeftModule):
     """Commuting left and right actions; right[i] is the matrix of m -> m . b_i."""
-
-    tail = 1
 
     def __init__(self, dim: int, left: list, right: list):
         super().__init__(dim, left)
@@ -137,7 +134,7 @@ def validate_bimodule(h: HopfAlgebra, mod: Bimodule) -> bool:
 
 def validate_module(h: HopfAlgebra, mod: LeftModule) -> bool:
     """Validate coefficients of either kind, raising on failure."""
-    if mod.tail:
+    if isinstance(mod, Bimodule):
         return validate_bimodule(h, mod)
     return validate_left_module(h, mod)
 
@@ -208,8 +205,7 @@ def tensor_module(h: HopfAlgebra, l: LeftModule, m: LeftModule) -> LeftModule:
 
 
 def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Subspace:
-    """Hom_A(X, M) inside flattened Hom_k(X, M): F rho^X_i = rho^M_i F for
-    all i, and for bimodules the same with the right actions.
+    """Hom_A(X, M) inside flattened Hom_k(X, M): F rho^X_i = rho^M_i F for all i.
 
     On flattened F (see the module docstring), F rho^X is the sparse
     Kronecker operator kron(rho^X^T, 1_M) and rho^M F is kron(1_X, rho^M);
@@ -217,9 +213,6 @@ def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Subspace:
     `intersect_kernels`.
     """
     fld = h.field
-    pairs = list(zip(x.action, m.action))
-    if m.tail:
-        pairs += list(zip(x.right, m.right))
     eye_x, eye_m = SparseMatrix.identity(fld, x.dim), SparseMatrix.identity(fld, m.dim)
     return intersect_kernels(fld, x.dim * m.dim, [
-        kron(rx.transpose(), eye_m) - kron(eye_x, rm) for rx, rm in pairs])
+        kron(rx.transpose(), eye_m) - kron(eye_x, rm) for rx, rm in zip(x.action, m.action)])

@@ -1,7 +1,8 @@
-"""Coinvariant resolutions: the quotients of tensor powers by the signed
-permutation action, their induced module structures, the exact augmented
-complexes they form, the contracting homotopy, the Hom route to SH/SHH,
-the projectivity splitting maps, and the cyclic-group rank table.
+"""The coinvariant resolution of k: the quotients of tensor powers by the
+signed permutation action, their induced module structures, the exact
+augmented complex they form, the contracting homotopy, the Hom route to
+SH and SHH, the projectivity splitting maps, and the cyclic-group rank
+table.
 
 The coinvariants have a sorted-tuple basis in any basis of A, since the
 permutations only move tensor slots: Lambda^(n+1) A away from
@@ -16,11 +17,8 @@ augmentation, the contracting homotopy and the splitting maps are
 `SparseMatrix`, and their self-checks compare sparse composites, so no
 dense product is formed; only ranks densify.
 
-The bimodule resolution (for SHH, `tail` 1, read from the coefficient
-type) is not a second quotient: its degree-n space S_n tensor A is the
-plain one tensored with A, with the diagonal left action, right
-multiplication on the A factor, and the plain boundaries and augmentation
-tensored with the identity of A.
+SHH needs no second resolution: SHH(A, M) = SH(A, ad M), the paper's
+theorem, so the Hom route takes Hom_A(S_n, ad M) out of the same one.
 """
 
 from __future__ import annotations
@@ -37,17 +35,16 @@ from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime
 from .fields import Field
 from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
 from .linalg import DENSE_RANK_CELLS, rank
-from .modules import (Bimodule, LeftModule, hom_equivariant, regular_bimodule,
+from .modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
                       regular_left_module, tensor_module, validate_module)
-from .sparse import SparseMatrix, apply_columns, canonical, field_array, kron, kron_triples
+from .sparse import SparseMatrix, apply_columns, canonical, field_array
 from .tensors import (all_columns, bar_chain_columns, cochain_precompose, delete_slot,
                       diagonal_columns, digits, flat, swap_slots, undigits)
 
 
 class CoinvariantSpace:
     """A^(tensor n+1) modulo the signed S_{n+1} action, with projection,
-    section, labels and the induced module structure; or that space tensor
-    A, a bimodule with one trailing slot (see _tensor_regular)."""
+    section, labels and the induced module structure."""
 
     def __init__(self, degree, projection, section, labels, module: LeftModule):
         self.degree = degree
@@ -67,7 +64,7 @@ class CoinvariantSpace:
 
     @property
     def slots(self) -> int:
-        return self.degree + 1 + self.module.tail
+        return self.degree + 1
 
     def __repr__(self):
         return f"<Coinvariants degree {self.degree}, dim {self.dim}>"
@@ -155,27 +152,6 @@ def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True) -> Coinvariant
     return space
 
 
-def _tensor_regular(h: HopfAlgebra, space: CoinvariantSpace, regular: Bimodule,
-                    check: bool) -> CoinvariantSpace:
-    """The bimodule coinvariants S_n tensor A of A^(tensor n+2): the plain
-    space's projection and section tensor the identity of A, the diagonal
-    left action, and right multiplication on the A factor."""
-    d = h.dim
-    fld = h.field
-    eye = SparseMatrix.identity(fld, space.dim)
-    module = Bimodule(space.dim * d, tensor_module(h, space.module, regular).action,
-                      [kron(eye, r) for r in regular.right])
-    if check:
-        validate_module(h, module)
-    identity = all_columns(d)
-    projection = SparseMatrix(fld, space.dim * d, space.ambient_dim * d,
-                              kron_triples(fld, space.projection.triples(), identity, (d, d)))
-    section = SparseMatrix(fld, space.ambient_dim * d, space.dim * d,
-                           kron_triples(fld, space.section.triples(), identity, (d, d)))
-    labels = [lab + (a,) for lab in space.basis_labels for a in range(d)]
-    return CoinvariantSpace(space.degree, projection, section, labels, module)
-
-
 def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
     """True when projection . op kills every relation  swap_i(v) + v, given
     the canonical triples of projection . op: for i < sym_slots, a column
@@ -213,34 +189,33 @@ def _check_descends(h, space, projection, ops, message):
             raise AssertionError(message)
 
 
-# -- the resolutions of k and of A ---------------------------------------------
+# -- the resolution of k --------------------------------------------------------
 
 
 @dataclass
 class ResolutionComplex:
     """The augmented coinvariant complex through degree `top`, its maps
     sparse: boundaries[n] is d_n: S_n -> S_(n-1) in the sorted-tuple
-    bases, and the augmentation maps S_0 onto k, or onto A with a tail."""
+    bases, and the augmentation maps S_0 onto k."""
 
     hopf: HopfAlgebra
     top: int
     spaces: list            # CoinvariantSpace per degree 0..top
     boundaries: list             # SparseMatrix, boundaries[n]: degree n -> n-1 (n >= 1)
-    augmentation: SparseMatrix   # onto k (1 x dim S_0) or onto A (dim A x dim S^e_0)
+    augmentation: SparseMatrix   # onto k (1 x dim S_0)
 
     def dims(self):
         return [s.dim for s in self.spaces]
 
     def exactness_report(self):
         """Rank counting: exact at inner degrees, at degree 0 against the
-        augmentation, and onto k (or A).  The top degree is certified only
+        augmentation, and onto k.  The top degree is certified only
         when the next space, which is not built, is zero by its closed-form
         dimension."""
         aug_rank = rank(self.augmentation.to_dense())
         # ranks[n] is the rank of d_n, with the augmentation as d_0
         ranks = [aug_rank] + [rank(b.to_dense()) for b in self.boundaries[1:]]
-        onto = "onto_A" if self.spaces[0].module.tail else "onto_k"
-        checks = [(onto, aug_rank == self.augmentation.rows)]
+        checks = [("onto_k", aug_rank == self.augmentation.rows)]
         for n in range(self.top):
             checks.append((f"exact_at_{n}", ranks[n] + ranks[n + 1] == self.spaces[n].dim))
         if coinvariant_dim(self.hopf.dim, self.top + 1, self.hopf.field.characteristic) == 0:
@@ -248,11 +223,8 @@ class ResolutionComplex:
         return checks
 
 
-def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True,
-                           tail: int = 0) -> ResolutionComplex:
-    """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k;
-    with tail 1, the bimodule complex S_top tensor A -> ... -> S_0 tensor A
-    -> A, the same complex tensored with A."""
+def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True) -> ResolutionComplex:
+    """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k."""
     _require_ambient(h, top)
     spaces = [coinvariant_space(h, n, check=check) for n in range(top + 1)]
     fld = h.field
@@ -261,7 +233,7 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True,
         if spaces[n].dim == 0:
             boundaries.append(SparseMatrix(fld, spaces[n - 1].dim, 0))
             continue
-        chain = bar_chain_columns(h, n, 0)  # A^(n+1) -> A^n
+        chain = bar_chain_columns(h, n)  # A^(n+1) -> A^n
         below = spaces[n - 1].projection
         if check:
             _check_descends(h, spaces[n], below, [chain],
@@ -269,20 +241,8 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True,
         boundaries.append(_induced(fld, below.rows, spaces[n].section, chain,
                                    below.column_map()))
     # the augmentation deletes slot 0 by the counit
-    aug = _induced(fld, 1, spaces[0].section, bar_chain_columns(h, 0, 0))
-    if tail:
-        regular = regular_bimodule(h)
-        eye = SparseMatrix.identity(fld, h.dim)
-        spaces = [_tensor_regular(h, s, regular, check) for s in spaces]
-        boundaries = [None] + [kron(b, eye) for b in boundaries[1:]]
-        aug = kron(aug, eye)
+    aug = _induced(fld, 1, spaces[0].section, bar_chain_columns(h, 0))
     return ResolutionComplex(h, top, spaces, boundaries, aug)
-
-
-def hochschild_resolution(h: HopfAlgebra, top: int, check: bool = True) -> ResolutionComplex:
-    """The augmented bimodule complex (coinvariants of A^(tensor n+1))
-    tensor A -> A."""
-    return sym_resolution_complex(h, top, check=check, tail=1)
 
 
 def _unit_insert_columns(h: HopfAlgebra, slots: int):
@@ -313,7 +273,7 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int,
     here unless the caller already has it."""
     if res is None:
         res = sym_resolution_complex(h, top)
-    elif res.hopf is not h or res.top != top or res.spaces[0].module.tail:
+    elif res.hopf is not h or res.top != top:
         raise ValueError("res must be the resolution of k for this algebra through top")
     spaces = res.spaces
     homotopies = []
@@ -339,20 +299,15 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int,
 
 def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyReport:
     """SH^0..SH^{top-1} from Hom_A(S_n, M) with the induced action; for a
-    bimodule M, SHH from bimodule maps out of the bimodule resolution."""
+    bimodule M, SHH(A, M) as SH(A, ad M) by the paper's theorem."""
     require_cocommutative(h)
-    validate_module(h, mod)
-    res = sym_resolution_complex(h, top, tail=mod.tail)
-    spaces = [CochainSpace.of(hom_equivariant(h, s.module, mod)) for s in res.spaces]
-    diffs = [cochain_precompose(b, mod.dim) for b in res.boundaries[1:]]
-    cpx = CochainComplex(h.field, top, spaces, diffs,
-                         label="Hom(S^e,M)" if mod.tail else "Hom(S,M)")
-    dims = cohomology_dims(cpx, top - 1)
-    return CohomologyReport(dims, "resolution", kind="SHH" if mod.tail else "SH")
-
-
-# SHH from the bimodule resolution is sh_via_resolution with a bimodule
-shh_via_resolution = sh_via_resolution
+    coeffs = adjoint_module(h, mod) if isinstance(mod, Bimodule) else mod
+    validate_module(h, coeffs)
+    res = sym_resolution_complex(h, top)
+    spaces = [CochainSpace.of(hom_equivariant(h, s.module, coeffs)) for s in res.spaces]
+    diffs = [cochain_precompose(b, coeffs.dim) for b in res.boundaries[1:]]
+    cpx = CochainComplex(h.field, top, spaces, diffs, label="Hom(S,M)")
+    return CohomologyReport(cohomology_dims(cpx, top - 1), "resolution")
 
 
 # -- projectivity splitting --------------------------------------------------

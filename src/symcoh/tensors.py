@@ -7,13 +7,11 @@ m-dimensional module puts component (tuple, j) at flat(tuple) * m + j.
 Digit k of a flat index idx on t slots is idx // d**(t-1-k) % d, so the
 operators below are built as numpy arithmetic on arrays of flat indices.
 Each has a column map `columns(idx) -> (rows, position in idx, vals)`
-(see sparse.py): the diagonal action and the counit-deletion chain map,
-whose `tail` trailing slots stay put.  The cochain operators
-(precomposition with that chain map, signed slot swaps) are SparseMatrix
-triples built by the same arithmetic.  No operator here multiplies a
-trailing slot from the right: bar.py writes that action into its
-equivariant bases, and the bimodule resolution tensors the plain one
-with A (`kron_triples`).
+(see sparse.py): the diagonal action and the counit-deletion chain map.
+The cochain operators (precomposition with that chain map, signed slot
+swaps) are SparseMatrix triples built by the same arithmetic.  No
+operator here multiplies from the right: bimodule coefficients reach the
+homogeneous constructions as the left module ad M (see bar.py).
 
 The diagonal action of a group element permutes flat indices.  For any
 other algebra it is a dense d^t x d^t array: the Sweedler tensor of the
@@ -87,13 +85,12 @@ def permutation_columns(perm: np.ndarray):
     return columns
 
 
-def bar_chain_columns(h: HopfAlgebra, n: int, tail: int):
-    """Column map of the homogeneous chain map A^(n+1+tail) -> A^(n+tail):
-    alternating counit deletions of slots 0..n; the `tail` trailing slots
-    stay.  The entries of each column come sorted by row; entries that
-    cancel are left for the caller to sum."""
+def bar_chain_columns(h: HopfAlgebra, n: int):
+    """Column map of the homogeneous chain map A^(n+1) -> A^n: alternating
+    counit deletions of slots 0..n.  The entries of each column come sorted
+    by row; entries that cancel are left for the caller to sum."""
     d = h.dim
-    slots = n + 1 + tail
+    slots = n + 1
     fld = h.field
     eps = field_array(fld, h.counit)
     signed = np.stack([eps, field_array(fld, [fld.neg(e) for e in h.counit])])
@@ -118,14 +115,13 @@ def bar_chain_columns(h: HopfAlgebra, n: int, tail: int):
     return columns
 
 
-def bar_chain_diff(h: HopfAlgebra, n: int, tail: int) -> SparseMatrix:
+def bar_chain_diff(h: HopfAlgebra, n: int) -> SparseMatrix:
     """The chain map of bar_chain_columns as a sparse matrix; its triples
     come in canonical order up to the cancelling entries."""
     d = h.dim
-    cols = d ** (n + 1 + tail)
-    return SparseMatrix(
-        h.field, d ** (n + tail), cols,
-        apply_columns(h.field, bar_chain_columns(h, n, tail), all_columns(cols)))
+    cols = d ** (n + 1)
+    return SparseMatrix(h.field, d ** n, cols,
+                        apply_columns(h.field, bar_chain_columns(h, n), all_columns(cols)))
 
 
 def cochain_precompose(chain: SparseMatrix, m: int) -> SparseMatrix:

@@ -18,10 +18,7 @@ equivariant cochains as the stacked kernel of the equivariance equations
 (against the tensor-identity basis of `symcoh.bar.equivariant_space`),
 and the coinvariants as the quotient by the swap relations, by
 elimination (against the sorted-tuple basis of
-`symcoh.resolution.coinvariant_space`, and on one more slot against the
-bimodule spaces S_n tensor A of `symcoh.resolution.hochschild_resolution`,
-with right multiplication in the last slot written tuple by tuple).  The
-orbit walk certifies the cyclic rank table by generators, against the
+`symcoh.resolution.coinvariant_space`).  The orbit walk certifies the cyclic rank table by generators, against the
 rank of the norm element that `symcoh.resolution.cp_rank_table` takes.
 
 The last part holds checks that only the tests run: the mutually inverse
@@ -43,7 +40,7 @@ from symcoh.complexes import (ActionOperator, CochainComplex, CochainSpace,
 from symcoh.fields import Field
 from symcoh.hopf import HopfAlgebra, iterated_comult
 from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank
-from symcoh.modules import LeftModule, invariants, regular_bimodule
+from symcoh.modules import Bimodule, LeftModule, invariants
 from symcoh.sparse import SparseMatrix, combination, kron
 from symcoh.tensors import all_tuples, flat, swap_slots
 
@@ -141,20 +138,6 @@ def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:
     return SparseMatrix(fld, d ** slots, d ** slots, (rows, cols, vals))
 
 
-def right_multiplication(h: HopfAlgebra, c: int, slots: int) -> SparseMatrix:
-    """Right multiplication by b_c in the last of `slots` tensor slots,
-    tuple by tuple."""
-    d = h.dim
-    rows, cols, vals = [], [], []
-    for col in range(d ** slots):
-        head, last = divmod(col, d)
-        for k, v in h.mult[last][c].items():
-            rows.append(head * d + k)
-            cols.append(col)
-            vals.append(v)
-    return SparseMatrix(h.field, d ** slots, d ** slots, (rows, cols, vals))
-
-
 def vstack(field, mats) -> Matrix:
     """Matrices with equal column counts, stacked top to bottom."""
     mats = list(mats)
@@ -172,9 +155,8 @@ def stacked_kernel(field, mats) -> Subspace:
 
 
 def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
-    """Hom_A(A^(tensor slots), M) (with right multiplication in the last
-    slot for a bimodule) as the kernel of the stacked equivariance
-    equations, one dense kron constraint per basis element and side."""
+    """Hom_A(A^(tensor slots), M) as the kernel of the stacked equivariance
+    equations, one dense kron constraint per basis element."""
     d = h.dim
     m = mod.dim
     fld = h.field
@@ -182,29 +164,21 @@ def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     eye_m = SparseMatrix.identity(fld, m)
     eye = SparseMatrix.identity(fld, size)
     # precomposition with an operator D on the tuples is kron(D^T, I_m); the
-    # action on values is kron(I, act); right multiplication in the trailing
-    # slot is I on the leading slots tensor the regular right action
-    if mod.tail:
-        lead = SparseMatrix.identity(fld, d ** (slots - 1))
-        eye_d = SparseMatrix.identity(fld, d)
-        right = regular_bimodule(h).right
+    # action on values is kron(I, act)
     constraints = []
     for b in range(d):
         act = diagonal_action(h, b, slots).transpose()
         constraints.append(kron(act, eye_m) - kron(eye, mod.action[b]))
-        if mod.tail:
-            constraints.append(kron(lead, kron(right[b].transpose(), eye_m)
-                                    - kron(eye_d, mod.right[b])))
     space = CochainSpace.of(stacked_kernel(fld, [c.to_dense() for c in constraints]))
     # checked: coords is a left inverse of the basis
     return CochainSpace(space.ambient_dim, space.basis, space.coords)
 
 
-def coinvariant_quotient(h: HopfAlgebra, n: int, tail: int = 0):
-    """Dense (projection, section) of A^(tensor n+1+tail) modulo the
-    relations swap_i(v) + v, i <= n, by elimination."""
+def coinvariant_quotient(h: HopfAlgebra, n: int):
+    """Dense (projection, section) of A^(tensor n+1) modulo the relations
+    swap_i(v) + v, i <= n, by elimination."""
     d = h.dim
-    slots = n + 1 + tail
+    slots = n + 1
     size = d ** slots
     idx = np.arange(size, dtype=np.int64)
     relations = Matrix.zeros(h.field, size, n * size)
@@ -389,15 +363,16 @@ def hom_module(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> LeftModule:
 
 
 def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
-    """The same action written on all of Hom_k(A^(tensor n+1+tail), M),
-    where the first (and for a bimodule the last) tensor slot is a free
-    module coordinate.  Used to cross-check the reduced boundary formulas
-    under f(a_0 tensor x tensor a_last) = a_0 . f(1 tensor x tensor 1) . a_last."""
+    """The same action written on all of Hom_k(A^(tensor slots), M), where
+    the first (and for a bimodule the last) tensor slot is a free module
+    coordinate: slots = n+1, or n+2 for a bimodule.  Used to cross-check the
+    reduced boundary formulas under
+    f(a_0 tensor x tensor a_last) = a_0 . f(1 tensor x tensor 1) . a_last."""
     require_cocommutative(h)
     d = h.dim
     m = mod.dim
     fld = h.field
-    slots = n + 1 + mod.tail
+    slots = n + 1 + isinstance(mod, Bimodule)
     size = m * d ** slots
     minus = fld.neg(fld.one())
     eye = [(j, j, fld.one()) for j in range(m)]
@@ -446,25 +421,16 @@ def _antipode_times(h: HopfAlgebra, s: int, b: int) -> dict:
     return {k: v for k, v in vec.items() if v != 0}
 
 
-def _two_sided_block(left: SparseMatrix, right: list, elem: dict) -> list:
-    """Entries of v -> a . v . elem, given the matrices of a and of the
-    right action."""
-    return _blocks([combination(left.field, left.rows, left.cols,
-                                [(tc, right[t] @ left) for t, tc in elem.items()])])[0]
-
-
 def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
     """Matrices of the mutually inverse chain maps between the realizations.
 
-    phi: equivariant Hom(A^(n+1+tail), M) -> reduced Hom(A^n, M),
-    evaluating at nested products of leading Sweedler legs (a trailing
-    slot takes the product of the top legs); psi goes back using the
+    phi: equivariant Hom(A^(n+1), M) -> reduced Hom(A^n, M), evaluating
+    at nested products of leading Sweedler legs; psi goes back using the
     antipode to difference consecutive arguments, moving the first slot
-    into the left action and a trailing slot into the right action.
+    into the left action.
     """
     d = h.dim
     m = mod.dim
-    tail = mod.tail
     fld = h.field
     left = _blocks(mod.action)
     eye = [(j, j, fld.one()) for j in range(m)]
@@ -473,7 +439,7 @@ def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
     entries = ([], [], [])
     for tup in all_tuples(d, n):
         row_base = flat(tup, d) * m
-        legs = [iterated_comult(h, tup[r], n - 1 - r + tail).coeffs for r in range(n)]
+        legs = [iterated_comult(h, tup[r], n - 1 - r).coeffs for r in range(n)]
         for combo in itertools.product(*(legs[r].items() for r in range(n))):
             base_coeff = fld.one()
             for _t, c in combo:
@@ -481,10 +447,6 @@ def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
             # slot s (1-based) is the product of leg s+1-r of argument r
             slot_vecs = [_leg_product(h, (combo[r][0][s - 1 - r] for r in range(s)))
                          for s in range(1, n + 1)]
-            if tail:
-                # closing slot: the product of the top legs of every argument
-                closing = _leg_product(h, (combo[r][0][n - r] for r in range(n)))
-                slot_vecs.append(unit if closing is None else closing)
             for head, hc in unit.items():
                 for choice in itertools.product(*(v.items() for v in slot_vecs)):
                     coeff = fld.mul(base_coeff, hc)
@@ -494,26 +456,25 @@ def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
                     if coeff == 0:
                         continue
                     _add_value_block(entries, row_base, flat(arg, d) * m, coeff, eye, fld)
-    phi = SparseMatrix(fld, m * d ** n, m * d ** (n + 1 + tail), entries)
+    phi = SparseMatrix(fld, m * d ** n, m * d ** (n + 1), entries)
 
     entries = ([], [], [])
-    for tup in all_tuples(d, n + 1 + tail):
+    for tup in all_tuples(d, n + 1):
         row_base = flat(tup, d) * m
-        pair_lists = [list(h.comult[tup[r]].items()) for r in range(n + tail)]
+        pair_lists = [list(h.comult[tup[r]].items()) for r in range(n)]
         for combo in itertools.product(*pair_lists):
             base_coeff = fld.one()
             for _p, c in combo:
                 base_coeff = fld.mul(base_coeff, c)
             head = combo[0][0][0] if combo else tup[0]
             # slot k: S(second leg of a_{k-1}) * (first leg of a_k, or the last
-            # argument bare); a trailing slot k = n+1 acts from the right
+            # argument bare)
             slot_vecs = [_antipode_times(h, combo[k - 1][0][1],
                                          combo[k][0][0] if k < len(combo) else tup[k])
-                         for k in range(1, n + 1 + tail)]
+                         for k in range(1, n + 1)]
             if not all(slot_vecs):
                 continue
-            block = (_two_sided_block(mod.action[head], mod.right, slot_vecs.pop())
-                     if tail else left[head])
+            block = left[head]
             for choice in itertools.product(*(v.items() for v in slot_vecs)):
                 coeff = base_coeff
                 arg = tuple(k2 for k2, _v in choice)
@@ -522,5 +483,5 @@ def phi_psi(h: HopfAlgebra, mod: LeftModule, n: int):
                 if coeff == 0:
                     continue
                 _add_value_block(entries, row_base, flat(arg, d) * m, coeff, block, fld)
-    psi = SparseMatrix(fld, m * d ** (n + 1 + tail), m * d ** n, entries)
+    psi = SparseMatrix(fld, m * d ** (n + 1), m * d ** n, entries)
     return phi, psi

@@ -290,14 +290,14 @@ def test_oversized_dense_rank_is_a_budget_error(capsys):
 
 def test_common_kernel_step_over_the_cell_limit_is_a_budget_error(capsys, monkeypatch):
     # with the limit lowered to 100,000 cells, every rank below still fits,
-    # but the first Hom step at degree 1 (540 x 540) and the first
-    # fixed-point step at degree 4 (625 x 625) do not; the parent stacked
-    # every constraint without a check
+    # but the first Hom step at degree 1 of SHH(kC11, kC11), into ad A
+    # (605 x 605), and the first fixed-point step at degree 4 (625 x 625) do
+    # not; the parent stacked every constraint without a check
     from symcoh import linalg
     monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 100_000)
     for argv, size in (
-            (("--algebra", "S3", "--field", "gf:5", "--mode", "SHH", "--module", "regular",
-              "--max-degree", "2", "--route", "resolution"), "540 x 540"),
+            (("--algebra", "Cp:11", "--field", "gf:11", "--mode", "SHH", "--module", "regular",
+              "--max-degree", "2", "--route", "resolution"), "605 x 605"),
             (("--algebra", "Cp:5", "--field", "gf:5", "--mode", "SH", "--max-degree", "5"),
              "625 x 625")):
         code, report = run_json(capsys, *argv)
@@ -305,9 +305,15 @@ def test_common_kernel_step_over_the_cell_limit_is_a_budget_error(capsys, monkey
         assert report["dims"] == []
         assert report["error"]["code"] == 3
         assert f"common kernel step needs a dense {size} matrix" in report["error"]["reason"]
-    code, report = run_json(capsys, "--algebra", "Cp:5", "--field", "gf:5", "--mode", "SH",
-                            "--max-degree", "4")
-    assert (code, report["dims"]) == (0, [1, 1, 1, 1])
+    # the Hom steps of SHH(kS3, kS3) into ad A are at most 120 x 120; into
+    # S_n tensor A they were 540 x 540 at degree 1, and refused here
+    for argv, dims in (
+            (("--algebra", "Cp:5", "--field", "gf:5", "--mode", "SH", "--max-degree", "4"),
+             [1, 1, 1, 1]),
+            (("--algebra", "S3", "--field", "gf:5", "--mode", "SHH", "--module", "regular",
+              "--max-degree", "2", "--route", "resolution"), [3, 0])):
+        code, report = run_json(capsys, *argv)
+        assert (code, report["dims"]) == (0, dims)
 
 
 def test_memory_error_is_a_budget_error(capsys, monkeypatch):
@@ -589,6 +595,24 @@ def test_large_group_algebras_are_validated_in_batches_of_input_columns(capsys):
     report, peak = _traced_run(capsys, "--algebra", "Cp:120", "--mode", "H", "--max-degree", "1")
     assert report["dims"] == [1]
     assert peak < 24 << 20
+
+
+@pytest.mark.parametrize("route", ["bar", "resolution"])
+def test_shh_of_ks3_at_max_degree_4_is_answered(capsys, route):
+    # SHH of kS3 with the regular bimodule at max degree 4 computes SH of
+    # ad A on 6 * 6^5 = 46,656 coordinates; with a trailing bimodule slot it
+    # needed 279,936, over the budget of 200,000, and exited 3.  Both routes
+    # agree with the nonhomogeneous realization of the bimodule, which the
+    # budget now charges m * d^(top+1) like any coefficients
+    argv = ("--algebra", "S3", "--field", "gf:5", "--mode", "SHH", "--module", "regular",
+            "--max-degree", "4", "--route", route)
+    code, report = run_json(capsys, *argv)
+    assert (code, report["dims"]) == (0, [3, 0, 0, 0])
+    code, report = run_json(capsys, *argv, "--cross-check")
+    assert code == 0
+    assert report["dims"] == [3, 0, 0, 0]
+    assert len(set(map(tuple, report["routes"].values()))) == 1
+    assert report["checks"] and all(c["pass"] for c in report["checks"])
 
 
 def test_bimodule_hom_solve_holds_no_stack_of_dense_products(capsys):

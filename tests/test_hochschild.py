@@ -1,16 +1,20 @@
+"""HH and SHH: the nonhomogeneous realization with bimodule coefficients,
+and SHH(A, M) = SH(A, ad M), the paper's theorem, through which the
+homogeneous realization and the resolution route compute SHH.  Every
+SHH value is asserted on both sides: the homogeneous realization of ad M
+and the nonhomogeneous realization of M itself."""
+
 import pytest
 
-from symcoh.bar import (equivariant_space, homogeneous_complex,
-                        nonhomogeneous_complex, sigma_homogeneous, sigma_nonhomogeneous)
+from symcoh.bar import (classical_cohomology, equivariant_space, homogeneous_complex,
+                        nonhomogeneous_complex, nonhomogeneous_symmetric_dims,
+                        sigma_homogeneous, sigma_nonhomogeneous, symmetric_cohomology)
 from symcoh.complexes import cohomology_dims, fixed_subcomplex
 from symcoh.errors import NotCommutative
 from symcoh.fields import Field
-from symcoh.hochschild import (classical_hochschild_cohomology,
-                               commutative_factorization_check,
-                               compare_adjoint,
-                               symmetric_hochschild_cohomology)
+from symcoh.hochschild import commutative_factorization_check, compare_adjoint
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
-from symcoh.modules import regular_bimodule, trivial_bimodule
+from symcoh.modules import adjoint_module, regular_bimodule, trivial_bimodule
 from symcoh.tensors import flat
 
 from oracles import (check_complex, coxeter_relations_hold, equivariant_solve,
@@ -22,6 +26,7 @@ GF3 = Field.prime(3)
 GF5 = Field.prime(5)
 QQ = Field.rationals()
 SIGMA = {"homogeneous": sigma_homogeneous, "nonhomogeneous": sigma_nonhomogeneous}
+COMPLEX = {"homogeneous": homogeneous_complex, "nonhomogeneous": nonhomogeneous_complex}
 
 
 def kC(n, field):
@@ -32,6 +37,14 @@ def kS3(field):
     return group_algebra(6, symmetric_group_table(3), field)
 
 
+def ad_regular(h):
+    return adjoint_module(h, regular_bimodule(h))
+
+
+def passed(report):
+    return all(ok for _name, ok in report.checks)
+
+
 def test_reduced_complex_property():
     for h in (kC(3, GF3), kS3(GF5)):
         c = nonhomogeneous_complex(h, regular_bimodule(h), 3)
@@ -40,25 +53,23 @@ def test_reduced_complex_property():
 
 def test_homogeneous_complex_property_and_dims():
     h = kC(3, GF3)
-    bim = regular_bimodule(h)
-    c = homogeneous_complex(h, bim, 3)
+    c = homogeneous_complex(h, ad_regular(h), 3)
     assert check_complex(c).passed
     assert [s.dim for s in c.spaces] == [3 * 3 ** n for n in range(4)]
 
 
 def test_equivariant_space_generic_agrees_with_fast_path():
-    # the tensor-identity basis with a trailing slot against the dense solve;
-    # the Fraction solve for kS3 over Q with regular coefficients takes 15 s
-    cases = [(lambda: kC(3, GF3), 3, True), (lambda: kS3(GF5), 2, True),
-             (lambda: kS3(QQ), 2, False), (scrambled_kc3, 3, True),
-             (scrambled_kc2_rational, 3, True), (lambda: sweedler_h4(GF5), 3, True)]
-    for make, top_slots, with_regular in cases:
+    # the tensor-identity basis with the adjoint module of a bimodule as
+    # coefficients against the dense solve
+    cases = [(lambda: kC(3, GF3), 2), (lambda: kS3(GF5), 1), (lambda: kS3(QQ), 1),
+             (scrambled_kc3, 2), (scrambled_kc2_rational, 2), (lambda: sweedler_h4(GF5), 2)]
+    for make, top_slots in cases:
         h = make()
-        bims = [trivial_bimodule(h)] + ([regular_bimodule(h)] if with_regular else [])
-        for bim in bims:
-            for slots in range(2, top_slots + 1):
-                fast = equivariant_space(h, bim, slots)
-                generic = equivariant_solve(h, bim, slots)
+        for bim in (trivial_bimodule(h), regular_bimodule(h)):
+            ad = adjoint_module(h, bim)
+            for slots in range(1, top_slots + 1):
+                fast = equivariant_space(h, ad, slots)
+                generic = equivariant_solve(h, ad, slots)
                 assert fast.dim == generic.dim
                 assert generic.contains(fast.basis)
                 assert (fast.coords @ fast.basis).equals_identity()
@@ -70,31 +81,32 @@ def test_hochschild_dims_kc3_gf3():
     from symcoh.modules import trivial_module
     expected = [3 * v for v in periodic_cyclic_cohomology_dims(h, trivial_module(h), 3)]
     assert expected == [3, 3, 3, 3]
-    got = classical_hochschild_cohomology(h, regular_bimodule(h), 4)
+    got = classical_cohomology(h, regular_bimodule(h), 4)
     assert got.dims == expected
 
 
 def test_hochschild_dims_kc3_rational():
     h = kC(3, QQ)
-    got = classical_hochschild_cohomology(h, regular_bimodule(h), 3)
+    got = classical_cohomology(h, regular_bimodule(h), 3)
     assert got.dims == [3, 0, 0]
 
 
 def test_hochschild_routes_agree():
-    for h, top in ((kC(3, GF3), 4), (kC(2, QQ), 3), (kC(3, QQ), 3)):
+    # HH(A, M) = H(A, ad M): the nonhomogeneous bimodule complex against the
+    # homogeneous complex of the adjoint module
+    for h, top in ((kC(3, GF3), 4), (kC(2, QQ), 3), (kC(3, QQ), 3), (kS3(GF5), 3)):
         bim = regular_bimodule(h)
-        a = classical_hochschild_cohomology(h, bim, top).dims
-        b = cohomology_dims(homogeneous_complex(h, bim, top), top - 1)
+        a = classical_cohomology(h, bim, top).dims
+        b = cohomology_dims(homogeneous_complex(h, adjoint_module(h, bim), top), top - 1)
         assert a == b
-    assert cohomology_dims(homogeneous_complex(kC(3, GF3), regular_bimodule(kC(3, GF3)), 4),
+    assert cohomology_dims(homogeneous_complex(kC(3, GF3), ad_regular(kC(3, GF3)), 4),
                            3) == [3, 3, 3, 3]
 
 
 def test_sigma_sa4_is_signed_swap_on_dual_basis():
     h = kC(3, GF3)
-    bim = regular_bimodule(h)
-    op = sigma_homogeneous(h, bim, 2)
-    # swaps slots 0, 1 of four slots; last never moves
+    op = sigma_homogeneous(h, ad_regular(h), 3)
+    # swaps slots 0, 1 of four slots; the others stay
     rows, cols, vals = op.sigmas[0].triples()
     src = flat((1, 2, 0, 2), 3) * 3
     dst = flat((2, 1, 0, 2), 3) * 3
@@ -104,14 +116,12 @@ def test_sigma_sa4_is_signed_swap_on_dual_basis():
 
 @pytest.mark.parametrize("mode", ["homogeneous", "nonhomogeneous"])
 def test_sigma_coxeter_kc3(mode):
+    # the homogeneous realization takes ad M, the nonhomogeneous one M
     h = kC(3, GF3)
-    bim = regular_bimodule(h)
-    if mode == "homogeneous":
-        cpx = homogeneous_complex(h, bim, 4)
-    else:
-        cpx = nonhomogeneous_complex(h, bim, 4)
+    coeffs = ad_regular(h) if mode == "homogeneous" else regular_bimodule(h)
+    cpx = COMPLEX[mode](h, coeffs, 4)
     for n in range(1, 5):
-        op = SIGMA[mode](h, bim, n)
+        op = SIGMA[mode](h, coeffs, n)
         ok, why = coxeter_relations_hold(op, cpx.spaces[n])
         assert ok, why
 
@@ -119,11 +129,10 @@ def test_sigma_coxeter_kc3(mode):
 def test_sigma_differential_compatibility_on_fixed_vectors():
     # d of an action-fixed cochain is again fixed (checked inside fixed_subcomplex)
     h = kC(3, GF3)
-    bim = regular_bimodule(h)
-    for mode, cpx in (
-            ("homogeneous", homogeneous_complex(h, bim, 3)),
-            ("nonhomogeneous", nonhomogeneous_complex(h, bim, 3))):
-        ops = [SIGMA[mode](h, bim, n) for n in range(4)]
+    for mode, coeffs in (("homogeneous", ad_regular(h)),
+                         ("nonhomogeneous", regular_bimodule(h))):
+        cpx = COMPLEX[mode](h, coeffs, 3)
+        ops = [SIGMA[mode](h, coeffs, n) for n in range(4)]
         fixed = fixed_subcomplex(cpx, ops)
         assert check_complex(fixed).passed
 
@@ -164,35 +173,36 @@ def test_sigma_ambient_matches_reduced_via_free_identification():
 
 
 def test_hochschild_phi_psi_inverse_and_intertwining():
+    # phi/psi between the realizations of ad A, the coefficients of SHH(A, A);
     # the non-group-like bases stop one degree lower: their Sweedler sums
     # make phi/psi at degree 3 take tens of seconds
-    for h, top in ((kC(3, GF3), 3), (kC(2, QQ), 3), (scrambled_kc3(), 2),
+    for h, top in ((kC(3, GF3), 3), (kC(2, QQ), 3), (kS3(GF5), 2), (scrambled_kc3(), 2),
                    (scrambled_kc2_rational(), 2)):
-        bim = regular_bimodule(h)
-        ck = homogeneous_complex(h, bim, top)
-        cc = nonhomogeneous_complex(h, bim, top)
+        ad = ad_regular(h)
+        ck = homogeneous_complex(h, ad, top)
+        cc = nonhomogeneous_complex(h, ad, top)
         for n in range(top):
-            phi, psi = phi_psi(h, bim, n)
+            phi, psi = phi_psi(h, ad, n)
             assert (phi @ psi).equals_identity()
             basis = ck.spaces[n].basis
             assert psi @ (phi @ basis) == basis
-            phi1, _ = phi_psi(h, bim, n + 1)
+            phi1, _ = phi_psi(h, ad, n + 1)
             assert phi1 @ (ck.diffs[n] @ basis) == cc.diffs[n] @ (phi @ basis)
-            _, psi1 = phi_psi(h, bim, n + 1)
+            _, psi1 = phi_psi(h, ad, n + 1)
             assert psi1 @ cc.diffs[n] == ck.diffs[n] @ psi
 
 
 def test_hochschild_phi_psi_restrict_to_fixed_subspaces():
     h = kC(3, GF3)
-    bim = regular_bimodule(h)
-    ck = homogeneous_complex(h, bim, 3)
-    cc = nonhomogeneous_complex(h, bim, 3)
-    ops_k = [sigma_homogeneous(h, bim, n) for n in range(4)]
-    ops_c = [sigma_nonhomogeneous(h, bim, n) for n in range(4)]
+    ad = ad_regular(h)
+    ck = homogeneous_complex(h, ad, 3)
+    cc = nonhomogeneous_complex(h, ad, 3)
+    ops_k = [sigma_homogeneous(h, ad, n) for n in range(4)]
+    ops_c = [sigma_nonhomogeneous(h, ad, n) for n in range(4)]
     fk = fixed_subcomplex(ck, ops_k)
     fc = fixed_subcomplex(cc, ops_c)
     for n in range(1, 4):
-        phi, psi = phi_psi(h, bim, n)
+        phi, psi = phi_psi(h, ad, n)
         img = phi @ fk.spaces[n].basis
         for s in ops_c[n].sigmas:
             assert s @ img == img
@@ -203,36 +213,37 @@ def test_hochschild_phi_psi_restrict_to_fixed_subspaces():
 
 def test_symmetric_hochschild_kc3_gf3():
     h = kC(3, GF3)
-    report = symmetric_hochschild_cohomology(h, regular_bimodule(h), 4)
-    assert report.dims == [3, 3, 3, 0]
+    bim = regular_bimodule(h)
+    assert symmetric_cohomology(h, bim, 4).dims == [3, 3, 3, 0]
+    assert nonhomogeneous_symmetric_dims(h, bim, 4) == [3, 3, 3, 0]
 
 
 def test_symmetric_hochschild_kc3_rational():
     h = kC(3, QQ)
-    report = symmetric_hochschild_cohomology(h, regular_bimodule(h), 3)
-    assert report.dims == [3, 0, 0]
+    bim = regular_bimodule(h)
+    assert symmetric_cohomology(h, bim, 3).dims == [3, 0, 0]
+    assert nonhomogeneous_symmetric_dims(h, bim, 3) == [3, 0, 0]
 
 
 def test_shh0_equals_hh0():
     for h in (kC(3, GF3), kS3(GF5)):
         bim = regular_bimodule(h)
-        shh = symmetric_hochschild_cohomology(h, bim, 2).dims
-        hh = classical_hochschild_cohomology(h, bim, 2).dims
-        assert shh[0] == hh[0]
+        shh = symmetric_cohomology(h, bim, 2).dims
+        hh = classical_cohomology(h, bim, 2).dims
+        assert shh[0] == hh[0] == nonhomogeneous_symmetric_dims(h, bim, 2)[0]
 
 
 def test_shh_cross_check_realizations():
     h = kC(3, GF3)
-    report = symmetric_hochschild_cohomology(h, regular_bimodule(h), 3,
-                                             cross_check=True)
-    assert report.passed
+    report = symmetric_cohomology(h, regular_bimodule(h), 3, cross_check=True)
+    assert passed(report)
     assert report.routes["homogeneous"] == report.routes["nonhomogeneous"]
 
 
 def test_compare_adjoint_kc3():
     h = kC(3, GF3)
     report = compare_adjoint(h, regular_bimodule(h), 3)
-    assert report.passed
+    assert passed(report)
     assert report.routes["SHH"] == [3, 3, 3]
     assert report.routes["SH_adjoint"] == [3, 3, 3]
 
@@ -240,14 +251,14 @@ def test_compare_adjoint_kc3():
 def test_compare_adjoint_trivial_bimodule():
     h = kC(3, GF3)
     report = compare_adjoint(h, trivial_bimodule(h), 3)
-    assert report.passed
+    assert passed(report)
     assert report.routes["SHH"] == [1, 1, 1]
 
 
 def test_commutative_factorization_kc3():
     h = kC(3, GF3)
     report = commutative_factorization_check(h, 3)
-    assert report.passed
+    assert passed(report)
     assert report.routes["SHH"] == [3, 3, 3]
     assert report.routes["SH_scaled"] == [3, 3, 3]
 
@@ -255,7 +266,7 @@ def test_commutative_factorization_kc3():
 def test_commutative_factorization_rational_c2():
     h = kC(2, QQ)
     report = commutative_factorization_check(h, 2)
-    assert report.passed
+    assert passed(report)
     assert report.routes["SHH"] == [2, 0]
 
 

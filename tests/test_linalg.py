@@ -10,7 +10,7 @@ from oracles import check_independent, gauss_jordan, list_product, stacked_kerne
 from symcoh.errors import BudgetExceeded
 from symcoh.fields import Field
 from symcoh.linalg import (Matrix, Subspace, _product_plan, intersect_kernels, inverse,
-                           kernel_basis, quotient, rank, rref, solve_membership)
+                           kernel_basis, quotient, rank, rref, solve_columns)
 from symcoh.sparse import SparseMatrix
 
 GF3 = Field.prime(3)
@@ -88,23 +88,27 @@ def test_kernel_single_equation_gf3():
     assert ker.basis.data[:, 0].tolist() in ([1, 2], [2, 1])
 
 
+def _column(field, vec):
+    return Matrix.from_rows(field, [[v] for v in vec])
+
+
 def test_solve_membership_zero_vector():
     basis = Matrix.from_rows(QQ, [[1, 0], [0, 1], [1, 1]])
     s = Subspace(3, basis)
-    assert solve_membership(s, [0, 0, 0]) == [0, 0]
+    assert solve_columns(s, _column(QQ, [0, 0, 0])).data[:, 0].tolist() == [0, 0]
 
 
 def test_solve_membership_basis_column():
     basis = Matrix.from_rows(GF5, [[1, 2], [0, 1], [3, 0]])
     s = Subspace(3, basis)
-    coords = solve_membership(s, basis.data[:, 0].tolist())
-    assert coords == [1, 0]
+    coords = solve_columns(s, _column(GF5, basis.data[:, 0].tolist()))
+    assert coords.data[:, 0].tolist() == [1, 0]
 
 
 def test_solve_membership_outside_span():
     basis = Matrix.from_rows(QQ, [[1], [0], [0]])
     s = Subspace(3, basis)
-    assert solve_membership(s, [0, 1, 0]) is None
+    assert solve_columns(s, _column(QQ, [0, 1, 0])) is None
     # oracle: adjoining the vector must raise the rank
     aug = basis.hstack(Matrix.from_rows(QQ, [[0], [1], [0]]))
     assert rank(aug) == rank(basis) + 1

@@ -12,7 +12,7 @@ from symcoh.modules import (Bimodule, LeftModule, adjoint_module, hom_equivarian
                             regular_left_module, tensor_module,
                             trivial_bimodule, trivial_module,
                             validate_bimodule, validate_left_module)
-from symcoh.resolution import hochschild_resolution, sym_resolution_complex
+from symcoh.resolution import sym_resolution_complex
 from symcoh.sparse import SparseMatrix, combination, kron
 from test_generic_hopf import scrambled_kc3
 
@@ -227,39 +227,35 @@ def _stacked_hom(h, x, m):
     constraint, all stacked into one elimination."""
     eye_m = SparseMatrix.identity(h.field, m.dim)
     eye_x = SparseMatrix.identity(h.field, x.dim)
-    mats = []
-    for i in range(h.dim):
-        mats.append(kron(x.action[i].transpose(), eye_m) - kron(eye_x, m.action[i]))
-        if m.tail:
-            mats.append(kron(x.right[i].transpose(), eye_m) - kron(eye_x, m.right[i]))
-    return stacked_kernel(h.field, [c.to_dense() for c in mats])
+    return stacked_kernel(h.field, [
+        (kron(x.action[i].transpose(), eye_m) - kron(eye_x, m.action[i])).to_dense()
+        for i in range(h.dim)])
 
 
-# (algebra, top degree of the coinvariant sources, tails); the stacked
-# Fraction solve of the kS3 bimodule cases takes 18 s, so Q stops at kC3
+# (algebra, top degree of the coinvariant sources); the targets are the
+# trivial and regular modules (SH) and the adjoint modules of the trivial
+# and regular bimodules (SHH)
 HOM_CASES = {
-    "kC3-GF3": (lambda: kC(3, GF3), 3, (0, 1)),
-    "kC3-Q": (lambda: kC(3, QQ), 2, (0, 1)),
-    "kS3-GF5": (lambda: kS3(GF5), 2, (0, 1)),
-    "kS3-Q": (lambda: kS3(QQ), 1, (0,)),
-    "scrambled-kC3-GF3": (scrambled_kc3, 2, (0, 1)),
+    "kC3-GF3": (lambda: kC(3, GF3), 3),
+    "kC3-Q": (lambda: kC(3, QQ), 2),
+    "kS3-GF5": (lambda: kS3(GF5), 2),
+    "kS3-Q": (lambda: kS3(QQ), 1),
+    "scrambled-kC3-GF3": (scrambled_kc3, 2),
 }
 
 
 @pytest.mark.parametrize("name", HOM_CASES)
 def test_hom_equivariant_equals_the_stacked_kron_kernel(name):
-    make, top, tails = HOM_CASES[name]
+    make, top = HOM_CASES[name]
     h = make()
-    for tail in tails:
-        targets = (trivial_bimodule, regular_bimodule) if tail else \
-            (trivial_module, regular_left_module)
-        sources = [s.module for s in sym_resolution_complex(h, top, check=False, tail=tail).spaces]
-        sources.append(targets[1](h))
-        for target in targets:
-            m = target(h)
-            for x in sources:
-                if x.dim:
-                    assert hom_equivariant(h, x, m).basis == _stacked_hom(h, x, m).basis
+    targets = [trivial_module(h), regular_left_module(h)] + \
+        [adjoint_module(h, b(h)) for b in (trivial_bimodule, regular_bimodule)]
+    sources = [s.module for s in sym_resolution_complex(h, top, check=False).spaces]
+    sources.append(regular_left_module(h))
+    for m in targets:
+        for x in sources:
+            if x.dim:
+                assert hom_equivariant(h, x, m).basis == _stacked_hom(h, x, m).basis
     for mod in (trivial_module(h), regular_left_module(h),
                 hom_module(h, regular_left_module(h), regular_left_module(h))):
         eye = SparseMatrix.identity(h.field, mod.dim)
@@ -270,16 +266,17 @@ def test_hom_equivariant_equals_the_stacked_kron_kernel(name):
 
 
 def test_bimodule_hom_solve_peak_memory():
-    # Hom of bimodules out of the coinvariants of kS3 through degree 3 into
-    # the regular bimodule: the stacked kron constraints peaked at 143 MiB
+    # the Hom solve of SHH with the regular bimodule of kS3 through degree 3,
+    # Hom_A(S_n, ad A): as many maps as the bimodule maps out of S_n tensor
+    # A, whose stacked kron constraints peaked at 143 MiB
     h = kS3(GF5)
-    reg = regular_bimodule(h)
-    spaces = hochschild_resolution(h, 3, check=False).spaces
+    ad = adjoint_module(h, regular_bimodule(h))
+    spaces = sym_resolution_complex(h, 3, check=False).spaces
     tracemalloc.start()
     try:
-        dims = [hom_equivariant(h, s.module, reg).dim for s in spaces]
+        dims = [hom_equivariant(h, s.module, ad).dim for s in spaces]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert dims == [6, 12, 22, 18]
-    assert peak < 48 << 20
+    assert peak < 4 << 20

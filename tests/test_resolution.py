@@ -4,23 +4,19 @@ from math import comb
 
 import pytest
 
-from symcoh.bar import symmetric_cohomology
+from symcoh.bar import nonhomogeneous_symmetric_dims, symmetric_cohomology
 from symcoh.errors import CharacteristicDivides, InvalidPrime
 from symcoh.fields import Field
-from symcoh.hochschild import symmetric_hochschild_cohomology
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import rank
 from symcoh.sparse import SparseMatrix, kron
-from symcoh.modules import LeftModule, invariants, regular_bimodule, trivial_module
+from symcoh.modules import (LeftModule, adjoint_module, hom_equivariant, invariants,
+                            regular_bimodule, trivial_module, validate_module)
 from symcoh.resolution import (coinvariant_space, contracting_homotopy_check,
-                               cp_rank_table,
-                               hochschild_resolution, sh_via_resolution,
-                               shh_via_resolution, splitting_maps,
+                               cp_rank_table, sh_via_resolution, splitting_maps,
                                sym_resolution_complex)
 
-from oracles import (coinvariant_quotient, cp_orbit_walk, diagonal_action,
-                     right_multiplication, vstack)
-from symcoh.tensors import bar_chain_diff, flat
+from oracles import coinvariant_quotient, cp_orbit_walk, diagonal_action, vstack
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
@@ -75,19 +71,11 @@ def test_coinvariants_ks3_dim_is_binomial():
     assert coinvariant_space(h, 2).dim == comb(6, 3) == 20
 
 
-def _space(h, n, tail):
-    """The degree-n space of the plain resolution, or with tail 1 of the
-    bimodule resolution."""
-    if not tail:
-        return coinvariant_space(h, n)
-    return hochschild_resolution(h, n).spaces[n]
-
-
-def _assert_matches_quotient_oracle(h, n, tail):
+def _assert_matches_quotient_oracle(h, n):
     """The sorted-tuple space has the dimension and the kernel of the
     elimination quotient; returns it with the oracle's (projection, section)."""
-    fast = _space(h, n, tail)
-    proj, sect = coinvariant_quotient(h, n, tail)
+    fast = coinvariant_space(h, n)
+    proj, sect = coinvariant_quotient(h, n)
     assert fast.dim == proj.rows
     if not fast.dim:  # a vanishing degree has 0 x 0 projection and section
         assert fast.ambient_dim == 0
@@ -97,12 +85,25 @@ def _assert_matches_quotient_oracle(h, n, tail):
     return fast, proj, sect
 
 
-def _same_invariants(h, fast, proj, sect):
-    """The induced actions are conjugate, so their invariants agree."""
-    generic = LeftModule(proj.rows, [
+def _oracle_module(h, fast, proj, sect):
+    """The diagonal action induced on the oracle's quotient."""
+    return LeftModule(proj.rows, [
         SparseMatrix.from_dense(proj @ diagonal_action(h, g, fast.slots).to_dense() @ sect)
         for g in range(h.dim)])
-    return invariants(h, fast.module).dim == invariants(h, generic).dim
+
+
+def _same_invariants(h, fast, proj, sect):
+    """The induced actions are conjugate, so their invariants agree."""
+    return invariants(h, fast.module).dim == \
+        invariants(h, _oracle_module(h, fast, proj, sect)).dim
+
+
+def _same_hom_into_adjoint(h, fast, proj, sect):
+    """The induced actions are conjugate, so their Hom spaces into ad A,
+    the Hom solve of SHH with the regular bimodule, agree."""
+    ad = adjoint_module(h, regular_bimodule(h))
+    return hom_equivariant(h, fast.module, ad).dim == \
+        hom_equivariant(h, _oracle_module(h, fast, proj, sect), ad).dim
 
 
 @pytest.mark.parametrize("make,field,n_max", [
@@ -116,20 +117,22 @@ def _same_invariants(h, fast, proj, sect):
 def test_generic_quotient_agrees_with_fast_path(make, field, n_max):
     h = make(field)
     for n in range(n_max + 1):
-        assert _same_invariants(h, *_assert_matches_quotient_oracle(h, n, 0))
+        assert _same_invariants(h, *_assert_matches_quotient_oracle(h, n))
 
 
 @pytest.mark.parametrize("order,table", [(2, cyclic_group_table(2)),
                                          (3, cyclic_group_table(3)),
                                          (6, symmetric_group_table(3))])
-@pytest.mark.parametrize("tail", [0, 1])
-def test_char2_coinvariants_match_quotient_oracle(order, table, tail):
+@pytest.mark.parametrize("adjoint", [0, 1])
+def test_char2_coinvariants_match_quotient_oracle(order, table, adjoint):
+    # the induced actions compared by their invariants (adjoint 0) or by
+    # their Hom spaces into ad A (adjoint 1)
     h = group_algebra(order, table, Field.prime(2))
+    same = _same_hom_into_adjoint if adjoint else _same_invariants
     for n in range(3):
-        oracle = _assert_matches_quotient_oracle(h, n, tail)
-        assert oracle[0].dim == comb(order + n, n + 1) * order ** tail
-        if not tail:
-            assert _same_invariants(h, *oracle)
+        oracle = _assert_matches_quotient_oracle(h, n)
+        assert oracle[0].dim == comb(order + n, n + 1)
+        assert same(h, *oracle)
 
 
 def test_char2_coinvariants_are_symmetric_powers():
@@ -185,7 +188,7 @@ def test_contracting_homotopy_reuses_a_built_resolution():
     report = contracting_homotopy_check(h, 3, res=res)
     assert report == contracting_homotopy_check(h, 3)
     assert report.passed
-    for wrong in (sym_resolution_complex(h, 2), hochschild_resolution(h, 3),
+    for wrong in (sym_resolution_complex(h, 2), sym_resolution_complex(h, 4),
                   sym_resolution_complex(kC(3, GF5), 3)):
         with pytest.raises(ValueError):
             contracting_homotopy_check(h, 3, res=wrong)
@@ -224,7 +227,7 @@ def test_hom_differentials_are_the_sparse_precomposition(monkeypatch):
     for h in (kC(3, GF3), kC(3, QQ), kS3(GF5)):
         for mod in (trivial_module(h), regular_left_module(h), regular_bimodule(h)):
             sh_via_resolution(h, mod, top)
-            res = sym_resolution_complex(h, top, check=False, tail=mod.tail)
+            res = sym_resolution_complex(h, top, check=False)
             eye = SparseMatrix.identity(h.field, mod.dim)
             for n in range(top):
                 want = kron(res.boundaries[n + 1].transpose(), eye)
@@ -278,66 +281,18 @@ def test_homspace_dims_equal_fixed_subspace_dims():
         assert hom_dim == fixed.spaces[n].dim
 
 
-# -- the bimodule resolution --------------------------------------------------
-
-
-def test_bimodule_coinvariants_kc3_dims():
-    h = kC(3, GF3)
-    res = hochschild_resolution(h, 2)
-    assert res.dims() == [9, 9, 3]
-    assert [s.ambient_dim for s in res.spaces] == [9, 27, 81]
-
-
-def test_bimodule_resolution_exactness():
-    for h, top in [(kC(3, GF3), 3), (kC(5, GF5), 5), (kS3(GF5), 4)]:
-        res = hochschild_resolution(h, top)
-        for name, ok in res.exactness_report():
-            assert ok, name
-
-
-def test_bimodule_coinvariants_generic_agrees():
-    # S_n tensor A against the quotient of A^(tensor n+2) by elimination:
-    # the same kernel, and the oracle's diagonal action, right
-    # multiplication in the last slot and tail-1 chain map, each carried to
-    # the oracle's basis, are the derived bimodule's matrices
-    cases = [(kC(3, GF3), 2), (kS3(GF5), 1), (kC(2, Field.prime(2)), 2),
-             (scrambled_kc3(), 2), (scrambled_kc2_rational(), 2)]
-    for h, top in cases:
-        res = hochschild_resolution(h, top)
-        projs, changes = [], []
-        for n, fast in enumerate(res.spaces):
-            proj = coinvariant_quotient(h, n, 1)[0]
-            section = fast.section.to_dense()
-            assert fast.dim == proj.rows
-            if not fast.dim:  # 0 x 0 projection and section from here on
-                assert fast.ambient_dim == 0
-                break
-            assert rank(vstack(h.field, [fast.projection.to_dense(), proj])) == fast.dim
-            assert (fast.projection @ fast.section).equals_identity()
-            assert fast.section.triples()[0].tolist() == \
-                [flat(lab, h.dim) for lab in fast.basis_labels]
-            # the oracle basis of each derived basis vector
-            change = proj @ section
-            for g in range(h.dim):
-                left = diagonal_action(h, g, n + 2).to_dense()
-                right = right_multiplication(h, g, n + 2).to_dense()
-                assert proj @ left @ section == change @ fast.module.left[g].to_dense()
-                assert proj @ right @ section == change @ fast.module.right[g].to_dense()
-            chain = bar_chain_diff(h, n, 1).to_dense()
-            if n:
-                assert projs[-1] @ chain @ section == changes[-1] @ res.boundaries[n].to_dense()
-            else:
-                assert chain @ section == res.augmentation.to_dense()
-            projs.append(proj)
-            changes.append(change)
+# -- SHH on the resolution route ----------------------------------------------
 
 
 def test_shh_via_resolution_matches_fixed_subcomplex():
-    h = kC(3, GF3)
-    bim = regular_bimodule(h)
-    res_dims = shh_via_resolution(h, bim, 3).dims
-    bar_dims = symmetric_hochschild_cohomology(h, bim, 3).dims
-    assert res_dims == bar_dims == [3, 3, 3]
+    # SH(A, ad M) out of the resolution of k against the fixed subcomplex of
+    # the nonhomogeneous realization of the bimodule M itself
+    for h, top, dims in ((kC(3, GF3), 3, [3, 3, 3]), (kS3(GF5), 3, [3, 0, 0]),
+                         (scrambled_kc3(), 3, [3, 3, 3])):
+        bim = regular_bimodule(h)
+        res_dims = sh_via_resolution(h, bim, top).dims
+        bar_dims = nonhomogeneous_symmetric_dims(h, bim, top)
+        assert res_dims == bar_dims == dims
 
 
 # -- splitting maps -----------------------------------------------------------
@@ -374,8 +329,9 @@ def test_resolution_self_checks_and_splitting_form_no_dense_product(monkeypatch)
         monkeypatch.setattr(linalg, name,
                             lambda *args, real=real: calls.append(args) or real(*args))
     for field in (GF5, QQ):
-        res = sym_resolution_complex(kS3(field), 3, tail=1)
-        assert res.dims() == [36, 90, 120, 90]
+        h = kS3(field)
+        assert sym_resolution_complex(h, 3).dims() == [6, 15, 20, 15]
+        validate_module(h, adjoint_module(h, regular_bimodule(h)))
     for n in (1, 2, 3):
         report = splitting_maps(kS3(GF5), n)
         assert report.retract_ok and report.equivariant_ok

@@ -3,14 +3,15 @@
 `coinvariant_space(check=True)` and `sym_resolution_complex(check=True)`
 verify that the projection splits the section, that the induced module is
 a module, and that the diagonal action and the boundary descend to the
-quotient.  The bimodule resolution (tail 1) is the plain one tensored
-with A, so it must stop at a corrupted plain space or boundary too, and
-its own check, that S_n tensor A is a bimodule, must catch a corrupted
-right or left action.  Each case here corrupts one entry of one of those
-inputs and expects the check to raise, on kC3 in its group basis ("fast":
-the diagonal action is a permutation) and in a basis with no group-like
-elements ("generic": the diagonal action is a dense contraction), over
-GF(5) and Q.
+quotient.  SHH on the resolution route (`sh_via_resolution` with a
+bimodule) reads the same resolution through ad M, so it must stop at a
+corrupted space or boundary too, and at a corrupted right action of the
+bimodule, which it validates before it builds ad M.  The splitting check
+must see a corrupted action on A tensor S_(n-1).  Each case here corrupts
+one entry of one of those inputs and expects the check to fail, on kC3 in
+its group basis ("fast": the diagonal action is a permutation) and in a
+basis with no group-like elements ("generic": the diagonal action is a
+dense contraction), over GF(5) and Q.
 """
 
 import numpy as np
@@ -20,8 +21,9 @@ from symcoh import resolution
 from symcoh.errors import InvalidBimodule
 from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra
-from symcoh.modules import Bimodule
-from symcoh.resolution import coinvariant_space, sym_resolution_complex
+from symcoh.modules import Bimodule, regular_bimodule
+from symcoh.resolution import (coinvariant_space, sh_via_resolution, splitting_maps,
+                               sym_resolution_complex)
 from symcoh.sparse import SparseMatrix, field_array
 
 from test_generic_hopf import scrambled_kc3
@@ -88,8 +90,8 @@ def _corrupt_chain(monkeypatch, degree, d):
     original = getattr(resolution, CHAIN_MAP)
     tup = tuple(range(degree + 1))
 
-    def chain(h, n, t):
-        op = original(h, n, t)
+    def chain(h, n):
+        op = original(h, n)
         if n != degree:
             return op
         return _bump_entry(h.field, op, _flat(tup[1:], d), _flat(tup, d))
@@ -97,79 +99,84 @@ def _corrupt_chain(monkeypatch, degree, d):
     monkeypatch.setattr(resolution, CHAIN_MAP, chain)
 
 
-def _corrupt_regular(monkeypatch, side):
-    """Change one entry of the right action of b_1, or of the left action of
-    b_1 on the derived bimodule, as the bimodule resolution reads them."""
-    original_regular = resolution.regular_bimodule
-    original_tensor = resolution.tensor_module
+def _bumped_second(mats, at=0):
+    """The action matrices with the diagonal entry `at` of the matrix of
+    b_1 changed."""
+    first = mats[1].to_dense()
+    first.data[at, at] = _bumped(first.field, first.data[at, at])
+    return mats[:1] + [SparseMatrix.from_dense(first)] + mats[2:]
 
-    def bumped(mats):
-        first = mats[1].to_dense()
-        first.data[0, 0] = _bumped(first.field, first.data[0, 0])
-        return mats[:1] + [SparseMatrix.from_dense(first)] + mats[2:]
 
-    if side == "right":
-        def regular(h):
-            reg = original_regular(h)
-            return Bimodule(reg.dim, reg.left, bumped(reg.right))
-        monkeypatch.setattr(resolution, "regular_bimodule", regular)
+def _build(h, bimodule):
+    """The checked resolution through degree 2, as SH builds it, or as SHH
+    with the regular bimodule builds it on its way to Hom_A(S_n, ad A)."""
+    if bimodule:
+        sh_via_resolution(h, regular_bimodule(h), 2)
     else:
-        def tensor(h, l, m):
-            out = original_tensor(h, l, m)
-            return type(out)(out.dim, bumped(out.action)) if out.dim else out
-        monkeypatch.setattr(resolution, "tensor_module", tensor)
+        sym_resolution_complex(h, 2, check=True)
 
 
 # kC3 in its group basis, and in a basis with no group-like elements
 BASES = [pytest.param(kc3, id="fast"), pytest.param(scrambled_kc3, id="generic")]
-TAILS = [pytest.param(0, id="tail0"), pytest.param(1, id="tail1")]
+# left-module (SH) or bimodule (SHH) coefficients
+COEFFICIENTS = [pytest.param(False, id="tail0"), pytest.param(True, id="tail1")]
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 @pytest.mark.parametrize("make", BASES)
-@pytest.mark.parametrize("tail", TAILS)
-def test_uncorrupted_checks_pass(field_name, make, tail):
+@pytest.mark.parametrize("bimodule", COEFFICIENTS)
+def test_uncorrupted_checks_pass(field_name, make, bimodule):
     h = make(FIELDS[field_name])
     coinvariant_space(h, 1, check=True)
-    sym_resolution_complex(h, 2, check=True, tail=tail)
+    _build(h, bimodule)
 
 
 @pytest.mark.parametrize("what", ["projection", "section"])
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 @pytest.mark.parametrize("make", BASES)
-@pytest.mark.parametrize("tail", TAILS)
-def test_corrupted_quotient_is_caught(monkeypatch, what, field_name, make, tail):
+@pytest.mark.parametrize("bimodule", COEFFICIENTS)
+def test_corrupted_quotient_is_caught(monkeypatch, what, field_name, make, bimodule):
     h = make(FIELDS[field_name])
     _corrupt_space(monkeypatch, 1, what)
     with pytest.raises(AssertionError):
         coinvariant_space(h, 1, check=True)
     with pytest.raises(AssertionError):
-        sym_resolution_complex(h, 2, check=True, tail=tail)
+        _build(h, bimodule)
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 @pytest.mark.parametrize("make", BASES)
-@pytest.mark.parametrize("tail", TAILS)
-def test_corrupted_chain_map_is_caught(monkeypatch, field_name, make, tail):
+@pytest.mark.parametrize("bimodule", COEFFICIENTS)
+def test_corrupted_chain_map_is_caught(monkeypatch, field_name, make, bimodule):
     h = make(FIELDS[field_name])
     _corrupt_chain(monkeypatch, 2, h.dim)
     with pytest.raises(AssertionError):
-        sym_resolution_complex(h, 2, check=True, tail=tail)
+        _build(h, bimodule)
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 @pytest.mark.parametrize("make", BASES)
-def test_corrupted_right_action_is_caught(monkeypatch, field_name, make):
+def test_corrupted_right_action_is_caught(field_name, make):
     h = make(FIELDS[field_name])
-    _corrupt_regular(monkeypatch, "right")
+    reg = regular_bimodule(h)
     with pytest.raises(InvalidBimodule):
-        sym_resolution_complex(h, 1, check=True, tail=1)
+        sh_via_resolution(h, Bimodule(reg.dim, reg.left, _bumped_second(reg.right)), 1)
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 @pytest.mark.parametrize("make", BASES)
 def test_corrupted_tensor_module_is_caught(monkeypatch, field_name, make):
+    # the splitting maps of S_1 must commute with the action on A tensor S_0;
+    # the corrupted entry sits on a row that phi reaches
     h = make(FIELDS[field_name])
-    _corrupt_regular(monkeypatch, "left")
-    with pytest.raises(InvalidBimodule):
-        sym_resolution_complex(h, 1, check=True, tail=1)
+    report = splitting_maps(h, 1)
+    assert report.equivariant_ok
+    row = int(report.phi.row_idx[0])
+    original = resolution.tensor_module
+
+    def tensor(h, l, m):
+        out = original(h, l, m)
+        return type(out)(out.dim, _bumped_second(out.action, row))
+
+    monkeypatch.setattr(resolution, "tensor_module", tensor)
+    assert not splitting_maps(h, 1).equivariant_ok

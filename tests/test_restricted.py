@@ -44,5 +44,5 @@ def test_symmetric_cohomology_routes_and_realizations_agree(p, module):
     # dense elimination; degree 2 keeps the test under a second
     top = 3 if module is trivial_module else 2
     rep = symmetric_cohomology(u, mod, top, cross_check=True)
-    assert rep.passed, rep.routes
+    assert rep.checks == [("realizations_agree", True)], rep.routes
     assert sh_via_resolution(u, mod, top).dims == rep.dims

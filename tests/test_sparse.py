@@ -15,7 +15,7 @@ from symcoh.errors import BudgetExceeded
 from symcoh.fields import Field
 from symcoh.hopf import group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
-from symcoh.modules import regular_bimodule, regular_left_module
+from symcoh.modules import adjoint_module, regular_bimodule, regular_left_module
 from symcoh.sparse import SparseMatrix, _column_batches, canonical, pointers
 from symcoh.tensors import bar_chain_diff, cochain_precompose, cochain_swap_sigma
 
@@ -232,15 +232,16 @@ def _keys_seen(monkeypatch):
 @pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=str)
 def test_builders_emit_triples_in_canonical_order(field, monkeypatch):
     h = group_algebra(6, symmetric_group_table(3), field)
-    chain = bar_chain_diff(h, 2, 1)
+    chain = bar_chain_diff(h, 3)
     seen = _keys_seen(monkeypatch)
-    built = [bar_chain_diff(h, 2, 1), cochain_precompose(chain, 3),
+    built = [bar_chain_diff(h, 3), cochain_precompose(chain, 3),
              cochain_swap_sigma(field, 3, 4, 2, 2)]
     # precompose sorts the transpose of the chain map, m times smaller
     assert seen == [True, False, True, True]
+    coefficients = ((regular_left_module(h), 2), (adjoint_module(h, regular_bimodule(h)), 3))
     del seen[:]
-    for mod in (regular_left_module(h), regular_bimodule(h)):
-        space = equivariant_space(h, mod, 2 + mod.tail)
+    for mod, slots in coefficients:
+        space = equivariant_space(h, mod, slots)
         built += [space.basis, space.coords]
     assert all(seen)
     assert all(m.nnz() for m in built)
