@@ -2,10 +2,12 @@
 
 Each case runs `symcoh.cli.main` in-process and compares its stdout and
 exit code with `tests/golden/<case>.json` and `tests/golden/exit_codes.json`.
-Besides the builtin group algebras, the cases read two algebras with no
-group-like basis from `tests/golden/algebras/`, frozen from
-`test_generic_hopf`: scrambled kC3 over GF(3) (`sC3-gf3`) and scrambled
-kC2 over Q (`sC2-q`).  Their diagonal actions are dense Sweedler
+Besides the builtin group algebras, the cases read three algebras with
+no group-like basis from `tests/golden/algebras/`: scrambled kC3 over
+GF(3) (`sC3-gf3`) and scrambled kC2 over Q (`sC2-q`), frozen from
+`test_generic_hopf`, and k[x]/(x^5) over GF(5) with x primitive
+(`u1-gf5`, from `tests/restricted.py`), the first that is not a group
+algebra in another basis.  Their diagonal actions are Sweedler
 contractions rather than permutations, in the equivariant bases and in
 the induced actions on the coinvariants.
 To regenerate the files after a deliberate output change, run
@@ -24,7 +26,7 @@ import pytest
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 ALGEBRAS = {"Cp:3": 3, "S3": 2}  # builtin algebra -> max degree
 FIELDS = ("gf:3", "gf:5", "q")
-FROZEN = {"sC3-gf3": 3, "sC2-q": 3}  # algebra file stem -> max degree
+FROZEN = {"sC3-gf3": 3, "sC2-q": 3, "u1-gf5": 3}  # algebra file stem -> max degree
 # cp-table on larger cyclic groups in their own characteristic, at max degree 5
 CP_TABLES = ("5", "7")
 
