@@ -27,13 +27,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
-                        CochainSpace, cohomology_dims, fixed_subcomplex,
-                        restrict_operator)
+from .complexes import (ActionOperator, CochainComplex, CochainSpace, cohomology_dims,
+                        fixed_subcomplex, restrict_operator)
 from .errors import BudgetExceeded, NotCocommutative
 from .hopf import HopfAlgebra, iterated_comult
 from .modules import Bimodule, LeftModule, adjoint_module, validate_module
-from .sparse import SparseMatrix, combination, field_array, kron_triples
+from .sparse import SparseMatrix, combination, field_array, kron_triples, require_terms
 from .tensors import (all_columns, all_tuples, bar_chain_diff, cochain_precompose,
                       cochain_swap_sigma, diagonal_columns, flat)
 
@@ -113,8 +112,8 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     and the coords are its inverse F -> F(1 tensor -).  This holds for any
     Hopf algebra; the order of the legs matters only when A is not
     cocommutative.  The action of S(a_(2)) on the n inner slots is
-    `diagonal_columns`: a permutation for a group algebra, a dense
-    contraction otherwise.
+    `diagonal_columns`: a permutation for a group algebra, the sparse
+    action of the tensor power of the regular module otherwise.
     """
     d = h.dim
     m = mod.dim
@@ -128,15 +127,13 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     # D_u[y, x] for every x, sorted by y: the inner argument x of psi(f) meets f at y
     actions = {}
     acting = sorted({u for (u, _a), _t in blocks})
+    entries = 0  # of the grids below, charged as each action arrives
     for u, columns in zip(acting, diagonal_columns(h, acting, n)):
         y, x, dv = columns(inner)
+        entries += len(y) * sum(len(t[0]) for (v, _a), t in blocks if v == u)
+        require_terms(entries, f"the equivariant basis on {slots} slots")
         order = np.argsort(y)
         actions[u] = (y[order], x[order], None if dv is None else dv[order])
-    entries = sum(len(t[0]) * len(actions[u][0]) for (u, _a), t in blocks)
-    if entries > DENSE_RANK_CELLS:
-        raise BudgetExceeded(
-            f"equivariant basis on {slots} slots needs {entries} entries, "
-            f"over the limit of {DENSE_RANK_CELLS}")
     # one grid per block: an action entry per row, a block entry per column
     grids = []
     for (u, a), (r, j, v) in blocks:

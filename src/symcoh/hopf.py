@@ -9,9 +9,9 @@ lets the cochain builders replace Sweedler sums by single terms.
 The structure maps are also built once per algebra as sparse matrices
 (`_structure_maps`): `validate_hopf` checks each axiom as one equality of
 their composites, applied slot by slot to batches of input basis tuples,
-`modules` checks the module axioms against them and slices the regular
-actions out of m, and the diagonal action reads m as a dense array
-(`multiplication_array`).
+and `modules` checks the module axioms against them and slices the
+regular actions out of m, from which the diagonal action on tensor powers
+is built.
 """
 
 from __future__ import annotations
@@ -224,12 +224,6 @@ def _structure_maps(h: HopfAlgebra) -> StructureMaps:
             swap=from_entries(d * d, d * d, [(j * d + i, i * d + j, 1)
                                              for i in range(d) for j in range(d)]))
     return h._maps
-
-
-def multiplication_array(h: HopfAlgebra):
-    """The structure constants of m as a dense dim x dim x dim array of
-    field scalars: entry [k, i, j] is the coefficient of b_k in b_i b_j."""
-    return _structure_maps(h).mult.to_dense().data.reshape((h.dim,) * 3)
 
 
 def _apply(h: HopfAlgebra, composite, x: SparseMatrix) -> SparseMatrix:

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InvalidBimodule, InvalidModule
 from .hopf import HopfAlgebra, _structure_maps
 from .linalg import Subspace, intersect_kernels
-from .sparse import SparseMatrix, combination, kron
+from .sparse import SparseMatrix, apply_in_slot, combination, kron, require_terms
 
 
 class LeftModule:
@@ -195,13 +195,34 @@ def invariants(h: HopfAlgebra, mod: LeftModule) -> Subspace:
         for a, e in zip(mod.action, h.counit)])
 
 
+def tensor_actions(h: HopfAlgebra, l: LeftModule, m: LeftModule, elements) -> list:
+    """The actions of the basis elements `elements` on L tensor M,
+    a . (l tensor m) = a1 l tensor a2 m: per distinct first Sweedler leg
+    b_j, rho^L_j tensor B_j with B_j = sum over k of c_jk rho^M_k.
+
+    With the B_j stacked as C = sum over j of e_j tensor B_j, the action is
+    one sparse product: the action map of L, column c * d + j holding
+    column c of rho^L_j, applied in the leading slot of 1_L tensor C
+    (`sparse.apply_in_slot`, in bounded batches).  Its kron terms
+    nnz(rho^L_j) nnz(B_j), over every element, are charged first.
+    """
+    fld, d = h.field, h.dim
+    unit = [SparseMatrix(fld, d, 1, ([j], [0], None)) for j in range(d)]
+    stacks = [combination(fld, d * m.dim, m.dim, [(c, kron(unit[j], m.action[k]))
+                                                  for (j, k), c in h.comult[i].items()])
+              for i in elements]
+    nnz = np.array([a.nnz() for a in l.action])
+    require_terms(sum(int(nnz @ np.bincount(s.row_idx // m.dim, minlength=d)) for s in stacks),
+                  f"the diagonal action on a {l.dim} x {m.dim} tensor product")
+    rho = SparseMatrix(fld, l.dim, d * l.dim, [np.concatenate(p) for p in zip(*(
+        (a.row_idx, a.col_idx * d + j, a.vals) for j, a in enumerate(l.action)))])
+    eye = SparseMatrix.identity(fld, l.dim)
+    return [apply_in_slot(rho, kron(eye, s), 1, m.dim) for s in stacks]
+
+
 def tensor_module(h: HopfAlgebra, l: LeftModule, m: LeftModule) -> LeftModule:
-    """L tensor M with the diagonal action a . (l tensor m) = a1 l tensor a2 m."""
-    dim = l.dim * m.dim
-    return LeftModule(dim, [
-        combination(h.field, dim, dim, [(c, kron(l.action[j], m.action[k]))
-                                        for (j, k), c in h.comult[i].items()])
-        for i in range(h.dim)])
+    """L tensor M with the diagonal action (see tensor_actions)."""
+    return LeftModule(l.dim * m.dim, tensor_actions(h, l, m, range(h.dim)))
 
 
 def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Subspace:

@@ -9,8 +9,9 @@ permutations only move tensor slots: Lambda^(n+1) A away from
 characteristic 2 (repeated-entry tensors die and every tuple equals its
 sorted form up to the permutation sign), Sym^(n+1) A in characteristic 2
 (every tuple equals its sorted form).  The induced actions go through
-`tensors.diagonal_columns`.  A space is built only when its ambient
-A^(tensor n+1) has at most DENSE_RANK_CELLS coordinates.
+`tensors.diagonal_columns`, one ambient-sized action held at a time.  A
+space is built only when its ambient A^(tensor n+1) has at most
+DENSE_RANK_CELLS coordinates.
 
 Every induced map stays sparse: the module actions, the boundaries, the
 augmentation, the contracting homotopy and the splitting maps are
@@ -133,22 +134,25 @@ def _induced(fld, rows, section, columns, project=None) -> SparseMatrix:
 
 def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True) -> CoinvariantSpace:
     """The degree-n coinvariant space of A^(tensor n+1), on the sorted-tuple
-    basis (Lambda^(n+1) A, or Sym^(n+1) A in characteristic 2)."""
+    basis (Lambda^(n+1) A, or Sym^(n+1) A in characteristic 2).  Each
+    diagonal action is induced, checked to descend and dropped in turn."""
     d = h.dim
     fld = h.field
     _require_ambient(h, n)
     projection, section, labels = _sorted_tuple_coinvariants(fld, d, n + 1)
     dim = projection.rows
-    ops = list(diagonal_columns(h, range(d), n + 1)) if dim else []
     project = projection.column_map()
-    action = [_induced(fld, dim, section, op, project) for op in ops] or \
-        [SparseMatrix(fld, 0, 0)] * d
-    space = CoinvariantSpace(n, projection, section, labels, LeftModule(dim, action))
+    action = []
+    for op in diagonal_columns(h, range(d), n + 1) if dim else ():
+        action.append(_induced(fld, dim, section, op, project))
+        if check:
+            _check_descends(h, n + 1, projection, op, "induced action is not well-defined")
+    space = CoinvariantSpace(n, projection, section, labels,
+                             LeftModule(dim, action or [SparseMatrix(fld, 0, 0)] * d))
     if check:
         if not (space.projection @ space.section).equals_identity():
             raise AssertionError("projection . section != id")
         validate_module(h, space.module)
-        _check_descends(h, space, space.projection, ops, "induced action is not well-defined")
     return space
 
 
@@ -174,19 +178,14 @@ def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
     return True
 
 
-def _check_descends(h, space, projection, ops, message):
-    """Every op (a column map on the ambient space of `space`) followed by
-    `projection` must kill the relations of `space`."""
-    if space.dim == 0:
-        return
+def _check_descends(h, slots, projection, op, message):
+    """op (a column map on A^(tensor slots)) followed by `projection` must
+    kill the relations of the coinvariants on those slots."""
     fld = h.field
-    project = projection.column_map()
-    everything = all_columns(space.ambient_dim)
-    for op in ops:
-        triples = canonical(fld, *apply_columns(fld, project,
-                                                apply_columns(fld, op, everything)))
-        if not _descends_to_quotient(fld, h.dim, space.slots, space.degree + 1, triples):
-            raise AssertionError(message)
+    triples = canonical(fld, *apply_columns(fld, projection.column_map(),
+                                            apply_columns(fld, op, all_columns(h.dim ** slots))))
+    if not _descends_to_quotient(fld, h.dim, slots, slots, triples):
+        raise AssertionError(message)
 
 
 # -- the resolution of k --------------------------------------------------------
@@ -236,8 +235,7 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True) -> Reso
         chain = bar_chain_columns(h, n)  # A^(n+1) -> A^n
         below = spaces[n - 1].projection
         if check:
-            _check_descends(h, spaces[n], below, [chain],
-                            "induced boundary is not well-defined")
+            _check_descends(h, n + 1, below, chain, "induced boundary is not well-defined")
         boundaries.append(_induced(fld, below.rows, spaces[n].section, chain,
                                    below.column_map()))
     # the augmentation deletes slot 0 by the counit

@@ -36,11 +36,12 @@ The map reads a pointer array, ptr[j]:ptr[j+1] being the entries of
 column j, built once per operator and sized by its last stored column,
 not by its shape: a lookup is an index, and a column past the last
 stored one is empty.  Composing is applying one operator's column map to
-the other's triples and summing with `canonical`.  `@` does that in
-batches of whole columns of the right operand, each holding at most
-max(nnz(self), nnz(other)) unsummed terms (a single column may exceed
-it), and sums each batch before the next one is expanded; a product
-within the bound is one batch.
+the other's triples and summing with `canonical`.  `@` and
+`apply_in_slot` do that in batches of whole columns of the right operand,
+each of at most max(nnz(self), nnz(other)) unsummed terms (which only a
+column of `apply_in_slot` can pass), summed before the next is expanded.
+`require_terms` charges terms known before they are formed, three int64
+cells each (row, column, value), against DENSE_RANK_CELLS.
 
 The read-only `cols_data` property rebuilds one {row: value} dict per
 column on demand.  It exists only for the benchmark's tracer
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .fields import Field
-from .linalg import Matrix
+from .linalg import DENSE_RANK_CELLS, Matrix
 
 
 class SparseMatrix:
@@ -120,21 +121,11 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in sparse matmul")
         fld = self.field
-        shape = (self.rows, other.cols)
         columns = self.column_map()
         r, c, v = other.triples()
-        ptr = self._pointers()
-        bound = max(self.nnz(), other.nnz())
-        if len(r) * int(np.diff(ptr).max()) > bound:
-            # terms of each entry of other: the length of the column of self it meets
-            at = np.minimum(r, len(ptr) - 2)
-            ends = np.cumsum(ptr[at + 1] - ptr[at])
-            if ends[-1] > bound:
-                parts = [canonical(fld, *apply_columns(fld, columns, (r[lo:hi], c[lo:hi],
-                                                                       v[lo:hi])), shape=shape)
-                         for lo, hi in _column_batches(c, ends, bound)]
-                return SparseMatrix(fld, *shape, [np.concatenate(p) for p in zip(*parts)])
-        return SparseMatrix(fld, *shape, apply_columns(fld, columns, (r, c, v)))
+        return _expand(fld, (self.rows, other.cols), self._pointers(), r, c,
+                       max(self.nnz(), other.nnz()),
+                       lambda lo, hi: apply_columns(fld, columns, (r[lo:hi], c[lo:hi], v[lo:hi])))
 
     def dense_product(self, k: Matrix) -> Matrix:
         """self @ k for a dense k, as a dense Matrix.
@@ -206,15 +197,29 @@ def combination(field: Field, rows: int, cols: int, terms) -> SparseMatrix:
 def apply_in_slot(x: SparseMatrix, y: SparseMatrix, before: int, after: int) -> SparseMatrix:
     """kron(kron(identity(before), x), identity(after)) @ y, without forming
     the Kronecker product: x's column map is applied to the middle digit of
-    each row of y, and the digits before and after it are kept."""
+    each row of y, and the digits before and after it are kept; batched as `@` is."""
     fld = y.field
     r, c, v = y.triples()
     high, low = np.divmod(r, after)
     high, mid = np.divmod(high, x.cols)
-    rows, pos, vals = x.column_map()(mid)
-    return SparseMatrix(fld, before * x.rows * after, y.cols,
-                        ((high[pos] * x.rows + rows) * after + low[pos], c[pos],
-                         fld.reduce(v[pos] * vals)))
+    columns = x.column_map()
+
+    def terms_of(lo, hi):
+        rows, pos, vals = columns(mid[lo:hi])
+        pos += lo
+        return ((high[pos] * x.rows + rows) * after + low[pos], c[pos], fld.reduce(v[pos] * vals))
+
+    return _expand(fld, (before * x.rows * after, y.cols), x._pointers(), mid, c,
+                   max(x.nnz(), y.nnz()), terms_of)
+
+
+def require_terms(terms: int, what: str):
+    """Refuse `what` when its `terms` sparse terms, three int64 cells each,
+    would take more than DENSE_RANK_CELLS cells."""
+    if 3 * terms > DENSE_RANK_CELLS:
+        raise BudgetExceeded(
+            f"{what} needs at least {terms} terms, {3 * terms} cells as (row, column, "
+            f"value) triples, over the limit of {DENSE_RANK_CELLS} cells")
 
 
 def integer_mod(sm: SparseMatrix, q: int) -> SparseMatrix:
@@ -334,10 +339,19 @@ def _lookup(ptr: np.ndarray, rows: np.ndarray, vals: np.ndarray):
     return columns
 
 
-def dense_columns(a: np.ndarray):
-    """Column map of the nonzero entries of a dense array of field scalars."""
-    cols, rows = np.nonzero(a.T)
-    return _lookup(pointers(cols), rows, a[rows, cols])
+def _expand(field: Field, shape, ptr: np.ndarray, meets: np.ndarray, cols: np.ndarray,
+            bound: int, terms_of) -> SparseMatrix:
+    """The summed terms of an operator with pointers ptr on the entries of a
+    right operand sorted by column (`cols`), entry i meeting column
+    meets[i]; terms_of(lo, hi) expands entries lo:hi, batched under bound."""
+    if len(meets) * int(np.diff(ptr).max()) > bound:
+        at = np.minimum(meets, len(ptr) - 2)
+        ends = np.cumsum(ptr[at + 1] - ptr[at])  # terms of entries 0..i
+        if ends[-1] > bound:
+            parts = [canonical(field, *terms_of(lo, hi), shape=shape)
+                     for lo, hi in _column_batches(cols, ends, bound)]
+            return SparseMatrix(field, *shape, [np.concatenate(p) for p in zip(*parts)])
+    return SparseMatrix(field, *shape, terms_of(0, len(cols)))
 
 
 def _column_batches(cols: np.ndarray, ends: np.ndarray, bound: int):

@@ -14,10 +14,8 @@ operator here multiplies from the right: bimodule coefficients reach the
 homogeneous constructions as the left module ad M (see bar.py).
 
 The diagonal action of a group element permutes flat indices.  For any
-other algebra it is a dense d^t x d^t array: the Sweedler tensor of the
-acting element contracted with the structure constants, one slot at a
-time (diagonal_action).  An array over DENSE_RANK_CELLS cells is refused
-with BudgetExceeded before it is built.
+other algebra it is that of the tensor power of the regular module, built
+level by level, each level's kron terms charged before they are formed.
 """
 
 from __future__ import annotations
@@ -26,10 +24,9 @@ import itertools
 
 import numpy as np
 
-from .complexes import DENSE_RANK_CELLS
-from .errors import BudgetExceeded
-from .hopf import HopfAlgebra, iterated_comult, multiplication_array
-from .sparse import SparseMatrix, apply_columns, dense_columns, field_array, kron_triples
+from .hopf import HopfAlgebra
+from .modules import regular_left_module, tensor_actions, tensor_module, trivial_module
+from .sparse import SparseMatrix, apply_columns, field_array, kron_triples
 
 
 def flat(tup, d: int) -> int:
@@ -76,13 +73,6 @@ def all_columns(size: int):
     """Triples of the identity on `size` coordinates."""
     idx = np.arange(size, dtype=np.int64)
     return idx, idx, None
-
-
-def permutation_columns(perm: np.ndarray):
-    """Column map of the permutation matrix sending column j to row perm[j]."""
-    def columns(idx):
-        return perm[idx], np.arange(len(idx), dtype=np.int64), None
-    return columns
 
 
 def bar_chain_columns(h: HopfAlgebra, n: int):
@@ -158,52 +148,26 @@ def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatri
                                      all_columns(m), (m, m)))
 
 
-def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> np.ndarray:
-    """Left multiplication of b_b on A^(tensor slots) through the iterated
-    comultiplication, as a dense d^slots x d^slots array (entry [out, in]).
-
-    Starts from the Sweedler tensor of b_b and contracts its leading leg
-    with the structure constants once per slot, one leg value at a time,
-    reducing after every term: a product of reduced scalars plus a reduced
-    accumulator stays below 2^63 for every p a Field accepts.  Over Q the
-    entries are ints and Fractions.  On 0 slots it is the counit of b_b.
-    """
-    d = h.dim
-    fld = h.field
-    if d ** (2 * slots) > DENSE_RANK_CELLS:
-        raise BudgetExceeded(
-            f"diagonal action on {slots} slots needs a dense {d ** slots} x {d ** slots} "
-            f"array, over the limit of {DENSE_RANK_CELLS} cells")
-    mult = multiplication_array(h)  # [k, l, t]: b_l b_t
-    out = np.full((d,) * slots, fld.zero(), dtype=fld.dtype)
-    legs = iterated_comult(h, b, slots - 1).coeffs if slots else {(): h.counit[b]}
-    for leg, c in legs.items():
-        out[leg] = c
-    for _ in range(slots):
-        # the leading leg l times the input digit t gives the output digit
-        # k; the pair of axes (k, t) goes to the end
-        acc = np.full(out.shape[1:] + (d, d), fld.zero(), dtype=fld.dtype)
-        for l in range(d):
-            acc += np.multiply.outer(out[l], mult[:, l])
-            fld.reduce(acc, out=acc)
-        out = acc
-    # axes (k_0, t_0, k_1, t_1, ...) -> (k_0, k_1, ..., t_0, t_1, ...)
-    out = out.transpose(list(range(0, 2 * slots, 2)) + list(range(1, 2 * slots, 2)))
-    return out.reshape(d ** slots, d ** slots)
-
-
 def diagonal_columns(h: HopfAlgebra, elements, slots: int):
     """Column maps of the diagonal actions of the basis elements
-    `elements`, yielded one at a time.  For a group algebra each is the
-    permutation of flat indices that left multiplication on every slot
-    induces, all read from one digits array; otherwise each is read from
-    the dense diagonal_action."""
+    `elements` on A^(tensor slots), yielded one at a time.  For a group
+    algebra each is the permutation of flat indices that left
+    multiplication on every slot induces, all read from one digits array.
+    Otherwise they are the actions of the slots-fold tensor power of the
+    regular module (the counit on 0 slots): every level below the last is
+    built whole, and the last one element at a time, each charged before
+    it is formed (modules.tensor_actions)."""
     if h.group_like:
         table = np.asarray(h.group_table, dtype=np.int64)
         digs = digits(np.arange(h.dim ** slots, dtype=np.int64), h.dim, slots)
-        for b in elements:
-            yield permutation_columns(undigits(table[b][digs], h.dim))
-    else:
-        for b in elements:
-            yield dense_columns(diagonal_action(h, b, slots))
-
+        for b in elements:  # column j goes to row perm[j]
+            perm = undigits(table[b][digs], h.dim)
+            yield lambda idx, perm=perm: (perm[idx], np.arange(len(idx), dtype=np.int64), None)
+        return
+    regular = regular_left_module(h)
+    power = trivial_module(h)
+    for _ in range(slots - 1):
+        power = tensor_module(h, power, regular)
+    for b in elements:
+        action = tensor_actions(h, power, regular, [b])[0] if slots else power.action[b]
+        yield action.column_map()

@@ -241,10 +241,14 @@ def _scrambled_ks3_file(tmp_path) -> str:
 
 
 def test_dense_diagonal_action_over_the_cell_limit_is_a_budget_error(capsys, tmp_path):
-    # bar route: degree 9 of scrambled kC3 acts on 9 inner slots, a dense
-    # 3^9 x 3^9 array.  Resolution route: degree 4 of scrambled kS3 (the
-    # coinvariants of scrambled kC3 vanish above degree 2) acts on 5 slots,
-    # a dense 6^5 x 6^5 array; degree 3 (6^4 x 6^4) is within the limit
+    # the diagonal action is the sparse tensor power of the regular module,
+    # and a level's kron terms are charged before they are formed.  Bar
+    # route: degree 9 of scrambled kC3 acts on 9 inner slots; level 8 of
+    # the power needs 11,536,086 terms.  Resolution route: degree 4 of
+    # scrambled kS3 (the coinvariants of scrambled kC3 vanish above degree
+    # 2) acts on 5 slots, one element at a time; the fifth needs 5,671,535
+    # terms, 17,014,605 cells as triples.  Degree 3 (4 slots) is within the
+    # limit
     sc3 = str(pathlib.Path(__file__).with_name("golden") / "algebras" / "sC3-gf3.json")
     ss3 = _scrambled_ks3_file(tmp_path)
     for algebra, route, top in ((sc3, "bar", 9), (ss3, "resolution", 4)):
@@ -257,6 +261,31 @@ def test_dense_diagonal_action_over_the_cell_limit_is_a_budget_error(capsys, tmp
     code, report = run_json(capsys, "--algebra", ss3, "--mode", "SH",
                             "--route", "resolution", "--max-degree", "3")
     assert (code, report["dims"]) == (0, [1, 0, 0])
+
+
+@pytest.fixture
+def u_k2_file(tmp_path) -> str:
+    """u(k^2) = k[x, y]/(x^3, y^3) over GF(3), x and y primitive, as a JSON file."""
+    from restricted import hopf_tensor, restricted_enveloping
+    path = tmp_path / "u-k2-gf3.json"
+    path.write_text(json.dumps(hopf_to_json(hopf_tensor(restricted_enveloping(3),
+                                                        restricted_enveloping(3)))))
+    return str(path)
+
+
+@pytest.mark.parametrize("route", ["bar", "resolution"])
+def test_sh_of_u_k2_is_answered(capsys, u_k2_file, route):
+    # 4 inner slots on the bar route, 5 slots on the resolution route: the
+    # dense 9^4 x 9^4 action was refused; the sparse tensor power answers
+    code, report = run_json(capsys, "--algebra", u_k2_file, "--mode", "SH",
+                            "--route", route, "--max-degree", "4")
+    assert (code, report["dims"]) == (0, [1, 2, 3, 0])
+
+
+def test_h_of_u_k2_is_the_kunneth_value(capsys, u_k2_file):
+    # H(k[x]/(x^3)) = [1, 1, 1, 1], so H of the tensor square is [1, 2, 3, 4]
+    code, report = run_json(capsys, "--algebra", u_k2_file, "--mode", "H", "--max-degree", "4")
+    assert (code, report["dims"]) == (0, [1, 2, 3, 4])
 
 
 def test_oversized_coinvariant_ambient_is_a_budget_error(capsys):

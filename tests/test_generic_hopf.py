@@ -174,15 +174,18 @@ def test_scrambled_rational_full_stack():
 
 def test_diagonal_action_is_exact_with_large_structure_constants():
     # a basis change with entries near p/2 gives kC3 over GF(3037000493)
-    # structure constants spread over [0, p), so one slot's contraction sums
-    # three products near (p-1)^2, past int64 unless reduced after each term
+    # structure constants spread over [0, p), so a sum of three products
+    # near (p-1)^2 is past int64 unless each term is reduced before it is
+    # added: in the kron terms of a tensor level and in summing them
     from oracles import diagonal_action as oracle_diagonal_action
-    from symcoh.tensors import diagonal_action
+    from symcoh.sparse import apply_columns, canonical
+    from symcoh.tensors import all_columns, diagonal_columns
     f = Field.prime(3037000493)
     h = change_basis(group_algebra(3, cyclic_group_table(3), f),
                      Matrix.from_rows(f, [[1, 1518500247, 7], [0, 1, 1518500249], [0, 0, 1]]))
     assert max(c for row in h.mult for cell in row for c in cell.values()) > 1 << 31
     for slots in (1, 2, 3):
-        for b in range(h.dim):
-            assert diagonal_action(h, b, slots).reshape(-1).tolist() == \
-                oracle_diagonal_action(h, b, slots).to_dense().data.reshape(-1).tolist()
+        for b, columns in zip(range(h.dim), diagonal_columns(h, range(h.dim), slots)):
+            got = canonical(f, *apply_columns(f, columns, all_columns(h.dim ** slots)))
+            assert [a.tolist() for a in got] == \
+                [a.tolist() for a in oracle_diagonal_action(h, b, slots).triples()]

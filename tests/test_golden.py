@@ -7,9 +7,9 @@ no group-like basis from `tests/golden/algebras/`: scrambled kC3 over
 GF(3) (`sC3-gf3`) and scrambled kC2 over Q (`sC2-q`), frozen from
 `test_generic_hopf`, and k[x]/(x^5) over GF(5) with x primitive
 (`u1-gf5`, from `tests/restricted.py`), the first that is not a group
-algebra in another basis.  Their diagonal actions are Sweedler
-contractions rather than permutations, in the equivariant bases and in
-the induced actions on the coinvariants.
+algebra in another basis.  Their diagonal actions are those of the
+sparse tensor power of the regular module rather than permutations, in
+the equivariant bases and in the induced actions on the coinvariants.
 To regenerate the files after a deliberate output change, run
 
     PYTHONPATH=src python tests/test_golden.py

@@ -183,6 +183,26 @@ def test_tensor_hom_adjunction_dimensions():
     assert lhs == rhs
 
 
+def test_tensor_level_charges_its_kron_terms_before_forming_them(monkeypatch):
+    # kS3 on A tensor A: each element has one Sweedler leg and the regular
+    # actions have 6 entries each, so 6 * 6 * 6 = 216 kron terms, held as
+    # 648 cells of (row, column, value) triples
+    from symcoh import modules, sparse
+    from symcoh.errors import BudgetExceeded
+    h = kS3(GF5)
+    reg = regular_left_module(h)
+    monkeypatch.setattr(sparse, "DENSE_RANK_CELLS", 648)
+    assert validate_left_module(h, tensor_module(h, reg, reg))
+
+    def unreachable(*args):
+        raise AssertionError("a kron term was formed before the level was charged")
+
+    monkeypatch.setattr(sparse, "DENSE_RANK_CELLS", 647)
+    monkeypatch.setattr(modules, "apply_in_slot", unreachable)
+    with pytest.raises(BudgetExceeded, match="6 x 6 tensor product needs at least 216 terms"):
+        tensor_module(h, reg, reg)
+
+
 def _exact_kron(a, b):
     """Entry (i1*rb + i2, j1*cb + j2) is a[i1][j1] * b[i2][j2], in Python ints."""
     return [[x * y for x in arow for y in brow] for arow in a for brow in b]

@@ -10,8 +10,9 @@ bimodule, which it validates before it builds ad M.  The splitting check
 must see a corrupted action on A tensor S_(n-1).  Each case here corrupts
 one entry of one of those inputs and expects the check to fail, on kC3 in
 its group basis ("fast": the diagonal action is a permutation) and in a
-basis with no group-like elements ("generic": the diagonal action is a
-dense contraction), over GF(5) and Q.
+basis with no group-like elements ("generic": the diagonal action is that
+of the sparse tensor power of the regular module), over GF(5) and Q.  The
+diagonal actions are checked to descend one at a time, as each is built.
 """
 
 import numpy as np

@@ -167,6 +167,41 @@ def test_product_over_the_term_bound_runs_in_batches(field):
     assert (a @ b).to_dense() == a.to_dense() @ b.to_dense()
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_apply_in_slot_over_the_term_bound_runs_in_batches(field, monkeypatch):
+    # x (3 x 2) has full columns, so each entry of y expands to 3 terms; y
+    # (2^3 x 4) is full: 24 terms per column against a bound of
+    # max(nnz) = 32, a batch per column of y.  A permutation x (column
+    # length 1) is one pass.
+    x = SparseMatrix(field, 3, 2, ([0, 1, 2] * 2, [0] * 3 + [1] * 3, None))
+    swap = SparseMatrix(field, 2, 2, ([1, 0], [0, 1], None))
+    y = SparseMatrix(field, 8, 4, ([r for _c in range(4) for r in range(8)],
+                                   [c for c in range(4) for _r in range(8)],
+                                   [field.from_int(k % 2 * 2 + 1) for k in range(32)]))
+    cases = [(x, 1, 4), (x, 2, 2), (x, 4, 1), (swap, 2, 2)]
+    want = [sparse.kron(sparse.kron(SparseMatrix.identity(field, before), op),
+                        SparseMatrix.identity(field, after)) @ y for op, before, after in cases]
+    batches = []
+    plain = sparse._column_batches
+
+    def counting(*args):
+        out = list(plain(*args))
+        batches.append(len(out))
+        return iter(out)
+
+    monkeypatch.setattr(sparse, "_column_batches", counting)
+    for (op, before, after), expect in zip(cases, want):
+        assert sparse.apply_in_slot(op, y, before, after) == expect
+    assert batches == [4, 4, 4]
+
+
+def test_the_term_charge_counts_three_cells_per_term(monkeypatch):
+    monkeypatch.setattr(sparse, "DENSE_RANK_CELLS", 12)
+    sparse.require_terms(4, "four terms")
+    with pytest.raises(BudgetExceeded, match="five terms needs at least 5 terms, 15 cells"):
+        sparse.require_terms(5, "five terms")
+
+
 def test_column_batches_cut_between_columns_under_the_bound():
     cols = np.array([0, 0, 1, 1, 2, 3])
     ends = np.arange(1, 7)
