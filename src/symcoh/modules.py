@@ -201,23 +201,28 @@ def tensor_actions(h: HopfAlgebra, l: LeftModule, m: LeftModule, elements) -> li
     b_j, rho^L_j tensor B_j with B_j = sum over k of c_jk rho^M_k.
 
     With the B_j stacked as C = sum over j of e_j tensor B_j, the action is
-    one sparse product: the action map of L, column c * d + j holding
-    column c of rho^L_j, applied in the leading slot of 1_L tensor C
+    one sparse product: the action map [rho^L_0 | ... | rho^L_(d-1)] of L
+    applied in the leading slot of sum over j of e_j tensor 1_L tensor B_j
     (`sparse.apply_in_slot`, in bounded batches).  Its kron terms
     nnz(rho^L_j) nnz(B_j), over every element, are charged first.
     """
-    fld, d = h.field, h.dim
-    unit = [SparseMatrix(fld, d, 1, ([j], [0], None)) for j in range(d)]
-    stacks = [combination(fld, d * m.dim, m.dim, [(c, kron(unit[j], m.action[k]))
-                                                  for (j, k), c in h.comult[i].items()])
-              for i in elements]
+    fld, d, n = h.field, h.dim, l.dim
+    within = np.arange(n, dtype=np.int64)[:, None]  # the factor L, kept by 1_L
     nnz = np.array([a.nnz() for a in l.action])
-    require_terms(sum(int(nnz @ np.bincount(s.row_idx // m.dim, minlength=d)) for s in stacks),
-                  f"the diagonal action on a {l.dim} x {m.dim} tensor product")
-    rho = SparseMatrix(fld, l.dim, d * l.dim, [np.concatenate(p) for p in zip(*(
-        (a.row_idx, a.col_idx * d + j, a.vals) for j, a in enumerate(l.action)))])
-    eye = SparseMatrix.identity(fld, l.dim)
-    return [apply_in_slot(rho, kron(eye, s), 1, m.dim) for s in stacks]
+    stacks, terms = [], 0
+    for i in elements:
+        c = SparseMatrix(fld, d * m.dim, m.dim, [np.concatenate(p) for p in zip(*(
+            (m.action[k].row_idx + j * m.dim, m.action[k].col_idx, fld.reduce(m.action[k].vals * x))
+            for (j, k), x in h.comult[i].items()))] or None)
+        j, row = np.divmod(c.row_idx, m.dim)
+        terms += int(nnz @ np.bincount(j, minlength=d))
+        # in canonical order: by the column of L, then as in C
+        stacks.append(((j * n + within) * m.dim + row, within * m.dim + c.col_idx, c.vals))
+    require_terms(terms, f"the diagonal action on a {n} x {m.dim} tensor product")
+    rho, shape = _action_map(h, l.action, n), (d * n * m.dim, n * m.dim)
+    return [apply_in_slot(rho, SparseMatrix(fld, *shape, [a.reshape(-1) for a in
+                                                          np.broadcast_arrays(*y)]), 1, m.dim)
+            for y in stacks]
 
 
 def tensor_module(h: HopfAlgebra, l: LeftModule, m: LeftModule) -> LeftModule:

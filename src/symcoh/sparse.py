@@ -197,7 +197,9 @@ def combination(field: Field, rows: int, cols: int, terms) -> SparseMatrix:
 def apply_in_slot(x: SparseMatrix, y: SparseMatrix, before: int, after: int) -> SparseMatrix:
     """kron(kron(identity(before), x), identity(after)) @ y, without forming
     the Kronecker product: x's column map is applied to the middle digit of
-    each row of y, and the digits before and after it are kept; batched as `@` is."""
+    each row of y, and the digits before and after it are kept.  Batched as
+    `@` batches that product, whose left operand has before * nnz(x) * after
+    entries."""
     fld = y.field
     r, c, v = y.triples()
     high, low = np.divmod(r, after)
@@ -210,7 +212,7 @@ def apply_in_slot(x: SparseMatrix, y: SparseMatrix, before: int, after: int) -> 
         return ((high[pos] * x.rows + rows) * after + low[pos], c[pos], fld.reduce(v[pos] * vals))
 
     return _expand(fld, (before * x.rows * after, y.cols), x._pointers(), mid, c,
-                   max(x.nnz(), y.nnz()), terms_of)
+                   max(before * x.nnz() * after, y.nnz()), terms_of)
 
 
 def require_terms(terms: int, what: str):

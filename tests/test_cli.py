@@ -275,8 +275,8 @@ def u_k2_file(tmp_path) -> str:
 
 @pytest.mark.parametrize("route", ["bar", "resolution"])
 def test_sh_of_u_k2_is_answered(capsys, u_k2_file, route):
-    # 4 inner slots on the bar route, 5 slots on the resolution route: the
-    # dense 9^4 x 9^4 action was refused; the sparse tensor power answers
+    # the action on 4 inner slots (bar) or 5 slots (resolution) has at
+    # least 9^8 cells as a dense array, past the limit; its nonzeros fit
     code, report = run_json(capsys, "--algebra", u_k2_file, "--mode", "SH",
                             "--route", route, "--max-degree", "4")
     assert (code, report["dims"]) == (0, [1, 2, 3, 0])
