@@ -211,9 +211,9 @@ def tensor_actions(h: HopfAlgebra, l: LeftModule, m: LeftModule, elements) -> li
     nnz = np.array([a.nnz() for a in l.action])
     stacks, terms = [], 0
     for i in elements:
-        c = SparseMatrix(fld, d * m.dim, m.dim, [np.concatenate(p) for p in zip(*(
-            (m.action[k].row_idx + j * m.dim, m.action[k].col_idx, fld.reduce(m.action[k].vals * x))
-            for (j, k), x in h.comult[i].items()))] or None)
+        parts = [(m.action[k].row_idx + j * m.dim, m.action[k].col_idx,
+                  fld.reduce(m.action[k].vals * x)) for (j, k), x in h.comult[i].items()]
+        c = SparseMatrix(fld, d * m.dim, m.dim, [np.concatenate(p) for p in zip(*parts)] or None)
         j, row = np.divmod(c.row_idx, m.dim)
         terms += int(nnz @ np.bincount(j, minlength=d))
         # in canonical order: by the column of L, then as in C

@@ -36,10 +36,11 @@ The map reads a pointer array, ptr[j]:ptr[j+1] being the entries of
 column j, built once per operator and sized by its last stored column,
 not by its shape: a lookup is an index, and a column past the last
 stored one is empty.  Composing is applying one operator's column map to
-the other's triples and summing with `canonical`.  `@` and
-`apply_in_slot` do that in batches of whole columns of the right operand,
-each of at most max(nnz(self), nnz(other)) unsummed terms (which only a
-column of `apply_in_slot` can pass), summed before the next is expanded.
+the other's triples and summing with `canonical`.  `@` does that in
+batches of whole columns of the right operand, each of at most
+max(nnz(self), nnz(other)) unsummed terms, summed before the next is
+expanded, and `apply_in_slot` batches as `@` would its unformed product
+(where a single column may pass the bound and is a batch of its own).
 `require_terms` charges terms known before they are formed, three int64
 cells each (row, column, value), against DENSE_RANK_CELLS.
 
