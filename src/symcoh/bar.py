@@ -128,7 +128,7 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     actions = {}
     acting = sorted({u for (u, _a), _t in blocks})
     entries = 0  # of the grids below, charged as each action arrives
-    for u, columns in zip(acting, diagonal_columns(h, acting, n)):
+    for u, (columns, _transposed) in zip(acting, diagonal_columns(h, acting, n)):
         y, x, dv = columns(inner)
         entries += len(y) * sum(len(t[0]) for (v, _a), t in blocks if v == u)
         require_terms(entries, f"the equivariant basis on {slots} slots")
@@ -328,7 +328,9 @@ def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
     require_cocommutative(h)
     coeffs = adjoint_module(h, mod) if isinstance(mod, Bimodule) else mod
     cpx = homogeneous_complex(h, coeffs, top)
-    ops = [sigma_homogeneous(h, coeffs, n, space=cpx.spaces[n]) for n in range(top + 1)]
+    # fixed_subcomplex restricts (and checks) each generator below the top
+    ops = [sigma_homogeneous(h, coeffs, n, space=cpx.spaces[n] if n == top else None)
+           for n in range(top + 1)]
     dims = _fixed_dims(cpx, ops, top)
     report = CohomologyReport(dims, "homogeneous")
     report.routes["homogeneous"] = dims

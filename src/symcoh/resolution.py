@@ -8,10 +8,12 @@ The coinvariants have a sorted-tuple basis in any basis of A, since the
 permutations only move tensor slots: Lambda^(n+1) A away from
 characteristic 2 (repeated-entry tensors die and every tuple equals its
 sorted form up to the permutation sign), Sym^(n+1) A in characteristic 2
-(every tuple equals its sorted form).  The induced actions go through
-`tensors.diagonal_columns`, one ambient-sized action held at a time.  A
-space is built only when its ambient A^(tensor n+1) has at most
-DENSE_RANK_CELLS coordinates.
+(every tuple equals its sorted form).  Away from characteristic 2 all is
+built on the d!/(d-n-1)! nonzeros of the projection P: P itself, the
+induced maps and their self-checks (X descends exactly when X =
+(X . section) . P, checked transposed on the rows of P), so no array spans
+A^(tensor n+1); in characteristic 2, P spans it.  `_require_ambient` still
+charges d^(n+1), up to DENSE_RANK_CELLS coordinates.
 
 Every induced map stays sparse: the module actions, the boundaries, the
 augmentation, the contracting homotopy and the splitting maps are
@@ -38,16 +40,16 @@ from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
 from .linalg import DENSE_RANK_CELLS, rank
 from .modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
                       regular_left_module, tensor_module, validate_module)
-from .sparse import SparseMatrix, apply_columns, canonical, field_array
-from .tensors import (all_columns, bar_chain_columns, cochain_precompose, delete_slot,
-                      diagonal_columns, digits, flat, swap_slots, undigits)
+from .sparse import SparseMatrix, apply_columns, field_array
+from .tensors import (bar_chain_columns, bar_chain_transpose_columns, cochain_precompose,
+                      delete_slot, diagonal_columns, flat, swap_slots)
 
 
 class CoinvariantSpace:
     """A^(tensor n+1) modulo the signed S_{n+1} action, with projection,
     section, labels and the induced module structure."""
 
-    def __init__(self, degree, projection, section, labels, module: LeftModule):
+    def __init__(self, degree, projection, section, labels, module: LeftModule | None):
         self.degree = degree
         self.projection = projection  # SparseMatrix dim x ambient
         self.section = section        # SparseMatrix ambient x dim
@@ -93,30 +95,31 @@ def _sorted_tuple_coinvariants(fld, d, slots):
     increasing tuples, where a tuple with distinct entries maps to its
     sorted label with the sign of the sorting permutation and any other
     tuple to zero; in characteristic 2, non-decreasing tuples, where every
-    tuple maps to its sorted label.  Without labels (slots > d outside
-    characteristic 2) both maps are 0 x 0: no index of the ambient is formed."""
+    tuple maps to its sorted label (gathered from the labels' signed slot
+    permutations, or in characteristic 2 by sorting every tuple).  Without
+    labels (slots > d outside characteristic 2) both maps are 0 x 0: no
+    index of the ambient is formed."""
     char2 = fld.characteristic == 2
     labels = list((itertools.combinations_with_replacement if char2
                    else itertools.combinations)(range(d), slots))
     if not labels:
         return SparseMatrix(fld, 0, 0), SparseMatrix(fld, 0, 0), labels
-    size = d ** slots
     label_idx = np.array([flat(lab, d) for lab in labels], dtype=np.int64)
-    idx = np.arange(size, dtype=np.int64)
-    digs = digits(idx, d, slots)
-    head = np.sort(digs, axis=0)
-    if not char2:
-        distinct = np.all(head[1:] != head[:-1], axis=0)
-        idx, digs, head = idx[distinct], digs[:, distinct], head[:, distinct]
-    inversions = np.zeros(len(idx), dtype=np.int64)
-    for i in range(slots):
-        for j in range(i + 1, slots):
-            inversions += digs[i] > digs[j]
-    rows = np.searchsorted(label_idx, undigits(head, d))
-    one = fld.one()
-    signs = field_array(fld, [one, fld.neg(one)])[inversions % 2]
-    projection = SparseMatrix(fld, len(labels), size, (rows, idx, signs))
-    section = SparseMatrix(fld, size, len(labels),
+    if char2:
+        cols = np.arange(d ** slots, dtype=np.int64)
+        powers = d ** np.arange(slots - 1, -1, -1, dtype=np.int64)
+        rows = np.searchsorted(label_idx, powers @ np.sort(cols // powers[:, None] % d, axis=0))
+        signs = None
+    else:
+        perms = np.array(list(itertools.permutations(range(slots))), dtype=np.int64)
+        odd = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2)) % 2
+        signs = np.tile(field_array(fld, [fld.one(), fld.neg(fld.one())])[odd], len(labels))
+        entries, cols = np.array(labels, dtype=np.int64), 0
+        for k in range(slots):  # each label with its slots permuted
+            cols = cols * d + entries[:, perms[:, k]]
+        rows = np.repeat(np.arange(len(labels), dtype=np.int64), len(perms))
+    projection = SparseMatrix(fld, len(labels), d ** slots, (rows, cols.reshape(-1), signs))
+    section = SparseMatrix(fld, d ** slots, len(labels),
                            (label_idx, np.arange(len(labels), dtype=np.int64), None))
     return projection, section, labels
 
@@ -132,60 +135,53 @@ def _induced(fld, rows, section, columns, project=None) -> SparseMatrix:
     return SparseMatrix(fld, rows, section.cols, image)
 
 
+def _check_quotient(h: HopfAlgebra, space: CoinvariantSpace, project):
+    """Certify ker P = the relations swap_i(v) + v: P swap_i = -P (2v = 0
+    on equal slots i-1, i), P . section = 1, and dim is the closed form."""
+    fld, p = h.field, space.projection
+    r, c, v = p.triples()
+    if not all(SparseMatrix(fld, p.rows, p.cols, (r, swap_slots(c, h.dim, space.slots, i),
+                                                  fld.neg(v))) == p
+               for i in range(1, space.slots)):
+        raise AssertionError("projection does not kill the relations")
+    split = SparseMatrix(fld, p.rows, p.rows, apply_columns(fld, project, space.section.triples()))
+    if not split.equals_identity() or \
+            p.rows != coinvariant_dim(h.dim, space.degree, fld.characteristic):
+        raise AssertionError("projection . section != id on the closed-form dimension")
+
+
+def _require_descent(fld, transposed, target_t, source_t, induced, message, columns=None):
+    """Raise unless X = target . op descends from source, X = (X . S) . P with
+    induced = X . S: op^T target^T == P^T induced^T on the rows of P, op^T by
+    `transposed`; a permutation op (`columns`) must be inverted by it there."""
+    image = apply_columns(fld, transposed, target_t.triples())
+    inverts = columns is None or all(np.array_equal(a, b) for a, b in zip(
+        apply_columns(fld, columns, image), target_t.triples()))
+    if not (inverts and SparseMatrix(fld, source_t.rows, target_t.cols, image) ==
+            source_t @ induced.transpose()):
+        raise AssertionError(message)
+
+
 def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True) -> CoinvariantSpace:
     """The degree-n coinvariant space of A^(tensor n+1), on the sorted-tuple
     basis (Lambda^(n+1) A, or Sym^(n+1) A in characteristic 2).  Each
     diagonal action is induced, checked to descend and dropped in turn."""
-    d = h.dim
-    fld = h.field
+    d, fld = h.dim, h.field
     _require_ambient(h, n)
-    projection, section, labels = _sorted_tuple_coinvariants(fld, d, n + 1)
-    dim = projection.rows
-    project = projection.column_map()
-    action = []
-    for op in diagonal_columns(h, range(d), n + 1) if dim else ():
-        action.append(_induced(fld, dim, section, op, project))
+    space = CoinvariantSpace(n, *_sorted_tuple_coinvariants(fld, d, n + 1), None)
+    project = space.projection.column_map(search=True)
+    if check and space.dim:
+        _check_quotient(h, space, project)
+    action, p_t = [], space.projection.transpose() if check and space.dim else None
+    for op, op_t in diagonal_columns(h, range(d), n + 1) if space.dim else ():
+        action.append(_induced(fld, space.dim, space.section, op, project))
         if check:
-            _check_descends(h, n + 1, projection, op, "induced action is not well-defined")
-    space = CoinvariantSpace(n, projection, section, labels,
-                             LeftModule(dim, action or [SparseMatrix(fld, 0, 0)] * d))
+            _require_descent(fld, op_t, p_t, p_t, action[-1], "induced action is not well-defined",
+                             op if h.group_like else None)
+    space.module = LeftModule(space.dim, action or [SparseMatrix(fld, 0, 0)] * d)
     if check:
-        if not (space.projection @ space.section).equals_identity():
-            raise AssertionError("projection . section != id")
         validate_module(h, space.module)
     return space
-
-
-def _descends_to_quotient(field, d, slots, sym_slots, triples) -> bool:
-    """True when projection . op kills every relation  swap_i(v) + v, given
-    the canonical triples of projection . op: for i < sym_slots, a column
-    whose digits i-1 > i plus its swap_i partner must vanish, and a column
-    with a repeated adjacent digit must satisfy 2v = 0."""
-    rows, cols, vals = triples
-    digs = digits(cols, d, slots)[:sym_slots]
-    repeated = np.any(digs[1:] == digs[:-1], axis=0)
-    if np.any(field.neg(vals[repeated]) != vals[repeated]):
-        return False
-    for i in range(1, sym_slots):
-        up = digs[i - 1] > digs[i]
-        down = digs[i - 1] < digs[i]
-        # the entries of each swapped-down column, moved onto its partner
-        moved = (rows[up], swap_slots(cols[up], d, slots, i), field.neg(vals[up]))
-        order = np.lexsort(moved[:2])
-        moved = tuple(a[order] for a in moved)
-        if not all(np.array_equal(a, b[down]) for a, b in zip(moved, triples)):
-            return False
-    return True
-
-
-def _check_descends(h, slots, projection, op, message):
-    """op (a column map on A^(tensor slots)) followed by `projection` must
-    kill the relations of the coinvariants on those slots."""
-    fld = h.field
-    triples = canonical(fld, *apply_columns(fld, projection.column_map(),
-                                            apply_columns(fld, op, all_columns(h.dim ** slots))))
-    if not _descends_to_quotient(fld, h.dim, slots, slots, triples):
-        raise AssertionError(message)
 
 
 # -- the resolution of k --------------------------------------------------------
@@ -226,18 +222,19 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True) -> Reso
     """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k."""
     _require_ambient(h, top)
     spaces = [coinvariant_space(h, n, check=check) for n in range(top + 1)]
+    transposed = [s.projection.transpose() for s in spaces] if check else None
     fld = h.field
     boundaries = [None]
     for n in range(1, top + 1):
         if spaces[n].dim == 0:
             boundaries.append(SparseMatrix(fld, spaces[n - 1].dim, 0))
             continue
-        chain = bar_chain_columns(h, n)  # A^(n+1) -> A^n
-        below = spaces[n - 1].projection
+        below = spaces[n - 1]
+        boundaries.append(_induced(fld, below.dim, spaces[n].section, bar_chain_columns(h, n),
+                                   below.projection.column_map(search=True)))
         if check:
-            _check_descends(h, n + 1, below, chain, "induced boundary is not well-defined")
-        boundaries.append(_induced(fld, below.rows, spaces[n].section, chain,
-                                   below.column_map()))
+            _require_descent(fld, bar_chain_transpose_columns(h, n), transposed[n - 1],
+                             transposed[n], boundaries[-1], "induced boundary is not well-defined")
     # the augmentation deletes slot 0 by the counit
     aug = _induced(fld, 1, spaces[0].section, bar_chain_columns(h, 0))
     return ResolutionComplex(h, top, spaces, boundaries, aug)
@@ -282,7 +279,7 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int,
             homotopies.append(SparseMatrix(fld, above.rows, 0))
             continue
         homotopies.append(_induced(fld, above.rows, spaces[n].section,
-                                   _unit_insert_columns(h, n + 1), above.column_map()))
+                                   _unit_insert_columns(h, n + 1), above.column_map(search=True)))
     # unit section k -> S_0 followed by the augmentation
     unit = h.unit_dict()
     unit_col = spaces[0].projection @ SparseMatrix(
@@ -352,12 +349,12 @@ def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
         cols.append(idx[pos])
         scale = fld.mul(inv_np1, fld.one() if i % 2 == 0 else fld.neg(fld.one()))
         vals.append(fld.reduce(v * scale))
-    triples = canonical(fld, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    # well-definedness on the quotient
-    if not _descends_to_quotient(fld, d, n + 1, n + 1, triples):
-        raise AssertionError("phi is not well-defined on the coinvariants")
-    amb = SparseMatrix(fld, d * sm.dim, d ** (n + 1), triples)
+    amb = SparseMatrix(fld, d * sm.dim, d ** (n + 1),
+                       [np.concatenate(part) for part in (rows, cols, vals)])
     phi = amb @ sn.section
+    # well-definedness on the quotient: amb = (amb . section) . projection
+    if amb != phi @ sn.projection:
+        raise AssertionError("phi is not well-defined on the coinvariants")
 
     # retraction: a tensor (section column j) -> the class of (a, section column j)
     r, c, v = sm.section.triples()

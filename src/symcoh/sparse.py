@@ -33,16 +33,17 @@ every value is one.  An operator acts on triples through its column map
 `columns(idx)`, which returns the entries of the columns idx as (rows,
 position in idx, vals), grouped by position and sorted by row within it.
 The map reads a pointer array, ptr[j]:ptr[j+1] being the entries of
-column j, built once per operator and sized by its last stored column,
-not by its shape: a lookup is an index, and a column past the last
-stored one is empty.  Composing is applying one operator's column map to
-the other's triples and summing with `canonical`.  `@` does that in
-batches of whole columns of the right operand, each of at most
-max(nnz(self), nnz(other)) unsummed terms, summed before the next is
-expanded, and `apply_in_slot` batches as `@` would its unformed product
-(where a single column may pass the bound and is a batch of its own).
-`require_terms` charges terms known before they are formed, three int64
-cells each (row, column, value), against DENSE_RANK_CELLS.
+column j, built once per operator and sized by its last stored column:
+a lookup is an index, and a column past the last stored one is empty
+(with `search`, a binary search in the stored columns).  Composing is
+applying one operator's column map to the other's triples and summing
+with `canonical`.  `@` does that in batches of whole columns of the right
+operand, each of at most max(nnz(self), nnz(other)) unsummed terms,
+summed before the next is expanded, and `apply_in_slot` batches as `@`
+would its unformed product (where a single column may pass the bound and
+is a batch of its own).  `require_terms` charges terms known before they
+are formed, three int64 cells each (row, column, value), against
+DENSE_RANK_CELLS.
 
 The read-only `cols_data` property rebuilds one {row: value} dict per
 column on demand.  It exists only for the benchmark's tracer
@@ -105,8 +106,21 @@ class SparseMatrix:
             self._ptr = pointers(self.col_idx)
         return self._ptr
 
-    def column_map(self):
-        return _lookup(self._pointers(), self.row_idx, self.vals)
+    def column_map(self, search: bool = False):
+        """The column map of self; with `search`, stored columns are found by
+        binary search, and no array spans the columns (for a projection)."""
+        if not search:
+            return _lookup(self._pointers(), self.row_idx, self.vals)
+        first = np.flatnonzero(np.diff(self.col_idx, prepend=-1))  # of each stored column
+        keys = np.append(self.col_idx[first], np.iinfo(np.int64).max)  # a miss: past the last
+        lookup = _lookup(np.append(first, [self.nnz()] * 2), self.row_idx, self.vals)
+
+        def columns(idx):
+            at = np.searchsorted(keys, idx)
+            at[keys[at] != idx] = len(keys) - 1
+            return lookup(at)
+
+        return columns
 
     @property
     def cols_data(self) -> list:

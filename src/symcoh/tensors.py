@@ -7,15 +7,16 @@ m-dimensional module puts component (tuple, j) at flat(tuple) * m + j.
 Digit k of a flat index idx on t slots is idx // d**(t-1-k) % d, so the
 operators below are built as numpy arithmetic on arrays of flat indices.
 Each has a column map `columns(idx) -> (rows, position in idx, vals)`
-(see sparse.py): the diagonal action and the counit-deletion chain map.
+(see sparse.py): the diagonal action and the counit-deletion chain map,
+each with its transpose.
 The cochain operators (precomposition with that chain map, signed slot
 swaps) are SparseMatrix triples built by the same arithmetic.  No
 operator here multiplies from the right: bimodule coefficients reach the
 homogeneous constructions as the left module ad M (see bar.py).
 
-The diagonal action of a group element permutes flat indices.  For any
-other algebra it is that of the tensor power of the regular module, built
-level by level, each level's kron terms charged before they are formed.
+The diagonal action of a group element permutes flat indices, computed
+only on the columns asked for; for any other algebra it is that of the
+tensor power of the regular module, each level's kron terms charged first.
 """
 
 from __future__ import annotations
@@ -38,20 +39,6 @@ def flat(tup, d: int) -> int:
 
 def all_tuples(d: int, length: int):
     return itertools.product(range(d), repeat=length)
-
-
-def digits(idx: np.ndarray, d: int, slots: int) -> np.ndarray:
-    """The digits of flat indices, shape (slots, len(idx)), most significant first."""
-    powers = d ** np.arange(slots - 1, -1, -1, dtype=np.int64)
-    return idx[None, :] // powers[:, None] % d
-
-
-def undigits(digs: np.ndarray, d: int) -> np.ndarray:
-    """Flat indices of the digit columns of digs (the inverse of digits)."""
-    idx = np.zeros(digs.shape[1], dtype=np.int64)
-    for row in digs:
-        idx = idx * d + row
-    return idx
 
 
 def delete_slot(idx: np.ndarray, d: int, slots: int, i: int) -> np.ndarray:
@@ -105,6 +92,26 @@ def bar_chain_columns(h: HopfAlgebra, n: int):
     return columns
 
 
+def bar_chain_transpose_columns(h: HopfAlgebra, n: int):
+    """Column map of the transpose of bar_chain_columns(h, n), A^n -> A^(n+1):
+    (-1)^i eps(x) at the tuple with x inserted before slot i, for i = 0..n
+    and every x with eps(x) != 0.  The entries of a column are not sorted
+    by row, and those that meet are left for the caller to sum."""
+    d = h.dim
+    eps = field_array(h.field, h.counit)
+    xs = np.flatnonzero(eps.astype(bool))
+    signed = np.stack([eps[xs], h.field.neg(eps[xs])])[np.arange(n + 1) % 2]
+    place = d ** (n - np.arange(n + 1, dtype=np.int64))  # d^(digits after the insertion)
+
+    def columns(idx):
+        high, low = np.divmod(idx[:, None], place)
+        rows = ((high * d)[:, :, None] + xs) * place[:, None] + low[:, :, None]
+        return (rows.reshape(-1), np.repeat(np.arange(len(idx), dtype=np.int64), signed.size),
+                np.broadcast_to(signed, rows.shape).reshape(-1))
+
+    return columns
+
+
 def bar_chain_diff(h: HopfAlgebra, n: int) -> SparseMatrix:
     """The chain map of bar_chain_columns as a sparse matrix; its triples
     come in canonical order up to the cancelling entries."""
@@ -148,21 +155,37 @@ def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatri
                                      all_columns(m), (m, m)))
 
 
+def _slotwise(row: np.ndarray, d: int, slots: int):
+    """Column map of the permutation of flat indices applying the map `row`
+    of basis indices to every slot, by table lookups of up to 4096 entries."""
+    width, table = 1, row
+    while width < slots and d ** (width + 1) <= 4096:
+        width, table = width + 1, (table[:, None] * d + row).reshape(-1)
+    blocks = [table] * (slots // width) + [row] * (slots % width)  # least significant first
+
+    def columns(idx):
+        out, rest, place = np.zeros(len(idx), dtype=np.int64), idx, 1
+        for look in blocks:
+            rest, part = np.divmod(rest, len(look))
+            out, place = out + look[part] * place, place * len(look)
+        return out, np.arange(len(idx), dtype=np.int64), None
+
+    return columns
+
+
 def diagonal_columns(h: HopfAlgebra, elements, slots: int):
-    """Column maps of the diagonal actions of the basis elements
-    `elements` on A^(tensor slots), yielded one at a time.  For a group
-    algebra each is the permutation of flat indices that left
-    multiplication on every slot induces, all read from one digits array.
-    Otherwise they are the actions of the slots-fold tensor power of the
-    regular module (the counit on 0 slots): every level below the last is
-    built whole, and the last one element at a time, each charged before
-    it is formed (modules.tensor_actions)."""
+    """(column map, transposed column map) of the diagonal actions of the
+    basis elements `elements` on A^(tensor slots), yielded one at a time.
+    For a group algebra: the permutation of flat indices that left
+    multiplication on every slot induces, and that of the inverse element.
+    Otherwise: the action of the tensor power of the regular module (the
+    counit on 0 slots), its last level formed one element at a time, each
+    charged first (modules.tensor_actions), and its transpose when asked."""
     if h.group_like:
         table = np.asarray(h.group_table, dtype=np.int64)
-        digs = digits(np.arange(h.dim ** slots, dtype=np.int64), h.dim, slots)
-        for b in elements:  # column j goes to row perm[j]
-            perm = undigits(table[b][digs], h.dim)
-            yield lambda idx, perm=perm: (perm[idx], np.arange(len(idx), dtype=np.int64), None)
+        for b in elements:
+            yield (_slotwise(table[b], h.dim, slots),
+                   _slotwise(table[h.group_inverse[b]], h.dim, slots))
         return
     regular = regular_left_module(h)
     power = trivial_module(h)
@@ -170,4 +193,4 @@ def diagonal_columns(h: HopfAlgebra, elements, slots: int):
         power = tensor_module(h, power, regular)
     for b in elements:
         action = tensor_actions(h, power, regular, [b])[0] if slots else power.action[b]
-        yield action.column_map()
+        yield action.column_map(), lambda idx, a=action: a.transpose().column_map()(idx)

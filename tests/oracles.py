@@ -4,7 +4,9 @@ These never touch the bar machinery: the cyclic-group oracle uses the
 two-periodic free resolution of the trivial module, and the
 semisimple-case oracle uses averaging (invariants in degree zero,
 nothing above).  The descent oracle is the tuple-by-tuple form of the
-coinvariant self-check that `symcoh.resolution` runs on index arrays, and
+coinvariant self-check that `symcoh.resolution` runs on index arrays, the
+sorted-tuple projection sorts every ambient tuple where
+`symcoh.resolution` gathers the signed permutations of each label, and
 the diagonal-action oracle is the tuple-by-tuple Sweedler expansion that
 `symcoh.tensors` computes as one tensor contraction per slot.  The
 stacked kernel is the one-elimination common kernel that
@@ -106,6 +108,36 @@ def descends_to_quotient(field, d, slots, sym_slots, projected) -> bool:
             if any(field.add(v, v) != 0 for v in base.values()):
                 return False
     return True
+
+
+def sorted_tuple_projection(field, d: int, slots: int) -> SparseMatrix:
+    """The projection of A^(tensor slots) onto its signed coinvariants,
+    found by sorting the digits of every ambient tuple: a tuple with
+    distinct entries goes to its sorted label with the sign of the sorting
+    permutation, any other tuple to zero; in characteristic 2 every tuple
+    goes to its sorted label."""
+    char2 = field.characteristic == 2
+    labels = list((itertools.combinations_with_replacement if char2
+                   else itertools.combinations)(range(d), slots))
+    size = d ** slots
+    label_idx = np.array([flat(lab, d) for lab in labels], dtype=np.int64)
+    idx = np.arange(size, dtype=np.int64)
+    digs = idx[None, :] // d ** np.arange(slots - 1, -1, -1, dtype=np.int64)[:, None] % d
+    head = np.sort(digs, axis=0)
+    if not char2:
+        distinct = np.all(head[1:] != head[:-1], axis=0)
+        idx, digs, head = idx[distinct], digs[:, distinct], head[:, distinct]
+    inversions = np.zeros(len(idx), dtype=np.int64)
+    for i in range(slots):
+        for j in range(i + 1, slots):
+            inversions += digs[i] > digs[j]
+    sorted_idx = np.zeros(len(idx), dtype=np.int64)
+    for row in head:
+        sorted_idx = sorted_idx * d + row
+    one = field.one()
+    signs = field.array([one, field.neg(one)]).reshape(-1)[inversions % 2]
+    return SparseMatrix(field, len(labels), size,
+                        (np.searchsorted(label_idx, sorted_idx), idx, signs))
 
 
 def diagonal_action(h: HopfAlgebra, b: int, slots: int) -> SparseMatrix:

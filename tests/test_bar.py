@@ -508,3 +508,22 @@ def test_symmetric_cohomology_scrambled_kc3_peak_memory():
         tracemalloc.stop()
     assert dims == [1, 1, 1, 0, 0]
     assert peak < 32 << 20
+
+
+def test_symmetric_cohomology_restricts_each_generator_once(monkeypatch):
+    # degrees 0..4 are restricted by fixed_subcomplex, which checks that each
+    # generator preserves its space; only the top degree is checked apart:
+    # 0 + 1 + 2 + 3 + 4 generators there, and 5 at the top
+    from symcoh import bar, complexes
+    calls = []
+    real = complexes.restrict_operator
+
+    def counting(space, op):
+        calls.append(op.rows)
+        return real(space, op)
+
+    monkeypatch.setattr(complexes, "restrict_operator", counting)
+    monkeypatch.setattr(bar, "restrict_operator", counting)
+    h = kC(5, Field.prime(5))
+    assert symmetric_cohomology(h, trivial_module(h), 5).dims == [1] * 5
+    assert len(calls) == 15

@@ -1,7 +1,7 @@
 """The diagonal action of every basis element on slots 1-4: the sparse
 tensor power of the regular module against the tuple-by-tuple Sweedler
 expansion in oracles.py, and the permutation branch of group algebras
-against that tensor power."""
+against that tensor power; each with its transposed column map."""
 
 import pytest
 
@@ -43,10 +43,12 @@ def test_diagonal_action_matches_oracle(name, slots):
     h = ALGEBRAS[name]()
     assert not h.group_like
     size = h.dim ** slots
-    for b, columns in zip(range(h.dim), diagonal_columns(h, range(h.dim), slots)):
+    for b, (columns, transposed) in zip(range(h.dim), diagonal_columns(h, range(h.dim), slots)):
         expect = oracle_diagonal_action(h, b, slots)
         assert (expect.rows, expect.cols) == (size, size)
         assert _triples(h, columns, size) == [a.tolist() for a in expect.triples()]
+        assert _triples(h, transposed, size) == \
+            [a.tolist() for a in expect.transpose().triples()]
 
 
 @pytest.mark.parametrize("slots", (1, 2, 3, 4))
@@ -61,5 +63,9 @@ def test_permutation_branch_matches_tensor_power(name, slots):
     for _ in range(slots - 1):
         power = tensor_module(h, power, regular)
     assert power.dim == h.dim ** slots
-    for action, columns in zip(power.action, diagonal_columns(h, range(h.dim), slots)):
+    for action, (columns, transposed) in zip(power.action,
+                                             diagonal_columns(h, range(h.dim), slots)):
         assert _triples(h, columns, power.dim) == [a.tolist() for a in action.triples()]
+        # the action of the inverse element is the transpose
+        assert _triples(h, transposed, power.dim) == \
+            [a.tolist() for a in action.transpose().triples()]

@@ -16,7 +16,8 @@ from symcoh.resolution import (coinvariant_space, contracting_homotopy_check,
                                cp_rank_table, sh_via_resolution, splitting_maps,
                                sym_resolution_complex)
 
-from oracles import coinvariant_quotient, cp_orbit_walk, diagonal_action, vstack
+from oracles import (coinvariant_quotient, cp_orbit_walk, diagonal_action,
+                     sorted_tuple_projection, vstack)
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
@@ -56,6 +57,47 @@ def test_zero_coinvariant_space_allocates_no_ambient_columns():
     assert space.dim == 0
     assert space.ambient_dim == 0
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("make", [lambda: kC(3, GF3), lambda: kC(5, GF5), lambda: kS3(GF5),
+                                  lambda: kS3(QQ), lambda: kS3(Field.prime(2))],
+                         ids=["kC3-GF3", "kC5-GF5", "kS3-GF5", "kS3-Q", "kS3-GF2"])
+def test_projection_matches_the_ambient_sort(make):
+    # the labels times the signed permutations of their slots, against the
+    # sort of every ambient tuple
+    h = make()
+    for n in range(5):
+        space = coinvariant_space(h, n)
+        if not space.dim:
+            assert (space.projection.rows, space.projection.cols) == (0, 0)
+            continue
+        assert space.projection == sorted_tuple_projection(h.field, h.dim, n + 1)
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_resolution_is_built_on_the_support_of_the_projection():
+    # S_5 of kS3 has 6 basis elements and its projection 720 nonzeros, on
+    # 6^6 ambient tuples; the checked resolution forms no ambient-sized array
+    res, peak = _traced_peak(lambda: sym_resolution_complex(kS3(QQ), 5))
+    assert res.dims() == [6, 15, 20, 15, 6, 1]
+    assert peak < 6 << 20
+
+
+def test_cp_rank_table_is_built_on_the_support_of_the_projection():
+    # S_5 of kC11 has 462 basis elements and 332,640 projection nonzeros
+    # on 11^6 = 1,771,561 ambient tuples
+    rows, peak = _traced_peak(lambda: cp_rank_table(11, 5))
+    assert [r.dim for r in rows] == [comb(11, n + 1) for n in range(1, 6)]
+    assert all(r.is_free for r in rows)
+    assert peak < 120 << 20
 
 
 def test_top_coinvariants_kc3_is_trivial_module():

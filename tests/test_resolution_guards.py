@@ -13,6 +13,10 @@ its group basis ("fast": the diagonal action is a permutation) and in a
 basis with no group-like elements ("generic": the diagonal action is that
 of the sparse tensor power of the regular module), over GF(5) and Q.  The
 diagonal actions are checked to descend one at a time, as each is built.
+A sign flipped on an unsorted tuple of the projection keeps
+projection . section = 1, so only the check that the projection kills the
+relations can see it; a corrupted action entry at a section column
+changes the induced action, which then fails to descend.
 """
 
 import numpy as np
@@ -181,3 +185,53 @@ def test_corrupted_tensor_module_is_caught(monkeypatch, field_name, make):
 
     monkeypatch.setattr(resolution, "tensor_module", tensor)
     assert not splitting_maps(h, 1).equivariant_ok
+
+
+def _flip_unsorted(monkeypatch, degree):
+    """Negate the projection entry of the first unsorted tuple of the space
+    of the given degree right after it is built (before its checks run)."""
+    original = resolution.CoinvariantSpace.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        if self.degree != degree:
+            return
+        sm = self.projection
+        sorted_cols = set(self.section.row_idx.tolist())
+        at = next(k for k, c in enumerate(sm.col_idx.tolist()) if c not in sorted_cols)
+        sm.vals[at] = sm.field.neg(sm.vals[at])
+
+    monkeypatch.setattr(resolution.CoinvariantSpace, "__init__", init)
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@pytest.mark.parametrize("make", BASES)
+def test_sign_flip_on_an_unsorted_tuple_is_caught(monkeypatch, field_name, make):
+    h = make(FIELDS[field_name])
+    _flip_unsorted(monkeypatch, 1)
+    with pytest.raises(AssertionError, match="relations"):
+        coinvariant_space(h, 1, check=True)
+    with pytest.raises(AssertionError, match="relations"):
+        sym_resolution_complex(h, 2, check=True)
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+@pytest.mark.parametrize("make", BASES)
+def test_corrupted_action_at_a_section_column_is_caught(monkeypatch, field_name, make):
+    # the action of b_1 on A tensor A gets its entry at the section column
+    # (0, 1), on the row of that same tuple, changed
+    h = make(FIELDS[field_name])
+    original = resolution.diagonal_columns
+    tup = _flat((0, 1), h.dim)
+
+    def diagonal(h, elements, slots):
+        for b, (columns, transposed) in zip(elements, original(h, elements, slots)):
+            if b == 1 and slots == 2:
+                columns = _bump_entry(h.field, columns, tup, tup)
+            yield columns, transposed
+
+    monkeypatch.setattr(resolution, "diagonal_columns", diagonal)
+    with pytest.raises(AssertionError, match="induced action"):
+        coinvariant_space(h, 1, check=True)
+    with pytest.raises(AssertionError, match="induced action"):
+        _build(h, True)

@@ -16,8 +16,9 @@ from symcoh.fields import Field
 from symcoh.hopf import group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
 from symcoh.modules import adjoint_module, regular_bimodule, regular_left_module
-from symcoh.sparse import SparseMatrix, _column_batches, canonical, pointers
-from symcoh.tensors import bar_chain_diff, cochain_precompose, cochain_swap_sigma
+from symcoh.sparse import SparseMatrix, _column_batches, apply_columns, canonical, pointers
+from symcoh.tensors import (all_columns, bar_chain_diff, bar_chain_transpose_columns,
+                            cochain_precompose, cochain_swap_sigma)
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.prime(3037000493), Field.rationals()]
 
@@ -114,6 +115,28 @@ def test_column_map_returns_each_requested_column(case, data):
         at = pos == k
         want = sorted((i, v) for (i, jj), v in stored.items() if jj == j)
         assert list(zip(got_rows[at].tolist(), got_vals[at].tolist())) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(triples(), st.data())
+def test_search_column_map_matches_the_pointer_map(case, data):
+    field, (rows, cols), entries = case
+    sm = SparseMatrix(field, rows, cols, _arrays(field, entries))
+    idx = np.array(data.draw(st.lists(st.integers(0, max(cols - 1, 0)), max_size=12)) if cols
+                   else [], dtype=np.int64)
+    for want, got in zip(sm.column_map()(idx), sm.column_map(search=True)(idx)):
+        assert want.tolist() == got.tolist()
+
+
+def test_search_column_map_on_misses_and_no_entries():
+    field = Field.prime(5)
+    sm = SparseMatrix(field, 4, 1000, ([2, 0, 3], [1, 3, 3], [1, 2, 4]))
+    rows, pos, vals = sm.column_map(search=True)(np.array([999, 3, 0, 3, 1, 4], dtype=np.int64))
+    assert (rows.tolist(), pos.tolist(), vals.tolist()) == \
+        ([0, 3, 0, 3, 2], [1, 1, 3, 3, 4], [2, 4, 2, 4, 1])
+    empty = SparseMatrix(field, 0, 390625)
+    rows, pos, vals = empty.column_map(search=True)(np.array([0, 390624], dtype=np.int64))
+    assert len(rows) == len(pos) == len(vals) == 0
 
 
 def test_column_map_past_the_last_stored_column_and_its_pointer_size():
@@ -280,3 +303,19 @@ def test_builders_emit_triples_in_canonical_order(field, monkeypatch):
         built += [space.basis, space.coords]
     assert all(seen)
     assert all(m.nnz() for m in built)
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=str)
+def test_transposed_chain_map_is_the_transpose_of_the_chain_map(field):
+    # the counit-weighted slot insertion, on algebras with no group basis
+    # (the counit of k[x]/(x^3) vanishes on x and x^2) and on a group algebra
+    from restricted import restricted_enveloping
+    from test_generic_hopf import scrambled_kc3
+    algebras = [scrambled_kc3(field), group_algebra(6, symmetric_group_table(3), field)]
+    for h in algebras + ([restricted_enveloping(3)] if field.is_rational else []):
+        for n in range(4):
+            chain = bar_chain_diff(h, n)
+            got = SparseMatrix(h.field, chain.cols, chain.rows,
+                               apply_columns(h.field, bar_chain_transpose_columns(h, n),
+                                             all_columns(chain.rows)))
+            assert got == chain.transpose()
