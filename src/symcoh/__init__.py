@@ -6,7 +6,7 @@ from .hochschild import commutative_factorization_check, compare_adjoint
 from .hopf import HopfAlgebra, group_algebra, iterated_comult, validate_hopf
 from .linalg import Matrix, Subspace, kernel_basis, quotient, rank
 from .modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
-                      invariants, regular_bimodule, trivial_module)
+                      regular_bimodule, trivial_module)
 from .resolution import (coinvariant_space, contracting_homotopy_check,
                          cp_rank_table, sh_via_resolution, splitting_maps,
                          sym_resolution_complex)
@@ -15,7 +15,7 @@ __all__ = [
     "Field", "Matrix", "Subspace", "kernel_basis", "quotient", "rank",
     "HopfAlgebra", "group_algebra", "iterated_comult", "validate_hopf",
     "LeftModule", "Bimodule", "adjoint_module", "hom_equivariant",
-    "invariants", "regular_bimodule", "trivial_module",
+    "regular_bimodule", "trivial_module",
     "classical_cohomology", "symmetric_cohomology", "nonhomogeneous_symmetric_dims",
     "compare_adjoint", "commutative_factorization_check",
     "coinvariant_space", "sym_resolution_complex", "contracting_homotopy_check",

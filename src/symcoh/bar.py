@@ -12,13 +12,14 @@ module only: SHH(A, M) of a bimodule M is SH(A, ad M), the paper's
 theorem, so `symmetric_cohomology` computes it on the adjoint module.
 
 The standard ("nonhomogeneous") complex lives on reduced coordinates
-Hom_k(A^(tensor n), M) and takes a bimodule natively: the equivariant
-evaluation f(a_0 tensor x tensor a_last) = a_0 . f(x) . a_last translates
-operators on the free resolution into boundary formulas with the left
-action on the first term and the right action on the last.  A left module
-M enters those formulas as the bimodule M_eps, whose right action is the
-counit.  It computes HH, and it is the side of every SHH check that never
-builds ad M (`nonhomogeneous_symmetric_dims`).
+Hom_k(A^(tensor n), M) and takes a bimodule natively.  It is
+Hom_(A-A)(A tensor A^(tensor n) tensor A, M) over the bar resolution,
+by f -> F, F(b tensor y tensor c) = b . f(y) . c, so each of its
+operators is one evaluation: f -> (x -> F(c(1 tensor x tensor 1))) for a
+composite c of the sparse structure maps, applied by hopf._apply (see
+_evaluation).  A left module M enters as the bimodule M_eps, whose right
+action is the counit.  It computes HH, and it is the side of every SHH
+check that never builds ad M (`nonhomogeneous_symmetric_dims`).
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ import numpy as np
 from .complexes import (ActionOperator, CochainComplex, CochainSpace, cohomology_dims,
                         fixed_subcomplex, restrict_operator)
 from .errors import BudgetExceeded, NotCocommutative
-from .hopf import HopfAlgebra, iterated_comult
-from .modules import Bimodule, LeftModule, adjoint_module, validate_module
-from .sparse import SparseMatrix, combination, field_array, kron_triples, require_terms
-from .tensors import (all_columns, all_tuples, bar_chain_diff, cochain_precompose,
-                      cochain_swap_sigma, diagonal_columns, flat)
+from .hopf import HopfAlgebra, _apply, _structure_maps, iterated_comult
+from .modules import Bimodule, LeftModule, _action_map, adjoint_module, validate_module
+from .sparse import SparseMatrix, combination, field_array, kron, kron_triples, require_terms
+from .tensors import (all_columns, bar_chain_diff, cochain_precompose, cochain_swap_sigma,
+                      diagonal_columns)
 
 BUDGET = 200_000  # coordinates of the largest ambient cochain space a complex may have
 
@@ -56,29 +57,6 @@ def require_budget(coords: int, what: str):
 def require_cocommutative(h: HopfAlgebra):
     if not h.is_cocommutative:
         raise NotCocommutative("the symmetric-group action needs tw . comult = comult")
-
-
-def _blocks(mats) -> list:
-    """Per sparse matrix: its nonzero entries as (row, col, value)."""
-    return [list(zip(*(part.tolist() for part in a.triples()))) for a in mats]
-
-
-def _right_matrices(h: HopfAlgebra, mod: LeftModule) -> list:
-    """Matrices of the right action; a left module acts as M_eps."""
-    if isinstance(mod, Bimodule):
-        return mod.right
-    eye = SparseMatrix.identity(h.field, mod.dim)
-    return [combination(h.field, mod.dim, mod.dim, [(e, eye)]) for e in h.counit]
-
-
-def _add_value_block(entries, row_base: int, col_base: int, coeff, block: list, fld):
-    """Append coeff times the value action with entries `block` to the
-    (rows, cols, vals) lists `entries`, at one block of tuples."""
-    rows, cols, vals = entries
-    for j2, j, v in block:
-        rows.append(row_base + j2)
-        cols.append(col_base + j)
-        vals.append(fld.mul(coeff, v))
 
 
 # -- the homogeneous (equivariant-subspace) realization -------------------
@@ -197,100 +175,88 @@ def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int,
 # -- the nonhomogeneous (reduced-coordinate) realization -------------------
 
 
+def _evaluation(h: HopfAlgebra, mod: LeftModule):
+    """evaluate(n, k, lo, width, composite, sign): the triples of the operator
+    Hom_k(A^(tensor k), M) -> Hom_k(A^(tensor n), M),
+
+        f -> (x -> sign F(c(1 tensor x tensor 1))),  F(b tensor y tensor c) = b . f(y) . c,
+
+    where the composite c (tuple layers, as in hopf._apply) reads the
+    `width` padded slots from lo of 1 tensor x tensor 1 (slots 0..n+1).
+    Only an outer slot that c reads is formed, from the coordinates of the
+    unit; one it does not read stays 1, which acts as the identity.  A left
+    module acts as M_eps.
+
+    The join of c(1 tensor x tensor 1) to the value action takes two
+    column-map lookups: each entry (b, y, c) at x meets every entry (k, j')
+    of rho_right(c), and then column k of rho_left(b)."""
+    d, m, fld = h.dim, mod.dim, h.field
+    maps = _structure_maps(h)
+    # the right action map, eps tensor 1 for M_eps, regrouped so that
+    # column c holds the entry (k, j') of rho_right(c) at row k * m + j'
+    rho = (_action_map(h, mod.right, m) if isinstance(mod, Bimodule)
+           else kron(maps.counit, SparseMatrix.identity(fld, m)))
+    c, jj = np.divmod(rho.col_idx, m)
+    eye = np.arange(m, dtype=np.int64)
+    # indexed by whether the outer slot is formed, the identity of M if not;
+    # on the left, column b * m + k is column k of rho_left(b)
+    rights = (SparseMatrix(fld, m * m, 1, (eye * (m + 1), 0 * eye, None)),
+              SparseMatrix(fld, m * m, d, (rho.row_idx * m + jj, c, rho.vals)))
+    lefts = (SparseMatrix.identity(fld, m), _action_map(h, mod.action, m))
+
+    def evaluate(n, k, lo, width, composite, sign):
+        left, right = lo == 0, lo + width == n + 2
+        before, after = lo - 1 + left, n + 1 + right - lo - width  # formed slots around c
+        padded = SparseMatrix.identity(fld, d ** n)
+        if left:
+            padded = kron(maps.unit, padded)
+        if right:
+            padded = kron(padded, maps.unit)
+        r, x, v = _apply(h, [(1,) * before + layer + (1,) * after for layer in composite],
+                         padded).triples()
+        rest, c = np.divmod(r, d ** right)  # c = 0 without the right slot
+        b, y = np.divmod(rest, d ** k)  # b = 0 without the left slot
+        rows, at, w = rights[right].column_map()(c)
+        kk, jj = np.divmod(rows, m)
+        rows, at2, w2 = lefts[left].column_map()(b[at] * m + kk)
+        at = at[at2]
+        return (x[at] * m + rows, y[at] * m + jj[at2],
+                fld.reduce(fld.reduce(fld.reduce(v * sign)[at] * w[at2]) * w2))
+
+    return evaluate
+
+
 def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
-    """Degrees 0..top of the standard complex on Hom_k(A^(tensor n), M)."""
+    """Degrees 0..top of the standard complex on Hom_k(A^(tensor n), M).
+    The differential into degree n evaluates on the bar differential, the
+    sum over i = 0..n of (-1)^i m in the padded slots i, i+1."""
     validate_module(h, mod)
-    d = h.dim
-    m = mod.dim
-    fld = h.field
+    d, m, fld = h.dim, mod.dim, h.field
     require_budget(m * d ** (top + 1), "nonhomogeneous complex")
-    left = _blocks(mod.action)
-    right = _blocks(_right_matrices(h, mod))
-    one = fld.one()
-    eye = [(j, j, one) for j in range(m)]
+    evaluate = _evaluation(h, mod)
+    mult, signs = _structure_maps(h).mult, (fld.one(), fld.neg(fld.one()))
     spaces = [CochainSpace.full(fld, m * d ** n) for n in range(top + 1)]
     diffs = []
-    for n in range(top):
-        entries = ([], [], [])
-        for tup in all_tuples(d, n + 1):
-            row_base = flat(tup, d) * m
-            # first face: the leading argument acts on the value from the left
-            _add_value_block(entries, row_base, flat(tup[1:], d) * m, one, left[tup[0]], fld)
-            # inner faces: multiply adjacent arguments
-            sign = fld.neg(one)
-            for i in range(n):
-                for k, c in h.mult[tup[i]][tup[i + 1]].items():
-                    col_base = flat(tup[:i] + (k,) + tup[i + 2:], d) * m
-                    _add_value_block(entries, row_base, col_base, fld.mul(sign, c), eye, fld)
-                sign = fld.neg(sign)
-            # last face: the trailing argument acts on the value from the right
-            _add_value_block(entries, row_base, flat(tup[:n], d) * m, sign, right[tup[n]], fld)
-        diffs.append(SparseMatrix(fld, m * d ** (n + 1), m * d ** n, entries))
+    for n in range(1, top + 1):
+        faces = [evaluate(n, n - 1, i, 2, [(mult,)], signs[i % 2]) for i in range(n + 1)]
+        diffs.append(SparseMatrix(fld, m * d ** n, m * d ** (n - 1),
+                                  [np.concatenate(part) for part in zip(*faces)]))
     return CochainComplex(fld, top, spaces, diffs, label="C")
 
 
-def _sweedler_triples(h: HopfAlgebra, i: int) -> dict:
-    return iterated_comult(h, i, 2).coeffs
-
-
 def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
-    """The (i, i+1) generators on reduced degree-n cochains.
-
-    The interior formula substitutes the Sweedler triple of the i-th
-    argument; at i = 1 the leading leg acts on the value from the left,
-    at i = n the trailing leg from the right.
-    """
+    """The (i, i+1) generators on reduced degree-n cochains: sigma_i
+    evaluates on -(m tensor 1 tensor m)(1 tensor 1 tensor S tensor 1 tensor 1)
+    (1 tensor 1 tensor Delta tensor 1)(1 tensor Delta tensor 1) in the
+    padded slots i-1, i, i+1."""
     require_cocommutative(h)
-    if n < 1:
-        return ActionOperator(n, [])
-    d = h.dim
-    m = mod.dim
-    fld = h.field
-    left = _blocks(mod.action)
-    right_mats = _right_matrices(h, mod)
-    right = _blocks(right_mats)
-    eye = [(j, j, fld.one()) for j in range(m)]
-    size = m * d ** n
-    minus = fld.neg(fld.one())
-    sigmas = []
-    for i in range(1, n + 1):
-        entries = ([], [], [])
-        for tup in all_tuples(d, n):
-            row_base = flat(tup, d) * m
-            if i == 1 and n == 1:
-                for (s1, s2, s3), c in _sweedler_triples(h, tup[0]).items():
-                    # both boundary actions: left by s1, right by s3
-                    block = _blocks([right_mats[s3] @ mod.action[s1]])[0]
-                    for u, su in h.antipode_column(s2).items():
-                        _add_value_block(entries, row_base, flat((u,), d) * m,
-                                         fld.mul(minus, fld.mul(c, su)), block, fld)
-            elif i == 1:
-                for (s1, s2, s3), c in _sweedler_triples(h, tup[0]).items():
-                    for u, su in h.antipode_column(s2).items():
-                        for v2, mv in h.mult[s3][tup[1]].items():
-                            coeff = fld.mul(minus, fld.mul(c, fld.mul(su, mv)))
-                            _add_value_block(entries, row_base,
-                                             flat((u, v2) + tup[2:], d) * m,
-                                             coeff, left[s1], fld)
-            elif i == n:
-                for (s1, s2, s3), c in _sweedler_triples(h, tup[n - 1]).items():
-                    for a, ma in h.mult[tup[n - 2]][s1].items():
-                        for u, su in h.antipode_column(s2).items():
-                            coeff = fld.mul(minus, fld.mul(c, fld.mul(ma, su)))
-                            _add_value_block(entries, row_base,
-                                             flat(tup[:n - 2] + (a, u), d) * m,
-                                             coeff, right[s3], fld)
-            else:
-                for (s1, s2, s3), c in _sweedler_triples(h, tup[i - 1]).items():
-                    for a, ma in h.mult[tup[i - 2]][s1].items():
-                        for u, su in h.antipode_column(s2).items():
-                            for v2, mv in h.mult[s3][tup[i]].items():
-                                coeff = fld.mul(minus,
-                                                fld.mul(fld.mul(c, ma), fld.mul(su, mv)))
-                                col_base = flat(tup[:i - 2] + (a, u, v2) + tup[i + 1:], d) * m
-                                _add_value_block(entries, row_base, col_base, coeff, eye, fld)
-        sigmas.append(SparseMatrix(fld, size, size, entries))
-    return ActionOperator(n, sigmas)
+    mult, delta, _eta, _eps, s, _tau = _structure_maps(h)
+    # m tensor 1 tensor m as two layers, one map each
+    sigma = [(mult, 1, 1), (1, 1, 1, mult), (1, 1, s, 1, 1), (1, 1, delta, 1), (1, delta, 1)]
+    evaluate = _evaluation(h, mod)
+    size, minus = mod.dim * h.dim ** n, h.field.neg(h.field.one())
+    return ActionOperator(n, [SparseMatrix(h.field, size, size, evaluate(n, n, i - 1, 3, sigma, minus))
+                              for i in range(1, n + 1)])
 
 
 # -- cohomology drivers ----------------------------------------------------

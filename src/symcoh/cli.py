@@ -99,6 +99,8 @@ def hopf_from_json(obj: dict, field_override: Field | None) -> HopfAlgebra:
         raise SchemaError(f"bad structure constants: {exc}") from exc
     antipode = _parse_matrix(field, obj["antipode"], "antipode")
     labels = obj.get("basis_labels", [f"b{i}" for i in range(dim)])
+    if not isinstance(labels, list):
+        raise SchemaError("basis_labels must be a list")
     return HopfAlgebra(field, dim, labels, mult, unit, comult, counit, antipode)
 
 
@@ -110,14 +112,7 @@ def load_algebra(source: str, field_override: Field | None) -> HopfAlgebra:
         except ValueError as exc:
             raise SchemaError(f"bad algebra name {source!r}: {exc}") from exc
         return group_algebra(len(table), table, field)
-    try:
-        with open(source) as f:
-            obj = json.load(f)
-    except OSError as exc:
-        raise SchemaError(f"cannot read algebra file {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"algebra file is not valid JSON: {exc}") from exc
-    return hopf_from_json(obj, field_override)
+    return hopf_from_json(_read_json(source), field_override)
 
 
 def load_module(source: str, h: HopfAlgebra, bimodule: bool = False) -> LeftModule:
@@ -164,13 +159,17 @@ def hopf_to_json(h: HopfAlgebra) -> dict:
 
 
 def _read_json(source: str) -> dict:
+    """The JSON object in the file `source`; anything else is a SchemaError."""
     try:
         with open(source) as f:
-            return json.load(f)
+            obj = json.load(f)
     except OSError as exc:
         raise SchemaError(f"cannot read {source!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{source!r} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{source!r} does not hold a JSON object")
+    return obj
 
 
 # -- report assembly ---------------------------------------------------------

@@ -9,9 +9,10 @@ lets the cochain builders replace Sweedler sums by single terms.
 The structure maps are also built once per algebra as sparse matrices
 (`_structure_maps`): `validate_hopf` checks each axiom as one equality of
 their composites, applied slot by slot to batches of input basis tuples,
-and `modules` checks the module axioms against them and slices the
-regular actions out of m, from which the diagonal action on tensor powers
-is built.
+`modules` checks the module axioms against them and slices the regular
+actions out of m, from which the diagonal action on tensor powers is
+built, and `bar` evaluates the operators of the standard complex on
+their composites.
 """
 
 from __future__ import annotations

@@ -186,15 +186,6 @@ def adjoint_module(h: HopfAlgebra, bim: Bimodule) -> LeftModule:
                      for (j, k), c in h.comult[i].items()]) for i in range(h.dim)])
 
 
-def invariants(h: HopfAlgebra, mod: LeftModule) -> Subspace:
-    """The subspace where every b_i acts by its counit scalar."""
-    fld = h.field
-    eye = SparseMatrix.identity(fld, mod.dim)
-    return intersect_kernels(fld, mod.dim, [
-        combination(fld, mod.dim, mod.dim, [(fld.one(), a), (fld.neg(e), eye)])
-        for a, e in zip(mod.action, h.counit)])
-
-
 def tensor_actions(h: HopfAlgebra, l: LeftModule, m: LeftModule, elements) -> list:
     """The actions of the basis elements `elements` on L tensor M,
     a . (l tensor m) = a1 l tensor a2 m: per distinct first Sweedler leg

@@ -21,8 +21,6 @@ tensor power of the regular module, each level's kron terms charged first.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .hopf import HopfAlgebra
@@ -35,10 +33,6 @@ def flat(tup, d: int) -> int:
     for t in tup:
         idx = idx * d + t
     return idx
-
-
-def all_tuples(d: int, length: int):
-    return itertools.product(range(d), repeat=length)
 
 
 def delete_slot(idx: np.ndarray, d: int, slots: int, i: int) -> np.ndarray:

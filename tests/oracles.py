@@ -28,7 +28,9 @@ chain maps phi and psi between the two realizations of `symcoh.bar`, the
 symmetric-group action written on the whole ambient space of the
 standard complex (against its reduced boundary formulas), the complex
 property, the Coxeter relations and the Euler characteristic of a
-cochain complex, and Hom_k(X, M) as a module.
+cochain complex, and Hom_k(X, M) as a module.  The tuple-by-tuple
+oracles share the helpers at the top: the basis tuples of a tensor power
+and the value blocks of a module action.
 """
 
 import itertools
@@ -36,15 +38,35 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from symcoh.bar import _add_value_block, _blocks, require_cocommutative
+from symcoh.bar import require_cocommutative
 from symcoh.complexes import (ActionOperator, CochainComplex, CochainSpace,
                               cohomology_dims, restrict_operator)
 from symcoh.fields import Field
 from symcoh.hopf import HopfAlgebra, iterated_comult
 from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank
-from symcoh.modules import Bimodule, LeftModule, invariants
+from symcoh.modules import Bimodule, LeftModule, hom_equivariant, trivial_module
 from symcoh.sparse import SparseMatrix, combination, kron
-from symcoh.tensors import all_tuples, flat, swap_slots
+from symcoh.tensors import flat, swap_slots
+
+
+def all_tuples(d: int, length: int):
+    """The basis tuples of A^(tensor length), in flat-index order."""
+    return itertools.product(range(d), repeat=length)
+
+
+def _blocks(mats) -> list:
+    """Per sparse matrix: its nonzero entries as (row, col, value)."""
+    return [list(zip(*(part.tolist() for part in a.triples()))) for a in mats]
+
+
+def _add_value_block(entries, row_base: int, col_base: int, coeff, block: list, fld):
+    """Append coeff times the value action with entries `block` to the
+    (rows, cols, vals) lists `entries`, at one block of tuples."""
+    rows, cols, vals = entries
+    for j2, j, v in block:
+        rows.append(row_base + j2)
+        cols.append(col_base + j)
+        vals.append(fld.mul(coeff, v))
 
 
 def periodic_cyclic_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
@@ -75,7 +97,7 @@ def periodic_cyclic_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
 def maschke_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
     """Over a splitting characteristic the higher cohomology vanishes and
     degree zero is the invariants."""
-    return [invariants(h, mod).dim] + [0] * top
+    return [hom_equivariant(h, trivial_module(h), mod).dim] + [0] * top
 
 
 def descends_to_quotient(field, d, slots, sym_slots, projected) -> bool:

@@ -13,12 +13,13 @@ from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
 from symcoh.modules import adjoint_module, regular_bimodule, regular_left_module, trivial_module
 from symcoh.sparse import SparseMatrix
-from symcoh.tensors import all_tuples, flat
+from symcoh.tensors import flat
 
-from oracles import (check_complex, coxeter_relations_hold, equivariant_solve,
+from oracles import (all_tuples, check_complex, coxeter_relations_hold, equivariant_solve,
                      maschke_cohomology_dims, periodic_cyclic_cohomology_dims, phi_psi,
                      sigma_nonhomogeneous_ambient, space_dims, stacked_kernel, vstack)
-from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
+from restricted import restricted_enveloping
+from test_generic_hopf import change_basis, scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)
@@ -287,37 +288,52 @@ def test_dual_hopf_is_valid_but_not_cocommutative():
     assert dual.is_commutative
 
 
+def _assert_ambient_matches_reduced(h, n_max):
+    """The reduced generators equal the ambient ones conjugated through
+    F(a_0 tensor x) = a_0 . f(x), on the trivial and regular modules."""
+    for mod in (trivial_module(h), regular_left_module(h)):
+        d, m, fld = h.dim, mod.dim, h.field
+        for n in range(1, n_max + 1):
+            # section: reduced cochain -> ambient functional on A^(n+1)
+            sect, coords = ([], [], []), ([], [], [])
+            for tup in all_tuples(d, n + 1):
+                row_base = flat(tup, d) * m
+                col_base = flat(tup[1:], d) * m
+                rho = mod.action[tup[0]].to_dense()
+                for j in range(m):
+                    for j2 in range(m):
+                        v = rho[j2, j]
+                        if v != 0:
+                            append_entry(sect, row_base + j2, col_base + j, v)
+            unit = h.unit_dict()
+            for tup in all_tuples(d, n):
+                for u, uc in unit.items():
+                    for j in range(m):
+                        append_entry(coords, flat(tup, d) * m + j,
+                                flat((u,) + tup, d) * m + j, uc)
+            sect = SparseMatrix(fld, m * d ** (n + 1), m * d ** n, sect)
+            coords = SparseMatrix(fld, m * d ** n, m * d ** (n + 1), coords)
+            assert (coords @ sect).equals_identity()
+            reduced = sigma_nonhomogeneous(h, mod, n).sigmas
+            ambient = sigma_nonhomogeneous_ambient(h, mod, n).sigmas
+            for red, amb in zip(reduced, ambient):
+                assert coords @ (amb @ sect) == red
+
+
 def test_sigma_ambient_matches_reduced_via_free_identification():
     # reduced boundary formulas == ambient operators
     # conjugated through F(a_0 tensor x) = a_0 . f(x)
     for h, n_max in [(kC(3, GF3), 3), (kS3(GF5), 2)]:
-        for mod in (trivial_module(h), regular_left_module(h)):
-            d, m, fld = h.dim, mod.dim, h.field
-            for n in range(1, n_max + 1):
-                # section: reduced cochain -> ambient functional on A^(n+1)
-                sect, coords = ([], [], []), ([], [], [])
-                for tup in all_tuples(d, n + 1):
-                    row_base = flat(tup, d) * m
-                    col_base = flat(tup[1:], d) * m
-                    rho = mod.action[tup[0]].to_dense()
-                    for j in range(m):
-                        for j2 in range(m):
-                            v = rho[j2, j]
-                            if v != 0:
-                                append_entry(sect, row_base + j2, col_base + j, v)
-                unit = h.unit_dict()
-                for tup in all_tuples(d, n):
-                    for u, uc in unit.items():
-                        for j in range(m):
-                            append_entry(coords, flat(tup, d) * m + j,
-                                    flat((u,) + tup, d) * m + j, uc)
-                sect = SparseMatrix(fld, m * d ** (n + 1), m * d ** n, sect)
-                coords = SparseMatrix(fld, m * d ** n, m * d ** (n + 1), coords)
-                assert (coords @ sect).equals_identity()
-                reduced = sigma_nonhomogeneous(h, mod, n).sigmas
-                ambient = sigma_nonhomogeneous_ambient(h, mod, n).sigmas
-                for red, amb in zip(reduced, ambient):
-                    assert coords @ (amb @ sect) == red
+        _assert_ambient_matches_reduced(h, n_max)
+
+
+@pytest.mark.parametrize("make", [scrambled_kc3, scrambled_kc2_rational,
+                                  lambda: restricted_enveloping(3)],
+                         ids=["scrambled-kc3", "scrambled-kc2-q", "u1-gf3"])
+def test_sigma_ambient_matches_reduced_without_a_group_basis(make):
+    # the same on bases with Sweedler sums; the unit of scrambled kC2 has
+    # two coordinates, so the padded outer slots are sums
+    _assert_ambient_matches_reduced(make(), 3)
 
 
 # -- phi/psi -----------------------------------------------------------------
@@ -507,6 +523,28 @@ def test_symmetric_cohomology_scrambled_kc3_peak_memory():
     finally:
         tracemalloc.stop()
     assert dims == [1, 1, 1, 0, 0]
+    assert peak < 32 << 20
+
+
+def test_nonhomogeneous_realization_dense_unit_peak_memory():
+    # kS3 on a basis whose unit has 6 coordinates: the evaluation on
+    # 1 tensor x tensor 1 forms only the outer slot a composite reads, so
+    # no padding multiplies the terms by nnz(unit)^2; the tuple loops this
+    # replaced peaked at 95 MiB and took 23 s here
+    field = GF5
+    p = Matrix.from_rows(field, [[1 if i == j else 0 if j > i else (i + 2 * j) % 4 + 1
+                                  for j in range(6)] for i in range(6)])
+    h = change_basis(kS3(field), p)
+    assert len(h.unit_dict()) == 6
+    mod = trivial_module(h)
+    tracemalloc.start()
+    try:
+        nonhomogeneous_complex(h, mod, 5)
+        for n in range(4):
+            sigma_nonhomogeneous(h, mod, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 32 << 20
 
 

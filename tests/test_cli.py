@@ -481,6 +481,26 @@ def test_malformed_right_action_is_a_schema_error(tmp_path, capsys, right):
     assert report["dims"] == [1, 1]
 
 
+def _kc3_with_labels(labels):
+    obj = hopf_to_json(group_algebra(3, cyclic_group_table(3), GF3))
+    obj["basis_labels"] = labels
+    return obj
+
+
+@pytest.mark.parametrize("mode", ["validate", "SH"])
+@pytest.mark.parametrize("body", [5, None, [1, 2], _kc3_with_labels(5)],
+                         ids=["number", "null", "array", "labels-not-a-list"])
+def test_malformed_algebra_file_is_a_schema_error(tmp_path, capsys, mode, body):
+    # an algebra file that is not a JSON object, or whose basis labels are
+    # not a list, exits 2 with the JSON error instead of a traceback
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(body))
+    code, report = run_json(capsys, "--algebra", str(path), "--mode", mode, "--max-degree", "2")
+    assert code == 2
+    assert report["error"]["code"] == 2
+    assert report["dims"] == []
+
+
 def _s3_permutations(inverse=False):
     """Left multiplication by each element of S3 (by its inverse if
     `inverse`) on the 6-dimensional regular module, as JSON matrices."""

@@ -15,10 +15,12 @@ from symcoh.fields import Field
 from symcoh.hochschild import commutative_factorization_check, compare_adjoint
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.modules import adjoint_module, regular_bimodule, trivial_bimodule
+from symcoh.sparse import SparseMatrix
 from symcoh.tensors import flat
 
-from oracles import (check_complex, coxeter_relations_hold, equivariant_solve,
+from oracles import (all_tuples, check_complex, coxeter_relations_hold, equivariant_solve,
                      periodic_cyclic_cohomology_dims, phi_psi, sigma_nonhomogeneous_ambient)
+from restricted import restricted_enveloping
 from test_bar import append_entry, sweedler_h4
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
@@ -137,39 +139,53 @@ def test_sigma_differential_compatibility_on_fixed_vectors():
         assert check_complex(fixed).passed
 
 
+def _assert_ambient_matches_reduced(h, n_max):
+    """The reduced Hochschild generators equal the ambient ones conjugated
+    through F(a_0 tensor x tensor a_last) = a_0 . f(x) . a_last, on the
+    trivial and regular bimodules."""
+    for bim in (trivial_bimodule(h), regular_bimodule(h)):
+        d, m, fld = h.dim, bim.dim, h.field
+        for n in range(1, n_max + 1):
+            sect, coords = ([], [], []), ([], [], [])
+            for tup in all_tuples(d, n + 2):
+                row_base = flat(tup, d) * m
+                col_base = flat(tup[1:-1], d) * m
+                act = (bim.left[tup[0]] @ bim.right[tup[-1]]).to_dense()
+                for j in range(m):
+                    for j2 in range(m):
+                        v = act[j2, j]
+                        if v != 0:
+                            append_entry(sect, row_base + j2, col_base + j, v)
+            unit = h.unit_dict()
+            for tup in all_tuples(d, n):
+                for u, uc in unit.items():
+                    for w, wc in unit.items():
+                        for j in range(m):
+                            append_entry(coords, flat(tup, d) * m + j,
+                                    flat((u,) + tup + (w,), d) * m + j, fld.mul(uc, wc))
+            sect = SparseMatrix(fld, m * d ** (n + 2), m * d ** n, sect)
+            coords = SparseMatrix(fld, m * d ** n, m * d ** (n + 2), coords)
+            assert (coords @ sect).equals_identity()
+            reduced = sigma_nonhomogeneous(h, bim, n).sigmas
+            ambient = sigma_nonhomogeneous_ambient(h, bim, n).sigmas
+            for red, amb in zip(reduced, ambient):
+                assert coords @ (amb @ sect) == red
+
+
 def test_sigma_ambient_matches_reduced_via_free_identification():
     # reduced Hochschild boundary formulas == ambient interior operators conjugated
     # through F(a_0 tensor x tensor a_last) = a_0 . f(x) . a_last
-    from symcoh.sparse import SparseMatrix
-    from symcoh.tensors import all_tuples, flat
     for h, n_max in [(kC(3, GF3), 3), (kS3(GF5), 2)]:
-        for bim in (trivial_bimodule(h), regular_bimodule(h)):
-            d, m, fld = h.dim, bim.dim, h.field
-            for n in range(1, n_max + 1):
-                sect, coords = ([], [], []), ([], [], [])
-                for tup in all_tuples(d, n + 2):
-                    row_base = flat(tup, d) * m
-                    col_base = flat(tup[1:-1], d) * m
-                    act = (bim.left[tup[0]] @ bim.right[tup[-1]]).to_dense()
-                    for j in range(m):
-                        for j2 in range(m):
-                            v = act[j2, j]
-                            if v != 0:
-                                append_entry(sect, row_base + j2, col_base + j, v)
-                unit = h.unit_dict()
-                for tup in all_tuples(d, n):
-                    for u, uc in unit.items():
-                        for w, wc in unit.items():
-                            for j in range(m):
-                                append_entry(coords, flat(tup, d) * m + j,
-                                        flat((u,) + tup + (w,), d) * m + j, fld.mul(uc, wc))
-                sect = SparseMatrix(fld, m * d ** (n + 2), m * d ** n, sect)
-                coords = SparseMatrix(fld, m * d ** n, m * d ** (n + 2), coords)
-                assert (coords @ sect).equals_identity()
-                reduced = sigma_nonhomogeneous(h, bim, n).sigmas
-                ambient = sigma_nonhomogeneous_ambient(h, bim, n).sigmas
-                for red, amb in zip(reduced, ambient):
-                    assert coords @ (amb @ sect) == red
+        _assert_ambient_matches_reduced(h, n_max)
+
+
+@pytest.mark.parametrize("make", [scrambled_kc3, scrambled_kc2_rational,
+                                  lambda: restricted_enveloping(3)],
+                         ids=["scrambled-kc3", "scrambled-kc2-q", "u1-gf3"])
+def test_sigma_ambient_matches_reduced_without_a_group_basis(make):
+    # the same on bases with Sweedler sums; the unit of scrambled kC2 has
+    # two coordinates, so the padded outer slots are sums
+    _assert_ambient_matches_reduced(make(), 2)
 
 
 def test_hochschild_phi_psi_inverse_and_intertwining():

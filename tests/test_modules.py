@@ -8,8 +8,7 @@ from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
 from symcoh.modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
-                            invariants, regular_bimodule,
-                            regular_left_module, tensor_module,
+                            regular_bimodule, regular_left_module, tensor_module,
                             trivial_bimodule, trivial_module,
                             validate_bimodule, validate_left_module)
 from symcoh.resolution import sym_resolution_complex
@@ -115,13 +114,13 @@ def test_dense_action_matrices_are_refused():
 
 def test_invariants_trivial_module_is_full():
     h = kS3(GF5)
-    assert invariants(h, trivial_module(h)).dim == 1
+    assert hom_equivariant(h, trivial_module(h), trivial_module(h)).dim == 1
 
 
 @pytest.mark.parametrize("field", [GF3, QQ])
 def test_invariants_regular_kc3_is_norm_line(field):
     h = kC(3, field)
-    inv = invariants(h, regular_left_module(h))
+    inv = hom_equivariant(h, trivial_module(h), regular_left_module(h))
     assert inv.dim == 1
     # oracle: the fixed line is spanned by the sum of all group elements
     vec = inv.basis.data[:, 0].tolist()
@@ -159,7 +158,7 @@ def test_hom_vs_invariants_dimension():
         m = regular_left_module(h) if ms == "regular" else trivial_module(h)
         hm = hom_module(h, x, m)
         assert validate_left_module(h, hm)
-        assert hom_equivariant(h, x, m).dim == invariants(h, hm).dim
+        assert hom_equivariant(h, x, m).dim == hom_equivariant(h, trivial_module(h), hm).dim
 
 
 def test_tensor_hom_adjunction_dimensions():
@@ -282,7 +281,7 @@ def test_hom_equivariant_equals_the_stacked_kron_kernel(name):
         want = stacked_kernel(h.field, [
             combination(h.field, mod.dim, mod.dim, [(1, mod.action[i]), (-h.counit[i], eye)])
             .to_dense() for i in range(h.dim)])
-        assert invariants(h, mod).basis == want.basis
+        assert hom_equivariant(h, trivial_module(h), mod).basis == want.basis
 
 
 def test_bimodule_hom_solve_peak_memory():

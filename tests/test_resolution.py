@@ -10,8 +10,8 @@ from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import rank
 from symcoh.sparse import SparseMatrix, kron
-from symcoh.modules import (LeftModule, adjoint_module, hom_equivariant, invariants,
-                            regular_bimodule, trivial_module, validate_module)
+from symcoh.modules import (LeftModule, adjoint_module, hom_equivariant, regular_bimodule,
+                            trivial_module, validate_module)
 from symcoh.resolution import (coinvariant_space, contracting_homotopy_check,
                                cp_rank_table, sh_via_resolution, splitting_maps,
                                sym_resolution_complex)
@@ -136,8 +136,9 @@ def _oracle_module(h, fast, proj, sect):
 
 def _same_invariants(h, fast, proj, sect):
     """The induced actions are conjugate, so their invariants agree."""
-    return invariants(h, fast.module).dim == \
-        invariants(h, _oracle_module(h, fast, proj, sect)).dim
+    k = trivial_module(h)
+    return hom_equivariant(h, k, fast.module).dim == \
+        hom_equivariant(h, k, _oracle_module(h, fast, proj, sect)).dim
 
 
 def _same_hom_into_adjoint(h, fast, proj, sect):
