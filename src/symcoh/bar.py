@@ -7,9 +7,14 @@ The homogeneous complex is the subspace of Hom_k(A^(tensor n+1), M)
 equivariant for the diagonal left action, with the action by signed
 swaps of the n+1 slots.  For every algebra its basis is the image of the
 tensor identity psi from Hom_k(A^(tensor n), M), and its coordinates are
-the inverse F -> F(1 tensor -) (see equivariant_space).  It takes a left
-module only: SHH(A, M) of a bimodule M is SH(A, ad M), the paper's
-theorem, so `symmetric_cohomology` computes it on the adjoint module.
+the inverse F -> F(1 tensor -) (see equivariant_space).  Its differential
+is precomposition with the counit-deletion chain map, built as the
+transposed chain map tensor id_M (see _homogeneous_differential).  For a
+group algebra with a permutation module the restricted swaps are signed
+permutations, so its fixed points are orbits (complexes.fixed_subcomplex).
+It takes a left module only: SHH(A, M) of a bimodule M is SH(A, ad M),
+the paper's theorem, so `symmetric_cohomology` computes it on the
+adjoint module.
 
 The standard ("nonhomogeneous") complex lives on reduced coordinates
 Hom_k(A^(tensor n), M) and takes a bimodule natively.  It is
@@ -33,11 +38,13 @@ from .complexes import (ActionOperator, CochainComplex, CochainSpace, cohomology
 from .errors import BudgetExceeded, NotCocommutative
 from .hopf import HopfAlgebra, _apply, _structure_maps, iterated_comult
 from .modules import Bimodule, LeftModule, _action_map, adjoint_module, validate_module
-from .sparse import SparseMatrix, combination, field_array, kron, kron_triples, require_terms
-from .tensors import (all_columns, bar_chain_diff, cochain_precompose, cochain_swap_sigma,
-                      diagonal_columns)
+from .sparse import (SparseMatrix, canonical, combination, field_array, kron, kron_triples,
+                     require_terms)
+from .tensors import (all_columns, bar_chain_transpose_columns, cochain_swap_sigma,
+                      diagonal_columns, tensor_identity_triples)
 
 BUDGET = 200_000  # coordinates of the largest ambient cochain space a complex may have
+DIFF_BATCH = 1 << 14  # terms of the transposed chain map summed at once
 
 
 @dataclass
@@ -79,7 +86,8 @@ def _psi_blocks(h: HopfAlgebra, mod: LeftModule) -> dict:
     return {key: combination(fld, mod.dim, mod.dim, t) for key, t in terms.items()}
 
 
-def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
+def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int,
+                      levels: list | None = None) -> CochainSpace:
     """Maps A^(tensor slots) -> M equivariant for the diagonal left action.
 
     The basis is the image of the tensor identity
@@ -91,7 +99,8 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     Hopf algebra; the order of the legs matters only when A is not
     cocommutative.  The action of S(a_(2)) on the n inner slots is
     `diagonal_columns`: a permutation for a group algebra, the sparse
-    action of the tensor power of the regular module otherwise.
+    action of the tensor power of the regular module otherwise, whose
+    levels `levels` keeps across calls (see diagonal_columns).
     """
     d = h.dim
     m = mod.dim
@@ -106,7 +115,7 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     actions = {}
     acting = sorted({u for (u, _a), _t in blocks})
     entries = 0  # of the grids below, charged as each action arrives
-    for u, (columns, _transposed) in zip(acting, diagonal_columns(h, acting, n)):
+    for u, (columns, _transposed) in zip(acting, diagonal_columns(h, acting, n, levels)):
         y, x, dv = columns(inner)
         entries += len(y) * sum(len(t[0]) for (v, _a), t in blocks if v == u)
         require_terms(entries, f"the equivariant basis on {slots} slots")
@@ -141,17 +150,44 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     return CochainSpace(ambient, basis, coords, check=False)
 
 
+def _homogeneous_differential(h: HopfAlgebra, n: int, m: int) -> SparseMatrix:
+    """Degree n's differential, precomposition with the counit-deletion
+    chain map on n+2 slots: its transpose tensor id_M.  The transpose is
+    read off `bar_chain_transpose_columns` and summed in batches of
+    columns of at most DIFF_BATCH unsummed terms (or one column), so the
+    chain map is never formed and no sort spans the whole transpose; the
+    batches come out in canonical order."""
+    d, fld = h.dim, h.field
+    columns = bar_chain_transpose_columns(h, n + 1)
+    shape = (d ** (n + 2), d ** (n + 1))
+    step = max(DIFF_BATCH // ((n + 2) * d), 1)
+    parts = ([], [], [])  # rows, cols and vals of each batch
+    for lo in range(0, shape[1], step):
+        idx = np.arange(lo, min(lo + step, shape[1]), dtype=np.int64)
+        r, pos, v = columns(idx)
+        for part, a in zip(parts, tensor_identity_triples(
+                *canonical(fld, r, idx[pos], v, shape=shape), m)):
+            part.append(a)
+    triples = []
+    for part in parts:  # joined one array at a time, each dropping its batches
+        triples.append(np.concatenate(part))
+        part.clear()
+    return SparseMatrix(fld, shape[0] * m, shape[1] * m, triples)
+
+
 def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
     """Degrees 0..top of the equivariant realization, degree n on n+1
     slots; the differential is precomposition with the alternating
-    counit-deletion chain map."""
+    counit-deletion chain map (`_homogeneous_differential`)."""
     validate_module(h, mod)
     m = mod.dim
     require_budget(m * h.dim ** (top + 1), "homogeneous complex")
     # highest degree first, so a degree over the entry limit fails before
-    # the smaller ones are built
-    spaces = [equivariant_space(h, mod, n + 1) for n in range(top, -1, -1)][::-1]
-    diffs = [cochain_precompose(bar_chain_diff(h, n + 1), m) for n in range(top)]
+    # the smaller ones are built; the levels of the tensor power formed for
+    # it serve the smaller ones
+    levels = []
+    spaces = [equivariant_space(h, mod, n + 1, levels) for n in range(top, -1, -1)][::-1]
+    diffs = [_homogeneous_differential(h, n, m) for n in range(top)]
     return CochainComplex(h.field, top, spaces, diffs, label="K")
 
 

@@ -6,6 +6,13 @@ an explicit sparse basis and a sparse left inverse ("coords"), so
 restricting operators to the subspace is a cheap composition instead of
 a linear solve.
 
+A fixed subcomplex replaces each space by the common fixed points of its
+symmetric-group generators.  When every restricted generator is a
+monomial matrix (a signed permutation, as for a group algebra with a
+permutation module) those are a sum over orbits, read off by label
+propagation with no dense array; otherwise they are a common kernel
+(`linalg.intersect_kernels`).  Both give the same basis and coords.
+
 Cohomology dimensions come from exact ranks of the restricted
 differentials.  Over prime fields that is one dense elimination; over
 the rationals every rank first tries a certified sandwich rank (a
@@ -198,16 +205,101 @@ def restrict_operator(space: CochainSpace, op: SparseMatrix) -> SparseMatrix:
     return reduced
 
 
+def _monomial(op: SparseMatrix):
+    """(perm, vals) of a square op with one entry per column, its rows a
+    permutation (op e_j = vals[j] e_perm[j]); None for any other op."""
+    if op.nnz() != op.cols or not np.array_equal(op.col_idx, np.arange(op.cols)):
+        return None
+    if not (np.bincount(op.row_idx, minlength=op.rows) == 1).all():
+        return None
+    return op.row_idx, op.vals
+
+
+def _orbit_fixed_space(field: Field, dim: int, gens: list) -> CochainSpace:
+    """The common fixed space of the monomial operators gens, each a pair
+    (perm, vals) of `_monomial`, as CochainSpace.of(intersect_kernels(...))
+    of their sigma - 1 would give it, matrix for matrix.
+
+    A fixed v satisfies v[perm[j]] = vals[j] v[j], so the fixed space is
+    the sum over the orbits of the perms: an orbit carries one fixed vector
+    up to scale, or none when its edges disagree.  In the reduced kernel
+    basis the free coordinate of an orbit is its largest index, so its
+    vector is 1 there, and the vectors are ordered by that index; the
+    deterministic left inverse reads each orbit at its smallest index.
+    """
+    idx = np.arange(dim, dtype=np.int64)
+    label = idx  # per index, the largest index of its orbit seen so far
+    while True:
+        seen = label
+        for perm, _vals in gens:
+            seen = np.maximum(seen, seen[perm])
+            seen[perm] = np.maximum(seen[perm], seen)
+        seen = seen[seen]
+        if np.array_equal(seen, label):
+            break
+        label = seen
+    # values from 1 at each orbit's largest index, along one edge at a time;
+    # a permutation's inverse is a power of it, so forward edges reach the orbit
+    vals = np.full(dim, field.zero(), dtype=field.dtype)
+    known = label == idx
+    vals[known] = field.one()
+    while not known.all():
+        for perm, c in gens:
+            out = known & ~known[perm]
+            vals[perm[out]] = field.reduce(c[out] * vals[out])
+            known[perm[out]] = True
+    dead = np.zeros(dim, dtype=bool)
+    for perm, c in gens:
+        dead[label[field.reduce(c * vals) != vals[perm]]] = True
+    roots = np.flatnonzero((label == idx) & ~dead)
+    alive = np.flatnonzero(~dead[label])
+    lowest = np.full(dim, dim, dtype=np.int64)
+    np.minimum.at(lowest, label, idx)
+    lowest = lowest[roots]
+    distinct, at = np.unique(vals[lowest], return_inverse=True)  # one inversion per value
+    inverse = field.array([field.inv(x) for x in distinct.tolist()]).reshape(-1)[at.reshape(-1)]
+    return CochainSpace(
+        dim,
+        SparseMatrix(field, dim, len(roots),
+                     (alive, np.searchsorted(roots, label[alive]), vals[alive])),
+        SparseMatrix(field, len(roots), dim,
+                     (np.arange(len(roots), dtype=np.int64), lowest, inverse)),
+        check=False)
+
+
+def _fixed_space(field: Field, space: CochainSpace, sigmas: list) -> CochainSpace | None:
+    """The common fixed space of sigmas inside space, in its coordinates, or
+    None when it is all of space: by orbits when every restricted generator
+    is monomial (certified by sigma B == B for each), else by
+    `intersect_kernels` of sigma - 1."""
+    restricted = [restrict_operator(space, sigma) for sigma in sigmas]
+    gens = [_monomial(op) for op in restricted]
+    if any(g is None for g in gens):
+        eye = SparseMatrix.identity(field, space.dim)
+        sub = intersect_kernels(field, space.dim, [op - eye for op in restricted])
+        return None if sub.dim == space.dim else CochainSpace.of(sub)
+    fixed = _orbit_fixed_space(field, space.dim, gens)
+    for op in restricted:
+        if not (op @ fixed.basis == fixed.basis):
+            raise AssertionError("an orbit vector is not fixed by its generators")
+    return None if fixed.dim == space.dim else fixed
+
+
 def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = None) -> CochainComplex:
     """Replace space(n) by its intersection with the fixed points of ops[n].
 
-    ops[n].sigmas act on ambient(n) and must preserve space(n).  The fixed
-    points are the common kernel of the restricted sigma - 1, found by
-    `intersect_kernels` one generator at a time on these sparse operators:
-    each step densifies one s x (fixed so far) image, bounded by
-    DENSE_RANK_CELLS, and no (#sigma * s) x s stack is built.  Degrees
-    above `through_degree` (default: all) keep their original space; the
-    differential-compatibility check runs at every restricted degree.
+    ops[n].sigmas act on ambient(n) and must preserve space(n), which
+    `restrict_operator` checks.  When every restricted sigma is monomial
+    (a signed permutation, as for a group algebra with a permutation
+    module), the fixed points are a sum over orbits (`_orbit_fixed_space`):
+    no dense array and no elimination.  Otherwise they are the common
+    kernel of the restricted sigma - 1, found by `intersect_kernels` one
+    generator at a time on these sparse operators: each step densifies one
+    s x (fixed so far) image, bounded by DENSE_RANK_CELLS, and no
+    (#sigma * s) x s stack is built.  Both give the same basis and coords.
+    Degrees above `through_degree` (default: all) keep their original
+    space; the differential-compatibility check runs at every restricted
+    degree.
     """
     if through_degree is None:
         through_degree = c.top_degree
@@ -219,13 +311,10 @@ def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = 
         if n > through_degree or not sigmas:
             new_spaces.append(space)
             continue
-        eye = SparseMatrix.identity(field, space.dim)
-        fixed = intersect_kernels(field, space.dim, [restrict_operator(space, sigma) - eye
-                                                     for sigma in sigmas])
-        if fixed.dim == space.dim:
+        fixed = _fixed_space(field, space, sigmas)
+        if fixed is None:
             new_spaces.append(space)
             continue
-        fixed = CochainSpace.of(fixed)
         new_spaces.append(CochainSpace(space.ambient_dim, space.basis @ fixed.basis,
                                        fixed.coords @ space.coords, check=False))
     out = CochainComplex(field, c.top_degree, new_spaces, c.diffs,

@@ -19,9 +19,10 @@ The sort order is one int64 key, col * rows + row.  `canonical` computes
 the key and checks in one pass whether it is already strictly increasing;
 then the triples are canonical up to zeros, and nothing is sorted or
 gathered.  A key that only repeats is summed without a sort.  Builders
-that can emit their triples in that order: the chain maps, slot swaps
-and precompositions of tensors.py, the equivariant bases of group
-algebras, and any product whose right operand has one entry per column.
+that can emit their triples in that order: the slot swaps and
+precompositions of tensors.py, the homogeneous differentials of bar.py
+(summed batch by batch), the equivariant bases of group algebras, and
+any product whose right operand has one entry per column.
 Otherwise one argsort orders the key and `np.add.reduceat` sums equal
 keys.  The key of a shape with rows * cols >= 2^63 would overflow, and
 so would the factor `rows` itself when it is 2^63 or more, even with no

@@ -9,14 +9,16 @@ operators below are built as numpy arithmetic on arrays of flat indices.
 Each has a column map `columns(idx) -> (rows, position in idx, vals)`
 (see sparse.py): the diagonal action and the counit-deletion chain map,
 each with its transpose.
-The cochain operators (precomposition with that chain map, signed slot
-swaps) are SparseMatrix triples built by the same arithmetic.  No
-operator here multiplies from the right: bimodule coefficients reach the
-homogeneous constructions as the left module ad M (see bar.py).
+The cochain operators (precomposition with a chain map, X tensor id_M
+from the canonical triples of X, signed slot swaps) are SparseMatrix
+triples built by the same arithmetic.  No operator here multiplies from
+the right: bimodule coefficients reach the homogeneous constructions as
+the left module ad M (see bar.py).
 
 The diagonal action of a group element permutes flat indices, computed
 only on the columns asked for; for any other algebra it is that of the
-tensor power of the regular module, each level's kron terms charged first.
+tensor power of the regular module, each level's kron terms charged first,
+and a caller may keep the levels formed for one slot count for the next.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .hopf import HopfAlgebra
 from .modules import regular_left_module, tensor_actions, tensor_module, trivial_module
-from .sparse import SparseMatrix, apply_columns, field_array, kron_triples
+from .sparse import SparseMatrix, field_array, kron_triples
 
 
 def flat(tup, d: int) -> int:
@@ -106,33 +108,31 @@ def bar_chain_transpose_columns(h: HopfAlgebra, n: int):
     return columns
 
 
-def bar_chain_diff(h: HopfAlgebra, n: int) -> SparseMatrix:
-    """The chain map of bar_chain_columns as a sparse matrix; its triples
-    come in canonical order up to the cancelling entries."""
-    d = h.dim
-    cols = d ** (n + 1)
-    return SparseMatrix(h.field, d ** n, cols,
-                        apply_columns(h.field, bar_chain_columns(h, n), all_columns(cols)))
+def tensor_identity_triples(rows, cols, vals, m: int):
+    """Canonical triples of X tensor id_m from the canonical triples of X:
+    the entry (r, c) gives the entries (r*m + k, c*m + k), k < m.  Taken by
+    c, then k, then r, they are in canonical order: each run of X's triples
+    with one c is repeated once per k."""
+    if m == 1:
+        return rows, cols, vals
+    runs = np.flatnonzero(np.concatenate(([True], cols[1:] != cols[:-1])))
+    length = np.diff(np.append(runs, len(cols)))
+    first = np.repeat(runs, length)  # start of the run of each entry
+    k = np.arange(m, dtype=np.int64)
+    at = ((m - 1) * first + np.arange(len(cols)))[:, None] + k * np.repeat(length, length)[:, None]
+    out = [np.empty(len(cols) * m, dtype=a.dtype) for a in (rows, cols, vals)]
+    out[0][at] = rows[:, None] * m + k
+    out[1][at] = cols[:, None] * m + k
+    out[2][at] = vals[:, None]
+    return out
 
 
 def cochain_precompose(chain: SparseMatrix, m: int) -> SparseMatrix:
-    """Turn a chain map V -> W into Hom(W, M) -> Hom(V, M) on flat coordinates.
-
-    The entry (w, v) of the chain map gives the entries (v*m + k, w*m + k),
-    k < m.  Taken by w, then k, then v, they are in canonical order: each
-    run of the transpose's triples with one w is repeated once per k.
-    """
+    """Turn a chain map V -> W into Hom(W, M) -> Hom(V, M) on flat
+    coordinates: its transpose tensor id_M (`tensor_identity_triples`)."""
     c, r, v = chain.transpose().triples()  # sorted by (r, c)
-    runs = np.flatnonzero(np.concatenate(([True], r[1:] != r[:-1])))
-    length = np.diff(np.append(runs, len(r)))
-    first = np.repeat(runs, length)  # start of the run of each entry
-    k = np.arange(m, dtype=np.int64)
-    at = ((m - 1) * first + np.arange(len(r)))[:, None] + k * np.repeat(length, length)[:, None]
-    out = [np.empty(len(r) * m, dtype=a.dtype) for a in (c, r, v)]
-    out[0][at] = c[:, None] * m + k
-    out[1][at] = r[:, None] * m + k
-    out[2][at] = v[:, None]
-    return SparseMatrix(chain.field, chain.cols * m, chain.rows * m, out)
+    return SparseMatrix(chain.field, chain.cols * m, chain.rows * m,
+                        tensor_identity_triples(c, r, v, m))
 
 
 def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatrix:
@@ -167,24 +167,30 @@ def _slotwise(row: np.ndarray, d: int, slots: int):
     return columns
 
 
-def diagonal_columns(h: HopfAlgebra, elements, slots: int):
+def diagonal_columns(h: HopfAlgebra, elements, slots: int, levels: list | None = None):
     """(column map, transposed column map) of the diagonal actions of the
     basis elements `elements` on A^(tensor slots), yielded one at a time.
     For a group algebra: the permutation of flat indices that left
     multiplication on every slot induces, and that of the inverse element.
     Otherwise: the action of the tensor power of the regular module (the
     counit on 0 slots), its last level formed one element at a time, each
-    charged first (modules.tensor_actions), and its transpose when asked."""
+    charged first (modules.tensor_actions), and its transpose when asked.
+    `levels`, a list kept across calls, holds the whole levels formed so
+    far (level k on k slots), so that each is formed once: a call for the
+    most slots first leaves the levels that the calls for fewer read."""
     if h.group_like:
         table = np.asarray(h.group_table, dtype=np.int64)
         for b in elements:
             yield (_slotwise(table[b], h.dim, slots),
                    _slotwise(table[h.group_inverse[b]], h.dim, slots))
         return
+    levels = [] if levels is None else levels
     regular = regular_left_module(h)
-    power = trivial_module(h)
-    for _ in range(slots - 1):
-        power = tensor_module(h, power, regular)
+    if not levels:
+        levels.append(trivial_module(h))
+    while len(levels) < slots:
+        levels.append(tensor_module(h, levels[-1], regular))
     for b in elements:
-        action = tensor_actions(h, power, regular, [b])[0] if slots else power.action[b]
+        action = (levels[slots].action[b] if len(levels) > slots
+                  else tensor_actions(h, levels[-1], regular, [b])[0])
         yield action.column_map(), lambda idx, a=action: a.transpose().column_map()(idx)

@@ -10,7 +10,10 @@ sorted-tuple projection sorts every ambient tuple where
 the diagonal-action oracle is the tuple-by-tuple Sweedler expansion that
 `symcoh.tensors` computes as one tensor contraction per slot.  The
 stacked kernel is the one-elimination common kernel that
-`symcoh.linalg.intersect_kernels` computes one constraint at a time.
+`symcoh.linalg.intersect_kernels` computes one constraint at a time, and
+that `symcoh.complexes` reads off orbits for monomial generators.  The
+chain map, formed whole, is the reference for the homogeneous
+differential that `symcoh.bar` builds from its transposed column map.
 The scalar Gauss-Jordan elimination and the triple-loop product work on
 lists of rows, one field operation at a time, against the array kernels
 of `symcoh.linalg` (one echelon routine, the float64 product over GF(p)
@@ -45,8 +48,8 @@ from symcoh.fields import Field
 from symcoh.hopf import HopfAlgebra, iterated_comult
 from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank
 from symcoh.modules import Bimodule, LeftModule, hom_equivariant, trivial_module
-from symcoh.sparse import SparseMatrix, combination, kron
-from symcoh.tensors import flat, swap_slots
+from symcoh.sparse import SparseMatrix, apply_columns, combination, kron
+from symcoh.tensors import all_columns, bar_chain_columns, flat, swap_slots
 
 
 def all_tuples(d: int, length: int):
@@ -206,6 +209,16 @@ def stacked_kernel(field, mats) -> Subspace:
     """Common kernel of matrices with equal column counts, by one
     elimination of their vertical stack."""
     return kernel_basis(vstack(field, mats))
+
+
+def bar_chain_diff(h: HopfAlgebra, n: int) -> SparseMatrix:
+    """The chain map of `bar_chain_columns` A^(n+1) -> A^n as a sparse
+    matrix, read column by column; precomposed with it
+    (`cochain_precompose`), it is the homogeneous differential that
+    `symcoh.bar` reads off the transposed column map in batches."""
+    cols = h.dim ** (n + 1)
+    return SparseMatrix(h.field, h.dim ** n, cols,
+                        apply_columns(h.field, bar_chain_columns(h, n), all_columns(cols)))
 
 
 def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:

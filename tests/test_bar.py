@@ -2,10 +2,11 @@ import tracemalloc
 
 import pytest
 
+from symcoh import bar
 from symcoh.bar import (classical_cohomology, equivariant_space,
                         homogeneous_complex, nonhomogeneous_complex,
                         sigma_homogeneous, sigma_nonhomogeneous, symmetric_cohomology)
-from symcoh.complexes import (cohomology_dims, fixed_subcomplex,
+from symcoh.complexes import (CochainSpace, cohomology_dims, fixed_subcomplex,
                               induced_map_on_cohomology, restrict_operator)
 from symcoh.errors import BudgetExceeded, NotCocommutative
 from symcoh.fields import Field
@@ -13,11 +14,11 @@ from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
 from symcoh.modules import adjoint_module, regular_bimodule, regular_left_module, trivial_module
 from symcoh.sparse import SparseMatrix
-from symcoh.tensors import flat
+from symcoh.tensors import cochain_precompose, flat
 
-from oracles import (all_tuples, check_complex, coxeter_relations_hold, equivariant_solve,
-                     maschke_cohomology_dims, periodic_cyclic_cohomology_dims, phi_psi,
-                     sigma_nonhomogeneous_ambient, space_dims, stacked_kernel, vstack)
+from oracles import (all_tuples, bar_chain_diff, check_complex, coxeter_relations_hold,
+                     equivariant_solve, maschke_cohomology_dims, periodic_cyclic_cohomology_dims,
+                     phi_psi, sigma_nonhomogeneous_ambient, space_dims, stacked_kernel, vstack)
 from restricted import restricted_enveloping
 from test_generic_hopf import change_basis, scrambled_kc2_rational, scrambled_kc3
 
@@ -490,23 +491,37 @@ def test_fixed_subspaces_equal_the_stacked_kernel_oracle(name):
         stack = [(restrict_operator(space, s) - eye).to_dense() for s in ops[n].sigmas]
         if not stack:
             continue
-        want = stacked_kernel(h.field, stack)
-        assert fixed.spaces[n].basis == space.basis @ SparseMatrix.from_dense(want.basis), n
+        want = CochainSpace.of(stacked_kernel(h.field, stack))
+        assert fixed.spaces[n].basis == space.basis @ want.basis, n
+        assert fixed.spaces[n].coords == want.coords @ space.coords, n
 
 
-def test_symmetric_cohomology_kc5_peak_memory():
-    # the fixed points are found one generator at a time; the stacked
-    # (#sigma * s) x s kernel peaked at 43 MiB here
+def _kc5_symmetric_cohomology_peak(top):
     h = kC(5, GF5)
-    mod = trivial_module(h)
     tracemalloc.start()
     try:
-        dims = symmetric_cohomology(h, mod, 5).dims
+        dims = symmetric_cohomology(h, trivial_module(h), top).dims
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return dims, peak
+
+
+def test_symmetric_cohomology_kc5_peak_memory():
+    # every restricted generator is a signed permutation, so the fixed
+    # points are orbits and no dense kernel step is formed; the dense steps
+    # (625 x 625 at degree 4) peaked at 11.4 MiB here, and the stacked
+    # (#sigma * s) x s kernel at 43 MiB
+    dims, peak = _kc5_symmetric_cohomology_peak(5)
     assert dims == [1, 1, 1, 1, 1]
-    assert peak < 32 << 20
+    assert peak < 8 << 20
+
+
+def test_symmetric_cohomology_kc5_top_6_peak_memory():
+    # degree 5 has 3125 x 3125 dense kernel steps, which peaked at 180.7 MiB
+    dims, peak = _kc5_symmetric_cohomology_peak(6)
+    assert dims == [1, 1, 1, 1, 1, 0]
+    assert peak < 48 << 20
 
 
 def test_symmetric_cohomology_scrambled_kc3_peak_memory():
@@ -552,7 +567,7 @@ def test_symmetric_cohomology_restricts_each_generator_once(monkeypatch):
     # degrees 0..4 are restricted by fixed_subcomplex, which checks that each
     # generator preserves its space; only the top degree is checked apart:
     # 0 + 1 + 2 + 3 + 4 generators there, and 5 at the top
-    from symcoh import bar, complexes
+    from symcoh import complexes
     calls = []
     real = complexes.restrict_operator
 
@@ -565,3 +580,40 @@ def test_symmetric_cohomology_restricts_each_generator_once(monkeypatch):
     h = kC(5, Field.prime(5))
     assert symmetric_cohomology(h, trivial_module(h), 5).dims == [1] * 5
     assert len(calls) == 15
+
+
+@pytest.mark.parametrize("batch", [bar.DIFF_BATCH, 1], ids=["one-batch", "column-batches"])
+def test_homogeneous_differential_is_the_precomposed_chain_map(batch, monkeypatch):
+    # the transposed chain map, summed batch by batch and tensored with id_M,
+    # against precomposition with the whole chain map; the counit of
+    # k[x]/(x^3) vanishes on x and x^2, and scrambled kC3 has no group basis
+    monkeypatch.setattr(bar, "DIFF_BATCH", batch)
+    for h in (kC(3, GF3), kS3(QQ), scrambled_kc3(), restricted_enveloping(3)):
+        for mod in (trivial_module(h), regular_left_module(h)):
+            for n in range(3):
+                want = cochain_precompose(bar_chain_diff(h, n + 1), mod.dim)
+                assert bar._homogeneous_differential(h, n, mod.dim) == want, (h, mod, n)
+
+
+def test_homogeneous_complex_forms_each_tensor_power_level_once(monkeypatch):
+    # the top degree forms levels 1 .. top-1 whole and its own level one
+    # element at a time; the smaller degrees read those levels
+    from symcoh import tensors
+    built, single = [], []
+    real_module, real_actions = tensors.tensor_module, tensors.tensor_actions
+
+    def module(h, l, m):
+        built.append(l.dim * m.dim)
+        return real_module(h, l, m)
+
+    def actions(h, l, m, elements):
+        single.append(l.dim * m.dim)
+        return real_actions(h, l, m, elements)
+
+    monkeypatch.setattr(tensors, "tensor_module", module)
+    monkeypatch.setattr(tensors, "tensor_actions", actions)
+    h = scrambled_kc3()
+    cpx = homogeneous_complex(h, trivial_module(h), 4)
+    assert built == [3, 9, 27]
+    assert set(single) == {81}
+    assert [s.dim for s in cpx.spaces] == [3 ** n for n in range(5)]

@@ -318,31 +318,49 @@ def test_oversized_dense_rank_is_a_budget_error(capsys):
 
 
 def test_common_kernel_step_over_the_cell_limit_is_a_budget_error(capsys, monkeypatch):
-    # with the limit lowered to 100,000 cells, every rank below still fits,
-    # but the first Hom step at degree 1 of SHH(kC11, kC11), into ad A
-    # (605 x 605), and the first fixed-point step at degree 4 (625 x 625) do
-    # not; the parent stacked every constraint without a check
+    # with the limit lowered, every rank below still fits, but the first Hom
+    # step at degree 1 of SHH(kC11, kC11), into ad A (605 x 605, over 100,000
+    # cells), and the first fixed-point step at degree 4 of SH on sC3, whose
+    # generators are not monomial (81 x 81, over 5,000 cells), do not
     from symcoh import linalg
-    monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 100_000)
-    for argv, size in (
+    sc3 = str(pathlib.Path(__file__).with_name("golden") / "algebras" / "sC3-gf3.json")
+    for argv, limit, size in (
             (("--algebra", "Cp:11", "--field", "gf:11", "--mode", "SHH", "--module", "regular",
-              "--max-degree", "2", "--route", "resolution"), "605 x 605"),
-            (("--algebra", "Cp:5", "--field", "gf:5", "--mode", "SH", "--max-degree", "5"),
-             "625 x 625")):
+              "--max-degree", "2", "--route", "resolution"), 100_000, "605 x 605"),
+            (("--algebra", sc3, "--mode", "SH", "--max-degree", "5"),
+             5_000, "81 x 81")):
+        monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", limit)
         code, report = run_json(capsys, *argv)
         assert code == 3
         assert report["dims"] == []
         assert report["error"]["code"] == 3
         assert f"common kernel step needs a dense {size} matrix" in report["error"]["reason"]
     # the Hom steps of SHH(kS3, kS3) into ad A are at most 120 x 120; into
-    # S_n tensor A they were 540 x 540 at degree 1, and refused here
+    # S_n tensor A they were 540 x 540 at degree 1, and refused here; the
+    # fixed points of kC5 are orbits, with no dense step (625 x 625 at
+    # degree 4 before)
+    monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 100_000)
     for argv, dims in (
             (("--algebra", "Cp:5", "--field", "gf:5", "--mode", "SH", "--max-degree", "4"),
              [1, 1, 1, 1]),
+            (("--algebra", "Cp:5", "--field", "gf:5", "--mode", "SH", "--max-degree", "5"),
+             [1, 1, 1, 1, 1]),
             (("--algebra", "S3", "--field", "gf:5", "--mode", "SHH", "--module", "regular",
               "--max-degree", "2", "--route", "resolution"), [3, 0])):
         code, report = run_json(capsys, *argv)
         assert (code, report["dims"]) == (0, dims)
+
+
+def test_orbit_fixed_points_answer_past_the_dense_kernel_limit(capsys):
+    # degree 8 of SH(kC3) on the bar route has a 6561 x 6561 fixed-point
+    # step, past DENSE_RANK_CELLS as a dense kernel; its generators are
+    # signed permutations, so the fixed points are orbits, and the answer
+    # agrees with the resolution route
+    argv = ("--algebra", "Cp:3", "--field", "gf:3", "--mode", "SH", "--max-degree", "10")
+    code, report = run_json(capsys, *argv)
+    assert (code, report["dims"]) == (0, [1, 1, 1] + [0] * 7)
+    code, other = run_json(capsys, *argv, "--route", "resolution")
+    assert (code, other["dims"]) == (0, report["dims"])
 
 
 def test_memory_error_is_a_budget_error(capsys, monkeypatch):

@@ -1,4 +1,9 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcoh import complexes
 from oracles import check_complex, euler_characteristic_consistent, space_dims
@@ -8,7 +13,7 @@ from symcoh.complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
 from symcoh.errors import (ActionNotCompatible, BudgetExceeded, DegreeOutOfRange,
                            NotASubcomplex)
 from symcoh.fields import Field
-from symcoh.linalg import Matrix
+from symcoh.linalg import Matrix, intersect_kernels
 from symcoh.sparse import SparseMatrix
 
 GF3 = Field.prime(3)
@@ -148,3 +153,94 @@ def test_sandwich_rank_certificate_survives_entries_near_2_to_30(monkeypatch):
                                  [QQ.from_int(v) for v in big + [2 * v for v in big]]))
     assert complexes._certified_rational_rank(sm, upper=2) == 1
     assert complexes._certified_rational_rank(sm, upper=1) == 1
+
+
+# -- fixed spaces of monomial generators as orbits -------------------------
+
+ORBIT_FIELDS = [Field.prime(2), GF3, Field.prime(5), QQ]
+
+
+@st.composite
+def _monomial_generators(draw, field):
+    """Monomial operators g e_j = c_j e_(perm j): each c_j is a unit ratio
+    u[perm j] / u[j], which keeps the orbit's fixed vector u, times a sign
+    or, now and then, an arbitrary unit, which can make the orbit vanish."""
+    dim = draw(st.integers(0, 9))
+    units = ([Fraction(a, b) for a in (1, -1, 2, -3) for b in (1, 2, 5)] if field.is_rational
+             else list(range(1, field.p)))
+    u = [draw(st.sampled_from(units)) for _ in range(dim)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = draw(st.permutations(range(dim)))
+        vals = []
+        for j in range(dim):
+            twist = draw(st.sampled_from([1, 1, 1, -1, None]))
+            twist = draw(st.sampled_from(units)) if twist is None else twist
+            ratio = field.mul(field.parse(u[perm[j]]), field.inv(field.parse(u[j])))
+            vals.append(field.mul(ratio, field.parse(twist)))
+        gens.append(SparseMatrix(field, dim, dim, (np.array(perm, dtype=np.int64),
+                                                   np.arange(dim, dtype=np.int64),
+                                                   field.array(vals).reshape(-1))))
+    return dim, gens
+
+
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbit_fixed_space_is_the_reduced_common_kernel(field, data):
+    dim, gens = data.draw(_monomial_generators(field))
+    eye = SparseMatrix.identity(field, dim)
+    want = CochainSpace.of(intersect_kernels(field, dim, [g - eye for g in gens]))
+    got = complexes._orbit_fixed_space(field, dim, [complexes._monomial(g) for g in gens])
+    assert got.basis == want.basis
+    assert got.coords == want.coords
+
+
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=str)
+def test_orbit_fixed_space_keeps_consistent_orbits_and_drops_the_rest(field):
+    # orbits {0, 2} (fixed vector e_0 + c e_2), {1, 3} (-1 one way and 1
+    # back: none, outside characteristic 2) and {4} (fixed)
+    c = field.from_int(2 if field.characteristic != 2 else 1)
+    vals = [c, field.from_int(-1), field.inv(c), field.one(), field.one()]
+    g = SparseMatrix(field, 5, 5, ([2, 3, 0, 1, 4], list(range(5)), vals))
+    fixed = complexes._orbit_fixed_space(field, 5, [complexes._monomial(g)])
+    orbits = [[0, 2], [1, 3], [4]] if field.characteristic == 2 else [[0, 2], [4]]
+    assert fixed.dim == len(orbits)
+    # 1 at each orbit's largest index, columns in the order of that index
+    for col, orbit in enumerate(orbits):
+        assert fixed.basis.to_dense()[orbit[-1], col] == 1
+    assert (fixed.coords @ fixed.basis).equals_identity()
+    assert g @ fixed.basis == fixed.basis
+
+
+def test_monomial_recognizes_signed_permutations_only():
+    rows = [1, 0, 2]
+    assert complexes._monomial(SparseMatrix(GF3, 3, 3, (rows, [0, 1, 2], [2, 1, 1]))) is not None
+    for triples in (([1, 0, 2, 0], [0, 1, 2, 2], [1] * 4),  # two entries in column 2
+                    ([1, 0], [0, 1], [1, 1]),  # column 2 is zero
+                    ([1, 1, 2], [0, 1, 2], [1] * 3)):  # rows not a permutation
+        assert complexes._monomial(SparseMatrix(GF3, 3, 3, triples)) is None
+
+
+def test_fixed_space_falls_back_to_the_common_kernel_off_monomials(monkeypatch):
+    calls = []
+    real = complexes.intersect_kernels
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(complexes, "intersect_kernels", counting)
+    space = CochainSpace.full(GF3, 3)
+    swap = SparseMatrix(GF3, 3, 3, ([1, 0, 2], [0, 1, 2], [1, 1, 1]))
+    assert complexes._fixed_space(GF3, space, [swap]).dim == 2
+    assert calls == []
+    # e_0 -> e_0 + e_1 is not monomial: the dense common kernel answers
+    shear = SparseMatrix(GF3, 3, 3, ([0, 1, 1, 2], [0, 0, 1, 2], [1, 1, 1, 1]))
+    fixed = complexes._fixed_space(GF3, space, [swap, shear])
+    assert calls == [3]
+    eye = SparseMatrix.identity(GF3, 3)
+    want = CochainSpace.of(real(GF3, 3, [swap - eye, shear - eye]))
+    assert (fixed.basis, fixed.coords) == (want.basis, want.coords)
+    # a fixed space that is everything keeps the space
+    assert complexes._fixed_space(GF3, space, [eye]) is None

@@ -17,8 +17,10 @@ from symcoh.hopf import group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
 from symcoh.modules import adjoint_module, regular_bimodule, regular_left_module
 from symcoh.sparse import SparseMatrix, _column_batches, apply_columns, canonical, pointers
-from symcoh.tensors import (all_columns, bar_chain_diff, bar_chain_transpose_columns,
-                            cochain_precompose, cochain_swap_sigma)
+from symcoh.tensors import (all_columns, bar_chain_transpose_columns, cochain_precompose,
+                            cochain_swap_sigma)
+
+from oracles import bar_chain_diff
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.prime(3037000493), Field.rationals()]
 
