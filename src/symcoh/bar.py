@@ -36,10 +36,9 @@ import numpy as np
 from .complexes import (ActionOperator, CochainComplex, CochainSpace, cohomology_dims,
                         fixed_subcomplex, restrict_operator)
 from .errors import BudgetExceeded, NotCocommutative
-from .hopf import HopfAlgebra, _apply, _structure_maps, iterated_comult
+from .hopf import HopfAlgebra, _apply
 from .modules import Bimodule, LeftModule, _action_map, adjoint_module, validate_module
-from .sparse import (SparseMatrix, canonical, combination, field_array, kron, kron_triples,
-                     require_terms)
+from .sparse import SparseMatrix, canonical, combination, kron, kron_triples, require_terms
 from .tensors import (all_columns, bar_chain_transpose_columns, cochain_swap_sigma,
                       diagonal_columns, tensor_identity_triples)
 
@@ -74,20 +73,21 @@ def _psi_blocks(h: HopfAlgebra, mod: LeftModule) -> dict:
     value map that psi(f) applies at b_a tensor x where f meets the
     diagonal action of b_u on x.
 
-    A Sweedler term s_1 tensor s_2 of b_a gives b_u the coefficient of
-    S(b_(s_2)) and the value map v -> s_1 . v.  Each block is summed once.
+    A Sweedler term s_1 tensor s_2 of b_a (an entry of column a of Delta)
+    gives b_u the coefficient of S(b_(s_2)) (column s_2 of S) and the value
+    map v -> s_1 . v.  Each block is summed once.
     """
-    fld = h.field
+    legs, a, coef = h.maps.comult.triples()
+    s1, s2 = np.divmod(legs, h.dim)
+    u, at, su = h.maps.antipode.column_map()(s2)
+    keys, coefs = zip(u.tolist(), a[at].tolist()), h.field.reduce(coef[at] * su).tolist()
     terms = {}
-    for a in range(h.dim):
-        for (s1, s2), coef in iterated_comult(h, a, 1).coeffs.items():
-            for u, su in h.antipode_column(s2).items():
-                terms.setdefault((u, a), []).append((fld.mul(coef, su), mod.action[s1]))
-    return {key: combination(fld, mod.dim, mod.dim, t) for key, t in terms.items()}
+    for key, c, s in zip(keys, coefs, s1[at].tolist()):
+        terms.setdefault(key, []).append((c, mod.action[s]))
+    return {key: combination(h.field, mod.dim, mod.dim, t) for key, t in terms.items()}
 
 
-def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int,
-                      levels: list | None = None) -> CochainSpace:
+def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int, levels: list) -> CochainSpace:
     """Maps A^(tensor slots) -> M equivariant for the diagonal left action.
 
     The basis is the image of the tensor identity
@@ -138,15 +138,12 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int,
     else:
         triples = [np.concatenate([g.reshape(-1) for g in part]) for part in zip(*grids)]
     basis = SparseMatrix(fld, ambient, len(inner) * m, triples)
-    # F(1 tensor x), with 1 expanded in the basis of A
-    rows, cols, vals = [], [], []
-    for lead, lc in h.unit_dict().items():
-        rows.append(inner)
-        cols.append(lead * len(inner) + inner)
-        vals.append(field_array(fld, [lc] * len(inner)))
+    # F(1 tensor x), with 1 expanded in the basis of A (the column of eta)
+    lead, _col, lc = h.maps.unit.triples()
+    unit_rows = (np.tile(inner, len(lead)), (lead[:, None] * len(inner) + inner).reshape(-1),
+                 np.repeat(lc, len(inner)))
     coords = SparseMatrix(fld, len(inner) * m, ambient,
-                          kron_triples(fld, [np.concatenate(part) for part in (rows, cols, vals)],
-                                       all_columns(m), (m, m)))
+                          kron_triples(fld, unit_rows, all_columns(m), (m, m)))
     return CochainSpace(ambient, basis, coords, check=False)
 
 
@@ -226,8 +223,7 @@ def _evaluation(h: HopfAlgebra, mod: LeftModule):
     The join of c(1 tensor x tensor 1) to the value action takes two
     column-map lookups: each entry (b, y, c) at x meets every entry (k, j')
     of rho_right(c), and then column k of rho_left(b)."""
-    d, m, fld = h.dim, mod.dim, h.field
-    maps = _structure_maps(h)
+    d, m, fld, maps = h.dim, mod.dim, h.field, h.maps
     # the right action map, eps tensor 1 for M_eps, regrouped so that
     # column c holds the entry (k, j') of rho_right(c) at row k * m + j'
     rho = (_action_map(h, mod.right, m) if isinstance(mod, Bimodule)
@@ -270,7 +266,7 @@ def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> Cochain
     d, m, fld = h.dim, mod.dim, h.field
     require_budget(m * d ** (top + 1), "nonhomogeneous complex")
     evaluate = _evaluation(h, mod)
-    mult, signs = _structure_maps(h).mult, (fld.one(), fld.neg(fld.one()))
+    mult, signs = h.maps.mult, (fld.one(), fld.neg(fld.one()))
     spaces = [CochainSpace.full(fld, m * d ** n) for n in range(top + 1)]
     diffs = []
     for n in range(1, top + 1):
@@ -286,7 +282,7 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOpera
     (1 tensor 1 tensor Delta tensor 1)(1 tensor Delta tensor 1) in the
     padded slots i-1, i, i+1."""
     require_cocommutative(h)
-    mult, delta, _eta, _eps, s, _tau = _structure_maps(h)
+    mult, delta, _eta, _eps, s, _tau = h.maps
     # m tensor 1 tensor m as two layers, one map each
     sigma = [(mult, 1, 1), (1, 1, 1, mult), (1, 1, s, 1, 1), (1, 1, delta, 1), (1, delta, 1)]
     evaluate = _evaluation(h, mod)

@@ -138,23 +138,29 @@ def load_module(source: str, h: HopfAlgebra, bimodule: bool = False) -> LeftModu
 
 
 def hopf_to_json(h: HopfAlgebra) -> dict:
-    """Serialize an algebra back into the input schema (exact coefficients)."""
-    fld = h.field
+    """Serialize an algebra back into the input schema (exact coefficients),
+    from the canonical triples of its structure maps: sorted by (col, row),
+    they come in the schema's (i, j, k) order."""
+    fld, d, maps = h.field, h.dim, h.maps
     field_obj = {"kind": "rational"} if fld.is_rational else {"kind": "prime", "p": fld.p}
+
+    def strings(m):
+        return [[fld.to_str(x) for x in row] for row in m.to_dense().data]
+
+    def constants(m, split):
+        r, c, v = m.triples()
+        return [[*split(col, row), fld.to_str(x)]
+                for row, col, x in zip(r.tolist(), c.tolist(), v.tolist())]
+
     return {
         "field": field_obj,
-        "dim": h.dim,
+        "dim": d,
         "basis_labels": list(h.basis_labels),
-        "mult": [[i, j, k, fld.to_str(c)]
-                 for i in range(h.dim) for j in range(h.dim)
-                 for k, c in sorted(h.mult[i][j].items())],
-        "unit": [fld.to_str(x) for x in h.unit],
-        "comult": [[i, j, k, fld.to_str(c)]
-                   for i in range(h.dim)
-                   for (j, k), c in sorted(h.comult[i].items())],
-        "counit": [fld.to_str(x) for x in h.counit],
-        "antipode": [[fld.to_str(h.antipode[i, j]) for j in range(h.dim)]
-                     for i in range(h.dim)],
+        "mult": constants(maps.mult, lambda ij, k: (*divmod(ij, d), k)),
+        "unit": strings(maps.unit.transpose())[0],
+        "comult": constants(maps.comult, lambda i, jk: (i, *divmod(jk, d))),
+        "counit": strings(maps.counit)[0],
+        "antipode": strings(maps.antipode),
     }
 
 
@@ -257,12 +263,7 @@ def run(args) -> tuple[dict, int]:
         raise NotAHopfAlgebra(f"the check {failed.name} fails at {failed.witness}")
 
     if mode == "cp-table":
-        if not h.group_like or h.group_table != [[(i + j) % h.dim for j in range(h.dim)]
-                                                 for i in range(h.dim)]:
-            raise SchemaError("cp-table needs a cyclic group algebra (Cp:<p>)")
-        if h.field.characteristic != h.dim:
-            raise InvalidPrime("cp-table needs the field GF(p) matching the order")
-        rows = resolution.cp_rank_table(h.dim, n_max=top)
+        rows = resolution.cp_rank_table(h, top)
         table = [{"n": r.n, "dim": r.dim, "rank": r.rank,
                   "claimed_rank": r.claimed_rank, "is_free": r.is_free}
                  for r in rows]
@@ -273,7 +274,7 @@ def run(args) -> tuple[dict, int]:
 
     if mode == "resolution":
         res = resolution.sym_resolution_complex(h, top)
-        homotopy = resolution.contracting_homotopy_check(h, top, res=res)
+        homotopy = resolution.contracting_homotopy_check(res)
         checks = res.exactness_report() + \
             [(f"homotopy_{n}", ok) for n, ok in homotopy.degrees]
         out = _report("resolution", dims=res.dims(), checks=checks)

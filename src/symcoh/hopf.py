@@ -1,18 +1,15 @@
 """Finite-dimensional Hopf algebras given by structure constants.
 
-An algebra element is a sparse dict {basis index: scalar}.  The
-comultiplication of a basis element is a dict {(j, k): scalar}, and
-iterated comultiplication produces dicts keyed by index tuples.  Group
-algebras are detected at construction and flagged `group_like`, which
-lets the cochain builders replace Sweedler sums by single terms.
-
-The structure maps are also built once per algebra as sparse matrices
-(`_structure_maps`): `validate_hopf` checks each axiom as one equality of
-their composites, applied slot by slot to batches of input basis tuples,
-`modules` checks the module axioms against them and slices the regular
-actions out of m, from which the diagonal action on tensor powers is
-built, and `bar` evaluates the operators of the standard complex on
-their composites.
+The constructor takes the constants in their input form (dict-of-dict
+mult and comult, unit and counit lists, a dense antipode) and builds from
+them, once, the sparse structure maps `maps` (see StructureMaps).  Every
+other module reads the algebra only through the maps; the input form
+stays for the element arithmetic and `iterated_comult` here, which serve
+the benchmark's input generator (perfbench/inputs.py) and the test
+oracles.  A group basis is read off the maps and flagged `group_like`,
+which lets the cochain builders replace Sweedler sums by permutations.
+`validate_hopf` checks each axiom as one equality of composites of the
+maps, applied slot by slot to batches of input basis tuples.
 """
 
 from __future__ import annotations
@@ -32,7 +29,8 @@ CHECK_COLUMNS = 1 << 16  # input columns per batch of a Hopf axiom check
 
 
 class HopfAlgebra:
-    """Structure constants for (mult, unit, comult, counit, antipode)."""
+    """Structure constants for (mult, unit, comult, counit, antipode), in
+    their input form and as the sparse structure maps `maps`."""
 
     def __init__(self, field: Field, dim: int, basis_labels, mult, unit,
                  comult, counit, antipode: Matrix):
@@ -53,40 +51,36 @@ class HopfAlgebra:
         self.comult = [{jk: v for jk, v in cell.items() if v != 0} for cell in comult]
         self.counit = list(counit)
         self.antipode = antipode
+        self.maps = _structure_maps(self)
         self._detect_group_like()
         self._cocommutative = None
         self._commutative = None
-        self._maps = None
 
     # -- group-like fast path ------------------------------------------
 
     def _detect_group_like(self):
-        one = self.field.one()
+        """A group basis, read off the maps: Delta(b_i) = b_i tensor b_i and
+        eps(b_i) = 1 for every i, each product b_i b_j and the unit a basis
+        element, and some b_j with b_i b_j = 1 for every i (group_inverse[i]
+        is the last such j)."""
+        m, delta, eta, eps = self.maps[:4]
         d = self.dim
-        ok = all(self.comult[i] == {(i, i): one} for i in range(d)) \
-            and all(self.counit[i] == one for i in range(d)) \
-            and all(len(self.mult[i][j]) == 1 and next(iter(self.mult[i][j].values())) == one
-                    for i in range(d) for j in range(d)) \
-            and sum(1 for x in self.unit if x != 0) == 1
-        if ok:
-            table = [[next(iter(self.mult[i][j])) for j in range(d)] for i in range(d)]
-            identity = next(i for i, x in enumerate(self.unit) if x != 0)
-            inv = [None] * d
-            for i in range(d):
-                for j in range(d):
-                    if table[i][j] == identity:
-                        inv[i] = j
-            ok = ok and self.unit[identity] == one and all(v is not None for v in inv)
-            if ok:
-                self.group_like = True
-                self.group_table = table
-                self.group_identity = identity
-                self.group_inverse = inv
-                return
+        at = np.arange(d, dtype=np.int64)
         self.group_like = False
-        self.group_table = None
-        self.group_identity = None
-        self.group_inverse = None
+        self.group_table = self.group_identity = self.group_inverse = None
+        if not (np.array_equal(delta.col_idx, at) and np.array_equal(delta.row_idx, at * (d + 1))
+                and eps.nnz() == d and np.array_equal(m.col_idx, np.arange(d * d))
+                and eta.nnz() == 1
+                and all((x.vals == 1).all() for x in (m, delta, eta, eps))):
+            return
+        table = m.row_idx.reshape(d, d)
+        identity = int(eta.row_idx[0])
+        hit = table == identity
+        if hit.any(axis=1).all():
+            self.group_like = True
+            self.group_table = table.tolist()
+            self.group_identity = identity
+            self.group_inverse = (d - 1 - np.argmax(hit[:, ::-1], axis=1)).tolist()
 
     # -- element arithmetic ----------------------------------------------
 
@@ -112,25 +106,18 @@ class HopfAlgebra:
             out = fld.add(out, fld.mul(a, self.counit[i]))
         return out
 
-    def antipode_column(self, i: int) -> dict:
-        """Coordinates of S(b_i)."""
-        return {l: self.antipode[l, i] for l in range(self.dim)
-                if self.antipode[l, i] != 0}
-
     # -- cached global properties -----------------------------------------
 
     @property
     def is_cocommutative(self) -> bool:
         if self._cocommutative is None:
-            maps = _structure_maps(self)
-            self._cocommutative = maps.swap @ maps.comult == maps.comult
+            self._cocommutative = self.maps.swap @ self.maps.comult == self.maps.comult
         return self._cocommutative
 
     @property
     def is_commutative(self) -> bool:
         if self._commutative is None:
-            maps = _structure_maps(self)
-            self._commutative = maps.mult @ maps.swap == maps.mult
+            self._commutative = self.maps.mult @ self.maps.swap == self.maps.mult
         return self._commutative
 
     def __repr__(self):
@@ -207,24 +194,22 @@ class ValidationReport:
 
 
 def _structure_maps(h: HopfAlgebra) -> StructureMaps:
-    """The structure maps of h as sparse matrices, built once per algebra."""
-    if h._maps is None:
-        d = h.dim
+    """The structure maps of h as sparse matrices, from its input form."""
+    d = h.dim
+    ij = np.arange(d * d, dtype=np.int64)  # b_i tensor b_j
 
-        def from_entries(rows, cols, entries):
-            return SparseMatrix(h.field, rows, cols, [list(x) for x in zip(*entries)] or None)
+    def from_entries(rows, cols, entries):
+        return SparseMatrix(h.field, rows, cols, [list(x) for x in zip(*entries)] or None)
 
-        h._maps = StructureMaps(
-            mult=from_entries(d, d * d, [(k, i * d + j, c) for i in range(d)
-                                         for j in range(d) for k, c in h.mult[i][j].items()]),
-            comult=from_entries(d * d, d, [(j * d + k, i, c) for i in range(d)
-                                           for (j, k), c in h.comult[i].items()]),
-            unit=from_entries(d, 1, [(i, 0, x) for i, x in enumerate(h.unit)]),
-            counit=from_entries(1, d, [(0, i, x) for i, x in enumerate(h.counit)]),
-            antipode=SparseMatrix.from_dense(h.antipode),
-            swap=from_entries(d * d, d * d, [(j * d + i, i * d + j, 1)
-                                             for i in range(d) for j in range(d)]))
-    return h._maps
+    return StructureMaps(
+        mult=from_entries(d, d * d, [(k, i * d + j, c) for i in range(d)
+                                     for j in range(d) for k, c in h.mult[i][j].items()]),
+        comult=from_entries(d * d, d, [(j * d + k, i, c) for i in range(d)
+                                       for (j, k), c in h.comult[i].items()]),
+        unit=from_entries(d, 1, [(i, 0, x) for i, x in enumerate(h.unit)]),
+        counit=from_entries(1, d, [(0, i, x) for i, x in enumerate(h.counit)]),
+        antipode=SparseMatrix.from_dense(h.antipode),
+        swap=SparseMatrix(h.field, d * d, d * d, (ij % d * d + ij // d, ij, None)))
 
 
 def _apply(h: HopfAlgebra, composite, x: SparseMatrix) -> SparseMatrix:
@@ -272,7 +257,7 @@ def validate_hopf(h: HopfAlgebra, require_cocommutative: bool = False) -> Valida
     witness naming the basis elements where the two sides first disagree
     (see _first_difference).
     """
-    m, delta, eta, eps, s, tau = _structure_maps(h)
+    m, delta, eta, eps, s, tau = h.maps
     report = ValidationReport(cocommutative=h.is_cocommutative, commutative=h.is_commutative)
     # (M tensor M)(1 tensor tau tensor 1)(Delta tensor Delta) is (1 tensor M)(L tensor 1)
     # (1 tensor Delta), L = (M tensor 1)(1 tensor tau)(Delta tensor 1): x tensor y ->

@@ -12,7 +12,7 @@ Side by side they are the action map [rho_0 | ... | rho_(d-1)], the
 dim M x (d * dim M) matrix of A tensor M -> M.  The module axioms are
 checked the way `hopf.validate_hopf` checks the Hopf axioms, as equalities
 of two sparse composites of that map with the structure maps of A
-(`hopf._structure_maps`): the unit on M, associativity on A tensor A
+(`HopfAlgebra.maps`): the unit on M, associativity on A tensor A
 tensor M.  A failure names the first basis pair (b_i, b_j) whose column
 block differs.
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidBimodule, InvalidModule
-from .hopf import HopfAlgebra, _structure_maps
+from .hopf import HopfAlgebra
 from .linalg import Subspace, intersect_kernels
 from .sparse import SparseMatrix, apply_in_slot, combination, kron, require_terms
 
@@ -61,10 +61,6 @@ class Bimodule(LeftModule):
     def left(self) -> list:
         return self.action
 
-    def right_act_element(self, h: HopfAlgebra, vec: dict) -> SparseMatrix:
-        return combination(h.field, self.dim, self.dim,
-                           [(c, self.right[i]) for i, c in vec.items()])
-
     def __repr__(self):
         return f"<Bimodule dim {self.dim}>"
 
@@ -91,7 +87,7 @@ def _representation_failure(h: HopfAlgebra, rho: SparseMatrix, swap: bool):
     rho (eta tensor 1) = 1, and rho (1 tensor rho) = rho (m tensor 1) on
     A tensor A tensor M.  A right action (`swap`) is an anti-homomorphism,
     so its left side is taken after the swap tau tensor 1: v . b_i . b_j."""
-    maps = _structure_maps(h)
+    maps = h.maps
     eye = SparseMatrix.identity(h.field, rho.rows)
     if rho @ kron(maps.unit, eye) != eye:
         return "unit does not act as identity"
@@ -127,7 +123,7 @@ def validate_bimodule(h: HopfAlgebra, mod: Bimodule) -> bool:
         raise InvalidBimodule(f"right {why}")
     # left (1 tensor right) = right (1 tensor left) (tau tensor 1): b_i . v . b_j
     eye, eye_d = SparseMatrix.identity(h.field, mod.dim), SparseMatrix.identity(h.field, h.dim)
-    if left @ kron(eye_d, right) != right @ kron(eye_d, left) @ kron(_structure_maps(h).swap, eye):
+    if left @ kron(eye_d, right) != right @ kron(eye_d, left) @ kron(h.maps.swap, eye):
         raise InvalidBimodule("left and right actions do not commute")
     return True
 
@@ -143,8 +139,9 @@ def validate_module(h: HopfAlgebra, mod: LeftModule) -> bool:
 
 
 def _counit_actions(h: HopfAlgebra) -> list:
-    """The 1 x 1 matrices eps(b_i)."""
-    return [SparseMatrix(h.field, 1, 1, ([0], [0], [e])) for e in h.counit]
+    """The 1 x 1 matrices eps(b_i): column i of the counit map."""
+    columns = h.maps.counit.column_map()
+    return [SparseMatrix(h.field, 1, 1, columns(np.array([i]))) for i in range(h.dim)]
 
 
 def trivial_module(h: HopfAlgebra) -> LeftModule:
@@ -162,7 +159,7 @@ def _regular_actions(h: HopfAlgebra, side: int) -> list:
     columns of the sparse m (column i * d + j holds b_i b_j) with b_i on
     that side."""
     d = h.dim
-    columns = _structure_maps(h).mult.column_map()
+    columns = h.maps.mult.column_map()
     at = np.arange(d, dtype=np.int64)
     return [SparseMatrix(h.field, d, d, columns(i * d + at if side == 1 else at * d + i))
             for i in range(d)]
@@ -178,12 +175,20 @@ def regular_bimodule(h: HopfAlgebra) -> Bimodule:
 
 
 def adjoint_module(h: HopfAlgebra, bim: Bimodule) -> LeftModule:
-    """The left module on bim with a . m = a1 m S(a2)."""
+    """The left module on bim with a . m = a1 m S(a2): per entry (j, k) of
+    column i of Delta, the left action of b_j times the right action of
+    S(b_k), read off column k of S."""
     validate_bimodule(h, bim)
-    return LeftModule(bim.dim, [
-        combination(h.field, bim.dim, bim.dim,
-                    [(c, bim.left[j] @ bim.right_act_element(h, h.antipode_column(k)))
-                     for (j, k), c in h.comult[i].items()]) for i in range(h.dim)])
+    fld, d, n = h.field, h.dim, bim.dim
+    antipode, comult = h.maps.antipode.column_map(), h.maps.comult.column_map()
+
+    def combine(columns, i, term):
+        rows, _at, vals = columns(np.array([i]))
+        return combination(fld, n, n, [(c, term(r)) for r, c in zip(rows.tolist(), vals.tolist())])
+
+    right_s = [combine(antipode, k, lambda u: bim.right[u]) for k in range(d)]
+    return LeftModule(n, [combine(comult, i, lambda jk: bim.left[jk // d] @ right_s[jk % d])
+                          for i in range(d)])
 
 
 def tensor_actions(h: HopfAlgebra, l: LeftModule, m: LeftModule, elements) -> list:
@@ -201,9 +206,12 @@ def tensor_actions(h: HopfAlgebra, l: LeftModule, m: LeftModule, elements) -> li
     within = np.arange(n, dtype=np.int64)[:, None]  # the factor L, kept by 1_L
     nnz = np.array([a.nnz() for a in l.action])
     stacks, terms = [], 0
+    comult = h.maps.comult.column_map()
     for i in elements:
+        legs, _at, coef = comult(np.array([i]))
         parts = [(m.action[k].row_idx + j * m.dim, m.action[k].col_idx,
-                  fld.reduce(m.action[k].vals * x)) for (j, k), x in h.comult[i].items()]
+                  fld.reduce(m.action[k].vals * x))
+                 for j, k, x in zip(*np.divmod(legs, d), coef)]
         c = SparseMatrix(fld, d * m.dim, m.dim, [np.concatenate(p) for p in zip(*parts)] or None)
         j, row = np.divmod(c.row_idx, m.dim)
         terms += int(nnz @ np.bincount(j, minlength=d))

@@ -34,9 +34,8 @@ import numpy as np
 
 from .bar import CohomologyReport, require_cocommutative
 from .complexes import CochainComplex, CochainSpace, cohomology_dims
-from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime
-from .fields import Field
-from .hopf import HopfAlgebra, cyclic_group_table, group_algebra
+from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime, SchemaError
+from .hopf import HopfAlgebra, cyclic_group_table
 from .linalg import DENSE_RANK_CELLS, rank
 from .modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
                       regular_left_module, tensor_module, validate_module)
@@ -162,25 +161,26 @@ def _require_descent(fld, transposed, target_t, source_t, induced, message, colu
         raise AssertionError(message)
 
 
-def coinvariant_space(h: HopfAlgebra, n: int, check: bool = True) -> CoinvariantSpace:
+def coinvariant_space(h: HopfAlgebra, n: int, levels: list) -> CoinvariantSpace:
     """The degree-n coinvariant space of A^(tensor n+1), on the sorted-tuple
-    basis (Lambda^(n+1) A, or Sym^(n+1) A in characteristic 2).  Each
-    diagonal action is induced, checked to descend and dropped in turn."""
+    basis (Lambda^(n+1) A, or Sym^(n+1) A in characteristic 2), certified
+    as the quotient by the swap relations.  Each diagonal action is
+    induced, checked to descend and dropped in turn; `levels` keeps the
+    levels of the tensor power across calls (see diagonal_columns)."""
     d, fld = h.dim, h.field
     _require_ambient(h, n)
     space = CoinvariantSpace(n, *_sorted_tuple_coinvariants(fld, d, n + 1), None)
-    project = space.projection.column_map(search=True)
-    if check and space.dim:
+    action = []
+    if space.dim:
+        project = space.projection.column_map(search=True)
         _check_quotient(h, space, project)
-    action, p_t = [], space.projection.transpose() if check and space.dim else None
-    for op, op_t in diagonal_columns(h, range(d), n + 1) if space.dim else ():
-        action.append(_induced(fld, space.dim, space.section, op, project))
-        if check:
+        p_t = space.projection.transpose()
+        for op, op_t in diagonal_columns(h, range(d), n + 1, levels):
+            action.append(_induced(fld, space.dim, space.section, op, project))
             _require_descent(fld, op_t, p_t, p_t, action[-1], "induced action is not well-defined",
                              op if h.group_like else None)
     space.module = LeftModule(space.dim, action or [SparseMatrix(fld, 0, 0)] * d)
-    if check:
-        validate_module(h, space.module)
+    validate_module(h, space.module)
     return space
 
 
@@ -218,11 +218,15 @@ class ResolutionComplex:
         return checks
 
 
-def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True) -> ResolutionComplex:
-    """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k."""
+def sym_resolution_complex(h: HopfAlgebra, top: int) -> ResolutionComplex:
+    """The augmented coinvariant chain complex S_top -> ... -> S_0 -> k,
+    every space and induced boundary self-checked.  The highest degree is
+    built first, and the levels of the tensor power formed for it serve
+    the smaller ones."""
     _require_ambient(h, top)
-    spaces = [coinvariant_space(h, n, check=check) for n in range(top + 1)]
-    transposed = [s.projection.transpose() for s in spaces] if check else None
+    levels = []
+    spaces = [coinvariant_space(h, n, levels) for n in range(top, -1, -1)][::-1]
+    transposed = [s.projection.transpose() for s in spaces]
     fld = h.field
     boundaries = [None]
     for n in range(1, top + 1):
@@ -232,9 +236,8 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True) -> Reso
         below = spaces[n - 1]
         boundaries.append(_induced(fld, below.dim, spaces[n].section, bar_chain_columns(h, n),
                                    below.projection.column_map(search=True)))
-        if check:
-            _require_descent(fld, bar_chain_transpose_columns(h, n), transposed[n - 1],
-                             transposed[n], boundaries[-1], "induced boundary is not well-defined")
+        _require_descent(fld, bar_chain_transpose_columns(h, n), transposed[n - 1],
+                         transposed[n], boundaries[-1], "induced boundary is not well-defined")
     # the augmentation deletes slot 0 by the counit
     aug = _induced(fld, 1, spaces[0].section, bar_chain_columns(h, 0))
     return ResolutionComplex(h, top, spaces, boundaries, aug)
@@ -242,13 +245,12 @@ def sym_resolution_complex(h: HopfAlgebra, top: int, check: bool = True) -> Reso
 
 def _unit_insert_columns(h: HopfAlgebra, slots: int):
     """Column map of A^(tensor slots) -> A^(tensor slots+1): prepend the unit."""
-    unit = list(h.unit_dict().items())
-    shift = np.array([u * h.dim ** slots for u, _ in unit], dtype=np.int64)
-    coeffs = field_array(h.field, [uc for _, uc in unit])
+    lead, _col, coeffs = h.maps.unit.triples()
+    shift = lead * h.dim ** slots
 
     def columns(idx):
         at = np.arange(len(idx), dtype=np.int64)
-        return ((shift[:, None] + idx[None, :]).reshape(-1), np.tile(at, len(unit)),
+        return ((shift[:, None] + idx[None, :]).reshape(-1), np.tile(at, len(lead)),
                 np.repeat(coeffs, len(idx)))
 
     return columns
@@ -260,16 +262,11 @@ class HomotopyReport:
     passed: bool
 
 
-def contracting_homotopy_check(h: HopfAlgebra, top: int,
-                               res: ResolutionComplex | None = None) -> HomotopyReport:
-    """Assemble h_n = projection . (prepend 1) . section and verify
-    d_{n+1} h_n + h_{n-1} d_n = id, with the augmentation conventions at
-    degree 0.  `res` is the resolution of k through degree top, built
-    here unless the caller already has it."""
-    if res is None:
-        res = sym_resolution_complex(h, top)
-    elif res.hopf is not h or res.top != top:
-        raise ValueError("res must be the resolution of k for this algebra through top")
+def contracting_homotopy_check(res: ResolutionComplex) -> HomotopyReport:
+    """Assemble h_n = projection . (prepend 1) . section on the resolution
+    `res` and verify d_{n+1} h_n + h_{n-1} d_n = id, with the augmentation
+    conventions at degree 0."""
+    h, top = res.hopf, res.top
     spaces = res.spaces
     homotopies = []
     fld = h.field
@@ -281,9 +278,7 @@ def contracting_homotopy_check(h: HopfAlgebra, top: int,
         homotopies.append(_induced(fld, above.rows, spaces[n].section,
                                    _unit_insert_columns(h, n + 1), above.column_map(search=True)))
     # unit section k -> S_0 followed by the augmentation
-    unit = h.unit_dict()
-    unit_col = spaces[0].projection @ SparseMatrix(
-        fld, h.dim, 1, (list(unit), [0] * len(unit), list(unit.values())))
+    unit_col = spaces[0].projection @ h.maps.unit
     identities = [res.boundaries[1] @ homotopies[0] + unit_col @ res.augmentation]
     identities += [res.boundaries[n + 1] @ homotopies[n] + homotopies[n - 1] @ res.boundaries[n]
                    for n in range(1, top)]
@@ -332,8 +327,9 @@ def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
         raise CharacteristicDivides(f"characteristic {p} divides {n + 1}")
     d = h.dim
     fld = h.field
-    sn = coinvariant_space(h, n)
-    sm = coinvariant_space(h, n - 1)
+    levels = []
+    sn = coinvariant_space(h, n, levels)
+    sm = coinvariant_space(h, n - 1, levels)
     if not sn.dim:  # a vanishing degree has no ambient indices to work on
         return SplittingReport(SparseMatrix(fld, d * sm.dim, 0), SparseMatrix(fld, 0, d * sm.dim),
                                True, True)
@@ -381,24 +377,29 @@ class CpRankRow:
     is_free: bool
 
 
-def cp_rank_table(p: int, n_max: int | None = None) -> list:
+def cp_rank_table(h: HopfAlgebra, top: int) -> list:
     """Freeness certificates for the coinvariants of the cyclic group
-    algebra in its own characteristic, degrees 1..p-2.
+    algebra h = kC_p in its own characteristic, degrees 1..min(top, p-2).
 
     The rank column is the rank of the norm element (the sum of the group
     elements) on S_n.  It acts with rank 1 on the free indecomposable
     module of kC_p and as zero on the others, so it counts the free
     summands, and S_n is free exactly when that rank times p is dim S_n.
+    Any other algebra is a SchemaError; a field other than GF(p), or
+    p = 2, is an InvalidPrime.
     """
-    from .fields import is_prime
-    if p == 2 or not is_prime(p):
+    p = h.dim
+    if not h.group_like or h.group_table != cyclic_group_table(p):
+        raise SchemaError("cp-table needs a cyclic group algebra (Cp:<p>)")
+    if h.field.characteristic != p:
+        raise InvalidPrime("cp-table needs the field GF(p) matching the order")
+    if p == 2:
         raise InvalidPrime(f"{p} is not an odd prime")
-    h = group_algebra(p, cyclic_group_table(p), Field.prime(p))
-    top = p - 2 if n_max is None else min(n_max, p - 2)
+    top = min(top, p - 2)
     _require_ambient(h, top)
     rows = []
     for n in range(1, top + 1):
-        space = coinvariant_space(h, n)
+        space = coinvariant_space(h, n, [])  # a group algebra forms no levels
         norm = space.module.act_element(h, dict.fromkeys(range(p), h.field.one()))
         free_rank = rank(norm.to_dense())
         rows.append(CpRankRow(n, space.dim, free_rank, comb(p, n + 1) // p,

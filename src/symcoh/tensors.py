@@ -18,7 +18,8 @@ the left module ad M (see bar.py).
 The diagonal action of a group element permutes flat indices, computed
 only on the columns asked for; for any other algebra it is that of the
 tensor power of the regular module, each level's kron terms charged first,
-and a caller may keep the levels formed for one slot count for the next.
+and the caller passes the list that keeps the levels formed for one slot
+count for the next.  The counit is read off its sparse map.
 """
 
 from __future__ import annotations
@@ -64,9 +65,8 @@ def bar_chain_columns(h: HopfAlgebra, n: int):
     by row; entries that cancel are left for the caller to sum."""
     d = h.dim
     slots = n + 1
-    fld = h.field
-    eps = field_array(fld, h.counit)
-    signed = np.stack([eps, field_array(fld, [fld.neg(e) for e in h.counit])])
+    eps = h.maps.counit.to_dense().data[0]
+    signed = np.stack([eps, h.field.neg(eps)])
     alive = eps.astype(bool)
     place = d ** (slots - 1 - np.arange(n + 1, dtype=np.int64))  # of slots 0..n
 
@@ -94,9 +94,8 @@ def bar_chain_transpose_columns(h: HopfAlgebra, n: int):
     and every x with eps(x) != 0.  The entries of a column are not sorted
     by row, and those that meet are left for the caller to sum."""
     d = h.dim
-    eps = field_array(h.field, h.counit)
-    xs = np.flatnonzero(eps.astype(bool))
-    signed = np.stack([eps[xs], h.field.neg(eps[xs])])[np.arange(n + 1) % 2]
+    _row, xs, eps = h.maps.counit.triples()
+    signed = np.stack([eps, h.field.neg(eps)])[np.arange(n + 1) % 2]
     place = d ** (n - np.arange(n + 1, dtype=np.int64))  # d^(digits after the insertion)
 
     def columns(idx):
@@ -167,7 +166,7 @@ def _slotwise(row: np.ndarray, d: int, slots: int):
     return columns
 
 
-def diagonal_columns(h: HopfAlgebra, elements, slots: int, levels: list | None = None):
+def diagonal_columns(h: HopfAlgebra, elements, slots: int, levels: list):
     """(column map, transposed column map) of the diagonal actions of the
     basis elements `elements` on A^(tensor slots), yielded one at a time.
     For a group algebra: the permutation of flat indices that left
@@ -184,7 +183,6 @@ def diagonal_columns(h: HopfAlgebra, elements, slots: int, levels: list | None =
             yield (_slotwise(table[b], h.dim, slots),
                    _slotwise(table[h.group_inverse[b]], h.dim, slots))
         return
-    levels = [] if levels is None else levels
     regular = regular_left_module(h)
     if not levels:
         levels.append(trivial_module(h))

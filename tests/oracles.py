@@ -26,6 +26,12 @@ elimination (against the sorted-tuple basis of
 `symcoh.resolution.coinvariant_space`).  The orbit walk certifies the cyclic rank table by generators, against the
 rank of the norm element that `symcoh.resolution.cp_rank_table` takes.
 
+The input form of an algebra (dict-of-dict mult and comult, unit and
+counit lists, the dense antipode) is read here entry by entry: the group
+basis and the JSON schema written from it are the references for what
+`symcoh.hopf` and `symcoh.cli` read off the sparse structure maps, and
+the Sweedler oracles read S(b_i) from the dense antipode.
+
 The last part holds checks that only the tests run: the mutually inverse
 chain maps phi and psi between the two realizations of `symcoh.bar`, the
 symmetric-group action written on the whole ambient space of the
@@ -55,6 +61,52 @@ from symcoh.tensors import all_columns, bar_chain_columns, flat, swap_slots
 def all_tuples(d: int, length: int):
     """The basis tuples of A^(tensor length), in flat-index order."""
     return itertools.product(range(d), repeat=length)
+
+
+def antipode_column(h: HopfAlgebra, i: int) -> dict:
+    """Coordinates of S(b_i), read off the dense antipode."""
+    return {l: h.antipode[l, i] for l in range(h.dim) if h.antipode[l, i] != 0}
+
+
+def dict_group_basis(h: HopfAlgebra):
+    """(group_table, group_identity, group_inverse) read off the input form
+    of h entry by entry, or None when its basis is not a group: the
+    detection that `HopfAlgebra` reads off its sparse structure maps."""
+    one, d = h.field.one(), h.dim
+    if not (all(h.comult[i] == {(i, i): one} for i in range(d))
+            and all(h.counit[i] == one for i in range(d))
+            and all(len(h.mult[i][j]) == 1 and next(iter(h.mult[i][j].values())) == one
+                    for i in range(d) for j in range(d))
+            and sum(1 for x in h.unit if x != 0) == 1):
+        return None
+    table = [[next(iter(h.mult[i][j])) for j in range(d)] for i in range(d)]
+    identity = next(i for i, x in enumerate(h.unit) if x != 0)
+    inv = [None] * d
+    for i in range(d):
+        for j in range(d):
+            if table[i][j] == identity:
+                inv[i] = j
+    if h.unit[identity] != one or any(v is None for v in inv):
+        return None
+    return table, identity, inv
+
+
+def dict_to_json(h: HopfAlgebra) -> dict:
+    """The input schema of h written from its input form, constant by
+    constant: what `symcoh.cli.hopf_to_json` writes from the sparse maps."""
+    fld, d = h.field, h.dim
+    return {
+        "field": {"kind": "rational"} if fld.is_rational else {"kind": "prime", "p": fld.p},
+        "dim": d,
+        "basis_labels": list(h.basis_labels),
+        "mult": [[i, j, k, fld.to_str(c)] for i in range(d) for j in range(d)
+                 for k, c in sorted(h.mult[i][j].items())],
+        "unit": [fld.to_str(x) for x in h.unit],
+        "comult": [[i, j, k, fld.to_str(c)] for i in range(d)
+                   for (j, k), c in sorted(h.comult[i].items())],
+        "counit": [fld.to_str(x) for x in h.counit],
+        "antipode": [[fld.to_str(h.antipode[i, j]) for j in range(d)] for i in range(d)],
+    }
 
 
 def _blocks(mats) -> list:
@@ -424,7 +476,7 @@ def hom_module(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> LeftModule:
     mats = []
     for i in range(h.dim):
         mats.append(combination(h.field, dim, dim, [
-            (c, kron(x.act_element(h, h.antipode_column(k)).transpose(), m.action[j]))
+            (c, kron(x.act_element(h, antipode_column(h, k)).transpose(), m.action[j]))
             for (j, k), c in h.comult[i].items()]))
     return LeftModule(dim, mats)
 
@@ -452,7 +504,7 @@ def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> Act
                 # interior: the slot after the moved one exists
                 for (s1, s2, s3), c in iterated_comult(h, tup[i], 2).coeffs.items():
                     for a, ma in h.mult[tup[i - 1]][s1].items():
-                        for u, su in h.antipode_column(s2).items():
+                        for u, su in antipode_column(h, s2).items():
                             for v, mv in h.mult[s3][tup[i + 1]].items():
                                 coeff = fld.mul(minus,
                                                 fld.mul(fld.mul(c, ma), fld.mul(su, mv)))
@@ -461,7 +513,7 @@ def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> Act
             else:
                 for (s1, s2), c in h.comult[tup[n]].items():
                     for a, ma in h.mult[tup[n - 1]][s1].items():
-                        for u, su in h.antipode_column(s2).items():
+                        for u, su in antipode_column(h, s2).items():
                             coeff = fld.mul(minus, fld.mul(c, fld.mul(ma, su)))
                             col_base = flat(tup[:n - 1] + (a, u), d) * m
                             _add_value_block(entries, row_base, col_base, coeff, eye, fld)
@@ -482,7 +534,7 @@ def _antipode_times(h: HopfAlgebra, s: int, b: int) -> dict:
     """S(b_s) * b_b with zero entries dropped."""
     fld = h.field
     vec: dict = {}
-    for u, su in h.antipode_column(s).items():
+    for u, su in antipode_column(h, s).items():
         for w, mw in h.mult[u][b].items():
             vec[w] = fld.add(vec.get(w, fld.zero()), fld.mul(su, mw))
     return {k: v for k, v in vec.items() if v != 0}

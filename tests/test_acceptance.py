@@ -212,7 +212,7 @@ def test_criterion_06_cp_rank_table():
     start = time.monotonic()
     expected = {3: [1], 5: [2, 2, 1], 7: [3, 5, 5, 3, 1]}
     for p, ranks in expected.items():
-        rows = cp_rank_table(p)
+        rows = cp_rank_table(kC(p, Field.prime(p)), p)
         assert [r.rank for r in rows] == ranks
         assert all(r.rank == comb(p, r.n + 1) // p for r in rows)
         assert all(r.is_free for r in rows)
@@ -319,6 +319,6 @@ def test_criterion_13_exactness():
         res = sym_resolution_complex(h, top)
         for name, ok in res.exactness_report():
             assert ok, name
-        homotopy = contracting_homotopy_check(h, min(top, h.dim))
+        homotopy = contracting_homotopy_check(res)
         assert homotopy.passed
     report(13, "augmented coinvariant complex exact; contracting homotopy holds")

@@ -54,7 +54,7 @@ def test_homogeneous_space_dims_fast_path():
     for h, m in [(kC(3, GF3), None), (kS3(GF5), None), (kC(3, QQ), None)]:
         mod = regular_left_module(h)
         for n in range(3):
-            s = equivariant_space(h, mod, n + 1)
+            s = equivariant_space(h, mod, n + 1, [])
             assert s.dim == mod.dim * h.dim ** n
             assert (s.coords @ s.basis).equals_identity()
 
@@ -82,7 +82,7 @@ def test_homogeneous_space_generic_agrees_with_fast_path():
         h = make()
         mod = module(h)
         for slots in range(1, top_slots + 1):
-            fast = equivariant_space(h, mod, slots)
+            fast = equivariant_space(h, mod, slots, [])
             generic = equivariant_solve(h, mod, slots)
             assert fast.dim == generic.dim
             # same subspace: every fast basis column must round-trip through generic
@@ -351,7 +351,7 @@ def test_phi_psi_mutually_inverse(make, field, n_max):
     h = make(field)
     for mod in (trivial_module(h), regular_left_module(h)):
         for n in range(n_max + 1):
-            space = equivariant_space(h, mod, n + 1)
+            space = equivariant_space(h, mod, n + 1, [])
             phi, psi = phi_psi(h, mod, n)
             assert (phi @ psi).equals_identity()  # on all of C^n
             assert psi @ (phi @ space.basis) == space.basis  # identity on K^n
@@ -384,7 +384,7 @@ def test_phi_psi_restrict_to_fixed_subspaces():
     h = kC(3, GF3)
     mod = trivial_module(h)
     for n in range(1, 4):
-        space = equivariant_space(h, mod, n + 1)
+        space = equivariant_space(h, mod, n + 1, [])
         phi, psi = phi_psi(h, mod, n)
         ops_k = sigma_homogeneous(h, mod, n)
         ops_c = sigma_nonhomogeneous(h, mod, n)

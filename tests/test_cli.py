@@ -57,6 +57,23 @@ def test_cp_table_mode(capsys):
     assert all(row["is_free"] for row in report["table"])
 
 
+U1_GF5 = str(pathlib.Path(__file__).with_name("golden") / "algebras" / "u1-gf5.json")
+
+
+@pytest.mark.parametrize("argv,code,reason", [
+    (("--algebra", "Cp:2", "--field", "gf:2"), 1, "InvalidPrime: 2 is not an odd prime"),
+    (("--algebra", "Cp:5", "--field", "gf:3"), 1, "InvalidPrime: cp-table needs the field GF(p)"),
+    (("--algebra", "S3", "--field", "gf:3"), 2, "cp-table needs a cyclic group algebra"),
+    (("--algebra", U1_GF5), 2, "cp-table needs a cyclic group algebra"),
+], ids=["Cp2-gf2", "Cp5-gf3", "S3-gf3", "u1-gf5"])
+def test_cp_table_refusals(capsys, argv, code, reason):
+    # p = 2 and a field other than GF(p) are invalid primes; an algebra that
+    # is not a cyclic group algebra, group or not, is a schema error
+    got, report = run_json(capsys, *argv, "--mode", "cp-table")
+    assert got == report["error"]["code"] == code
+    assert report["error"]["reason"].startswith(reason)
+
+
 def test_validate_s3(capsys):
     code, report = run_json(capsys, "--algebra", "S3", "--field", "gf:5",
                             "--mode", "validate")

@@ -43,7 +43,7 @@ def test_diagonal_action_matches_oracle(name, slots):
     h = ALGEBRAS[name]()
     assert not h.group_like
     size = h.dim ** slots
-    for b, (columns, transposed) in zip(range(h.dim), diagonal_columns(h, range(h.dim), slots)):
+    for b, (columns, transposed) in zip(range(h.dim), diagonal_columns(h, range(h.dim), slots, [])):
         expect = oracle_diagonal_action(h, b, slots)
         assert (expect.rows, expect.cols) == (size, size)
         assert _triples(h, columns, size) == [a.tolist() for a in expect.triples()]
@@ -64,7 +64,7 @@ def test_permutation_branch_matches_tensor_power(name, slots):
         power = tensor_module(h, power, regular)
     assert power.dim == h.dim ** slots
     for action, (columns, transposed) in zip(power.action,
-                                             diagonal_columns(h, range(h.dim), slots)):
+                                             diagonal_columns(h, range(h.dim), slots, [])):
         assert _triples(h, columns, power.dim) == [a.tolist() for a in action.triples()]
         # the action of the inverse element is the transpose
         assert _triples(h, transposed, power.dim) == \

@@ -109,7 +109,7 @@ def _assert_equivariant_spaces_match_oracle(g, mod, top):
     """Every space of the homogeneous complex through degree top is the
     space the dense solve finds."""
     for slots in range(1, top + 2):
-        closed = equivariant_space(g, mod, slots)
+        closed = equivariant_space(g, mod, slots, [])
         oracle = equivariant_solve(g, mod, slots)
         assert closed.dim == oracle.dim
         assert oracle.contains(closed.basis)
@@ -131,7 +131,7 @@ def test_scrambled_resolution_route():
     for name, ok in res.exactness_report():
         assert ok, name
     assert res.dims() == [3, 3, 1, 0]
-    assert contracting_homotopy_check(g, 2).passed
+    assert contracting_homotopy_check(res).passed
 
 
 def _assert_shh_routes(g, bim, top, dims):
@@ -186,7 +186,7 @@ def test_diagonal_action_is_exact_with_large_structure_constants():
     assert max(c for row in h.mult for cell in row for c in cell.values()) > 1 << 31
     for slots in (1, 2, 3):
         for b, (columns, _transposed) in zip(range(h.dim),
-                                             diagonal_columns(h, range(h.dim), slots)):
+                                             diagonal_columns(h, range(h.dim), slots, [])):
             got = canonical(f, *apply_columns(f, columns, all_columns(h.dim ** slots)))
             assert [a.tolist() for a in got] == \
                 [a.tolist() for a in oracle_diagonal_action(h, b, slots).triples()]

@@ -70,7 +70,7 @@ def test_equivariant_space_generic_agrees_with_fast_path():
         for bim in (trivial_bimodule(h), regular_bimodule(h)):
             ad = adjoint_module(h, bim)
             for slots in range(1, top_slots + 1):
-                fast = equivariant_space(h, ad, slots)
+                fast = equivariant_space(h, ad, slots, [])
                 generic = equivariant_solve(h, ad, slots)
                 assert fast.dim == generic.dim
                 assert generic.contains(fast.basis)

@@ -142,3 +142,75 @@ def test_counit_contraction_recovers_lower_sweedler():
                     if c2 != 0:
                         contracted[rest] = fld.add(contracted.get(rest, fld.zero()), c2)
                 assert {k: v for k, v in contracted.items() if v != 0} == expect
+
+
+# -- the sparse structure maps against the input form -----------------------------
+
+
+def _basis_changes():
+    """Seeded unitriangular basis changes of kC3 over GF(3) and kS3 over
+    GF(5), each entry above the diagonal zero at least half the time, so
+    that some draws are the identity and keep the group basis."""
+    import random
+    from test_generic_hopf import change_basis
+    out = []
+    for base, count in ((kC(3, GF3), 60), (kS3(GF5), 12)):
+        fld, d = base.field, base.dim
+        for seed in range(count):
+            rng = random.Random(f"basis-change:{d}:{seed}")
+            rows = [[int(i == j) if j <= i else rng.randrange(fld.p) * rng.randrange(2)
+                     for j in range(d)] for i in range(d)]
+            out.append(change_basis(base, Matrix.from_rows(fld, rows)))
+    return out
+
+
+def _committed_algebras():
+    """The frozen algebra files and the inputs of the mutation verdicts."""
+    import json
+    import pathlib
+    from test_hopf_mutations import _golden, mutate
+    from symcoh.cli import hopf_from_json
+    folder = pathlib.Path(__file__).with_name("golden") / "algebras"
+    objs = [json.loads(path.read_text()) for path in sorted(folder.glob("*.json"))]
+    golden = _golden()
+    objs += [mutate(golden["algebras"][case["algebra"]], case["mutation"])
+             for case in golden["cases"]]
+    return [hopf_from_json(obj, None) for obj in objs]
+
+
+def test_group_basis_is_read_off_the_sparse_maps():
+    from oracles import dict_group_basis
+    builtins = [kC(n, f) for n in (1, 2, 3, 4, 5, 6) for f in (Field.prime(2), GF3, GF5, QQ)]
+    builtins += [kS3(f) for f in (Field.prime(2), GF3, GF5, QQ)]
+    changes = _basis_changes()
+    algebras = builtins + _committed_algebras() + changes
+    for h in algebras:
+        want = dict_group_basis(h)
+        got = (h.group_table, h.group_identity, h.group_inverse) if h.group_like else None
+        assert got == want, h
+    # the draws cover both outcomes, and so do the mutated inputs
+    assert {h.group_like for h in changes} == {True, False}
+    assert sum(h.group_like for h in algebras) > len(builtins)
+
+
+def test_group_inverse_keeps_the_last_index_that_gives_the_identity():
+    # a table in which b_1 b_j = 1 for j = 0 and j = 1 is not a group, but
+    # its basis passes the group-like tests of the maps
+    from oracles import dict_group_basis
+    one, zero = QQ.one(), QQ.zero()
+    mult = [[{0: one}, {1: one}], [{0: one}, {0: one}]]
+    h = HopfAlgebra(QQ, 2, ["e", "x"], mult, [one, zero], [{(0, 0): one}, {(1, 1): one}],
+                    [one, one], Matrix.identity(QQ, 2))
+    assert h.group_like and h.group_inverse == [0, 1]
+    assert dict_group_basis(h) == (h.group_table, h.group_identity, h.group_inverse)
+
+
+def test_hopf_to_json_writes_the_input_form_and_round_trips():
+    # compared as JSON text: an index left as a numpy integer would not dump
+    import json
+    from oracles import dict_to_json
+    from symcoh.cli import hopf_from_json, hopf_to_json
+    for h in [kC(3, GF3), kS3(QQ)] + _committed_algebras() + _basis_changes():
+        text = json.dumps(hopf_to_json(h))
+        assert text == json.dumps(dict_to_json(h))
+        assert json.dumps(hopf_to_json(hopf_from_json(json.loads(text), None))) == text

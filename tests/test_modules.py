@@ -269,7 +269,7 @@ def test_hom_equivariant_equals_the_stacked_kron_kernel(name):
     h = make()
     targets = [trivial_module(h), regular_left_module(h)] + \
         [adjoint_module(h, b(h)) for b in (trivial_bimodule, regular_bimodule)]
-    sources = [s.module for s in sym_resolution_complex(h, top, check=False).spaces]
+    sources = [s.module for s in sym_resolution_complex(h, top).spaces]
     sources.append(regular_left_module(h))
     for m in targets:
         for x in sources:
@@ -290,7 +290,7 @@ def test_bimodule_hom_solve_peak_memory():
     # A, whose stacked kron constraints peaked at 143 MiB
     h = kS3(GF5)
     ad = adjoint_module(h, regular_bimodule(h))
-    spaces = sym_resolution_complex(h, 3, check=False).spaces
+    spaces = sym_resolution_complex(h, 3).spaces
     tracemalloc.start()
     try:
         dims = [hom_equivariant(h, s.module, ad).dim for s in spaces]

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from symcoh.bar import nonhomogeneous_symmetric_dims, symmetric_cohomology
-from symcoh.errors import CharacteristicDivides, InvalidPrime
+from symcoh.errors import CharacteristicDivides, InvalidPrime, SchemaError
 from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import rank
@@ -38,10 +38,10 @@ def kS3(field):
 
 def test_coinvariants_kc3_dims():
     h = kC(3, GF3)
-    assert coinvariant_space(h, 0).dim == 3
-    assert coinvariant_space(h, 1).dim == 3   # pairs from 3 elements
-    assert coinvariant_space(h, 2).dim == 1
-    assert coinvariant_space(h, 3).dim == 0   # no strictly increasing 4-tuples
+    assert coinvariant_space(h, 0, []).dim == 3
+    assert coinvariant_space(h, 1, []).dim == 3   # pairs from 3 elements
+    assert coinvariant_space(h, 2, []).dim == 1
+    assert coinvariant_space(h, 3, []).dim == 0   # no strictly increasing 4-tuples
 
 
 def test_zero_coinvariant_space_allocates_no_ambient_columns():
@@ -50,7 +50,7 @@ def test_zero_coinvariant_space_allocates_no_ambient_columns():
     h = kC(5, GF5)
     tracemalloc.start()
     try:
-        space = coinvariant_space(h, 7)
+        space = coinvariant_space(h, 7, [])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -67,7 +67,7 @@ def test_projection_matches_the_ambient_sort(make):
     # sort of every ambient tuple
     h = make()
     for n in range(5):
-        space = coinvariant_space(h, n)
+        space = coinvariant_space(h, n, [])
         if not space.dim:
             assert (space.projection.rows, space.projection.cols) == (0, 0)
             continue
@@ -94,7 +94,7 @@ def test_resolution_is_built_on_the_support_of_the_projection():
 def test_cp_rank_table_is_built_on_the_support_of_the_projection():
     # S_5 of kC11 has 462 basis elements and 332,640 projection nonzeros
     # on 11^6 = 1,771,561 ambient tuples
-    rows, peak = _traced_peak(lambda: cp_rank_table(11, 5))
+    rows, peak = _traced_peak(lambda: cp_rank_table(kC(11, Field.prime(11)), 5))
     assert [r.dim for r in rows] == [comb(11, n + 1) for n in range(1, 6)]
     assert all(r.is_free for r in rows)
     assert peak < 120 << 20
@@ -102,7 +102,7 @@ def test_cp_rank_table_is_built_on_the_support_of_the_projection():
 
 def test_top_coinvariants_kc3_is_trivial_module():
     h = kC(3, GF3)
-    s = coinvariant_space(h, 2)
+    s = coinvariant_space(h, 2, [])
     assert s.dim == 1
     for i in range(3):
         assert s.module.action[i].to_dense()[0, 0] == h.counit[i]
@@ -110,13 +110,13 @@ def test_top_coinvariants_kc3_is_trivial_module():
 
 def test_coinvariants_ks3_dim_is_binomial():
     h = kS3(GF5)
-    assert coinvariant_space(h, 2).dim == comb(6, 3) == 20
+    assert coinvariant_space(h, 2, []).dim == comb(6, 3) == 20
 
 
 def _assert_matches_quotient_oracle(h, n):
     """The sorted-tuple space has the dimension and the kernel of the
     elimination quotient; returns it with the oracle's (projection, section)."""
-    fast = coinvariant_space(h, n)
+    fast = coinvariant_space(h, n, [])
     proj, sect = coinvariant_quotient(h, n)
     assert fast.dim == proj.rows
     if not fast.dim:  # a vanishing degree has 0 x 0 projection and section
@@ -182,7 +182,7 @@ def test_char2_coinvariants_are_symmetric_powers():
     h = kC(3, Field.prime(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s = coinvariant_space(h, 1)
+        s = coinvariant_space(h, 1, [])
     # repeated-entry tensors survive in characteristic 2: Sym^2 of k^3
     assert s.dim == 6
     assert s.basis_labels == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -212,6 +212,25 @@ def test_exactness_report_certifies_top_degree_only_when_next_space_vanishes():
         [("onto_k", True), ("exact_at_0", True)]
 
 
+def test_resolution_route_forms_each_level_of_the_tensor_power_once(monkeypatch, capsys):
+    # u(k^2) has dimension 5 and no group basis.  Its highest nonzero
+    # degree, 4, is built first: it forms levels 1..4 whole (one call each)
+    # and level 5 one element at a time (five calls), and the smaller
+    # degrees read those levels.  Rebuilding them at every degree took 35.
+    import pathlib
+    from symcoh import cli, modules, tensors
+    calls = []
+    real = modules.tensor_actions
+    counted = lambda *args: calls.append(args) or real(*args)  # noqa: E731
+    monkeypatch.setattr(modules, "tensor_actions", counted)
+    monkeypatch.setattr(tensors, "tensor_actions", counted)
+    algebra = pathlib.Path(__file__).with_name("golden") / "algebras" / "u1-gf5.json"
+    assert cli.main(["--algebra", str(algebra), "--mode", "SH", "--module", "regular",
+                     "--route", "resolution", "--max-degree", "5", "--format", "json"]) == 0
+    assert '"dims":[1,0,0,0,0]' in capsys.readouterr().out
+    assert len(calls) == 9
+
+
 def test_kcp_resolution_terminates():
     h = kC(5, GF5)
     res = sym_resolution_complex(h, 6)
@@ -221,20 +240,18 @@ def test_kcp_resolution_terminates():
 
 def test_contracting_homotopy():
     for h, top in [(kC(3, GF3), 3), (kC(5, GF5), 5), (kS3(QQ), 3)]:
-        report = contracting_homotopy_check(h, top)
+        report = contracting_homotopy_check(sym_resolution_complex(h, top))
         assert report.passed, report.degrees
 
 
-def test_contracting_homotopy_reuses_a_built_resolution():
-    h = kS3(GF5)
-    res = sym_resolution_complex(h, 3)
-    report = contracting_homotopy_check(h, 3, res=res)
-    assert report == contracting_homotopy_check(h, 3)
+def test_contracting_homotopy_reuses_a_built_resolution(monkeypatch):
+    # the homotopy is assembled on the spaces of the resolution it is given
+    from symcoh import resolution
+    res = sym_resolution_complex(kS3(GF5), 3)
+    monkeypatch.setattr(resolution, "coinvariant_space", None)
+    report = contracting_homotopy_check(res)
     assert report.passed
-    for wrong in (sym_resolution_complex(h, 2), sym_resolution_complex(h, 4),
-                  sym_resolution_complex(kC(3, GF5), 3)):
-        with pytest.raises(ValueError):
-            contracting_homotopy_check(h, 3, res=wrong)
+    assert [n for n, _ok in report.degrees] == [0, 1, 2]
 
 
 def test_sh_via_resolution_kc3():
@@ -270,7 +287,7 @@ def test_hom_differentials_are_the_sparse_precomposition(monkeypatch):
     for h in (kC(3, GF3), kC(3, QQ), kS3(GF5)):
         for mod in (trivial_module(h), regular_left_module(h), regular_bimodule(h)):
             sh_via_resolution(h, mod, top)
-            res = sym_resolution_complex(h, top, check=False)
+            res = sym_resolution_complex(h, top)
             eye = SparseMatrix.identity(h.field, mod.dim)
             for n in range(top):
                 want = kron(res.boundaries[n + 1].transpose(), eye)
@@ -384,38 +401,46 @@ def test_resolution_self_checks_and_splitting_form_no_dense_product(monkeypatch)
 # -- the cyclic rank table ------------------------------------------------------
 
 
+def cp_table(p):
+    return cp_rank_table(kC(p, Field.prime(p)), p)
+
+
 def test_cp_rank_table_p3():
-    rows = cp_rank_table(3)
+    rows = cp_table(3)
     assert len(rows) == 1
     assert (rows[0].n, rows[0].rank, rows[0].is_free) == (1, 1, True)
 
 
 def test_cp_rank_table_p5():
-    rows = cp_rank_table(5)
+    rows = cp_table(5)
     assert [r.rank for r in rows] == [2, 2, 1]
     assert all(r.is_free for r in rows)
     assert all(r.rank == r.claimed_rank == comb(5, r.n + 1) // 5 for r in rows)
 
 
 def test_cp_rank_table_p7():
-    rows = cp_rank_table(7)
+    rows = cp_table(7)
     assert [r.rank for r in rows] == [3, 5, 5, 3, 1]
     assert all(r.is_free for r in rows)
     assert all(r.dim == comb(7, r.n + 1) for r in rows)
 
 
 def test_cp_rank_table_rejects_bad_primes():
-    with pytest.raises(InvalidPrime):
-        cp_rank_table(4)
-    with pytest.raises(InvalidPrime):
-        cp_rank_table(2)
+    # a field other than GF(p), or p = 2
+    for h in (kC(4, Field.prime(2)), kC(3, GF5), kC(3, QQ), kC(2, Field.prime(2))):
+        with pytest.raises(InvalidPrime):
+            cp_rank_table(h, 3)
+    # anything but a cyclic group algebra
+    for h in (kS3(GF3), scrambled_kc3()):
+        with pytest.raises(SchemaError):
+            cp_rank_table(h, 3)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_cp_rank_table_matches_the_orbit_walk(p):
     # the rank of the norm element against generators kept one per orbit
     # and certified to span freely
-    rows = cp_rank_table(p)
+    rows = cp_table(p)
     assert [(r.rank, r.is_free) for r in rows] == \
         [cp_orbit_walk(p, n) for n in range(1, p - 1)]
 
@@ -425,7 +450,7 @@ def test_resolution_ambient_is_refused_before_any_degree_is_built(monkeypatch):
     from symcoh import resolution
     from symcoh.errors import BudgetExceeded
     monkeypatch.setattr(resolution, "coinvariant_space", None)
-    for build in (lambda: cp_rank_table(11, n_max=9),
+    for build in (lambda: cp_rank_table(kC(11, Field.prime(11)), 9),
                   lambda: sym_resolution_complex(kC(11, Field.prime(11)), 9)):
         with pytest.raises(BudgetExceeded, match="11\\^10 = 25937424601 ambient"):
             build()

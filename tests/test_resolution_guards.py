@@ -1,6 +1,6 @@
 """The coinvariant self-checks must catch a single corrupted entry.
 
-`coinvariant_space(check=True)` and `sym_resolution_complex(check=True)`
+`coinvariant_space` and `sym_resolution_complex` always
 verify that the projection splits the section, that the induced module is
 a module, and that the diagonal action and the boundary descend to the
 quotient.  SHH on the resolution route (`sh_via_resolution` with a
@@ -118,7 +118,7 @@ def _build(h, bimodule):
     if bimodule:
         sh_via_resolution(h, regular_bimodule(h), 2)
     else:
-        sym_resolution_complex(h, 2, check=True)
+        sym_resolution_complex(h, 2)
 
 
 # kC3 in its group basis, and in a basis with no group-like elements
@@ -132,7 +132,7 @@ COEFFICIENTS = [pytest.param(False, id="tail0"), pytest.param(True, id="tail1")]
 @pytest.mark.parametrize("bimodule", COEFFICIENTS)
 def test_uncorrupted_checks_pass(field_name, make, bimodule):
     h = make(FIELDS[field_name])
-    coinvariant_space(h, 1, check=True)
+    coinvariant_space(h, 1, [])
     _build(h, bimodule)
 
 
@@ -144,7 +144,7 @@ def test_corrupted_quotient_is_caught(monkeypatch, what, field_name, make, bimod
     h = make(FIELDS[field_name])
     _corrupt_space(monkeypatch, 1, what)
     with pytest.raises(AssertionError):
-        coinvariant_space(h, 1, check=True)
+        coinvariant_space(h, 1, [])
     with pytest.raises(AssertionError):
         _build(h, bimodule)
 
@@ -210,9 +210,9 @@ def test_sign_flip_on_an_unsorted_tuple_is_caught(monkeypatch, field_name, make)
     h = make(FIELDS[field_name])
     _flip_unsorted(monkeypatch, 1)
     with pytest.raises(AssertionError, match="relations"):
-        coinvariant_space(h, 1, check=True)
+        coinvariant_space(h, 1, [])
     with pytest.raises(AssertionError, match="relations"):
-        sym_resolution_complex(h, 2, check=True)
+        sym_resolution_complex(h, 2)
 
 
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
@@ -224,14 +224,14 @@ def test_corrupted_action_at_a_section_column_is_caught(monkeypatch, field_name,
     original = resolution.diagonal_columns
     tup = _flat((0, 1), h.dim)
 
-    def diagonal(h, elements, slots):
-        for b, (columns, transposed) in zip(elements, original(h, elements, slots)):
+    def diagonal(h, elements, slots, levels):
+        for b, (columns, transposed) in zip(elements, original(h, elements, slots, levels)):
             if b == 1 and slots == 2:
                 columns = _bump_entry(h.field, columns, tup, tup)
             yield columns, transposed
 
     monkeypatch.setattr(resolution, "diagonal_columns", diagonal)
     with pytest.raises(AssertionError, match="induced action"):
-        coinvariant_space(h, 1, check=True)
+        coinvariant_space(h, 1, [])
     with pytest.raises(AssertionError, match="induced action"):
         _build(h, True)

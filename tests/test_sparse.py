@@ -301,7 +301,7 @@ def test_builders_emit_triples_in_canonical_order(field, monkeypatch):
     coefficients = ((regular_left_module(h), 2), (adjoint_module(h, regular_bimodule(h)), 3))
     del seen[:]
     for mod, slots in coefficients:
-        space = equivariant_space(h, mod, slots)
+        space = equivariant_space(h, mod, slots, [])
         built += [space.basis, space.coords]
     assert all(seen)
     assert all(m.nnz() for m in built)
