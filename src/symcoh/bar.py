@@ -144,7 +144,7 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int, levels: list)
                  np.repeat(lc, len(inner)))
     coords = SparseMatrix(fld, len(inner) * m, ambient,
                           kron_triples(fld, unit_rows, all_columns(m), (m, m)))
-    return CochainSpace(ambient, basis, coords, check=False)
+    return CochainSpace(ambient, basis, coords)
 
 
 def _homogeneous_differential(h: HopfAlgebra, n: int, m: int) -> SparseMatrix:
@@ -188,21 +188,12 @@ def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainCom
     return CochainComplex(h.field, top, spaces, diffs, label="K")
 
 
-def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int,
-                      space: CochainSpace | None = None) -> ActionOperator:
+def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
     """Signed swaps of slots i-1, i on degree n of the homogeneous
-    realization.
-
-    If `space` is given, each generator is checked to preserve it
-    (raising ActionLeavesSubspace otherwise).
-    """
+    realization."""
     require_cocommutative(h)
-    sigmas = [cochain_swap_sigma(h.field, h.dim, n + 1, i, mod.dim)
-              for i in range(1, n + 1)]
-    if space is not None:
-        for s in sigmas:
-            restrict_operator(space, s)
-    return ActionOperator(n, sigmas)
+    return ActionOperator(n, [cochain_swap_sigma(h.field, h.dim, n + 1, i, mod.dim)
+                              for i in range(1, n + 1)])
 
 
 # -- the nonhomogeneous (reduced-coordinate) realization -------------------
@@ -326,9 +317,10 @@ def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
     require_cocommutative(h)
     coeffs = adjoint_module(h, mod) if isinstance(mod, Bimodule) else mod
     cpx = homogeneous_complex(h, coeffs, top)
+    ops = [sigma_homogeneous(h, coeffs, n) for n in range(top + 1)]
     # fixed_subcomplex restricts (and checks) each generator below the top
-    ops = [sigma_homogeneous(h, coeffs, n, space=cpx.spaces[n] if n == top else None)
-           for n in range(top + 1)]
+    for sigma in ops[top].sigmas:
+        restrict_operator(cpx.spaces[top], sigma)
     dims = _fixed_dims(cpx, ops, top)
     report = CohomologyReport(dims, "homogeneous")
     report.routes["homogeneous"] = dims

@@ -13,9 +13,7 @@ import json
 import sys
 
 from . import bar, hochschild, resolution
-from .errors import (BudgetExceeded, CharacteristicDivides, InvalidPrime,
-                     NotAGroup, NotAHopfAlgebra, NotCocommutative, NotCommutative,
-                     SchemaError, SymcohError)
+from .errors import BudgetExceeded, NotAHopfAlgebra, SchemaError, SymcohError
 from .fields import Field
 from .hopf import (HopfAlgebra, group_algebra, named_group_table, validate_hopf)
 from .linalg import Matrix
@@ -334,8 +332,7 @@ def main(argv=None) -> int:
         _emit({"mode": args.mode, "dims": [], "routes": {}, "checks": [],
                "error": {"code": EXIT_BUDGET, "reason": reason}}, args.format)
         return EXIT_BUDGET
-    except (NotAGroup, NotCocommutative, NotCommutative, CharacteristicDivides,
-            InvalidPrime, SymcohError) as exc:
+    except SymcohError as exc:
         _emit({"mode": args.mode, "dims": [], "routes": {}, "checks": [],
                "error": {"code": EXIT_VALIDATION,
                          "reason": f"{type(exc).__name__}: {exc}"}}, args.format)

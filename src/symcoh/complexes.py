@@ -4,7 +4,10 @@ A complex holds degrees 0..N with a differential per degree n < N.  The
 space at each degree is a subspace of the ambient coordinate space with
 an explicit sparse basis and a sparse left inverse ("coords"), so
 restricting operators to the subspace is a cheap composition instead of
-a linear solve.
+a linear solve.  A space spanned by a kernel (`CochainSpace.of`) has a
+reduced basis, as `linalg.kernel_basis` defines it, so its coords are
+read, not solved: they select each column's free coordinate, its last
+nonzero row.
 
 A fixed subcomplex replaces each space by the common fixed points of its
 symmetric-group generators.  When every restricted generator is a
@@ -18,7 +21,11 @@ differentials.  Over prime fields that is one dense elimination; over
 the rationals every rank first tries a certified sandwich rank (a
 modular lower bound meeting the d.d = 0 upper bound, or min(rows, cols)
 where the complex gives none), with a dense Fraction elimination as the
-always-correct fallback.
+always-correct fallback.  So the cochain pipeline eliminates in two
+places: kernels in `intersect_kernels`, ranks in `cohomology_dims`.  The
+exactness of a chain complex is the cohomology of its dual, so it is
+counted there too (`resolution.ResolutionComplex.exactness_report`);
+only the induced maps on cohomology solve on their own.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ import numpy as np
 from .errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                      DegreeOutOfRange, NotASubcomplex)
 from .fields import Field
-from .linalg import (DENSE_RANK_CELLS, Matrix, Subspace, intersect_kernels, inverse,
-                     kernel_basis, quotient, rank, rref, solve_columns)
+from .linalg import (DENSE_RANK_CELLS, Matrix, Subspace, intersect_kernels, kernel_basis,
+                     quotient, rank, solve_columns)
 from .sparse import SparseMatrix, integer_gram, integer_mod
 
 _SANDWICH_PRIMES = (1000003, 999983, 1000033)
@@ -43,7 +50,7 @@ class CochainSpace:
     __slots__ = ("ambient_dim", "basis", "coords", "is_full")
 
     def __init__(self, ambient_dim: int, basis: SparseMatrix, coords: SparseMatrix,
-                 check: bool = True, is_full: bool = False):
+                 is_full: bool = False):
         if basis.rows != ambient_dim or coords.cols != ambient_dim:
             raise ValueError("basis/coords must live in the ambient space")
         if basis.cols != coords.rows:
@@ -52,25 +59,25 @@ class CochainSpace:
         self.basis = basis
         self.coords = coords
         self.is_full = is_full
-        if check and not (coords @ basis).equals_identity():
-            raise ValueError("coords is not a left inverse of basis")
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "CochainSpace":
         eye = SparseMatrix.identity(field, ambient_dim)
-        return CochainSpace(ambient_dim, eye, eye, check=False, is_full=True)
+        return CochainSpace(ambient_dim, eye, eye, is_full=True)
 
     @staticmethod
     def of(sub: Subspace) -> "CochainSpace":
-        """The span of a dense Subspace basis, with the deterministic left
-        inverse of that basis (its pivot rows inverted) as coords."""
-        basis = sub.basis
-        coords = Matrix.zeros(basis.field, basis.cols, basis.rows)
-        if basis.cols:
-            _, pivots = rref(basis.transpose())  # the pivot rows of the basis
-            coords.data[:, pivots] = inverse(Matrix(basis.field, basis.data[pivots])).data
-        return CochainSpace(sub.ambient_dim, SparseMatrix.from_dense(basis),
-                            SparseMatrix.from_dense(coords), check=False)
+        """The span of a reduced Subspace basis (see linalg.kernel_basis),
+        with coords selecting each column's free coordinate, its last
+        nonzero row: coords @ basis = 1 there, checked one entry at a time."""
+        basis = SparseMatrix.from_dense(sub.basis)
+        rows, cols, _vals = basis.triples()
+        free = rows[np.flatnonzero(np.diff(cols, append=basis.cols))]  # last row of each column
+        coords = SparseMatrix(basis.field, basis.cols, sub.ambient_dim,
+                              (np.arange(len(free), dtype=np.int64), free, None))
+        if not (coords @ basis).equals_identity():
+            raise ValueError("the basis is not reduced")
+        return CochainSpace(sub.ambient_dim, basis, coords)
 
     @property
     def dim(self) -> int:
@@ -223,9 +230,9 @@ def _orbit_fixed_space(field: Field, dim: int, gens: list) -> CochainSpace:
     A fixed v satisfies v[perm[j]] = vals[j] v[j], so the fixed space is
     the sum over the orbits of the perms: an orbit carries one fixed vector
     up to scale, or none when its edges disagree.  In the reduced kernel
-    basis the free coordinate of an orbit is its largest index, so its
-    vector is 1 there, and the vectors are ordered by that index; the
-    deterministic left inverse reads each orbit at its smallest index.
+    basis the free coordinate of an orbit is its largest index, its root,
+    so its vector is 1 there, and the vectors are ordered by that index;
+    coords reads each orbit at its root.
     """
     idx = np.arange(dim, dtype=np.int64)
     label = idx  # per index, the largest index of its orbit seen so far
@@ -253,18 +260,11 @@ def _orbit_fixed_space(field: Field, dim: int, gens: list) -> CochainSpace:
         dead[label[field.reduce(c * vals) != vals[perm]]] = True
     roots = np.flatnonzero((label == idx) & ~dead)
     alive = np.flatnonzero(~dead[label])
-    lowest = np.full(dim, dim, dtype=np.int64)
-    np.minimum.at(lowest, label, idx)
-    lowest = lowest[roots]
-    distinct, at = np.unique(vals[lowest], return_inverse=True)  # one inversion per value
-    inverse = field.array([field.inv(x) for x in distinct.tolist()]).reshape(-1)[at.reshape(-1)]
     return CochainSpace(
         dim,
         SparseMatrix(field, dim, len(roots),
                      (alive, np.searchsorted(roots, label[alive]), vals[alive])),
-        SparseMatrix(field, len(roots), dim,
-                     (np.arange(len(roots), dtype=np.int64), lowest, inverse)),
-        check=False)
+        SparseMatrix(field, len(roots), dim, (np.arange(len(roots), dtype=np.int64), roots, None)))
 
 
 def _fixed_space(field: Field, space: CochainSpace, sigmas: list) -> CochainSpace | None:
@@ -316,7 +316,7 @@ def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = 
             new_spaces.append(space)
             continue
         new_spaces.append(CochainSpace(space.ambient_dim, space.basis @ fixed.basis,
-                                       fixed.coords @ space.coords, check=False))
+                                       fixed.coords @ space.coords))
     out = CochainComplex(field, c.top_degree, new_spaces, c.diffs,
                          label=c.label + " fixed")
     # a fixed vector must stay fixed after applying the differential

@@ -18,7 +18,8 @@ charges d^(n+1), up to DENSE_RANK_CELLS coordinates.
 Every induced map stays sparse: the module actions, the boundaries, the
 augmentation, the contracting homotopy and the splitting maps are
 `SparseMatrix`, and their self-checks compare sparse composites, so no
-dense product is formed; only ranks densify.
+dense product is formed.  Only ranks densify, and those of exactness and
+of the Hom route go through `complexes.cohomology_dims`.
 
 SHH needs no second resolution: SHH(A, M) = SH(A, ad M), the paper's
 theorem, so the Hom route takes Hom_A(S_n, ad M) out of the same one.
@@ -203,19 +204,20 @@ class ResolutionComplex:
         return [s.dim for s in self.spaces]
 
     def exactness_report(self):
-        """Rank counting: exact at inner degrees, at degree 0 against the
-        augmentation, and onto k.  The top degree is certified only
-        when the next space, which is not built, is zero by its closed-form
-        dimension."""
-        aug_rank = rank(self.augmentation.to_dense())
-        # ranks[n] is the rank of d_n, with the augmentation as d_0
-        ranks = [aug_rank] + [rank(b.to_dense()) for b in self.boundaries[1:]]
-        checks = [("onto_k", aug_rank == self.augmentation.rows)]
-        for n in range(self.top):
-            checks.append((f"exact_at_{n}", ranks[n] + ranks[n + 1] == self.spaces[n].dim))
-        if coinvariant_dim(self.hopf.dim, self.top + 1, self.hopf.field.characteristic) == 0:
-            checks.append((f"exact_at_{self.top}", ranks[self.top] == self.spaces[self.top].dim))
-        return checks
+        """Onto k, and exact at each degree, as the vanishing cohomology of
+        the dual complex k -> S_0* -> ... -> S_top* (`cohomology_dims`):
+        onto k is H^0 = 0, exact at n is H^(n+1) = 0.  The top degree is
+        certified only when the next space, which is not built, is zero by
+        its closed-form dimension; a zero map into it then ends the dual."""
+        fld = self.hopf.field
+        dims = [1] + self.dims()
+        diffs = [self.augmentation.transpose()] + [b.transpose() for b in self.boundaries[1:]]
+        if coinvariant_dim(self.hopf.dim, self.top + 1, fld.characteristic) == 0:
+            dims.append(0)
+            diffs.append(SparseMatrix(fld, 0, dims[-2]))
+        dual = CochainComplex(fld, len(diffs), [CochainSpace.full(fld, d) for d in dims], diffs)
+        onto, *above = cohomology_dims(dual, len(diffs) - 1)
+        return [("onto_k", onto == 0)] + [(f"exact_at_{n}", x == 0) for n, x in enumerate(above)]
 
 
 def sym_resolution_complex(h: HopfAlgebra, top: int) -> ResolutionComplex:

@@ -289,8 +289,8 @@ def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
         act = diagonal_action(h, b, slots).transpose()
         constraints.append(kron(act, eye_m) - kron(eye, mod.action[b]))
     space = CochainSpace.of(stacked_kernel(fld, [c.to_dense() for c in constraints]))
-    # checked: coords is a left inverse of the basis
-    return CochainSpace(space.ambient_dim, space.basis, space.coords)
+    assert (space.coords @ space.basis).equals_identity(), "coords is not a left inverse"
+    return space
 
 
 def coinvariant_quotient(h: HopfAlgebra, n: int):

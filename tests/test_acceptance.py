@@ -266,7 +266,7 @@ def test_criterion_10_low_degree_maps():
     for h in (kC(3, GF3), kC(5, GF5), kS3(GF5)):
         triv = trivial_module(h)
         cpx = homogeneous_complex(h, triv, 3)
-        ops = [sigma_homogeneous(h, triv, n, space=cpx.spaces[n]) for n in range(4)]
+        ops = [sigma_homogeneous(h, triv, n) for n in range(4)]
         fixed = fixed_subcomplex(cpx, ops)
         rep = induced_map_on_cohomology(fixed, cpx, 2)
         m1 = rep.matrix(1)

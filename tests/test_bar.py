@@ -214,7 +214,7 @@ def test_sigma_homogeneous_coxeter_and_group_like_swap():
     mod = trivial_module(h)
     c = homogeneous_complex(h, mod, 4)
     for n in range(1, 5):
-        op = sigma_homogeneous(h, mod, n, space=c.spaces[n])
+        op = sigma_homogeneous(h, mod, n)
         ok, why = coxeter_relations_hold(op, c.spaces[n])
         assert ok, why
     # signed slot swap on the dual basis
@@ -435,7 +435,7 @@ def test_fixed_subcomplex_dims_shrink():
     h = kC(3, GF3)
     mod = trivial_module(h)
     cpx = homogeneous_complex(h, mod, 4)
-    ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n]) for n in range(5)]
+    ops = [sigma_homogeneous(h, mod, n) for n in range(5)]
     fixed = fixed_subcomplex(cpx, ops)
     assert all(f <= a for f, a in zip(space_dims(fixed), space_dims(cpx)))
     assert cohomology_dims(fixed, 3) == [1, 1, 1, 0]
@@ -445,7 +445,7 @@ def test_induced_map_h1_iso_h2_injective_kc3():
     h = kC(3, GF3)
     mod = trivial_module(h)
     cpx = homogeneous_complex(h, mod, 3)
-    ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n]) for n in range(4)]
+    ops = [sigma_homogeneous(h, mod, n) for n in range(4)]
     fixed = fixed_subcomplex(cpx, ops)
     report = induced_map_on_cohomology(fixed, cpx, 2)
     m1 = report.matrix(1)
@@ -484,7 +484,7 @@ def test_fixed_subspaces_equal_the_stacked_kernel_oracle(name):
     h = make()
     mod = module(h)
     cpx = homogeneous_complex(h, mod, top)
-    ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n]) for n in range(top + 1)]
+    ops = [sigma_homogeneous(h, mod, n) for n in range(top + 1)]
     fixed = fixed_subcomplex(cpx, ops)
     for n, space in enumerate(cpx.spaces):
         eye = SparseMatrix.identity(h.field, space.dim)

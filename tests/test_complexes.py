@@ -13,7 +13,7 @@ from symcoh.complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
 from symcoh.errors import (ActionNotCompatible, BudgetExceeded, DegreeOutOfRange,
                            NotASubcomplex)
 from symcoh.fields import Field
-from symcoh.linalg import Matrix, intersect_kernels
+from symcoh.linalg import Matrix, Subspace, intersect_kernels
 from symcoh.sparse import SparseMatrix
 
 GF3 = Field.prime(3)
@@ -196,6 +196,38 @@ def test_orbit_fixed_space_is_the_reduced_common_kernel(field, data):
     assert got.coords == want.coords
 
 
+def _assert_free_coordinate_selector(space):
+    """coords has one entry per row, 1, at the last nonzero row of its basis column."""
+    rows, cols, vals = space.coords.triples()
+    assert sorted(rows.tolist()) == list(range(space.dim))
+    assert all(v == 1 for v in vals.tolist())
+    b_rows, b_cols, _ = space.basis.triples()
+    last = [int(b_rows[b_cols == k].max()) for k in range(space.dim)]
+    assert [c for _r, c in sorted(zip(rows.tolist(), cols.tolist()))] == last
+
+
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=str)
+def test_of_reads_the_free_coordinates_of_a_reduced_basis(field):
+    rng = np.random.default_rng(7)
+    dim = 9
+    for count in (1, 2, 3):
+        # sparse random constraints, so kernel columns have entries above their free row
+        ops = []
+        for _ in range(count):
+            dense = rng.integers(-2, 3, size=(3, dim)) * (rng.random((3, dim)) < 0.5)
+            ops.append(SparseMatrix.from_dense(Matrix.from_rows(
+                field, [[field.from_int(int(x)) for x in row] for row in dense])))
+        space = CochainSpace.of(intersect_kernels(field, dim, ops))
+        assert 0 < space.dim < dim and space.basis.nnz() > space.dim
+        _assert_free_coordinate_selector(space)
+
+
+def test_of_refuses_a_basis_that_is_not_reduced():
+    basis = Matrix.from_rows(GF3, [[1, 1], [0, 1]])  # column 1 is not 0 at row 1
+    with pytest.raises(ValueError, match="not reduced"):
+        CochainSpace.of(Subspace(2, basis))
+
+
 @pytest.mark.parametrize("field", ORBIT_FIELDS, ids=str)
 def test_orbit_fixed_space_keeps_consistent_orbits_and_drops_the_rest(field):
     # orbits {0, 2} (fixed vector e_0 + c e_2), {1, 3} (-1 one way and 1
@@ -210,6 +242,7 @@ def test_orbit_fixed_space_keeps_consistent_orbits_and_drops_the_rest(field):
     for col, orbit in enumerate(orbits):
         assert fixed.basis.to_dense()[orbit[-1], col] == 1
     assert (fixed.coords @ fixed.basis).equals_identity()
+    _assert_free_coordinate_selector(fixed)
     assert g @ fixed.basis == fixed.basis
 
 

@@ -212,6 +212,33 @@ def test_exactness_report_certifies_top_degree_only_when_next_space_vanishes():
         [("onto_k", True), ("exact_at_0", True)]
 
 
+def test_exactness_report_charges_the_dense_rank_budget(monkeypatch):
+    # kC3 over GF(5): S_0, S_1, S_2 have dims 3, 3, 1, so the dual of d_1 is 3 x 3
+    from symcoh import complexes
+    from symcoh.errors import BudgetExceeded
+    res = sym_resolution_complex(kC(3, GF5), 2)
+    monkeypatch.setattr(complexes, "DENSE_RANK_CELLS", 8)
+    with pytest.raises(BudgetExceeded, match="3 x 3"):
+        res.exactness_report()
+
+
+def test_exactness_report_over_q_certifies_ranks_without_fraction_elimination(monkeypatch):
+    from symcoh import complexes, resolution
+    fields = []
+
+    def spy(m):
+        fields.append(m.field)
+        return rank(m)
+
+    res = sym_resolution_complex(kS3(QQ), 4)
+    monkeypatch.setattr(complexes, "rank", spy)
+    monkeypatch.setattr(resolution, "rank", spy)
+    checks = res.exactness_report()
+    assert [name for name, _ok in checks] == ["onto_k"] + [f"exact_at_{n}" for n in range(4)]
+    assert all(ok for _name, ok in checks)
+    assert fields and not any(f.is_rational for f in fields)
+
+
 def test_resolution_route_forms_each_level_of_the_tensor_power_once(monkeypatch, capsys):
     # u(k^2) has dimension 5 and no group basis.  Its highest nonzero
     # degree, 4, is built first: it forms levels 1..4 whole (one call each)
@@ -317,7 +344,7 @@ def test_euler_characteristic_on_resolution_route_complexes():
             else:
                 basis = SparseMatrix(field, mod.dim * s, 0)
                 coords = SparseMatrix(field, 0, mod.dim * s)
-            spaces.append(CochainSpace(mod.dim * s, basis, coords, check=False))
+            spaces.append(CochainSpace(mod.dim * s, basis, coords))
         for n in range(p):
             diffs.append(kron(res.boundaries[n + 1].transpose(),
                               SparseMatrix.identity(field, mod.dim)))
@@ -333,7 +360,7 @@ def test_homspace_dims_equal_fixed_subspace_dims():
     h = kC(3, GF3)
     mod = trivial_module(h)
     cpx = homogeneous_complex(h, mod, 3)
-    ops = [sigma_homogeneous(h, mod, n, space=cpx.spaces[n]) for n in range(4)]
+    ops = [sigma_homogeneous(h, mod, n) for n in range(4)]
     fixed = fixed_subcomplex(cpx, ops)
     res = sym_resolution_complex(h, 3)
     for n in range(4):
