@@ -25,6 +25,11 @@ composite c of the sparse structure maps, applied by hopf._apply (see
 _evaluation).  A left module M enters as the bimodule M_eps, whose right
 action is the counit.  It computes HH, and it is the side of every SHH
 check that never builds ad M (`nonhomogeneous_symmetric_dims`).
+
+Each realization is built through degree top and gives the cohomology of
+degrees 0..top-1.  Its fixed subcomplex (`complexes.fixed_subcomplex`)
+certifies the swaps at every degree, the top one included, and keeps the
+top space, which is only the target of the last differential.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .complexes import (ActionOperator, CochainComplex, CochainSpace, cohomology_dims,
-                        fixed_subcomplex, restrict_operator)
+                        fixed_subcomplex)
 from .errors import BudgetExceeded, NotCocommutative
 from .hopf import HopfAlgebra, _apply
 from .modules import Bimodule, LeftModule, _action_map, adjoint_module, validate_module
@@ -185,7 +190,7 @@ def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainCom
     levels = []
     spaces = [equivariant_space(h, mod, n + 1, levels) for n in range(top, -1, -1)][::-1]
     diffs = [_homogeneous_differential(h, n, m) for n in range(top)]
-    return CochainComplex(h.field, top, spaces, diffs, label="K")
+    return CochainComplex(h.field, top, spaces, diffs)
 
 
 def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
@@ -264,7 +269,7 @@ def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> Cochain
         faces = [evaluate(n, n - 1, i, 2, [(mult,)], signs[i % 2]) for i in range(n + 1)]
         diffs.append(SparseMatrix(fld, m * d ** n, m * d ** (n - 1),
                                   [np.concatenate(part) for part in zip(*faces)]))
-    return CochainComplex(fld, top, spaces, diffs, label="C")
+    return CochainComplex(fld, top, spaces, diffs)
 
 
 def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
@@ -285,15 +290,10 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOpera
 # -- cohomology drivers ----------------------------------------------------
 
 
-def _fixed_dims(cpx: CochainComplex, ops: list, top: int) -> list:
-    """Dims of degrees 0..top-1 of the fixed subcomplex of cpx under ops."""
-    return cohomology_dims(fixed_subcomplex(cpx, ops, through_degree=top - 1), top - 1)
-
-
 def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyReport:
     """H^0..H^{top-1} (HH for a bimodule) from the nonhomogeneous realization."""
     cpx = nonhomogeneous_complex(h, mod, top)
-    return CohomologyReport(cohomology_dims(cpx, top - 1), "nonhomogeneous")
+    return CohomologyReport(cohomology_dims(cpx), "nonhomogeneous")
 
 
 def nonhomogeneous_symmetric_dims(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
@@ -302,7 +302,8 @@ def nonhomogeneous_symmetric_dims(h: HopfAlgebra, mod: LeftModule, top: int) -> 
     SHH this side never builds ad M."""
     require_cocommutative(h)
     cpx = nonhomogeneous_complex(h, mod, top)
-    return _fixed_dims(cpx, [sigma_nonhomogeneous(h, mod, n) for n in range(top + 1)], top)
+    return cohomology_dims(fixed_subcomplex(
+        cpx, [sigma_nonhomogeneous(h, mod, n) for n in range(top + 1)]))
 
 
 def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
@@ -317,11 +318,8 @@ def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
     require_cocommutative(h)
     coeffs = adjoint_module(h, mod) if isinstance(mod, Bimodule) else mod
     cpx = homogeneous_complex(h, coeffs, top)
-    ops = [sigma_homogeneous(h, coeffs, n) for n in range(top + 1)]
-    # fixed_subcomplex restricts (and checks) each generator below the top
-    for sigma in ops[top].sigmas:
-        restrict_operator(cpx.spaces[top], sigma)
-    dims = _fixed_dims(cpx, ops, top)
+    dims = cohomology_dims(fixed_subcomplex(
+        cpx, [sigma_homogeneous(h, coeffs, n) for n in range(top + 1)]))
     report = CohomologyReport(dims, "homogeneous")
     report.routes["homogeneous"] = dims
     if cross_check:

@@ -1,18 +1,21 @@
 """Bounded cochain complexes carried by subspaces of ambient coordinate spaces.
 
-A complex holds degrees 0..N with a differential per degree n < N.  The
-space at each degree is a subspace of the ambient coordinate space with
-an explicit sparse basis and a sparse left inverse ("coords"), so
-restricting operators to the subspace is a cheap composition instead of
-a linear solve.  A space spanned by a kernel (`CochainSpace.of`) has a
-reduced basis, as `linalg.kernel_basis` defines it, so its coords are
-read, not solved: they select each column's free coordinate, its last
-nonzero row.
+A complex holds degrees 0..N with a differential per degree n < N.
+Degree N is only the target of the last differential, so its cohomology
+is never taken: `cohomology_dims` gives H^0..H^(N-1).  The space at each
+degree is a subspace of the ambient coordinate space with an explicit
+sparse basis and a sparse left inverse ("coords"), so restricting
+operators to the subspace is a cheap composition instead of a linear
+solve.  A space spanned by a kernel (`CochainSpace.of`) has a reduced
+basis, as `linalg.kernel_basis` defines it, so its coords are read, not
+solved: they select each column's free coordinate, its last nonzero row.
 
-A fixed subcomplex replaces each space by the common fixed points of its
-symmetric-group generators.  When every restricted generator is a
-monomial matrix (a signed permutation, as for a group algebra with a
-permutation module) those are a sum over orbits, read off by label
+A fixed subcomplex replaces each space below the top by the common fixed
+points of its symmetric-group generators, and keeps the top space as it
+is; at every degree, the top included, the generators are certified to
+preserve the space.  When every restricted generator is a monomial
+matrix (a signed permutation, as for a group algebra with a permutation
+module) the fixed points are a sum over orbits, read off by label
 propagation with no dense array; otherwise they are a common kernel
 (`linalg.intersect_kernels`).  Both give the same basis and coords.
 
@@ -34,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
-                     DegreeOutOfRange, NotASubcomplex)
+from .errors import ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded, NotASubcomplex
 from .fields import Field
 from .linalg import (DENSE_RANK_CELLS, Matrix, Subspace, intersect_kernels, kernel_basis,
                      quotient, rank, solve_columns)
@@ -106,7 +108,6 @@ class CochainComplex:
     top_degree: int
     spaces: list  # CochainSpace per degree 0..N
     diffs: list   # SparseMatrix per degree 0..N-1, ambient(n) -> ambient(n+1)
-    label: str = ""
 
     def ambient_dim(self, n: int) -> int:
         return self.spaces[n].ambient_dim
@@ -169,12 +170,11 @@ def _restricted_rank(c: CochainComplex, reduced, n: int, prev_rank: int) -> int:
     return _certified_rational_rank(sm, upper)
 
 
-def cohomology_dims(c: CochainComplex, up_to: int) -> list:
-    """Exact dims of H^0..H^up_to; needs up_to < top_degree."""
-    if not (0 <= up_to < c.top_degree):
-        raise DegreeOutOfRange(
-            f"up_to must lie in 0..{c.top_degree - 1}, got {up_to}")
-    for n in range(up_to + 1):
+def cohomology_dims(c: CochainComplex) -> list:
+    """Exact dims of H^0..H^(top-1); the top space is only the target of
+    the last differential."""
+    top = c.top_degree
+    for n in range(top):
         # the rank densifies the rows x cols differential, over Q perhaps its
         # cols x cols Gram matrix as well
         rows, cols = c.spaces[n + 1].dim, c.spaces[n].dim
@@ -183,17 +183,13 @@ def cohomology_dims(c: CochainComplex, up_to: int) -> list:
             raise BudgetExceeded(
                 f"rank of the degree-{n} differential needs a dense {rows} x {cols} "
                 f"matrix, over the limit of {DENSE_RANK_CELLS} cells")
-    reduced = {n: c.restricted_diff(n) for n in range(up_to + 1)}
-    ranks = []
-    prev = 0
-    for n in range(up_to + 1):
-        r = _restricted_rank(c, reduced, n, prev)
-        ranks.append(r)
-        prev = r
+    reduced = {n: c.restricted_diff(n) for n in range(top)}
+    ranks = [0]  # ranks[n + 1] is the rank of the degree-n differential
+    for n in range(top):
+        ranks.append(_restricted_rank(c, reduced, n, ranks[-1]))
     dims = []
-    for n in range(up_to + 1):
-        below = ranks[n - 1] if n > 0 else 0
-        dims.append(c.spaces[n].dim - ranks[n] - below)
+    for n in range(top):
+        dims.append(c.spaces[n].dim - ranks[n + 1] - ranks[n])
         if dims[-1] < 0:
             raise AssertionError(f"H^{n} came out with negative dimension {dims[-1]}: "
                                  "the ranks contradict d.d = 0")
@@ -285,51 +281,41 @@ def _fixed_space(field: Field, space: CochainSpace, sigmas: list) -> CochainSpac
     return None if fixed.dim == space.dim else fixed
 
 
-def fixed_subcomplex(c: CochainComplex, ops: list, through_degree: int | None = None) -> CochainComplex:
-    """Replace space(n) by its intersection with the fixed points of ops[n].
+def fixed_subcomplex(c: CochainComplex, ops: list) -> CochainComplex:
+    """Replace space(n), n < top, by its intersection with the fixed points
+    of ops[n]; the top space, only the target of the last differential,
+    is kept.
 
-    ops[n].sigmas act on ambient(n) and must preserve space(n), which
-    `restrict_operator` checks.  When every restricted sigma is monomial
-    (a signed permutation, as for a group algebra with a permutation
-    module), the fixed points are a sum over orbits (`_orbit_fixed_space`):
-    no dense array and no elimination.  Otherwise they are the common
-    kernel of the restricted sigma - 1, found by `intersect_kernels` one
-    generator at a time on these sparse operators: each step densifies one
-    s x (fixed so far) image, bounded by DENSE_RANK_CELLS, and no
-    (#sigma * s) x s stack is built.  Both give the same basis and coords.
-    Degrees above `through_degree` (default: all) keep their original
-    space; the differential-compatibility check runs at every restricted
-    degree.
+    ops holds one ActionOperator per degree 0..top.  At every degree, the
+    top included, its sigmas act on ambient(n) and must preserve space(n),
+    which `restrict_operator` certifies.  When every restricted sigma is
+    monomial (a signed permutation, as for a group algebra with a
+    permutation module), the fixed points are a sum over orbits
+    (`_orbit_fixed_space`): no dense array and no elimination.  Otherwise
+    they are the common kernel of the restricted sigma - 1, found by
+    `intersect_kernels` one generator at a time on these sparse operators:
+    each step densifies one s x (fixed so far) image, bounded by
+    DENSE_RANK_CELLS, and no (#sigma * s) x s stack is built.  Both give the
+    same basis and coords.  Each differential must map fixed vectors to
+    fixed vectors, which is checked at every degree.
     """
-    if through_degree is None:
-        through_degree = c.top_degree
-    field = c.field
-    new_spaces = []
-    for n in range(c.top_degree + 1):
-        space = c.spaces[n]
-        sigmas = ops[n].sigmas if n < len(ops) and ops[n] is not None else []
-        if n > through_degree or not sigmas:
-            new_spaces.append(space)
-            continue
-        fixed = _fixed_space(field, space, sigmas)
-        if fixed is None:
-            new_spaces.append(space)
-            continue
-        new_spaces.append(CochainSpace(space.ambient_dim, space.basis @ fixed.basis,
-                                       fixed.coords @ space.coords))
-    out = CochainComplex(field, c.top_degree, new_spaces, c.diffs,
-                         label=c.label + " fixed")
+    top = c.top_degree
+    for sigma in ops[top].sigmas:  # the top space is certified and kept
+        restrict_operator(c.spaces[top], sigma)
+    spaces = []
+    for space, op in zip(c.spaces[:top], ops):
+        fixed = _fixed_space(c.field, space, op.sigmas) if op.sigmas else None
+        spaces.append(space if fixed is None else CochainSpace(
+            space.ambient_dim, space.basis @ fixed.basis, fixed.coords @ space.coords))
+    spaces.append(c.spaces[top])
     # a fixed vector must stay fixed after applying the differential
-    for n in range(min(through_degree + 1, c.top_degree)):
-        next_sigmas = ops[n + 1].sigmas if n + 1 < len(ops) and ops[n + 1] is not None else []
-        if not next_sigmas:
-            continue
-        image = c.diffs[n] @ out.spaces[n].basis
-        for sigma in next_sigmas:
+    for n in range(top):
+        image = c.diffs[n] @ spaces[n].basis
+        for sigma in ops[n + 1].sigmas:
             if not (sigma @ image == image):
                 raise ActionNotCompatible(
                     f"differential image at degree {n} is not fixed")
-    return out
+    return CochainComplex(c.field, top, spaces, c.diffs)
 
 
 # -- induced maps on cohomology -------------------------------------------
@@ -362,21 +348,21 @@ def _cohomology_basis(c: CochainComplex, n: int):
     return cocycles, proj, sect
 
 
-def induced_map_on_cohomology(sub: CochainComplex, full: CochainComplex,
-                              up_to: int) -> InducedMapReport:
-    """Matrices of H^n(sub) -> H^n(full) for the inclusion, with injectivity flags."""
-    if sub.top_degree != full.top_degree or up_to >= sub.top_degree or \
-            any(sub.ambient_dim(n) != full.ambient_dim(n)
-                for n in range(min(up_to + 2, sub.top_degree + 1))):
+def induced_map_on_cohomology(sub: CochainComplex, full: CochainComplex) -> InducedMapReport:
+    """Matrices of H^n(sub) -> H^n(full), n < top, for the inclusion, with
+    injectivity flags."""
+    top = sub.top_degree
+    if full.top_degree != top or \
+            any(sub.ambient_dim(n) != full.ambient_dim(n) for n in range(top + 1)):
         raise NotASubcomplex("ambient spaces disagree")
-    for n in range(min(up_to + 2, sub.top_degree)):
+    for n in range(top):
         if not (sub.diffs[n] == full.diffs[n]):
             raise NotASubcomplex("differentials disagree")
-    for n in range(up_to + 1):
+    for n in range(top):
         if not full.spaces[n].contains(sub.spaces[n].basis):
             raise NotASubcomplex(f"space at degree {n} is not contained")
     degrees, matrices, injective = [], [], []
-    for n in range(up_to + 1):
+    for n in range(top):
         z_sub, _proj_sub, sect_sub = _cohomology_basis(sub, n)
         z_full, proj_full, _sect_full = _cohomology_basis(full, n)
         reps = z_sub.basis @ sect_sub  # cocycle representatives of H^n(sub) basis

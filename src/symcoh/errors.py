@@ -45,10 +45,6 @@ class NotASubcomplex(SymcohError):
     """induced map requested between complexes that are not nested."""
 
 
-class DegreeOutOfRange(SymcohError):
-    """A cohomology degree beyond the constructed range was requested."""
-
-
 class CharacteristicDivides(SymcohError):
     """The field characteristic divides n+1, so the splitting maps do not exist."""
 

@@ -287,16 +287,11 @@ def apply_columns(field: Field, columns, triples):
     return rows, c[pos], vals
 
 
-def canonical(field: Field, rows, cols, vals, shape=None):
-    """Triples sorted by (col, row) with duplicates summed and zeros dropped.
-
-    `shape` (rows, cols) fixes the sort key col * rows + row; without it
-    the shape is taken from the largest indices.
-    """
+def canonical(field: Field, rows, cols, vals, shape):
+    """Triples sorted by (col, row) with duplicates summed and zeros dropped;
+    `shape` (rows, cols) fixes the sort key col * rows + row."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    if shape is None:
-        shape = (int(rows.max()) + 1, int(cols.max()) + 1) if len(rows) else (0, 0)
     if shape[0] * shape[1] >= 1 << 63 or shape[0] >= 1 << 63:
         raise BudgetExceeded(f"a sparse {shape[0]} x {shape[1]} matrix has 2^63 or more "
                              "positions or rows, past its int64 sort key")

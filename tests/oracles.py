@@ -461,7 +461,7 @@ def coxeter_relations_hold(op: ActionOperator, space: CochainSpace):
 def euler_characteristic_consistent(c: CochainComplex) -> bool:
     """Alternating sums of space dims and cohomology dims agree on a
     complex whose differentials vanish at both ends of the degree range."""
-    dims = cohomology_dims(c, c.top_degree - 1)
+    dims = cohomology_dims(c)
     top = c.spaces[c.top_degree].dim
     top_h = top - rank(c.restricted_diff(c.top_degree - 1).to_dense()) if top else 0
     chi_spaces = sum((-1) ** n * c.spaces[n].dim for n in range(c.top_degree + 1))

@@ -142,8 +142,8 @@ def test_criterion_04_realization_isomorphisms():
             _, psi1 = phi_psi(h, triv, n + 1)
             assert psi1 @ bar_c.diffs[n] == bar_k.diffs[n] @ psi
     # CS <-> KS restriction through degree 4
-    ops_k = [sigma_homogeneous(h, triv, n) for n in range(5)]
-    ops_c = [sigma_nonhomogeneous(h, triv, n) for n in range(5)]
+    ops_k = [sigma_homogeneous(h, triv, n) for n in range(6)]
+    ops_c = [sigma_nonhomogeneous(h, triv, n) for n in range(6)]
     fixed_k = fixed_subcomplex(bar_k, ops_k)
     fixed_c = fixed_subcomplex(bar_c, ops_c)
     for n in range(1, 5):
@@ -155,11 +155,12 @@ def test_criterion_04_realization_isomorphisms():
         img = psi @ fixed_c.spaces[n].basis
         for s in ops_k[n].sigmas:
             assert s @ img == img
-    # the coefficients ad A of SHH(A, A) through degree 3
+    # the coefficients ad A of SHH(A, A) through degree 3, built through
+    # degree 4, since the top space is kept as it is
     reg = regular_bimodule(h)
     ad = adjoint_module(h, reg)
-    hk = homogeneous_complex(h, ad, 3)
-    hc = nonhomogeneous_complex(h, ad, 3)
+    hk = homogeneous_complex(h, ad, 4)
+    hc = nonhomogeneous_complex(h, ad, 4)
     for n in range(3):
         phi, psi = phi_psi(h, ad, n)
         assert (phi @ psi).equals_identity()
@@ -169,13 +170,13 @@ def test_criterion_04_realization_isomorphisms():
         assert phi1 @ (hk.diffs[n] @ basis) == hc.diffs[n] @ (phi @ basis)
         _, psi1 = phi_psi(h, ad, n + 1)
         assert psi1 @ hc.diffs[n] == hk.diffs[n] @ psi
-    ops_hk = [sigma_homogeneous(h, ad, n) for n in range(4)]
-    ops_hc = [sigma_nonhomogeneous(h, ad, n) for n in range(4)]
+    ops_hk = [sigma_homogeneous(h, ad, n) for n in range(5)]
+    ops_hc = [sigma_nonhomogeneous(h, ad, n) for n in range(5)]
     fixed_hk = fixed_subcomplex(hk, ops_hk)
     fixed_hc = fixed_subcomplex(hc, ops_hc)
     # the fixed Hochschild cochains of A itself, of the same dimensions
-    fixed_a = fixed_subcomplex(nonhomogeneous_complex(h, reg, 3),
-                               [sigma_nonhomogeneous(h, reg, n) for n in range(4)])
+    fixed_a = fixed_subcomplex(nonhomogeneous_complex(h, reg, 4),
+                               [sigma_nonhomogeneous(h, reg, n) for n in range(5)])
     for n in range(1, 4):
         phi, psi = phi_psi(h, ad, n)
         assert fixed_hk.spaces[n].dim == fixed_hc.spaces[n].dim == fixed_a.spaces[n].dim
@@ -268,7 +269,7 @@ def test_criterion_10_low_degree_maps():
         cpx = homogeneous_complex(h, triv, 3)
         ops = [sigma_homogeneous(h, triv, n) for n in range(4)]
         fixed = fixed_subcomplex(cpx, ops)
-        rep = induced_map_on_cohomology(fixed, cpx, 2)
+        rep = induced_map_on_cohomology(fixed, cpx)
         m1 = rep.matrix(1)
         assert m1.rows == m1.cols and rep.is_injective(1)
         assert rep.is_injective(2)
@@ -320,5 +321,5 @@ def test_criterion_13_exactness():
         for name, ok in res.exactness_report():
             assert ok, name
         homotopy = contracting_homotopy_check(res)
-        assert homotopy.passed
+        assert all(ok for _n, ok in homotopy.degrees)
     report(13, "augmented coinvariant complex exact; contracting homotopy holds")

@@ -10,7 +10,7 @@ from oracles import check_complex, euler_characteristic_consistent, space_dims
 from symcoh.complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
                               CochainSpace, cohomology_dims, fixed_subcomplex,
                               induced_map_on_cohomology)
-from symcoh.errors import (ActionNotCompatible, BudgetExceeded, DegreeOutOfRange,
+from symcoh.errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                            NotASubcomplex)
 from symcoh.fields import Field
 from symcoh.linalg import Matrix, Subspace, intersect_kernels
@@ -50,7 +50,7 @@ def test_check_complex_detects_corruption():
 
 
 def test_cohomology_dims_toy():
-    assert cohomology_dims(toy(), 1) == [0, 0]
+    assert cohomology_dims(toy()) == [0, 0]
 
 
 def test_cohomology_dims_zero_complex():
@@ -58,19 +58,14 @@ def test_cohomology_dims_zero_complex():
     # represent empty diffs directly
     c = CochainComplex(QQ, 2, [CochainSpace.full(QQ, 0)] * 3,
                        [SparseMatrix(QQ, 0, 0), SparseMatrix(QQ, 0, 0)])
-    assert cohomology_dims(c, 1) == [0, 0]
+    assert cohomology_dims(c) == [0, 0]
 
 
 def test_cohomology_dims_rejects_negative_dimension():
     # d1 d0 = 1 != 0, so the rank count gives H^1 = 1 - 1 - 1 = -1
     c = full_complex(GF3, [1, 1, 1], [[[1]], [[1]]])
     with pytest.raises(AssertionError, match="negative dimension"):
-        cohomology_dims(c, 1)
-
-
-def test_degree_out_of_range():
-    with pytest.raises(DegreeOutOfRange):
-        cohomology_dims(toy(), 2)
+        cohomology_dims(c)
 
 
 def test_fixed_subcomplex_identity_ops_unchanged():
@@ -92,13 +87,40 @@ def test_fixed_subcomplex_degree0_untouched():
 
 def test_fixed_subcomplex_negation_kills_space():
     field = QQ
-    spaces = [CochainSpace.full(field, 1), CochainSpace.full(field, 2)]
-    diffs = [SparseMatrix(field, 2, 1)]  # zero differential
-    c = CochainComplex(field, 1, spaces, diffs)
+    spaces = [CochainSpace.full(field, d) for d in (1, 2, 1)]
+    diffs = [SparseMatrix(field, 2, 1), SparseMatrix(field, 1, 2)]  # zero differentials
+    c = CochainComplex(field, 2, spaces, diffs)
     minus = SparseMatrix(field, 2, 2, ([0, 1], [0, 1], [field.from_int(-1)] * 2))
-    fixed = fixed_subcomplex(c, [ActionOperator(0, []), ActionOperator(1, [minus])])
-    assert space_dims(fixed) == [1, 0]
-    assert cohomology_dims(fixed, 0) == [1]
+    fixed = fixed_subcomplex(c, [ActionOperator(0, []), ActionOperator(1, [minus]),
+                                 ActionOperator(2, [])])
+    assert space_dims(fixed) == [1, 0, 1]
+    assert cohomology_dims(fixed) == [1, 0]
+
+
+def _top_two_complex(field, top_space):
+    """0 -> k -> k -> top_space with zero differentials."""
+    spaces = [CochainSpace.full(field, 1), CochainSpace.full(field, 1), top_space]
+    diffs = [SparseMatrix(field, 1, 1), SparseMatrix(field, top_space.ambient_dim, 1)]
+    return CochainComplex(field, 2, spaces, diffs)
+
+
+def test_fixed_subcomplex_keeps_the_top_space_and_certifies_its_generators():
+    field = QQ
+    minus = SparseMatrix(field, 2, 2, ([0, 1], [0, 1], [field.from_int(-1)] * 2))
+    ops = [ActionOperator(0, []), ActionOperator(1, []), ActionOperator(2, [minus])]
+    # the top space is only the target of the last differential: -1 fixes
+    # none of it, and it is kept whole
+    c = _top_two_complex(field, CochainSpace.full(field, 2))
+    fixed = fixed_subcomplex(c, ops)
+    assert space_dims(fixed) == [1, 1, 2]
+    assert fixed.spaces[2] is c.spaces[2]
+    assert cohomology_dims(fixed) == [1, 1]
+    # a top generator that does not preserve a proper top subspace is refused
+    line = CochainSpace(2, SparseMatrix(field, 2, 1, ([0], [0], None)),
+                        SparseMatrix(field, 1, 2, ([0], [0], None)))
+    swap = SparseMatrix(field, 2, 2, ([1, 0], [0, 1], None))
+    with pytest.raises(ActionLeavesSubspace):
+        fixed_subcomplex(_top_two_complex(field, line), ops[:2] + [ActionOperator(2, [swap])])
 
 
 def test_fixed_subcomplex_incompatible_raises():
@@ -114,7 +136,7 @@ def test_fixed_subcomplex_incompatible_raises():
 
 def test_induced_map_sub_equals_full_is_identity():
     c = toy()
-    report = induced_map_on_cohomology(c, c, 1)
+    report = induced_map_on_cohomology(c, c)
     for n, mat in zip(report.degrees, report.matrices):
         assert mat == Matrix.identity(GF3, mat.rows)
         assert report.is_injective(n)
@@ -124,7 +146,7 @@ def test_induced_map_rejects_mismatched():
     c = toy()
     other = full_complex(GF3, [1, 2, 2], [[[1], [0]], [[0, 1], [0, 0]]])
     with pytest.raises(NotASubcomplex):
-        induced_map_on_cohomology(c, other, 1)
+        induced_map_on_cohomology(c, other)
 
 
 def test_euler_characteristic_consistency():
@@ -139,10 +161,9 @@ def test_cohomology_dims_refuses_an_oversized_dense_rank(field):
     assert side * side > DENSE_RANK_CELLS
     spaces = [CochainSpace.full(field, d) for d in (1, side, side)]
     diffs = [SparseMatrix(field, side, 1), SparseMatrix(field, side, side)]
-    c = CochainComplex(field, 2, spaces, diffs)
-    assert cohomology_dims(c, 0) == [1]
+    assert cohomology_dims(CochainComplex(field, 1, spaces[:2], diffs[:1])) == [1]
     with pytest.raises(BudgetExceeded):
-        cohomology_dims(c, 1)
+        cohomology_dims(CochainComplex(field, 2, spaces, diffs))
 
 
 def test_sandwich_rank_certificate_survives_entries_near_2_to_30(monkeypatch):

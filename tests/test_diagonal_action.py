@@ -34,7 +34,8 @@ GROUPS = {
 def _triples(h, columns, size):
     """Canonical triples of the operator with column map `columns` on `size` coordinates."""
     return [a.tolist() for a in canonical(h.field, *apply_columns(h.field, columns,
-                                                                  all_columns(size)))]
+                                                                  all_columns(size)),
+                                          shape=(size, size))]
 
 
 @pytest.mark.parametrize("slots", (1, 2, 3, 4))

@@ -268,7 +268,7 @@ def test_kcp_resolution_terminates():
 def test_contracting_homotopy():
     for h, top in [(kC(3, GF3), 3), (kC(5, GF5), 5), (kS3(QQ), 3)]:
         report = contracting_homotopy_check(sym_resolution_complex(h, top))
-        assert report.passed, report.degrees
+        assert all(ok for _n, ok in report.degrees), report.degrees
 
 
 def test_contracting_homotopy_reuses_a_built_resolution(monkeypatch):
@@ -277,7 +277,7 @@ def test_contracting_homotopy_reuses_a_built_resolution(monkeypatch):
     res = sym_resolution_complex(kS3(GF5), 3)
     monkeypatch.setattr(resolution, "coinvariant_space", None)
     report = contracting_homotopy_check(res)
-    assert report.passed
+    assert all(ok for _n, ok in report.degrees)
     assert [n for n, _ok in report.degrees] == [0, 1, 2]
 
 
@@ -309,7 +309,7 @@ def test_hom_differentials_are_the_sparse_precomposition(monkeypatch):
     built = []
     real = resolution.cohomology_dims
     monkeypatch.setattr(resolution, "cohomology_dims",
-                        lambda c, up_to: built.append(c) or real(c, up_to))
+                        lambda c: built.append(c) or real(c))
     top = 3
     for h in (kC(3, GF3), kC(3, QQ), kS3(GF5)):
         for mod in (trivial_module(h), regular_left_module(h), regular_bimodule(h)):
@@ -359,8 +359,9 @@ def test_homspace_dims_equal_fixed_subspace_dims():
     from symcoh.modules import hom_equivariant
     h = kC(3, GF3)
     mod = trivial_module(h)
-    cpx = homogeneous_complex(h, mod, 3)
-    ops = [sigma_homogeneous(h, mod, n) for n in range(4)]
+    # built through degree 4, since the top space is kept as it is
+    cpx = homogeneous_complex(h, mod, 4)
+    ops = [sigma_homogeneous(h, mod, n) for n in range(5)]
     fixed = fixed_subcomplex(cpx, ops)
     res = sym_resolution_complex(h, 3)
     for n in range(4):
