@@ -34,40 +34,25 @@ top space, which is only the target of the last differential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
-from .complexes import (ActionOperator, CochainComplex, CochainSpace, cohomology_dims,
-                        fixed_subcomplex)
-from .errors import BudgetExceeded, NotCocommutative
+from .complexes import (ActionOperator, CochainComplex, CochainSpace, CohomologyReport,
+                        cohomology_dims, fixed_subcomplex, require_cocommutative)
+from .errors import BudgetExceeded
 from .hopf import HopfAlgebra, _apply
 from .modules import Bimodule, LeftModule, _action_map, adjoint_module, validate_module
 from .sparse import SparseMatrix, canonical, combination, kron, kron_triples, require_terms
-from .tensors import (all_columns, bar_chain_transpose_columns, cochain_swap_sigma,
+from .tensors import (all_columns, bar_chain_transpose_columns, cochain_swap_sigmas,
                       diagonal_columns, tensor_identity_triples)
 
 BUDGET = 200_000  # coordinates of the largest ambient cochain space a complex may have
 DIFF_BATCH = 1 << 14  # terms of the transposed chain map summed at once
 
 
-@dataclass
-class CohomologyReport:
-    dims: list
-    realization: str
-    checks: list = dc_field(default_factory=list)
-    routes: dict = dc_field(default_factory=dict)
-
-
 def require_budget(coords: int, what: str):
     if coords > BUDGET:
         raise BudgetExceeded(
             f"{what} needs {coords} coordinates, budget is {BUDGET}")
-
-
-def require_cocommutative(h: HopfAlgebra):
-    if not h.is_cocommutative:
-        raise NotCocommutative("the symmetric-group action needs tw . comult = comult")
 
 
 # -- the homogeneous (equivariant-subspace) realization -------------------
@@ -197,8 +182,7 @@ def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator
     """Signed swaps of slots i-1, i on degree n of the homogeneous
     realization."""
     require_cocommutative(h)
-    return ActionOperator(n, [cochain_swap_sigma(h.field, h.dim, n + 1, i, mod.dim)
-                              for i in range(1, n + 1)])
+    return ActionOperator(n, cochain_swap_sigmas(h.field, h.dim, n + 1, mod.dim))
 
 
 # -- the nonhomogeneous (reduced-coordinate) realization -------------------

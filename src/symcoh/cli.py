@@ -4,6 +4,10 @@ computation, and emit a deterministic report.
 Exit codes: 0 success, 1 validation or assertion failure, 2 schema
 error, 3 budget exceeded, 4 internal cross-check/assertion failure.  Every
 mode but `validate` refuses an algebra that fails a Hopf axiom with exit 1.
+
+Each layer above the Hopf algebra (modules, the bar and resolution routes,
+the Hochschild checks) is imported where a mode dispatches to it, so a
+process loads only the layers it runs: `validate` loads none of them.
 """
 
 from __future__ import annotations
@@ -12,14 +16,10 @@ import argparse
 import json
 import sys
 
-from . import bar, hochschild, resolution
 from .errors import BudgetExceeded, NotAHopfAlgebra, SchemaError, SymcohError
 from .fields import Field
 from .hopf import (HopfAlgebra, group_algebra, named_group_table, validate_hopf)
 from .linalg import Matrix
-from .modules import (Bimodule, LeftModule, regular_bimodule,
-                      regular_left_module, trivial_bimodule, trivial_module,
-                      validate_module)
 from .sparse import SparseMatrix
 
 EXIT_OK = 0
@@ -113,11 +113,13 @@ def load_algebra(source: str, field_override: Field | None) -> HopfAlgebra:
     return hopf_from_json(_read_json(source), field_override)
 
 
-def load_module(source: str, h: HopfAlgebra, bimodule: bool = False) -> LeftModule:
+def load_module(source: str, h: HopfAlgebra, bimodule: bool = False):
     """Coefficients by name (trivial, regular) or from a JSON file with dim,
     left_action and, for a bimodule, right_action; a description that does
     not fit the schema is a SchemaError.  The parsed dense matrices become
     the module's sparse actions here, once."""
+    from .modules import (Bimodule, LeftModule, regular_bimodule, regular_left_module,
+                          trivial_bimodule, trivial_module, validate_module)
     if source == "trivial":
         return trivial_bimodule(h) if bimodule else trivial_module(h)
     if source == "regular":
@@ -261,6 +263,7 @@ def run(args) -> tuple[dict, int]:
         raise NotAHopfAlgebra(f"the check {failed.name} fails at {failed.witness}")
 
     if mode == "cp-table":
+        from . import resolution
         rows = resolution.cp_rank_table(h, top)
         table = [{"n": r.n, "dim": r.dim, "rank": r.rank,
                   "claimed_rank": r.claimed_rank, "is_free": r.is_free}
@@ -271,6 +274,7 @@ def run(args) -> tuple[dict, int]:
         return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
 
     if mode == "resolution":
+        from . import resolution
         res = resolution.sym_resolution_complex(h, top)
         homotopy = resolution.contracting_homotopy_check(res)
         checks = res.exactness_report() + \
@@ -282,21 +286,25 @@ def run(args) -> tuple[dict, int]:
         bimodule = mode in ("HH", "SHH")
         mod = load_module(args.module or ("regular" if bimodule else "trivial"), h, bimodule)
         if mode in ("H", "HH"):
+            from . import bar
             rep = bar.classical_cohomology(h, mod, top)
             out = _report(mode, dims=rep.dims, routes={rep.realization: rep.dims})
             return out, EXIT_OK
         # both routes compute SHH(A, M) as SH(A, ad M); its cross-check is
         # the nonhomogeneous realization of M, which never builds ad M
         if args.route == "resolution":
+            from . import resolution
             rep = resolution.sh_via_resolution(h, mod, top)
             routes = {"resolution": rep.dims}
             checks = []
             if args.cross_check:
+                from . import bar
                 other = (bar.nonhomogeneous_symmetric_dims(h, mod, top) if bimodule
                          else bar.symmetric_cohomology(h, mod, top).dims)
                 routes["fixed_subcomplex"] = other
                 checks.append(("routes_agree", other == rep.dims))
         else:
+            from . import bar
             rep = bar.symmetric_cohomology(h, mod, top, cross_check=args.cross_check)
             routes = rep.routes
             checks = rep.checks
@@ -304,6 +312,7 @@ def run(args) -> tuple[dict, int]:
         return out, EXIT_OK if _checks_pass(out) else EXIT_INTERNAL
 
     if mode == "compare-adjoint":
+        from . import hochschild
         bim = load_module(args.module or "regular", h, bimodule=True)
         rep = hochschild.compare_adjoint(h, bim, top)
         out = _report("compare-adjoint", dims=rep.dims, routes=rep.routes,
@@ -311,6 +320,7 @@ def run(args) -> tuple[dict, int]:
         return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
 
     if mode == "corollary-check":
+        from . import hochschild
         rep = hochschild.commutative_factorization_check(h, top, route=args.route)
         out = _report("corollary-check", dims=rep.dims, routes=rep.routes,
                       checks=rep.checks)

@@ -29,16 +29,21 @@ places: kernels in `intersect_kernels`, ranks in `cohomology_dims`.  The
 exactness of a chain complex is the cohomology of its dual, so it is
 counted there too (`resolution.ResolutionComplex.exactness_report`);
 only the induced maps on cohomology solve on their own.
+
+Both routes, `bar` and `resolution`, take `CohomologyReport` and
+`require_cocommutative` from here, so neither route imports the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded, NotASubcomplex
+from .errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded, NotASubcomplex,
+                     NotCocommutative)
 from .fields import Field
+from .hopf import HopfAlgebra
 from .linalg import (DENSE_RANK_CELLS, Matrix, Subspace, intersect_kernels, kernel_basis,
                      quotient, rank, solve_columns)
 from .sparse import SparseMatrix, integer_gram, integer_mod
@@ -122,6 +127,19 @@ class CochainComplex:
         return out
 
 
+@dataclass
+class CohomologyReport:
+    dims: list
+    realization: str
+    checks: list = dc_field(default_factory=list)
+    routes: dict = dc_field(default_factory=dict)
+
+
+def require_cocommutative(h: HopfAlgebra):
+    if not h.is_cocommutative:
+        raise NotCocommutative("the symmetric-group action needs tw . comult = comult")
+
+
 # -- exact ranks of restricted differentials ------------------------------
 
 
@@ -200,7 +218,10 @@ def cohomology_dims(c: CochainComplex) -> list:
 
 
 def restrict_operator(space: CochainSpace, op: SparseMatrix) -> SparseMatrix:
-    """op in subspace coordinates; error if op does not preserve the subspace."""
+    """op in subspace coordinates; error if op does not preserve the subspace.
+    Every op preserves a full space, in its own coordinates: op is returned."""
+    if space.is_full:
+        return op
     mapped = op @ space.basis
     reduced = space.coords @ mapped
     if not (space.basis @ reduced == mapped):

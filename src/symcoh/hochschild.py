@@ -11,12 +11,11 @@ share no construction of the adjoint module.
 
 from __future__ import annotations
 
-from .bar import (CohomologyReport, nonhomogeneous_symmetric_dims, require_cocommutative,
-                  symmetric_cohomology)
+from .bar import nonhomogeneous_symmetric_dims, symmetric_cohomology
+from .complexes import CohomologyReport, require_cocommutative
 from .errors import NotCommutative
 from .hopf import HopfAlgebra
 from .modules import Bimodule, adjoint_module, regular_bimodule, trivial_module
-from .resolution import sh_via_resolution
 
 
 def compare_adjoint(h: HopfAlgebra, bim: Bimodule, top: int) -> CohomologyReport:
@@ -41,14 +40,17 @@ def commutative_factorization_check(h: HopfAlgebra, top: int,
     ad A is then dim A copies of k, so SHH is taken from the nonhomogeneous
     realization of the regular bimodule on either route, and route picks
     the complex family of SH(A, k): "bar" the fixed subcomplex,
-    "resolution" the coinvariant resolution.
+    "resolution" the coinvariant resolution (imported only for that route).
     """
     require_cocommutative(h)
     if not h.is_commutative:
         raise NotCommutative("the factorization needs a commutative algebra")
     shh = nonhomogeneous_symmetric_dims(h, regular_bimodule(h), top)
-    sh = (sh_via_resolution if route == "resolution" else symmetric_cohomology)(
-        h, trivial_module(h), top).dims
+    if route == "resolution":
+        from .resolution import sh_via_resolution as sh_route
+    else:
+        sh_route = symmetric_cohomology
+    sh = sh_route(h, trivial_module(h), top).dims
     report = CohomologyReport(shh, route)
     report.routes["SHH"] = shh
     report.routes["SH_scaled"] = [h.dim * v for v in sh]

@@ -33,8 +33,8 @@ from math import comb
 
 import numpy as np
 
-from .bar import CohomologyReport, require_cocommutative
-from .complexes import CochainComplex, CochainSpace, cohomology_dims
+from .complexes import (CochainComplex, CochainSpace, CohomologyReport, cohomology_dims,
+                        require_cocommutative)
 from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime, SchemaError
 from .hopf import HopfAlgebra, cyclic_group_table
 from .linalg import DENSE_RANK_CELLS, rank

@@ -28,7 +28,7 @@ import numpy as np
 
 from .hopf import HopfAlgebra
 from .modules import regular_left_module, tensor_actions, tensor_module, trivial_module
-from .sparse import SparseMatrix, field_array, kron_triples
+from .sparse import SparseMatrix, field_array
 
 
 def flat(tup, d: int) -> int:
@@ -134,18 +134,20 @@ def cochain_precompose(chain: SparseMatrix, m: int) -> SparseMatrix:
                         tensor_identity_triples(c, r, v, m))
 
 
-def cochain_swap_sigma(field, d: int, slots: int, i: int, m: int) -> SparseMatrix:
-    """The signed precomposition with the swap of tensor slots i-1 and i.
+def cochain_swap_sigmas(field, d: int, slots: int, m: int) -> list:
+    """The signed precompositions with the swaps of tensor slots i-1 and i,
+    i = 1..slots-1: (sigma_i f)(tup) = -f(tup with slots i-1, i exchanged).
 
-    (sigma_i f)(tup) = -f(tup with slots i-1, i exchanged); one entry per
-    cochain coordinate, so its triples come in canonical order by column
-    (the swap is an involution).
+    Each has one entry per cochain coordinate, so its triples come in
+    canonical order by column (the swap is an involution), and its columns
+    are 0..size-1: all of them share that one array.
     """
-    idx = np.arange(d ** slots, dtype=np.int64)
-    minus = field_array(field, [field.neg(field.one())] * len(idx))
-    return SparseMatrix(field, len(idx) * m, len(idx) * m,
-                        kron_triples(field, (swap_slots(idx, d, slots, i), idx, minus),
-                                     all_columns(m), (m, m)))
+    cols = np.arange(d ** slots * m, dtype=np.int64)
+    tup, j = np.divmod(cols, m)
+    minus = np.repeat(field_array(field, [field.neg(field.one())]), len(cols))
+    return [SparseMatrix(field, len(cols), len(cols),
+                         (swap_slots(tup, d, slots, i) * m + j, cols, minus))
+            for i in range(1, slots)]
 
 
 def _slotwise(row: np.ndarray, d: int, slots: int):

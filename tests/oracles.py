@@ -47,9 +47,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from symcoh.bar import require_cocommutative
 from symcoh.complexes import (ActionOperator, CochainComplex, CochainSpace,
-                              cohomology_dims, restrict_operator)
+                              cohomology_dims, require_cocommutative, restrict_operator)
 from symcoh.fields import Field
 from symcoh.hopf import HopfAlgebra, iterated_comult
 from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank

@@ -123,6 +123,23 @@ def test_fixed_subcomplex_keeps_the_top_space_and_certifies_its_generators():
         fixed_subcomplex(_top_two_complex(field, line), ops[:2] + [ActionOperator(2, [swap])])
 
 
+def test_restrict_operator_returns_an_operator_on_a_full_space_without_a_product(monkeypatch):
+    field = GF3
+    swap = SparseMatrix(field, 2, 2, ([1, 0], [0, 1], None))
+    products = []
+    matmul = SparseMatrix.__matmul__
+    monkeypatch.setattr(SparseMatrix, "__matmul__",
+                        lambda a, b: products.append(b) or matmul(a, b))
+    assert complexes.restrict_operator(CochainSpace.full(field, 2), swap) is swap
+    assert products == []
+    # a proper subspace that the operator leaves is still refused
+    line = CochainSpace(2, SparseMatrix(field, 2, 1, ([0], [0], None)),
+                        SparseMatrix(field, 1, 2, ([0], [0], None)))
+    with pytest.raises(ActionLeavesSubspace):
+        complexes.restrict_operator(line, swap)
+    assert products
+
+
 def test_fixed_subcomplex_incompatible_raises():
     field = QQ
     spaces = [CochainSpace.full(field, 1), CochainSpace.full(field, 1)]

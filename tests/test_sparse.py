@@ -18,9 +18,9 @@ from symcoh.linalg import Matrix
 from symcoh.modules import adjoint_module, regular_bimodule, regular_left_module
 from symcoh.sparse import SparseMatrix, _column_batches, apply_columns, canonical, pointers
 from symcoh.tensors import (all_columns, bar_chain_transpose_columns, cochain_precompose,
-                            cochain_swap_sigma)
+                            cochain_swap_sigmas)
 
-from oracles import bar_chain_diff
+from oracles import all_tuples, bar_chain_diff
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.prime(3037000493), Field.rationals()]
 
@@ -289,14 +289,37 @@ def _keys_seen(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=str)
+@pytest.mark.parametrize("m", [1, 2])
+def test_swaps_of_a_degree_equal_the_tuple_oracle_and_share_one_column_array(field, m):
+    d, slots = 3, 4
+    sigmas = cochain_swap_sigmas(field, d, slots, m)
+    assert len(sigmas) == slots - 1
+    assert all(s.col_idx is sigmas[0].col_idx for s in sigmas)
+    minus = field.neg(field.one())
+    for i, sigma in enumerate(sigmas, 1):
+        # (sigma_i f)(tup, j) = -f(tup with slots i-1, i exchanged, j)
+        entries = {}
+        for col, tup in enumerate(all_tuples(d, slots)):
+            swapped = list(tup)
+            swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+            row = next(r for r, t in enumerate(all_tuples(d, slots)) if list(t) == swapped)
+            for j in range(m):
+                entries[(row * m + j, col * m + j)] = minus
+        rows, cols = zip(*entries)
+        assert sigma == SparseMatrix(field, d ** slots * m, d ** slots * m,
+                                     (list(rows), list(cols), list(entries.values())))
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=str)
 def test_builders_emit_triples_in_canonical_order(field, monkeypatch):
     h = group_algebra(6, symmetric_group_table(3), field)
     chain = bar_chain_diff(h, 3)
     seen = _keys_seen(monkeypatch)
     built = [bar_chain_diff(h, 3), cochain_precompose(chain, 3),
-             cochain_swap_sigma(field, 3, 4, 2, 2)]
-    # precompose sorts the transpose of the chain map, m times smaller
-    assert seen == [True, False, True, True]
+             *cochain_swap_sigmas(field, 3, 4, 2)]
+    # precompose sorts the transpose of the chain map, m times smaller; the
+    # three swaps of 4 slots come sorted
+    assert seen == [True, False, True, True, True, True]
     coefficients = ((regular_left_module(h), 2), (adjoint_module(h, regular_bimodule(h)), 3))
     del seen[:]
     for mod, slots in coefficients:
