@@ -55,7 +55,7 @@ def cases():
             add(f"SH-{route}-cross", "--mode", "SH", "--route", route,
                 "--cross-check")
             add(f"corollary-{route}", "--mode", "corollary-check", "--route", route)
-        add("SHH-bar-cross", "--mode", "SHH", "--route", "bar", "--cross-check")
+            add(f"SHH-{route}-cross", "--mode", "SHH", "--route", route, "--cross-check")
         add("resolution", "--mode", "resolution")
         add("compare-adjoint", "--mode", "compare-adjoint")
         if stem not in FROZEN:
