@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import (ActionOperator, CochainComplex, CochainSpace, CohomologyReport,
-                        cohomology_dims, fixed_subcomplex, require_cocommutative)
+from .complexes import (ActionOperator, CochainComplex, CochainSpace, cohomology_dims,
+                        fixed_subcomplex, require_cocommutative)
 from .errors import BudgetExceeded
 from .hopf import HopfAlgebra, _apply
 from .modules import Bimodule, LeftModule, _action_map, adjoint_module, validate_module
@@ -274,10 +274,9 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOpera
 # -- cohomology drivers ----------------------------------------------------
 
 
-def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyReport:
+def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
     """H^0..H^{top-1} (HH for a bimodule) from the nonhomogeneous realization."""
-    cpx = nonhomogeneous_complex(h, mod, top)
-    return CohomologyReport(cohomology_dims(cpx), "nonhomogeneous")
+    return cohomology_dims(nonhomogeneous_complex(h, mod, top))
 
 
 def nonhomogeneous_symmetric_dims(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
@@ -290,24 +289,15 @@ def nonhomogeneous_symmetric_dims(h: HopfAlgebra, mod: LeftModule, top: int) -> 
         cpx, [sigma_nonhomogeneous(h, mod, n) for n in range(top + 1)]))
 
 
-def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int,
-                         cross_check: bool = False) -> CohomologyReport:
+def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
     """SH^0..SH^{top-1}: cohomology of the fixed subcomplex of the
     homogeneous realization (its action is a signed permutation).
 
     For a bimodule M it is SHH(A, M), computed as SH(A, ad M) by the
-    paper's theorem.  cross_check recomputes through the nonhomogeneous
-    realization of M itself and records agreement.
+    paper's theorem.
     """
     require_cocommutative(h)
     coeffs = adjoint_module(h, mod) if isinstance(mod, Bimodule) else mod
     cpx = homogeneous_complex(h, coeffs, top)
-    dims = cohomology_dims(fixed_subcomplex(
+    return cohomology_dims(fixed_subcomplex(
         cpx, [sigma_homogeneous(h, coeffs, n) for n in range(top + 1)]))
-    report = CohomologyReport(dims, "homogeneous")
-    report.routes["homogeneous"] = dims
-    if cross_check:
-        other = nonhomogeneous_symmetric_dims(h, mod, top)
-        report.routes["nonhomogeneous"] = other
-        report.checks.append(("realizations_agree", dims == other))
-    return report

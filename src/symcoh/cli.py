@@ -8,6 +8,8 @@ mode but `validate` refuses an algebra that fails a Hopf axiom with exit 1.
 Each layer above the Hopf algebra (modules, the bar and resolution routes,
 the Hochschild checks) is imported where a mode dispatches to it, so a
 process loads only the layers it runs: `validate` loads none of them.
+The layers return lists of dimensions; `run` alone names the routes and
+checks of a report, and builds each `--cross-check` from two routes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import BudgetExceeded, NotAHopfAlgebra, SchemaError, SymcohError
 from .fields import Field
@@ -181,16 +184,25 @@ def _read_json(source: str) -> dict:
 # -- report assembly ---------------------------------------------------------
 
 
-def _report(mode, dims=None, routes=None, checks=None, extra=None) -> dict:
+def _report(mode, dims=(), routes=None, checks=(), extra=None,
+            failure=EXIT_VALIDATION) -> tuple[dict, int]:
+    """The report of a run and its exit code, `failure` when a check fails."""
     out = {
         "mode": mode,
-        "dims": list(dims) if dims is not None else [],
+        "dims": list(dims),
         "routes": {k: list(v) for k, v in (routes or {}).items()},
-        "checks": [{"name": name, "pass": bool(ok)} for name, ok in (checks or [])],
+        "checks": [{"name": name, "pass": bool(ok)} for name, ok in checks],
+        **(extra or {}),
     }
-    if extra:
-        out.update(extra)
-    return out
+    return out, EXIT_OK if all(c["pass"] for c in out["checks"]) else failure
+
+
+def _equal_by_degree(mode, names, sides) -> tuple[dict, int]:
+    """The two sides of a dimension equality as routes `names`, the first
+    as the dims, with one check per degree that they agree."""
+    return _report(mode, dims=sides[0], routes=dict(zip(names, sides)),
+                   checks=[(f"degree_{n}_equal", a == b)
+                           for n, (a, b) in enumerate(zip(*sides))])
 
 
 def _emit(report: dict, fmt: str):
@@ -213,10 +225,6 @@ def _emit(report: dict, fmt: str):
         print(f"check {check['name']}: {'pass' if check['pass'] else 'FAIL'}")
 
 
-def _checks_pass(report: dict) -> bool:
-    return all(c["pass"] for c in report["checks"])
-
-
 # -- main --------------------------------------------------------------------
 
 
@@ -235,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["H", "SH", "HH", "SHH", "resolution", "cp-table",
                              "validate", "compare-adjoint", "corollary-check"])
     ap.add_argument("--max-degree", type=int, default=5)
-    ap.add_argument("--cross-check", action="store_true",
+    ap.add_argument("--cross-check", dest="both_routes", action="store_true",
                     help="run both realizations/routes and compare")
     ap.add_argument("--route", choices=["bar", "resolution"], default="bar",
                     help="complex family for SH/SHH/corollary-check")
@@ -253,11 +261,9 @@ def run(args) -> tuple[dict, int]:
 
     report = validate_hopf(h, require_cocommutative=mode == "validate")
     if mode == "validate":
-        checks = [(c.name, c.passed) for c in report.checks]
-        out = _report("validate", checks=checks,
-                      extra={"cocommutative": report.cocommutative,
-                             "commutative": report.commutative})
-        return out, EXIT_OK if report.passed else EXIT_VALIDATION
+        return _report("validate", checks=[(c.name, c.passed) for c in report.checks],
+                       extra={"cocommutative": report.cocommutative,
+                              "commutative": report.commutative})
     if not report.passed:
         failed = report.failures()[0]
         raise NotAHopfAlgebra(f"the check {failed.name} fails at {failed.witness}")
@@ -265,92 +271,77 @@ def run(args) -> tuple[dict, int]:
     if mode == "cp-table":
         from . import resolution
         rows = resolution.cp_rank_table(h, top)
-        table = [{"n": r.n, "dim": r.dim, "rank": r.rank,
-                  "claimed_rank": r.claimed_rank, "is_free": r.is_free}
-                 for r in rows]
         checks = [(f"rank_matches_claim_{r.n}", r.rank == r.claimed_rank)
                   for r in rows] + [(f"free_{r.n}", r.is_free) for r in rows]
-        out = _report("cp-table", checks=checks, extra={"table": table})
-        return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
+        return _report("cp-table", checks=checks, extra={"table": [asdict(r) for r in rows]})
 
     if mode == "resolution":
         from . import resolution
         res = resolution.sym_resolution_complex(h, top)
-        homotopy = resolution.contracting_homotopy_check(res)
-        checks = res.exactness_report() + \
-            [(f"homotopy_{n}", ok) for n, ok in homotopy.degrees]
-        out = _report("resolution", dims=res.dims(), checks=checks)
-        return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
+        checks = res.exactness_report() + [
+            (f"homotopy_{n}", ok) for n, ok in resolution.contracting_homotopy_check(res)]
+        return _report("resolution", dims=res.dims(), checks=checks)
 
     if mode in ("H", "SH", "HH", "SHH"):
         bimodule = mode in ("HH", "SHH")
         mod = load_module(args.module or ("regular" if bimodule else "trivial"), h, bimodule)
         if mode in ("H", "HH"):
             from . import bar
-            rep = bar.classical_cohomology(h, mod, top)
-            out = _report(mode, dims=rep.dims, routes={rep.realization: rep.dims})
-            return out, EXIT_OK
-        # both routes compute SHH(A, M) as SH(A, ad M); its cross-check is
-        # the nonhomogeneous realization of M, which never builds ad M
+            dims = bar.classical_cohomology(h, mod, top)
+            return _report(mode, dims=dims, routes={"nonhomogeneous": dims})
         if args.route == "resolution":
             from . import resolution
-            rep = resolution.sh_via_resolution(h, mod, top)
-            routes = {"resolution": rep.dims}
-            checks = []
-            if args.cross_check:
-                from . import bar
-                other = (bar.nonhomogeneous_symmetric_dims(h, mod, top) if bimodule
-                         else bar.symmetric_cohomology(h, mod, top).dims)
-                routes["fixed_subcomplex"] = other
-                checks.append(("routes_agree", other == rep.dims))
+            dims = resolution.sh_via_resolution(h, mod, top)
+            names = ("resolution", "fixed_subcomplex", "routes_agree")
         else:
             from . import bar
-            rep = bar.symmetric_cohomology(h, mod, top, cross_check=args.cross_check)
-            routes = rep.routes
-            checks = rep.checks
-        out = _report(mode, dims=rep.dims, routes=routes, checks=checks)
-        return out, EXIT_OK if _checks_pass(out) else EXIT_INTERNAL
+            dims = bar.symmetric_cohomology(h, mod, top)
+            names = ("homogeneous", "nonhomogeneous", "realizations_agree")
+        routes, checks = {names[0]: dims}, []
+        if args.both_routes:
+            # SH on the resolution route against the homogeneous realization;
+            # otherwise against the nonhomogeneous one, which for SHH(A, M),
+            # computed on both routes as SH(A, ad M), never builds ad M
+            from . import bar
+            other = (bar.symmetric_cohomology if args.route == "resolution" and not bimodule
+                     else bar.nonhomogeneous_symmetric_dims)(h, mod, top)
+            routes[names[1]] = other
+            checks.append((names[2], other == dims))
+        return _report(mode, dims=dims, routes=routes, checks=checks, failure=EXIT_INTERNAL)
 
     if mode == "compare-adjoint":
         from . import hochschild
         bim = load_module(args.module or "regular", h, bimodule=True)
-        rep = hochschild.compare_adjoint(h, bim, top)
-        out = _report("compare-adjoint", dims=rep.dims, routes=rep.routes,
-                      checks=rep.checks)
-        return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
+        return _equal_by_degree(mode, ("SHH", "SH_adjoint"),
+                                hochschild.compare_adjoint(h, bim, top))
 
     if mode == "corollary-check":
         from . import hochschild
-        rep = hochschild.commutative_factorization_check(h, top, route=args.route)
-        out = _report("corollary-check", dims=rep.dims, routes=rep.routes,
-                      checks=rep.checks)
-        return out, EXIT_OK if _checks_pass(out) else EXIT_VALIDATION
+        return _equal_by_degree(mode, ("SHH", "SH_scaled"),
+                                hochschild.commutative_factorization_check(h, top, args.route))
 
     raise SchemaError(f"unhandled mode {mode!r}")
+
+
+# exception type -> exit code and reason, the first type that matches
+# deciding (SchemaError and BudgetExceeded are SymcohErrors)
+FAILURES = (
+    (SchemaError, EXIT_SCHEMA, str),
+    (BudgetExceeded, EXIT_BUDGET, str),
+    (MemoryError, EXIT_BUDGET, lambda exc: f"out of memory: {exc}"),
+    (SymcohError, EXIT_VALIDATION, lambda exc: f"{type(exc).__name__}: {exc}"),
+    (AssertionError, EXIT_INTERNAL, str),
+)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = run(args)
-    except SchemaError as exc:
-        _emit({"mode": args.mode, "dims": [], "routes": {}, "checks": [],
-               "error": {"code": EXIT_SCHEMA, "reason": str(exc)}}, args.format)
-        return EXIT_SCHEMA
-    except (BudgetExceeded, MemoryError) as exc:
-        reason = str(exc) if isinstance(exc, BudgetExceeded) else f"out of memory: {exc}"
-        _emit({"mode": args.mode, "dims": [], "routes": {}, "checks": [],
-               "error": {"code": EXIT_BUDGET, "reason": reason}}, args.format)
-        return EXIT_BUDGET
-    except SymcohError as exc:
-        _emit({"mode": args.mode, "dims": [], "routes": {}, "checks": [],
-               "error": {"code": EXIT_VALIDATION,
-                         "reason": f"{type(exc).__name__}: {exc}"}}, args.format)
-        return EXIT_VALIDATION
-    except AssertionError as exc:
-        _emit({"mode": args.mode, "dims": [], "routes": {}, "checks": [],
-               "error": {"code": EXIT_INTERNAL, "reason": str(exc)}}, args.format)
-        return EXIT_INTERNAL
+    except tuple(kind for kind, _code, _reason in FAILURES) as exc:
+        code, reason = next((code, why(exc)) for kind, code, why in FAILURES
+                            if isinstance(exc, kind))
+        report, _ = _report(args.mode, extra={"error": {"code": code, "reason": reason}})
     _emit(report, args.format)
     return code
 

@@ -30,13 +30,14 @@ exactness of a chain complex is the cohomology of its dual, so it is
 counted there too (`resolution.ResolutionComplex.exactness_report`);
 only the induced maps on cohomology solve on their own.
 
-Both routes, `bar` and `resolution`, take `CohomologyReport` and
-`require_cocommutative` from here, so neither route imports the other.
+Both routes, `bar` and `resolution`, take `require_cocommutative` from
+here, so neither route imports the other; each returns its cohomology as
+the plain list of `cohomology_dims`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,14 +126,6 @@ class CochainComplex:
         if not self.spaces[n + 1].is_full:
             out = self.spaces[n + 1].coords @ out
         return out
-
-
-@dataclass
-class CohomologyReport:
-    dims: list
-    realization: str
-    checks: list = dc_field(default_factory=list)
-    routes: dict = dc_field(default_factory=dict)
 
 
 def require_cocommutative(h: HopfAlgebra):
@@ -317,8 +310,10 @@ def fixed_subcomplex(c: CochainComplex, ops: list) -> CochainComplex:
     `intersect_kernels` one generator at a time on these sparse operators:
     each step densifies one s x (fixed so far) image, bounded by
     DENSE_RANK_CELLS, and no (#sigma * s) x s stack is built.  Both give the
-    same basis and coords.  Each differential must map fixed vectors to
-    fixed vectors, which is checked at every degree.
+    same basis and coords.  In a full space the fixed points are taken as
+    they are, since its coordinates are the ambient ones.  Each
+    differential must map fixed vectors to fixed vectors, which is checked
+    at every degree.
     """
     top = c.top_degree
     for sigma in ops[top].sigmas:  # the top space is certified and kept
@@ -326,12 +321,14 @@ def fixed_subcomplex(c: CochainComplex, ops: list) -> CochainComplex:
     spaces = []
     for space, op in zip(c.spaces[:top], ops):
         fixed = _fixed_space(c.field, space, op.sigmas) if op.sigmas else None
-        spaces.append(space if fixed is None else CochainSpace(
-            space.ambient_dim, space.basis @ fixed.basis, fixed.coords @ space.coords))
+        if fixed is not None and not space.is_full:
+            fixed = CochainSpace(space.ambient_dim, space.basis @ fixed.basis,
+                                 fixed.coords @ space.coords)
+        spaces.append(space if fixed is None else fixed)
     spaces.append(c.spaces[top])
     # a fixed vector must stay fixed after applying the differential
     for n in range(top):
-        image = c.diffs[n] @ spaces[n].basis
+        image = c.diffs[n] if spaces[n].is_full else c.diffs[n] @ spaces[n].basis
         for sigma in ops[n + 1].sigmas:
             if not (sigma @ image == image):
                 raise ActionNotCompatible(

@@ -128,6 +128,10 @@ class Field:
             return np.asarray(_rationals(np.array(values, dtype=object)), dtype=object)
         return np.array(values, dtype=np.int64) % self.p
 
+    def is_reduced(self, a: np.ndarray) -> bool:
+        """Whether every entry of a lies in [0, p); over Q always."""
+        return self.kind == "rational" or not len(a) or bool(a.min() >= 0 and a.max() < self.p)
+
     def reduce(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """a with every entry reduced mod p (into out; out=a reduces in place).
         Over Q an array is exact as it stands, and a comes back unchanged."""

@@ -33,8 +33,7 @@ from math import comb
 
 import numpy as np
 
-from .complexes import (CochainComplex, CochainSpace, CohomologyReport, cohomology_dims,
-                        require_cocommutative)
+from .complexes import CochainComplex, CochainSpace, cohomology_dims, require_cocommutative
 from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime, SchemaError
 from .hopf import HopfAlgebra, cyclic_group_table
 from .linalg import DENSE_RANK_CELLS, rank
@@ -258,15 +257,11 @@ def _unit_insert_columns(h: HopfAlgebra, slots: int):
     return columns
 
 
-@dataclass
-class HomotopyReport:
-    degrees: list  # (n, whether the identity at degree n holds)
-
-
-def contracting_homotopy_check(res: ResolutionComplex) -> HomotopyReport:
+def contracting_homotopy_check(res: ResolutionComplex) -> list:
     """Assemble h_n = projection . (prepend 1) . section on the resolution
     `res` and verify d_{n+1} h_n + h_{n-1} d_n = id, with the augmentation
-    conventions at degree 0, where eps . eta = 1 is checked as well."""
+    conventions at degree 0, where eps . eta = 1 is checked as well: one
+    pair (n, whether the identity at degree n holds) per degree."""
     h, top = res.hopf, res.top
     spaces = res.spaces
     homotopies = []
@@ -285,10 +280,10 @@ def contracting_homotopy_check(res: ResolutionComplex) -> HomotopyReport:
                    for n in range(1, top)]
     degrees = [(n, x.equals_identity()) for n, x in enumerate(identities)]
     degrees[0] = (0, degrees[0][1] and (res.augmentation @ unit_col).equals_identity())
-    return HomotopyReport(degrees)
+    return degrees
 
 
-def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyReport:
+def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
     """SH^0..SH^{top-1} from Hom_A(S_n, M) with the induced action; for a
     bimodule M, SHH(A, M) as SH(A, ad M) by the paper's theorem."""
     require_cocommutative(h)
@@ -297,8 +292,7 @@ def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> CohomologyRe
     res = sym_resolution_complex(h, top)
     spaces = [CochainSpace.of(hom_equivariant(h, s.module, coeffs)) for s in res.spaces]
     diffs = [cochain_precompose(b, coeffs.dim) for b in res.boundaries[1:]]
-    cpx = CochainComplex(h.field, top, spaces, diffs)
-    return CohomologyReport(cohomology_dims(cpx), "resolution")
+    return cohomology_dims(CochainComplex(h.field, top, spaces, diffs))
 
 
 # -- projectivity splitting --------------------------------------------------

@@ -30,9 +30,12 @@ columns (the empty section of a vanishing coinvariant degree); such a
 shape raises BudgetExceeded before anything is allocated.
 
 Bulk work passes triples that need not be canonical; `vals` None means
-every value is one.  An operator acts on triples through its column map
-`columns(idx)`, which returns the entries of the columns idx as (rows,
-position in idx, vals), grouped by position and sorted by row within it.
+every value is one.  Values already reduced are stored as they are
+passed, not copied, so matrices built on one value array share it (the
+slot swaps of a degree); no code writes into a stored array.  An
+operator acts on triples through its column map `columns(idx)`, which
+returns the entries of the columns idx as (rows, position in idx,
+vals), grouped by position and sorted by row within it.
 The map reads a pointer array, ptr[j]:ptr[j+1] being the entries of
 column j, built once per operator and sized by its last stored column:
 a lookup is an index, and a column past the last stored one is empty
@@ -309,7 +312,8 @@ def canonical(field: Field, rows, cols, vals, shape):
         if len(starts) < len(key):
             rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
             ones = False  # a sum of ones may vanish
-    vals = field.reduce(vals)
+    if not (ones or field.is_reduced(vals)):  # reduced values are kept, not copied
+        vals = field.reduce(vals)
     if not ones:
         keep = vals.astype(bool)
         if not keep.all():

@@ -139,8 +139,8 @@ def cochain_swap_sigmas(field, d: int, slots: int, m: int) -> list:
     i = 1..slots-1: (sigma_i f)(tup) = -f(tup with slots i-1, i exchanged).
 
     Each has one entry per cochain coordinate, so its triples come in
-    canonical order by column (the swap is an involution), and its columns
-    are 0..size-1: all of them share that one array.
+    canonical order by column (the swap is an involution), its columns
+    are 0..size-1 and its values -1: all of them share those two arrays.
     """
     cols = np.arange(d ** slots * m, dtype=np.int64)
     tup, j = np.divmod(cols, m)

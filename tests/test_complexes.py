@@ -140,6 +140,30 @@ def test_restrict_operator_returns_an_operator_on_a_full_space_without_a_product
     assert products
 
 
+def test_fixed_subcomplex_takes_the_fixed_points_of_a_full_space_without_a_product(monkeypatch):
+    # every degree of the nonhomogeneous realization is a full space, whose
+    # coordinates are the ambient ones: its fixed points are taken as they
+    # are, and no product is formed with its identity basis or coords
+    from symcoh.bar import nonhomogeneous_complex, sigma_nonhomogeneous
+    from symcoh.hopf import cyclic_group_table, group_algebra
+    from symcoh.modules import trivial_module
+    h = group_algebra(3, cyclic_group_table(3), GF3)
+    mod = trivial_module(h)
+    cpx = nonhomogeneous_complex(h, mod, 3)
+    ops = [sigma_nonhomogeneous(h, mod, n) for n in range(4)]
+    assert all(space.is_full for space in cpx.spaces)
+    identities = [space.basis for space in cpx.spaces] + [space.coords for space in cpx.spaces]
+    products = []
+    matmul = SparseMatrix.__matmul__
+    monkeypatch.setattr(SparseMatrix, "__matmul__",
+                        lambda a, b: products.append((a, b)) or matmul(a, b))
+    fixed = fixed_subcomplex(cpx, ops)
+    assert products
+    assert not any(x is eye for pair in products for x in pair for eye in identities)
+    assert [space.dim for space in fixed.spaces] == [1, 1, 1, 27]
+    assert cohomology_dims(fixed) == [1, 1, 1]
+
+
 def test_fixed_subcomplex_incompatible_raises():
     field = QQ
     spaces = [CochainSpace.full(field, 1), CochainSpace.full(field, 1)]

@@ -295,6 +295,8 @@ def test_swaps_of_a_degree_equal_the_tuple_oracle_and_share_one_column_array(fie
     sigmas = cochain_swap_sigmas(field, d, slots, m)
     assert len(sigmas) == slots - 1
     assert all(s.col_idx is sigmas[0].col_idx for s in sigmas)
+    # the values, all -1 and reduced as they are built, are one array as well
+    assert all(s.vals is sigmas[0].vals for s in sigmas)
     minus = field.neg(field.one())
     for i, sigma in enumerate(sigmas, 1):
         # (sigma_i f)(tup, j) = -f(tup with slots i-1, i exchanged, j)
