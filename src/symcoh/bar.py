@@ -87,10 +87,11 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int, levels: list)
 
     and the coords are its inverse F -> F(1 tensor -).  This holds for any
     Hopf algebra; the order of the legs matters only when A is not
-    cocommutative.  The action of S(a_(2)) on the n inner slots is
-    `diagonal_columns`: a permutation for a group algebra, the sparse
-    action of the tensor power of the regular module otherwise, whose
-    levels `levels` keeps across calls (see diagonal_columns).
+    cocommutative.  The action D_u of S(a_(2)) on the n inner slots is
+    read off its transposed column map (`diagonal_columns`: a permutation
+    for a group algebra, the sparse action of the tensor power of the
+    regular module otherwise, whose levels `levels` keeps across calls):
+    on every inner index y it gives the entries D_u[y, x] grouped by y.
     """
     d = h.dim
     m = mod.dim
@@ -105,12 +106,11 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int, levels: list)
     actions = {}
     acting = sorted({u for (u, _a), _t in blocks})
     entries = 0  # of the grids below, charged as each action arrives
-    for u, (columns, _transposed) in zip(acting, diagonal_columns(h, acting, n, levels)):
-        y, x, dv = columns(inner)
+    for u, transposed in zip(acting, diagonal_columns(h, acting, n, levels)):
+        x, y, dv = transposed(inner)
         entries += len(y) * sum(len(t[0]) for (v, _a), t in blocks if v == u)
         require_terms(entries, f"the equivariant basis on {slots} slots")
-        order = np.argsort(y)
-        actions[u] = (y[order], x[order], None if dv is None else dv[order])
+        actions[u] = (y, x, dv)
     # one grid per block: an action entry per row, a block entry per column
     grids = []
     for (u, a), (r, j, v) in blocks:

@@ -3,7 +3,8 @@ computation, and emit a deterministic report.
 
 Exit codes: 0 success, 1 validation or assertion failure, 2 schema
 error, 3 budget exceeded, 4 internal cross-check/assertion failure.  Every
-mode but `validate` refuses an algebra that fails a Hopf axiom with exit 1.
+mode but `validate` refuses an algebra that fails a Hopf axiom with exit 1,
+and a flag that it does not read (`MODE_FLAGS`) with exit 2.
 
 Each layer above the Hopf algebra (modules, the bar and resolution routes,
 the Hochschild checks) is imported where a mode dispatches to it, so a
@@ -223,6 +224,8 @@ def _emit(report: dict, fmt: str):
                   f"{str(row['is_free']):>5}")
     for check in report["checks"]:
         print(f"check {check['name']}: {'pass' if check['pass'] else 'FAIL'}")
+    if "error" in report:
+        print(f"error {report['error']['code']}: {report['error']['reason']}")
 
 
 # -- main --------------------------------------------------------------------
@@ -245,13 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--max-degree", type=int, default=5)
     ap.add_argument("--cross-check", dest="both_routes", action="store_true",
                     help="run both realizations/routes and compare")
-    ap.add_argument("--route", choices=["bar", "resolution"], default="bar",
-                    help="complex family for SH/SHH/corollary-check")
+    ap.add_argument("--route", choices=["bar", "resolution"], default=None,
+                    help="complex family for SH/SHH/corollary-check (default bar)")
     ap.add_argument("--format", choices=["json", "table"], default="table")
     return ap
 
 
+# the optional flags each mode reads, by argparse destination; a mode
+# refuses any other that is given
+FLAGS = {"module": "--module", "both_routes": "--cross-check", "route": "--route"}
+MODE_FLAGS = {"H": {"module"}, "HH": {"module"}, "SH": set(FLAGS), "SHH": set(FLAGS),
+              "compare-adjoint": {"module"}, "corollary-check": {"route"}}
+
+
 def run(args) -> tuple[dict, int]:
+    for dest, flag in FLAGS.items():
+        if getattr(args, dest) and dest not in MODE_FLAGS.get(args.mode, ()):
+            raise SchemaError(f"{flag} is not read by --mode {args.mode}")
     if args.max_degree < 1:
         raise SchemaError("max-degree must be at least 1")
     field_override = parse_field_flag(args.field) if args.field else None

@@ -9,17 +9,21 @@ permutations only move tensor slots: Lambda^(n+1) A away from
 characteristic 2 (repeated-entry tensors die and every tuple equals its
 sorted form up to the permutation sign), Sym^(n+1) A in characteristic 2
 (every tuple equals its sorted form).  Away from characteristic 2 all is
-built on the d!/(d-n-1)! nonzeros of the projection P: P itself, the
-induced maps and their self-checks (X descends exactly when X =
-(X . section) . P, checked transposed on the rows of P), so no array spans
+built on the d!/(d-n-1)! nonzeros of the projection P, so no array spans
 A^(tensor n+1); in characteristic 2, P spans it.  `_require_ambient` still
 charges d^(n+1), up to DENSE_RANK_CELLS coordinates.
 
-Every induced map stays sparse: the module actions, the boundaries, the
-augmentation, the contracting homotopy and the splitting maps are
-`SparseMatrix`, and their self-checks compare sparse composites, so no
-dense product is formed.  Only ranks densify, and those of exactness and
-of the Hom route go through `complexes.cohomology_dims`.
+The descent check is the construction (`_descend`): an operator X =
+target . op out of A^(tensor n+1) is formed as X^T = op^T target^T from
+the transposed column map of op, on the rows of P, its induced map X . S
+is read off X's section columns, and X = (X . S) . P certifies it.  The
+module actions, the boundaries and the splitting map phi are built so;
+the augmentation is the counit on the section, and the contracting
+homotopy and psi read P through its binary-search column map.  Every
+induced map is a `SparseMatrix`, and the self-checks compare sparse
+composites, so no dense product is formed.  Only ranks densify, and
+those of exactness and of the Hom route go through
+`complexes.cohomology_dims`.
 
 SHH needs no second resolution: SHH(A, M) = SH(A, ad M), the paper's
 theorem, so the Hom route takes Hom_A(S_n, ad M) out of the same one.
@@ -39,9 +43,9 @@ from .hopf import HopfAlgebra, cyclic_group_table
 from .linalg import DENSE_RANK_CELLS, rank
 from .modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
                       regular_left_module, tensor_module, validate_module)
-from .sparse import SparseMatrix, apply_columns, field_array
-from .tensors import (bar_chain_columns, bar_chain_transpose_columns, cochain_precompose,
-                      delete_slot, diagonal_columns, flat, swap_slots)
+from .sparse import SparseMatrix, apply_columns, field_array, kron
+from .tensors import (bar_chain_transpose_columns, cochain_precompose, diagonal_columns, flat,
+                      swap_slots)
 
 
 class CoinvariantSpace:
@@ -123,18 +127,7 @@ def _sorted_tuple_coinvariants(fld, d, slots):
     return projection, section, labels
 
 
-def _induced(fld, rows, section, columns, project=None) -> SparseMatrix:
-    """op . section, or project . op . section, as a sparse matrix with
-    `rows` rows: an induced action, boundary, augmentation or homotopy,
-    never densified.  op and project are column maps, and op is
-    evaluated on the section's columns only."""
-    image = apply_columns(fld, columns, section.triples())
-    if project is not None:
-        image = apply_columns(fld, project, image)
-    return SparseMatrix(fld, rows, section.cols, image)
-
-
-def _check_quotient(h: HopfAlgebra, space: CoinvariantSpace, project):
+def _check_quotient(h: HopfAlgebra, space: CoinvariantSpace):
     """Certify ker P = the relations swap_i(v) + v: P swap_i = -P (2v = 0
     on equal slots i-1, i), P . section = 1, and dim is the closed form."""
     fld, p = h.field, space.projection
@@ -143,42 +136,43 @@ def _check_quotient(h: HopfAlgebra, space: CoinvariantSpace, project):
                                                   fld.neg(v))) == p
                for i in range(1, space.slots)):
         raise AssertionError("projection does not kill the relations")
-    split = SparseMatrix(fld, p.rows, p.rows, apply_columns(fld, project, space.section.triples()))
+    split = SparseMatrix(fld, p.rows, p.rows, apply_columns(fld, p.column_map(search=True),
+                                                            space.section.triples()))
     if not split.equals_identity() or \
             p.rows != coinvariant_dim(h.dim, space.degree, fld.characteristic):
         raise AssertionError("projection . section != id on the closed-form dimension")
 
 
-def _require_descent(fld, transposed, target_t, source_t, induced, message, columns=None):
-    """Raise unless X = target . op descends from source, X = (X . S) . P with
-    induced = X . S: op^T target^T == P^T induced^T on the rows of P, op^T by
-    `transposed`; a permutation op (`columns`) must be inverted by it there."""
-    image = apply_columns(fld, transposed, target_t.triples())
-    inverts = columns is None or all(np.array_equal(a, b) for a, b in zip(
-        apply_columns(fld, columns, image), target_t.triples()))
-    if not (inverts and SparseMatrix(fld, source_t.rows, target_t.cols, image) ==
-            source_t @ induced.transpose()):
+def _descend(fld, transposed, target_t, section, projection, message) -> SparseMatrix:
+    """X . S for X = target . op, certified to descend to the coinvariants
+    of P = `projection`, S = `section`: X^T = op^T target^T is formed on the
+    rows of target^T, op^T by its column map `transposed`, X . S is read
+    off X's section columns, and unless X = (X . S) . P, `message` is raised."""
+    r, c, v = apply_columns(fld, transposed, target_t.triples())
+    x = SparseMatrix(fld, target_t.cols, projection.cols, (c, r, v))
+    induced = SparseMatrix(fld, x.rows, section.cols,
+                           apply_columns(fld, x.column_map(search=True), section.triples()))
+    if x != induced @ projection:
         raise AssertionError(message)
+    return induced
 
 
 def coinvariant_space(h: HopfAlgebra, n: int, levels: list) -> CoinvariantSpace:
     """The degree-n coinvariant space of A^(tensor n+1), on the sorted-tuple
     basis (Lambda^(n+1) A, or Sym^(n+1) A in characteristic 2), certified
     as the quotient by the swap relations.  Each diagonal action is
-    induced, checked to descend and dropped in turn; `levels` keeps the
-    levels of the tensor power across calls (see diagonal_columns)."""
+    induced by `_descend` and dropped in turn; `levels` keeps the levels
+    of the tensor power across calls (see diagonal_columns)."""
     d, fld = h.dim, h.field
     _require_ambient(h, n)
     space = CoinvariantSpace(n, *_sorted_tuple_coinvariants(fld, d, n + 1), None)
     action = []
     if space.dim:
-        project = space.projection.column_map(search=True)
-        _check_quotient(h, space, project)
+        _check_quotient(h, space)
         p_t = space.projection.transpose()
-        for op, op_t in diagonal_columns(h, range(d), n + 1, levels):
-            action.append(_induced(fld, space.dim, space.section, op, project))
-            _require_descent(fld, op_t, p_t, p_t, action[-1], "induced action is not well-defined",
-                             op if h.group_like else None)
+        action = [_descend(fld, op_t, p_t, space.section, space.projection,
+                           "induced action is not well-defined")
+                  for op_t in diagonal_columns(h, range(d), n + 1, levels)]
     space.module = LeftModule(space.dim, action or [SparseMatrix(fld, 0, 0)] * d)
     validate_module(h, space.module)
     return space
@@ -227,21 +221,14 @@ def sym_resolution_complex(h: HopfAlgebra, top: int) -> ResolutionComplex:
     _require_ambient(h, top)
     levels = []
     spaces = [coinvariant_space(h, n, levels) for n in range(top, -1, -1)][::-1]
-    transposed = [s.projection.transpose() for s in spaces]
-    fld = h.field
     boundaries = [None]
     for n in range(1, top + 1):
-        if spaces[n].dim == 0:
-            boundaries.append(SparseMatrix(fld, spaces[n - 1].dim, 0))
-            continue
-        below = spaces[n - 1]
-        boundaries.append(_induced(fld, below.dim, spaces[n].section, bar_chain_columns(h, n),
-                                   below.projection.column_map(search=True)))
-        _require_descent(fld, bar_chain_transpose_columns(h, n), transposed[n - 1],
-                         transposed[n], boundaries[-1], "induced boundary is not well-defined")
+        below, here = spaces[n - 1], spaces[n]
+        boundaries.append(SparseMatrix(h.field, below.dim, 0) if here.dim == 0 else _descend(
+            h.field, bar_chain_transpose_columns(h, n), below.projection.transpose(),
+            here.section, here.projection, "induced boundary is not well-defined"))
     # the augmentation deletes slot 0 by the counit
-    aug = _induced(fld, 1, spaces[0].section, bar_chain_columns(h, 0))
-    return ResolutionComplex(h, top, spaces, boundaries, aug)
+    return ResolutionComplex(h, top, spaces, boundaries, h.maps.counit @ spaces[0].section)
 
 
 def _unit_insert_columns(h: HopfAlgebra, slots: int):
@@ -271,8 +258,9 @@ def contracting_homotopy_check(res: ResolutionComplex) -> list:
         if not spaces[n].dim:  # no unit insertion on the indices of a vanishing degree
             homotopies.append(SparseMatrix(fld, above.rows, 0))
             continue
-        homotopies.append(_induced(fld, above.rows, spaces[n].section,
-                                   _unit_insert_columns(h, n + 1), above.column_map(search=True)))
+        image = apply_columns(fld, _unit_insert_columns(h, n + 1), spaces[n].section.triples())
+        homotopies.append(SparseMatrix(fld, above.rows, spaces[n].dim,
+                                       apply_columns(fld, above.column_map(search=True), image)))
     # unit section k -> S_0 followed by the augmentation
     unit_col = spaces[0].projection @ h.maps.unit
     identities = [res.boundaries[1] @ homotopies[0] + unit_col @ res.augmentation]
@@ -328,31 +316,27 @@ def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
     if not sn.dim:  # a vanishing degree has no ambient indices to work on
         return SplittingReport(SparseMatrix(fld, d * sm.dim, 0), SparseMatrix(fld, 0, d * sm.dim),
                                True, True)
-    inv_np1 = fld.inv(fld.from_int(n + 1))
+    # phi: the face map tau -> sum_i (-1)^i/(n+1) tau_i tensor (tau without
+    # slot i), projected to A tensor S_(n-1), through the transpose that
+    # inserts a into sigma before slot i
+    inv = fld.inv(fld.from_int(n + 1))
+    signed = field_array(fld, [inv, fld.neg(inv)])[np.arange(n + 1) % 2]
+    place = d ** (n - np.arange(n + 1, dtype=np.int64))  # d^(digits after the insertion)
 
-    # ambient face map: tau -> sum_i (-1)^i tau_i tensor (tau without i)
-    project = sm.projection.column_map()
-    idx = np.arange(d ** (n + 1), dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for i in range(n + 1):
-        r, pos, v = project(delete_slot(idx, d, n + 1, i))
-        rows.append(idx[pos] // d ** (n - i) % d * sm.dim + r)
-        cols.append(idx[pos])
-        scale = fld.mul(inv_np1, fld.one() if i % 2 == 0 else fld.neg(fld.one()))
-        vals.append(fld.reduce(v * scale))
-    amb = SparseMatrix(fld, d * sm.dim, d ** (n + 1),
-                       [np.concatenate(part) for part in (rows, cols, vals)])
-    phi = amb @ sn.section
-    # well-definedness on the quotient: amb = (amb . section) . projection
-    if amb != phi @ sn.projection:
-        raise AssertionError("phi is not well-defined on the coinvariants")
+    def face_t(idx):
+        a, rest = np.divmod(idx, d ** n)
+        high, low = np.divmod(rest[:, None], place)
+        return (((high * d + a[:, None]) * place + low).reshape(-1),
+                np.repeat(np.arange(len(idx), dtype=np.int64), n + 1), np.tile(signed, len(idx)))
 
-    # retraction: a tensor (section column j) -> the class of (a, section column j)
+    phi = _descend(fld, face_t, kron(SparseMatrix.identity(fld, d), sm.projection.transpose()),
+                   sn.section, sn.projection, "phi is not well-defined on the coinvariants")
+    # psi: a tensor (section column j) -> the class of (a, section column j)
     r, c, v = sm.section.triples()
     a = np.repeat(np.arange(d, dtype=np.int64), len(r))
-    lift = SparseMatrix(fld, d ** (n + 1), d * sm.dim,
-                        (a * d ** n + np.tile(r, d), a * sm.dim + np.tile(c, d), np.tile(v, d)))
-    psi = sn.projection @ lift
+    lift = (a * d ** n + np.tile(r, d), a * sm.dim + np.tile(c, d), np.tile(v, d))
+    psi = SparseMatrix(fld, sn.dim, d * sm.dim,
+                       apply_columns(fld, sn.projection.column_map(search=True), lift))
     # both maps must commute with the A-actions (diagonal on A tensor S_{n-1})
     tensor_action = tensor_module(h, regular_left_module(h), sm.module).action
     equivariant_ok = all(phi @ x == y @ phi and psi @ y == x @ psi

@@ -6,20 +6,23 @@ with the leftmost factor most significant; a cochain with values in an
 m-dimensional module puts component (tuple, j) at flat(tuple) * m + j.
 Digit k of a flat index idx on t slots is idx // d**(t-1-k) % d, so the
 operators below are built as numpy arithmetic on arrays of flat indices.
-Each has a column map `columns(idx) -> (rows, position in idx, vals)`
-(see sparse.py): the diagonal action and the counit-deletion chain map,
-each with its transpose.
+Each operator has one column map, that of its transpose
+(`columns(idx) -> (rows, position in idx, vals)`, see sparse.py): the
+diagonal action of a basis element and the counit-deletion chain map.
+The resolution's descent check reads the induced maps off it (see
+resolution.py), and the equivariant basis reads D_u grouped by row.
 The cochain operators (precomposition with a chain map, X tensor id_M
 from the canonical triples of X, signed slot swaps) are SparseMatrix
 triples built by the same arithmetic.  No operator here multiplies from
 the right: bimodule coefficients reach the homogeneous constructions as
 the left module ad M (see bar.py).
 
-The diagonal action of a group element permutes flat indices, computed
-only on the columns asked for; for any other algebra it is that of the
-tensor power of the regular module, each level's kron terms charged first,
-and the caller passes the list that keeps the levels formed for one slot
-count for the next.  The counit is read off its sparse map.
+The diagonal action of a group element permutes flat indices, so its
+transpose is that of the inverse element, computed only on the columns
+asked for; for any other algebra it is the transpose of the action of
+the tensor power of the regular module, each level's kron terms charged
+first, and the caller passes the list that keeps the levels formed for
+one slot count for the next.  The counit is read off its sparse map.
 """
 
 from __future__ import annotations
@@ -38,12 +41,6 @@ def flat(tup, d: int) -> int:
     return idx
 
 
-def delete_slot(idx: np.ndarray, d: int, slots: int, i: int) -> np.ndarray:
-    """Flat indices on slots-1 slots: the tuples with slot i removed."""
-    low = d ** (slots - 1 - i)
-    return idx // (low * d) * low + idx % low
-
-
 def swap_slots(idx: np.ndarray, d: int, slots: int, i: int) -> np.ndarray:
     """Flat indices of the tuples with slots i-1 and i exchanged."""
     high = d ** (slots - i)
@@ -59,37 +56,9 @@ def all_columns(size: int):
     return idx, idx, None
 
 
-def bar_chain_columns(h: HopfAlgebra, n: int):
-    """Column map of the homogeneous chain map A^(n+1) -> A^n: alternating
-    counit deletions of slots 0..n.  The entries of each column come sorted
-    by row; entries that cancel are left for the caller to sum."""
-    d = h.dim
-    slots = n + 1
-    eps = h.maps.counit.to_dense().data[0]
-    signed = np.stack([eps, h.field.neg(eps)])
-    alive = eps.astype(bool)
-    place = d ** (slots - 1 - np.arange(n + 1, dtype=np.int64))  # of slots 0..n
-
-    def columns(idx):
-        rows = np.stack([delete_slot(idx, d, slots, i) for i in range(n + 1)], axis=1)
-        # per column, the deleted slot of each entry in the order of its row
-        slot = np.argsort(rows, axis=1, kind="stable")
-        rows = np.take_along_axis(rows, slot, axis=1).reshape(-1)
-        digit = place[slot]
-        np.floor_divide(idx[:, None], digit, out=digit)
-        digit %= d
-        vals = signed[slot % 2, digit].reshape(-1)
-        pos = np.repeat(np.arange(len(idx), dtype=np.int64), n + 1)
-        live = alive[digit].reshape(-1)
-        if live.all():
-            return rows, pos, vals
-        return rows[live], pos[live], vals[live]
-
-    return columns
-
-
 def bar_chain_transpose_columns(h: HopfAlgebra, n: int):
-    """Column map of the transpose of bar_chain_columns(h, n), A^n -> A^(n+1):
+    """Column map of the transpose of the homogeneous chain map
+    A^(n+1) -> A^n, the alternating counit deletions of slots 0..n:
     (-1)^i eps(x) at the tuple with x inserted before slot i, for i = 0..n
     and every x with eps(x) != 0.  The entries of a column are not sorted
     by row, and those that meet are left for the caller to sum."""
@@ -169,21 +138,20 @@ def _slotwise(row: np.ndarray, d: int, slots: int):
 
 
 def diagonal_columns(h: HopfAlgebra, elements, slots: int, levels: list):
-    """(column map, transposed column map) of the diagonal actions of the
-    basis elements `elements` on A^(tensor slots), yielded one at a time.
+    """The transposed column maps of the diagonal actions of the basis
+    elements `elements` on A^(tensor slots), yielded one at a time.
     For a group algebra: the permutation of flat indices that left
-    multiplication on every slot induces, and that of the inverse element.
-    Otherwise: the action of the tensor power of the regular module (the
-    counit on 0 slots), its last level formed one element at a time, each
-    charged first (modules.tensor_actions), and its transpose when asked.
+    multiplication by the inverse element on every slot induces.
+    Otherwise: the transpose of the action of the tensor power of the
+    regular module (the counit on 0 slots), its last level formed one
+    element at a time, each charged first (modules.tensor_actions).
     `levels`, a list kept across calls, holds the whole levels formed so
     far (level k on k slots), so that each is formed once: a call for the
     most slots first leaves the levels that the calls for fewer read."""
     if h.group_like:
         table = np.asarray(h.group_table, dtype=np.int64)
         for b in elements:
-            yield (_slotwise(table[b], h.dim, slots),
-                   _slotwise(table[h.group_inverse[b]], h.dim, slots))
+            yield _slotwise(table[h.group_inverse[b]], h.dim, slots)
         return
     regular = regular_left_module(h)
     if not levels:
@@ -193,4 +161,4 @@ def diagonal_columns(h: HopfAlgebra, elements, slots: int, levels: list):
     for b in elements:
         action = (levels[slots].action[b] if len(levels) > slots
                   else tensor_actions(h, levels[-1], regular, [b])[0])
-        yield action.column_map(), lambda idx, a=action: a.transpose().column_map()(idx)
+        yield action.transpose().column_map()

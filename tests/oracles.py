@@ -12,8 +12,12 @@ the diagonal-action oracle is the tuple-by-tuple Sweedler expansion that
 stacked kernel is the one-elimination common kernel that
 `symcoh.linalg.intersect_kernels` computes one constraint at a time, and
 that `symcoh.complexes` reads off orbits for monomial generators.  The
-chain map, formed whole, is the reference for the homogeneous
-differential that `symcoh.bar` builds from its transposed column map.
+chain map, built tuple by tuple, is the reference for the transposed
+column map of `symcoh.tensors` and for the homogeneous differential that
+`symcoh.bar` builds from it.  The splitting maps, formed on the whole
+ambient (the face map over every tuple, and the projection of the lift),
+are the reference for those that `symcoh.resolution.splitting_maps`
+reads off the descent check on the support of the projection.
 The scalar Gauss-Jordan elimination and the triple-loop product work on
 lists of rows, one field operation at a time, against the array kernels
 of `symcoh.linalg` (one echelon routine, the float64 product over GF(p)
@@ -53,8 +57,8 @@ from symcoh.fields import Field
 from symcoh.hopf import HopfAlgebra, iterated_comult
 from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank
 from symcoh.modules import Bimodule, LeftModule, hom_equivariant, trivial_module
-from symcoh.sparse import SparseMatrix, apply_columns, combination, kron
-from symcoh.tensors import all_columns, bar_chain_columns, flat, swap_slots
+from symcoh.sparse import SparseMatrix, combination, kron
+from symcoh.tensors import flat, swap_slots
 
 
 def all_tuples(d: int, length: int):
@@ -263,13 +267,22 @@ def stacked_kernel(field, mats) -> Subspace:
 
 
 def bar_chain_diff(h: HopfAlgebra, n: int) -> SparseMatrix:
-    """The chain map of `bar_chain_columns` A^(n+1) -> A^n as a sparse
-    matrix, read column by column; precomposed with it
-    (`cochain_precompose`), it is the homogeneous differential that
-    `symcoh.bar` reads off the transposed column map in batches."""
-    cols = h.dim ** (n + 1)
-    return SparseMatrix(h.field, h.dim ** n, cols,
-                        apply_columns(h.field, bar_chain_columns(h, n), all_columns(cols)))
+    """The homogeneous chain map A^(n+1) -> A^n, the alternating counit
+    deletions of slots 0..n, built tuple by tuple from the input counit.
+    Its transpose is `symcoh.tensors.bar_chain_transpose_columns`, and
+    precomposed with it (`cochain_precompose`) it is the homogeneous
+    differential that `symcoh.bar` reads off that column map in batches."""
+    fld, d = h.field, h.dim
+    index = {tup: i for i, tup in enumerate(all_tuples(d, n))}
+    rows, cols, vals = [], [], []
+    for col, tup in enumerate(all_tuples(d, n + 1)):
+        for i in range(n + 1):
+            eps = h.counit[tup[i]]
+            if eps != 0:
+                rows.append(index[tup[:i] + tup[i + 1:]])
+                cols.append(col)
+                vals.append(eps if i % 2 == 0 else fld.neg(eps))
+    return SparseMatrix(fld, d ** n, d ** (n + 1), (rows, cols, vals) if rows else None)
 
 
 def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
@@ -307,6 +320,39 @@ def coinvariant_quotient(h: HopfAlgebra, n: int):
             relations._set(v, col, h.field.add(relations[v, col], one))
             relations._set(w, col, h.field.add(relations[w, col], one))
     return quotient(size, relations)
+
+
+def splitting_oracle(h: HopfAlgebra, n: int):
+    """(phi, psi) of `symcoh.resolution.splitting_maps` formed on the whole
+    ambient: phi from the face map tau -> sum_i (-1)^i/(n+1) tau_i tensor
+    P(tau without slot i) over all d^(n+1) tuples, on the section, with
+    face = phi . P asserted; psi as the projection of the lift
+    a tensor (section column j) -> (a, section column j)."""
+    from symcoh.resolution import coinvariant_space
+    d, fld = h.dim, h.field
+    levels = []
+    sn, sm = coinvariant_space(h, n, levels), coinvariant_space(h, n - 1, levels)
+    if not sn.dim:  # a vanishing degree: the empty maps
+        return SparseMatrix(fld, d * sm.dim, 0), SparseMatrix(fld, 0, d * sm.dim)
+    inv = fld.inv(fld.from_int(n + 1))
+    project = sm.projection.column_map()
+    idx = np.arange(d ** (n + 1), dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for i in range(n + 1):
+        low = d ** (n - i)
+        r, pos, v = project(idx // (low * d) * low + idx % low)  # slot i deleted
+        rows.append(idx[pos] // low % d * sm.dim + r)
+        cols.append(idx[pos])
+        vals.append(fld.reduce(v * (inv if i % 2 == 0 else fld.neg(inv))))
+    face = SparseMatrix(fld, d * sm.dim, d ** (n + 1),
+                        [np.concatenate(part) for part in (rows, cols, vals)])
+    phi = face @ sn.section
+    assert face == phi @ sn.projection, "phi is not well-defined on the coinvariants"
+    r, c, v = sm.section.triples()
+    a = np.repeat(np.arange(d, dtype=np.int64), len(r))
+    lift = SparseMatrix(fld, d ** (n + 1), d * sm.dim,
+                        (a * d ** n + np.tile(r, d), a * sm.dim + np.tile(c, d), np.tile(v, d)))
+    return phi, sn.projection @ lift
 
 
 def gauss_jordan(field, rows, cols: int):

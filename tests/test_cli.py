@@ -413,6 +413,36 @@ def test_not_commutative_exit_code(capsys):
     assert "NotCommutative" in report["error"]["reason"]
 
 
+def test_table_format_prints_the_error(capsys):
+    # a refused run prints its code and reason after the mode line, as the
+    # JSON report carries them
+    code, out = run_cli(capsys, "--algebra", "S3", "--field", "gf:5",
+                        "--mode", "corollary-check", "--max-degree", "3")
+    assert code == 1
+    assert out == ("mode: corollary-check\n"
+                   "error 1: NotCommutative: the factorization needs a commutative algebra\n")
+
+
+# the modes that read each optional flag, stated here apart from cli.MODE_FLAGS
+READ_BY = {"--cross-check": ("SH", "SHH"), "--route": ("SH", "SHH", "corollary-check"),
+           "--module": ("H", "SH", "HH", "SHH", "compare-adjoint")}
+FLAG_VALUES = {"--cross-check": (), "--route": ("bar",), "--module": ("trivial",)}
+ALL_MODES = ("H", "SH", "HH", "SHH", "resolution", "cp-table", "validate", "compare-adjoint",
+             "corollary-check")
+UNREAD = [(mode, flag) for flag, modes in READ_BY.items() for mode in ALL_MODES
+          if mode not in modes]
+
+
+@pytest.mark.parametrize("mode,flag", UNREAD, ids=[f"{m}{f}" for m, f in UNREAD])
+def test_a_flag_that_the_mode_does_not_read_is_a_schema_error(capsys, mode, flag):
+    # given even at its default value, the flag would be silently ignored
+    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3", "--mode", mode,
+                            "--max-degree", "3", flag, *FLAG_VALUES[flag])
+    assert code == 2
+    assert report["dims"] == []
+    assert report["error"] == {"code": 2, "reason": f"{flag} is not read by --mode {mode}"}
+
+
 def test_inline_algebra_roundtrip(tmp_path, capsys):
     h = group_algebra(3, cyclic_group_table(3), GF3)
     path = tmp_path / "kc3.json"

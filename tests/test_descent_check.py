@@ -1,7 +1,8 @@
 """The descent criterion of the coinvariant resolution, X = (X . section) .
-projection compared transposed on the support of the projection, agrees
-with the tuple-by-tuple oracle on random small operators, passing and
-failing.  Every tensor slot is permuted, as in the resolution."""
+projection with X formed transposed on the support of the projection,
+agrees with the tuple-by-tuple oracle on random small operators, passing
+and failing, and where it passes the map it returns is X . section.
+Every tensor slot is permuted, as in the resolution."""
 
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import descends_to_quotient
 from symcoh.fields import Field
-from symcoh.resolution import _require_descent, _sorted_tuple_coinvariants
+from symcoh.resolution import _descend, _sorted_tuple_coinvariants
 from symcoh.sparse import SparseMatrix
 
 FIELDS = [Field.prime(2), Field.prime(3), Field.prime(5), Field.rationals()]
@@ -64,17 +65,19 @@ def operators(draw):
 
 
 def _descends(field, d, slots, op) -> bool:
-    """The resolution's criterion for op, a map out of A^(tensor slots):
-    op^T (the identity)^T == P^T (op . section)^T."""
+    """The resolution's criterion for op, a map out of A^(tensor slots),
+    with the identity as target: op == (op . section) . P.  Where it
+    passes, the induced map it returns must be op . section."""
     projection, section, labels = _sorted_tuple_coinvariants(field, d, slots)
     if not labels:  # the coinvariants vanish: only zero descends
         return op.is_zero()
     try:
-        _require_descent(field, op.transpose().column_map(),
-                         SparseMatrix.identity(field, op.rows), projection.transpose(),
-                         op @ section, "does not descend")
+        induced = _descend(field, op.transpose().column_map(),
+                           SparseMatrix.identity(field, op.rows), section, projection,
+                           "does not descend")
     except AssertionError:
         return False
+    assert induced == op @ section
     return True
 
 

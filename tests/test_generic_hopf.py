@@ -184,9 +184,8 @@ def test_diagonal_action_is_exact_with_large_structure_constants():
                      Matrix.from_rows(f, [[1, 1518500247, 7], [0, 1, 1518500249], [0, 0, 1]]))
     assert max(c for row in h.mult for cell in row for c in cell.values()) > 1 << 31
     for slots in (1, 2, 3):
-        for b, (columns, _transposed) in zip(range(h.dim),
-                                             diagonal_columns(h, range(h.dim), slots, [])):
-            got = canonical(f, *apply_columns(f, columns, all_columns(h.dim ** slots)),
+        for b, transposed in zip(range(h.dim), diagonal_columns(h, range(h.dim), slots, [])):
+            got = canonical(f, *apply_columns(f, transposed, all_columns(h.dim ** slots)),
                             shape=(h.dim ** slots,) * 2)
             assert [a.tolist() for a in got] == \
-                [a.tolist() for a in oracle_diagonal_action(h, b, slots).triples()]
+                [a.tolist() for a in oracle_diagonal_action(h, b, slots).transpose().triples()]

@@ -17,7 +17,8 @@ from symcoh.resolution import (coinvariant_space, contracting_homotopy_check,
                                sym_resolution_complex)
 
 from oracles import (coinvariant_quotient, cp_orbit_walk, diagonal_action,
-                     sorted_tuple_projection, vstack)
+                     sorted_tuple_projection, splitting_oracle, vstack)
+from restricted import restricted_enveloping
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
@@ -402,6 +403,33 @@ def test_splitting_rational_s3():
     h = kS3(QQ)
     for n in (1, 2, 3):
         report = splitting_maps(h, n)
+        assert report.retract_ok and report.equivariant_ok
+
+
+SPLITTING_ALGEBRAS = {
+    "kC3-GF5": lambda: kC(3, GF5),
+    "kC3-Q": lambda: kC(3, QQ),
+    "kS3-GF5": lambda: kS3(GF5),
+    "kS3-Q": lambda: kS3(QQ),
+    "scrambled-kC3": scrambled_kc3,
+    "u1-gf5": lambda: restricted_enveloping(5),
+}
+
+
+@pytest.mark.parametrize("name", SPLITTING_ALGEBRAS)
+def test_splitting_maps_equal_the_ambient_oracle(name):
+    # phi read off the descent check on the support of P and psi read
+    # through P's binary-search column map, against the face map over every
+    # ambient tuple and the projection of the lift, at each n = 1..3 where
+    # the characteristic does not divide n+1 (kC3 vanishes at n = 3)
+    h = SPLITTING_ALGEBRAS[name]()
+    p = h.field.characteristic
+    degrees = [n for n in (1, 2, 3) if not p or (n + 1) % p]
+    assert degrees
+    for n in degrees:
+        report = splitting_maps(h, n)
+        phi, psi = splitting_oracle(h, n)
+        assert report.phi == phi and report.psi == psi, n
         assert report.retract_ok and report.equivariant_ok
 
 

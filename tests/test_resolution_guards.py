@@ -12,8 +12,10 @@ one entry of one of those inputs and expects the check to fail, on kC3 in
 its group basis ("fast": the diagonal action is a permutation) and in a
 basis with no group-like elements ("generic": the diagonal action is that
 of the sparse tensor power of the regular module), over GF(5) and Q.  The
-diagonal actions are checked to descend one at a time, as each is built.
-A sign flipped on an unsorted tuple of the projection keeps
+diagonal actions are induced and checked to descend one at a time, from
+their transposed column maps, and so are the boundaries, from the
+transposed chain map; the corruptions of both are made there.  A sign
+flipped on an unsorted tuple of the projection keeps
 projection . section = 1, so only the check that the projection kills the
 relations can see it; a corrupted action entry at a section column
 changes the induced action, which then fails to descend.
@@ -35,9 +37,9 @@ from test_generic_hopf import scrambled_kc3
 
 FIELDS = {"GF5": Field.prime(5), "Q": Field.rationals()}
 
-# the column map (see symcoh.sparse) of the ambient chain map the checks
-# project, by its name in `resolution`
-CHAIN_MAP = "bar_chain_columns"
+# the transposed column map (see symcoh.sparse) of the ambient chain map
+# that the boundaries descend from, by its name in `resolution`
+CHAIN_MAP = "bar_chain_transpose_columns"
 
 
 def kc3(field):
@@ -90,8 +92,9 @@ def _bump_entry(field, columns, row, col):
 
 
 def _corrupt_chain(monkeypatch, degree, d):
-    """Change the entry of the plain degree-`degree` boundary that deletes
-    slot 0 of (0, 1, ..., degree)."""
+    """Change the entry of the transposed plain degree-`degree` boundary
+    that inserts slot 0 of (0, 1, ..., degree): the transpose of the entry
+    that deletes it."""
     original = getattr(resolution, CHAIN_MAP)
     tup = tuple(range(degree + 1))
 
@@ -99,7 +102,7 @@ def _corrupt_chain(monkeypatch, degree, d):
         op = original(h, n)
         if n != degree:
             return op
-        return _bump_entry(h.field, op, _flat(tup[1:], d), _flat(tup, d))
+        return _bump_entry(h.field, op, _flat(tup, d), _flat(tup[1:], d))
 
     monkeypatch.setattr(resolution, CHAIN_MAP, chain)
 
@@ -218,17 +221,17 @@ def test_sign_flip_on_an_unsorted_tuple_is_caught(monkeypatch, field_name, make)
 @pytest.mark.parametrize("field_name", sorted(FIELDS))
 @pytest.mark.parametrize("make", BASES)
 def test_corrupted_action_at_a_section_column_is_caught(monkeypatch, field_name, make):
-    # the action of b_1 on A tensor A gets its entry at the section column
-    # (0, 1), on the row of that same tuple, changed
+    # the transposed action of b_1 on A tensor A gets its entry at the
+    # section column (0, 1), on the row of that same tuple, changed
     h = make(FIELDS[field_name])
     original = resolution.diagonal_columns
     tup = _flat((0, 1), h.dim)
 
     def diagonal(h, elements, slots, levels):
-        for b, (columns, transposed) in zip(elements, original(h, elements, slots, levels)):
+        for b, transposed in zip(elements, original(h, elements, slots, levels)):
             if b == 1 and slots == 2:
-                columns = _bump_entry(h.field, columns, tup, tup)
-            yield columns, transposed
+                transposed = _bump_entry(h.field, transposed, tup, tup)
+            yield transposed
 
     monkeypatch.setattr(resolution, "diagonal_columns", diagonal)
     with pytest.raises(AssertionError, match="induced action"):

@@ -317,11 +317,10 @@ def test_builders_emit_triples_in_canonical_order(field, monkeypatch):
     h = group_algebra(6, symmetric_group_table(3), field)
     chain = bar_chain_diff(h, 3)
     seen = _keys_seen(monkeypatch)
-    built = [bar_chain_diff(h, 3), cochain_precompose(chain, 3),
-             *cochain_swap_sigmas(field, 3, 4, 2)]
+    built = [cochain_precompose(chain, 3), *cochain_swap_sigmas(field, 3, 4, 2)]
     # precompose sorts the transpose of the chain map, m times smaller; the
     # three swaps of 4 slots come sorted
-    assert seen == [True, False, True, True, True, True]
+    assert seen == [False, True, True, True, True]
     coefficients = ((regular_left_module(h), 2), (adjoint_module(h, regular_bimodule(h)), 3))
     del seen[:]
     for mod, slots in coefficients:
