@@ -21,14 +21,15 @@ propagation with no dense array; otherwise they are a common kernel
 
 Cohomology dimensions come from exact ranks of the restricted
 differentials.  Over prime fields that is one dense elimination; over
-the rationals every rank first tries a certified sandwich rank (a
-modular lower bound meeting the d.d = 0 upper bound, or min(rows, cols)
-where the complex gives none), with a dense Fraction elimination as the
-always-correct fallback.  So the cochain pipeline eliminates in two
-places: kernels in `intersect_kernels`, ranks in `cohomology_dims`.  The
-exactness of a chain complex is the cohomology of its dual, so it is
-counted there too (`resolution.ResolutionComplex.exactness_report`);
-only the induced maps on cohomology solve on their own.
+the rationals every rank first tries a certified sandwich rank (one
+Gram rank mod a prime, a lower bound, meeting the d.d = 0 upper bound,
+or min(rows, cols) where the complex gives none), with a dense Fraction
+elimination as the always-correct fallback.  So the cochain pipeline
+eliminates in two places: kernels in `intersect_kernels`, ranks in
+`cohomology_dims`.  The exactness of a chain complex is the cohomology
+of its dual, so it is counted there too
+(`resolution.ResolutionComplex.exactness_report`); only the induced maps
+on cohomology solve on their own.
 
 Both routes, `bar` and `resolution`, take `require_cocommutative` from
 here, so neither route imports the other; each returns its cohomology as
@@ -47,9 +48,9 @@ from .fields import Field
 from .hopf import HopfAlgebra
 from .linalg import (DENSE_RANK_CELLS, Matrix, Subspace, intersect_kernels, kernel_basis,
                      quotient, rank, solve_columns)
-from .sparse import SparseMatrix, integer_gram, integer_mod
+from .sparse import SparseMatrix, integer_gram
 
-_SANDWICH_PRIMES = (1000003, 999983, 1000033)
+_SANDWICH_PRIME = 1000003
 
 
 class CochainSpace:
@@ -95,9 +96,6 @@ class CochainSpace:
         """Whether every column of vecs lies in the space, by the coords
         round trip (valid since coords.basis = id)."""
         return self.basis @ (self.coords @ vecs) == vecs
-
-    def __repr__(self):
-        return f"CochainSpace(dim {self.dim} of k^{self.ambient_dim})"
 
 
 @dataclass
@@ -147,22 +145,16 @@ def _integerize_columns(sm: SparseMatrix) -> SparseMatrix:
 
 
 def _certified_rational_rank(sm: SparseMatrix, upper: int | None) -> int:
-    """Exact rank over Q.
-
-    First try to certify rank == upper via a modular lower bound (over Q,
-    column independence mod q implies independence, and rank(M^T M) =
-    rank(M)); without an upper bound from the complex, min(rows, cols)
-    serves.  On failure fall back to the exact dense Fraction elimination.
-    """
+    """Exact rank over Q: certify rank == upper by the lower bound
+    rank(M^T M mod q) <= rank(M mod q) <= rank(M), M with its columns
+    scaled to integers and q = _SANDWICH_PRIME, where min(rows, cols)
+    serves as upper when the complex gives none; when the bound falls
+    short, fall back to the exact dense Fraction elimination."""
     if sm.rows == 0 or sm.cols == 0 or sm.is_zero():
         return 0
     if upper is None:
         upper = min(sm.rows, sm.cols)
-    scaled = _integerize_columns(sm)
-    for q in _SANDWICH_PRIMES:
-        if rank(integer_gram(scaled, q)) == upper:
-            return upper
-    if rank(integer_mod(scaled, _SANDWICH_PRIMES[0]).to_dense()) == upper:
+    if rank(integer_gram(_integerize_columns(sm), _SANDWICH_PRIME)) == upper:
         return upper
     return rank(sm.to_dense())
 

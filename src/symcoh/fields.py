@@ -113,9 +113,6 @@ class Field:
     def is_rational(self) -> bool:
         return self.kind == "rational"
 
-    def __str__(self):
-        return "Q" if self.kind == "rational" else f"GF({self.p})"
-
     # -- arrays of scalars ----------------------------------------------
 
     @property

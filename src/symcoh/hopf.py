@@ -120,10 +120,6 @@ class HopfAlgebra:
             self._commutative = self.maps.mult @ self.maps.swap == self.maps.mult
         return self._commutative
 
-    def __repr__(self):
-        kind = "group algebra" if self.group_like else "Hopf algebra"
-        return f"<{kind} dim {self.dim} over {self.field}>"
-
 
 class StructureMaps(NamedTuple):
     """The structure maps of a Hopf algebra A on its basis, tensor powers

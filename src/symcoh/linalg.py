@@ -124,9 +124,6 @@ class Matrix:
             raise ValueError("row count mismatch")
         return Matrix(self.field, np.hstack([self.data, other.data]))
 
-    def __repr__(self):
-        return f"Matrix({self.field}, {self.rows}x{self.cols})"
-
 
 # -- products over GF(p) -------------------------------------------------
 
@@ -277,9 +274,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.cols
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
 
 def _pivots_and_free(pivots: list, cols: int):

@@ -46,9 +46,6 @@ class LeftModule:
         return combination(h.field, self.dim, self.dim,
                            [(c, self.action[i]) for i, c in vec.items()])
 
-    def __repr__(self):
-        return f"<LeftModule dim {self.dim}>"
-
 
 class Bimodule(LeftModule):
     """Commuting left and right actions; right[i] is the matrix of m -> m . b_i."""
@@ -60,9 +57,6 @@ class Bimodule(LeftModule):
     @property
     def left(self) -> list:
         return self.action
-
-    def __repr__(self):
-        return f"<Bimodule dim {self.dim}>"
 
 
 def _action_map(h: HopfAlgebra, mats, dim: int) -> SparseMatrix | None:

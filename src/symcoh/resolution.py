@@ -45,7 +45,7 @@ from .modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
                       regular_left_module, tensor_module, validate_module)
 from .sparse import SparseMatrix, apply_columns, field_array, kron
 from .tensors import (bar_chain_transpose_columns, cochain_precompose, diagonal_columns, flat,
-                      swap_slots)
+                      insertion_columns, swap_slots)
 
 
 class CoinvariantSpace:
@@ -71,9 +71,6 @@ class CoinvariantSpace:
     @property
     def slots(self) -> int:
         return self.degree + 1
-
-    def __repr__(self):
-        return f"<Coinvariants degree {self.degree}, dim {self.dim}>"
 
 
 def coinvariant_dim(d: int, n: int, characteristic: int) -> int:
@@ -231,19 +228,6 @@ def sym_resolution_complex(h: HopfAlgebra, top: int) -> ResolutionComplex:
     return ResolutionComplex(h, top, spaces, boundaries, h.maps.counit @ spaces[0].section)
 
 
-def _unit_insert_columns(h: HopfAlgebra, slots: int):
-    """Column map of A^(tensor slots) -> A^(tensor slots+1): prepend the unit."""
-    lead, _col, coeffs = h.maps.unit.triples()
-    shift = lead * h.dim ** slots
-
-    def columns(idx):
-        at = np.arange(len(idx), dtype=np.int64)
-        return ((shift[:, None] + idx[None, :]).reshape(-1), np.tile(at, len(lead)),
-                np.repeat(coeffs, len(idx)))
-
-    return columns
-
-
 def contracting_homotopy_check(res: ResolutionComplex) -> list:
     """Assemble h_n = projection . (prepend 1) . section on the resolution
     `res` and verify d_{n+1} h_n + h_{n-1} d_n = id, with the augmentation
@@ -253,12 +237,14 @@ def contracting_homotopy_check(res: ResolutionComplex) -> list:
     spaces = res.spaces
     homotopies = []
     fld = h.field
+    lead, _col, coeffs = h.maps.unit.triples()
     for n in range(top):
         above = spaces[n + 1].projection
         if not spaces[n].dim:  # no unit insertion on the indices of a vanishing degree
             homotopies.append(SparseMatrix(fld, above.rows, 0))
             continue
-        image = apply_columns(fld, _unit_insert_columns(h, n + 1), spaces[n].section.triples())
+        image = apply_columns(fld, insertion_columns(h.dim, n + 1, lead, coeffs[None, :]),
+                              spaces[n].section.triples())
         homotopies.append(SparseMatrix(fld, above.rows, spaces[n].dim,
                                        apply_columns(fld, above.column_map(search=True), image)))
     # unit section k -> S_0 followed by the augmentation

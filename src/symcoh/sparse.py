@@ -195,9 +195,6 @@ class SparseMatrix:
     def equals_identity(self) -> bool:
         return self == SparseMatrix.identity(self.field, self.rows)
 
-    def __repr__(self):
-        return f"SparseMatrix({self.field}, {self.rows}x{self.cols}, nnz={self.nnz()})"
-
 
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Kronecker product with the left factor most significant: entry

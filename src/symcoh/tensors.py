@@ -8,9 +8,11 @@ Digit k of a flat index idx on t slots is idx // d**(t-1-k) % d, so the
 operators below are built as numpy arithmetic on arrays of flat indices.
 Each operator has one column map, that of its transpose
 (`columns(idx) -> (rows, position in idx, vals)`, see sparse.py): the
-diagonal action of a basis element and the counit-deletion chain map.
-The resolution's descent check reads the induced maps off it (see
-resolution.py), and the equivariant basis reads D_u grouped by row.
+diagonal action of a basis element, and the counit-deletion chain map,
+whose transpose is a weighted slot insertion (`insertion_columns`, which
+also prepends the unit in the contracting homotopy).  The resolution's
+descent check reads the induced maps off these column maps, and the
+equivariant basis reads D_u grouped by row.
 The cochain operators (precomposition with a chain map, X tensor id_M
 from the canonical triples of X, signed slot swaps) are SparseMatrix
 triples built by the same arithmetic.  No operator here multiplies from
@@ -56,24 +58,28 @@ def all_columns(size: int):
     return idx, idx, None
 
 
-def bar_chain_transpose_columns(h: HopfAlgebra, n: int):
-    """Column map of the transpose of the homogeneous chain map
-    A^(n+1) -> A^n, the alternating counit deletions of slots 0..n:
-    (-1)^i eps(x) at the tuple with x inserted before slot i, for i = 0..n
-    and every x with eps(x) != 0.  The entries of a column are not sorted
-    by row, and those that meet are left for the caller to sum."""
-    d = h.dim
-    _row, xs, eps = h.maps.counit.triples()
-    signed = np.stack([eps, h.field.neg(eps)])[np.arange(n + 1) % 2]
-    place = d ** (n - np.arange(n + 1, dtype=np.int64))  # d^(digits after the insertion)
+def insertion_columns(d: int, n: int, xs, weights):
+    """Column map of the map A^(tensor n) -> A^(tensor n+1) that takes a
+    tuple to the sum of weights[i, k] times the tuple with xs[k] inserted
+    before slot i, for i < len(weights).  The entries of a column are not
+    sorted by row, and those that meet are left for the caller to sum."""
+    place = d ** (n - np.arange(len(weights), dtype=np.int64))  # d^(digits after the insertion)
 
     def columns(idx):
         high, low = np.divmod(idx[:, None], place)
         rows = ((high * d)[:, :, None] + xs) * place[:, None] + low[:, :, None]
-        return (rows.reshape(-1), np.repeat(np.arange(len(idx), dtype=np.int64), signed.size),
-                np.broadcast_to(signed, rows.shape).reshape(-1))
+        return (rows.reshape(-1), np.repeat(np.arange(len(idx), dtype=np.int64), weights.size),
+                np.broadcast_to(weights, rows.shape).reshape(-1))
 
     return columns
+
+
+def bar_chain_transpose_columns(h: HopfAlgebra, n: int):
+    """Column map of the transpose of the homogeneous chain map A^(n+1) ->
+    A^n, the alternating counit deletions of slots 0..n: the insertion of
+    every x before slot i with weight (-1)^i eps(x), for i = 0..n."""
+    _row, xs, eps = h.maps.counit.triples()
+    return insertion_columns(h.dim, n, xs, np.stack([eps, h.field.neg(eps)])[np.arange(n + 1) % 2])
 
 
 def tensor_identity_triples(rows, cols, vals, m: int):

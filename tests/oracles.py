@@ -61,6 +61,11 @@ from symcoh.sparse import SparseMatrix, combination, kron
 from symcoh.tensors import flat, swap_slots
 
 
+def field_id(field: Field) -> str:
+    """The test id of a field: Q or GF(p)."""
+    return "Q" if field.is_rational else f"GF({field.p})"
+
+
 def all_tuples(d: int, length: int):
     """The basis tuples of A^(tensor length), in flat-index order."""
     return itertools.product(range(d), repeat=length)

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcoh import complexes
-from oracles import check_complex, euler_characteristic_consistent, space_dims
+from oracles import check_complex, euler_characteristic_consistent, field_id, space_dims
 from symcoh.complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
                               CochainSpace, cohomology_dims, fixed_subcomplex,
                               induced_map_on_cohomology)
 from symcoh.errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                            NotASubcomplex)
 from symcoh.fields import Field
-from symcoh.linalg import Matrix, Subspace, intersect_kernels
+from symcoh.linalg import Matrix, Subspace, intersect_kernels, rank
 from symcoh.sparse import SparseMatrix
 
 GF3 = Field.prime(3)
@@ -207,14 +207,35 @@ def test_cohomology_dims_refuses_an_oversized_dense_rank(field):
         cohomology_dims(CochainComplex(field, 2, spaces, diffs))
 
 
-def test_sandwich_rank_certificate_survives_entries_near_2_to_30(monkeypatch):
-    # rank 1: column 1 is twice column 0.  The Gram entries are sums of
-    # products near 2^61, which wrap in int64 unless reduced mod each prime
+def _rank_one_near_2_to_30():
+    """An 8 x 2 matrix over Q of rank 1: column 1 is twice column 0, whose
+    entries are near 2^30."""
     big = [(1 << 30) + 7 + i for i in range(8)]
-    sm = SparseMatrix(QQ, 8, 2, (list(range(8)) * 2, [0] * 8 + [1] * 8,
-                                 [QQ.from_int(v) for v in big + [2 * v for v in big]]))
+    return SparseMatrix(QQ, 8, 2, (list(range(8)) * 2, [0] * 8 + [1] * 8,
+                                   [QQ.from_int(v) for v in big + [2 * v for v in big]]))
+
+
+def test_sandwich_rank_certificate_survives_entries_near_2_to_30():
+    # the Gram entries are sums of products near 2^61, which wrap in int64
+    # unless reduced mod the prime
+    sm = _rank_one_near_2_to_30()
     assert complexes._certified_rational_rank(sm, upper=2) == 1
     assert complexes._certified_rational_rank(sm, upper=1) == 1
+
+
+def test_an_uncertified_rational_rank_tries_one_modular_rank_before_the_exact_one(monkeypatch):
+    # rank 1 against upper = 2: the Gram rank mod one prime falls short,
+    # and the Fraction elimination answers; no other modular rank is tried
+    sm = _rank_one_near_2_to_30()
+    fields = []
+
+    def spy(m):
+        fields.append(m.field)
+        return rank(m)
+
+    monkeypatch.setattr(complexes, "rank", spy)
+    assert complexes._certified_rational_rank(sm, upper=2) == 1
+    assert fields == [Field.prime(complexes._SANDWICH_PRIME), QQ]
 
 
 # -- fixed spaces of monomial generators as orbits -------------------------
@@ -246,7 +267,7 @@ def _monomial_generators(draw, field):
     return dim, gens
 
 
-@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=field_id)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_orbit_fixed_space_is_the_reduced_common_kernel(field, data):
@@ -268,7 +289,7 @@ def _assert_free_coordinate_selector(space):
     assert [c for _r, c in sorted(zip(rows.tolist(), cols.tolist()))] == last
 
 
-@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=field_id)
 def test_of_reads_the_free_coordinates_of_a_reduced_basis(field):
     rng = np.random.default_rng(7)
     dim = 9
@@ -290,7 +311,7 @@ def test_of_refuses_a_basis_that_is_not_reduced():
         CochainSpace.of(Subspace(2, basis))
 
 
-@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=str)
+@pytest.mark.parametrize("field", ORBIT_FIELDS, ids=field_id)
 def test_orbit_fixed_space_keeps_consistent_orbits_and_drops_the_rest(field):
     # orbits {0, 2} (fixed vector e_0 + c e_2), {1, 3} (-1 one way and 1
     # back: none, outside characteristic 2) and {4} (fixed)

@@ -2,6 +2,9 @@
 
 Each case runs `symcoh.cli.main` in-process and compares its stdout and
 exit code with `tests/golden/<case>.json` and `tests/golden/exit_codes.json`.
+The builtin group algebras run over GF(2), GF(3), GF(5) and Q; over
+GF(2) the coinvariants are symmetric powers rather than exterior ones,
+the characteristic-2 branch of `resolution._sorted_tuple_coinvariants`.
 Besides the builtin group algebras, the cases read three algebras with
 no group-like basis from `tests/golden/algebras/`: scrambled kC3 over
 GF(3) (`sC3-gf3`) and scrambled kC2 over Q (`sC2-q`), frozen from
@@ -25,7 +28,7 @@ import pytest
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 ALGEBRAS = {"Cp:3": 3, "S3": 2}  # builtin algebra -> max degree
-FIELDS = ("gf:3", "gf:5", "q")
+FIELDS = ("gf:2", "gf:3", "gf:5", "q")
 FROZEN = {"sC3-gf3": 3, "sC2-q": 3, "u1-gf5": 3}  # algebra file stem -> max degree
 # cp-table on larger cyclic groups in their own characteristic, at max degree 5
 CP_TABLES = ("5", "7")

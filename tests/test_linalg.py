@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import check_independent, gauss_jordan, list_product, stacked_kernel
+from oracles import check_independent, field_id, gauss_jordan, list_product, stacked_kernel
 from symcoh.errors import BudgetExceeded
 from symcoh.fields import Field
 from symcoh.linalg import (Matrix, Subspace, _product_plan, intersect_kernels, inverse,
@@ -226,7 +226,7 @@ def test_intersect_kernels_equals_the_stacked_kernel(system):
     assert got.basis == want.basis
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=field_id)
 def test_intersect_kernels_on_zero_full_rank_and_empty_sets(field):
     dim = 5
     zero = Matrix.zeros(field, 3, dim)
@@ -346,7 +346,7 @@ def test_float_product_equals_the_python_int_product(p):
         assert (ones @ ones.transpose())[0, 0] == inner % p
 
 
-@pytest.mark.parametrize("field", [GF5, Field.prime(3037000493), QQ], ids=str)
+@pytest.mark.parametrize("field", [GF5, Field.prime(3037000493), QQ], ids=field_id)
 def test_sparse_dense_product_equals_the_dense_product(field):
     big = field.p - 1 if field.p else 7
     # row 2 times column 1 sums four products (p-1)^2, past int64 unreduced

@@ -18,9 +18,9 @@ from symcoh.linalg import Matrix
 from symcoh.modules import adjoint_module, regular_bimodule, regular_left_module
 from symcoh.sparse import SparseMatrix, _column_batches, apply_columns, canonical, pointers
 from symcoh.tensors import (all_columns, bar_chain_transpose_columns, cochain_precompose,
-                            cochain_swap_sigmas)
+                            cochain_swap_sigmas, insertion_columns)
 
-from oracles import all_tuples, bar_chain_diff
+from oracles import all_tuples, bar_chain_diff, field_id
 
 FIELDS = [Field.prime(2), Field.prime(5), Field.prime(3037000493), Field.rationals()]
 
@@ -88,7 +88,7 @@ def test_canonical_equals_the_dict_oracle(case):
     assert v.dtype == (object if field.is_rational else np.int64)
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", FIELDS, ids=field_id)
 def test_canonical_on_empty_and_all_ones_input(field):
     empty = np.zeros(0, dtype=np.int64)
     for shape in ((0, 0), (3, 4)):
@@ -177,7 +177,7 @@ def test_product_equals_the_dense_product(pair):
     assert got == SparseMatrix.from_dense(a.to_dense() @ b.to_dense())
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", FIELDS, ids=field_id)
 def test_product_over_the_term_bound_runs_in_batches(field):
     # a full n x 2 times a full 2 x n: n^2 terms per column of the product
     # against a bound of max(nnz) = 2 n, so a batch per column
@@ -191,7 +191,7 @@ def test_product_over_the_term_bound_runs_in_batches(field):
     assert (a @ b).to_dense() == a.to_dense() @ b.to_dense()
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("field", FIELDS, ids=field_id)
 def test_apply_in_slot_over_the_term_bound_runs_in_batches(field, monkeypatch):
     # x (3 x 2) has full columns, so each entry of y expands to 3 terms; y
     # (2^3 x 4) is full: 24 terms per column against a bound of
@@ -288,7 +288,7 @@ def _keys_seen(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=str)
+@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=field_id)
 @pytest.mark.parametrize("m", [1, 2])
 def test_swaps_of_a_degree_equal_the_tuple_oracle_and_share_one_column_array(field, m):
     d, slots = 3, 4
@@ -312,7 +312,7 @@ def test_swaps_of_a_degree_equal_the_tuple_oracle_and_share_one_column_array(fie
                                      (list(rows), list(cols), list(entries.values())))
 
 
-@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=str)
+@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=field_id)
 def test_builders_emit_triples_in_canonical_order(field, monkeypatch):
     h = group_algebra(6, symmetric_group_table(3), field)
     chain = bar_chain_diff(h, 3)
@@ -330,7 +330,7 @@ def test_builders_emit_triples_in_canonical_order(field, monkeypatch):
     assert all(m.nnz() for m in built)
 
 
-@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=str)
+@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=field_id)
 def test_transposed_chain_map_is_the_transpose_of_the_chain_map(field):
     # the counit-weighted slot insertion, on algebras with no group basis
     # (the counit of k[x]/(x^3) vanishes on x and x^2) and on a group algebra
@@ -344,3 +344,20 @@ def test_transposed_chain_map_is_the_transpose_of_the_chain_map(field):
                                apply_columns(h.field, bar_chain_transpose_columns(h, n),
                                              all_columns(chain.rows)))
             assert got == chain.transpose()
+
+
+@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=field_id)
+def test_unit_insertion_before_slot_0_is_the_unit_tensor_the_identity(field):
+    # the contracting homotopy's map: weights at position 0 only, on algebras
+    # whose unit has one coordinate and, scrambled, several
+    from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
+    algebras = [scrambled_kc3(field), group_algebra(6, symmetric_group_table(3), field)]
+    for h in algebras + ([scrambled_kc2_rational()] if field.is_rational else []):
+        lead, _col, coeffs = h.maps.unit.triples()
+        for n in range(4):
+            size = h.dim ** n
+            got = SparseMatrix(h.field, h.dim * size, size,
+                               apply_columns(h.field, insertion_columns(h.dim, n, lead,
+                                                                        coeffs[None, :]),
+                                             all_columns(size)))
+            assert got == sparse.kron(h.maps.unit, SparseMatrix.identity(h.field, size))
