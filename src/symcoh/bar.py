@@ -42,8 +42,8 @@ from .errors import BudgetExceeded
 from .hopf import HopfAlgebra, _apply
 from .modules import Bimodule, LeftModule, _action_map, adjoint_module, validate_module
 from .sparse import SparseMatrix, canonical, combination, kron, kron_triples, require_terms
-from .tensors import (all_columns, bar_chain_transpose_columns, cochain_swap_sigmas,
-                      diagonal_columns, tensor_identity_triples)
+from .tensors import (bar_chain_transpose_columns, cochain_swap_sigmas, diagonal_columns,
+                      tensor_identity_triples)
 
 BUDGET = 200_000  # coordinates of the largest ambient cochain space a complex may have
 DIFF_BATCH = 1 << 14  # terms of the transposed chain map summed at once
@@ -87,54 +87,33 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int, levels: list)
 
     and the coords are its inverse F -> F(1 tensor -).  This holds for any
     Hopf algebra; the order of the legs matters only when A is not
-    cocommutative.  The action D_u of S(a_(2)) on the n inner slots is
-    read off its transposed column map (`diagonal_columns`: a permutation
-    for a group algebra, the sparse action of the tensor power of the
-    regular module otherwise, whose levels `levels` keeps across calls):
-    on every inner index y it gives the entries D_u[y, x] grouped by y.
+    cocommutative.  As matrices, with D_u the diagonal action of b_u on the
+    n inner slots and V_(u,a) the value blocks (`_psi_blocks`),
+
+        basis = sum over (u, a) of e_a tensor D_u^T tensor V_(u,a),
+        coords = eta^T tensor id,
+
+    summed once.  D_u^T is read off its column map (`diagonal_columns`: a
+    permutation for a group algebra, the sparse action of the tensor power
+    of the regular module otherwise, whose levels `levels` keeps across
+    calls), one u at a time, and u's terms are charged before they are
+    formed.
     """
-    d = h.dim
-    m = mod.dim
-    fld = h.field
-    n = slots - 1
+    d, m, fld, n = h.dim, mod.dim, h.field, slots - 1
     inner = np.arange(d ** n, dtype=np.int64)
-    ambient = (d ** slots) * m
-    # ordered by a: for a group algebra each a has one u
-    blocks = sorted(((key, value.triples()) for key, value in _psi_blocks(h, mod).items()),
-                    key=lambda b: b[0][1])
-    # D_u[y, x] for every x, sorted by y: the inner argument x of psi(f) meets f at y
-    actions = {}
-    acting = sorted({u for (u, _a), _t in blocks})
-    entries = 0  # of the grids below, charged as each action arrives
+    blocks = _psi_blocks(h, mod)
+    acting = sorted({u for u, _a in blocks})
+    parts, entries = [], 0
     for u, transposed in zip(acting, diagonal_columns(h, acting, n, levels)):
-        x, y, dv = transposed(inner)
-        entries += len(y) * sum(len(t[0]) for (v, _a), t in blocks if v == u)
+        x, y, dv = transposed(inner)  # D_u^T, sorted by column
+        mine = [(a, value.triples()) for (v, a), value in blocks.items() if v == u]
+        entries += len(y) * sum(len(t[0]) for _a, t in mine)
         require_terms(entries, f"the equivariant basis on {slots} slots")
-        actions[u] = (y, x, dv)
-    # one grid per block: an action entry per row, a block entry per column
-    grids = []
-    for (u, a), (r, j, v) in blocks:
-        y, x, dv = actions[u]
-        head = a * d ** n * m + r
-        prod = np.broadcast_to(v, (len(y), len(v))) if dv is None else np.multiply.outer(dv, v)
-        grids.append((head[None, :] + x[:, None] * m, y[:, None] * m + j[None, :],
-                      fld.reduce(prod)))
-    if h.group_like:
-        # every action is a permutation, so grid row y holds column y of psi
-        # in every block; side by side with the block entries ordered by
-        # (j, a, r), the grids are in canonical order
-        order = np.argsort(np.concatenate([t[1] for _key, t in blocks]), kind="stable")
-        triples = [np.concatenate(part, axis=1)[:, order].reshape(-1) for part in zip(*grids)]
-    else:
-        triples = [np.concatenate([g.reshape(-1) for g in part]) for part in zip(*grids)]
-    basis = SparseMatrix(fld, ambient, len(inner) * m, triples)
-    # F(1 tensor x), with 1 expanded in the basis of A (the column of eta)
-    lead, _col, lc = h.maps.unit.triples()
-    unit_rows = (np.tile(inner, len(lead)), (lead[:, None] * len(inner) + inner).reshape(-1),
-                 np.repeat(lc, len(inner)))
-    coords = SparseMatrix(fld, len(inner) * m, ambient,
-                          kron_triples(fld, unit_rows, all_columns(m), (m, m)))
-    return CochainSpace(ambient, basis, coords)
+        for a, value in mine:  # e_a tensor D_u^T: the rows of D_u^T moved to block a
+            parts.append(kron_triples(fld, (x + a * d ** n, y, dv), value, (m, m)))
+    basis = SparseMatrix(fld, d ** slots * m, d ** n * m, [np.concatenate(p) for p in zip(*parts)])
+    coords = kron(h.maps.unit.transpose(), SparseMatrix.identity(fld, d ** n * m))
+    return CochainSpace(d ** slots * m, basis, coords)
 
 
 def _homogeneous_differential(h: HopfAlgebra, n: int, m: int) -> SparseMatrix:

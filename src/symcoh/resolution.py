@@ -351,7 +351,8 @@ def cp_rank_table(h: HopfAlgebra, top: int) -> list:
     module of kC_p and as zero on the others, so it counts the free
     summands, and S_n is free exactly when that rank times p is dim S_n.
     Any other algebra is a SchemaError; a field other than GF(p), or
-    p = 2, is an InvalidPrime.
+    p = 2, is an InvalidPrime; a norm of more than DENSE_RANK_CELLS dense
+    cells is refused (BudgetExceeded) before its S_n is built.
     """
     p = h.dim
     if not h.group_like or h.group_table != cyclic_group_table(p):
@@ -364,6 +365,11 @@ def cp_rank_table(h: HopfAlgebra, top: int) -> list:
     _require_ambient(h, top)
     rows = []
     for n in range(1, top + 1):
+        dim = coinvariant_dim(p, n, p)  # that of the space, checked as it is built
+        if dim ** 2 > DENSE_RANK_CELLS:
+            raise BudgetExceeded(
+                f"rank of the norm element on S_{n} needs a dense {dim} x {dim} "
+                f"matrix, over the limit of {DENSE_RANK_CELLS} cells")
         space = coinvariant_space(h, n, [])  # a group algebra forms no levels
         norm = space.module.act_element(h, dict.fromkeys(range(p), h.field.one()))
         free_rank = rank(norm.to_dense())

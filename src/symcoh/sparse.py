@@ -21,13 +21,16 @@ then the triples are canonical up to zeros, and nothing is sorted or
 gathered.  A key that only repeats is summed without a sort.  Builders
 that can emit their triples in that order: the slot swaps and
 precompositions of tensors.py, the homogeneous differentials of bar.py
-(summed batch by batch), the equivariant bases of group algebras, and
-any product whose right operand has one entry per column.
-Otherwise one argsort orders the key and `np.add.reduceat` sums equal
-keys.  The key of a shape with rows * cols >= 2^63 would overflow, and
-so would the factor `rows` itself when it is 2^63 or more, even with no
-columns (the empty section of a vanishing coinvariant degree); such a
-shape raises BudgetExceeded before anything is allocated.
+(summed batch by batch), a Kronecker product of canonical factors whose
+left one has one row (the coordinates of an equivariant space), and any
+product whose right operand has one entry per column.
+Otherwise one argsort orders the key, the key and the triples are
+gathered in that order one array at a time, each replacing its unsorted
+array before the next is gathered, and `np.add.reduceat` sums equal keys.
+The key of a shape with rows * cols >= 2^63 would overflow, and so would
+the factor `rows` itself when it is 2^63 or more, even with no columns
+(the empty section of a vanishing coinvariant degree); such a shape
+raises BudgetExceeded before anything is allocated.
 
 Bulk work passes triples that need not be canonical; `vals` None means
 every value is one.  Values already reduced are stored as they are
@@ -267,11 +270,11 @@ def field_array(field: Field, values) -> np.ndarray:
 
 def kron_triples(field: Field, a, b, b_shape):
     """Triples of the Kronecker product (`kron`) of the triples a and b, b
-    of shape b_shape; b's vals may be None, a's may not."""
+    of shape b_shape; a's vals may be None, b's may not."""
     (ra, ca, va), (rb, cb, vb) = a, b
     return ((ra[:, None] * b_shape[0] + rb).reshape(-1),
             (ca[:, None] * b_shape[1] + cb).reshape(-1),
-            np.repeat(va, len(rb)) if vb is None else field.reduce(va[:, None] * vb).reshape(-1))
+            np.tile(vb, len(ra)) if va is None else field.reduce(va[:, None] * vb).reshape(-1))
 
 
 def apply_columns(field: Field, columns, triples):
@@ -304,7 +307,11 @@ def canonical(field: Field, rows, cols, vals, shape):
     if not (key[1:] > key[:-1]).all():
         if not (key[1:] >= key[:-1]).all():
             order = np.argsort(key)
-            key, rows, cols, vals = key[order], rows[order], cols[order], vals[order]
+            key = key[order]  # one array at a time, each replacing its unsorted one
+            rows = rows[order]
+            cols = cols[order]
+            vals = vals[order]
+            del order
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
         if len(starts) < len(key):
             rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)

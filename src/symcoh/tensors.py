@@ -12,7 +12,8 @@ diagonal action of a basis element, and the counit-deletion chain map,
 whose transpose is a weighted slot insertion (`insertion_columns`, which
 also prepends the unit in the contracting homotopy).  The resolution's
 descent check reads the induced maps off these column maps, and the
-equivariant basis reads D_u grouped by row.
+equivariant basis reads the whole of each transposed diagonal action as
+the left factor of its Kronecker products.
 The cochain operators (precomposition with a chain map, X tensor id_M
 from the canonical triples of X, signed slot swaps) are SparseMatrix
 triples built by the same arithmetic.  No operator here multiplies from
@@ -50,12 +51,6 @@ def swap_slots(idx: np.ndarray, d: int, slots: int, i: int) -> np.ndarray:
     a = idx // high % d
     b = idx // low % d
     return idx + (b - a) * high + (a - b) * low
-
-
-def all_columns(size: int):
-    """Triples of the identity on `size` coordinates."""
-    idx = np.arange(size, dtype=np.int64)
-    return idx, idx, None
 
 
 def insertion_columns(d: int, n: int, xs, weights):

@@ -27,7 +27,10 @@ equivariant cochains as the stacked kernel of the equivariance equations
 (against the tensor-identity basis of `symcoh.bar.equivariant_space`),
 and the coinvariants as the quotient by the swap relations, by
 elimination (against the sorted-tuple basis of
-`symcoh.resolution.coinvariant_space`).  The orbit walk certifies the cyclic rank table by generators, against the
+`symcoh.resolution.coinvariant_space`).  The tensor identity psi, built
+tuple by tuple from the input form, is the reference for that basis and
+its coordinates entry for entry, where the solve fixes only their span.
+The orbit walk certifies the cyclic rank table by generators, against the
 rank of the norm element that `symcoh.resolution.cp_rank_table` takes.
 
 The input form of an algebra (dict-of-dict mult and comult, unit and
@@ -69,6 +72,12 @@ def field_id(field: Field) -> str:
 def all_tuples(d: int, length: int):
     """The basis tuples of A^(tensor length), in flat-index order."""
     return itertools.product(range(d), repeat=length)
+
+
+def all_columns(size: int):
+    """Triples of the identity on `size` coordinates, every value one."""
+    idx = np.arange(size, dtype=np.int64)
+    return idx, idx, None
 
 
 def antipode_column(h: HopfAlgebra, i: int) -> dict:
@@ -308,6 +317,45 @@ def equivariant_solve(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpa
     space = CochainSpace.of(stacked_kernel(fld, [c.to_dense() for c in constraints]))
     assert (space.coords @ space.basis).equals_identity(), "coords is not a left inverse"
     return space
+
+
+def _act_on_tuple(h: HopfAlgebra, b: int, tup: tuple) -> dict:
+    """b_b . (b_tup[0] tensor b_tup[1] tensor ...) through the comult dicts,
+    first leg on the first slot, as {tuple: coefficient}; on the empty
+    tuple, the counit."""
+    fld = h.field
+    if not tup:
+        return {(): h.counit[b]} if h.counit[b] != 0 else {}
+    out: dict = {}
+    for (first, rest), c in h.comult[b].items():
+        for k, ck in h.mult[first][tup[0]].items():
+            for tail, ct in _act_on_tuple(h, rest, tup[1:]).items():
+                key = (k,) + tail
+                out[key] = fld.add(out.get(key, fld.zero()), fld.mul(c, fld.mul(ck, ct)))
+    return out
+
+
+def psi_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
+    """Hom_A(A^(tensor slots), M) as the image of the tensor identity
+    psi(f)(a tensor x) = a_(1) . f(S(a_(2)) . x) on Hom(A^(tensor n), M),
+    n = slots-1, with coords F -> F(1 tensor -), built tuple by tuple from
+    the input form."""
+    d, m, fld = h.dim, mod.dim, h.field
+    n = slots - 1
+    values = _blocks(mod.action)
+    entries = ([], [], [])
+    for a in range(d):
+        for (s1, s2), c in h.comult[a].items():
+            for u, su in antipode_column(h, s2).items():
+                for x in all_tuples(d, n):
+                    row_base = (a * d ** n + flat(x, d)) * m
+                    for y, dy in _act_on_tuple(h, u, x).items():
+                        _add_value_block(entries, row_base, flat(y, d) * m,
+                                         fld.mul(fld.mul(c, su), dy), values[s1], fld)
+    size = d ** n * m
+    basis = SparseMatrix(fld, d * size, size, entries if entries[0] else None)
+    coords = [(k, a * size + k, ua) for a, ua in enumerate(h.unit) if ua != 0 for k in range(size)]
+    return CochainSpace(d * size, basis, SparseMatrix(fld, size, d * size, list(zip(*coords))))
 
 
 def coinvariant_quotient(h: HopfAlgebra, n: int):

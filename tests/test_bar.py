@@ -1,3 +1,4 @@
+import pathlib
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ from symcoh import bar
 from symcoh.bar import (classical_cohomology, equivariant_space,
                         homogeneous_complex, nonhomogeneous_complex, nonhomogeneous_symmetric_dims,
                         sigma_homogeneous, sigma_nonhomogeneous, symmetric_cohomology)
+from symcoh.cli import load_algebra
 from symcoh.complexes import (CochainSpace, cohomology_dims, fixed_subcomplex,
                               induced_map_on_cohomology, restrict_operator)
 from symcoh.errors import BudgetExceeded, NotCocommutative
@@ -18,13 +20,15 @@ from symcoh.tensors import cochain_precompose, flat
 
 from oracles import (all_tuples, bar_chain_diff, check_complex, coxeter_relations_hold,
                      equivariant_solve, maschke_cohomology_dims, periodic_cyclic_cohomology_dims,
-                     phi_psi, sigma_nonhomogeneous_ambient, space_dims, stacked_kernel, vstack)
+                     phi_psi, psi_space, sigma_nonhomogeneous_ambient, space_dims, stacked_kernel,
+                     vstack)
 from restricted import restricted_enveloping
 from test_generic_hopf import change_basis, scrambled_kc2_rational, scrambled_kc3
 
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)
 QQ = Field.rationals()
+U1_GF5 = pathlib.Path(__file__).with_name("golden") / "algebras" / "u1-gf5.json"
 
 
 def kC(n, field):
@@ -88,6 +92,35 @@ def test_homogeneous_space_generic_agrees_with_fast_path():
             # same subspace: every fast basis column must round-trip through generic
             assert generic.contains(fast.basis)
             assert (fast.coords @ fast.basis).equals_identity()
+
+
+# (id, algebra, module) whose equivariant spaces on 1..3 slots are pinned to
+# psi entry for entry: group algebras with permutation and conjugation
+# values, a scrambled kC3, a scrambled kC2 whose unit 3 b_0 - b_1 has two
+# coordinates, Sweedler's algebra (not cocommutative, so the order of the
+# Sweedler legs matters) and u(k) over GF(5), whose antipode is no permutation
+PSI_CASES = [
+    ("kS3-GF5-regular", lambda: kS3(GF5), regular_left_module),
+    ("kS3-GF5-ad-regular", lambda: kS3(GF5), lambda h: adjoint_module(h, regular_bimodule(h))),
+    ("kC3-GF3-trivial", lambda: kC(3, GF3), trivial_module),
+    ("kS3-Q-trivial", lambda: kS3(QQ), trivial_module),
+    ("sC3-GF3-regular", scrambled_kc3, regular_left_module),
+    ("sC2-Q-regular", scrambled_kc2_rational, regular_left_module),
+    ("H4-GF5-regular", lambda: sweedler_h4(GF5), regular_left_module),
+    ("u1-GF5-regular", lambda: load_algebra(str(U1_GF5), None), regular_left_module),
+]
+
+
+@pytest.mark.parametrize("make, module", [case[1:] for case in PSI_CASES],
+                         ids=[case[0] for case in PSI_CASES])
+def test_equivariant_space_is_psi_entry_for_entry(make, module):
+    # the basis and coords as matrices, not only their span
+    h = make()
+    mod = module(h)
+    for slots in (1, 2, 3):
+        got, want = equivariant_space(h, mod, slots, []), psi_space(h, mod, slots)
+        assert got.basis == want.basis
+        assert got.coords == want.coords
 
 
 def test_homogeneous_complex_property():

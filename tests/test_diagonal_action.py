@@ -6,13 +6,13 @@ against that tensor power."""
 
 import pytest
 
-from oracles import diagonal_action as oracle_diagonal_action
+from oracles import all_columns, diagonal_action as oracle_diagonal_action
 from restricted import restricted_enveloping
 from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.modules import regular_left_module, tensor_module
 from symcoh.sparse import apply_columns, canonical
-from symcoh.tensors import all_columns, diagonal_columns
+from symcoh.tensors import diagonal_columns
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
 
 # 3037000493 is the largest prime with (p-1)^2 < 2^63: products of two

@@ -176,9 +176,9 @@ def test_diagonal_action_is_exact_with_large_structure_constants():
     # structure constants spread over [0, p), so a sum of three products
     # near (p-1)^2 is past int64 unless each term is reduced before it is
     # added: in the kron terms of a tensor level and in summing them
-    from oracles import diagonal_action as oracle_diagonal_action
+    from oracles import all_columns, diagonal_action as oracle_diagonal_action
     from symcoh.sparse import apply_columns, canonical
-    from symcoh.tensors import all_columns, diagonal_columns
+    from symcoh.tensors import diagonal_columns
     f = Field.prime(3037000493)
     h = change_basis(group_algebra(3, cyclic_group_table(3), f),
                      Matrix.from_rows(f, [[1, 1518500247, 7], [0, 1, 1518500249], [0, 0, 1]]))

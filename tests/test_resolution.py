@@ -101,6 +101,21 @@ def test_cp_rank_table_is_built_on_the_support_of_the_projection():
     assert peak < 120 << 20
 
 
+def test_cp_rank_table_charges_the_dense_rank_of_the_norm(monkeypatch):
+    # S_1, ..., S_5 of kC7 have dims 21, 35, 35, 21, 7: the norm on S_2 is
+    # the first that a limit below 35^2 cells refuses (the ambient charge,
+    # 7^6 coordinates, is lifted so that only the rank's is left)
+    from symcoh import resolution
+    from symcoh.errors import BudgetExceeded
+    h = kC(7, Field.prime(7))
+    monkeypatch.setattr(resolution, "_require_ambient", lambda h, top: None)
+    monkeypatch.setattr(resolution, "DENSE_RANK_CELLS", 35 * 35)
+    assert [r.dim for r in cp_rank_table(h, 5)] == [21, 35, 35, 21, 7]
+    monkeypatch.setattr(resolution, "DENSE_RANK_CELLS", 35 * 35 - 1)
+    with pytest.raises(BudgetExceeded, match="35 x 35"):
+        cp_rank_table(h, 5)
+
+
 def test_top_coinvariants_kc3_is_trivial_module():
     h = kC(3, GF3)
     s = coinvariant_space(h, 2, [])
