@@ -16,6 +16,7 @@ checks of a report, and builds each `--cross-check` from two routes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict
@@ -359,5 +360,15 @@ def main(argv=None) -> int:
     return code
 
 
+def console():
+    """The process entry (`symcoh`, `python -m symcoh.cli`): `main`, then
+    exit with its code, the objects made so far frozen so that shutdown
+    does not walk and free their cycles, which the OS reclaims anyway.
+    `main` itself does not freeze: an in-process caller keeps collecting."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

@@ -40,7 +40,7 @@ operator acts on triples through its column map `columns(idx)`, which
 returns the entries of the columns idx as (rows, position in idx,
 vals), grouped by position and sorted by row within it.
 The map reads a pointer array, ptr[j]:ptr[j+1] being the entries of
-column j, built once per operator and sized by its last stored column:
+column j, built with each map and sized by its last stored column:
 a lookup is an index, and a column past the last stored one is empty
 (with `search`, a binary search in the stored columns).  Composing is
 applying one operator's column map to the other's triples and summing
@@ -68,7 +68,7 @@ from .linalg import DENSE_RANK_CELLS, Matrix
 
 
 class SparseMatrix:
-    __slots__ = ("field", "rows", "cols", "row_idx", "col_idx", "vals", "_ptr")
+    __slots__ = ("field", "rows", "cols", "row_idx", "col_idx", "vals")
 
     def __init__(self, field: Field, rows: int, cols: int, triples=None):
         """The rows x cols matrix with the entries `triples` (summed where
@@ -79,7 +79,6 @@ class SparseMatrix:
         if triples is None:
             triples = (np.zeros(0, dtype=np.int64),) * 2 + (field_array(field, []),)
         self.row_idx, self.col_idx, self.vals = canonical(field, *triples, shape=(rows, cols))
-        self._ptr = None
 
     # -- constructors --------------------------------------------------
 
@@ -108,16 +107,11 @@ class SparseMatrix:
         """(rows, cols, vals) of the stored entries, sorted by (col, row)."""
         return self.row_idx, self.col_idx, self.vals
 
-    def _pointers(self) -> np.ndarray:
-        if self._ptr is None:
-            self._ptr = pointers(self.col_idx)
-        return self._ptr
-
     def column_map(self, search: bool = False):
         """The column map of self; with `search`, stored columns are found by
         binary search, and no array spans the columns (for a projection)."""
         if not search:
-            return _lookup(self._pointers(), self.row_idx, self.vals)
+            return _lookup(pointers(self.col_idx), self.row_idx, self.vals)
         first = np.flatnonzero(np.diff(self.col_idx, prepend=-1))  # of each stored column
         keys = np.append(self.col_idx[first], np.iinfo(np.int64).max)  # a miss: past the last
         lookup = _lookup(np.append(first, [self.nnz()] * 2), self.row_idx, self.vals)
@@ -143,9 +137,10 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in sparse matmul")
         fld = self.field
-        columns = self.column_map()
+        ptr = pointers(self.col_idx)
+        columns = _lookup(ptr, self.row_idx, self.vals)
         r, c, v = other.triples()
-        return _expand(fld, (self.rows, other.cols), self._pointers(), r, c,
+        return _expand(fld, (self.rows, other.cols), ptr, r, c,
                        max(self.nnz(), other.nnz()),
                        lambda lo, hi: apply_columns(fld, columns, (r[lo:hi], c[lo:hi], v[lo:hi])))
 
@@ -223,14 +218,15 @@ def apply_in_slot(x: SparseMatrix, y: SparseMatrix, before: int, after: int) -> 
     r, c, v = y.triples()
     high, low = np.divmod(r, after)
     high, mid = np.divmod(high, x.cols)
-    columns = x.column_map()
+    ptr = pointers(x.col_idx)
+    columns = _lookup(ptr, x.row_idx, x.vals)
 
     def terms_of(lo, hi):
         rows, pos, vals = columns(mid[lo:hi])
         pos += lo
         return ((high[pos] * x.rows + rows) * after + low[pos], c[pos], fld.reduce(v[pos] * vals))
 
-    return _expand(fld, (before * x.rows * after, y.cols), x._pointers(), mid, c,
+    return _expand(fld, (before * x.rows * after, y.cols), ptr, mid, c,
                    max(before * x.nnz() * after, y.nnz()), terms_of)
 
 
@@ -300,7 +296,7 @@ def canonical(field: Field, rows, cols, vals, shape):
                              "positions or rows, past its int64 sort key")
     ones = vals is None
     if ones:
-        vals = field_array(field, [field.one()] * len(rows))
+        vals = np.ones(len(rows), dtype=field.dtype)  # over Q, int ones
     else:
         vals = np.asarray(vals, dtype=field.dtype)
     key = cols * shape[0] + rows

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from symcoh.hopf import (cyclic_group_table, group_algebra, symmetric_group_tabl
 from symcoh.linalg import Matrix
 
 from test_generic_hopf import change_basis
+from test_golden import cases
 
 GF3 = Field.prime(3)
 
@@ -776,3 +780,29 @@ def test_resolution_mode_builds_the_resolution_once(capsys, monkeypatch):
     assert len(built) == 1
     assert [c["name"] for c in report["checks"]][-3:] == ["homotopy_0", "homotopy_1",
                                                           "homotopy_2"]
+
+
+# a golden case of each golden exit code, and a budget refusal
+ENTRY_CASES = [pytest.param(code, dict(cases())[name], id=name) for name, code in
+               [("Cp3-gf3-H-trivial", 0), ("S3-gf5-corollary-bar", 1), ("S3-gf5-cp-table", 2)]]
+ENTRY_CASES.append(pytest.param(3, ["--algebra", "S3", "--field", "gf:2", "--mode", "SH",
+                                    "--route", "resolution", "--max-degree", "9"],
+                                id="S3-gf2-SH-resolution-refused"))
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("code,argv", ENTRY_CASES)
+def test_process_entry_prints_and_exits_as_main_does(capsys, code, argv, fmt):
+    # `python -m symcoh.cli` runs `console`, which freezes the collector and
+    # exits with main's code; its buffered stdout must survive that exit
+    argv = [*argv, "--format", fmt]  # the last --format given is the one read
+    here, out = run_cli(capsys, *argv)
+    assert here == code
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe stays block-buffered
+    proc = subprocess.run([sys.executable, "-m", "symcoh.cli", *argv], env=env,
+                          capture_output=True)
+    assert proc.stdout == out.encode()
+    assert (proc.returncode, proc.stderr) == (code, b"")

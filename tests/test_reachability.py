@@ -6,7 +6,8 @@ tests/oracles.py.
 Reachability is what the runs execute, not what names appear: a fresh
 interpreter (no cache filled by another test) runs every golden case in
 JSON, one in table format, `validate` on a builtin and on a
-non-coassociative algebra file, and `perfbench/inputs.materialize` for
+non-coassociative algebra file (the last through `cli.console`, the
+process entry), and `perfbench/inputs.materialize` for
 both workloads at seed 7, under `sys.setprofile`, and reports the code
 objects of `src/symcoh` it entered.  Every `def` there, methods, nested
 functions and dunders included, is keyed by the line its code object
@@ -91,8 +92,16 @@ def _runs():
     argvs.append(["--algebra", "S3", "--field", "gf:5", "--mode", "validate"])
     argvs.append(["--algebra", str(GOLDEN / "algebras" / "sC3-gf3-noncoassociative.json"),
                   "--mode", "validate"])
-    for argv in argvs:
+    for argv in argvs[:-1]:
         run_case(argv)
+    # the last through the process entry, which exits by SystemExit
+    from symcoh.cli import console
+    saved, sys.argv = sys.argv, ["symcoh", *argvs[-1]]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+            console()
+    finally:
+        sys.argv = saved
     from inputs import materialize
     from workloads import WORKLOADS
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):

@@ -101,6 +101,18 @@ def test_canonical_on_empty_and_all_ones_input(field):
                                  {(0, 2): field.one(), (1, 2): two}.items() if x != 0}
 
 
+@pytest.mark.parametrize("field", [Field.prime(5), Field.rationals()], ids=field_id)
+def test_vals_none_builds_the_matrix_of_explicit_ones(field):
+    cols = np.arange(6, dtype=np.int64)
+    ones = sparse.field_array(field, [field.one()] * 6)
+    for rows in (cols, np.array([3, 0, 5, 1, 4, 2], dtype=np.int64)):  # identity, permutation
+        implicit = SparseMatrix(field, 6, 6, (rows, cols, None))
+        assert implicit == SparseMatrix(field, 6, 6, (rows, cols, ones))
+        assert implicit.vals.dtype == ones.dtype
+        assert {type(x) for x in implicit.vals.tolist()} == {int}  # over Q too, not Fractions
+    assert SparseMatrix.identity(field, 6) == SparseMatrix(field, 6, 6, (cols, cols, ones))
+
+
 @settings(max_examples=150, deadline=None)
 @given(triples(), st.data())
 def test_column_map_returns_each_requested_column(case, data):
