@@ -8,10 +8,11 @@ equivariant for the diagonal left action, with the action by signed
 swaps of the n+1 slots.  For every algebra its basis is the image of the
 tensor identity psi from Hom_k(A^(tensor n), M), and its coordinates are
 the inverse F -> F(1 tensor -) (see equivariant_space).  Its differential
-is precomposition with the counit-deletion chain map, built as the
-transposed chain map tensor id_M (see _homogeneous_differential).  For a
-group algebra with a permutation module the restricted swaps are signed
-permutations, so its fixed points are orbits (complexes.fixed_subcomplex).
+is precomposition with the counit-deletion chain map, the transposed
+chain map tensor id_M, which is only ever applied to a fixed basis (see
+_homogeneous_image).  For a group algebra with a permutation module the
+restricted swaps are signed permutations, so its fixed points are orbits
+(complexes.fixed_degrees).
 It takes a left module only: SHH(A, M) of a bimodule M is SH(A, ad M),
 the paper's theorem, so `symmetric_cohomology` computes it on the
 adjoint module.
@@ -27,23 +28,23 @@ action is the counit.  It computes HH, and it is the side of every SHH
 check that never builds ad M (`nonhomogeneous_symmetric_dims`).
 
 Each realization is built through degree top and gives the cohomology of
-degrees 0..top-1.  Its fixed subcomplex (`complexes.fixed_subcomplex`)
-certifies the swaps at every degree, the top one included, and keeps the
-top space, which is only the target of the last differential.
+degrees 0..top-1, one degree at a time (`homogeneous_degrees`,
+`nonhomogeneous_degrees`, through `complexes.fixed_degrees`): the swaps
+of each degree, the top one included, are certified and dropped, and
+the top space, only the target of the last differential, is kept.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .complexes import (ActionOperator, CochainComplex, CochainSpace, cohomology_dims,
-                        fixed_subcomplex, require_cocommutative)
+from .complexes import CochainSpace, fixed_cohomology, fixed_degrees, require_cocommutative
 from .errors import BudgetExceeded
 from .hopf import HopfAlgebra, _apply
 from .modules import Bimodule, LeftModule, _action_map, adjoint_module, validate_module
-from .sparse import SparseMatrix, canonical, combination, kron, kron_triples, require_terms
-from .tensors import (bar_chain_transpose_columns, cochain_swap_sigmas, diagonal_columns,
-                      tensor_identity_triples)
+from .sparse import (SparseMatrix, _column_batches, canonical, combination, kron, kron_triples,
+                     require_terms)
+from .tensors import bar_chain_transpose_columns, cochain_swap_sigmas, diagonal_columns
 
 BUDGET = 200_000  # coordinates of the largest ambient cochain space a complex may have
 DIFF_BATCH = 1 << 14  # terms of the transposed chain map summed at once
@@ -116,52 +117,47 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int, levels: list)
     return CochainSpace(d ** slots * m, basis, coords)
 
 
-def _homogeneous_differential(h: HopfAlgebra, n: int, m: int) -> SparseMatrix:
+def _homogeneous_image(h: HopfAlgebra, n: int, m: int, basis: SparseMatrix) -> SparseMatrix:
     """Degree n's differential, precomposition with the counit-deletion
-    chain map on n+2 slots: its transpose tensor id_M.  The transpose is
-    read off `bar_chain_transpose_columns` and summed in batches of
-    columns of at most DIFF_BATCH unsummed terms (or one column), so the
-    chain map is never formed and no sort spans the whole transpose; the
-    batches come out in canonical order."""
-    d, fld = h.dim, h.field
+    chain map on n+2 slots (its transpose tensor id_M), applied to `basis`
+    unformed: an entry at (x, j) meets column x of the transpose
+    (`bar_chain_transpose_columns`) in value slot j.  Summed in batches of
+    whole columns of at most DIFF_BATCH terms (or one column), which come
+    out in canonical order."""
+    fld = h.field
     columns = bar_chain_transpose_columns(h, n + 1)
-    shape = (d ** (n + 2), d ** (n + 1))
-    step = max(DIFF_BATCH // ((n + 2) * d), 1)
-    parts = ([], [], [])  # rows, cols and vals of each batch
-    for lo in range(0, shape[1], step):
-        idx = np.arange(lo, min(lo + step, shape[1]), dtype=np.int64)
-        r, pos, v = columns(idx)
-        for part, a in zip(parts, tensor_identity_triples(
-                *canonical(fld, r, idx[pos], v, shape=shape), m)):
-            part.append(a)
-    triples = []
-    for part in parts:  # joined one array at a time, each dropping its batches
-        triples.append(np.concatenate(part))
-        part.clear()
-    return SparseMatrix(fld, shape[0] * m, shape[1] * m, triples)
+    r, c, v = basis.triples()
+    x, j = np.divmod(r, m)
+    shape = (h.dim ** (n + 2) * m, basis.cols)
+    ends = (n + 2) * h.maps.counit.nnz() * np.arange(1, len(c) + 1)  # terms of entries 0..i
+    parts = []
+    for lo, hi in _column_batches(c, ends, DIFF_BATCH):
+        rows, pos, vals = columns(x[lo:hi])
+        pos += lo
+        parts.append(canonical(fld, rows * m + j[pos], c[pos], fld.reduce(v[pos] * vals),
+                               shape=shape))
+    return SparseMatrix(fld, *shape, [np.concatenate(p) for p in zip(*parts)] or None)
 
 
-def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
-    """Degrees 0..top of the equivariant realization, degree n on n+1
-    slots; the differential is precomposition with the alternating
-    counit-deletion chain map (`_homogeneous_differential`)."""
+def homogeneous_degrees(h: HopfAlgebra, mod: LeftModule, top: int):
+    """`fixed_degrees` of the equivariant realization through degree top,
+    degree n on n+1 slots.  The spaces are built highest degree first, so
+    one over the entry limit fails first and its tensor-power levels serve
+    the smaller ones; no differential is formed (`_homogeneous_image`)."""
     validate_module(h, mod)
     m = mod.dim
     require_budget(m * h.dim ** (top + 1), "homogeneous complex")
-    # highest degree first, so a degree over the entry limit fails before
-    # the smaller ones are built; the levels of the tensor power formed for
-    # it serve the smaller ones
     levels = []
-    spaces = [equivariant_space(h, mod, n + 1, levels) for n in range(top, -1, -1)][::-1]
-    diffs = [_homogeneous_differential(h, n, m) for n in range(top)]
-    return CochainComplex(h.field, top, spaces, diffs)
+    spaces = [equivariant_space(h, mod, n + 1, levels) for n in range(top, -1, -1)]
+    return fixed_degrees(h.field, spaces, lambda n: sigma_homogeneous(h, mod, n),
+                         lambda n, fixed: _homogeneous_image(h, n, m, fixed.basis))
 
 
-def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
+def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> list:
     """Signed swaps of slots i-1, i on degree n of the homogeneous
     realization."""
     require_cocommutative(h)
-    return ActionOperator(n, cochain_swap_sigmas(h.field, h.dim, n + 1, mod.dim))
+    return cochain_swap_sigmas(h.field, h.dim, n + 1, mod.dim)
 
 
 # -- the nonhomogeneous (reduced-coordinate) realization -------------------
@@ -217,25 +213,30 @@ def _evaluation(h: HopfAlgebra, mod: LeftModule):
     return evaluate
 
 
-def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
-    """Degrees 0..top of the standard complex on Hom_k(A^(tensor n), M).
-    The differential into degree n evaluates on the bar differential, the
-    sum over i = 0..n of (-1)^i m in the padded slots i, i+1."""
+def nonhomogeneous_degrees(h: HopfAlgebra, mod: LeftModule, top: int, sigmas=lambda n: []):
+    """`fixed_degrees` of the standard complex on Hom_k(A^(tensor n), M)
+    through degree top, on full spaces, with the generators sigmas(n) (none
+    for H and HH).  The differential into degree n evaluates on the bar
+    differential, the sum over i = 0..n of (-1)^i m in the padded slots i,
+    i+1; it is formed when degree n is reached and dropped after
+    restriction."""
     validate_module(h, mod)
     d, m, fld = h.dim, mod.dim, h.field
     require_budget(m * d ** (top + 1), "nonhomogeneous complex")
     evaluate = _evaluation(h, mod)
     mult, signs = h.maps.mult, (fld.one(), fld.neg(fld.one()))
-    spaces = [CochainSpace.full(fld, m * d ** n) for n in range(top + 1)]
-    diffs = []
-    for n in range(1, top + 1):
-        faces = [evaluate(n, n - 1, i, 2, [(mult,)], signs[i % 2]) for i in range(n + 1)]
-        diffs.append(SparseMatrix(fld, m * d ** n, m * d ** (n - 1),
-                                  [np.concatenate(part) for part in zip(*faces)]))
-    return CochainComplex(fld, top, spaces, diffs)
+
+    def image(n, fixed):
+        faces = [evaluate(n + 1, n, i, 2, [(mult,)], signs[i % 2]) for i in range(n + 2)]
+        diff = SparseMatrix(fld, m * d ** (n + 1), m * d ** n,
+                            [np.concatenate(part) for part in zip(*faces)])
+        return diff if fixed.is_full else diff @ fixed.basis
+
+    return fixed_degrees(fld, [CochainSpace.full(fld, m * d ** n) for n in range(top, -1, -1)],
+                         sigmas, image)
 
 
-def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
+def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> list:
     """The (i, i+1) generators on reduced degree-n cochains: sigma_i
     evaluates on -(m tensor 1 tensor m)(1 tensor 1 tensor S tensor 1 tensor 1)
     (1 tensor 1 tensor Delta tensor 1)(1 tensor Delta tensor 1) in the
@@ -246,8 +247,8 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOpera
     sigma = [(mult, 1, 1), (1, 1, 1, mult), (1, 1, s, 1, 1), (1, 1, delta, 1), (1, delta, 1)]
     evaluate = _evaluation(h, mod)
     size, minus = mod.dim * h.dim ** n, h.field.neg(h.field.one())
-    return ActionOperator(n, [SparseMatrix(h.field, size, size, evaluate(n, n, i - 1, 3, sigma, minus))
-                              for i in range(1, n + 1)])
+    return [SparseMatrix(h.field, size, size, evaluate(n, n, i - 1, 3, sigma, minus))
+            for i in range(1, n + 1)]
 
 
 # -- cohomology drivers ----------------------------------------------------
@@ -255,7 +256,7 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOpera
 
 def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
     """H^0..H^{top-1} (HH for a bimodule) from the nonhomogeneous realization."""
-    return cohomology_dims(nonhomogeneous_complex(h, mod, top))
+    return fixed_cohomology(h.field, nonhomogeneous_degrees(h, mod, top))
 
 
 def nonhomogeneous_symmetric_dims(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
@@ -263,9 +264,8 @@ def nonhomogeneous_symmetric_dims(h: HopfAlgebra, mod: LeftModule, top: int) -> 
     the nonhomogeneous realization, which takes a bimodule as it is: for
     SHH this side never builds ad M."""
     require_cocommutative(h)
-    cpx = nonhomogeneous_complex(h, mod, top)
-    return cohomology_dims(fixed_subcomplex(
-        cpx, [sigma_nonhomogeneous(h, mod, n) for n in range(top + 1)]))
+    return fixed_cohomology(h.field, nonhomogeneous_degrees(
+        h, mod, top, lambda n: sigma_nonhomogeneous(h, mod, n)))
 
 
 def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
@@ -277,6 +277,4 @@ def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
     """
     require_cocommutative(h)
     coeffs = adjoint_module(h, mod) if isinstance(mod, Bimodule) else mod
-    cpx = homogeneous_complex(h, coeffs, top)
-    return cohomology_dims(fixed_subcomplex(
-        cpx, [sigma_homogeneous(h, coeffs, n) for n in range(top + 1)]))
+    return fixed_cohomology(h.field, homogeneous_degrees(h, coeffs, top))

@@ -18,6 +18,9 @@ matrix (a signed permutation, as for a group algebra with a permutation
 module) the fixed points are a sum over orbits, read off by label
 propagation with no dense array; otherwise they are a common kernel
 (`linalg.intersect_kernels`).  Both give the same basis and coords.
+It is built one degree at a time (`fixed_degrees`) from a realization's
+spaces, generators and differential images, so no whole ambient complex
+is held; `fixed_cohomology` ranks its restricted differentials.
 
 Cohomology dimensions come from exact ranks of the restricted
 differentials.  Over prime fields that is one dense elimination; over
@@ -96,14 +99,6 @@ class CochainSpace:
         """Whether every column of vecs lies in the space, by the coords
         round trip (valid since coords.basis = id)."""
         return self.basis @ (self.coords @ vecs) == vecs
-
-
-@dataclass
-class ActionOperator:
-    """Matrices of the adjacent-transposition generators on one ambient degree."""
-
-    degree: int
-    sigmas: list  # sigmas[i-1] is the operator of the transposition (i, i+1)
 
 
 @dataclass
@@ -269,63 +264,67 @@ def _orbit_fixed_space(field: Field, dim: int, gens: list) -> CochainSpace:
         SparseMatrix(field, len(roots), dim, (np.arange(len(roots), dtype=np.int64), roots, None)))
 
 
-def _fixed_space(field: Field, space: CochainSpace, sigmas: list) -> CochainSpace | None:
-    """The common fixed space of sigmas inside space, in its coordinates, or
-    None when it is all of space: by orbits when every restricted generator
-    is monomial (certified by sigma B == B for each), else by
-    `intersect_kernels` of sigma - 1."""
+def _fixed_space(field: Field, space: CochainSpace, sigmas: list) -> CochainSpace:
+    """The common fixed space of sigmas inside space, in ambient
+    coordinates, or space itself when all of it is fixed: by orbits when
+    every restricted generator is monomial (certified by sigma B == B for
+    each), else by `intersect_kernels` of sigma - 1, each step bounded by
+    DENSE_RANK_CELLS.  In a full space the fixed points are taken as they
+    are, since its coordinates are the ambient ones."""
     restricted = [restrict_operator(space, sigma) for sigma in sigmas]
     gens = [_monomial(op) for op in restricted]
     if any(g is None for g in gens):
         eye = SparseMatrix.identity(field, space.dim)
         sub = intersect_kernels(field, space.dim, [op - eye for op in restricted])
-        return None if sub.dim == space.dim else CochainSpace.of(sub)
-    fixed = _orbit_fixed_space(field, space.dim, gens)
-    for op in restricted:
-        if not (op @ fixed.basis == fixed.basis):
-            raise AssertionError("an orbit vector is not fixed by its generators")
-    return None if fixed.dim == space.dim else fixed
+        fixed = space if sub.dim == space.dim else CochainSpace.of(sub)
+    else:
+        fixed = _orbit_fixed_space(field, space.dim, gens)
+        for op in restricted:
+            if not (op @ fixed.basis == fixed.basis):
+                raise AssertionError("an orbit vector is not fixed by its generators")
+    if fixed.dim == space.dim:
+        return space
+    return fixed if space.is_full else CochainSpace(space.ambient_dim, space.basis @ fixed.basis,
+                                                    fixed.coords @ space.coords)
 
 
-def fixed_subcomplex(c: CochainComplex, ops: list) -> CochainComplex:
-    """Replace space(n), n < top, by its intersection with the fixed points
-    of ops[n]; the top space, only the target of the last differential,
-    is kept.
+def fixed_degrees(field: Field, spaces: list, sigmas, image):
+    """The fixed subcomplex of a realization, one degree at a time: for
+    n = 0..top, yield the fixed space of degree n in ambient coordinates
+    and the restricted differential into it (None at degree 0).  spaces
+    holds each degree's space, highest first, popped when its degree is
+    reached; sigmas(n) forms the generators on ambient(n), and image(n,
+    fixed) the image of a fixed space of degree n under the differential.
+    Below the top, the fixed points replace the space (`_fixed_space`); the
+    top space is kept, its generators certified.  The image of the fixed
+    space below is formed once, checked to be fixed by the generators and
+    read off in the coords of the fixed space; then the generators, the
+    image and the space below are dropped."""
+    top, below = len(spaces) - 1, None
+    for n in range(top + 1):
+        space, ops = spaces.pop(), sigmas(n)
+        for sigma in ops if n == top else ():
+            restrict_operator(space, sigma)
+        fixed = _fixed_space(field, space, ops) if ops and n < top else space
+        mapped = image(n - 1, below) if n else None
+        for sigma in ops if n else ():  # a fixed vector must stay fixed under the differential
+            if not (sigma @ mapped == mapped):
+                raise ActionNotCompatible(f"differential image at degree {n - 1} is not fixed")
+        diff = mapped if n == 0 or fixed.is_full else fixed.coords @ mapped
+        del space, ops, mapped
+        below = fixed
+        yield fixed, diff
 
-    ops holds one ActionOperator per degree 0..top.  At every degree, the
-    top included, its sigmas act on ambient(n) and must preserve space(n),
-    which `restrict_operator` certifies.  When every restricted sigma is
-    monomial (a signed permutation, as for a group algebra with a
-    permutation module), the fixed points are a sum over orbits
-    (`_orbit_fixed_space`): no dense array and no elimination.  Otherwise
-    they are the common kernel of the restricted sigma - 1, found by
-    `intersect_kernels` one generator at a time on these sparse operators:
-    each step densifies one s x (fixed so far) image, bounded by
-    DENSE_RANK_CELLS, and no (#sigma * s) x s stack is built.  Both give the
-    same basis and coords.  In a full space the fixed points are taken as
-    they are, since its coordinates are the ambient ones.  Each
-    differential must map fixed vectors to fixed vectors, which is checked
-    at every degree.
-    """
-    top = c.top_degree
-    for sigma in ops[top].sigmas:  # the top space is certified and kept
-        restrict_operator(c.spaces[top], sigma)
-    spaces = []
-    for space, op in zip(c.spaces[:top], ops):
-        fixed = _fixed_space(c.field, space, op.sigmas) if op.sigmas else None
-        if fixed is not None and not space.is_full:
-            fixed = CochainSpace(space.ambient_dim, space.basis @ fixed.basis,
-                                 fixed.coords @ space.coords)
-        spaces.append(space if fixed is None else fixed)
-    spaces.append(c.spaces[top])
-    # a fixed vector must stay fixed after applying the differential
-    for n in range(top):
-        image = c.diffs[n] if spaces[n].is_full else c.diffs[n] @ spaces[n].basis
-        for sigma in ops[n + 1].sigmas:
-            if not (sigma @ image == image):
-                raise ActionNotCompatible(
-                    f"differential image at degree {n} is not fixed")
-    return CochainComplex(c.field, top, spaces, c.diffs)
+
+def fixed_cohomology(field: Field, degrees) -> list:
+    """cohomology_dims of the subcomplex that `fixed_degrees` yields, ranked
+    on full spaces of the fixed dimensions."""
+    dims, diffs = [], []
+    for fixed, diff in degrees:
+        dims.append(fixed.dim)
+        diffs += [] if diff is None else [diff]
+    return cohomology_dims(CochainComplex(field, len(diffs),
+                                          [CochainSpace.full(field, s) for s in dims], diffs))
 
 
 # -- induced maps on cohomology -------------------------------------------

@@ -43,7 +43,7 @@ from .hopf import HopfAlgebra, cyclic_group_table
 from .linalg import DENSE_RANK_CELLS, rank
 from .modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
                       regular_left_module, tensor_module, validate_module)
-from .sparse import SparseMatrix, apply_columns, field_array, kron
+from .sparse import SparseMatrix, _column_batches, apply_columns, field_array, kron
 from .tensors import (bar_chain_transpose_columns, cochain_precompose, diagonal_columns, flat,
                       insertion_columns, swap_slots)
 
@@ -144,14 +144,27 @@ def _descend(fld, transposed, target_t, section, projection, message) -> SparseM
     """X . S for X = target . op, certified to descend to the coinvariants
     of P = `projection`, S = `section`: X^T = op^T target^T is formed on the
     rows of target^T, op^T by its column map `transposed`, X . S is read
-    off X's section columns, and unless X = (X . S) . P, `message` is raised."""
-    r, c, v = apply_columns(fld, transposed, target_t.triples())
-    x = SparseMatrix(fld, target_t.cols, projection.cols, (c, r, v))
-    induced = SparseMatrix(fld, x.rows, section.cols,
-                           apply_columns(fld, x.column_map(search=True), section.triples()))
-    if x != induced @ projection:
-        raise AssertionError(message)
-    return induced
+    off X's section columns, and unless X = (X . S) . P, `message` is raised.
+    Past DENSE_RANK_CELLS cells of unsummed terms of X^T (three each, an
+    entry of target^T counted as the first one's), all this goes in batches
+    of whole columns of target^T of at most max(nnz(target^T), nnz(P))
+    terms, the bound of `@`, each dropped before the next."""
+    r, c, v = target_t.triples()
+    ends = len(transposed(r[:1])[0]) * np.arange(1, len(r) + 1)  # terms of entries 0..i
+    terms = ends[-1:].sum()
+    bound = max(target_t.nnz(), projection.nnz()) if 3 * terms > DENSE_RANK_CELLS else terms
+    parts = []
+    for lo, hi in _column_batches(c, ends, bound):
+        tr, tc, tv = apply_columns(fld, transposed, (r[lo:hi], c[lo:hi], v[lo:hi]))
+        x = SparseMatrix(fld, target_t.cols, projection.cols, (tc, tr, tv))
+        del tr, tc, tv
+        induced = SparseMatrix(fld, x.rows, section.cols,
+                               apply_columns(fld, x.column_map(search=True), section.triples()))
+        if x != induced @ projection:
+            raise AssertionError(message)
+        parts.append(induced.triples())
+    return SparseMatrix(fld, target_t.cols, section.cols,
+                        [np.concatenate(p) for p in zip(*parts)] or None)
 
 
 def coinvariant_space(h: HopfAlgebra, n: int, levels: list) -> CoinvariantSpace:

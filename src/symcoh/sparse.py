@@ -20,7 +20,7 @@ the key and checks in one pass whether it is already strictly increasing;
 then the triples are canonical up to zeros, and nothing is sorted or
 gathered.  A key that only repeats is summed without a sort.  Builders
 that can emit their triples in that order: the slot swaps and
-precompositions of tensors.py, the homogeneous differentials of bar.py
+precompositions of tensors.py, the homogeneous differential images of bar.py
 (summed batch by batch), a Kronecker product of canonical factors whose
 left one has one row (the coordinates of an equivariant space), and any
 product whose right operand has one entry per column.
@@ -375,7 +375,7 @@ def _column_batches(cols: np.ndarray, ends: np.ndarray, bound: int):
     """(lo, hi) slices of triples sorted by column that cut only between
     columns, each with at most `bound` terms when ends[i] is the number of
     terms of entries 0..i; a column over the bound is a batch of its own."""
-    cuts = np.flatnonzero(np.concatenate((cols[1:] != cols[:-1], [True]))) + 1
+    cuts = np.flatnonzero(np.concatenate((cols[1:] != cols[:-1], [len(cols) > 0]))) + 1
     before = ends[cuts - 1]  # terms before each cut
     lo = done = 0  # done: terms before lo
     while lo < len(cols):

@@ -32,6 +32,11 @@ tuple by tuple from the input form, is the reference for that basis and
 its coordinates entry for entry, where the solve fixes only their span.
 The orbit walk certifies the cyclic rank table by generators, against the
 rank of the norm element that `symcoh.resolution.cp_rank_table` takes.
+The whole-complex forms hold every degree at once: the homogeneous
+complex with each differential formed whole, the standard complex, and
+their fixed subcomplex taken after both are built.  They are the
+reference, matrix for matrix, for the fixed subcomplex that
+`symcoh.complexes.fixed_degrees` builds one degree at a time.
 
 The input form of an algebra (dict-of-dict mult and comult, unit and
 counit lists, the dense antipode) is read here entry by entry: the group
@@ -54,14 +59,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from symcoh.complexes import (ActionOperator, CochainComplex, CochainSpace,
+from symcoh.bar import DIFF_BATCH, equivariant_space, nonhomogeneous_degrees, require_budget
+from symcoh.complexes import (CochainComplex, CochainSpace, _fixed_space,
                               cohomology_dims, require_cocommutative, restrict_operator)
+from symcoh.errors import ActionNotCompatible
 from symcoh.fields import Field
 from symcoh.hopf import HopfAlgebra, iterated_comult
 from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank
-from symcoh.modules import Bimodule, LeftModule, hom_equivariant, trivial_module
-from symcoh.sparse import SparseMatrix, combination, kron
-from symcoh.tensors import flat, swap_slots
+from symcoh.modules import Bimodule, LeftModule, hom_equivariant, trivial_module, validate_module
+from symcoh.sparse import SparseMatrix, canonical, combination, kron
+from symcoh.tensors import bar_chain_transpose_columns, flat, swap_slots, tensor_identity_triples
 
 
 def field_id(field: Field) -> str:
@@ -489,6 +496,72 @@ def cp_orbit_walk(p: int, n: int):
     return len(selected), free
 
 
+# -- the whole-complex fixed subcomplex --------------------------------------
+
+
+def homogeneous_differential(h: HopfAlgebra, n: int, m: int) -> SparseMatrix:
+    """Degree n's differential of the homogeneous realization, formed whole:
+    precomposition with the counit-deletion chain map on n+2 slots, its
+    transpose tensor id_M, read off `bar_chain_transpose_columns` and
+    summed in batches of columns of at most DIFF_BATCH unsummed terms."""
+    d, fld = h.dim, h.field
+    columns = bar_chain_transpose_columns(h, n + 1)
+    shape = (d ** (n + 2), d ** (n + 1))
+    step = max(DIFF_BATCH // ((n + 2) * d), 1)
+    parts = ([], [], [])
+    for lo in range(0, shape[1], step):
+        idx = np.arange(lo, min(lo + step, shape[1]), dtype=np.int64)
+        r, pos, v = columns(idx)
+        for part, a in zip(parts, tensor_identity_triples(
+                *canonical(fld, r, idx[pos], v, shape=shape), m)):
+            part.append(a)
+    return SparseMatrix(fld, shape[0] * m, shape[1] * m, [np.concatenate(p) for p in parts])
+
+
+def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
+    """Degrees 0..top of the equivariant realization with every space and
+    differential held at once, degree n on n+1 slots: the whole complex
+    whose fixed subcomplex `symcoh.bar.fixed_homogeneous` yields one degree
+    at a time."""
+    validate_module(h, mod)
+    require_budget(mod.dim * h.dim ** (top + 1), "homogeneous complex")
+    levels = []
+    spaces = [equivariant_space(h, mod, n + 1, levels) for n in range(top, -1, -1)][::-1]
+    diffs = [homogeneous_differential(h, n, mod.dim) for n in range(top)]
+    return CochainComplex(h.field, top, spaces, diffs)
+
+
+def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
+    """Degrees 0..top of the standard complex with every differential held
+    at once: the degrees that `symcoh.bar.nonhomogeneous_degrees` yields
+    with no generators, the full spaces and the whole differentials."""
+    degrees = list(nonhomogeneous_degrees(h, mod, top))
+    return CochainComplex(h.field, top, [space for space, _diff in degrees],
+                          [diff for _space, diff in degrees[1:]])
+
+
+def fixed_subcomplex(c: CochainComplex, ops: list) -> CochainComplex:
+    """The fixed subcomplex of a whole complex: space(n), n < top, replaced
+    by its intersection with the fixed points of ops[n] (a list of
+    generators per degree 0..top), the top space kept and its
+    generators certified, and every differential's image on the fixed
+    space checked to be fixed.  The reference for `symcoh.complexes.
+    fixed_degrees`, which holds one degree at a time."""
+    top = c.top_degree
+    for sigma in ops[top]:
+        restrict_operator(c.spaces[top], sigma)
+    spaces = []
+    for space, op in zip(c.spaces[:top], ops):
+        spaces.append(_fixed_space(c.field, space, op) if op else space)
+    spaces.append(c.spaces[top])
+    for n in range(top):
+        image = c.diffs[n] if spaces[n].is_full else c.diffs[n] @ spaces[n].basis
+        for sigma in ops[n + 1]:
+            if not (sigma @ image == image):
+                raise ActionNotCompatible(f"differential image at degree {n} is not fixed")
+    return CochainComplex(c.field, top, spaces, c.diffs)
+
+
 # -- the chain isomorphisms and checks on complexes -------------------------
 
 
@@ -531,12 +604,12 @@ def check_complex(c: CochainComplex) -> ComplexReport:
 
 
 
-def coxeter_relations_hold(op: ActionOperator, space: CochainSpace):
+def coxeter_relations_hold(op: list, space: CochainSpace):
     """Check the three Coxeter relation families on the given subspace.
 
     Returns (ok, name_of_first_failure).
     """
-    sigmas = [restrict_operator(space, s) for s in op.sigmas]
+    sigmas = [restrict_operator(space, s) for s in op]
     n = len(sigmas)
     field = space.basis.field
     eye = SparseMatrix.identity(field, space.dim)
@@ -579,7 +652,7 @@ def hom_module(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> LeftModule:
     return LeftModule(dim, mats)
 
 
-def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> ActionOperator:
+def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> list:
     """The same action written on all of Hom_k(A^(tensor slots), M), where
     the first (and for a bimodule the last) tensor slot is a free module
     coordinate: slots = n+1, or n+2 for a bimodule.  Used to cross-check the
@@ -616,7 +689,7 @@ def sigma_nonhomogeneous_ambient(h: HopfAlgebra, mod: LeftModule, n: int) -> Act
                             col_base = flat(tup[:n - 1] + (a, u), d) * m
                             _add_value_block(entries, row_base, col_base, coeff, eye, fld)
         sigmas.append(SparseMatrix(fld, size, size, entries))
-    return ActionOperator(n, sigmas)
+    return sigmas
 
 
 def _leg_product(h: HopfAlgebra, legs) -> dict | None:

@@ -4,24 +4,25 @@ import tracemalloc
 import pytest
 
 from symcoh import bar
-from symcoh.bar import (classical_cohomology, equivariant_space,
-                        homogeneous_complex, nonhomogeneous_complex, nonhomogeneous_symmetric_dims,
+from symcoh.bar import (classical_cohomology, equivariant_space, homogeneous_degrees,
+                        nonhomogeneous_degrees, nonhomogeneous_symmetric_dims,
                         sigma_homogeneous, sigma_nonhomogeneous, symmetric_cohomology)
 from symcoh.cli import load_algebra
-from symcoh.complexes import (CochainSpace, cohomology_dims, fixed_subcomplex,
+from symcoh.complexes import (CochainSpace, cohomology_dims, fixed_degrees,
                               induced_map_on_cohomology, restrict_operator)
 from symcoh.errors import BudgetExceeded, NotCocommutative
 from symcoh.fields import Field
 from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
-from symcoh.modules import adjoint_module, regular_bimodule, regular_left_module, trivial_module
+from symcoh.modules import (Bimodule, adjoint_module, regular_bimodule, regular_left_module,
+                            trivial_module)
 from symcoh.sparse import SparseMatrix
 from symcoh.tensors import cochain_precompose, flat
 
 from oracles import (all_tuples, bar_chain_diff, check_complex, coxeter_relations_hold,
-                     equivariant_solve, maschke_cohomology_dims, periodic_cyclic_cohomology_dims,
-                     phi_psi, psi_space, sigma_nonhomogeneous_ambient, space_dims, stacked_kernel,
-                     vstack)
+                     equivariant_solve, fixed_subcomplex, homogeneous_complex,
+                     maschke_cohomology_dims, nonhomogeneous_complex, periodic_cyclic_cohomology_dims, phi_psi, psi_space,
+                     sigma_nonhomogeneous_ambient, space_dims, stacked_kernel, vstack)
 from restricted import restricted_enveloping
 from test_generic_hopf import change_basis, scrambled_kc2_rational, scrambled_kc3
 
@@ -217,7 +218,7 @@ def test_sigma_nonhomogeneous_reproduces_group_formulas(make, field, n_max):
     h = make(field)
     for mod in (trivial_module(h), regular_left_module(h)):
         for n in range(2, n_max + 1):
-            ours = sigma_nonhomogeneous(h, mod, n).sigmas
+            ours = sigma_nonhomogeneous(h, mod, n)
             oracle = _group_formula_sigma(h, mod, n)
             assert all(a == b for a, b in zip(ours, oracle))
 
@@ -236,7 +237,7 @@ def test_sigma_nonhomogeneous_braid_ks3():
     h = kS3(GF5)
     mod = trivial_module(h)
     op = sigma_nonhomogeneous(h, mod, 2)
-    s1, s2 = op.sigmas
+    s1, s2 = op
     assert s1 @ (s2 @ s1) == s2 @ (s1 @ s2)
 
 
@@ -250,7 +251,7 @@ def test_sigma_homogeneous_coxeter_and_group_like_swap():
         assert ok, why
     # signed slot swap on the dual basis
     op = sigma_homogeneous(h, mod, 2)
-    rows, cols, vals = op.sigmas[0].triples()
+    rows, cols, vals = op[0].triples()
     src = flat((1, 2, 0), 3)
     dst = flat((2, 1, 0), 3)
     assert rows[cols == src].tolist() == [dst]
@@ -346,8 +347,8 @@ def _assert_ambient_matches_reduced(h, n_max):
             sect = SparseMatrix(fld, m * d ** (n + 1), m * d ** n, sect)
             coords = SparseMatrix(fld, m * d ** n, m * d ** (n + 1), coords)
             assert (coords @ sect).equals_identity()
-            reduced = sigma_nonhomogeneous(h, mod, n).sigmas
-            ambient = sigma_nonhomogeneous_ambient(h, mod, n).sigmas
+            reduced = sigma_nonhomogeneous(h, mod, n)
+            ambient = sigma_nonhomogeneous_ambient(h, mod, n)
             for red, amb in zip(reduced, ambient):
                 assert coords @ (amb @ sect) == red
 
@@ -422,18 +423,18 @@ def test_phi_psi_restrict_to_fixed_subspaces():
         # fixed vectors of the slot-swap action inside the equivariant space
         from symcoh.linalg import Matrix, kernel_basis
         eye = SparseMatrix.identity(h.field, space.dim)
-        red = [(restrict_operator(space, s) - eye).to_dense() for s in ops_k.sigmas]
+        red = [(restrict_operator(space, s) - eye).to_dense() for s in ops_k]
         fixed = kernel_basis(vstack(h.field, red))
         img = phi @ (space.basis @ SparseMatrix.from_dense(fixed.basis))
-        for s in ops_c.sigmas:
+        for s in ops_c:
             assert s @ img == img
         # CS vectors map into KS under psi
         full_dim = mod.dim * h.dim ** n
         stacked = vstack(h.field, [(s - SparseMatrix.identity(h.field, full_dim)).to_dense()
-                                   for s in ops_c.sigmas])
+                                   for s in ops_c])
         cs = kernel_basis(stacked)
         img = psi @ SparseMatrix.from_dense(cs.basis)
-        for s in ops_k.sigmas:
+        for s in ops_k:
             assert s @ img == img
 
 
@@ -516,12 +517,70 @@ def test_fixed_subspaces_equal_the_stacked_kernel_oracle(name):
     fixed = fixed_subcomplex(cpx, ops)
     for n, space in enumerate(cpx.spaces[:-1]):
         eye = SparseMatrix.identity(h.field, space.dim)
-        stack = [(restrict_operator(space, s) - eye).to_dense() for s in ops[n].sigmas]
+        stack = [(restrict_operator(space, s) - eye).to_dense() for s in ops[n]]
         if not stack:
             continue
         want = CochainSpace.of(stacked_kernel(h.field, stack))
         assert fixed.spaces[n].basis == space.basis @ want.basis, n
         assert fixed.spaces[n].coords == want.coords @ space.coords, n
+
+
+# each realization, one degree at a time, against the whole complex; the
+# bimodule case takes ad M on the homogeneous side and M itself on the other
+DEGREE_CASES = {
+    "kS3-GF5-regular": (lambda: kS3(GF5), regular_left_module, 3),
+    "kS3-GF5-regular-bimodule": (lambda: kS3(GF5), regular_bimodule, 3),
+    "kC3-GF3-trivial": (lambda: kC(3, GF3), trivial_module, 4),
+    "kS3-Q-trivial": (lambda: kS3(QQ), trivial_module, 3),
+    "scrambled-kC3-trivial": (scrambled_kc3, trivial_module, 4),
+    "scrambled-kC2-Q-regular": (scrambled_kc2_rational, regular_left_module, 4),
+    "u1-GF5-regular": (lambda: load_algebra(str(U1_GF5), None), regular_left_module, 3),
+}
+REALIZATIONS = {
+    "homogeneous": (homogeneous_degrees, homogeneous_complex, sigma_homogeneous),
+    "nonhomogeneous": (lambda h, mod, top: nonhomogeneous_degrees(
+        h, mod, top, lambda n: sigma_nonhomogeneous(h, mod, n)),
+        nonhomogeneous_complex, sigma_nonhomogeneous),
+}
+
+
+@pytest.mark.parametrize("realization", REALIZATIONS)
+@pytest.mark.parametrize("name", DEGREE_CASES)
+def test_fixed_degrees_equal_the_whole_complex_oracle(name, realization):
+    make, module, top = DEGREE_CASES[name]
+    by_degree, whole, sigma = REALIZATIONS[realization]
+    h = make()
+    mod = module(h)
+    if realization == "homogeneous" and isinstance(mod, Bimodule):
+        mod = adjoint_module(h, mod)
+    want = fixed_subcomplex(whole(h, mod, top), [sigma(h, mod, n) for n in range(top + 1)])
+    degrees = list(by_degree(h, mod, top))
+    assert len(degrees) == top + 1
+    for n, (space, diff) in enumerate(degrees):
+        assert space.is_full == want.spaces[n].is_full, n
+        assert space.basis == want.spaces[n].basis, n
+        assert space.coords == want.spaces[n].coords, n
+        assert diff == (None if n == 0 else want.restricted_diff(n - 1)), n
+
+
+def test_fixed_degrees_without_generators_restrict_to_the_equivariant_spaces():
+    # Sweedler's H4 is not cocommutative, so it has no slot-swap action;
+    # driven with no generators, the homogeneous images restrict to the
+    # whole complex's differentials on its equivariant spaces, and either
+    # realization refuses H4, one degree at a time, once it forms a generator
+    h = sweedler_h4(GF5)
+    for mod in (trivial_module(h), regular_left_module(h)):
+        want = homogeneous_complex(h, mod, 3)
+        spaces = [equivariant_space(h, mod, n + 1, []) for n in range(3, -1, -1)]
+        degrees = list(fixed_degrees(h.field, spaces, lambda n: [],
+                                     lambda n, fixed: bar._homogeneous_image(h, n, mod.dim,
+                                                                             fixed.basis)))
+        for n, (space, diff) in enumerate(degrees):
+            assert space.basis == want.spaces[n].basis
+            assert diff == (None if n == 0 else want.restricted_diff(n - 1))
+        for by_degree, _whole, _sigma in REALIZATIONS.values():
+            with pytest.raises(NotCocommutative):
+                list(by_degree(h, mod, 3))
 
 
 def _kc5_symmetric_cohomology_peak(top):
@@ -543,6 +602,29 @@ def test_symmetric_cohomology_kc5_peak_memory():
     dims, peak = _kc5_symmetric_cohomology_peak(5)
     assert dims == [1, 1, 1, 1, 1]
     assert peak < 8 << 20
+
+
+def test_symmetric_cohomology_kc5_holds_one_degree_at_a_time():
+    # each degree's generators and image are formed and dropped in turn, and
+    # no differential is formed: the whole complex with its restrictions
+    # peaked at 4.58 MiB here
+    dims, peak = _kc5_symmetric_cohomology_peak(5)
+    assert dims == [1, 1, 1, 1, 1]
+    assert peak <= 3 << 20
+
+
+def test_symmetric_cohomology_kc2_top_12_sums_the_image_in_batches():
+    # the top image summed in one piece would peak above the whole complex,
+    # which peaked at 7,195,717 bytes here
+    h = kC(2, Field.prime(2))
+    tracemalloc.start()
+    try:
+        dims = symmetric_cohomology(h, trivial_module(h), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == [1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0]
+    assert peak <= 7_195_717
 
 
 def test_symmetric_cohomology_kc5_top_6_peak_memory():
@@ -611,15 +693,21 @@ def test_symmetric_cohomology_restricts_each_generator_once(monkeypatch):
 
 @pytest.mark.parametrize("batch", [bar.DIFF_BATCH, 1], ids=["one-batch", "column-batches"])
 def test_homogeneous_differential_is_the_precomposed_chain_map(batch, monkeypatch):
-    # the transposed chain map, summed batch by batch and tensored with id_M,
-    # against precomposition with the whole chain map; the counit of
-    # k[x]/(x^3) vanishes on x and x^2, and scrambled kC3 has no group basis
+    # the transposed chain map tensor id_M applied to a basis, summed batch
+    # by batch, against precomposition with the whole chain map: on the
+    # identity (the whole differential), on the equivariant basis and on no
+    # columns; the counit of k[x]/(x^3) vanishes on x and x^2, and scrambled
+    # kC3 has no group basis
     monkeypatch.setattr(bar, "DIFF_BATCH", batch)
     for h in (kC(3, GF3), kS3(QQ), scrambled_kc3(), restricted_enveloping(3)):
         for mod in (trivial_module(h), regular_left_module(h)):
             for n in range(3):
                 want = cochain_precompose(bar_chain_diff(h, n + 1), mod.dim)
-                assert bar._homogeneous_differential(h, n, mod.dim) == want, (h, mod, n)
+                basis = equivariant_space(h, mod, n + 1, []).basis
+                for cols in (SparseMatrix.identity(h.field, want.cols), basis,
+                             SparseMatrix(h.field, want.cols, 0)):
+                    got = bar._homogeneous_image(h, n, mod.dim, cols)
+                    assert got == want @ cols, (h, mod, n)
 
 
 def test_homogeneous_complex_forms_each_tensor_power_level_once(monkeypatch):
@@ -640,7 +728,7 @@ def test_homogeneous_complex_forms_each_tensor_power_level_once(monkeypatch):
     monkeypatch.setattr(tensors, "tensor_module", module)
     monkeypatch.setattr(tensors, "tensor_actions", actions)
     h = scrambled_kc3()
-    cpx = homogeneous_complex(h, trivial_module(h), 4)
+    dims = [space.dim for space, _diff in homogeneous_degrees(h, trivial_module(h), 4)]
     assert built == [3, 9, 27]
     assert set(single) == {81}
-    assert [s.dim for s in cpx.spaces] == [3 ** n for n in range(5)]
+    assert dims == [1, 1, 1, 0, 81]

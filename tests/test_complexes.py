@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from symcoh import complexes
 from oracles import check_complex, euler_characteristic_consistent, field_id, space_dims
-from symcoh.complexes import (DENSE_RANK_CELLS, ActionOperator, CochainComplex,
-                              CochainSpace, cohomology_dims, fixed_subcomplex,
+from symcoh.complexes import (DENSE_RANK_CELLS, CochainComplex,
+                              CochainSpace, cohomology_dims, fixed_cohomology, fixed_degrees,
                               induced_map_on_cohomology)
 from symcoh.errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                            NotASubcomplex)
@@ -68,19 +68,29 @@ def test_cohomology_dims_rejects_negative_dimension():
         cohomology_dims(c)
 
 
+def fixed_subcomplex(c, ops):
+    """The fixed subcomplex that `fixed_degrees` yields for the whole
+    complex c with a list of generators per degree, its ambient differentials
+    kept: each image is the differential applied to the fixed space."""
+    degrees = fixed_degrees(c.field, c.spaces[::-1], lambda n: ops[n],
+                            lambda n, fixed: c.diffs[n] if fixed.is_full
+                            else c.diffs[n] @ fixed.basis)
+    return CochainComplex(c.field, c.top_degree, [space for space, _diff in degrees], c.diffs)
+
+
 def test_fixed_subcomplex_identity_ops_unchanged():
     c = toy()
     eye = lambda n: SparseMatrix.identity(GF3, n)
-    ops = [ActionOperator(0, []),
-           ActionOperator(1, [eye(2)]),
-           ActionOperator(2, [eye(1)])]
+    ops = [[],
+           [eye(2)],
+           [eye(1)]]
     fixed = fixed_subcomplex(c, ops)
     assert space_dims(fixed) == [1, 2, 1]
 
 
 def test_fixed_subcomplex_degree0_untouched():
     c = toy()
-    ops = [ActionOperator(0, []), ActionOperator(1, []), ActionOperator(2, [])]
+    ops = [[], [], []]
     fixed = fixed_subcomplex(c, ops)
     assert space_dims(fixed) == space_dims(c)
 
@@ -91,8 +101,8 @@ def test_fixed_subcomplex_negation_kills_space():
     diffs = [SparseMatrix(field, 2, 1), SparseMatrix(field, 1, 2)]  # zero differentials
     c = CochainComplex(field, 2, spaces, diffs)
     minus = SparseMatrix(field, 2, 2, ([0, 1], [0, 1], [field.from_int(-1)] * 2))
-    fixed = fixed_subcomplex(c, [ActionOperator(0, []), ActionOperator(1, [minus]),
-                                 ActionOperator(2, [])])
+    fixed = fixed_subcomplex(c, [[], [minus],
+                                 []])
     assert space_dims(fixed) == [1, 0, 1]
     assert cohomology_dims(fixed) == [1, 0]
 
@@ -107,7 +117,7 @@ def _top_two_complex(field, top_space):
 def test_fixed_subcomplex_keeps_the_top_space_and_certifies_its_generators():
     field = QQ
     minus = SparseMatrix(field, 2, 2, ([0, 1], [0, 1], [field.from_int(-1)] * 2))
-    ops = [ActionOperator(0, []), ActionOperator(1, []), ActionOperator(2, [minus])]
+    ops = [[], [], [minus]]
     # the top space is only the target of the last differential: -1 fixes
     # none of it, and it is kept whole
     c = _top_two_complex(field, CochainSpace.full(field, 2))
@@ -120,7 +130,7 @@ def test_fixed_subcomplex_keeps_the_top_space_and_certifies_its_generators():
                         SparseMatrix(field, 1, 2, ([0], [0], None)))
     swap = SparseMatrix(field, 2, 2, ([1, 0], [0, 1], None))
     with pytest.raises(ActionLeavesSubspace):
-        fixed_subcomplex(_top_two_complex(field, line), ops[:2] + [ActionOperator(2, [swap])])
+        fixed_subcomplex(_top_two_complex(field, line), ops[:2] + [[swap]])
 
 
 def test_restrict_operator_returns_an_operator_on_a_full_space_without_a_product(monkeypatch):
@@ -144,24 +154,21 @@ def test_fixed_subcomplex_takes_the_fixed_points_of_a_full_space_without_a_produ
     # every degree of the nonhomogeneous realization is a full space, whose
     # coordinates are the ambient ones: its fixed points are taken as they
     # are, and no product is formed with its identity basis or coords
-    from symcoh.bar import nonhomogeneous_complex, sigma_nonhomogeneous
+    from symcoh.bar import nonhomogeneous_degrees, sigma_nonhomogeneous
     from symcoh.hopf import cyclic_group_table, group_algebra
     from symcoh.modules import trivial_module
     h = group_algebra(3, cyclic_group_table(3), GF3)
     mod = trivial_module(h)
-    cpx = nonhomogeneous_complex(h, mod, 3)
-    ops = [sigma_nonhomogeneous(h, mod, n) for n in range(4)]
-    assert all(space.is_full for space in cpx.spaces)
-    identities = [space.basis for space in cpx.spaces] + [space.coords for space in cpx.spaces]
     products = []
     matmul = SparseMatrix.__matmul__
     monkeypatch.setattr(SparseMatrix, "__matmul__",
                         lambda a, b: products.append((a, b)) or matmul(a, b))
-    fixed = fixed_subcomplex(cpx, ops)
+    degrees = list(nonhomogeneous_degrees(h, mod, 3, lambda n: sigma_nonhomogeneous(h, mod, n)))
     assert products
-    assert not any(x is eye for pair in products for x in pair for eye in identities)
-    assert [space.dim for space in fixed.spaces] == [1, 1, 1, 27]
-    assert cohomology_dims(fixed) == [1, 1, 1]
+    assert not any(x.rows == x.cols and x.equals_identity() for pair in products for x in pair)
+    assert [space.dim for space, _diff in degrees] == [1, 1, 1, 27]
+    assert degrees[-1][0].is_full
+    assert fixed_cohomology(GF3, iter(degrees)) == [1, 1, 1]
 
 
 def test_fixed_subcomplex_incompatible_raises():
@@ -172,7 +179,7 @@ def test_fixed_subcomplex_incompatible_raises():
     minus = SparseMatrix(field, 1, 1, ([0], [0], [field.from_int(-1)]))
     # degree-0 space is all fixed (no generators), but d maps it to non-fixed vectors
     with pytest.raises(ActionNotCompatible):
-        fixed_subcomplex(c, [ActionOperator(0, []), ActionOperator(1, [minus])])
+        fixed_subcomplex(c, [[], [minus]])
 
 
 def test_induced_map_sub_equals_full_is_identity():
@@ -359,4 +366,4 @@ def test_fixed_space_falls_back_to_the_common_kernel_off_monomials(monkeypatch):
     want = CochainSpace.of(real(GF3, 3, [swap - eye, shear - eye]))
     assert (fixed.basis, fixed.coords) == (want.basis, want.coords)
     # a fixed space that is everything keeps the space
-    assert complexes._fixed_space(GF3, space, [eye]) is None
+    assert complexes._fixed_space(GF3, space, [eye]) is space

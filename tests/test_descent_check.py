@@ -6,11 +6,13 @@ Every tensor slot is permuted, as in the resolution."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import descends_to_quotient
 from symcoh.fields import Field
+from symcoh import resolution
 from symcoh.resolution import _descend, _sorted_tuple_coinvariants
 from symcoh.sparse import SparseMatrix
 
@@ -86,6 +88,17 @@ def _descends(field, d, slots, op) -> bool:
 def test_array_descent_check_matches_oracle(case):
     field, d, slots, op = case
     assert _descends(field, d, slots, op) == descends_to_quotient(field, d, slots, slots, op)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operators())
+def test_batched_descent_check_matches_oracle(case):
+    # with no room under the cell limit, each column of the target is a
+    # batch of its own
+    field, d, slots, op = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "DENSE_RANK_CELLS", 0)
+        assert _descends(field, d, slots, op) == descends_to_quotient(field, d, slots, slots, op)
 
 
 def test_both_outcomes_are_generated():

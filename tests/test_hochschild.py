@@ -6,10 +6,9 @@ and the nonhomogeneous realization of M itself."""
 
 import pytest
 
-from symcoh.bar import (classical_cohomology, equivariant_space, homogeneous_complex,
-                        nonhomogeneous_complex, nonhomogeneous_symmetric_dims,
-                        sigma_homogeneous, sigma_nonhomogeneous, symmetric_cohomology)
-from symcoh.complexes import cohomology_dims, fixed_subcomplex
+from symcoh.bar import (classical_cohomology, equivariant_space, nonhomogeneous_symmetric_dims, sigma_homogeneous, sigma_nonhomogeneous,
+                        symmetric_cohomology)
+from symcoh.complexes import cohomology_dims
 from symcoh.errors import NotCommutative
 from symcoh.fields import Field
 from symcoh.hochschild import commutative_factorization_check, compare_adjoint
@@ -19,7 +18,9 @@ from symcoh.sparse import SparseMatrix
 from symcoh.tensors import flat
 
 from oracles import (all_tuples, check_complex, coxeter_relations_hold, equivariant_solve,
-                     periodic_cyclic_cohomology_dims, phi_psi, sigma_nonhomogeneous_ambient)
+                     fixed_subcomplex, homogeneous_complex, nonhomogeneous_complex,
+                     periodic_cyclic_cohomology_dims,
+                     phi_psi, sigma_nonhomogeneous_ambient)
 from restricted import restricted_enveloping
 from test_bar import append_entry, sweedler_h4
 from test_generic_hopf import scrambled_kc2_rational, scrambled_kc3
@@ -103,7 +104,7 @@ def test_sigma_sa4_is_signed_swap_on_dual_basis():
     h = kC(3, GF3)
     op = sigma_homogeneous(h, ad_regular(h), 3)
     # swaps slots 0, 1 of four slots; the others stay
-    rows, cols, vals = op.sigmas[0].triples()
+    rows, cols, vals = op[0].triples()
     src = flat((1, 2, 0, 2), 3) * 3
     dst = flat((2, 1, 0, 2), 3) * 3
     assert rows[cols == src].tolist() == [dst]
@@ -160,8 +161,8 @@ def _assert_ambient_matches_reduced(h, n_max):
             sect = SparseMatrix(fld, m * d ** (n + 2), m * d ** n, sect)
             coords = SparseMatrix(fld, m * d ** n, m * d ** (n + 2), coords)
             assert (coords @ sect).equals_identity()
-            reduced = sigma_nonhomogeneous(h, bim, n).sigmas
-            ambient = sigma_nonhomogeneous_ambient(h, bim, n).sigmas
+            reduced = sigma_nonhomogeneous(h, bim, n)
+            ambient = sigma_nonhomogeneous_ambient(h, bim, n)
             for red, amb in zip(reduced, ambient):
                 assert coords @ (amb @ sect) == red
 
@@ -215,10 +216,10 @@ def test_hochschild_phi_psi_restrict_to_fixed_subspaces():
     for n in range(1, 4):
         phi, psi = phi_psi(h, ad, n)
         img = phi @ fk.spaces[n].basis
-        for s in ops_c[n].sigmas:
+        for s in ops_c[n]:
             assert s @ img == img
         img = psi @ fc.spaces[n].basis
-        for s in ops_k[n].sigmas:
+        for s in ops_k[n]:
             assert s @ img == img
 
 

@@ -368,19 +368,16 @@ def test_euler_characteristic_on_resolution_route_complexes():
 
 def test_homspace_dims_equal_fixed_subspace_dims():
     # the isomorphism KS^n = Hom_A(coinvariants, M), degreewise
-    from symcoh.bar import homogeneous_complex, sigma_homogeneous
-    from symcoh.complexes import fixed_subcomplex
+    from symcoh.bar import homogeneous_degrees
     from symcoh.modules import hom_equivariant
     h = kC(3, GF3)
     mod = trivial_module(h)
     # built through degree 4, since the top space is kept as it is
-    cpx = homogeneous_complex(h, mod, 4)
-    ops = [sigma_homogeneous(h, mod, n) for n in range(5)]
-    fixed = fixed_subcomplex(cpx, ops)
+    fixed = [space.dim for space, _diff in homogeneous_degrees(h, mod, 4)]
     res = sym_resolution_complex(h, 3)
     for n in range(4):
         hom_dim = hom_equivariant(h, res.spaces[n].module, mod).dim
-        assert hom_dim == fixed.spaces[n].dim
+        assert hom_dim == fixed[n]
 
 
 # -- SHH on the resolution route ----------------------------------------------
@@ -465,6 +462,26 @@ def test_resolution_self_checks_and_splitting_form_no_dense_product(monkeypatch)
         report = splitting_maps(kS3(GF5), n)
         assert report.retract_ok and report.equivariant_ok
     assert calls == []
+
+
+def test_batched_descents_equal_the_whole_ones(monkeypatch):
+    # the boundaries, actions and phi formed in batches of target columns
+    # (forced here by a cell limit of 0) against those formed in one piece
+    from symcoh import resolution
+
+    def built():
+        out = []
+        for h, top in ((kC(5, GF5), 4), (kS3(QQ), 3), (scrambled_kc3(), 2)):
+            res = sym_resolution_complex(h, top)
+            out.append([b for b in res.boundaries[1:]]
+                       + [x for s in res.spaces for x in s.module.action]
+                       + [splitting_maps(h, 1).phi])
+        return out
+
+    whole = built()
+    monkeypatch.setattr(resolution, "_require_ambient", lambda h, top: None)
+    monkeypatch.setattr(resolution, "DENSE_RANK_CELLS", 0)
+    assert built() == whole
 
 
 # -- the cyclic rank table ------------------------------------------------------
