@@ -5,33 +5,33 @@ cohomology, with coefficients in a left module (H, SH) or a bimodule
 
 The homogeneous complex is the subspace of Hom_k(A^(tensor n+1), M)
 equivariant for the diagonal left action, with the action by signed
-swaps of the n+1 slots.  For every algebra its basis is the image of the
-tensor identity psi from Hom_k(A^(tensor n), M), and its coordinates are
-the inverse F -> F(1 tensor -) (see equivariant_space).  Its differential
-is precomposition with the counit-deletion chain map, the transposed
-chain map tensor id_M, which is only ever applied to a fixed basis (see
-_homogeneous_image).  For a group algebra with a permutation module the
-restricted swaps are signed permutations, so its fixed points are orbits
-(complexes.fixed_degrees).
-It takes a left module only: SHH(A, M) of a bimodule M is SH(A, ad M),
-the paper's theorem, so `symmetric_cohomology` computes it on the
-adjoint module.
+swaps of the n+1 slots.  Its basis is the image of the tensor identity
+psi from Hom_k(A^(tensor n), M), its coordinates the inverse
+F -> F(1 tensor -) (see equivariant_space), and its differential is
+precomposition with the transposed counit-deletion chain map tensor
+id_M, only ever applied to a fixed basis (see _homogeneous_image).  For
+a group algebra with a permutation module the restricted swaps are
+signed permutations, so its fixed points are orbits.  It takes a left
+module only: SHH(A, M) of a bimodule M is SH(A, ad M), the paper's
+theorem, so `symmetric_cohomology` computes it on the adjoint module.
 
 The standard ("nonhomogeneous") complex lives on reduced coordinates
 Hom_k(A^(tensor n), M) and takes a bimodule natively.  It is
 Hom_(A-A)(A tensor A^(tensor n) tensor A, M) over the bar resolution,
 by f -> F, F(b tensor y tensor c) = b . f(y) . c, so each of its
 operators is one evaluation: f -> (x -> F(c(1 tensor x tensor 1))) for a
-composite c of the sparse structure maps, applied by hopf._apply (see
-_evaluation).  A left module M enters as the bimodule M_eps, whose right
-action is the counit.  It computes HH, and it is the side of every SHH
-check that never builds ad M (`nonhomogeneous_symmetric_dims`).
+composite c of the sparse structure maps (see _evaluation).  A left
+module M enters as the bimodule M_eps, whose right action is the counit.
+H and HH are ranked on its normalized subcomplex Hom_k(Abar^(tensor n),
+M), Abar = A / k1, of m (d-1)^n coordinates in a basis that holds 1
+(`nonhomogeneous_degrees`); every SHH check that never builds ad M
+(`nonhomogeneous_symmetric_dims`) keeps the whole complex, since
+normalization is not sigma-stable.
 
-Each realization is built through degree top and gives the cohomology of
-degrees 0..top-1, one degree at a time (`homogeneous_degrees`,
-`nonhomogeneous_degrees`, through `complexes.fixed_degrees`): the swaps
-of each degree, the top one included, are certified and dropped, and
-the top space, only the target of the last differential, is kept.
+Each realization gives the cohomology of degrees 0..top-1 one degree at
+a time (`homogeneous_degrees`, `nonhomogeneous_degrees`, through
+`complexes.fixed_degrees`): the swaps of each degree, the top one
+included, are certified and dropped, and the top space is kept.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .complexes import CochainSpace, fixed_cohomology, fixed_degrees, require_cocommutative
 from .errors import BudgetExceeded
-from .hopf import HopfAlgebra, _apply
+from .hopf import HopfAlgebra, StructureMaps, _apply
 from .modules import Bimodule, LeftModule, _action_map, adjoint_module, validate_module
 from .sparse import (SparseMatrix, _column_batches, canonical, combination, kron, kron_triples,
                      require_terms)
@@ -163,22 +163,43 @@ def sigma_homogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> list:
 # -- the nonhomogeneous (reduced-coordinate) realization -------------------
 
 
-def _evaluation(h: HopfAlgebra, mod: LeftModule):
-    """evaluate(n, k, lo, width, composite, sign): the triples of the operator
-    Hom_k(A^(tensor k), M) -> Hom_k(A^(tensor n), M),
+def _unit_basis(h: HopfAlgebra, mod: LeftModule):
+    """(maps, mod, k): h and mod in the basis b'_k = 1, k the first nonzero
+    coordinate of the unit u, b'_i = b_i otherwise: with P the identity
+    with column k the unit and Q = P^-1 = 1 - (P - 1) / u_k, m' = Q m (P
+    tensor P), Delta' = (Q tensor Q) Delta P, eps' = eps P, S' = Q S P and
+    eta' = Q eta = e_k; the action of b'_k is the identity (`validate_module`)."""
+    fld, d = h.field, h.dim
+    rows, _cols, u = h.maps.unit.triples()
+    k, inv, eye = int(rows[0]), fld.inv(u.tolist()[0]), SparseMatrix.identity(fld, d)
+    ek = SparseMatrix(fld, 1, d, ([0], [k], None))  # e_k^T
+    jump = (h.maps.unit - ek.transpose()) @ ek  # P - 1
+    p, q = eye + jump, combination(fld, d, d, [(fld.one(), eye), (fld.neg(inv), jump)])
+    mult, delta, eta, eps, s, swap = h.maps
+    maps = StructureMaps(q @ mult @ kron(p, p), kron(q, q) @ delta @ p, q @ eta, eps @ p,
+                         q @ s @ p, swap)
+    one = [SparseMatrix.identity(fld, mod.dim)]
+    sides = [mod.action, mod.right] if isinstance(mod, Bimodule) else [mod.action]
+    return maps, type(mod)(mod.dim, *[mats[:k] + one + mats[k + 1:] for mats in sides]), k
+
+
+def _evaluation(h: HopfAlgebra, maps, mod: LeftModule):
+    """evaluate(n, k, lo, width, composite, sign, xs): the triples of the
+    operator Hom_k(A^(tensor k), M) -> Hom_k(A^(tensor n), M) at the tuples
+    xs of A^(tensor n), with the structure maps `maps` of h in some basis,
 
         f -> (x -> sign F(c(1 tensor x tensor 1))),  F(b tensor y tensor c) = b . f(y) . c,
 
     where the composite c (tuple layers, as in hopf._apply) reads the
-    `width` padded slots from lo of 1 tensor x tensor 1 (slots 0..n+1).
-    Only an outer slot that c reads is formed, from the coordinates of the
-    unit; one it does not read stays 1, which acts as the identity.  A left
-    module acts as M_eps.
+    `width` padded slots from lo of 1 tensor x tensor 1 (slots 0..n+1), x
+    = xs[i] at row i * m + j.  Only an outer slot that c reads is formed,
+    from the coordinates of the unit; one it does not read stays 1, which
+    acts as the identity.  A left module acts as M_eps.
 
     The join of c(1 tensor x tensor 1) to the value action takes two
     column-map lookups: each entry (b, y, c) at x meets every entry (k, j')
     of rho_right(c), and then column k of rho_left(b)."""
-    d, m, fld, maps = h.dim, mod.dim, h.field, h.maps
+    d, m, fld = h.dim, mod.dim, h.field
     # the right action map, eps tensor 1 for M_eps, regrouped so that
     # column c holds the entry (k, j') of rho_right(c) at row k * m + j'
     rho = (_action_map(h, mod.right, m) if isinstance(mod, Bimodule)
@@ -191,10 +212,10 @@ def _evaluation(h: HopfAlgebra, mod: LeftModule):
               SparseMatrix(fld, m * m, d, (rho.row_idx * m + jj, c, rho.vals)))
     lefts = (SparseMatrix.identity(fld, m), _action_map(h, mod.action, m))
 
-    def evaluate(n, k, lo, width, composite, sign):
+    def evaluate(n, k, lo, width, composite, sign, xs):
         left, right = lo == 0, lo + width == n + 2
         before, after = lo - 1 + left, n + 1 + right - lo - width  # formed slots around c
-        padded = SparseMatrix.identity(fld, d ** n)
+        padded = SparseMatrix(fld, d ** n, len(xs), (xs, np.arange(len(xs), dtype=np.int64), None))
         if left:
             padded = kron(maps.unit, padded)
         if right:
@@ -213,27 +234,49 @@ def _evaluation(h: HopfAlgebra, mod: LeftModule):
     return evaluate
 
 
-def nonhomogeneous_degrees(h: HopfAlgebra, mod: LeftModule, top: int, sigmas=lambda n: []):
+def nonhomogeneous_degrees(h: HopfAlgebra, mod: LeftModule, top: int, sigmas=None):
     """`fixed_degrees` of the standard complex on Hom_k(A^(tensor n), M)
-    through degree top, on full spaces, with the generators sigmas(n) (none
-    for H and HH).  The differential into degree n evaluates on the bar
-    differential, the sum over i = 0..n of (-1)^i m in the padded slots i,
-    i+1; it is formed when degree n is reached and dropped after
-    restriction."""
+    through degree top: with generators sigmas(n), all of it (normalization
+    is not sigma-stable); without (H, HH), the quasi-isomorphic normalized
+    Hom_k(Abar^(tensor n), M), Abar = A / k1 (Mac Lane, Homology, X.2), in
+    a basis holding 1 (`_unit_basis`) the tuples with no unit slot.  The
+    differential into degree n+1, the sum over i = 0..n+1 of (-1)^i m in
+    the padded slots i, i+1, is evaluated at every tuple, in batches of
+    about DIFF_BATCH terms for a group algebra; the rows at a tuple with a
+    unit slot must vanish on the space (else AssertionError)."""
     validate_module(h, mod)
-    d, m, fld = h.dim, mod.dim, h.field
-    require_budget(m * d ** (top + 1), "nonhomogeneous complex")
-    evaluate = _evaluation(h, mod)
-    mult, signs = h.maps.mult, (fld.one(), fld.neg(fld.one()))
+    normal = sigmas is None
+    maps, mod, k = _unit_basis(h, mod) if normal else (h.maps, mod, h.dim)
+    d, m, fld, kept = h.dim, mod.dim, h.field, h.dim - normal  # kept: the values of a slot
+    require_budget(m * kept ** (top + 1), "nonhomogeneous complex")
+    require_budget(m * d ** top, "the evaluation of the nonhomogeneous complex")
+    evaluate, signs = _evaluation(h, maps, mod), (fld.one(), fld.neg(fld.one()))
+
+    def position(x, slots):  # of each tuple x in the space, -1 at one with a unit slot
+        digit = x[:, None] // d ** np.arange(slots, dtype=np.int64) % d
+        pos = (digit - (digit > k)) @ kept ** np.arange(slots, dtype=np.int64)
+        return np.where((digit == k).any(axis=1), -1, pos)
 
     def image(n, fixed):
-        faces = [evaluate(n + 1, n, i, 2, [(mult,)], signs[i % 2]) for i in range(n + 2)]
-        diff = SparseMatrix(fld, m * d ** (n + 1), m * d ** n,
-                            [np.concatenate(part) for part in zip(*faces)])
+        size, step, parts = d ** (n + 1), max(DIFF_BATCH // ((n + 2) * m), 1), []
+        for lo in range(0, size, step):
+            xs = np.arange(lo, min(lo + step, size), dtype=np.int64)
+            r, c, v = (np.concatenate(part) for part in zip(*(
+                evaluate(n + 1, n, i, 2, [(maps.mult,)], signs[i % 2], xs) for i in range(n + 2))))
+            y = position(c // m, n)
+            batch = SparseMatrix(fld, m * len(xs), m * kept ** n,
+                                 (r[y >= 0], y[y >= 0] * m + c[y >= 0] % m, v[y >= 0]))
+            x = position(xs, n + 1)[batch.row_idx // m]
+            if (x < 0).any():
+                raise AssertionError(f"normalized cochains are no subcomplex: the degree-{n} "
+                                     "differential is nonzero at a tuple with a unit slot")
+            parts.append((x * m + batch.row_idx % m, batch.col_idx, batch.vals))
+        diff = SparseMatrix(fld, m * kept ** (n + 1), m * kept ** n,
+                            [np.concatenate(p) for p in zip(*parts)])
         return diff if fixed.is_full else diff @ fixed.basis
 
-    return fixed_degrees(fld, [CochainSpace.full(fld, m * d ** n) for n in range(top, -1, -1)],
-                         sigmas, image)
+    return fixed_degrees(fld, [CochainSpace.full(fld, m * kept ** n) for n in range(top, -1, -1)],
+                         sigmas or (lambda n: []), image)
 
 
 def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> list:
@@ -245,9 +288,9 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> list:
     mult, delta, _eta, _eps, s, _tau = h.maps
     # m tensor 1 tensor m as two layers, one map each
     sigma = [(mult, 1, 1), (1, 1, 1, mult), (1, 1, s, 1, 1), (1, 1, delta, 1), (1, delta, 1)]
-    evaluate = _evaluation(h, mod)
-    size, minus = mod.dim * h.dim ** n, h.field.neg(h.field.one())
-    return [SparseMatrix(h.field, size, size, evaluate(n, n, i - 1, 3, sigma, minus))
+    evaluate = _evaluation(h, h.maps, mod)
+    size, minus, xs = mod.dim * h.dim ** n, h.field.neg(h.field.one()), np.arange(h.dim ** n)
+    return [SparseMatrix(h.field, size, size, evaluate(n, n, i - 1, 3, sigma, minus, xs))
             for i in range(1, n + 1)]
 
 
@@ -255,7 +298,7 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> list:
 
 
 def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
-    """H^0..H^{top-1} (HH for a bimodule) from the nonhomogeneous realization."""
+    """H^0..H^{top-1} (HH for a bimodule) from the normalized standard complex."""
     return fixed_cohomology(h.field, nonhomogeneous_degrees(h, mod, top))
 
 

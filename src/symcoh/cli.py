@@ -19,7 +19,6 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import asdict
 
 from .errors import BudgetExceeded, NotAHopfAlgebra, SchemaError, SymcohError
 from .fields import Field
@@ -287,7 +286,7 @@ def run(args) -> tuple[dict, int]:
         rows = resolution.cp_rank_table(h, top)
         checks = [(f"rank_matches_claim_{r.n}", r.rank == r.claimed_rank)
                   for r in rows] + [(f"free_{r.n}", r.is_free) for r in rows]
-        return _report("cp-table", checks=checks, extra={"table": [asdict(r) for r in rows]})
+        return _report("cp-table", checks=checks, extra={"table": [r._asdict() for r in rows]})
 
     if mode == "resolution":
         from . import resolution

@@ -23,16 +23,15 @@ spaces, generators and differential images, so no whole ambient complex
 is held; `fixed_cohomology` ranks its restricted differentials.
 
 Cohomology dimensions come from exact ranks of the restricted
-differentials.  Over prime fields that is one dense elimination; over
-the rationals every rank first tries a certified sandwich rank (one
-Gram rank mod a prime, a lower bound, meeting the d.d = 0 upper bound,
-or min(rows, cols) where the complex gives none), with a dense Fraction
-elimination as the always-correct fallback.  So the cochain pipeline
-eliminates in two places: kernels in `intersect_kernels`, ranks in
-`cohomology_dims`.  The exactness of a chain complex is the cohomology
-of its dual, so it is counted there too
-(`resolution.ResolutionComplex.exactness_report`); only the induced maps
-on cohomology solve on their own.
+differentials.  Over prime fields that is one dense elimination, or for
+a tall one past DENSE_RANK_CELLS cols - dim ker by `intersect_kernels`
+on blocks of rows; over the rationals every rank first tries a certified
+sandwich rank (one Gram rank mod a prime, a lower bound, meeting the
+d.d = 0 upper bound, or min(rows, cols) where the complex gives none),
+with a dense Fraction elimination as the always-correct fallback.  The
+exactness of a chain complex is the cohomology of its dual, so it is
+counted there too (`resolution.ResolutionComplex.exactness_report`);
+only the induced maps on cohomology solve on their own.
 
 Both routes, `bar` and `resolution`, take `require_cocommutative` from
 here, so neither route imports the other; each returns its cohomology as
@@ -41,7 +40,7 @@ the plain list of `cohomology_dims`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +100,7 @@ class CochainSpace:
         return self.basis @ (self.coords @ vecs) == vecs
 
 
-@dataclass
-class CochainComplex:
+class CochainComplex(NamedTuple):
     field: Field
     top_degree: int
     spaces: list  # CochainSpace per degree 0..N
@@ -159,7 +157,14 @@ def _restricted_rank(c: CochainComplex, reduced, n: int, prev_rank: int) -> int:
     if sm.cols == 0 or sm.rows == 0:
         return 0
     if not c.field.is_rational:
-        return rank(sm.to_dense())
+        if sm.rows * sm.cols <= DENSE_RANK_CELLS:
+            return rank(sm.to_dense())
+        r, col, v = sm.triples()  # cols - dim ker, cut by blocks of cols/2 rows
+        half = max(sm.cols // 2, 1)
+        blocks = (SparseMatrix(c.field, half, sm.cols, (r[at] - lo, col[at], v[at]))
+                  for lo in range(0, sm.rows, half)
+                  for at in [np.flatnonzero((r >= lo) & (r < lo + half))])
+        return sm.cols - intersect_kernels(c.field, sm.cols, blocks).dim
     upper = None
     if n > 0:
         # valid upper bound only when im(d^{n-1}) lies in ker(d^n); verify it
@@ -173,10 +178,10 @@ def cohomology_dims(c: CochainComplex) -> list:
     the last differential."""
     top = c.top_degree
     for n in range(top):
-        # the rank densifies the rows x cols differential, over Q perhaps its
-        # cols x cols Gram matrix as well
+        # the rank densifies the rows x cols differential (over GF(p), at most
+        # cols x cols at a time), over Q perhaps its Gram matrix as well
         rows, cols = c.spaces[n + 1].dim, c.spaces[n].dim
-        cells = max(rows, cols) * cols if c.field.is_rational else rows * cols
+        cells = max(rows, cols) * cols if c.field.is_rational else min(rows, cols) * cols
         if cells > DENSE_RANK_CELLS:
             raise BudgetExceeded(
                 f"rank of the degree-{n} differential needs a dense {rows} x {cols} "
@@ -330,8 +335,7 @@ def fixed_cohomology(field: Field, degrees) -> list:
 # -- induced maps on cohomology -------------------------------------------
 
 
-@dataclass
-class InducedMapReport:
+class InducedMapReport(NamedTuple):
     degrees: list
     matrices: list
     injective: list

@@ -19,9 +19,6 @@ like its int, so no code branches on the type of an entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 
@@ -29,6 +26,7 @@ def _rational(x):
     """x as an int when it is integral, else as a Fraction."""
     if type(x) is int:
         return x
+    from fractions import Fraction  # only where a rational is built
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -73,29 +71,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+_FIELDS = {}  # (kind, p) -> the one Field object of that field
+
+
 class Field:
     """A field descriptor: kind 'rational', or 'prime' with modulus p.
 
     A prime p is refused unless (p-1)^2 < 2^63 (the largest is
     3037000493), so that every kernel multiplies two reduced scalars
-    exactly in int64.
+    exactly in int64.  A field is one object, validated when it is first
+    made, so equal fields are the same object and hash alike.
     """
 
-    kind: str
-    p: int | None = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind == "rational":
-            if self.p is not None:
-                raise ValueError("rational field takes no modulus")
-        elif self.kind == "prime":
-            if self.p is None or not is_prime(self.p):
-                raise ValueError(f"modulus {self.p!r} is not prime")
-            if (self.p - 1) ** 2 >= 2 ** 63:
-                raise ValueError(f"prime {self.p} is too large: (p-1)^2 must be below 2^63")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+    def __new__(cls, kind: str, p: int | None = None):
+        if (kind, p) in _FIELDS:
+            return _FIELDS[kind, p]
+        if kind not in ("rational", "prime"):
+            raise ValueError(f"unknown field kind {kind!r}")
+        if kind == "rational" and p is not None:
+            raise ValueError("rational field takes no modulus")
+        if kind == "prime" and (p is None or not is_prime(p)):
+            raise ValueError(f"modulus {p!r} is not prime")
+        if kind == "prime" and (p - 1) ** 2 >= 2 ** 63:
+            raise ValueError(f"prime {p} is too large: (p-1)^2 must be below 2^63")
+        field = _FIELDS[kind, p] = super().__new__(cls)
+        field.kind, field.p = kind, p
+        return field
 
     @staticmethod
     def rationals() -> "Field":
@@ -160,6 +163,7 @@ class Field:
         if self.kind == "rational":
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
+            from fractions import Fraction
             return _rational(1 / Fraction(a))
         a = a % self.p
         if a == 0:
@@ -168,6 +172,7 @@ class Field:
 
     def parse(self, text):
         """Read a scalar from a decimal string like "-3" or "2/3" (or an int)."""
+        from fractions import Fraction
         value = Fraction(text) if not isinstance(text, Fraction) else text
         if self.kind == "rational":
             return _rational(value)

@@ -15,7 +15,6 @@ maps, applied slot by slot to batches of input basis tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
@@ -134,8 +133,7 @@ class StructureMaps(NamedTuple):
     swap: SparseMatrix      # dim^2 x dim^2: b_i tensor b_j -> b_j tensor b_i
 
 
-@dataclass
-class SweedlerTensor:
+class SweedlerTensor(NamedTuple):
     """Coefficients of the iterated comultiplication of one basis element.
 
     coeffs maps (t+1)-tuples of basis indices to scalars, in the
@@ -168,18 +166,16 @@ def iterated_comult(h: HopfAlgebra, i: int, t: int) -> SweedlerTensor:
     return SweedlerTensor(i, t + 1, coeffs)
 
 
-@dataclass
-class AxiomCheck:
+class AxiomCheck(NamedTuple):
     name: str
     passed: bool
-    witness: str | None = None
+    witness: str | None
 
 
-@dataclass
-class ValidationReport:
-    checks: list = dc_field(default_factory=list)
-    cocommutative: bool = False
-    commutative: bool = False
+class ValidationReport(NamedTuple):
+    checks: list
+    cocommutative: bool
+    commutative: bool
 
     @property
     def passed(self) -> bool:
@@ -254,7 +250,7 @@ def validate_hopf(h: HopfAlgebra, require_cocommutative: bool = False) -> Valida
     (see _first_difference).
     """
     m, delta, eta, eps, s, tau = h.maps
-    report = ValidationReport(cocommutative=h.is_cocommutative, commutative=h.is_commutative)
+    report = ValidationReport([], h.is_cocommutative, h.is_commutative)
     # (M tensor M)(1 tensor tau tensor 1)(Delta tensor Delta) is (1 tensor M)(L tensor 1)
     # (1 tensor Delta), L = (M tensor 1)(1 tensor tau)(Delta tensor 1): x tensor y ->
     # x_(1) y tensor x_(2), summed on A tensor A, so no layer reaches A^(tensor 4)

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -180,6 +179,7 @@ def _matmul_rational(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over Q on integer numerators, one term per nonzero entry of a
     and nonzero entry of b that meet; an entry of the result is an int
     when both common denominators are one, else a Fraction."""
+    from fractions import Fraction
     (ra, da), (rb, db) = _numerators(a), _numerators(b)
     rows, cols, den = a.shape[0], b.shape[1], da * db
     out = []

@@ -32,8 +32,8 @@ theorem, so the Hom route takes Hom_A(S_n, ad M) out of the same one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,8 +191,7 @@ def coinvariant_space(h: HopfAlgebra, n: int, levels: list) -> CoinvariantSpace:
 # -- the resolution of k --------------------------------------------------------
 
 
-@dataclass
-class ResolutionComplex:
+class ResolutionComplex(NamedTuple):
     """The augmented coinvariant complex through degree `top`, its maps
     sparse: boundaries[n] is d_n: S_n -> S_(n-1) in the sorted-tuple
     bases, and the augmentation maps S_0 onto k."""
@@ -285,8 +284,7 @@ def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
 # -- projectivity splitting --------------------------------------------------
 
 
-@dataclass
-class SplittingReport:
+class SplittingReport(NamedTuple):
     """The sparse maps phi: S_n -> A tensor S_(n-1) and psi back, and
     whether psi phi = 1 and both commute with the A-actions."""
 
@@ -346,8 +344,7 @@ def splitting_maps(h: HopfAlgebra, n: int) -> SplittingReport:
 # -- the cyclic-group rank table ----------------------------------------------
 
 
-@dataclass
-class CpRankRow:
+class CpRankRow(NamedTuple):
     n: int
     dim: int
     rank: int

@@ -36,7 +36,9 @@ The whole-complex forms hold every degree at once: the homogeneous
 complex with each differential formed whole, the standard complex, and
 their fixed subcomplex taken after both are built.  They are the
 reference, matrix for matrix, for the fixed subcomplex that
-`symcoh.complexes.fixed_degrees` builds one degree at a time.
+`symcoh.complexes.fixed_degrees` builds one degree at a time, and the
+whole standard complex is the reference for H and HH, which
+`symcoh.bar` ranks on its normalized subcomplex.
 
 The input form of an algebra (dict-of-dict mult and comult, unit and
 counit lists, the dense antipode) is read here entry by entry: the group
@@ -534,10 +536,18 @@ def homogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainCom
 def nonhomogeneous_complex(h: HopfAlgebra, mod: LeftModule, top: int) -> CochainComplex:
     """Degrees 0..top of the standard complex with every differential held
     at once: the degrees that `symcoh.bar.nonhomogeneous_degrees` yields
-    with no generators, the full spaces and the whole differentials."""
-    degrees = list(nonhomogeneous_degrees(h, mod, top))
+    with an empty list of generators, the full spaces (not the normalized
+    ones of H and HH) and the whole differentials."""
+    degrees = list(nonhomogeneous_degrees(h, mod, top, lambda n: []))
     return CochainComplex(h.field, top, [space for space, _diff in degrees],
                           [diff for _space, diff in degrees[1:]])
+
+
+def full_classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
+    """H^0..H^(top-1) (HH for a bimodule) on the whole standard complex
+    Hom_k(A^(tensor n), M), the reference for the normalized complex that
+    `symcoh.bar.classical_cohomology` ranks."""
+    return cohomology_dims(nonhomogeneous_complex(h, mod, top))
 
 
 def fixed_subcomplex(c: CochainComplex, ops: list) -> CochainComplex:

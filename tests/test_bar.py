@@ -5,14 +5,14 @@ import pytest
 
 from symcoh import bar
 from symcoh.bar import (classical_cohomology, equivariant_space, homogeneous_degrees,
-                        nonhomogeneous_degrees, nonhomogeneous_symmetric_dims,
+                        nonhomogeneous_degrees, nonhomogeneous_symmetric_dims, require_budget,
                         sigma_homogeneous, sigma_nonhomogeneous, symmetric_cohomology)
-from symcoh.cli import load_algebra
+from symcoh.cli import load_algebra, load_module, parse_field_flag
 from symcoh.complexes import (CochainSpace, cohomology_dims, fixed_degrees,
                               induced_map_on_cohomology, restrict_operator)
 from symcoh.errors import BudgetExceeded, NotCocommutative
 from symcoh.fields import Field
-from symcoh.hopf import cyclic_group_table, group_algebra, symmetric_group_table
+from symcoh.hopf import HopfAlgebra, cyclic_group_table, group_algebra, symmetric_group_table
 from symcoh.linalg import Matrix
 from symcoh.modules import (Bimodule, adjoint_module, regular_bimodule, regular_left_module,
                             trivial_module)
@@ -20,11 +20,13 @@ from symcoh.sparse import SparseMatrix
 from symcoh.tensors import cochain_precompose, flat
 
 from oracles import (all_tuples, bar_chain_diff, check_complex, coxeter_relations_hold,
-                     equivariant_solve, fixed_subcomplex, homogeneous_complex,
+                     equivariant_solve, fixed_subcomplex, full_classical_cohomology,
+                     homogeneous_complex,
                      maschke_cohomology_dims, nonhomogeneous_complex, periodic_cyclic_cohomology_dims, phi_psi, psi_space,
                      sigma_nonhomogeneous_ambient, space_dims, stacked_kernel, vstack)
 from restricted import restricted_enveloping
 from test_generic_hopf import change_basis, scrambled_kc2_rational, scrambled_kc3
+from test_golden import ALGEBRAS, FIELDS, FROZEN, GOLDEN
 
 GF3 = Field.prime(3)
 GF5 = Field.prime(5)
@@ -732,3 +734,42 @@ def test_homogeneous_complex_forms_each_tensor_power_level_once(monkeypatch):
     assert built == [3, 9, 27]
     assert set(single) == {81}
     assert dims == [1, 1, 1, 0, 81]
+
+
+# -- the normalized complex of H and HH --------------------------------------
+
+NORMALIZED_SOURCES = [(alg, fld, top + 1) for alg, top in ALGEBRAS.items() for fld in FIELDS] + [
+    (str(GOLDEN / "algebras" / f"{stem}.json"), None, top + 1) for stem, top in FROZEN.items()]
+
+
+@pytest.mark.parametrize("bimodule", [False, True], ids=["H", "HH"])
+@pytest.mark.parametrize("module", ["trivial", "regular"])
+@pytest.mark.parametrize("source,field,top", NORMALIZED_SOURCES,
+                         ids=[pathlib.Path(s).stem + (f"-{f}" if f else "")
+                              for s, f, _t in NORMALIZED_SOURCES])
+def test_normalized_h_and_hh_equal_the_full_complex(source, field, top, module, bimodule):
+    # every golden H and HH source, one degree past its golden top; sC2-q's
+    # unit, 3 c0 - c1, is not a basis vector
+    h = load_algebra(source, field and parse_field_flag(field))
+    mod = load_module(module, h, bimodule)
+    require_budget(mod.dim * h.dim ** (top + 1), "the full complex")
+    assert classical_cohomology(h, mod, top) == full_classical_cohomology(h, mod, top)
+
+
+def test_normalized_complex_takes_a_basis_that_holds_the_unit():
+    # the unit (0, 1, 1) of this basis of kC3 is first nonzero at k = 1
+    g = change_basis(kC(3, GF3), Matrix.from_rows(GF3, [[0, 1, 0], [0, 1, 2], [1, 0, 0]]))
+    assert g.maps.unit.row_idx.tolist() == [1, 2]
+    for mod, dims in ((trivial_module(g), [1] * 4), (regular_bimodule(g), [3] * 4)):
+        assert classical_cohomology(g, mod, 4) == full_classical_cohomology(g, mod, 4) == dims
+        degrees = [space.dim for space, _diff in nonhomogeneous_degrees(g, mod, 4)]
+        assert degrees == [mod.dim * 2 ** n for n in range(5)]
+
+
+def test_normalization_certificate_fails_on_a_unit_that_is_not_one():
+    # kC3 with g declared the unit: eps(g) = 1, so the trivial module still
+    # passes, but the faces at a slot holding g no longer cancel
+    h = kC(3, GF3)
+    bad = HopfAlgebra(GF3, 3, h.basis_labels, h.mult, [0, 1, 0], h.comult, h.counit, h.antipode)
+    with pytest.raises(AssertionError, match="nonzero at a tuple with a unit slot"):
+        classical_cohomology(bad, trivial_module(bad), 3)

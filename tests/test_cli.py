@@ -328,14 +328,32 @@ def test_oversized_coinvariant_ambient_is_a_budget_error(capsys):
 
 
 def test_oversized_dense_rank_is_a_budget_error(capsys):
-    # within the coordinate budget (3^10 coordinates), but the rank of d_8
-    # would densify a 19683 x 6561 matrix; refused before it is built
-    code, report = run_json(capsys, "--algebra", "Cp:3", "--field", "gf:3",
-                            "--mode", "H", "--max-degree", "9")
+    # within the coordinate budget (5^7 normalized coordinates), but over Q
+    # the rank of d_5 would densify a 15625 x 3125 matrix; refused before
+    # it is built
+    code, report = run_json(capsys, "--algebra", "S3", "--field", "q",
+                            "--mode", "H", "--max-degree", "6")
     assert code == 3
     assert report["dims"] == []
     assert report["error"]["code"] == 3
-    assert "19683 x 6561" in report["error"]["reason"]
+    assert "15625 x 3125" in report["error"]["reason"]
+
+
+@pytest.mark.parametrize("argv,dims", [
+    # HH of kC_p over GF(p) is A in every degree; the full complex would
+    # densify a 15625 x 3125 and a 19683 x 6561 rank
+    (["Cp:5", "gf:5", "HH", "5"], [5] * 5),
+    (["Cp:3", "gf:3", "HH", "9"], [3] * 9),
+    # H*(S3; F_3) = Lambda(y_3) tensor F_3[x_4]: the full complex would hold
+    # 6^7 = 279936 coordinates, and over GF(3) the normalized d_5, 15625 x
+    # 3125, is ranked by blocks of rows
+    (["S3", "gf:3", "H", "6"], [1, 0, 0, 1, 1, 0]),
+])
+def test_normalized_cochains_answer_past_the_full_complex(capsys, argv, dims):
+    algebra, field, mode, top = argv
+    code, report = run_json(capsys, "--algebra", algebra, "--field", field, "--mode", mode,
+                            "--max-degree", top)
+    assert (code, report["dims"]) == (0, dims)
 
 
 def test_common_kernel_step_over_the_cell_limit_is_a_budget_error(capsys, monkeypatch):

@@ -114,3 +114,17 @@ def test_zero_one_and_from_int_are_ints():
     assert (QQ.zero(), QQ.one(), QQ.from_int(-5)) == (0, 1, -5)
     # the prime field keeps its reduced ints
     assert Field.prime(5).parse("-3/2") == 1 and Field.prime(5).from_int(-1) == 4
+
+
+def test_a_field_is_one_object_validated_when_first_made():
+    assert Field.prime(5) is Field("prime", 5) and Field.rationals() is Field("rational")
+    assert Field.prime(5) != Field.prime(7) and Field.prime(5) != Field.rationals()
+    assert {Field.prime(5): "GF(5)"}[Field("prime", 5)] == "GF(5)"
+    assert (Field.prime(7).kind, Field.prime(7).p) == ("prime", 7)
+    for _ in range(2):  # a refused field is never stored
+        with pytest.raises(ValueError, match="not prime"):
+            Field.prime(9)
+        with pytest.raises(ValueError, match="no modulus"):
+            Field("rational", 5)
+        with pytest.raises(ValueError, match="unknown field kind"):
+            Field("real")
