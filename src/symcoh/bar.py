@@ -114,7 +114,7 @@ def equivariant_space(h: HopfAlgebra, mod: LeftModule, slots: int, levels: list)
             parts.append(kron_triples(fld, (x + a * d ** n, y, dv), value, (m, m)))
     basis = SparseMatrix(fld, d ** slots * m, d ** n * m, [np.concatenate(p) for p in zip(*parts)])
     coords = kron(h.maps.unit.transpose(), SparseMatrix.identity(fld, d ** n * m))
-    return CochainSpace(d ** slots * m, basis, coords)
+    return CochainSpace(basis, coords)
 
 
 def _homogeneous_image(h: HopfAlgebra, n: int, m: int, basis: SparseMatrix) -> SparseMatrix:
@@ -299,7 +299,7 @@ def sigma_nonhomogeneous(h: HopfAlgebra, mod: LeftModule, n: int) -> list:
 
 def classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
     """H^0..H^{top-1} (HH for a bimodule) from the normalized standard complex."""
-    return fixed_cohomology(h.field, nonhomogeneous_degrees(h, mod, top))
+    return fixed_cohomology(nonhomogeneous_degrees(h, mod, top))
 
 
 def nonhomogeneous_symmetric_dims(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
@@ -307,7 +307,7 @@ def nonhomogeneous_symmetric_dims(h: HopfAlgebra, mod: LeftModule, top: int) -> 
     the nonhomogeneous realization, which takes a bimodule as it is: for
     SHH this side never builds ad M."""
     require_cocommutative(h)
-    return fixed_cohomology(h.field, nonhomogeneous_degrees(
+    return fixed_cohomology(nonhomogeneous_degrees(
         h, mod, top, lambda n: sigma_nonhomogeneous(h, mod, n)))
 
 
@@ -320,4 +320,4 @@ def symmetric_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
     """
     require_cocommutative(h)
     coeffs = adjoint_module(h, mod) if isinstance(mod, Bimodule) else mod
-    return fixed_cohomology(h.field, homogeneous_degrees(h, coeffs, top))
+    return fixed_cohomology(homogeneous_degrees(h, coeffs, top))

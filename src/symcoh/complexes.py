@@ -1,14 +1,15 @@
-"""Bounded cochain complexes carried by subspaces of ambient coordinate spaces.
+"""Bounded cochain complexes as lists of restricted differentials.
 
-A complex holds degrees 0..N with a differential per degree n < N.
+A complex of degrees 0..N is the list of its differentials d^0..d^(N-1)
+in subspace coordinates, each degree's dimension read off their shapes.
 Degree N is only the target of the last differential, so its cohomology
-is never taken: `cohomology_dims` gives H^0..H^(N-1).  The space at each
-degree is a subspace of the ambient coordinate space with an explicit
-sparse basis and a sparse left inverse ("coords"), so restricting
-operators to the subspace is a cheap composition instead of a linear
-solve.  A space spanned by a kernel (`CochainSpace.of`) has a reduced
-basis, as `linalg.kernel_basis` defines it, so its coords are read, not
-solved: they select each column's free coordinate, its last nonzero row.
+is never taken: `cohomology_dims` gives H^0..H^(N-1).  A subspace of an
+ambient coordinate space (`CochainSpace`) has a sparse basis and a
+sparse left inverse ("coords"), and `read_in` reads every operator into
+it, certified: an image outside the space is refused.  A space spanned
+by a kernel (`CochainSpace.of`) has a reduced basis, as
+`linalg.kernel_basis` defines it, so its coords are read, not solved:
+they select each column's free coordinate, its last nonzero row.
 
 A fixed subcomplex replaces each space below the top by the common fixed
 points of its symmetric-group generators, and keeps the top space as it
@@ -20,7 +21,7 @@ propagation with no dense array; otherwise they are a common kernel
 (`linalg.intersect_kernels`).  Both give the same basis and coords.
 It is built one degree at a time (`fixed_degrees`) from a realization's
 spaces, generators and differential images, so no whole ambient complex
-is held; `fixed_cohomology` ranks its restricted differentials.
+is held; `fixed_cohomology` ranks the read-in differentials it yields.
 
 Cohomology dimensions come from exact ranks of the restricted
 differentials.  Over prime fields that is one dense elimination, or for
@@ -30,8 +31,9 @@ sandwich rank (one Gram rank mod a prime, a lower bound, meeting the
 d.d = 0 upper bound, or min(rows, cols) where the complex gives none),
 with a dense Fraction elimination as the always-correct fallback.  The
 exactness of a chain complex is the cohomology of its dual, so it is
-counted there too (`resolution.ResolutionComplex.exactness_report`);
-only the induced maps on cohomology solve on their own.
+counted there too (`resolution.ResolutionComplex.exactness_report`), and
+so is the Hom route (`resolution.sh_via_resolution`); only the induced
+maps on cohomology solve on their own.
 
 Both routes, `bar` and `resolution`, take `require_cocommutative` from
 here, so neither route imports the other; each returns its cohomology as
@@ -44,79 +46,64 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded, NotASubcomplex,
-                     NotCocommutative)
+from .errors import ActionLeavesSubspace, ActionNotCompatible, NotASubcomplex, NotCocommutative
 from .fields import Field
 from .hopf import HopfAlgebra
-from .linalg import (DENSE_RANK_CELLS, Matrix, Subspace, intersect_kernels, kernel_basis,
-                     quotient, rank, solve_columns)
+from .linalg import (DENSE_RANK_CELLS, Matrix, intersect_kernels, kernel_basis, quotient, rank,
+                     require_cells, solve_columns)
 from .sparse import SparseMatrix, integer_gram
 
 _SANDWICH_PRIME = 1000003
 
 
 class CochainSpace:
-    """A subspace of k^ambient with basis and a left inverse of the basis."""
+    """A subspace of k^ambient_dim with basis and a left inverse of the basis."""
 
-    __slots__ = ("ambient_dim", "basis", "coords", "is_full")
+    __slots__ = ("basis", "coords", "is_full")
 
-    def __init__(self, ambient_dim: int, basis: SparseMatrix, coords: SparseMatrix,
-                 is_full: bool = False):
-        if basis.rows != ambient_dim or coords.cols != ambient_dim:
-            raise ValueError("basis/coords must live in the ambient space")
-        if basis.cols != coords.rows:
+    def __init__(self, basis: SparseMatrix, coords: SparseMatrix, is_full: bool = False):
+        self.basis, self.coords, self.is_full = basis, coords, is_full
+        if (coords.rows, coords.cols) != (self.dim, self.ambient_dim):
             raise ValueError("coords must be a left inverse of basis")
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.coords = coords
-        self.is_full = is_full
 
     @staticmethod
     def full(field: Field, ambient_dim: int) -> "CochainSpace":
         eye = SparseMatrix.identity(field, ambient_dim)
-        return CochainSpace(ambient_dim, eye, eye, is_full=True)
+        return CochainSpace(eye, eye, is_full=True)
 
     @staticmethod
-    def of(sub: Subspace) -> "CochainSpace":
-        """The span of a reduced Subspace basis (see linalg.kernel_basis),
+    def of(kernel: Matrix) -> "CochainSpace":
+        """The span of a reduced kernel basis (see linalg.kernel_basis),
         with coords selecting each column's free coordinate, its last
         nonzero row: coords @ basis = 1 there, checked one entry at a time."""
-        basis = SparseMatrix.from_dense(sub.basis)
+        basis = SparseMatrix.from_dense(kernel)
         rows, cols, _vals = basis.triples()
         free = rows[np.flatnonzero(np.diff(cols, append=basis.cols))]  # last row of each column
-        coords = SparseMatrix(basis.field, basis.cols, sub.ambient_dim,
+        coords = SparseMatrix(basis.field, basis.cols, basis.rows,
                               (np.arange(len(free), dtype=np.int64), free, None))
         if not (coords @ basis).equals_identity():
             raise ValueError("the basis is not reduced")
-        return CochainSpace(sub.ambient_dim, basis, coords)
+        return CochainSpace(basis, coords)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.rows
 
     @property
     def dim(self) -> int:
         return self.basis.cols
 
-    def contains(self, vecs: SparseMatrix) -> bool:
-        """Whether every column of vecs lies in the space, by the coords
-        round trip (valid since coords.basis = id)."""
-        return self.basis @ (self.coords @ vecs) == vecs
 
-
-class CochainComplex(NamedTuple):
-    field: Field
-    top_degree: int
-    spaces: list  # CochainSpace per degree 0..N
-    diffs: list   # SparseMatrix per degree 0..N-1, ambient(n) -> ambient(n+1)
-
-    def ambient_dim(self, n: int) -> int:
-        return self.spaces[n].ambient_dim
-
-    def restricted_diff(self, n: int) -> SparseMatrix:
-        """The differential space(n) -> space(n+1) in subspace coordinates."""
-        out = self.diffs[n]
-        if not self.spaces[n].is_full:
-            out = out @ self.spaces[n].basis
-        if not self.spaces[n + 1].is_full:
-            out = self.spaces[n + 1].coords @ out
-        return out
+def read_in(space: CochainSpace, mapped: SparseMatrix) -> SparseMatrix:
+    """coords @ mapped, unless a column of mapped lies outside the space:
+    then basis @ (coords @ mapped) != mapped, and ActionLeavesSubspace.  A
+    full space's coords are the ambient ones: mapped is returned."""
+    if space.is_full:
+        return mapped
+    reduced = space.coords @ mapped
+    if not (space.basis @ reduced == mapped):
+        raise ActionLeavesSubspace("an image leaves the subspace it is read in")
+    return reduced
 
 
 def require_cocommutative(h: HopfAlgebra):
@@ -152,47 +139,47 @@ def _certified_rational_rank(sm: SparseMatrix, upper: int | None) -> int:
     return rank(sm.to_dense())
 
 
-def _restricted_rank(c: CochainComplex, reduced, n: int, prev_rank: int) -> int:
-    sm = reduced[n]
+def _restricted_rank(diffs: list, n: int, prev_rank: int) -> int:
+    sm = diffs[n]
     if sm.cols == 0 or sm.rows == 0:
         return 0
-    if not c.field.is_rational:
+    if not sm.field.is_rational:
         if sm.rows * sm.cols <= DENSE_RANK_CELLS:
             return rank(sm.to_dense())
         r, col, v = sm.triples()  # cols - dim ker, cut by blocks of cols/2 rows
         half = max(sm.cols // 2, 1)
-        blocks = (SparseMatrix(c.field, half, sm.cols, (r[at] - lo, col[at], v[at]))
+        blocks = (SparseMatrix(sm.field, half, sm.cols, (r[at] - lo, col[at], v[at]))
                   for lo in range(0, sm.rows, half)
                   for at in [np.flatnonzero((r >= lo) & (r < lo + half))])
-        return sm.cols - intersect_kernels(c.field, sm.cols, blocks).dim
+        return sm.cols - intersect_kernels(sm.field, sm.cols, blocks).cols
     upper = None
     if n > 0:
         # valid upper bound only when im(d^{n-1}) lies in ker(d^n); verify it
-        if (sm @ reduced[n - 1]).is_zero():
-            upper = c.spaces[n].dim - prev_rank
+        if (sm @ diffs[n - 1]).is_zero():
+            upper = sm.cols - prev_rank
     return _certified_rational_rank(sm, upper)
 
 
-def cohomology_dims(c: CochainComplex) -> list:
-    """Exact dims of H^0..H^(top-1); the top space is only the target of
-    the last differential."""
-    top = c.top_degree
-    for n in range(top):
+def cohomology_dims(diffs: list) -> list:
+    """Exact dims of H^0..H^(top-1) of the complex of the restricted
+    differentials diffs[n]: degree n -> n+1, degree n of diffs[n].cols
+    dimensions; differentials that do not compose are a ValueError."""
+    for n in range(1, len(diffs)):
+        if diffs[n].cols != diffs[n - 1].rows:
+            raise ValueError(f"the degree-{n - 1} and degree-{n} differentials do not compose: "
+                             f"{diffs[n - 1].rows} rows against {diffs[n].cols} columns")
+    for n, sm in enumerate(diffs):
         # the rank densifies the rows x cols differential (over GF(p), at most
         # cols x cols at a time), over Q perhaps its Gram matrix as well
-        rows, cols = c.spaces[n + 1].dim, c.spaces[n].dim
-        cells = max(rows, cols) * cols if c.field.is_rational else min(rows, cols) * cols
-        if cells > DENSE_RANK_CELLS:
-            raise BudgetExceeded(
-                f"rank of the degree-{n} differential needs a dense {rows} x {cols} "
-                f"matrix, over the limit of {DENSE_RANK_CELLS} cells")
-    reduced = {n: c.restricted_diff(n) for n in range(top)}
+        side = max(sm.rows, sm.cols) if sm.field.is_rational else min(sm.rows, sm.cols)
+        require_cells(side * sm.cols, f"rank of the degree-{n} differential needs a dense "
+                                      f"{sm.rows} x {sm.cols} matrix")
     ranks = [0]  # ranks[n + 1] is the rank of the degree-n differential
-    for n in range(top):
-        ranks.append(_restricted_rank(c, reduced, n, ranks[-1]))
+    for n in range(len(diffs)):
+        ranks.append(_restricted_rank(diffs, n, ranks[-1]))
     dims = []
-    for n in range(top):
-        dims.append(c.spaces[n].dim - ranks[n + 1] - ranks[n])
+    for n, sm in enumerate(diffs):
+        dims.append(sm.cols - ranks[n + 1] - ranks[n])
         if dims[-1] < 0:
             raise AssertionError(f"H^{n} came out with negative dimension {dims[-1]}: "
                                  "the ranks contradict d.d = 0")
@@ -203,15 +190,10 @@ def cohomology_dims(c: CochainComplex) -> list:
 
 
 def restrict_operator(space: CochainSpace, op: SparseMatrix) -> SparseMatrix:
-    """op in subspace coordinates; error if op does not preserve the subspace.
-    Every op preserves a full space, in its own coordinates: op is returned."""
-    if space.is_full:
-        return op
-    mapped = op @ space.basis
-    reduced = space.coords @ mapped
-    if not (space.basis @ reduced == mapped):
-        raise ActionLeavesSubspace("operator does not preserve the subspace")
-    return reduced
+    """op in subspace coordinates, certified by `read_in` to preserve the
+    subspace.  Every op preserves a full space, in its own coordinates: op
+    is returned, with no product formed."""
+    return read_in(space, op if space.is_full else op @ space.basis)
 
 
 def _monomial(op: SparseMatrix):
@@ -263,7 +245,6 @@ def _orbit_fixed_space(field: Field, dim: int, gens: list) -> CochainSpace:
     roots = np.flatnonzero((label == idx) & ~dead)
     alive = np.flatnonzero(~dead[label])
     return CochainSpace(
-        dim,
         SparseMatrix(field, dim, len(roots),
                      (alive, np.searchsorted(roots, label[alive]), vals[alive])),
         SparseMatrix(field, len(roots), dim, (np.arange(len(roots), dtype=np.int64), roots, None)))
@@ -280,8 +261,8 @@ def _fixed_space(field: Field, space: CochainSpace, sigmas: list) -> CochainSpac
     gens = [_monomial(op) for op in restricted]
     if any(g is None for g in gens):
         eye = SparseMatrix.identity(field, space.dim)
-        sub = intersect_kernels(field, space.dim, [op - eye for op in restricted])
-        fixed = space if sub.dim == space.dim else CochainSpace.of(sub)
+        kernel = intersect_kernels(field, space.dim, [op - eye for op in restricted])
+        fixed = space if kernel.cols == space.dim else CochainSpace.of(kernel)
     else:
         fixed = _orbit_fixed_space(field, space.dim, gens)
         for op in restricted:
@@ -289,7 +270,7 @@ def _fixed_space(field: Field, space: CochainSpace, sigmas: list) -> CochainSpac
                 raise AssertionError("an orbit vector is not fixed by its generators")
     if fixed.dim == space.dim:
         return space
-    return fixed if space.is_full else CochainSpace(space.ambient_dim, space.basis @ fixed.basis,
+    return fixed if space.is_full else CochainSpace(space.basis @ fixed.basis,
                                                     fixed.coords @ space.coords)
 
 
@@ -303,8 +284,9 @@ def fixed_degrees(field: Field, spaces: list, sigmas, image):
     Below the top, the fixed points replace the space (`_fixed_space`); the
     top space is kept, its generators certified.  The image of the fixed
     space below is formed once, checked to be fixed by the generators and
-    read off in the coords of the fixed space; then the generators, the
-    image and the space below are dropped."""
+    read in by `read_in` (the fixed space is Fix(sigma) meet the space, so
+    a fixed image need not lie in it); then the generators, the image and
+    the space below are dropped."""
     top, below = len(spaces) - 1, None
     for n in range(top + 1):
         space, ops = spaces.pop(), sigmas(n)
@@ -315,21 +297,16 @@ def fixed_degrees(field: Field, spaces: list, sigmas, image):
         for sigma in ops if n else ():  # a fixed vector must stay fixed under the differential
             if not (sigma @ mapped == mapped):
                 raise ActionNotCompatible(f"differential image at degree {n - 1} is not fixed")
-        diff = mapped if n == 0 or fixed.is_full else fixed.coords @ mapped
+        diff = mapped if n == 0 else read_in(fixed, mapped)
         del space, ops, mapped
         below = fixed
         yield fixed, diff
 
 
-def fixed_cohomology(field: Field, degrees) -> list:
-    """cohomology_dims of the subcomplex that `fixed_degrees` yields, ranked
-    on full spaces of the fixed dimensions."""
-    dims, diffs = [], []
-    for fixed, diff in degrees:
-        dims.append(fixed.dim)
-        diffs += [] if diff is None else [diff]
-    return cohomology_dims(CochainComplex(field, len(diffs),
-                                          [CochainSpace.full(field, s) for s in dims], diffs))
+def fixed_cohomology(degrees) -> list:
+    """cohomology_dims of the restricted differentials that `fixed_degrees`
+    yields, each fixed space dropped as the next degree is reached."""
+    return cohomology_dims([diff for _fixed, diff in degrees if diff is not None])
 
 
 # -- induced maps on cohomology -------------------------------------------
@@ -347,42 +324,39 @@ class InducedMapReport(NamedTuple):
         return self.injective[self.degrees.index(n)]
 
 
-def _cohomology_basis(c: CochainComplex, n: int):
-    """Cocycle kernel basis at degree n with the projection onto H^n and a
-    section choosing cocycle representatives of the quotient basis."""
-    cocycles = kernel_basis(c.restricted_diff(n).to_dense())
+def _cohomology_basis(diffs: list, n: int):
+    """Cocycle kernel basis at degree n of diffs with the projection onto
+    H^n and a section choosing cocycle representatives of the quotient basis."""
+    cocycles = kernel_basis(diffs[n].to_dense())
     if n == 0:
-        image_in_z = Matrix.zeros(c.field, cocycles.dim, 0)
+        image_in_z = Matrix.zeros(cocycles.field, cocycles.cols, 0)
     else:
-        image_in_z = solve_columns(cocycles, c.restricted_diff(n - 1).to_dense())
+        image_in_z = solve_columns(cocycles, diffs[n - 1].to_dense())
         if image_in_z is None:
             raise NotASubcomplex("image column is not a cocycle")
-    proj, sect = quotient(cocycles.dim, image_in_z)
+    proj, sect = quotient(cocycles.cols, image_in_z)
     return cocycles, proj, sect
 
 
-def induced_map_on_cohomology(sub: CochainComplex, full: CochainComplex) -> InducedMapReport:
+def induced_map_on_cohomology(diffs: list, sub_spaces: list,
+                              full_spaces: list) -> InducedMapReport:
     """Matrices of H^n(sub) -> H^n(full), n < top, for the inclusion, with
-    injectivity flags."""
-    top = sub.top_degree
-    if full.top_degree != top or \
-            any(sub.ambient_dim(n) != full.ambient_dim(n) for n in range(top + 1)):
+    injectivity flags: the ambient differentials diffs[0..top-1] on the
+    spaces sub_spaces and full_spaces of degrees 0..top, each differential
+    and each sub space read into the full one by `read_in`."""
+    top = len(diffs)
+    if [s.ambient_dim for s in sub_spaces] != [f.ambient_dim for f in full_spaces]:
         raise NotASubcomplex("ambient spaces disagree")
-    for n in range(top):
-        if not (sub.diffs[n] == full.diffs[n]):
-            raise NotASubcomplex("differentials disagree")
-    for n in range(top):
-        if not full.spaces[n].contains(sub.spaces[n].basis):
-            raise NotASubcomplex(f"space at degree {n} is not contained")
+    sub, full = ([read_in(spaces[n + 1], diffs[n] @ spaces[n].basis) for n in range(top)]
+                 for spaces in (sub_spaces, full_spaces))
     degrees, matrices, injective = [], [], []
     for n in range(top):
+        inclusion = read_in(full_spaces[n], sub_spaces[n].basis)
         z_sub, _proj_sub, sect_sub = _cohomology_basis(sub, n)
         z_full, proj_full, _sect_full = _cohomology_basis(full, n)
-        reps = z_sub.basis @ sect_sub  # cocycle representatives of H^n(sub) basis
-        # subspace-coordinate cocycle representatives -> ambient -> full coordinates
-        full_red = (full.spaces[n].coords @ (sub.spaces[n].basis
-                                             @ SparseMatrix.from_dense(reps))).to_dense()
-        coords = solve_columns(z_full, full_red)
+        # cocycle representatives of the H^n(sub) basis, in full coordinates
+        reps = (inclusion @ SparseMatrix.from_dense(z_sub @ sect_sub)).to_dense()
+        coords = solve_columns(z_full, reps)
         if coords is None:
             raise NotASubcomplex("sub cocycle is not a cocycle in the full complex")
         mat = proj_full @ coords

@@ -36,7 +36,8 @@ larger lives in the sparse layer and only drops down to dense form for
 rank/kernel/quotient work.  `intersect_kernels` takes its constraints
 as sparse operators and densifies one image at a time, echelonned in
 place: a step holds two arrays of at most max(rows, dim) x (kernel so
-far) cells, and a step over DENSE_RANK_CELLS cells is refused.
+far) cells, and a step over DENSE_RANK_CELLS cells is refused by
+`require_cells`, through which every layer charges that limit.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ from .errors import BudgetExceeded
 from .fields import Field
 
 DENSE_RANK_CELLS = 1 << 24  # cells of the largest dense matrix a rank or kernel step may build
+
+
+def require_cells(cells: int, what: str):
+    """Refuse `what`, which would take `cells` cells, past DENSE_RANK_CELLS:
+    BudgetExceeded, its reason `what` and the limit."""
+    if cells > DENSE_RANK_CELLS:
+        raise BudgetExceeded(f"{what}, over the limit of {DENSE_RANK_CELLS}")
 
 
 class Matrix:
@@ -260,22 +268,6 @@ def rank(m: Matrix) -> int:
     return len(_echelon(m.data.copy(), m.field))
 
 
-class Subspace:
-    """A subspace of k^ambient_dim with an explicit column basis."""
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: Matrix):
-        if basis.rows != ambient_dim:
-            raise ValueError("basis rows must equal ambient dimension")
-        self.ambient_dim = ambient_dim
-        self.basis = basis
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-
 def _pivots_and_free(pivots: list, cols: int):
     """The pivot columns and the other columns of range(cols), as ascending arrays."""
     free = np.ones(cols, dtype=bool)
@@ -293,23 +285,24 @@ def _kernel(a: np.ndarray, field: Field) -> np.ndarray:
     return basis
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Echelon-derived basis of ker(m); deterministic for identical input.
+def kernel_basis(m: Matrix) -> Matrix:
+    """Echelon-derived basis of ker(m), as columns; deterministic for
+    identical input.
 
     The basis is reduced: column k is 1 at the k-th free (non-pivot)
     coordinate, 0 at the other free coordinates and after its own, so it
     depends only on the kernel, not on how m presents it.
     """
-    return Subspace(m.cols, Matrix(m.field, _kernel(m.data.copy(), m.field)))
+    return Matrix(m.field, _kernel(m.data.copy(), m.field))
 
 
-def solve_columns(s: Subspace, b: Matrix) -> Matrix | None:
+def solve_columns(basis: Matrix, b: Matrix) -> Matrix | None:
     """Coordinates C with basis @ C == b, by one rref of [basis | b], or
     None if a column of b is outside the span.  The basis columns are
     independent, so they are the first pivots, and C is read off the rows
     they take; a pivot in b marks a column outside the span."""
-    k = s.basis.cols
-    reduced, pivots = rref(s.basis.hstack(b))
+    k = basis.cols
+    reduced, pivots = rref(basis.hstack(b))
     if len(pivots) > k:
         return None
     return Matrix(b.field, reduced.data[:k, k:].copy())
@@ -345,7 +338,7 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix(m.field, reduced.data[:, m.rows:].copy())
 
 
-def intersect_kernels(field: Field, dim: int, constraints) -> Subspace:
+def intersect_kernels(field: Field, dim: int, constraints) -> Matrix:
     """Common kernel of sparse operators C_1, C_2, ... on k^dim (each a
     `SparseMatrix` with dim columns), one at a time.
 
@@ -353,7 +346,7 @@ def intersect_kernels(field: Field, dim: int, constraints) -> Subspace:
     the first step densifies C_1 itself (`to_dense`), later ones form
     C_i @ K (`dense_product`), and each image is echelonned in place.  A
     constraint that vanishes on K is skipped, and the loop stops once K is
-    empty.  Products of reduced kernel bases are reduced, so the result is
+    empty; K is returned.  Products of reduced kernel bases are reduced, so the result is
     the basis that kernel_basis of the stacked matrix [C_1; C_2; ...]
     gives, entry for entry, without the stack.  A step holds the image and
     the echelon's buffer, two arrays of at most max(rows, dim) x K.cols
@@ -365,13 +358,11 @@ def intersect_kernels(field: Field, dim: int, constraints) -> Subspace:
         width = dim if basis is None else basis.cols
         if width == 0:
             break
-        if max(op.rows, dim) * width > DENSE_RANK_CELLS:
-            raise BudgetExceeded(
-                f"common kernel step needs a dense {max(op.rows, dim)} x {width} matrix, "
-                f"over the limit of {DENSE_RANK_CELLS} cells")
+        require_cells(max(op.rows, dim) * width,
+                      f"common kernel step needs a dense {max(op.rows, dim)} x {width} matrix")
         image = op.to_dense() if basis is None else op.dense_product(basis)
         if not image.is_zero():
             kernel = Matrix(field, _kernel(image.data, field))
             del image  # before the product allocates its own arrays
             basis = kernel if basis is None else basis @ kernel
-    return Subspace(dim, Matrix.identity(field, dim) if basis is None else basis)
+    return Matrix.identity(field, dim) if basis is None else basis

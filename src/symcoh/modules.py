@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidBimodule, InvalidModule
 from .hopf import HopfAlgebra
-from .linalg import Subspace, intersect_kernels
+from .linalg import Matrix, intersect_kernels
 from .sparse import SparseMatrix, apply_in_slot, combination, kron, require_terms
 
 
@@ -223,8 +223,9 @@ def tensor_module(h: HopfAlgebra, l: LeftModule, m: LeftModule) -> LeftModule:
     return LeftModule(l.dim * m.dim, tensor_actions(h, l, m, range(h.dim)))
 
 
-def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Subspace:
-    """Hom_A(X, M) inside flattened Hom_k(X, M): F rho^X_i = rho^M_i F for all i.
+def hom_equivariant(h: HopfAlgebra, x: LeftModule, m: LeftModule) -> Matrix:
+    """The reduced basis of Hom_A(X, M) inside flattened Hom_k(X, M), as
+    columns: F rho^X_i = rho^M_i F for all i.
 
     On flattened F (see the module docstring), F rho^X is the sparse
     Kronecker operator kron(rho^X^T, 1_M) and rho^M F is kron(1_X, rho^M);

@@ -23,7 +23,8 @@ homotopy and psi read P through its binary-search column map.  Every
 induced map is a `SparseMatrix`, and the self-checks compare sparse
 composites, so no dense product is formed.  Only ranks densify, and
 those of exactness and of the Hom route go through
-`complexes.cohomology_dims`.
+`complexes.cohomology_dims`: the transposed boundaries, and the
+precompositions read into the Hom spaces by `complexes.read_in`.
 
 SHH needs no second resolution: SHH(A, M) = SH(A, ad M), the paper's
 theorem, so the Hom route takes Hom_A(S_n, ad M) out of the same one.
@@ -37,10 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import CochainComplex, CochainSpace, cohomology_dims, require_cocommutative
-from .errors import BudgetExceeded, CharacteristicDivides, InvalidPrime, SchemaError
+from .complexes import CochainSpace, cohomology_dims, read_in, require_cocommutative
+from .errors import CharacteristicDivides, InvalidPrime, SchemaError
 from .hopf import HopfAlgebra, cyclic_group_table
-from .linalg import DENSE_RANK_CELLS, rank
+from .linalg import DENSE_RANK_CELLS, rank, require_cells
 from .modules import (Bimodule, LeftModule, adjoint_module, hom_equivariant,
                       regular_left_module, tensor_module, validate_module)
 from .sparse import SparseMatrix, _column_batches, apply_columns, field_array, kron
@@ -84,10 +85,8 @@ def _require_ambient(h: HopfAlgebra, top: int):
     one (by its closed-form dimension) has an ambient A^(tensor n+1) over
     DENSE_RANK_CELLS coordinates, before anything is built."""
     n = top if h.field.characteristic == 2 else min(top, h.dim - 1)
-    if h.dim ** (n + 1) > DENSE_RANK_CELLS:
-        raise BudgetExceeded(
-            f"the degree-{n} coinvariants live on {h.dim}^{n + 1} = {h.dim ** (n + 1)} "
-            f"ambient coordinates, over the limit of {DENSE_RANK_CELLS}")
+    require_cells(h.dim ** (n + 1), f"the degree-{n} coinvariants live on {h.dim}^{n + 1} = "
+                                    f"{h.dim ** (n + 1)} ambient coordinates")
 
 
 def _sorted_tuple_coinvariants(fld, d, slots):
@@ -212,13 +211,10 @@ class ResolutionComplex(NamedTuple):
         certified only when the next space, which is not built, is zero by
         its closed-form dimension; a zero map into it then ends the dual."""
         fld = self.hopf.field
-        dims = [1] + self.dims()
         diffs = [self.augmentation.transpose()] + [b.transpose() for b in self.boundaries[1:]]
         if coinvariant_dim(self.hopf.dim, self.top + 1, fld.characteristic) == 0:
-            dims.append(0)
-            diffs.append(SparseMatrix(fld, 0, dims[-2]))
-        dual = CochainComplex(fld, len(diffs), [CochainSpace.full(fld, d) for d in dims], diffs)
-        onto, *above = cohomology_dims(dual)
+            diffs.append(SparseMatrix(fld, 0, self.spaces[-1].dim))
+        onto, *above = cohomology_dims(diffs)
         return [("onto_k", onto == 0)] + [(f"exact_at_{n}", x == 0) for n, x in enumerate(above)]
 
 
@@ -277,8 +273,9 @@ def sh_via_resolution(h: HopfAlgebra, mod: LeftModule, top: int) -> list:
     validate_module(h, coeffs)
     res = sym_resolution_complex(h, top)
     spaces = [CochainSpace.of(hom_equivariant(h, s.module, coeffs)) for s in res.spaces]
-    diffs = [cochain_precompose(b, coeffs.dim) for b in res.boundaries[1:]]
-    return cohomology_dims(CochainComplex(h.field, top, spaces, diffs))
+    # each precomposition with d_(n+1), read from Hom_A(S_n, M) into Hom_A(S_(n+1), M)
+    return cohomology_dims([read_in(above, cochain_precompose(b, coeffs.dim) @ below.basis)
+                            for below, above, b in zip(spaces, spaces[1:], res.boundaries[1:])])
 
 
 # -- projectivity splitting --------------------------------------------------
@@ -376,10 +373,8 @@ def cp_rank_table(h: HopfAlgebra, top: int) -> list:
     rows = []
     for n in range(1, top + 1):
         dim = coinvariant_dim(p, n, p)  # that of the space, checked as it is built
-        if dim ** 2 > DENSE_RANK_CELLS:
-            raise BudgetExceeded(
-                f"rank of the norm element on S_{n} needs a dense {dim} x {dim} "
-                f"matrix, over the limit of {DENSE_RANK_CELLS} cells")
+        require_cells(dim ** 2, f"rank of the norm element on S_{n} needs a dense {dim} x {dim} "
+                                "matrix")
         space = coinvariant_space(h, n, [])  # a group algebra forms no levels
         norm = space.module.act_element(h, dict.fromkeys(range(p), h.field.one()))
         free_rank = rank(norm.to_dense())

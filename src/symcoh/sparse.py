@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .fields import Field
-from .linalg import DENSE_RANK_CELLS, Matrix
+from .linalg import Matrix, require_cells
 
 
 class SparseMatrix:
@@ -232,11 +232,9 @@ def apply_in_slot(x: SparseMatrix, y: SparseMatrix, before: int, after: int) -> 
 
 def require_terms(terms: int, what: str):
     """Refuse `what` when its `terms` sparse terms, three int64 cells each,
-    would take more than DENSE_RANK_CELLS cells."""
-    if 3 * terms > DENSE_RANK_CELLS:
-        raise BudgetExceeded(
-            f"{what} needs at least {terms} terms, {3 * terms} cells as (row, column, "
-            f"value) triples, over the limit of {DENSE_RANK_CELLS} cells")
+    would take more than DENSE_RANK_CELLS cells (`linalg.require_cells`)."""
+    require_cells(3 * terms, f"{what} needs at least {terms} terms, {3 * terms} cells as "
+                             "(row, column, value) triples")
 
 
 def integer_mod(sm: SparseMatrix, q: int) -> SparseMatrix:

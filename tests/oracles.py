@@ -32,10 +32,12 @@ tuple by tuple from the input form, is the reference for that basis and
 its coordinates entry for entry, where the solve fixes only their span.
 The orbit walk certifies the cyclic rank table by generators, against the
 rank of the norm element that `symcoh.resolution.cp_rank_table` takes.
-The whole-complex forms hold every degree at once: the homogeneous
-complex with each differential formed whole, the standard complex, and
-their fixed subcomplex taken after both are built.  They are the
-reference, matrix for matrix, for the fixed subcomplex that
+The whole-complex forms hold every degree at once, in a container of
+their own (`CochainComplex`: the spaces and the ambient differentials,
+where `symcoh.complexes` ranks only the restricted ones): the
+homogeneous complex with each differential formed whole, the standard
+complex, and their fixed subcomplex taken after both are built.  They
+are the reference, matrix for matrix, for the fixed subcomplex that
 `symcoh.complexes.fixed_degrees` builds one degree at a time, and the
 whole standard complex is the reference for H and HH, which
 `symcoh.bar` ranks on its normalized subcomplex.
@@ -58,16 +60,17 @@ and the value blocks of a module action.
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
 from symcoh.bar import DIFF_BATCH, equivariant_space, nonhomogeneous_degrees, require_budget
-from symcoh.complexes import (CochainComplex, CochainSpace, _fixed_space,
-                              cohomology_dims, require_cocommutative, restrict_operator)
+from symcoh.complexes import (CochainSpace, _fixed_space, cohomology_dims, read_in,
+                              require_cocommutative, restrict_operator)
 from symcoh.errors import ActionNotCompatible
 from symcoh.fields import Field
 from symcoh.hopf import HopfAlgebra, iterated_comult
-from symcoh.linalg import Matrix, Subspace, kernel_basis, quotient, rank
+from symcoh.linalg import Matrix, kernel_basis, quotient, rank
 from symcoh.modules import Bimodule, LeftModule, hom_equivariant, trivial_module, validate_module
 from symcoh.sparse import SparseMatrix, canonical, combination, kron
 from symcoh.tensors import bar_chain_transpose_columns, flat, swap_slots, tensor_identity_triples
@@ -169,7 +172,7 @@ def periodic_cyclic_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
     dims = []
     prev_rank = 0
     for i in range(top + 1):
-        k = kernel_basis(maps[i]).dim
+        k = kernel_basis(maps[i]).cols
         dims.append(k - prev_rank)
         prev_rank = rank(maps[i])
     return dims
@@ -178,7 +181,7 @@ def periodic_cyclic_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
 def maschke_cohomology_dims(h: HopfAlgebra, mod: LeftModule, top: int):
     """Over a splitting characteristic the higher cohomology vanishes and
     degree zero is the invariants."""
-    return [hom_equivariant(h, trivial_module(h), mod).dim] + [0] * top
+    return [hom_equivariant(h, trivial_module(h), mod).cols] + [0] * top
 
 
 def descends_to_quotient(field, d, slots, sym_slots, projected) -> bool:
@@ -283,7 +286,7 @@ def vstack(field, mats) -> Matrix:
     return Matrix(field, np.vstack([m.data for m in mats]))
 
 
-def stacked_kernel(field, mats) -> Subspace:
+def stacked_kernel(field, mats) -> Matrix:
     """Common kernel of matrices with equal column counts, by one
     elimination of their vertical stack."""
     return kernel_basis(vstack(field, mats))
@@ -364,7 +367,7 @@ def psi_space(h: HopfAlgebra, mod: LeftModule, slots: int) -> CochainSpace:
     size = d ** n * m
     basis = SparseMatrix(fld, d * size, size, entries if entries[0] else None)
     coords = [(k, a * size + k, ua) for a, ua in enumerate(h.unit) if ua != 0 for k in range(size)]
-    return CochainSpace(d * size, basis, SparseMatrix(fld, size, d * size, list(zip(*coords))))
+    return CochainSpace(basis, SparseMatrix(fld, size, d * size, list(zip(*coords))))
 
 
 def coinvariant_quotient(h: HopfAlgebra, n: int):
@@ -501,6 +504,28 @@ def cp_orbit_walk(p: int, n: int):
 # -- the whole-complex fixed subcomplex --------------------------------------
 
 
+class CochainComplex(NamedTuple):
+    """A whole cochain complex: the spaces of degrees 0..top_degree and the
+    ambient differentials diffs[n]: ambient(n) -> ambient(n+1), all held at
+    once, where `symcoh.complexes` holds only the restricted differentials."""
+
+    field: Field
+    top_degree: int
+    spaces: list
+    diffs: list
+
+    def restricted_diff(self, n: int) -> SparseMatrix:
+        """The differential space(n) -> space(n+1) in subspace coordinates,
+        read in by `read_in`."""
+        out = self.diffs[n]
+        return read_in(self.spaces[n + 1], out if self.spaces[n].is_full
+                       else out @ self.spaces[n].basis)
+
+    def restricted_diffs(self) -> list:
+        """The list that `cohomology_dims` ranks."""
+        return [self.restricted_diff(n) for n in range(self.top_degree)]
+
+
 def homogeneous_differential(h: HopfAlgebra, n: int, m: int) -> SparseMatrix:
     """Degree n's differential of the homogeneous realization, formed whole:
     precomposition with the counit-deletion chain map on n+2 slots, its
@@ -547,7 +572,7 @@ def full_classical_cohomology(h: HopfAlgebra, mod: LeftModule, top: int) -> list
     """H^0..H^(top-1) (HH for a bimodule) on the whole standard complex
     Hom_k(A^(tensor n), M), the reference for the normalized complex that
     `symcoh.bar.classical_cohomology` ranks."""
-    return cohomology_dims(nonhomogeneous_complex(h, mod, top))
+    return cohomology_dims(nonhomogeneous_complex(h, mod, top).restricted_diffs())
 
 
 def fixed_subcomplex(c: CochainComplex, ops: list) -> CochainComplex:
@@ -580,9 +605,16 @@ def space_dims(c: CochainComplex) -> list:
     return [s.dim for s in c.spaces]
 
 
-def check_independent(s: Subspace) -> bool:
-    """Whether the basis columns of s are linearly independent."""
-    return rank(s.basis) == s.basis.cols
+def contains(space: CochainSpace, vecs: SparseMatrix) -> bool:
+    """Whether every column of vecs lies in space, by the coords round trip
+    (valid since coords @ basis = 1): the test of `symcoh.complexes.read_in`
+    as a truth value."""
+    return space.basis @ (space.coords @ vecs) == vecs
+
+
+def check_independent(basis: Matrix) -> bool:
+    """Whether the columns of basis are linearly independent."""
+    return rank(basis) == basis.cols
 
 
 @dataclass
@@ -601,7 +633,7 @@ def check_complex(c: CochainComplex) -> ComplexReport:
     report = ComplexReport()
     for n in range(c.top_degree):
         image = c.diffs[n] @ c.spaces[n].basis
-        if not c.spaces[n + 1].contains(image):
+        if not contains(c.spaces[n + 1], image):
             report.first_failure = n
             report.reason = "differential image leaves the next space"
             return report
@@ -642,7 +674,7 @@ def coxeter_relations_hold(op: list, space: CochainSpace):
 def euler_characteristic_consistent(c: CochainComplex) -> bool:
     """Alternating sums of space dims and cohomology dims agree on a
     complex whose differentials vanish at both ends of the degree range."""
-    dims = cohomology_dims(c)
+    dims = cohomology_dims(c.restricted_diffs())
     top = c.spaces[c.top_degree].dim
     top_h = top - rank(c.restricted_diff(c.top_degree - 1).to_dense()) if top else 0
     chi_spaces = sum((-1) ** n * c.spaces[n].dim for n in range(c.top_degree + 1))

@@ -262,7 +262,7 @@ def test_criterion_10_low_degree_maps():
         cpx = homogeneous_complex(h, triv, 3)
         ops = [sigma_homogeneous(h, triv, n) for n in range(4)]
         fixed = fixed_subcomplex(cpx, ops)
-        rep = induced_map_on_cohomology(fixed, cpx)
+        rep = induced_map_on_cohomology(cpx.diffs, fixed.spaces, cpx.spaces)
         m1 = rep.matrix(1)
         assert m1.rows == m1.cols and rep.is_injective(1)
         assert rep.is_injective(2)

@@ -19,7 +19,7 @@ from symcoh.modules import (Bimodule, adjoint_module, regular_bimodule, regular_
 from symcoh.sparse import SparseMatrix
 from symcoh.tensors import cochain_precompose, flat
 
-from oracles import (all_tuples, bar_chain_diff, check_complex, coxeter_relations_hold,
+from oracles import (all_tuples, bar_chain_diff, check_complex, contains, coxeter_relations_hold,
                      equivariant_solve, fixed_subcomplex, full_classical_cohomology,
                      homogeneous_complex,
                      maschke_cohomology_dims, nonhomogeneous_complex, periodic_cyclic_cohomology_dims, phi_psi, psi_space,
@@ -93,7 +93,7 @@ def test_homogeneous_space_generic_agrees_with_fast_path():
             generic = equivariant_solve(h, mod, slots)
             assert fast.dim == generic.dim
             # same subspace: every fast basis column must round-trip through generic
-            assert generic.contains(fast.basis)
+            assert contains(generic, fast.basis)
             assert (fast.coords @ fast.basis).equals_identity()
 
 
@@ -152,11 +152,12 @@ def test_homogeneous_matches_nonhomogeneous_cohomology():
     for h, top in ((kC(3, GF3), 4), (kC(2, QQ), 3), (kS3(GF5), 3)):
         mod = trivial_module(h)
         a = classical_cohomology(h, mod, top)
-        b = cohomology_dims(homogeneous_complex(h, mod, top))
+        b = cohomology_dims(homogeneous_complex(h, mod, top).restricted_diffs())
         assert a == b
     # periodic oracle through the homogeneous route, degrees 0..3
     h = kC(3, GF3)
-    assert cohomology_dims(homogeneous_complex(h, trivial_module(h), 4)) == [1, 1, 1, 1]
+    assert cohomology_dims(homogeneous_complex(h, trivial_module(h), 4).restricted_diffs()) == \
+        [1, 1, 1, 1]
 
 
 def test_budget_refusal():
@@ -427,7 +428,7 @@ def test_phi_psi_restrict_to_fixed_subspaces():
         eye = SparseMatrix.identity(h.field, space.dim)
         red = [(restrict_operator(space, s) - eye).to_dense() for s in ops_k]
         fixed = kernel_basis(vstack(h.field, red))
-        img = phi @ (space.basis @ SparseMatrix.from_dense(fixed.basis))
+        img = phi @ (space.basis @ SparseMatrix.from_dense(fixed))
         for s in ops_c:
             assert s @ img == img
         # CS vectors map into KS under psi
@@ -435,7 +436,7 @@ def test_phi_psi_restrict_to_fixed_subspaces():
         stacked = vstack(h.field, [(s - SparseMatrix.identity(h.field, full_dim)).to_dense()
                                    for s in ops_c])
         cs = kernel_basis(stacked)
-        img = psi @ SparseMatrix.from_dense(cs.basis)
+        img = psi @ SparseMatrix.from_dense(cs)
         for s in ops_k:
             assert s @ img == img
 
@@ -468,7 +469,7 @@ def test_fixed_subcomplex_dims_shrink():
     ops = [sigma_homogeneous(h, mod, n) for n in range(5)]
     fixed = fixed_subcomplex(cpx, ops)
     assert all(f <= a for f, a in zip(space_dims(fixed), space_dims(cpx)))
-    assert cohomology_dims(fixed) == [1, 1, 1, 0]
+    assert cohomology_dims(fixed.restricted_diffs()) == [1, 1, 1, 0]
 
 
 def test_induced_map_h1_iso_h2_injective_kc3():
@@ -477,7 +478,7 @@ def test_induced_map_h1_iso_h2_injective_kc3():
     cpx = homogeneous_complex(h, mod, 3)
     ops = [sigma_homogeneous(h, mod, n) for n in range(4)]
     fixed = fixed_subcomplex(cpx, ops)
-    report = induced_map_on_cohomology(fixed, cpx)
+    report = induced_map_on_cohomology(cpx.diffs, fixed.spaces, cpx.spaces)
     m1 = report.matrix(1)
     assert m1.rows == m1.cols and report.is_injective(1)  # iso in degree 1
     assert report.is_injective(2)

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcoh import complexes
-from oracles import check_complex, euler_characteristic_consistent, field_id, space_dims
-from symcoh.complexes import (DENSE_RANK_CELLS, CochainComplex,
-                              CochainSpace, cohomology_dims, fixed_cohomology, fixed_degrees,
-                              induced_map_on_cohomology)
+from oracles import (CochainComplex, check_complex, euler_characteristic_consistent, field_id,
+                     space_dims)
+from symcoh.complexes import (DENSE_RANK_CELLS, CochainSpace, cohomology_dims, fixed_cohomology,
+                              fixed_degrees, induced_map_on_cohomology, read_in)
 from symcoh.errors import (ActionLeavesSubspace, ActionNotCompatible, BudgetExceeded,
                            NotASubcomplex)
 from symcoh.fields import Field
-from symcoh.linalg import Matrix, Subspace, intersect_kernels, rank
+from symcoh.linalg import Matrix, intersect_kernels, rank
 from symcoh.sparse import SparseMatrix
 
 GF3 = Field.prime(3)
@@ -50,22 +50,29 @@ def test_check_complex_detects_corruption():
 
 
 def test_cohomology_dims_toy():
-    assert cohomology_dims(toy()) == [0, 0]
+    assert cohomology_dims(toy().diffs) == [0, 0]
 
 
 def test_cohomology_dims_zero_complex():
-    c = full_complex(QQ, [0, 0, 0], [[], []])
-    # represent empty diffs directly
-    c = CochainComplex(QQ, 2, [CochainSpace.full(QQ, 0)] * 3,
-                       [SparseMatrix(QQ, 0, 0), SparseMatrix(QQ, 0, 0)])
-    assert cohomology_dims(c) == [0, 0]
+    assert cohomology_dims([SparseMatrix(QQ, 0, 0), SparseMatrix(QQ, 0, 0)]) == [0, 0]
+    assert cohomology_dims([]) == []
 
 
 def test_cohomology_dims_rejects_negative_dimension():
     # d1 d0 = 1 != 0, so the rank count gives H^1 = 1 - 1 - 1 = -1
     c = full_complex(GF3, [1, 1, 1], [[[1]], [[1]]])
     with pytest.raises(AssertionError, match="negative dimension"):
-        cohomology_dims(c)
+        cohomology_dims(c.diffs)
+
+
+@pytest.mark.parametrize("field", [GF3, QQ], ids=["GF3", "Q"])
+def test_cohomology_dims_refuses_differentials_that_do_not_compose(field):
+    # k -> k^2 -> k^3 would be ranked, but the second map takes k^3: the
+    # degree-1 space has no one dimension to read off the shapes
+    first, second = SparseMatrix(field, 2, 1), SparseMatrix(field, 1, 3)
+    assert cohomology_dims([first, SparseMatrix(field, 1, 2)]) == [1, 2]
+    with pytest.raises(ValueError, match="do not compose: 2 rows against 3 columns"):
+        cohomology_dims([first, second])
 
 
 def fixed_subcomplex(c, ops):
@@ -104,7 +111,7 @@ def test_fixed_subcomplex_negation_kills_space():
     fixed = fixed_subcomplex(c, [[], [minus],
                                  []])
     assert space_dims(fixed) == [1, 0, 1]
-    assert cohomology_dims(fixed) == [1, 0]
+    assert cohomology_dims(fixed.restricted_diffs()) == [1, 0]
 
 
 def _top_two_complex(field, top_space):
@@ -124,9 +131,9 @@ def test_fixed_subcomplex_keeps_the_top_space_and_certifies_its_generators():
     fixed = fixed_subcomplex(c, ops)
     assert space_dims(fixed) == [1, 1, 2]
     assert fixed.spaces[2] is c.spaces[2]
-    assert cohomology_dims(fixed) == [1, 1]
+    assert cohomology_dims(fixed.restricted_diffs()) == [1, 1]
     # a top generator that does not preserve a proper top subspace is refused
-    line = CochainSpace(2, SparseMatrix(field, 2, 1, ([0], [0], None)),
+    line = CochainSpace(SparseMatrix(field, 2, 1, ([0], [0], None)),
                         SparseMatrix(field, 1, 2, ([0], [0], None)))
     swap = SparseMatrix(field, 2, 2, ([1, 0], [0, 1], None))
     with pytest.raises(ActionLeavesSubspace):
@@ -143,7 +150,7 @@ def test_restrict_operator_returns_an_operator_on_a_full_space_without_a_product
     assert complexes.restrict_operator(CochainSpace.full(field, 2), swap) is swap
     assert products == []
     # a proper subspace that the operator leaves is still refused
-    line = CochainSpace(2, SparseMatrix(field, 2, 1, ([0], [0], None)),
+    line = CochainSpace(SparseMatrix(field, 2, 1, ([0], [0], None)),
                         SparseMatrix(field, 1, 2, ([0], [0], None)))
     with pytest.raises(ActionLeavesSubspace):
         complexes.restrict_operator(line, swap)
@@ -168,7 +175,7 @@ def test_fixed_subcomplex_takes_the_fixed_points_of_a_full_space_without_a_produ
     assert not any(x.rows == x.cols and x.equals_identity() for pair in products for x in pair)
     assert [space.dim for space, _diff in degrees] == [1, 1, 1, 27]
     assert degrees[-1][0].is_full
-    assert fixed_cohomology(GF3, iter(degrees)) == [1, 1, 1]
+    assert fixed_cohomology(iter(degrees)) == [1, 1, 1]
 
 
 def test_fixed_subcomplex_incompatible_raises():
@@ -182,9 +189,56 @@ def test_fixed_subcomplex_incompatible_raises():
         fixed_subcomplex(c, [[], [minus]])
 
 
+def test_read_in_certifies_that_the_image_lies_in_the_space():
+    line = CochainSpace(SparseMatrix(GF3, 2, 1, ([0], [0], None)),
+                        SparseMatrix(GF3, 1, 2, ([0], [0], None)))
+    assert read_in(line, SparseMatrix(GF3, 2, 1, ([0], [0], [2]))) == \
+        SparseMatrix(GF3, 1, 1, ([0], [0], [2]))
+    e1 = SparseMatrix(GF3, 2, 1, ([1], [0], None))
+    with pytest.raises(ActionLeavesSubspace):
+        read_in(line, e1)
+    # a full space's coordinates are the ambient ones
+    assert read_in(CochainSpace.full(GF3, 2), e1) is e1
+
+
+def test_fixed_degrees_refuses_a_differential_image_outside_the_space():
+    # degree 1 is the line of e_0 in GF(3)^2, and the differential sends
+    # degree 0 to e_1, which no generator moves: read off the coords alone
+    # it is 0, and H^0 would come out 1; read in, it is refused
+    line = CochainSpace(SparseMatrix(GF3, 2, 1, ([0], [0], None)),
+                        SparseMatrix(GF3, 1, 2, ([0], [0], None)))
+    e1 = SparseMatrix(GF3, 2, 1, ([1], [0], None))
+    degrees = fixed_degrees(GF3, [line, CochainSpace.full(GF3, 1)], lambda n: [],
+                            lambda n, fixed: e1)
+    with pytest.raises(ActionLeavesSubspace):
+        fixed_cohomology(degrees)
+
+
+def test_sh_via_resolution_refuses_a_hom_space_that_a_precomposition_leaves(monkeypatch):
+    # kC3 on its regular module: the degree-0 differential has rank 2, so a
+    # degree-1 Hom space cut down to nothing is left by its image
+    from symcoh import resolution
+    from symcoh.hopf import cyclic_group_table, group_algebra
+    from symcoh.modules import regular_left_module
+    h = group_algebra(3, cyclic_group_table(3), GF3)
+    mod = regular_left_module(h)
+    assert resolution.sh_via_resolution(h, mod, 2) == [1, 0]
+    real, calls = resolution.hom_equivariant, []
+
+    def cut(h, x, m):
+        calls.append(x.dim)
+        basis = real(h, x, m)
+        return Matrix(basis.field, basis.data[:, :0]) if len(calls) == 2 else basis
+
+    monkeypatch.setattr(resolution, "hom_equivariant", cut)
+    with pytest.raises(ActionLeavesSubspace):
+        resolution.sh_via_resolution(h, mod, 2)
+    assert len(calls) == 3
+
+
 def test_induced_map_sub_equals_full_is_identity():
     c = toy()
-    report = induced_map_on_cohomology(c, c)
+    report = induced_map_on_cohomology(c.diffs, c.spaces, c.spaces)
     for n, mat in zip(report.degrees, report.matrices):
         assert mat == Matrix.identity(GF3, mat.rows)
         assert report.is_injective(n)
@@ -194,7 +248,7 @@ def test_induced_map_rejects_mismatched():
     c = toy()
     other = full_complex(GF3, [1, 2, 2], [[[1], [0]], [[0, 1], [0, 0]]])
     with pytest.raises(NotASubcomplex):
-        induced_map_on_cohomology(c, other)
+        induced_map_on_cohomology(c.diffs, c.spaces, other.spaces)
 
 
 def test_euler_characteristic_consistency():
@@ -207,11 +261,10 @@ def test_cohomology_dims_refuses_an_oversized_dense_rank(field):
     # the dimensions alone, before any dense matrix exists
     side = 1 << 13  # side * side = 4 * DENSE_RANK_CELLS
     assert side * side > DENSE_RANK_CELLS
-    spaces = [CochainSpace.full(field, d) for d in (1, side, side)]
     diffs = [SparseMatrix(field, side, 1), SparseMatrix(field, side, side)]
-    assert cohomology_dims(CochainComplex(field, 1, spaces[:2], diffs[:1])) == [1]
+    assert cohomology_dims(diffs[:1]) == [1]
     with pytest.raises(BudgetExceeded):
-        cohomology_dims(CochainComplex(field, 2, spaces, diffs))
+        cohomology_dims(diffs)
 
 
 def _rank_one_near_2_to_30():
@@ -315,7 +368,7 @@ def test_of_reads_the_free_coordinates_of_a_reduced_basis(field):
 def test_of_refuses_a_basis_that_is_not_reduced():
     basis = Matrix.from_rows(GF3, [[1, 1], [0, 1]])  # column 1 is not 0 at row 1
     with pytest.raises(ValueError, match="not reduced"):
-        CochainSpace.of(Subspace(2, basis))
+        CochainSpace.of(basis)
 
 
 @pytest.mark.parametrize("field", ORBIT_FIELDS, ids=field_id)

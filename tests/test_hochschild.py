@@ -17,7 +17,7 @@ from symcoh.modules import adjoint_module, regular_bimodule, trivial_bimodule
 from symcoh.sparse import SparseMatrix
 from symcoh.tensors import flat
 
-from oracles import (all_tuples, check_complex, coxeter_relations_hold, equivariant_solve,
+from oracles import (all_tuples, check_complex, contains, coxeter_relations_hold, equivariant_solve,
                      fixed_subcomplex, homogeneous_complex, nonhomogeneous_complex,
                      periodic_cyclic_cohomology_dims,
                      phi_psi, sigma_nonhomogeneous_ambient)
@@ -70,7 +70,7 @@ def test_equivariant_space_generic_agrees_with_fast_path():
                 fast = equivariant_space(h, ad, slots, [])
                 generic = equivariant_solve(h, ad, slots)
                 assert fast.dim == generic.dim
-                assert generic.contains(fast.basis)
+                assert contains(generic, fast.basis)
                 assert (fast.coords @ fast.basis).equals_identity()
 
 
@@ -94,10 +94,11 @@ def test_hochschild_routes_agree():
     for h, top in ((kC(3, GF3), 4), (kC(2, QQ), 3), (kC(3, QQ), 3), (kS3(GF5), 3)):
         bim = regular_bimodule(h)
         a = classical_cohomology(h, bim, top)
-        b = cohomology_dims(homogeneous_complex(h, adjoint_module(h, bim), top))
+        b = cohomology_dims(homogeneous_complex(h, adjoint_module(h, bim), top)
+                            .restricted_diffs())
         assert a == b
-    assert cohomology_dims(homogeneous_complex(kC(3, GF3), ad_regular(kC(3, GF3)), 4)) \
-        == [3, 3, 3, 3]
+    assert cohomology_dims(homogeneous_complex(kC(3, GF3), ad_regular(kC(3, GF3)), 4)
+                           .restricted_diffs()) == [3, 3, 3, 3]
 
 
 def test_sigma_sa4_is_signed_swap_on_dual_basis():

@@ -37,8 +37,6 @@ _ITEM4 = "ROADMAP item 4, the certified map SH -> H"
 _ITEM3 = "ROADMAP item 3, the projectivity certificates"
 _TRACER = "ROADMAP item 1: perfbench/traced_job.py reads it, so traced runs need it"
 ALLOWED = {
-    "complexes.CochainSpace.contains": _ITEM4,
-    "complexes.CochainComplex.ambient_dim": _ITEM4,
     "complexes.InducedMapReport.matrix": _ITEM4,
     "complexes.InducedMapReport.is_injective": _ITEM4,
     "complexes._cohomology_basis": _ITEM4,

@@ -105,13 +105,13 @@ def test_cp_rank_table_charges_the_dense_rank_of_the_norm(monkeypatch):
     # S_1, ..., S_5 of kC7 have dims 21, 35, 35, 21, 7: the norm on S_2 is
     # the first that a limit below 35^2 cells refuses (the ambient charge,
     # 7^6 coordinates, is lifted so that only the rank's is left)
-    from symcoh import resolution
+    from symcoh import linalg, resolution
     from symcoh.errors import BudgetExceeded
     h = kC(7, Field.prime(7))
     monkeypatch.setattr(resolution, "_require_ambient", lambda h, top: None)
-    monkeypatch.setattr(resolution, "DENSE_RANK_CELLS", 35 * 35)
+    monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 35 * 35)
     assert [r.dim for r in cp_rank_table(h, 5)] == [21, 35, 35, 21, 7]
-    monkeypatch.setattr(resolution, "DENSE_RANK_CELLS", 35 * 35 - 1)
+    monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 35 * 35 - 1)
     with pytest.raises(BudgetExceeded, match="35 x 35"):
         cp_rank_table(h, 5)
 
@@ -153,16 +153,16 @@ def _oracle_module(h, fast, proj, sect):
 def _same_invariants(h, fast, proj, sect):
     """The induced actions are conjugate, so their invariants agree."""
     k = trivial_module(h)
-    return hom_equivariant(h, k, fast.module).dim == \
-        hom_equivariant(h, k, _oracle_module(h, fast, proj, sect)).dim
+    return hom_equivariant(h, k, fast.module).cols == \
+        hom_equivariant(h, k, _oracle_module(h, fast, proj, sect)).cols
 
 
 def _same_hom_into_adjoint(h, fast, proj, sect):
     """The induced actions are conjugate, so their Hom spaces into ad A,
     the Hom solve of SHH with the regular bimodule, agree."""
     ad = adjoint_module(h, regular_bimodule(h))
-    return hom_equivariant(h, fast.module, ad).dim == \
-        hom_equivariant(h, _oracle_module(h, fast, proj, sect), ad).dim
+    return hom_equivariant(h, fast.module, ad).cols == \
+        hom_equivariant(h, _oracle_module(h, fast, proj, sect), ad).cols
 
 
 @pytest.mark.parametrize("make,field,n_max", [
@@ -230,10 +230,10 @@ def test_exactness_report_certifies_top_degree_only_when_next_space_vanishes():
 
 def test_exactness_report_charges_the_dense_rank_budget(monkeypatch):
     # kC3 over GF(5): S_0, S_1, S_2 have dims 3, 3, 1, so the dual of d_1 is 3 x 3
-    from symcoh import complexes
+    from symcoh import linalg
     from symcoh.errors import BudgetExceeded
     res = sym_resolution_complex(kC(3, GF5), 2)
-    monkeypatch.setattr(complexes, "DENSE_RANK_CELLS", 8)
+    monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 8)
     with pytest.raises(BudgetExceeded, match="3 x 3"):
         res.exactness_report()
 
@@ -321,18 +321,20 @@ def test_hom_differentials_are_the_sparse_precomposition(monkeypatch):
     from symcoh import resolution
     from symcoh.modules import regular_left_module
     built = []
-    real = resolution.cohomology_dims
-    monkeypatch.setattr(resolution, "cohomology_dims",
-                        lambda c: built.append(c) or real(c))
+    real = resolution.cochain_precompose
+    monkeypatch.setattr(resolution, "cochain_precompose",
+                        lambda b, m: built.append(real(b, m)) or built[-1])
     top = 3
     for h in (kC(3, GF3), kC(3, QQ), kS3(GF5)):
         for mod in (trivial_module(h), regular_left_module(h), regular_bimodule(h)):
+            built.clear()
             sh_via_resolution(h, mod, top)
             res = sym_resolution_complex(h, top)
             eye = SparseMatrix.identity(h.field, mod.dim)
+            assert len(built) == top
             for n in range(top):
                 want = kron(res.boundaries[n + 1].transpose(), eye)
-                got = built[-1].diffs[n]
+                got = built[n]
                 assert (got.rows, got.cols) == (want.rows, want.cols)
                 for a, b in zip(got.triples(), want.triples()):
                     assert a.tolist() == b.tolist()
@@ -341,9 +343,9 @@ def test_hom_differentials_are_the_sparse_precomposition(monkeypatch):
 def test_euler_characteristic_on_resolution_route_complexes():
     # the Hom complexes of the terminating kC_p resolutions are bounded with
     # vanishing boundary maps at both ends
-    from oracles import euler_characteristic_consistent
+    from oracles import CochainComplex, euler_characteristic_consistent
     from symcoh.modules import hom_equivariant
-    from symcoh.complexes import CochainComplex, CochainSpace
+    from symcoh.complexes import CochainSpace
     for p, field in ((3, GF3), (5, GF5)):
         h = kC(p, field)
         mod = trivial_module(h)
@@ -351,14 +353,14 @@ def test_euler_characteristic_on_resolution_route_complexes():
         spaces, diffs = [], []
         for n in range(p + 1):
             s = res.spaces[n].dim
-            sub = hom_equivariant(h, res.spaces[n].module, mod) if s else None
-            if sub and sub.dim:
-                space = CochainSpace.of(sub)
+            kernel = hom_equivariant(h, res.spaces[n].module, mod) if s else None
+            if kernel and kernel.cols:
+                space = CochainSpace.of(kernel)
                 basis, coords = space.basis, space.coords
             else:
                 basis = SparseMatrix(field, mod.dim * s, 0)
                 coords = SparseMatrix(field, 0, mod.dim * s)
-            spaces.append(CochainSpace(mod.dim * s, basis, coords))
+            spaces.append(CochainSpace(basis, coords))
         for n in range(p):
             diffs.append(kron(res.boundaries[n + 1].transpose(),
                               SparseMatrix.identity(field, mod.dim)))
@@ -376,7 +378,7 @@ def test_homspace_dims_equal_fixed_subspace_dims():
     fixed = [space.dim for space, _diff in homogeneous_degrees(h, mod, 4)]
     res = sym_resolution_complex(h, 3)
     for n in range(4):
-        hom_dim = hom_equivariant(h, res.spaces[n].module, mod).dim
+        hom_dim = hom_equivariant(h, res.spaces[n].module, mod).cols
         assert hom_dim == fixed[n]
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcoh import sparse
+from symcoh import linalg, sparse
 from symcoh.bar import equivariant_space
 from symcoh.errors import BudgetExceeded
 from symcoh.fields import Field
@@ -232,7 +232,7 @@ def test_apply_in_slot_over_the_term_bound_runs_in_batches(field, monkeypatch):
 
 
 def test_the_term_charge_counts_three_cells_per_term(monkeypatch):
-    monkeypatch.setattr(sparse, "DENSE_RANK_CELLS", 12)
+    monkeypatch.setattr(linalg, "DENSE_RANK_CELLS", 12)
     sparse.require_terms(4, "four terms")
     with pytest.raises(BudgetExceeded, match="five terms needs at least 5 terms, 15 cells"):
         sparse.require_terms(5, "five terms")
